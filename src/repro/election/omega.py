@@ -11,7 +11,7 @@ have to be ≤ the other in the candidate order).
 
 :class:`OmegaCore` is the pure, transport-agnostic state machine; it
 consumes ``(time, process, output)`` transitions from *any* detector
-backend — the object path, the SoA engine, sim or live — and maintains
+backend — per-detector hosts, the SoA engine, sim or live — and maintains
 the trusted set, the current leader, and a leader timeline.
 :class:`ServiceElector` adapts a simulated
 :class:`~repro.service.monitor_service.MonitorService`;

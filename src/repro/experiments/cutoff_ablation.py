@@ -23,7 +23,6 @@ from repro.experiments.common import (
 from repro.sim.batch import (
     AccuracyTask,
     run_accuracy_task,
-    run_accuracy_tasks_batched,
 )
 from repro.sim.parallel import parallel_map
 
@@ -38,14 +37,11 @@ def run_cutoff_ablation(
     max_heartbeats: int = 20_000_000,
     seed: int = 808,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Sweep the SFD cutoff at a fixed detection bound.
 
     ``jobs`` fans the cutoff points (plus the NFD-S reference) out over
-    worker processes with identical results.  With a ``batch_size`` the
-    whole cutoff sweep advances as one lockstep multi-seed SFD batch —
-    again bit-identical.
+    worker processes with identical results.
     """
     if cutoffs is None:
         cutoffs = [0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28]
@@ -101,12 +97,7 @@ def run_cutoff_ablation(
         )
 
     tasks = [task_for(c) for c in sweep + [None]]
-    if batch_size is not None:
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-    else:
-        results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
+    results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
     for c, r in zip(sweep, results):
         model = (
             SFDAnalysis(eta, tdu - c, p_l, delay, cutoff=c).e_tmr()

@@ -27,7 +27,6 @@ from repro.experiments.common import (
     steady_state_warmup,
 )
 from repro.sim.batch import run_crash_runs_batched
-from repro.sim.parallel import run_crash_runs_parallel
 from repro.sim.runner import SimulationConfig
 
 __all__ = ["run_detection_time"]
@@ -39,15 +38,15 @@ def run_detection_time(
     n_runs: int = 200,
     seed: int = 707,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Measure ``T_D`` distributions for all detectors at one ``T_D^U``.
 
     Each detector gets its own steady-state warmup, so the crash always
-    lands on a detector past its transient.  ``jobs`` fans the crash
-    runs out over worker processes with bit-identical results; a
-    ``batch_size`` additionally routes them through the vectorized
-    crash-run kernel (:mod:`repro.sim.batch`), also bit-identical.
+    lands on a detector past its transient.  The runs go through the
+    vectorized crash-run kernel (:mod:`repro.sim.batch`), which is
+    bit-identical to the event-driven runner and falls back to it for a
+    detector it has no closed form for; ``jobs`` fans the batches out
+    over worker processes, again with bit-identical results.
     """
     eta = settings.eta
     delay = settings.delay
@@ -117,23 +116,13 @@ def run_detection_time(
         ),
     ]
     for name, factory, bound, warmup in cases:
-        if batch_size is not None:
-            result = run_crash_runs_batched(
-                factory,
-                config_for(warmup),
-                n_runs=n_runs,
-                batch_size=batch_size,
-                settle_time=40.0,
-                jobs=jobs,
-            )
-        else:
-            result = run_crash_runs_parallel(
-                factory,
-                config_for(warmup),
-                n_runs=n_runs,
-                settle_time=40.0,
-                jobs=jobs,
-            )
+        result = run_crash_runs_batched(
+            factory,
+            config_for(warmup),
+            n_runs=n_runs,
+            settle_time=40.0,
+            jobs=jobs,
+        )
         max_td = result.max_detection_time
         # An undetected crash means T_D exceeded the whole settle span,
         # so any finite bound is violated.

@@ -38,7 +38,6 @@ from repro.experiments.common import (
 from repro.sim.batch import (
     AccuracyTask,
     run_accuracy_task,
-    run_accuracy_tasks_batched,
 )
 from repro.sim.fastsim import FastAccuracyResult
 from repro.sim.parallel import parallel_map
@@ -76,8 +75,7 @@ def _fig12_tasks(
     """The four accuracy tasks (nfds, nfde, sfd_l, sfd_s) of one point.
 
     Seeds are a pure function of ``(seed, idx)``, so tasks can be
-    evaluated in any order — on any worker, through the serial kernels
-    or the batched executor — with identical results.
+    evaluated in any order, on any worker, with identical results.
     """
     delay = settings.delay
     eta = settings.eta
@@ -152,27 +150,6 @@ def _fig12_tasks(
     ]
 
 
-def _fig12_assemble(
-    tdu: float,
-    settings: Fig12Settings,
-    results: List[FastAccuracyResult],
-) -> Fig12Point:
-    """Combine the four task results of one point with its analytics."""
-    eta = settings.eta
-    delta = tdu - eta
-    analysis = NFDSAnalysis(eta, delta, settings.loss_probability, settings.delay)
-    nfds, nfde, sfd_l, sfd_s = results
-    return Fig12Point(
-        tdu=tdu,
-        analytic_tmr=analysis.e_tmr(),
-        analytic_tm=analysis.e_tm(),
-        nfds=nfds,
-        nfde=nfde,
-        sfd_l=sfd_l,
-        sfd_s=sfd_s,
-    )
-
-
 def _fig12_point(
     idx: int,
     tdu: float,
@@ -185,8 +162,19 @@ def _fig12_point(
     tasks = _fig12_tasks(
         idx, tdu, settings, target_mistakes, max_heartbeats, seed
     )
-    return _fig12_assemble(
-        tdu, settings, [run_accuracy_task(t) for t in tasks]
+    nfds, nfde, sfd_l, sfd_s = (run_accuracy_task(t) for t in tasks)
+    eta = settings.eta
+    analysis = NFDSAnalysis(
+        eta, tdu - eta, settings.loss_probability, settings.delay
+    )
+    return Fig12Point(
+        tdu=tdu,
+        analytic_tmr=analysis.e_tmr(),
+        analytic_tm=analysis.e_tm(),
+        nfds=nfds,
+        nfde=nfde,
+        sfd_l=sfd_l,
+        sfd_s=sfd_s,
     )
 
 
@@ -197,7 +185,6 @@ def run_fig12(
     max_heartbeats: int = 50_000_000,
     seed: int = 2000,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> List[Fig12Point]:
     """Run the Fig. 12 sweep; one :class:`Fig12Point` per ``T_D^U``.
 
@@ -207,30 +194,10 @@ def run_fig12(
 
     ``jobs`` fans the grid points out over worker processes
     (:mod:`repro.sim.parallel`); results are bit-identical to ``jobs=1``
-    for the same seed.  ``0``/``None`` uses all cores.  ``batch_size``
-    instead flattens the sweep into per-algorithm tasks and runs
-    compatible ones through the lockstep multi-seed kernels
-    (:func:`repro.sim.batch.run_accuracy_tasks_batched`) — e.g. all the
-    SFD points of the sweep advance as one batch — again bit-identical.
+    for the same seed.  ``0``/``None`` uses all cores.
     """
     if tdu_values is None:
         tdu_values = settings.tdu_grid()
-
-    if batch_size is not None:
-        tasks = [
-            task
-            for idx, tdu in enumerate(tdu_values)
-            for task in _fig12_tasks(
-                idx, tdu, settings, target_mistakes, max_heartbeats, seed
-            )
-        ]
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-        return [
-            _fig12_assemble(tdu, settings, results[4 * i : 4 * i + 4])
-            for i, tdu in enumerate(tdu_values)
-        ]
 
     def point(args) -> Fig12Point:
         idx, tdu = args

@@ -117,9 +117,7 @@ class _FlatRun:
     def __init__(self, settings: HierarchySettings, seed_offset: int) -> None:
         s = settings
         self.sim = Simulator()
-        self.service = MonitorService(
-            self.sim, seed=s.seed + seed_offset, engine="soa"
-        )
+        self.service = MonitorService(self.sim, seed=s.seed + seed_offset)
         width = max(4, len(str(s.n_senders - 1)))
         self.names = [f"s{i:0{width}d}" for i in range(s.n_senders)]
         for name in self.names:

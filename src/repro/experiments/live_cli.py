@@ -76,12 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     soak.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="object",
-        help="detector backend: per-peer hosts or the shared SoA engine",
-    )
-    soak.add_argument(
         "--drain-batch",
         type=int,
         default=256,
@@ -132,12 +126,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--report-every", type=float, default=2.0)
     mon.add_argument("--telemetry-out", type=Path, default=None)
     mon.add_argument(
-        "--engine",
-        choices=["object", "soa"],
-        default="object",
-        help="detector backend: per-peer hosts or the shared SoA engine",
-    )
-    mon.add_argument(
         "--drain-batch",
         type=int,
         default=256,
@@ -176,7 +164,6 @@ def _run_soak(args) -> int:
         kill=args.kill,
         kill_after=args.kill_after,
         seed=args.seed,
-        engine=args.engine,
         drain_batch=args.drain_batch,
         fanout=args.fanout,
     )
@@ -229,7 +216,6 @@ def _run_monitor(args) -> int:
                 duration=args.duration,
                 report_every=args.report_every,
                 registry=registry,
-                engine=args.engine,
                 drain_batch=args.drain_batch,
                 batched_socket=not args.no_batched_socket,
             )

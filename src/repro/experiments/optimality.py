@@ -21,7 +21,6 @@ from repro.experiments.common import (
 from repro.sim.batch import (
     AccuracyTask,
     run_accuracy_task,
-    run_accuracy_tasks_batched,
 )
 from repro.sim.parallel import parallel_map
 
@@ -36,15 +35,11 @@ def run_optimality(
     max_heartbeats: int = 20_000_000,
     seed: int = 606,
     jobs: Optional[int] = 1,
-    batch_size: Optional[int] = None,
 ) -> ExperimentTable:
     """Compare ``P_A`` across same-rate, same-detection-bound detectors.
 
     ``jobs`` fans the table rows out over worker processes; the rows
-    (and their seeds) are identical to serial evaluation.  With a
-    ``batch_size``, compatible rows (all NFD-S rows share k, all SFD
-    rows share the schedule) advance through the lockstep multi-seed
-    kernels instead — bit-identical again.
+    (and their seeds) are identical to serial evaluation.
     """
     if cutoffs is None:
         cutoffs = [0.04, 0.08, 0.16, 0.32, 0.64]
@@ -107,12 +102,7 @@ def run_optimality(
         )
 
     tasks = [task_for(case) for case in cases]
-    if batch_size is not None:
-        results = run_accuracy_tasks_batched(
-            tasks, batch_size=batch_size, jobs=jobs
-        )
-    else:
-        results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
+    results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
     for (label, _kind, _param, _seed), r in zip(cases, results):
         table.add_row(
             label,

@@ -1,8 +1,8 @@
 """Leaf tier: a monitor service watching one shard of senders.
 
 A :class:`LeafMonitor` wraps a :class:`~repro.service.MonitorService`
-(by default on the vectorized SoA engine, which is what lets a leaf
-carry 10^4+ senders) and maintains the shard-status book the digest
+(whose vectorized SoA engine is what lets a leaf carry 10^4+ senders)
+and maintains the shard-status book the digest
 plane publishes: every detector transition, admission, restart and
 removal bumps the affected sender's status version, and
 :meth:`make_digest` snapshots the book under a fresh digest version.
@@ -27,15 +27,9 @@ __all__ = ["LeafMonitor"]
 class LeafMonitor:
     """One shard's monitor plus the status book it publishes upward."""
 
-    def __init__(
-        self,
-        leaf_id: str,
-        sim: Simulator,
-        seed: int = 0,
-        engine: str = "soa",
-    ) -> None:
+    def __init__(self, leaf_id: str, sim: Simulator, seed: int = 0) -> None:
         self.leaf_id = leaf_id
-        self.service = MonitorService(sim, seed=seed, engine=engine)
+        self.service = MonitorService(sim, seed=seed)
         self.service.subscribe(self._on_event)
         self._sim = sim
         self._statuses: Dict[str, SenderStatus] = {}

@@ -3,8 +3,10 @@
 :class:`LiveMonitorService` is the live counterpart of
 :class:`~repro.service.monitor_service.MonitorService`: it receives raw
 datagrams from a transport, decodes them, and dispatches each heartbeat
-to the per-peer :class:`~repro.live.runtime.LiveDetectorHost` — with the
-operational hardening a wall-clock service needs:
+to the peer's host — a row of the shared
+:class:`~repro.service.soa.VectorMonitorEngine` for plain NFD-S/U/E, a
+:class:`~repro.live.runtime.LiveDetectorHost` for any other detector —
+with the operational hardening a wall-clock service needs:
 
 * **bounded inbox** — the transport callback only enqueues; a consumer
   task drains.  When the queue is full the datagram is dropped and
@@ -47,7 +49,6 @@ from repro.live.supervisor import TaskSupervisor
 from repro.service.soa import VectorMonitorEngine, supports_detector
 from repro.live.wire import (
     HeartbeatBatchDecoder,
-    LiveHeartbeat,
     WireError,
     decode_heartbeat,
 )
@@ -85,19 +86,20 @@ class _Peer:
         "incarnation",
         "first_seq",
         "host",
-        "observer_kwargs",
+        "observer_windows",
         "observe",
     )
 
-    def __init__(self, name, eta, factory, observer_kwargs, observe) -> None:
+    def __init__(self, name, eta, factory, observer_windows, observe) -> None:
         self.name = name
         self.eta = eta
         self.factory = factory
-        self.observer_kwargs = observer_kwargs
+        #: (stats_window, arrival_window, loss_reorder_horizon)
+        self.observer_windows = observer_windows
         self.observe = observe
         self.incarnation = 0
         self.first_seq = 1
-        #: LiveDetectorHost (object backend) or SoALiveHost (soa backend)
+        #: SoALiveHost (NFD-S/U/E engine row) or LiveDetectorHost (the rest)
         self.host: Optional[object] = None
 
 
@@ -114,20 +116,22 @@ class LiveMonitorService:
         warmup: per-incarnation startup span excluded from online QoS.
         keep_traces: retain full output traces (on for soaks/tests, off
             for indefinitely-running services).
-        engine: ``"object"`` (default) hosts each peer in its own
-            :class:`LiveDetectorHost` with per-peer loop timers;
-            ``"soa"`` hosts NFD-S/U/E peers in a shared
-            :class:`~repro.service.soa.VectorMonitorEngine` — one armed
-            loop timer for the whole service — which is what a monitor
-            tracking 10^4+ live peers needs.  Verdicts are identical.
         drain_batch: how many queued datagrams the consumer drains per
-            wakeup.  ``1`` reproduces the historical one-datagram-at-a-
-            time dispatch exactly; larger values decode the chunk with
-            the allocation-light batch decoder and (under the SoA
-            engine) apply all receipts via one
+            wakeup (one clock read per drained chunk, so ``1`` stamps
+            every datagram with its own receipt time).  A chunk is
+            decoded with the allocation-light batch decoder and its
+            receipts for engine-hosted peers applied via one
             :meth:`~repro.service.soa.VectorMonitorEngine.ingest` call.
-            Verdicts and every counter are identical either way — the
-            batched-drain equality suite pins it.
+            Verdicts and every counter are identical for every size —
+            the batched-drain equality suite pins it.
+
+    Peers whose factory returns a plain NFD-S/U/E detector share one
+    :class:`~repro.service.soa.VectorMonitorEngine` — one armed loop
+    timer for the whole service, which is what a monitor tracking 10^4+
+    live peers needs; any other detector (a subclass included, see
+    :func:`~repro.service.soa.supports_detector`) runs in its own
+    :class:`LiveDetectorHost` with per-peer loop timers.  Verdicts are
+    identical either way.
     """
 
     def __init__(
@@ -140,16 +144,11 @@ class LiveMonitorService:
         warmup: float = 0.0,
         keep_traces: bool = True,
         auto_admit: Optional[AdmitHook] = None,
-        engine: str = "object",
         drain_batch: int = 256,
     ) -> None:
         if inbox_limit < 1:
             raise InvalidParameterError(
                 f"inbox_limit must be >= 1, got {inbox_limit}"
-            )
-        if engine not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"unknown engine {engine!r}; expected 'object' or 'soa'"
             )
         if drain_batch < 1:
             raise InvalidParameterError(
@@ -165,7 +164,6 @@ class LiveMonitorService:
         self._warmup = float(warmup)
         self._keep_traces = keep_traces
         self._auto_admit = auto_admit
-        self._engine_kind = engine
         self._soa_engine: Optional[VectorMonitorEngine] = None
         self._soa_scheduler: Optional[LoopWheelScheduler] = None
         self._drain_batch = int(drain_batch)
@@ -253,11 +251,6 @@ class LiveMonitorService:
         return self._origin
 
     @property
-    def engine(self) -> str:
-        """The selected backend (``"object"`` or ``"soa"``)."""
-        return self._engine_kind
-
-    @property
     def drain_batch(self) -> int:
         """Datagrams drained from the inbox per consumer wakeup."""
         return self._drain_batch
@@ -313,11 +306,11 @@ class LiveMonitorService:
             name=name,
             eta=float(eta),
             factory=detector_factory,
-            observer_kwargs={
-                "stats_window": stats_window,
-                "arrival_window": arrival_window,
-                "loss_reorder_horizon": loss_reorder_horizon,
-            },
+            observer_windows=(
+                stats_window,
+                arrival_window,
+                loss_reorder_horizon,
+            ),
             observe=observe,
         )
         self._peers[name] = peer
@@ -328,20 +321,23 @@ class LiveMonitorService:
         # window, not at seq 1 — same first-seq rule as MonitorService.
         first_seq = max(1, int(math.floor(self.local_now() / peer.eta)) + 1)
         detector = peer.factory(first_seq)
-        observer = (
-            HeartbeatObserver(
-                eta=peer.eta, first_seq=first_seq, **peer.observer_kwargs
+        observer = None
+        if peer.observe:
+            stats, arrival, horizon = peer.observer_windows
+            observer = HeartbeatObserver(
+                eta=peer.eta,
+                first_seq=first_seq,
+                stats_window=stats,
+                arrival_window=arrival,
+                loss_reorder_horizon=horizon,
             )
-            if peer.observe
-            else None
-        )
         # The incarnation is captured in the closure so a transition
         # fired by a superseded host can be recognized and muted — the
         # election layer must never act on a stale incarnation's bit.
         hook = lambda t, out, name=peer.name, inc=incarnation: (  # noqa: E731
             self._note_transition(name, out, t, inc)
         )
-        if self._engine_kind == "soa" and supports_detector(detector):
+        if supports_detector(detector):
             host = SoALiveHost(
                 self._soa(),
                 detector,
@@ -551,19 +547,12 @@ class LiveMonitorService:
         inbox = self._inbox
         ready = self._inbox_ready
         popleft = inbox.popleft
-        if self._drain_batch == 1:
-            while True:
-                if not inbox:
-                    ready.clear()
-                    await ready.wait()
-                self._dispatch(popleft())
-            return
         limit = self._drain_batch
         while True:
             # Block for the first datagram, then opportunistically drain
             # the backlog up to the chunk limit: under load one consumer
-            # wakeup dispatches hundreds of heartbeats, and the SoA
-            # backend applies them with one vectorized ingest.
+            # wakeup dispatches hundreds of heartbeats, and the engine
+            # applies them with one vectorized ingest.
             if not inbox:
                 ready.clear()
                 await ready.wait()
@@ -602,15 +591,16 @@ class LiveMonitorService:
     def _dispatch_batch(self, payloads: List[bytes]) -> None:
         """Decode and dispatch one drained chunk.
 
-        Same decision procedure as :meth:`_dispatch`, datagram by
-        datagram, in arrival order — junk, unknown-sender, stale- and
-        higher-incarnation handling are identical and every counter
-        ends at the same value.  The differences are mechanical: the
-        chunk is decoded by the allocation-light
+        One decision procedure, datagram by datagram, in arrival order:
+        junk is counted; an unknown sender goes through the admission
+        hook; a lower incarnation is a stale straggler; a higher one
+        means the peer restarted (footnote 2: a new identity), so the
+        old incarnation's books are closed and a fresh detector started.
+        The chunk is decoded by the allocation-light
         :class:`~repro.live.wire.HeartbeatBatchDecoder` (tuples +
         interned names, no per-message dataclass), counters are
-        incremented once per chunk, and deliveries to SoA-hosted peers
-        are accumulated as ``(time, row, seq)`` and applied with a
+        incremented once per chunk, and deliveries to engine-hosted
+        peers are accumulated as ``(time, row, seq)`` and applied with a
         single :meth:`~repro.service.soa.VectorMonitorEngine.ingest`.
         The buffer is flushed before any structural change (admission,
         incarnation restart) so engine state never moves out of order.
@@ -696,40 +686,6 @@ class LiveMonitorService:
         if n_dispatched:
             self._c_dispatched.inc(n_dispatched)
 
-    def _dispatch(self, payload: bytes) -> None:
-        try:
-            hb = decode_heartbeat(payload)
-        except WireError:
-            self._c_invalid.inc()
-            return
-        peer = self._peers.get(hb.sender)
-        if peer is None:
-            peer = self._try_admit(hb.sender)
-            if peer is None:
-                self._c_unknown.inc()
-                return
-        if hb.incarnation < peer.incarnation or peer.host is None:
-            self._c_stale.inc()
-            return
-        if hb.incarnation > peer.incarnation:
-            # The peer restarted: footnote 2 — a new identity.  Close the
-            # old incarnation's books and start a fresh detector.
-            self._c_restarts.inc()
-            self._finalize_incarnation(peer)
-            self._start_incarnation(peer, incarnation=hb.incarnation)
-        self._deliver(peer, hb)
-
-    def _deliver(self, peer: _Peer, hb: LiveHeartbeat) -> None:
-        assert peer.host is not None
-        try:
-            peer.host.deliver(hb)
-        except EstimationError:
-            # Sequenced before this incarnation's window (clock skew on
-            # the sender side, or a straggler from before a restart).
-            self._c_prewindow.inc()
-            return
-        self._c_dispatched.inc()
-
     # ------------------------------------------------------------------ #
     # Lifecycle
     # ------------------------------------------------------------------ #
@@ -757,10 +713,7 @@ class LiveMonitorService:
         # the same path the consumer would have used.
         leftovers: List[bytes] = list(self._inbox)
         self._inbox.clear()
-        if self._drain_batch == 1:
-            for payload in leftovers:
-                self._dispatch(payload)
-        elif leftovers:
+        if leftovers:
             self._dispatch_batch(leftovers)
         for name in sorted(self._peers):
             self._finalize_incarnation(self._peers[name])

@@ -114,7 +114,6 @@ async def run_udp_monitor(
     report_every: float = 2.0,
     registry=None,
     emit: Callable[[str], None] = print,
-    engine: str = "object",
     drain_batch: int = 256,
     batched_socket: bool = True,
 ) -> LiveMonitorService:
@@ -125,11 +124,9 @@ async def run_udp_monitor(
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
 
-    ``engine``, ``drain_batch`` and ``batched_socket`` select the fast
-    datapath (SoA detector tables, chunked inbox drain, recv_into
-    socket drain); the defaults keep the batched consumer on the
-    object backend, which is verdict-identical to the historical
-    per-datagram dispatch.
+    ``drain_batch`` sizes the chunked inbox drain and
+    ``batched_socket`` selects the recv_into socket drain; verdicts do
+    not depend on either.
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -137,7 +134,6 @@ async def run_udp_monitor(
         origin=epoch_origin(loop),
         registry=registry,
         keep_traces=False,  # a real monitor runs indefinitely
-        engine=engine,
         drain_batch=drain_batch,
         auto_admit=lambda name: (
             detector_factory_for(detector, eta, delta),

@@ -8,11 +8,12 @@ one timer chain per peer, which is what lets a single live monitor
 track 10^5+ senders without drowning the loop's timer heap.
 
 :class:`SoALiveHost` is the per-incarnation adapter, mirroring the
-surface of :class:`~repro.live.runtime.LiveDetectorHost` (deliver /
+surface of :class:`~repro.live.runtime.LiveDetectorHost` (start /
 stop / finish / estimator / observer) while the detector state lives in
 the engine's NumPy tables.  Local time is the engine's native timebase
 here (``scheduler.now()`` is loop time minus origin), so traces and
-online estimators record local times exactly as the object host does.
+online estimators record local times exactly as :class:`LiveDetectorHost`
+does.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Callable, Optional
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import SimulationError
 from repro.estimation.observer import HeartbeatObserver
-from repro.live.wire import LiveHeartbeat
 from repro.metrics.transitions import OutputTrace
 from repro.service.soa import VectorMonitorEngine, _RowDetectorView
 from repro.telemetry.qos_online import OnlineQoSEstimator
@@ -37,7 +37,7 @@ class LoopWheelScheduler:
     Engine time is *local* time (loop time minus origin) — the same
     clock :class:`~repro.live.runtime.LiveDetectorHost` hands its
     detectors — so freshness deadlines land on the loop at
-    ``origin + deadline`` exactly like the object path's ``call_at``.
+    ``origin + deadline`` exactly like that host's ``call_at``.
     """
 
     def __init__(
@@ -68,13 +68,26 @@ class LoopWheelScheduler:
 class SoALiveHost:
     """One monitored incarnation hosted in the shared SoA engine.
 
-    Drop-in for :class:`~repro.live.runtime.LiveDetectorHost`: owns the
-    per-incarnation measurement state (output trace, online QoS
-    estimator, heartbeat observer) and forwards receipts to its engine
-    row.  ``stop`` retires the row idempotently — a removed peer can
-    never fire a post-removal transition, even for a deadline already
-    due in the wheel.
+    Counterpart of :class:`~repro.live.runtime.LiveDetectorHost`: owns
+    the per-incarnation measurement state (output trace, online QoS
+    estimator, heartbeat observer); the service books receipts through
+    :meth:`prepare` and applies them to the engine row in bulk.
+    ``stop`` retires the row idempotently — a removed peer can never
+    fire a post-removal transition, even for a deadline already due in
+    the wheel.
     """
+
+    __slots__ = (
+        "_engine",
+        "_observer",
+        "_on_transition_hook",
+        "_stopped",
+        "_delivered",
+        "_trace",
+        "_estimator",
+        "_row",
+        "_detector_view",
+    )
 
     def __init__(
         self,
@@ -142,21 +155,6 @@ class SoALiveHost:
             raise SimulationError("host already stopped")
         self._engine.start_row(self._row)
 
-    def deliver(self, heartbeat: LiveHeartbeat) -> None:
-        """Feed one decoded heartbeat; receipt time is local *now*.
-
-        Mirrors the object host's order: the observer sees the receipt
-        first (an :class:`~repro.errors.EstimationError` for pre-window
-        sequence numbers propagates before the detector state moves).
-        """
-        self.deliver_parts(heartbeat.seq, heartbeat.send_local_time)
-
-    def deliver_parts(self, seq: int, send_local_time: float) -> None:
-        """Scalar delivery from plain fields (no wrapper dataclasses)."""
-        t = self.prepare(seq, send_local_time)
-        if t is not None:
-            self._engine.deliver(self._row, seq, send_local_time, at_real=t)
-
     def prepare(
         self,
         seq: int,
@@ -166,14 +164,15 @@ class SoALiveHost:
         """Book-keep one receipt and return its engine receipt time —
         without applying it to the engine.
 
-        The batched drain calls this per heartbeat, accumulates
+        The inbox drain calls this per heartbeat, accumulates
         ``(time, row, seq)`` triples, and applies the whole chunk with
-        one :meth:`VectorMonitorEngine.ingest`.  Everything the scalar
-        path does *outside* the engine happens here, in the same order:
+        one :meth:`VectorMonitorEngine.ingest`.  Everything
+        :meth:`~repro.live.runtime.LiveDetectorHost.deliver_parts` does
+        *outside* its detector happens here, in the same order:
         delivered count, then observer (whose pre-window
         :class:`~repro.errors.EstimationError` propagates before any
         engine state moves).  Returns None for a stopped host (the late
-        arrival is swallowed exactly like :meth:`deliver`).
+        arrival is swallowed).
 
         ``now`` lets the caller hoist the clock read: datagrams drained
         together were all already queued when the consumer woke, so one

@@ -82,8 +82,6 @@ class SoakConfig:
     sched_allowance: float = 0.005
     #: extra detection time allowed over the δ+η bound (callback dispatch).
     detect_allowance: float = 0.25
-    #: detector backend: "object" (per-peer hosts) or "soa" (shared engine).
-    engine: str = "object"
     #: datagrams drained per consumer wakeup (1 = per-datagram dispatch).
     drain_batch: int = 256
     #: pace all senders off one HeartbeatFanout timer instead of one
@@ -107,10 +105,6 @@ class SoakConfig:
             )
         if self.eta <= 0 or self.delta < 0:
             raise InvalidParameterError("need eta > 0 and delta >= 0")
-        if self.engine not in ("object", "soa"):
-            raise InvalidParameterError(
-                f"unknown engine {self.engine!r}; expected 'object' or 'soa'"
-            )
         if self.drain_batch < 1:
             raise InvalidParameterError(
                 f"drain_batch must be >= 1, got {self.drain_batch}"
@@ -344,7 +338,6 @@ async def soak(config: SoakConfig) -> SoakResult:
         inbox_limit=config.inbox_limit,
         warmup=config.effective_warmup,
         keep_traces=True,
-        engine=config.engine,
         drain_batch=config.drain_batch,
     )
     network = LoopbackNetwork(loop)

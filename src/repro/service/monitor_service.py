@@ -39,11 +39,6 @@ from repro.sim.monitor import DetectorHost
 
 __all__ = ["MonitoredProcess", "MonitorService"]
 
-#: selectable monitor backends: ``"object"`` is the paper-faithful
-#: detector-instance-per-sender path; ``"soa"`` keeps NFD-S/U/E state in
-#: the shared :class:`~repro.service.soa.VectorMonitorEngine` tables.
-ENGINES = ("object", "soa")
-
 Listener = Callable[[MonitorEvent], None]
 
 
@@ -53,9 +48,10 @@ class MonitoredProcess:
 
     name: str
     sender: HeartbeatSender
-    #: either a :class:`DetectorHost` (object backend) or a
-    #: :class:`~repro.service.soa.SoAMonitorHost` (SoA backend); both
-    #: expose the same surface (detector, deliver, stop, finish, …).
+    #: a :class:`~repro.service.soa.SoAMonitorHost` (NFD-S/U/E rows of
+    #: the shared engine) or a :class:`DetectorHost` (every other
+    #: detector); both expose the same surface (detector, deliver, stop,
+    #: finish, …).
     host: object
     link: LossyLink
     incarnation: int = 0
@@ -104,27 +100,19 @@ class MonitorService:
         sim: the discrete-event simulator all pipelines run on.
         seed: base seed; each (process, incarnation) derives its own
             independent random stream.
-        engine: ``"object"`` (default) hosts each sender in its own
-            :class:`~repro.sim.monitor.DetectorHost`; ``"soa"`` hosts
-            NFD-S/U/E senders in the shared vectorized
-            :class:`~repro.service.soa.VectorMonitorEngine` (detectors
-            the engine cannot vectorize transparently fall back to the
-            object path).  Verdict streams are bit-identical either way;
-            "soa" trades per-sender objects for NumPy tables and a
-            single timer wheel, which is what lets one monitor track
-            10^5+ senders.
+
+    Plain NFD-S/U/E detectors are hosted as rows of one shared
+    :class:`~repro.service.soa.VectorMonitorEngine` (NumPy tables and a
+    single timer wheel, which is what lets one monitor track 10^5+
+    senders); any other detector — a subclass included, see
+    :func:`~repro.service.soa.supports_detector` — runs unmodified in
+    its own :class:`~repro.sim.monitor.DetectorHost`.  Verdict streams
+    are bit-identical either way.
     """
 
-    def __init__(
-        self, sim: Simulator, seed: int = 0, engine: str = "object"
-    ) -> None:
-        if engine not in ENGINES:
-            raise InvalidParameterError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
+    def __init__(self, sim: Simulator, seed: int = 0) -> None:
         self._sim = sim
         self._seed = int(seed)
-        self._engine_kind = engine
         self._soa: Optional[VectorMonitorEngine] = None
         self._processes: Dict[str, MonitoredProcess] = {}
         self._closed_traces: Dict[Tuple[str, int], OutputTrace] = {}
@@ -135,11 +123,6 @@ class MonitorService:
     @property
     def sim(self) -> Simulator:
         return self._sim
-
-    @property
-    def engine(self) -> str:
-        """The selected backend (``"object"`` or ``"soa"``)."""
-        return self._engine_kind
 
     @property
     def soa_engine(self) -> Optional[VectorMonitorEngine]:
@@ -239,7 +222,7 @@ class MonitorService:
             link = FaultyLink(link, fault_rng)
             sender_clock = _resolve_clock(sender_clock, scenario, "sender")
             monitor_clock = _resolve_clock(monitor_clock, scenario, "monitor")
-        if self._engine_kind == "soa" and supports_detector(detector):
+        if supports_detector(detector):
             host = SoAMonitorHost(
                 self._soa_engine(),
                 detector,
@@ -383,10 +366,10 @@ class MonitorService:
         group membership) see the departure.  The incarnation's output
         trace is closed *and retained* (see :meth:`finish`) — mistakes
         made by departed incarnations stay in the QoS accounting — and
-        the host's pending timer chain is cancelled (object backend) or
-        its engine row retired (SoA backend), so a removed sender can
-        never fire a final post-removal transition and churn-heavy runs
-        do not accumulate inert simulator events.
+        the host's pending timer chain is cancelled (or its engine row
+        retired), so a removed sender can never fire a final
+        post-removal transition and churn-heavy runs do not accumulate
+        inert simulator events.
         """
         proc = self._processes.get(name)
         if proc is None:

@@ -1,10 +1,11 @@
 """Vectorized many-sender monitor core: SoA state tables + one timer wheel.
 
-The paper's algorithms are defined per monitored process, and the object
-backend mirrors that: one detector instance, one freshness-point timer
-chain, and one host per sender.  That design caps a single monitor at a
-few thousand senders — the per-sender ``call_at`` chains alone put one
-live simulator/loop event per sender per ``η`` on the heap.
+The paper's algorithms are defined per monitored process, and the
+per-detector host mirrors that: one detector instance, one
+freshness-point timer chain, and one host per sender.  That design caps
+a single monitor at a few thousand senders — the per-sender ``call_at``
+chains alone put one live simulator/loop event per sender per ``η`` on
+the heap.
 
 :class:`VectorMonitorEngine` replaces the object-per-sender hot path
 with a struct-of-arrays core:
@@ -25,21 +26,25 @@ with a struct-of-arrays core:
   batched-kernel idiom of :mod:`repro.sim.batch`.
 
 Correctness bar: the engine produces **bit-identical verdict streams**
-to the object backend — same transition times, same outputs, same
-ordering — which the dual-engine suites in ``tests/service`` pin under
-churn, restarts, scheduled crashes and fault scenarios.
+to the per-detector hosts (:class:`~repro.sim.monitor.DetectorHost`
+running the :mod:`repro.core` detectors) — same transition times, same
+outputs, same ordering — which the identity suites in ``tests/service``
+pin under churn, restarts, scheduled crashes and fault scenarios.
 
-Canonical tie ordering (satellite of ISSUE 6): when several freshness
-deadlines land on the *identical* timestamp, they are processed in
-``(time, row id)`` order, where row ids are assigned in registration
-order; and deadlines at time ``t`` are processed before heartbeats
-arriving at ``t``.  The object backend produces the same order because
-each detector re-arms its next freshness timer from inside the previous
-one (arm order = registration order, and with ``δ < η`` the timer is
-always armed before a colliding delivery is scheduled).  The only
-divergence is the contrived ``δ ≥ η`` configuration with a heartbeat
-arrival *exactly* equal to a freshness point, where the object path
-lets the delivery win; the engine keeps the deadline-first rule.
+Tie ordering: when several freshness deadlines land on the *identical*
+timestamp they fire in the order their timers were armed, which is what
+a simulator with one timer per detector does.  Every wheel entry carries
+an arming stamp — a fresh one per NFD-U/E arm and per initial arm, one
+shared by all re-arms made inside a slice (the per-detector NFD-S timers
+re-arm together, in start order, from inside the previous firing) — and
+a slice's suspicions are emitted in ``(stamp, row id)`` order, row ids
+being assigned in registration order.  Deadlines at time ``t`` are
+processed before heartbeats arriving at ``t``; the per-detector host
+agrees because with ``δ < η`` the timer is always armed before a
+colliding delivery is scheduled.  The only divergence is the contrived
+``δ ≥ η`` configuration with a heartbeat arrival *exactly* equal to a
+freshness point, where the per-detector path lets the delivery win; the
+engine keeps the deadline-first rule.
 
 The engine is scheduler-agnostic: the simulator backend drives it
 through :class:`SimWheelScheduler`, the live runtime through
@@ -77,8 +82,9 @@ KIND_NFDS = 0
 KIND_NFDU = 1
 KIND_NFDE = 2
 
-#: heap-entry discriminators (second tuple element; value irrelevant to
-#: semantics — slices are gathered whole — but keeps tuples comparable)
+#: heap-entry discriminators (third tuple element, after the deadline and
+#: the arming stamp; value irrelevant to semantics — slices are gathered
+#: whole — but keeps tuples comparable)
 _ENTRY_ROW = 0
 _ENTRY_COHORT = 1
 
@@ -89,11 +95,13 @@ TransitionSink = Callable[[float, float, str], None]
 def supports_detector(detector: HeartbeatFailureDetector) -> bool:
     """Whether the SoA engine can host this detector natively.
 
-    The engine vectorizes the paper's three NFD algorithms.  Other
-    detectors (adaptive, φ-accrual, …) fall back to the object-per-
-    sender host even under ``engine="soa"``.
+    The engine vectorizes exactly the paper's three NFD algorithms, so
+    the test is on the exact type: a subclass may override
+    ``_note_arrival`` / ``_expected_arrival`` (``AdaptiveNFDE`` does)
+    and therefore takes the per-detector host, like every other
+    detector the tables do not model (φ-accrual, Jacobson, SFD, …).
     """
-    return isinstance(detector, (NFDS, NFDU, NFDE))
+    return type(detector) in (NFDS, NFDU, NFDE)
 
 
 # ---------------------------------------------------------------------- #
@@ -190,6 +198,7 @@ class VectorMonitorEngine:
         self._scheduler = scheduler
         self._heap: List[Tuple] = []
         self._armed: Optional[float] = None
+        self._stamp = 0  # arming-order counter for wheel entries
         self._time = float(scheduler.now())
         self._n = 0
         cap = 64
@@ -201,7 +210,8 @@ class VectorMonitorEngine:
         self._max_seq = np.zeros(cap, dtype=np.int64)  # max seq (S) / ℓ (U/E)
         self._next_check = np.zeros(cap, dtype=np.int64)  # S freshness index
         self._tau_next = np.zeros(cap, dtype=np.float64)  # U/E τ_{ℓ+1} (local)
-        self._gen = np.zeros(cap, dtype=np.int64)  # U/E timer generation
+        # U/E: stamp of the live expiry entry (any other stamp is stale)
+        self._expiry_stamp = np.zeros(cap, dtype=np.int64)
         self._incarnation = np.zeros(cap, dtype=np.int64)
         self._delivered = np.zeros(cap, dtype=np.int64)
         # NFD-E normalized-arrival windows (compact slots, only E rows)
@@ -283,7 +293,7 @@ class VectorMonitorEngine:
             "_max_seq",
             "_next_check",
             "_tau_next",
-            "_gen",
+            "_expiry_stamp",
             "_incarnation",
             "_delivered",
             "_win_slot",
@@ -341,7 +351,7 @@ class VectorMonitorEngine:
         if not supports_detector(detector):
             raise InvalidParameterError(
                 f"SoA engine does not support {type(detector).__name__}; "
-                f"use the object backend for this detector"
+                f"host it in a DetectorHost instead"
             )
         if detector._runtime is not None or detector._started:
             raise SimulationError(
@@ -389,7 +399,6 @@ class VectorMonitorEngine:
         if row < 0 or row >= self._n or not self._active[row]:
             return
         self._active[row] = False
-        self._gen[row] += 1
 
     # ------------------------------------------------------------------ #
     # Clock helpers (scalar paths)
@@ -406,6 +415,10 @@ class VectorMonitorEngine:
     # ------------------------------------------------------------------ #
     # Arming
     # ------------------------------------------------------------------ #
+
+    def _next_stamp(self) -> int:
+        self._stamp += 1
+        return self._stamp
 
     def start_row(self, row: int) -> None:
         """Arm the row's initial freshness deadline (detector start)."""
@@ -428,16 +441,21 @@ class VectorMonitorEngine:
             else:
                 i = int(self._next_check[row])
                 real = max(self._real(row, i * eta + delta), self._time)
-                heapq.heappush(self._heap, (real, _ENTRY_ROW, row, i))
+                heapq.heappush(
+                    self._heap, (real, self._next_stamp(), _ENTRY_ROW, row, i)
+                )
         else:
             # NFD-U/E: τ_0 = 0; arm only if the local clock is behind it.
             if self._tau_next[row] > self._local(row, now_real):
                 real = max(self._real(row, self._tau_next[row]), self._time)
-                self._gen[row] += 1
-                heapq.heappush(
-                    self._heap, (real, _ENTRY_ROW, row, -int(self._gen[row]))
-                )
+                self._arm_expiry(row, real)
         self._request_wakeup()
+
+    def _arm_expiry(self, row: int, real: float) -> None:
+        """Push the NFD-U/E row's expiry; superseded entries go stale."""
+        stamp = self._next_stamp()
+        self._expiry_stamp[row] = stamp
+        heapq.heappush(self._heap, (real, stamp, _ENTRY_ROW, row, -1))
 
     def _join_cohort(self, row: int, eta: float, delta: float) -> None:
         key = (eta, delta)
@@ -452,7 +470,13 @@ class VectorMonitorEngine:
             cohort.armed = True
             heapq.heappush(
                 self._heap,
-                (cohort.freshness(first), _ENTRY_COHORT, key, first),
+                (
+                    cohort.freshness(first),
+                    self._next_stamp(),
+                    _ENTRY_COHORT,
+                    key,
+                    first,
+                ),
             )
         # An armed cohort's next tick is always <= any legal new member's
         # first index (first freshness points are in the future), so the
@@ -480,7 +504,7 @@ class VectorMonitorEngine:
         """Process every freshness deadline with ``deadline <= time``.
 
         Deadlines sharing a timestamp are gathered into one slice and
-        their transitions emitted in canonical ``(time, row)`` order.
+        their transitions emitted in arming order (module docstring).
         """
         heap = self._heap
         while heap and heap[0][0] <= time:
@@ -493,10 +517,11 @@ class VectorMonitorEngine:
         self._time = max(self._time, time)
 
     def _process_slice(self, t0: float, entries: List[Tuple]) -> None:
-        suspects: List[int] = []
+        suspects: List[Tuple[int, int]] = []  # (stamp that fired, row)
         rearm: List[Tuple] = []
+        rearm_stamp = self._next_stamp()  # shared: they re-arm together
         for entry in entries:
-            _, etype, a, b = entry
+            _, stamp, etype, a, b = entry
             if etype == _ENTRY_COHORT:
                 cohort = self._cohorts[a]
                 tick = b
@@ -519,11 +544,19 @@ class VectorMonitorEngine:
                         newly = stale[self._trusted[stale]]
                         if newly.size:
                             self._trusted[newly] = False
-                            suspects.extend(int(r) for r in newly)
+                            suspects.extend(
+                                (stamp, r) for r in newly.tolist()
+                            )
                     self._next_check[due] = tick + 1
                 cohort.tick = tick + 1
                 rearm.append(
-                    (cohort.freshness(tick + 1), _ENTRY_COHORT, a, tick + 1)
+                    (
+                        cohort.freshness(tick + 1),
+                        rearm_stamp,
+                        _ENTRY_COHORT,
+                        a,
+                        tick + 1,
+                    )
                 )
             else:
                 row = a
@@ -535,26 +568,26 @@ class VectorMonitorEngine:
                         continue
                     if self._max_seq[row] < b and self._trusted[row]:
                         self._trusted[row] = False
-                        suspects.append(row)
+                        suspects.append((stamp, row))
                     self._next_check[row] = b + 1
                     eta = float(self._eta[row])
                     delta = float(self._shift[row])
                     real = max(
                         self._real(row, (b + 1) * eta + delta), t0
                     )
-                    rearm.append((real, _ENTRY_ROW, row, b + 1))
+                    rearm.append((real, rearm_stamp, _ENTRY_ROW, row, b + 1))
                 else:
-                    # NFD-U/E expiry: -b is the arming generation.
-                    if -b != self._gen[row]:
+                    # NFD-U/E expiry.
+                    if stamp != self._expiry_stamp[row]:
                         continue  # cancelled by a later heartbeat
                     if self._trusted[row]:
                         self._trusted[row] = False
-                        suspects.append(row)
+                        suspects.append((stamp, row))
         for item in rearm:
             heapq.heappush(self._heap, item)
         if suspects:
             suspects.sort()
-            for row in suspects:
+            for _, row in suspects:
                 self._emit(row, t0, SUSPECT)
 
     def _emit(self, row: int, real: float, output: str) -> None:
@@ -632,15 +665,12 @@ class VectorMonitorEngine:
             ea = self._ea_fns[row](seq + 1)
         tau = ea + float(self._shift[row])
         self._tau_next[row] = tau
-        self._gen[row] += 1  # cancels any armed expiry
+        self._expiry_stamp[row] = 0  # cancels any armed expiry
         if now_local < tau:
             if not self._trusted[row]:
                 self._trusted[row] = True
                 self._emit(row, t, TRUST)
-            real = max(self._real(row, tau), t)
-            heapq.heappush(
-                self._heap, (real, _ENTRY_ROW, row, -int(self._gen[row]))
-            )
+            self._arm_expiry(row, max(self._real(row, tau), t))
         else:
             # m_ℓ already stale on arrival: remain (or become) suspect.
             if self._trusted[row]:
@@ -794,7 +824,7 @@ class SoAMonitorHost:
 
     Owns the per-incarnation measurement state (the
     :class:`~repro.metrics.transitions.OutputTrace`) exactly like the
-    object host; the detector state and freshness timers live in the
+    per-detector host; the detector state and freshness timers live in the
     engine.  ``stop`` retires the row idempotently — a removed sender
     can never fire a final transition.
     """

@@ -3,28 +3,23 @@
 The paper's heaviest numbers are replica ensembles — the Section 7
 detection-time study averages hundreds of crash runs, Fig. 12 needs ~500
 mistakes per sweep point — and :func:`repro.sim.runner.run_crash_runs`
-executes one event-driven Python replica at a time.  This module batches
-replicas along two axes, in both cases **bit-identical** to the serial
-code paths for the same seed (asserted in ``tests/sim/test_batch.py``):
+executes one event-driven Python replica at a time.
+:func:`run_crash_runs_batched` evaluates whole batches of crash runs at
+once, **bit-identical** to the serial runner for the same seed (asserted
+in ``tests/sim/test_batch.py``).  A crash run's randomness is exactly
+the fates of the heartbeats sent before the crash, drawn from the run's
+namespaced stream (``SeedSequence([seed, STREAM_CRASH_RUN,
+run_index])``).  The kernel replays those draws *in the engine's exact
+order* (the loss coin and the delay draw interleave per message),
+assembles an arrival matrix of shape ``(n_replicas, n_messages)``, and
+evaluates each detector's final output and last S-transition in closed
+form over the whole matrix — no event loop.  Because every replica is
+seeded by its absolute run index, the batch size can never change a
+result.
 
-* **Crash runs** (:func:`run_crash_runs_batched`).  A crash run's
-  randomness is exactly the fates of the heartbeats sent before the
-  crash, drawn from the run's namespaced stream
-  (``SeedSequence([seed, STREAM_CRASH_RUN, run_index])``).  The kernel
-  replays those draws *in the engine's exact order* (the loss coin and
-  the delay draw interleave per message), assembles an arrival matrix of
-  shape ``(n_replicas, n_messages)``, and evaluates each detector's
-  final output and last S-transition in closed form over the whole
-  matrix — no event loop.  Because every replica is seeded by its
-  absolute run index, the batch size can never change a result.
-
-* **Failure-free accuracy ensembles** (:func:`simulate_nfds_fast_batch`,
-  :func:`simulate_sfd_fast_batch`, :func:`run_accuracy_tasks_batched`).
-  Multiple seeds/configurations advance through the *same* fastsim chunk
-  schedule in lockstep, sharing sequence bookkeeping and (for NFD-S) the
-  windowed-minimum passes as 2-D operations, so ensembles of short runs
-  amortize per-call NumPy dispatch.  Each row keeps its own generator
-  and consumes it exactly as the serial kernel would.
+Failure-free accuracy runs are described as :class:`AccuracyTask` values
+and executed one at a time by :func:`run_accuracy_task` through the
+serial :mod:`repro.sim.fastsim` kernels.
 
 Closed-form detection recipes (all proved against the event-driven
 implementations; ``end = crash_time + settle`` is the simulated horizon,
@@ -61,7 +56,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -73,9 +68,6 @@ from repro.errors import InvalidParameterError
 from repro.net.clocks import PerfectClock
 from repro.sim.fastsim import (
     FastAccuracyResult,
-    _draw_arrivals,
-    _merge_sorted,
-    _validate_common,
     simulate_nfde_fast,
     simulate_nfds_fast,
     simulate_nfdu_fast,
@@ -101,9 +93,6 @@ __all__ = [
     "run_crash_runs_batched",
     "AccuracyTask",
     "run_accuracy_task",
-    "simulate_nfds_fast_batch",
-    "simulate_sfd_fast_batch",
-    "run_accuracy_tasks_batched",
 ]
 
 
@@ -666,7 +655,7 @@ def run_crash_runs_batched(
 
 
 # --------------------------------------------------------------------- #
-# Multi-seed batching for the failure-free accuracy kernels
+# Failure-free accuracy tasks
 # --------------------------------------------------------------------- #
 
 
@@ -675,8 +664,8 @@ class AccuracyTask:
     """One failure-free fastsim evaluation: kernel kind + its kwargs.
 
     ``kwargs`` are exactly the keyword arguments of the corresponding
-    serial kernel (``simulate_<kind>_fast``), so a task runs identically
-    through :func:`run_accuracy_task` or a batched executor.
+    serial kernel (``simulate_<kind>_fast``); the experiment drivers
+    fan tasks out with :func:`repro.sim.parallel.parallel_map`.
     """
 
     kind: str  # "nfds" | "nfdu" | "nfde" | "sfd"
@@ -690,429 +679,9 @@ _SERIAL_KERNELS = {
     "sfd": simulate_sfd_fast,
 }
 
-# Shared loop-schedule defaults of the serial kernels; batching groups
-# tasks by the resolved values so lockstep rows draw identical chunks.
-_SCHEDULE_DEFAULTS = {
-    "target_mistakes": 500,
-    "max_heartbeats": 200_000_000,
-    "chunk_size": 4_000_000,
-}
-
 
 def run_accuracy_task(task: AccuracyTask) -> FastAccuracyResult:
     """Run one task through its serial kernel."""
     if task.kind not in _SERIAL_KERNELS:
         raise InvalidParameterError(f"unknown accuracy kind {task.kind!r}")
     return _SERIAL_KERNELS[task.kind](**task.kwargs)
-
-
-def _schedule_key(kwargs: Dict[str, Any]) -> Tuple[int, int, int]:
-    return tuple(
-        int(kwargs.get(name, default))
-        for name, default in _SCHEDULE_DEFAULTS.items()
-    )
-
-
-class _NFDSRow:
-    """Per-row state of one lockstep NFD-S run (mirrors the serial body)."""
-
-    def __init__(self, kwargs: Dict[str, Any]) -> None:
-        self.eta = float(kwargs["eta"])
-        self.delta = float(kwargs["delta"])
-        self.loss = float(kwargs["loss_probability"])
-        self.delay = kwargs["delay"]
-        self.warmup = float(kwargs.get("warmup", 0.0))
-        _validate_common(self.eta, self.loss, 1, 1, self.warmup)
-        if self.delta < 0:
-            raise InvalidParameterError(
-                f"delta must be >= 0, got {self.delta}"
-            )
-        self.k = int(math.ceil(self.delta / self.eta - 1e-12))
-        self.rng = np.random.default_rng(kwargs.get("seed", 0))
-        self.warming = self.warmup > 0.0
-        self.s_times: List[np.ndarray] = []
-        self.durations: List[np.ndarray] = []
-        self.n_s = 0
-        self.suspect_time = 0.0
-        self.windows_done = 0
-        self.carry = np.empty(0, dtype=float)
-        self.prev_f: Optional[float] = None
-        self.open_mistake_start: Optional[float] = None
-        self.heartbeats = 0
-        self.active = True
-        self.result: Optional[FastAccuracyResult] = None
-
-    def step(self, f: np.ndarray, idx: np.ndarray, carry_vals: np.ndarray):
-        """One chunk of accounting; ``f`` is this row of the 2-D windowed
-        minimum, ``idx`` the shared window-index vector.  Line for line
-        the serial :func:`simulate_nfds_fast` chunk body."""
-        self.carry = carry_vals.copy()
-        m = f.shape[0]
-        tau = idx * self.eta + self.delta
-        tau_next = tau + self.eta
-        if self.warming:
-            nskip = int(np.searchsorted(tau, self.warmup, side="left"))
-            if nskip >= m:
-                self.prev_f = float(f[-1])
-                return
-            if nskip:
-                self.prev_f = float(f[nskip - 1])
-                f = f[nskip:]
-                tau = tau[nskip:]
-                tau_next = tau_next[nskip:]
-                m -= nskip
-            self.warming = False
-
-        self.suspect_time += float(
-            np.sum(np.clip(np.minimum(f, tau_next) - tau, 0.0, self.eta))
-        )
-        self.windows_done += m
-
-        f_prev = np.empty(m, dtype=float)
-        f_prev[1:] = f[:-1]
-        f_prev[0] = np.inf if self.prev_f is None else self.prev_f
-        s_mask = (f > tau) & (f_prev < tau)
-        s_local = np.nonzero(s_mask)[0]
-        g_local = np.nonzero(f < tau_next)[0]
-
-        if self.open_mistake_start is not None and g_local.size:
-            end = float(f[g_local[0]])
-            self.durations.append(
-                np.array([end - self.open_mistake_start], dtype=float)
-            )
-            self.open_mistake_start = None
-
-        if s_local.size:
-            pos = np.searchsorted(g_local, s_local, side="left")
-            closed = pos < g_local.size
-            closed_idx = s_local[closed]
-            ends = f[g_local[pos[closed]]]
-            self.durations.append(ends - tau[closed_idx])
-            if int((~closed).sum()):
-                self.open_mistake_start = float(tau[s_local[-1]])
-            self.s_times.append(tau[s_local])
-            self.n_s += int(s_local.size)
-
-        self.prev_f = float(f[-1])
-
-    def finish(self, truncated: bool) -> None:
-        self.active = False
-        all_s = (
-            np.concatenate(self.s_times)
-            if self.s_times
-            else np.empty(0, dtype=float)
-        )
-        all_d = (
-            np.concatenate(self.durations)
-            if self.durations
-            else np.empty(0, dtype=float)
-        )
-        self.result = FastAccuracyResult(
-            algorithm="nfd-s",
-            n_heartbeats=self.heartbeats,
-            total_time=self.windows_done * self.eta,
-            suspect_time=self.suspect_time,
-            s_transition_times=all_s,
-            mistake_durations=all_d,
-            truncated=truncated,
-        )
-
-
-def simulate_nfds_fast_batch(
-    tasks: Sequence[Dict[str, Any]],
-) -> List[FastAccuracyResult]:
-    """Lockstep multi-seed NFD-S runs, bit-identical to serial calls.
-
-    Every task dict holds :func:`simulate_nfds_fast` keyword arguments.
-    All tasks must share the chunk schedule (``target_mistakes``,
-    ``max_heartbeats``, ``chunk_size``) and the window width ``k`` —
-    that keeps all rows on the same draw sizes, so each row's generator
-    is consumed exactly as the serial kernel would consume it; ``eta``,
-    ``delta``, ``delay``, ``loss_probability``, ``seed`` and ``warmup``
-    are free per row.  The windowed-minimum passes — the kernel's hot
-    loop — run once over the whole ``(rows, chunk)`` matrix.
-    """
-    if not tasks:
-        return []
-    keys = {_schedule_key(kw) for kw in tasks}
-    if len(keys) != 1:
-        raise InvalidParameterError(
-            "all batched NFD-S tasks must share target_mistakes/"
-            f"max_heartbeats/chunk_size; got {sorted(keys)}"
-        )
-    target, max_heartbeats, chunk_size = keys.pop()
-    _validate_common(1.0, 0.0, target, max_heartbeats)
-    rows = [_NFDSRow(kw) for kw in tasks]
-    ks = {row.k for row in rows}
-    if len(ks) != 1:
-        raise InvalidParameterError(
-            f"all batched NFD-S tasks must share k = ceil(delta/eta); "
-            f"got {sorted(ks)}"
-        )
-    k = ks.pop()
-
-    heartbeats = 0
-    carry_start_seq = 1
-    carry_len = 0
-    while True:
-        for row in rows:
-            if row.active and row.n_s >= target:
-                row.finish(truncated=False)
-        live = [row for row in rows if row.active]
-        if not live:
-            break
-        if heartbeats >= max_heartbeats:
-            for row in live:
-                row.finish(truncated=True)
-            break
-        draw = int(min(chunk_size, max_heartbeats - heartbeats))
-        if heartbeats + draw < k + 1:
-            draw = (k + 1) - heartbeats
-        first_new = carry_start_seq + carry_len
-        new_seqs = np.arange(first_new, first_new + draw, dtype=float)
-        heartbeats += draw
-        length = carry_len + draw
-        mats = np.empty((len(live), length), dtype=float)
-        for j, row in enumerate(live):
-            mats[j, :carry_len] = row.carry
-            mats[j, carry_len:] = _draw_arrivals(
-                row.delay, row.loss, row.rng, new_seqs, row.eta
-            )
-            row.heartbeats = heartbeats
-
-        m = length - k
-        if m <= 0:
-            for j, row in enumerate(live):
-                row.carry = mats[j].copy()
-            carry_len = length
-            continue
-        f2 = mats[:, :m].copy()
-        for j in range(1, k + 1):
-            np.minimum(f2, mats[:, j : j + m], out=f2)
-        idx = np.arange(carry_start_seq, carry_start_seq + m, dtype=float)
-        for j, row in enumerate(live):
-            row.step(f2[j], idx, mats[j, m:])
-        carry_start_seq += m
-        carry_len = k
-
-    return [row.result for row in rows]  # type: ignore[misc]
-
-
-class _SFDRow:
-    """Per-row state of one lockstep SFD run (mirrors the serial body)."""
-
-    def __init__(self, kwargs: Dict[str, Any]) -> None:
-        self.eta = float(kwargs["eta"])
-        self.timeout = float(kwargs["timeout"])
-        self.loss = float(kwargs["loss_probability"])
-        self.delay = kwargs["delay"]
-        cutoff = kwargs.get("cutoff", None)
-        self.cutoff = None if cutoff is None else float(cutoff)
-        self.warmup = float(kwargs.get("warmup", 0.0))
-        _validate_common(self.eta, self.loss, 1, 1, self.warmup)
-        if self.timeout <= 0:
-            raise InvalidParameterError(
-                f"timeout must be positive, got {self.timeout}"
-            )
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise InvalidParameterError(
-                f"cutoff must be positive, got {self.cutoff}"
-            )
-        self.rng = np.random.default_rng(kwargs.get("seed", 0))
-        self.warming = self.warmup > 0.0
-        self.s_times: List[np.ndarray] = []
-        self.durations: List[np.ndarray] = []
-        self.n_s = 0
-        self.suspect_time = 0.0
-        self.total_time = 0.0
-        self.last_accept: Optional[float] = None
-        self.pend = np.empty(0, dtype=float)
-        self.heartbeats = 0
-        self.active = True
-        self.result: Optional[FastAccuracyResult] = None
-
-    def step(self, seqs: np.ndarray, next_seq: int, draw: int) -> None:
-        """One chunk, line for line the serial :func:`simulate_sfd_fast`
-        body (the draws must stay per-row: each row owns a generator)."""
-        d = self.delay.sample(self.rng, draw).astype(float, copy=False)
-        if self.loss > 0.0:
-            lost = self.rng.random(draw) < self.loss
-            d = np.where(lost, np.inf, d)
-        if self.cutoff is not None:
-            d = np.where(d > self.cutoff, np.inf, d)
-        arrivals = seqs * self.eta + d
-
-        new = arrivals[np.isfinite(arrivals)]
-        new.sort()
-        boundary = (next_seq - 1) * self.eta
-        split_new = int(np.searchsorted(new, boundary, side="right"))
-        split_pend = int(np.searchsorted(self.pend, boundary, side="right"))
-        b = _merge_sorted(self.pend[:split_pend], new[:split_new])
-        self.pend = _merge_sorted(self.pend[split_pend:], new[split_new:])
-        if b.size == 0:
-            return
-        if self.warming:
-            b = b[b >= self.warmup]
-            if b.size == 0:
-                return
-            self.warming = False
-        if self.last_accept is not None:
-            b = np.concatenate([[self.last_accept], b])
-        if b.size >= 2:
-            gaps = np.diff(b)
-            self.total_time += float(b[-1] - b[0])
-            over = gaps > self.timeout
-            excess = gaps[over] - self.timeout
-            self.suspect_time += float(np.sum(excess))
-            starts = b[:-1][over] + self.timeout
-            if starts.size:
-                self.s_times.append(starts)
-                self.durations.append(excess)
-                self.n_s += int(starts.size)
-        self.last_accept = float(b[-1])
-
-    def finish(self, truncated: bool) -> None:
-        self.active = False
-        all_s = (
-            np.concatenate(self.s_times)
-            if self.s_times
-            else np.empty(0, dtype=float)
-        )
-        all_d = (
-            np.concatenate(self.durations)
-            if self.durations
-            else np.empty(0, dtype=float)
-        )
-        self.result = FastAccuracyResult(
-            algorithm="sfd" if self.cutoff is None else "sfd-cutoff",
-            n_heartbeats=self.heartbeats,
-            total_time=self.total_time,
-            suspect_time=self.suspect_time,
-            s_transition_times=all_s,
-            mistake_durations=all_d,
-            truncated=truncated,
-        )
-
-
-def simulate_sfd_fast_batch(
-    tasks: Sequence[Dict[str, Any]],
-) -> List[FastAccuracyResult]:
-    """Lockstep multi-seed SFD runs, bit-identical to serial calls.
-
-    Every task dict holds :func:`simulate_sfd_fast` keyword arguments;
-    all tasks must share the chunk schedule (``target_mistakes``,
-    ``max_heartbeats``, ``chunk_size``); ``eta``, ``timeout``,
-    ``cutoff``, ``delay``, ``loss_probability``, ``seed`` and ``warmup``
-    are free per row.  Rows advance through the same chunk sequence —
-    sharing the sequence-number bookkeeping — and deactivate
-    individually when they hit their mistake target.
-    """
-    if not tasks:
-        return []
-    keys = {_schedule_key(kw) for kw in tasks}
-    if len(keys) != 1:
-        raise InvalidParameterError(
-            "all batched SFD tasks must share target_mistakes/"
-            f"max_heartbeats/chunk_size; got {sorted(keys)}"
-        )
-    target, max_heartbeats, chunk_size = keys.pop()
-    _validate_common(1.0, 0.0, target, max_heartbeats)
-    rows = [_SFDRow(kw) for kw in tasks]
-
-    heartbeats = 0
-    next_seq = 1
-    while True:
-        for row in rows:
-            if row.active and row.n_s >= target:
-                row.finish(truncated=False)
-        live = [row for row in rows if row.active]
-        if not live:
-            break
-        if heartbeats >= max_heartbeats:
-            for row in live:
-                row.finish(truncated=True)
-            break
-        draw = int(min(chunk_size, max_heartbeats - heartbeats))
-        seqs = np.arange(next_seq, next_seq + draw, dtype=float)
-        next_seq += draw
-        heartbeats += draw
-        for row in live:
-            row.step(seqs, next_seq, draw)
-            row.heartbeats = heartbeats
-
-    return [row.result for row in rows]  # type: ignore[misc]
-
-
-def run_accuracy_tasks_batched(
-    tasks: Sequence[AccuracyTask],
-    batch_size: int = 64,
-    jobs: Optional[int] = 1,
-    with_stats: bool = False,
-):
-    """Run accuracy tasks with multi-seed batching; results in task order.
-
-    NFD-S tasks sharing a chunk schedule and window width, and SFD tasks
-    sharing a chunk schedule, are grouped into lockstep batches of up to
-    ``batch_size`` rows; everything else (NFD-U/E, odd-one-out
-    schedules) runs through its serial kernel.  The work units fan out
-    over ``jobs`` workers.  Every result is bit-identical to
-    :func:`run_accuracy_task` on the same task, for any ``batch_size``
-    and ``jobs``.
-    """
-    if batch_size < 1:
-        raise InvalidParameterError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    tasks = list(tasks)
-    groups: Dict[Any, List[int]] = {}
-    for i, task in enumerate(tasks):
-        if task.kind == "nfds":
-            eta = float(task.kwargs["eta"])
-            delta = float(task.kwargs["delta"])
-            k = int(math.ceil(delta / eta - 1e-12))
-            key: Any = ("nfds", k, _schedule_key(task.kwargs))
-        elif task.kind == "sfd":
-            key = ("sfd", _schedule_key(task.kwargs))
-        else:
-            key = ("serial", i)
-        groups.setdefault(key, []).append(i)
-
-    units: List[Tuple[str, List[int]]] = []
-    for key, members in groups.items():
-        kind = key[0]
-        if kind in ("nfds", "sfd"):
-            for start in range(0, len(members), batch_size):
-                units.append((kind, members[start : start + batch_size]))
-        else:
-            units.append(("serial", members))
-
-    def unit_fn(unit: Tuple[str, List[int]]) -> List[FastAccuracyResult]:
-        kind, idxs = unit
-        if kind == "nfds":
-            return simulate_nfds_fast_batch([tasks[i].kwargs for i in idxs])
-        if kind == "sfd":
-            return simulate_sfd_fast_batch([tasks[i].kwargs for i in idxs])
-        return [run_accuracy_task(tasks[i]) for i in idxs]
-
-    outs, stats = parallel_map(
-        unit_fn, units, jobs=jobs, chunk_size=1, with_stats=True
-    )
-    results: List[Optional[FastAccuracyResult]] = [None] * len(tasks)
-    for (_, idxs), unit_results in zip(units, outs):
-        for i, res in zip(idxs, unit_results):
-            results[i] = res
-    reg = _telemetry_active()
-    if reg is not None:
-        reg.counter("batch_accuracy_tasks_total").inc(len(tasks))
-        reg.counter("batch_accuracy_units_total").inc(len(units))
-        for res in results:
-            if res is None:
-                continue
-            labels = {"algorithm": res.algorithm}
-            reg.counter("batch_heartbeats_total", labels=labels).inc(
-                res.n_heartbeats
-            )
-            reg.counter("batch_mistakes_total", labels=labels).inc(
-                res.n_mistakes
-            )
-    return (results, stats) if with_stats else results

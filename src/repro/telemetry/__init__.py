@@ -22,8 +22,9 @@ online counterpart:
 
 Telemetry is off by default and zero-cost when off: hot paths check
 :func:`repro.telemetry.active` once per kernel call and skip all
-recording when it returns ``None``.  ``benchmarks/perf_trajectory.py``
-measures the enabled overhead on the fastsim hot path (<5% budget).
+recording when it returns ``None``.  The ``telemetry.*`` rows of the
+``benchmarks/trajectory`` ledger measure the enabled overhead on the
+fastsim hot path (<5% budget).
 """
 
 from repro.telemetry.export import (

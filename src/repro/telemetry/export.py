@@ -5,8 +5,7 @@ Two formats, one snapshot:
 * **JSON-lines** — one self-describing JSON object per line, schema
   ``repro.telemetry/1``.  Appending a line per experiment (what the CLI
   ``--telemetry-out`` flag does) yields a time series that downstream
-  tooling can diff run-over-run, like ``BENCH_fastsim.json`` does for
-  the perf trajectory.
+  tooling can diff run-over-run.
 * **Prometheus text exposition** — the ``# HELP``/``# TYPE`` format a
   scraper ingests; histograms surface as ``_count``/``_sum`` plus
   ``{quantile="..."}`` summary series.
@@ -80,9 +79,7 @@ def append_jsonl(
 def validate_record(record: dict) -> None:
     """Schema check for one JSON-lines record; raises ``ValueError``.
 
-    The telemetry smoke test round-trips an export through this, the
-    same way ``tests/test_perf_trajectory.py`` checks
-    ``BENCH_fastsim.json``.
+    The telemetry smoke test round-trips an export through this.
     """
     if record.get("schema") != SCHEMA:
         raise ValueError(f"unexpected schema {record.get('schema')!r}")

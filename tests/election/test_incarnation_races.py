@@ -1,6 +1,6 @@
 """Regression pins for (name, incarnation) stitching across
-remove→restart races — on both the object path and the SoA engine's
-generation-tagged rows.  The election layer must never act on a stale
+remove→restart races — on both the per-detector hosts and the SoA
+engine's retired rows.  The election layer must never act on a stale
 incarnation's trust bit.
 """
 
@@ -16,21 +16,26 @@ from repro.metrics.transitions import SUSPECT, TRUST
 from repro.net.delays import ConstantDelay
 from repro.service.monitor_service import MonitorService
 from repro.sim.engine import Simulator
+from tests.reference import HOSTINGS, hosted
 
 ETA = 1.0
 DELTA = 0.5
 DELAY = ConstantDelay(0.05)
 
 
+def detector(engine):
+    return hosted(engine, NFDS(ETA, DELTA))
+
+
 def make_service(engine, seed=11):
     sim = Simulator()
-    service = MonitorService(sim, seed=seed, engine=engine)
-    service.add_process("x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY)
-    service.add_process("y", NFDS(ETA, DELTA), eta=ETA, delay=DELAY)
+    service = MonitorService(sim, seed=seed)
+    service.add_process("x", detector(engine), eta=ETA, delay=DELAY)
+    service.add_process("y", detector(engine), eta=ETA, delay=DELAY)
     return sim, service
 
 
-@pytest.mark.parametrize("engine", ["object", "soa"])
+@pytest.mark.parametrize("engine", HOSTINGS)
 class TestRemoveRestartRace:
     def test_trace_stitching_across_race(self, engine):
         """Crash, then restart *before* the old incarnation's suspicion
@@ -44,7 +49,7 @@ class TestRemoveRestartRace:
         service.crash("x")  # suspicion would fire at ~10.5 + eta
         sim.run_until(10.2)
         service.restart_process(
-            "x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY
+            "x", detector(engine), eta=ETA, delay=DELAY
         )
         restart_time = sim.now
         sim.run_until(25.0)
@@ -85,7 +90,7 @@ class TestRemoveRestartRace:
         # Restart while the old incarnation is crashed-but-undetected:
         # its trust bit is stale the moment the new incarnation exists.
         service.restart_process(
-            "x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY
+            "x", detector(engine), eta=ETA, delay=DELAY
         )
         restart_time = sim.now
         # The administrative S on removal untrusts x synchronously.
@@ -113,7 +118,7 @@ class TestRemoveRestartRace:
         sim.run_until(8.0)
         service.remove_process("x")
         service.add_process(
-            "x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY, incarnation=7
+            "x", detector(engine), eta=ETA, delay=DELAY, incarnation=7
         )
         sim.run_until(20.0)
         traces = service.finish()
@@ -132,7 +137,7 @@ class TestRemoveRestartRace:
         sim.run_until(6.0)
         for _ in range(3):  # repeated remove→restart churn
             service.restart_process(
-                "x", NFDS(ETA, DELTA), eta=ETA, delay=DELAY
+                "x", detector(engine), eta=ETA, delay=DELAY
             )
         proc = service.process("x")
         assert proc.incarnation == 3

@@ -11,6 +11,7 @@ from repro.net.delays import ConstantDelay
 from repro.service.monitor_service import MonitorService
 from repro.sim.engine import Simulator
 from repro.telemetry.registry import MetricsRegistry
+from tests.reference import HOSTINGS, hosted
 
 
 class TestOmegaCore:
@@ -103,18 +104,21 @@ class TestOmegaCore:
 
 
 class TestServiceElector:
-    def make(self, engine="object"):
+    def make(self, engine):
         sim = Simulator()
-        service = MonitorService(sim, seed=3, engine=engine)
+        service = MonitorService(sim, seed=3)
         for name in ("a", "b"):
             service.add_process(
-                name, NFDS(1.0, 0.5), eta=1.0, delay=ConstantDelay(0.05)
+                name,
+                hosted(engine, NFDS(1.0, 0.5)),
+                eta=1.0,
+                delay=ConstantDelay(0.05),
             )
         elector = ServiceElector(service, "q")
         service.start()
         return sim, service, elector
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
+    @pytest.mark.parametrize("engine", HOSTINGS)
     def test_elects_after_first_heartbeats(self, engine):
         sim, service, elector = self.make(engine)
         assert elector.leader == "q"  # nobody trusted yet but itself
@@ -122,7 +126,7 @@ class TestServiceElector:
         assert elector.core.trusted == frozenset({"a", "b", "q"})
         assert elector.leader == "a"
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
+    @pytest.mark.parametrize("engine", HOSTINGS)
     def test_leader_crash_elects_next(self, engine):
         sim, service, elector = self.make(engine)
         sim.run_until(5.0)
@@ -133,7 +137,7 @@ class TestServiceElector:
         demotion = [e for e in elector.events if e.previous == "a"][-1]
         assert demotion.time <= 5.0 + 1.5 + 1e-9
 
-    @pytest.mark.parametrize("engine", ["object", "soa"])
+    @pytest.mark.parametrize("engine", HOSTINGS)
     def test_remove_untrusts_via_admin_event(self, engine):
         sim, service, elector = self.make(engine)
         sim.run_until(5.0)

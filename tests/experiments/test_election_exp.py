@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.cli import _EXPERIMENTS
 from repro.experiments.election_exp import ElectionSettings, run_election_qos
+from tests.reference import hosted
 
 
 def small_settings():
@@ -93,21 +94,30 @@ class TestTables:
             assert len(table.notes) == 2
 
 
+class ReferenceHosted(ElectionSettings):
+    """The same detectors, each in its own per-detector host."""
+
+    def detectors(self):
+        return [
+            (label, lambda m, subj, f=factory: hosted("object", f(m, subj)), *rest)
+            for label, factory, *rest in super().detectors()
+        ]
+
+
 class TestEngineParityAndCLI:
-    def test_soa_engine_matches_object_for_nfds_rows(self):
-        # Bit-identical NFD-S transitions are the SoA engine's hard
-        # correctness bar (tests/service/test_soa_identity.py); the
-        # election layer must preserve that identity end to end.  The
-        # NFD-U/NFD-E rows are outside that bar, so only the two NFD-S
-        # rows are compared.
+    def test_all_rows_match_reference_hosts(self, tables):
+        # Bit-identical transitions *and* same-instant publication order
+        # are the SoA engine's hard correctness bar
+        # (tests/service/test_soa_identity.py); the election layer must
+        # preserve that identity end to end, for every detector row —
+        # the elector's output is a function of the event order.
         s = small_settings()
-        obj = run_election_qos(settings=s, engine="object")
-        soa = run_election_qos(settings=s, engine="soa")
-        labels = {"NFD-S", "NFD-S (Thm 5)"}
-        for a, b in zip(obj, soa):
-            assert [r for r in a.rows if r[0] in labels] == [
-                r for r in b.rows if r[0] in labels
-            ]
+        reference = run_election_qos(
+            settings=ReferenceHosted(names=s.names, horizon=s.horizon)
+        )
+        for ref, table in zip(reference, tables):
+            assert ref.title == table.title
+            assert ref.rows == table.rows
 
     def test_registered_in_cli(self):
         assert "election" in _EXPERIMENTS

@@ -23,8 +23,6 @@ class TestFastPathFlags:
             live_main(
                 [
                     "soak",
-                    "--engine",
-                    "soa",
                     "--drain-batch",
                     "64",
                     "--fanout",
@@ -33,7 +31,6 @@ class TestFastPathFlags:
                 ]
             )
         config = captured["config"]
-        assert config.engine == "soa"
         assert config.drain_batch == 64
         assert config.fanout is True
 
@@ -41,14 +38,9 @@ class TestFastPathFlags:
         args = _build_parser().parse_args(
             ["monitor", "--port", "9999"]
         )
-        assert args.engine == "object"
         assert args.drain_batch == 256
         assert args.no_batched_socket is False
         assert args.uvloop is False
-
-    def test_soak_rejects_unknown_engine(self, capsys):
-        with pytest.raises(SystemExit):
-            _build_parser().parse_args(["soak", "--engine", "gpu"])
 
 
 class TestUvloopGate:

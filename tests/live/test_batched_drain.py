@@ -1,11 +1,12 @@
-"""Batched inbox drain ≡ per-datagram dispatch, decision for decision.
+"""The inbox drain decides the same for every chunk size and hosting.
 
-The fast path (``drain_batch > 1``: chunk decode, hoisted receipt
-clock, single SoA ingest per drain) must make exactly the decisions of
-the historical one-datagram-at-a-time consumer — same counters, same
-per-incarnation books, same detector transition kinds — under junk,
-unknown senders, reordering, incarnation restarts, stale stragglers,
-inbox overflow, and real wall-clock pacing.
+Chunked drains (chunk decode, hoisted receipt clock, single engine
+ingest per drain) must make exactly the decisions of a one-datagram-at-
+a-time consumer (``drain_batch=1``) feeding per-detector reference
+hosts (``tests/reference.py``) — same counters, same per-incarnation
+books, same detector transition kinds — under junk, unknown senders,
+reordering, incarnation restarts, stale stragglers, inbox overflow, and
+real wall-clock pacing.
 """
 
 from __future__ import annotations
@@ -17,12 +18,17 @@ import pytest
 from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
 from repro.live.wire import encode_heartbeat
+from tests.reference import HOSTINGS, hosted
 
 ETA, DELTA = 0.05, 0.03
 
 
 def _factory(first_seq):
     return NFDS(ETA, DELTA, first_seq=first_seq)
+
+
+def _factory_on(hosting):
+    return lambda first_seq: hosted(hosting, _factory(first_seq))
 
 
 def mixed_stream(n_senders=6, slots=10):
@@ -72,19 +78,18 @@ def _counters(registry):
     }
 
 
-async def _dispatch_all(payloads, *, engine, drain, n_senders=6, **kw):
+async def _dispatch_all(payloads, *, hosting, drain, n_senders=6, **kw):
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
         loop=loop,
         origin=loop.time(),
         inbox_limit=len(payloads) + 1,
-        engine=engine,
         drain_batch=drain,
         keep_traces=False,
         **kw,
     )
     for i in range(n_senders):
-        service.add_peer(f"s{i}", _factory, eta=ETA)
+        service.add_peer(f"s{i}", _factory_on(hosting), eta=ETA)
     for payload in payloads:
         service.on_datagram(payload)
     n = len(payloads)
@@ -100,21 +105,21 @@ async def _dispatch_all(payloads, *, engine, drain, n_senders=6, **kw):
 
 class TestDecisionIdentity:
     def test_all_modes_agree_on_mixed_stream(self):
-        """Engine × drain (including an odd chunk size that splits
+        """Hosting × drain (including an odd chunk size that splits
         restarts and admissions across chunk boundaries) produce
         identical counters and incarnation books."""
 
         async def main():
             payloads = mixed_stream()
             baseline = await _dispatch_all(
-                payloads, engine="object", drain=1
+                payloads, hosting="object", drain=1
             )
-            for engine in ("object", "soa"):
+            for hosting in HOSTINGS:
                 for drain in (1, 3, 256):
                     got = await _dispatch_all(
-                        payloads, engine=engine, drain=drain
+                        payloads, hosting=hosting, drain=drain
                     )
-                    assert got == baseline, (engine, drain)
+                    assert got == baseline, (hosting, drain)
             counters, _ = baseline
             # the stream really exercised every decision path
             assert counters["live_datagrams_invalid_total"] > 0
@@ -137,7 +142,6 @@ class TestDecisionIdentity:
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=len(payloads) + 1,
-                    engine="soa",
                     drain_batch=drain,
                     keep_traces=False,
                 )
@@ -178,7 +182,6 @@ class TestOverflow:
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=8,
-                    engine="soa",
                     drain_batch=drain,
                     keep_traces=False,
                 )
@@ -215,7 +218,6 @@ class TestObserveFlag:
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
-                    engine="soa",
                     drain_batch=256,
                     keep_traces=False,
                 )
@@ -237,8 +239,8 @@ class TestPacedTransitions:
     def test_transition_kinds_match_under_real_pacing(self):
         """A wall-clock run with deliberately dropped heartbeats forces
         a deterministic S/T kind sequence (margins ≫ timer jitter);
-        batched SoA and per-datagram object dispatch must both produce
-        it."""
+        the batched engine drain and per-datagram dispatch to the
+        reference host must both produce it."""
         eta, delta = 0.08, 0.04
         # seq i arrives at i·η + 5 ms; seqs 4, 5 are dropped; nothing
         # after seq 8.  Freshness points sit at i·η + δ, so every
@@ -249,19 +251,20 @@ class TestPacedTransitions:
         sends = [i for i in range(1, 9) if i not in (4, 5)]
         expected = ["T", "S", "T", "S"]
 
-        async def run_one(engine, drain):
+        async def run_one(hosting, drain):
             loop = asyncio.get_running_loop()
             origin = loop.time() + 0.02
             service = LiveMonitorService(
                 loop=loop,
                 origin=origin,
-                engine=engine,
                 drain_batch=drain,
                 keep_traces=True,
             )
             service.add_peer(
                 "s0",
-                lambda first_seq: NFDS(eta, delta, first_seq=first_seq),
+                lambda first_seq: hosted(
+                    hosting, NFDS(eta, delta, first_seq=first_seq)
+                ),
                 eta=eta,
             )
             service.start()

@@ -3,10 +3,10 @@
 The fast section is tier-1 (sub-second, no real waiting): a
 :class:`~repro.election.omega.LiveElector` on top of a
 :class:`~repro.live.monitor.LiveMonitorService`, fed hand-crafted
-datagrams, on both the object and SoA backends.  The key regression is
-the incarnation race: a restarted peer is untrusted the instant the new
-incarnation is observed, and a stale heartbeat from the dead
-incarnation can never resurrect its trust bit.
+datagrams, on both per-detector hosts and engine rows.  The key
+regression is the incarnation race: a restarted peer is untrusted the
+instant the new incarnation is observed, and a stale heartbeat from the
+dead incarnation can never resurrect its trust bit.
 
 The closing soak (marker: ``live``, excluded from tier-1) runs a real
 event loop for a few wall-clock seconds with timer-driven senders, kills
@@ -24,6 +24,7 @@ from repro.core.nfd_s import NFDS
 from repro.election import LiveElector
 from repro.live.monitor import LiveMonitorService
 from repro.live.wire import encode_heartbeat
+from tests.reference import HOSTINGS, hosted
 
 ETA = 0.05
 DELTA = 0.02
@@ -44,15 +45,19 @@ def nfds_factory(first_seq):
 
 
 def make_service(engine, origin):
-    service = LiveMonitorService(origin=origin, engine=engine)
+    service = LiveMonitorService(origin=origin)
     for name in ("a", "b"):
-        service.add_peer(name, nfds_factory, eta=ETA)
+        service.add_peer(
+            name,
+            lambda first_seq: hosted(engine, nfds_factory(first_seq)),
+            eta=ETA,
+        )
     elector = LiveElector(service, "z", label="z")
     service.start()
     return service, elector
 
 
-@pytest.mark.parametrize("engine", ["object", "soa"])
+@pytest.mark.parametrize("engine", HOSTINGS)
 class TestLiveElector:
     def test_elects_smallest_trusted_peer(self, engine):
         async def main():

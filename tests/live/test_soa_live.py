@@ -1,21 +1,23 @@
-"""Tests for the live SoA backend (tier-1: sub-second).
+"""Tests for the live service's engine hosting (tier-1: sub-second).
 
-``LiveMonitorService(engine="soa")`` keeps per-peer detector state in
-the shared :class:`VectorMonitorEngine` with a single armed
-``loop.call_at`` wakeup.  The observable behaviour — dispatch,
-suspicion, incarnation restarts, removal, metrics — must match the
-object backend's.
+``LiveMonitorService`` keeps the state of plain NFD-S/U/E peers in the
+shared :class:`VectorMonitorEngine` with a single armed
+``loop.call_at`` wakeup; any other detector keeps its own
+:class:`LiveDetectorHost`.  The observable behaviour — dispatch,
+suspicion, incarnation restarts, removal, metrics — must not depend on
+which.
 """
 
 from __future__ import annotations
 
 import asyncio
 
-import pytest
+import numpy as np
 
+from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
 from repro.core.nfd_s import NFDS
-from repro.errors import InvalidParameterError
 from repro.live.monitor import LiveMonitorService
+from repro.live.runtime import LiveDetectorHost
 from repro.live.soa import SoALiveHost
 from repro.live.wire import encode_heartbeat
 
@@ -34,21 +36,32 @@ def nfds_factory(eta, delta):
     return lambda first_seq: NFDS(eta, delta, first_seq=first_seq)
 
 
+class _SteppedLoop:
+    """A clock the test sets and timers that never fire: all a host
+    driven synchronously needs from its loop."""
+
+    class _Handle:
+        def cancel(self):
+            pass
+
+        def cancelled(self):
+            return False
+
+    def __init__(self):
+        self.now = 0.0
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback):
+        return self._Handle()
+
+
 class TestEngineSelection:
-    def test_engine_validated(self):
-        async def main():
-            with pytest.raises(InvalidParameterError):
-                LiveMonitorService(engine="simd")
-            service = LiveMonitorService(engine="soa")
-            assert service.engine == "soa"
-            assert service.soa_engine is None  # built on first peer
-            await service.aclose()
-
-        asyncio.run(main())
-
     def test_peers_share_one_engine(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
+            assert service.soa_engine is None  # built on first peer
             for i in range(8):
                 service.add_peer(
                     f"p{i}", nfds_factory(0.05, 0.02), eta=0.05
@@ -62,11 +75,64 @@ class TestEngineSelection:
 
         asyncio.run(main())
 
+    def test_adaptive_nfde_keeps_its_own_host_and_reconfigures(self):
+        """An ``NFDE`` subclass is never hosted as a plain NFD-E row: it
+        gets a :class:`LiveDetectorHost` and adopts exactly the
+        reconfigurations of the same detector driven bare."""
+        eta = 0.05
+        rng = np.random.default_rng(3)
+        arrivals = [
+            (seq, seq * eta + float(rng.exponential(0.002)))
+            for seq in range(1, 401)
+            if rng.random() >= 0.01
+        ]
+
+        def adaptive(adopted):
+            return AdaptiveNFDE(
+                eta=eta,
+                initial_alpha=0.1,
+                controller=AdaptiveController(0.15, 250.0, 0.05),
+                reconfig_every=50,
+                on_reconfigure=lambda cfg: adopted.append(
+                    (cfg.eta, cfg.alpha)
+                ),
+            )
+
+        bare_adopted = []
+        loop = _SteppedLoop()
+        bare = LiveDetectorHost(adaptive(bare_adopted), loop=loop, origin=0.0)
+        bare.start()
+        for seq, at in arrivals:
+            loop.now = at
+            bare.deliver_parts(seq, seq * eta)
+
+        async def main():
+            adopted = []
+            loop = _SteppedLoop()
+            service = LiveMonitorService(loop=loop, origin=0.0)
+            service.add_peer(
+                "p0", lambda first_seq: adaptive(adopted), eta=eta
+            )
+            service.start()
+            for seq, at in arrivals:
+                loop.now = at
+                service.on_datagram(encode_heartbeat("p0", 0, seq, seq * eta))
+                await drain(service, rounds=2)
+            host = service.host("p0")
+            assert isinstance(host, LiveDetectorHost)
+            assert service.soa_engine is None
+            assert host.delivered_count == len(arrivals)
+            assert adopted == bare_adopted and adopted
+            assert host.detector.alpha == adopted[-1][1] != 0.1
+            await service.aclose()
+
+        asyncio.run(main())
+
 
 class TestDispatchAndSuspicion:
     def test_delivery_trusts_then_wheel_suspects(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             transitions = []
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
@@ -92,7 +158,7 @@ class TestDispatchAndSuspicion:
 
     def test_restart_finalizes_and_redispatches(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
@@ -118,7 +184,6 @@ class TestAutoAdmit:
     def test_walk_in_lands_in_engine(self):
         async def main():
             service = LiveMonitorService(
-                engine="soa",
                 auto_admit=lambda name: (nfds_factory(0.05, 0.02), 0.05),
             )
             service.start()
@@ -144,7 +209,7 @@ class TestAutoAdmit:
 class TestRemoval:
     def test_remove_peer_idempotent(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
@@ -170,7 +235,7 @@ class TestShedAccounting:
         loss)."""
 
         async def main():
-            service = LiveMonitorService(engine="soa", inbox_limit=4)
+            service = LiveMonitorService(inbox_limit=4)
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             # Consumer not started: seqs 5..10 overflow the inbox.
             for seq in range(1, 11):
@@ -201,7 +266,7 @@ class TestShedAccounting:
 
     def test_post_close_arrivals_counted_as_drops(self):
         async def main():
-            service = LiveMonitorService(engine="soa")
+            service = LiveMonitorService()
             service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
             service.start()
             await service.aclose()

@@ -50,8 +50,10 @@ class TestLoopback:
             await asyncio.sleep(0.08)
             assert [p for p, _ in received] == [b"c", b"a"]  # delay order
             (_, t_c), (_, t_a) = received
-            assert t_c - t0 == pytest.approx(0.01, abs=0.02)
-            assert t_a - t0 == pytest.approx(0.03, abs=0.02)
+            # A loop timer never fires early; how late it fires is the
+            # machine's load, not the model's business.
+            assert 0.01 - 1e-3 <= t_c - t0 <= t_a - t0
+            assert 0.03 - 1e-3 <= t_a - t0
             assert sender.offered == 3
             assert sender.lost == 1
             assert sender.scheduled == 2

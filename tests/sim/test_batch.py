@@ -1,8 +1,8 @@
 """Bit-identity tests for the batched replica kernels.
 
 The invariant under test: for a fixed seed, every result of
-:mod:`repro.sim.batch` — crash detection times, accuracy statistics,
-experiment tables — is *bit-identical* to the serial/event-driven path,
+:mod:`repro.sim.batch` — crash detection times and the experiment table
+built from them — is *bit-identical* to the serial/event-driven path,
 for every ``batch_size`` and every ``jobs`` value.  Batching is a pure
 execution strategy; it must never be observable in the numbers.
 """
@@ -31,12 +31,8 @@ from repro.sim.batch import (
     AccuracyTask,
     crash_kernel_spec,
     run_accuracy_task,
-    run_accuracy_tasks_batched,
     run_crash_runs_batched,
-    simulate_nfds_fast_batch,
-    simulate_sfd_fast_batch,
 )
-from repro.sim.fastsim import simulate_nfds_fast, simulate_sfd_fast
 from repro.sim.runner import CrashRunResult, SimulationConfig, run_crash_runs
 
 BATCH_SIZES = [1, 3, 64]
@@ -229,228 +225,23 @@ class TestPrematureProperty:
         assert result.n_undetected == 1
 
 
-def _assert_same_accuracy(a, b):
-    assert a.algorithm == b.algorithm
-    assert a.n_heartbeats == b.n_heartbeats
-    assert a.total_time == b.total_time
-    assert a.suspect_time == b.suspect_time
-    assert np.array_equal(a.s_transition_times, b.s_transition_times)
-    assert np.array_equal(a.mistake_durations, b.mistake_durations)
-    assert a.truncated == b.truncated
-
-
-SCHED = dict(target_mistakes=50, max_heartbeats=500_000, chunk_size=4096)
-
-
-class TestMultiSeedKernels:
-    def test_nfds_batch_rows_equal_serial(self):
-        tasks = [
-            dict(
-                eta=1.0,
-                delta=1.0,
-                loss_probability=0.01,
-                delay=ExponentialDelay(0.02),
-                seed=s,
-                warmup=w,
-                **SCHED,
-            )
-            for s, w in [(0, 0.0), (1, 5.0), (2, 0.0), (3, 12.5)]
-        ]
-        # Heterogeneous parameters are allowed as long as k matches.
-        tasks.append(
-            dict(
-                eta=0.5,
-                delta=0.4,
-                loss_probability=0.05,
-                delay=UniformDelay(0.0, 0.3),
-                seed=9,
-                **SCHED,
-            )
-        )
-        ref = [simulate_nfds_fast(**kw) for kw in tasks]
-        got = simulate_nfds_fast_batch(tasks)
-        for r, g in zip(ref, got):
-            _assert_same_accuracy(r, g)
-
-    def test_sfd_batch_rows_equal_serial(self):
-        tasks = [
-            dict(
-                eta=1.0,
-                timeout=1.2,
-                loss_probability=0.02,
-                delay=ExponentialDelay(0.1),
-                cutoff=c,
-                seed=s,
-                warmup=w,
-                **SCHED,
-            )
-            for c, s, w in [
-                (None, 0, 0.0),
-                (0.3, 1, 3.0),
-                (0.15, 2, 0.0),
-                (None, 3, 7.0),
-            ]
-        ]
-        ref = [simulate_sfd_fast(**kw) for kw in tasks]
-        got = simulate_sfd_fast_batch(tasks)
-        for r, g in zip(ref, got):
-            _assert_same_accuracy(r, g)
-
-    def test_truncation_lockstep(self):
-        sched = dict(
-            target_mistakes=10**9, max_heartbeats=5000, chunk_size=777
-        )
-        tasks = [
-            dict(
-                eta=1.0,
-                delta=2.0,
-                loss_probability=0.3,
-                delay=ExponentialDelay(0.5),
-                seed=s,
-                **sched,
-            )
-            for s in (0, 1)
-        ]
-        ref = [simulate_nfds_fast(**kw) for kw in tasks]
-        got = simulate_nfds_fast_batch(tasks)
-        for r, g in zip(ref, got):
-            assert r.truncated and g.truncated
-            _assert_same_accuracy(r, g)
-
-    def test_mismatched_schedule_rejected(self):
-        base = dict(
-            eta=1.0,
-            delta=1.0,
-            loss_probability=0.0,
-            delay=ExponentialDelay(0.02),
-        )
-        with pytest.raises(InvalidParameterError):
-            simulate_nfds_fast_batch(
-                [
-                    dict(chunk_size=100, **base),
-                    dict(chunk_size=200, **base),
-                ]
-            )
-
-    def test_mismatched_k_rejected(self):
-        common = dict(
-            loss_probability=0.0, delay=ExponentialDelay(0.02), **SCHED
-        )
-        with pytest.raises(InvalidParameterError):
-            simulate_nfds_fast_batch(
-                [
-                    dict(eta=1.0, delta=1.0, **common),
-                    dict(eta=1.0, delta=2.5, **common),
-                ]
-            )
-
-    def test_empty_batches(self):
-        assert simulate_nfds_fast_batch([]) == []
-        assert simulate_sfd_fast_batch([]) == []
-        assert run_accuracy_tasks_batched([]) == []
-
-
-class TestAccuracyTaskExecutor:
-    def _mixed_tasks(self):
-        delay = ExponentialDelay(0.05)
-        sched = dict(target_mistakes=40, max_heartbeats=400_000, chunk_size=4096)
-        return [
-            AccuracyTask(
-                "nfds",
-                dict(eta=1.0, delta=1.0, loss_probability=0.01, delay=delay,
-                     seed=1, **sched),
-            ),
-            AccuracyTask(
-                "sfd",
-                dict(eta=1.0, timeout=1.3, loss_probability=0.01, delay=delay,
-                     seed=2, **sched),
-            ),
-            AccuracyTask(
-                "nfde",
-                dict(eta=1.0, alpha=0.8, loss_probability=0.01, delay=delay,
-                     seed=3, window=16, **sched),
-            ),
-            AccuracyTask(
-                "nfds",
-                dict(eta=1.0, delta=0.9, loss_probability=0.02, delay=delay,
-                     seed=4, **sched),
-            ),
-            AccuracyTask(
-                "sfd",
-                dict(eta=1.0, timeout=1.1, loss_probability=0.0, delay=delay,
-                     cutoff=0.2, seed=5, **sched),
-            ),
-            AccuracyTask(
-                "nfdu",
-                dict(eta=1.0, alpha=0.8, loss_probability=0.01, delay=delay,
-                     seed=6, **sched),
-            ),
-            # Odd-one-out schedule: must run, just in its own group.
-            AccuracyTask(
-                "nfds",
-                dict(eta=1.0, delta=1.0, loss_probability=0.01, delay=delay,
-                     seed=7, target_mistakes=20, max_heartbeats=400_000,
-                     chunk_size=4096),
-            ),
-        ]
-
-    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-    @pytest.mark.parametrize("jobs", JOBS)
-    def test_mixed_kinds_order_and_identity(self, batch_size, jobs):
-        tasks = self._mixed_tasks()
-        ref = [run_accuracy_task(t) for t in tasks]
-        got = run_accuracy_tasks_batched(tasks, batch_size=batch_size, jobs=jobs)
-        for r, g in zip(ref, got):
-            _assert_same_accuracy(r, g)
-
+class TestAccuracyTask:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):
             run_accuracy_task(AccuracyTask("bogus", {}))
 
-    def test_invalid_batch_size(self):
-        with pytest.raises(InvalidParameterError):
-            run_accuracy_tasks_batched(self._mixed_tasks(), batch_size=0)
-
 
 class TestBatchedExperiments:
-    def test_fig12_batched_equals_serial(self):
-        from repro.experiments.fig12 import run_fig12
+    def test_detection_time_kernel_equals_event_driven(self, monkeypatch):
+        from repro.experiments import detection_time
+        from repro.sim.parallel import run_crash_runs_parallel
 
-        kw = dict(
-            tdu_values=[1.5, 2.0], target_mistakes=20, max_heartbeats=200_000
+        kernel = detection_time.run_detection_time(n_runs=12)
+        monkeypatch.setattr(
+            detection_time, "run_crash_runs_batched", run_crash_runs_parallel
         )
-        serial = run_fig12(**kw)
-        batched = run_fig12(batch_size=8, **kw)
-        for a, b in zip(serial, batched):
-            assert a.tdu == b.tdu
-            assert a.analytic_tmr == b.analytic_tmr
-            for field in ("nfds", "nfde", "sfd_l", "sfd_s"):
-                _assert_same_accuracy(getattr(a, field), getattr(b, field))
-
-    def test_detection_time_batched_equals_serial(self):
-        from repro.experiments.detection_time import run_detection_time
-
-        serial = run_detection_time(n_runs=12)
-        batched = run_detection_time(n_runs=12, batch_size=5)
-        assert serial.to_text() == batched.to_text()
-
-    def test_optimality_batched_equals_serial(self):
-        from repro.experiments.optimality import run_optimality
-
-        kw = dict(target_mistakes=20, max_heartbeats=200_000)
-        assert (
-            run_optimality(**kw).to_text()
-            == run_optimality(batch_size=4, **kw).to_text()
-        )
-
-    def test_cutoff_ablation_batched_equals_serial(self):
-        from repro.experiments.cutoff_ablation import run_cutoff_ablation
-
-        kw = dict(target_mistakes=20, max_heartbeats=200_000)
-        assert (
-            run_cutoff_ablation(**kw).to_text()
-            == run_cutoff_ablation(batch_size=16, **kw).to_text()
-        )
+        serial = detection_time.run_detection_time(n_runs=12)
+        assert serial.to_text() == kernel.to_text()
 
 
 class TestFastReplay:

@@ -13,11 +13,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.net.delays import ExponentialDelay
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_tasks_batched,
-    run_crash_runs_batched,
-)
+from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import Simulator
 from repro.sim.fastsim import simulate_nfds_fast
 from repro.sim.parallel import parallel_map
@@ -114,22 +110,6 @@ class TestExecutorTelemetry:
         assert reg.counter("parallel_chunks_total").value >= 1
         assert reg.histogram("parallel_chunk_seconds").count >= 1
         assert reg.histogram("parallel_wall_seconds").count == 1
-
-    def test_batched_accuracy_tasks(self):
-        tasks = [
-            AccuracyTask(
-                kind="nfds", kwargs={**FAST_KWARGS, "seed": seed}
-            )
-            for seed in range(3)
-        ]
-        with telemetry.enabled() as reg:
-            results = run_accuracy_tasks_batched(tasks, batch_size=2, jobs=1)
-        assert reg.counter("batch_accuracy_tasks_total").value == 3
-        assert reg.counter("batch_accuracy_units_total").value >= 2
-        labels = {"algorithm": "nfd-s"}
-        assert reg.counter("batch_heartbeats_total", labels=labels).value == (
-            sum(r.n_heartbeats for r in results)
-        )
 
     def test_batched_crash_runs(self):
         from repro.core.nfd_s import NFDS
