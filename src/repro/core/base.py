@@ -70,8 +70,9 @@ class DetectorRuntime(Protocol):
     ) -> TimerHandle:
         """Schedule ``callback`` at the given *local* time.
 
-        Scheduling in the past is an error; hosts raise
-        :class:`~repro.errors.SimulationError`.
+        A time already past is not an error: the timer fires as soon as
+        possible (the drivers' rule, stated on
+        :meth:`repro.sim.engine.SimWheelScheduler.call_at`).
         """
         ...
 

@@ -103,17 +103,15 @@ class _Pipeline:
     def _build(self, origin: Optional[float]) -> None:
         detector = NFDE(eta=self.eta, alpha=self.alpha, window=self.window,
                         first_seq=self._next_seq)
-        self.host = DetectorHost(self.sim, detector)
-        # Tap transitions for cross-epoch mistake accounting.
-        inner = detector._listener
 
-        def listener(local_time: float, output: str) -> None:
-            if inner is not None:
-                inner(local_time, output)
+        # Tap transitions for cross-epoch mistake accounting.
+        def on_transition(local_time: float, output: str) -> None:
             if output == "S":
                 self.s_transition_times.append(self.sim.now)
 
-        detector._listener = listener
+        self.host = DetectorHost(
+            self.sim, detector, on_transition=on_transition
+        )
 
         def deliver(seq: int, send_local: float) -> None:
             self.loss_est.observe(seq)

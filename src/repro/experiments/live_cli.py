@@ -131,14 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=256,
         help="datagrams drained per consumer wakeup (1 = per-datagram)",
     )
-    mon.add_argument(
-        "--no-batched-socket",
-        action="store_true",
-        help=(
-            "use the per-datagram asyncio endpoint instead of the "
-            "recv_into socket drain"
-        ),
-    )
     return parser
 
 
@@ -217,7 +209,6 @@ def _run_monitor(args) -> int:
                 report_every=args.report_every,
                 registry=registry,
                 drain_batch=args.drain_batch,
-                batched_socket=not args.no_batched_socket,
             )
         )
     except KeyboardInterrupt:

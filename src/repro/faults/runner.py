@@ -122,9 +122,7 @@ def run_failure_free_with_faults(
     link = FaultyLink(base_link, fault_rng)
     sender_clock = _resolve_clock(config.sender_clock, scenario, "sender")
     monitor_clock = _resolve_clock(config.monitor_clock, scenario, "monitor")
-    host = DetectorHost(
-        sim, detector, clock=monitor_clock, sender_clock=sender_clock
-    )
+    host = DetectorHost(sim, detector, clock=monitor_clock)
     sender = HeartbeatSender(
         sim,
         link,

@@ -3,17 +3,17 @@
 The simulator (:mod:`repro.sim`) answers "what QoS *should* this
 configuration have"; this package answers "what QoS does it have when
 the timers, message pacing, and deliveries run on a real event loop".
-The detectors themselves are the unmodified :mod:`repro.core` classes —
-:class:`~repro.live.runtime.LiveDetectorHost` satisfies the same
-:class:`~repro.core.base.DetectorRuntime` protocol the simulator does,
-with ``loop.call_at`` behind it instead of an event queue.
+The detectors themselves are the unmodified :mod:`repro.core` classes,
+in the same two hosts the simulator uses (:mod:`repro.sim.monitor`):
+only the driver differs — :class:`~repro.live.soa.LoopWheelScheduler`
+puts ``loop.call_at`` where the simulator has an event queue.
 
 Layers:
 
 * :mod:`repro.live.wire` — the heartbeat datagram format;
 * :mod:`repro.live.transport` — UDP endpoints and the seedable
   loopback transport driven by the simulation's link models;
-* :mod:`repro.live.runtime` — hosting a detector on the loop clock;
+* :mod:`repro.live.soa` — the loop as the hosts' clock-and-timer driver;
 * :mod:`repro.live.sender` — η-paced heartbeat sending;
 * :mod:`repro.live.fanout` — many sender streams off one armed timer;
 * :mod:`repro.live.monitor` — the monitoring service (bounded inbox,
@@ -25,7 +25,6 @@ Layers:
 
 from repro.live.fanout import FanoutStream, HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
-from repro.live.runtime import LiveDetectorHost
 from repro.live.sender import LiveHeartbeatSender
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.soak import KillReport, SoakConfig, SoakGate, SoakResult, run_soak
@@ -50,7 +49,6 @@ from repro.live.wire import (
 __all__ = [
     "LiveMonitorService",
     "LivePeerResult",
-    "LiveDetectorHost",
     "LiveHeartbeatSender",
     "FanoutStream",
     "HeartbeatFanout",

@@ -5,7 +5,8 @@
 datagrams from a transport, decodes them, and dispatches each heartbeat
 to the peer's host — a row of the shared
 :class:`~repro.service.soa.VectorMonitorEngine` for plain NFD-S/U/E, a
-:class:`~repro.live.runtime.LiveDetectorHost` for any other detector —
+:class:`~repro.sim.monitor.DetectorHost` for any other detector, both
+on the service's one :class:`~repro.live.soa.LoopWheelScheduler` —
 with the operational hardening a wall-clock service needs:
 
 * **bounded inbox** — the transport callback only enqueues; a consumer
@@ -43,10 +44,8 @@ import numpy as np
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import EstimationError, InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
-from repro.live.runtime import LiveDetectorHost
-from repro.live.soa import LoopWheelScheduler, SoALiveHost
+from repro.live.soa import LoopWheelScheduler
 from repro.live.supervisor import TaskSupervisor
-from repro.service.soa import VectorMonitorEngine, supports_detector
 from repro.live.wire import (
     HeartbeatBatchDecoder,
     WireError,
@@ -54,6 +53,12 @@ from repro.live.wire import (
 )
 from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.service.events import MonitorEvent
+from repro.service.soa import (
+    SoAMonitorHost,
+    VectorMonitorEngine,
+    supports_detector,
+)
+from repro.sim.monitor import DetectorHost
 from repro.telemetry.qos_online import OnlineQoSEstimator
 from repro.telemetry.registry import MetricsRegistry
 
@@ -99,7 +104,7 @@ class _Peer:
         self.observe = observe
         self.incarnation = 0
         self.first_seq = 1
-        #: SoALiveHost (NFD-S/U/E engine row) or LiveDetectorHost (the rest)
+        #: SoAMonitorHost (NFD-S/U/E engine row) or DetectorHost (the rest)
         self.host: Optional[object] = None
 
 
@@ -130,8 +135,8 @@ class LiveMonitorService:
     timer for the whole service, which is what a monitor tracking 10^4+
     live peers needs; any other detector (a subclass included, see
     :func:`~repro.service.soa.supports_detector`) runs in its own
-    :class:`LiveDetectorHost` with per-peer loop timers.  Verdicts are
-    identical either way.
+    :class:`~repro.sim.monitor.DetectorHost` with per-peer loop timers.
+    Verdicts are identical either way.
     """
 
     def __init__(
@@ -157,15 +162,14 @@ class LiveMonitorService:
         self._loop = (
             loop if loop is not None else asyncio.get_running_loop()
         )
-        self._origin = (
-            self._loop.time() if origin is None else float(origin)
+        self._scheduler = LoopWheelScheduler(
+            self._loop, self._loop.time() if origin is None else origin
         )
         self.registry = registry if registry is not None else MetricsRegistry()
         self._warmup = float(warmup)
         self._keep_traces = keep_traces
         self._auto_admit = auto_admit
         self._soa_engine: Optional[VectorMonitorEngine] = None
-        self._soa_scheduler: Optional[LoopWheelScheduler] = None
         self._drain_batch = int(drain_batch)
         self._decoder = HeartbeatBatchDecoder()
         # Reused accumulators for the SoA ingest path.  Receipt times
@@ -248,7 +252,7 @@ class LiveMonitorService:
 
     @property
     def origin(self) -> float:
-        return self._origin
+        return self._scheduler.origin
 
     @property
     def drain_batch(self) -> int:
@@ -262,12 +266,11 @@ class LiveMonitorService:
 
     def _soa(self) -> VectorMonitorEngine:
         if self._soa_engine is None:
-            self._soa_scheduler = LoopWheelScheduler(self._loop, self._origin)
-            self._soa_engine = VectorMonitorEngine(self._soa_scheduler)
+            self._soa_engine = VectorMonitorEngine(self._scheduler)
         return self._soa_engine
 
     def local_now(self) -> float:
-        return self._loop.time() - self._origin
+        return self._scheduler.now()
 
     # ------------------------------------------------------------------ #
     # Peers
@@ -338,20 +341,20 @@ class LiveMonitorService:
             self._note_transition(name, out, t, inc)
         )
         if supports_detector(detector):
-            host = SoALiveHost(
+            host = SoAMonitorHost(
                 self._soa(),
                 detector,
                 warmup=self._warmup,
                 keep_trace=self._keep_traces,
                 observer=observer,
                 on_transition=hook,
+                incarnation=incarnation,
                 label=peer.name,
             )
         else:
-            host = LiveDetectorHost(
+            host = DetectorHost(
+                self._scheduler,
                 detector,
-                loop=self._loop,
-                origin=self._origin,
                 warmup=self._warmup,
                 keep_trace=self._keep_traces,
                 observer=observer,
@@ -385,6 +388,7 @@ class LiveMonitorService:
         # engine before any book is closed (restart mid-batch).
         self._flush_soa()
         trace = host.finish()
+        host.stop()
         result = LivePeerResult(
             name=peer.name,
             incarnation=peer.incarnation,
@@ -490,8 +494,9 @@ class LiveMonitorService:
         return set(self._suspected)
 
     def host(self, name: str):
-        """The live host of a peer's current incarnation (a
-        :class:`LiveDetectorHost` or :class:`SoALiveHost`)."""
+        """The host of a peer's current incarnation (a
+        :class:`~repro.sim.monitor.DetectorHost` or an engine row's
+        :class:`~repro.service.soa.SoAMonitorHost`)."""
         peer = self._peers.get(name)
         if peer is None or peer.host is None:
             raise SimulationError(f"no live host for peer {name!r}")
@@ -642,7 +647,7 @@ class LiveMonitorService:
                 self._start_incarnation(peer, incarnation=incarnation)
                 chunk_now = None  # fresh row, fresh clock read
             host = peer.host
-            if isinstance(host, SoALiveHost):
+            if isinstance(host, SoAMonitorHost):
                 if chunk_now is None:
                     chunk_now = self._soa_engine.now
                     self._pend_marks.append((chunk_now, len(pend_rows)))
@@ -669,7 +674,7 @@ class LiveMonitorService:
                 n_dispatched += 1
             else:
                 try:
-                    host.deliver_parts(seq, sigma)
+                    host.deliver(seq, sigma)
                 except EstimationError:
                     n_prewindow += 1
                     continue
@@ -717,8 +722,7 @@ class LiveMonitorService:
             self._dispatch_batch(leftovers)
         for name in sorted(self._peers):
             self._finalize_incarnation(self._peers[name])
-        if self._soa_scheduler is not None:
-            self._soa_scheduler.close()
+        self._scheduler.close()
         return list(self._results)
 
     @property

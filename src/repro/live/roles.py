@@ -30,7 +30,6 @@ from repro.live.monitor import LiveMonitorService
 from repro.live.sender import LiveHeartbeatSender
 from repro.live.transport import (
     BatchedUdpMonitorTransport,
-    UdpMonitorTransport,
     UdpSenderTransport,
 )
 
@@ -115,7 +114,6 @@ async def run_udp_monitor(
     registry=None,
     emit: Callable[[str], None] = print,
     drain_batch: int = 256,
-    batched_socket: bool = True,
 ) -> LiveMonitorService:
     """Monitor whatever senders appear at ``host:port``.
 
@@ -124,9 +122,9 @@ async def run_udp_monitor(
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
 
-    ``drain_batch`` sizes the chunked inbox drain and
-    ``batched_socket`` selects the recv_into socket drain; verdicts do
-    not depend on either.
+    ``drain_batch`` sizes the chunked inbox drain; verdicts do not
+    depend on it.  The socket is drained with ``recv_into`` wherever
+    the loop has ``add_reader`` (the transport falls back by itself).
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -140,12 +138,7 @@ async def run_udp_monitor(
             eta,
         ),
     )
-    if batched_socket:
-        transport = BatchedUdpMonitorTransport(
-            host, port, service.on_datagram
-        )
-    else:
-        transport = UdpMonitorTransport(host, port, service.on_datagram)
+    transport = BatchedUdpMonitorTransport(host, port, service.on_datagram)
     await transport.start()
     service.start()
     deadline = None if duration is None else loop.time() + duration

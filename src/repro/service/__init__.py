@@ -25,10 +25,10 @@ from repro.service.membership import GroupMembership, MembershipView
 from repro.service.monitor_service import MonitoredProcess, MonitorService
 from repro.service.soa import (
     ManualScheduler,
-    SimWheelScheduler,
     SoAMonitorHost,
     VectorMonitorEngine,
 )
+from repro.sim.engine import SimWheelScheduler
 
 __all__ = [
     "MonitorService",

@@ -28,12 +28,11 @@ from repro.net.delays import DelayDistribution
 from repro.net.link import LossyLink
 from repro.service.events import MonitorEvent
 from repro.service.soa import (
-    SimWheelScheduler,
     SoAMonitorHost,
     VectorMonitorEngine,
     supports_detector,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, SimWheelScheduler
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
 
@@ -112,6 +111,7 @@ class MonitorService:
 
     def __init__(self, sim: Simulator, seed: int = 0) -> None:
         self._sim = sim
+        self._scheduler = SimWheelScheduler(sim)
         self._seed = int(seed)
         self._soa: Optional[VectorMonitorEngine] = None
         self._processes: Dict[str, MonitoredProcess] = {}
@@ -131,7 +131,7 @@ class MonitorService:
 
     def _soa_engine(self) -> VectorMonitorEngine:
         if self._soa is None:
-            self._soa = VectorMonitorEngine(SimWheelScheduler(self._sim))
+            self._soa = VectorMonitorEngine(self._scheduler)
         return self._soa
 
     @property
@@ -222,21 +222,26 @@ class MonitorService:
             link = FaultyLink(link, fault_rng)
             sender_clock = _resolve_clock(sender_clock, scenario, "sender")
             monitor_clock = _resolve_clock(monitor_clock, scenario, "monitor")
+        # The incarnation is captured so a transition can be attributed
+        # to (or muted for) exactly the pipeline that produced it.
+        def hook(_local_time: float, output: str) -> None:
+            self._note_transition(name, incarnation, output)
+
         if supports_detector(detector):
             host = SoAMonitorHost(
                 self._soa_engine(),
                 detector,
                 clock=monitor_clock,
-                sender_clock=sender_clock,
+                on_transition=hook,
                 incarnation=incarnation,
                 label=name,
             )
         else:
             host = DetectorHost(
-                self._sim,
+                self._scheduler,
                 detector,
                 clock=monitor_clock,
-                sender_clock=sender_clock,
+                on_transition=hook,
             )
         # A process joining mid-run keeps the paper's global schedule
         # σ_i = i·η but starts at the first index still in the future.
@@ -266,37 +271,30 @@ class MonitorService:
             incarnation=incarnation, scenario_engine=engine,
         )
         self._processes[name] = proc
-        # Re-route the host's transition recording through the service so
-        # listeners see named events (the trace still records too).
-        if isinstance(host, SoAMonitorHost):
-            host.listener = self._make_listener(proc, None)
-        else:
-            detector._listener = self._make_listener(proc, detector._listener)
         if self._started:
             host.start()
             sender.start()
         return proc
 
-    def _make_listener(self, proc: MonitoredProcess, inner):
-        def listener(local_time: float, output: str) -> None:
-            if inner is not None:
-                inner(local_time, output)
-            if self._processes.get(proc.name) is not proc:
-                # A removed/replaced incarnation's detector may still
-                # fire timers; its transitions must not be attributed to
-                # the current incarnation.
-                return
-            event = MonitorEvent(
-                time=self._sim.now,
-                process=proc.name,
-                output=output,
-                incarnation=proc.incarnation,
-            )
-            proc.events.append(event)
-            for callback in self._listeners:
-                callback(event)
-
-        return listener
+    def _note_transition(
+        self, name: str, incarnation: int, output: str
+    ) -> None:
+        """Publish a host's transition as a named event (the host has
+        already recorded it in its trace)."""
+        proc = self._processes.get(name)
+        if proc is None or proc.incarnation != incarnation:
+            # A removed/replaced incarnation's transitions must not be
+            # attributed to the current one.
+            return
+        event = MonitorEvent(
+            time=self._sim.now,
+            process=name,
+            output=output,
+            incarnation=incarnation,
+        )
+        proc.events.append(event)
+        for callback in self._listeners:
+            callback(event)
 
     def add_process_with_contract(
         self,

@@ -26,10 +26,10 @@ with a struct-of-arrays core:
   batched-kernel idiom of :mod:`repro.sim.batch`.
 
 Correctness bar: the engine produces **bit-identical verdict streams**
-to the per-detector hosts (:class:`~repro.sim.monitor.DetectorHost`
-running the :mod:`repro.core` detectors) — same transition times, same
-outputs, same ordering — which the identity suites in ``tests/service``
-pin under churn, restarts, scheduled crashes and fault scenarios.
+to the reference host (:class:`~repro.sim.monitor.DetectorHost` running
+the :mod:`repro.core` detectors) — same transition times, same outputs,
+same ordering — which the identity suites in ``tests/service`` pin
+under churn, restarts, scheduled crashes and fault scenarios.
 
 Tie ordering: when several freshness deadlines land on the *identical*
 timestamp they fire in the order their timers were armed, which is what
@@ -46,11 +46,12 @@ colliding delivery is scheduled.  The only divergence is the contrived
 freshness point, where the per-detector path lets the delivery win; the
 engine keeps the deadline-first rule.
 
-The engine is scheduler-agnostic: the simulator backend drives it
-through :class:`SimWheelScheduler`, the live runtime through
-:class:`repro.live.soa.LoopWheelScheduler`, and batch callers (the
-many-senders benchmark) through :class:`ManualScheduler` with explicit
-arrival times.
+The engine is scheduler-agnostic: the simulator drives it through
+:class:`~repro.sim.engine.SimWheelScheduler`, the live runtime through
+:class:`repro.live.soa.LoopWheelScheduler`, and batch callers through
+:class:`ManualScheduler` with explicit arrival times.
+:class:`SoAMonitorHost` hosts one incarnation as a row, under the host
+contract stated in :mod:`repro.sim.monitor`.
 """
 
 from __future__ import annotations
@@ -66,12 +67,14 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, SimulationError
-from repro.metrics.transitions import SUSPECT, TRUST
+from repro.estimation.observer import HeartbeatObserver
+from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.clocks import Clock, PerfectClock
+from repro.sim.monitor import close_books, open_books
+from repro.telemetry.qos_online import OnlineQoSEstimator
 
 __all__ = [
     "VectorMonitorEngine",
-    "SimWheelScheduler",
     "ManualScheduler",
     "SoAMonitorHost",
     "supports_detector",
@@ -107,27 +110,6 @@ def supports_detector(detector: HeartbeatFailureDetector) -> bool:
 # ---------------------------------------------------------------------- #
 # Schedulers
 # ---------------------------------------------------------------------- #
-
-
-class SimWheelScheduler:
-    """Drives the wheel from a :class:`~repro.sim.engine.Simulator`.
-
-    The engine keeps at most one armed wakeup; re-arming cancels the
-    previous simulator event, so the wheel contributes O(1) live events
-    to the heap regardless of sender count.
-    """
-
-    def __init__(self, sim) -> None:
-        self._sim = sim
-        self._handle = None
-
-    def now(self) -> float:
-        return self._sim.now
-
-    def wake_at(self, time: float, callback: Callable[[], None]) -> None:
-        if self._handle is not None:
-            self._handle.cancel()
-        self._handle = self._sim.schedule_at(max(time, self._sim.now), callback)
 
 
 class ManualScheduler:
@@ -190,8 +172,8 @@ class VectorMonitorEngine:
     fed through :meth:`deliver` (scalar) or :meth:`ingest` (batched,
     time-sorted), and retired with :meth:`remove` — which is idempotent
     and guarantees no further transitions are emitted for the row, even
-    for deadlines already due in the wheel (the churn race the object
-    backend guards with ``DetectorHost.stop``).
+    for deadlines already due in the wheel (the churn race the
+    reference host guards with ``DetectorHost.stop``).
     """
 
     def __init__(self, scheduler, *, record_transitions: bool = False) -> None:
@@ -783,7 +765,7 @@ class VectorMonitorEngine:
 
 
 # ---------------------------------------------------------------------- #
-# Simulator-service host adapter
+# Row host
 # ---------------------------------------------------------------------- #
 
 
@@ -819,47 +801,64 @@ class _RowDetectorView:
 
 
 class SoAMonitorHost:
-    """Drop-in for :class:`~repro.sim.monitor.DetectorHost` backed by a
-    shared :class:`VectorMonitorEngine` row.
+    """One monitored incarnation hosted as a row of a shared
+    :class:`VectorMonitorEngine`, the engine's scheduler being the driver.
 
-    Owns the per-incarnation measurement state (the
-    :class:`~repro.metrics.transitions.OutputTrace`) exactly like the
-    per-detector host; the detector state and freshness timers live in the
-    engine.  ``stop`` retires the row idempotently — a removed sender
-    can never fire a final transition.
+    Arguments, surface and time rule are the reference
+    :class:`~repro.sim.monitor.DetectorHost`'s (see that module), plus
+    ``incarnation`` / ``label`` for the engine's tables.  The host owns
+    the incarnation's measurement state; detector state and freshness
+    deadlines live in the engine.  A simulator pipeline feeds receipts
+    one at a time through :meth:`deliver`; the live inbox drain books
+    them through :meth:`prepare` and applies them in bulk.
     """
+
+    __slots__ = (
+        "_engine",
+        "_clock",
+        "_observer",
+        "_on_transition_hook",
+        "_started",
+        "_stopped",
+        "_delivered",
+        "_trace",
+        "_estimator",
+        "_row",
+        "_detector_view",
+    )
 
     def __init__(
         self,
         engine: VectorMonitorEngine,
         detector: HeartbeatFailureDetector,
         clock: Optional[Clock] = None,
-        sender_clock: Optional[Clock] = None,
+        *,
+        warmup: Optional[float] = None,
+        keep_trace: bool = True,
+        observer: Optional[HeartbeatObserver] = None,
+        on_transition: Optional[Callable[[float, str], None]] = None,
         incarnation: int = 0,
         label: str = "",
     ) -> None:
-        from repro.metrics.transitions import OutputTrace
-
         self._engine = engine
-        self._spec = detector
-        self._clock = clock if clock is not None else PerfectClock()
-        self._stopped = False
+        # The tables' fast lane is keyed on "no clock object".
+        self._clock = None if isinstance(clock, PerfectClock) else clock
+        self._observer = observer
+        self._on_transition_hook = on_transition
         self._started = False
-        #: service-installed listener ``(local_time, output)``
-        self.listener: Optional[Callable[[float, str], None]] = None
-        self._trace = OutputTrace(
-            start_time=engine.now, initial_output=detector.output
+        self._stopped = False
+        self._delivered = 0
+        self._trace, self._estimator = open_books(
+            engine.now, detector.output, keep_trace, warmup
         )
         self._row = engine.register(
             detector,
-            clock=None if isinstance(self._clock, PerfectClock) else self._clock,
+            clock=self._clock,
             on_transition=self._on_transition,
             incarnation=incarnation,
             label=label,
         )
         self._detector_view = _RowDetectorView(engine, self._row, detector)
-
-    # -- DetectorHost-compatible surface ------------------------------- #
 
     @property
     def row(self) -> int:
@@ -870,12 +869,16 @@ class SoAMonitorHost:
         return self._detector_view
 
     @property
-    def clock(self) -> Clock:
-        return self._clock
+    def observer(self) -> Optional[HeartbeatObserver]:
+        return self._observer
+
+    @property
+    def estimator(self) -> Optional[OnlineQoSEstimator]:
+        return self._estimator
 
     @property
     def delivered_count(self) -> int:
-        return self._engine.delivered_count(self._row)
+        return self._delivered
 
     @property
     def trace_start_time(self) -> float:
@@ -890,31 +893,74 @@ class SoAMonitorHost:
         return self._stopped
 
     def local_now(self) -> float:
-        return self._clock.local_time(self._engine.now)
+        now = self._engine.now
+        return now if self._clock is None else self._clock.local_time(now)
 
     def start(self) -> None:
-        if self._started:
-            raise SimulationError("host already started")
+        if self._started or self._stopped:
+            raise SimulationError("host already started or stopped")
         self._started = True
         self._engine.start_row(self._row)
 
     def stop(self) -> None:
-        """Retire the row; idempotent (see :meth:`VectorMonitorEngine.remove`)."""
+        """Retire the row; idempotent.  No transition follows, even for
+        a deadline already due (:meth:`VectorMonitorEngine.remove`)."""
         self._stopped = True
         self._engine.remove(self._row)
 
-    def deliver(self, seq: int, send_local_time: float) -> None:
+    def prepare(
+        self,
+        seq: int,
+        send_local_time: float,
+        now: Optional[float] = None,
+    ) -> Optional[float]:
+        """Book-keep one receipt and return its engine receipt time —
+        without applying it to the engine.
+
+        The live inbox drain calls this per heartbeat, accumulates
+        ``(time, row, seq)`` triples, and applies the whole chunk with
+        one :meth:`VectorMonitorEngine.ingest`.  Everything the
+        reference host's ``deliver`` does *outside* its detector happens
+        here, in the same order: delivered count, then observer (whose
+        pre-window :class:`~repro.errors.EstimationError` propagates
+        before any engine state moves).  Returns None for a stopped host
+        (the late arrival is swallowed).
+
+        ``now`` lets the caller hoist the clock read: datagrams drained
+        together were all already queued when the consumer woke, so one
+        receipt timestamp per chunk is the honest reading — and saves a
+        clock call per heartbeat.
+        """
         if self._stopped:
-            return  # late arrival to a removed incarnation
-        self._engine.deliver(self._row, seq, send_local_time)
+            return None  # late arrival to a removed incarnation
+        self._delivered += 1
+        t = self._engine.now if now is None else now
+        if self._observer is not None:
+            recv = t if self._clock is None else self._clock.local_time(t)
+            self._observer.observe_arrival(seq, send_local_time, recv)
+        return t
+
+    def deliver(self, seq: int, send_local_time: float) -> None:
+        """Book one receipt and apply it to the row now."""
+        t = self.prepare(seq, send_local_time)
+        if t is not None:
+            self._engine.deliver(self._row, seq, send_local_time, t)
 
     def _on_transition(self, real: float, local: float, output: str) -> None:
         if self._stopped:
             return
-        self._trace.record(real, output)
-        if self.listener is not None:
-            self.listener(local, output)
+        if self._trace is not None:
+            self._trace.record(real, output)
+        if self._estimator is not None:
+            self._estimator.observe(real, output)
+        if self._on_transition_hook is not None:
+            self._on_transition_hook(local, output)
 
-    def finish(self):
-        """Close and return the output trace at the current time."""
-        return self._trace.close(self._engine.now)
+    def finish(self, end: Optional[float] = None) -> Optional[OutputTrace]:
+        """Snapshot the books at driver time ``end`` (default: now), as
+        :meth:`repro.sim.monitor.DetectorHost.finish` does."""
+        return close_books(
+            self._trace,
+            self._estimator,
+            self._engine.now if end is None else end,
+        )

@@ -21,7 +21,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 
-__all__ = ["EventHandle", "Simulator"]
+__all__ = ["EventHandle", "Simulator", "SimWheelScheduler"]
 
 
 @dataclass(order=True)
@@ -230,3 +230,39 @@ class Simulator:
             if max_events is not None and fired >= max_events:
                 break
         return fired
+
+
+class SimWheelScheduler:
+    """The simulator as a *driver* — ``now()`` plus ``call_at`` — for
+    the detector hosts (:mod:`repro.sim.monitor`) and the shared engine's
+    timer wheel; its live counterpart is
+    :class:`repro.live.soa.LoopWheelScheduler`.  ``wake_at`` is the
+    wheel's single wakeup: re-arming cancels the previous event, so the
+    wheel contributes O(1) live events to the heap regardless of sender
+    count.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        self._sim = sim
+        self._handle: Optional[EventHandle] = None
+
+    def now(self) -> float:
+        return self._sim.now
+
+    def call_at(
+        self, time: float, callback: Callable[[], None]
+    ) -> EventHandle:
+        """Arm a one-shot timer; returns a handle with ``cancel()``.
+
+        The one rule every driver follows: a time already in the past
+        is not an error — the timer fires as soon as possible, which is
+        what any real event loop does.  A detector started mid-stream
+        (late join, stale ``first_seq``) relies on it to catch up
+        through its overdue freshness points.
+        """
+        return self._sim.schedule_at(max(time, self._sim.now), callback)
+
+    def wake_at(self, time: float, callback: Callable[[], None]) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+        self._handle = self.call_at(time, callback)

@@ -1,20 +1,39 @@
 """The monitoring process *q*: hosts a detector and records its output.
 
-:class:`DetectorHost` adapts the simulator to the
-:class:`~repro.core.base.DetectorRuntime` protocol *in q's local clock*
-and records every output transition into an
-:class:`~repro.metrics.transitions.OutputTrace` *in real time* — QoS
-metrics are defined over real time regardless of how skewed q's clock is.
+The paper's detectors ask two things of the process that runs them — its
+local clock and a one-shot timer (:class:`~repro.core.base.DetectorRuntime`).
+A host supplies them over a **driver**, the object that owns time:
+``now()`` and ``call_at(time, callback) -> handle with cancel()``.  There
+are two drivers — :class:`~repro.sim.engine.SimWheelScheduler` (virtual
+time) and :class:`repro.live.soa.LoopWheelScheduler` (a loop's clock
+minus an origin) — and two hosts written once over them:
+:class:`DetectorHost` here runs one unmodified :mod:`repro.core` detector
+object, the reference every identity test compares against;
+:class:`repro.service.soa.SoAMonitorHost` is one row of the shared
+vectorized engine.  Same arguments, same surface: a service picks by
+:func:`~repro.service.soa.supports_detector` and nothing else.
+
+One rule for time.  q's local time is ``clock.local_time(driver.now())``
+(``clock=None``: a perfect clock).  The output trace and the online QoS
+estimator are kept in *driver time* — real time in the simulator, so QoS
+stays defined over real time however skewed q's clock is; the
+origin-shifted loop clock on a live monitor.  The ``on_transition`` hook
+receives q-local time, as the detector reports it.  ``finish()`` is a
+snapshot: it closes the books at an end time, may be called again with a
+later one, and does not stop the host; ``stop()`` does.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Optional
 
 from repro.core.base import Heartbeat, HeartbeatFailureDetector
+from repro.errors import SimulationError
+from repro.estimation.observer import HeartbeatObserver
 from repro.metrics.transitions import OutputTrace
-from repro.net.clocks import Clock, PerfectClock
-from repro.sim.engine import EventHandle, Simulator
+from repro.net.clocks import Clock
+from repro.sim.engine import Simulator, SimWheelScheduler
+from repro.telemetry.qos_online import OnlineQoSEstimator
 
 __all__ = ["DetectorHost"]
 
@@ -22,52 +41,110 @@ __all__ = ["DetectorHost"]
 class _InertTimer:
     """A timer handle for a stopped host: never fires, cancel is a no-op."""
 
-    __slots__ = ("time",)
-
-    cancelled = True
-    fired = False
-
-    def __init__(self, time: float) -> None:
-        self.time = time
+    __slots__ = ()
 
     def cancel(self) -> None:
         pass
 
 
+class _HostTimer:
+    """The handle a running host gives its detector.  It stays on the
+    host's books until it fires or is cancelled — by the detector or by
+    :meth:`DetectorHost.stop` — so the books hold live timers only."""
+
+    __slots__ = ("_timers", "_callback", "_handle")
+
+    def __init__(self, timers: set, driver, time: float, callback) -> None:
+        self._timers = timers
+        self._callback = callback
+        self._handle = driver.call_at(time, self)
+        timers.add(self)
+
+    def __call__(self) -> None:
+        self._timers.discard(self)
+        self._callback()
+
+    def cancel(self) -> None:
+        self._timers.discard(self)
+        self._handle.cancel()
+
+
+def open_books(start: float, output: str, keep_trace: bool, warmup):
+    """The measurement state a host keeps from driver time ``start``:
+    ``(trace or None, estimator or None)``."""
+    trace = (
+        OutputTrace(start_time=start, initial_output=output)
+        if keep_trace
+        else None
+    )
+    estimator = (
+        OnlineQoSEstimator(
+            start_time=start, initial_output=output, warmup=warmup
+        )
+        if warmup is not None
+        else None
+    )
+    return trace, estimator
+
+
+def close_books(trace, estimator, end: float) -> Optional[OutputTrace]:
+    """Close a host's books at ``end``: the estimator once, the trace
+    again on every call."""
+    if estimator is not None and not estimator.closed:
+        estimator.close(end)
+    if trace is not None:
+        trace.close(end)
+    return trace
+
+
 class DetectorHost:
-    """Runs a failure detector inside the simulation.
+    """Runs one failure-detector object over a driver.
 
     Args:
-        sim: the discrete-event simulator.
-        detector: an unbound detector instance.
+        driver: the scheduler that owns time (module docstring); a bare
+            :class:`~repro.sim.engine.Simulator` is accepted and wrapped.
+        detector: an unbound detector instance (it is bound here).
         clock: q's local clock (defaults to perfect).
-        sender_clock: p's local clock, used to translate the real send
-            time into the message timestamp p would have written.
+        warmup: when given, the host also keeps a constant-memory
+            :class:`~repro.telemetry.qos_online.OnlineQoSEstimator`
+            that excludes this initial span (startup transients).
+        keep_trace: retain the full :class:`OutputTrace` (O(mistakes)
+            memory — leave off for long-lived services).
+        observer: optional :class:`HeartbeatObserver` fed every receipt
+            (the Section 5/6 loss/delay/EA estimation pipeline).
+        on_transition: optional hook ``(local_time, output)`` called on
+            every output transition (after the trace/estimator update).
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        driver,
         detector: HeartbeatFailureDetector,
         clock: Optional[Clock] = None,
-        sender_clock: Optional[Clock] = None,
+        *,
+        warmup: Optional[float] = None,
+        keep_trace: bool = True,
+        observer: Optional[HeartbeatObserver] = None,
+        on_transition: Optional[Callable[[float, str], None]] = None,
     ) -> None:
-        self._sim = sim
+        if isinstance(driver, Simulator):
+            driver = SimWheelScheduler(driver)
+        self._driver = driver
         self._detector = detector
-        self._clock = clock if clock is not None else PerfectClock()
-        self._sender_clock = (
-            sender_clock if sender_clock is not None else PerfectClock()
-        )
-        self._trace = OutputTrace(
-            start_time=sim.now, initial_output=detector.output
-        )
+        self._clock = clock
+        self._observer = observer
+        self._on_transition_hook = on_transition
         self._delivered = 0
         self._stopped = False
-        # Timers the detector has armed through call_at; tracked so a
-        # removed host can cancel its whole chain (each freshness-point
-        # callback re-arms the next, so an orphaned detector would tick
-        # in the simulator forever).
-        self._timers: List[EventHandle] = []
+        # Armed timers that have neither fired nor been cancelled.  The
+        # detector's freshness-point callbacks re-arm each other, so
+        # stop() must reach the whole chain — a handle that is *due but
+        # not yet fired* included, or a removed incarnation could fire
+        # one final transition.
+        self._timers: set = set()
+        self._trace, self._estimator = open_books(
+            driver.now(), detector.output, keep_trace, warmup
+        )
         detector.bind(self, self._on_transition)
 
     # ------------------------------------------------------------------ #
@@ -75,25 +152,17 @@ class DetectorHost:
     # ------------------------------------------------------------------ #
 
     def local_now(self) -> float:
-        return self._clock.local_time(self._sim.now)
+        now = self._driver.now()
+        return now if self._clock is None else self._clock.local_time(now)
 
-    def call_at(self, local_time: float, callback) -> EventHandle:
-        real = self._clock.real_time(local_time)
+    def call_at(self, local_time: float, callback):
         if self._stopped:
             # A stopped host arms nothing: handing the detector an inert
             # handle terminates its self-rescheduling timer chain.
-            return _InertTimer(max(real, self._sim.now))
-        # A timer in the past fires as soon as possible — the behaviour
-        # of any real event loop.  This is what lets a detector started
-        # mid-stream (late join) catch up through its overdue freshness
-        # points instead of crashing.
-        handle = self._sim.schedule_at(max(real, self._sim.now), callback)
-        if len(self._timers) >= 8:
-            self._timers = [
-                h for h in self._timers if not (h.fired or h.cancelled)
-            ]
-        self._timers.append(handle)
-        return handle
+            return _InertTimer()
+        if self._clock is not None:
+            local_time = self._clock.real_time(local_time)
+        return _HostTimer(self._timers, self._driver, local_time, callback)
 
     # ------------------------------------------------------------------ #
     # Wiring
@@ -104,8 +173,12 @@ class DetectorHost:
         return self._detector
 
     @property
-    def clock(self) -> Clock:
-        return self._clock
+    def observer(self) -> Optional[HeartbeatObserver]:
+        return self._observer
+
+    @property
+    def estimator(self) -> Optional[OnlineQoSEstimator]:
+        return self._estimator
 
     @property
     def delivered_count(self) -> int:
@@ -113,7 +186,7 @@ class DetectorHost:
 
     @property
     def trace_start_time(self) -> float:
-        """Real time the output trace (observation window) began."""
+        """Driver time the output trace (observation window) began."""
         return self._trace.start_time
 
     @property
@@ -125,41 +198,61 @@ class DetectorHost:
         return self._stopped
 
     def start(self) -> None:
+        if self._stopped:
+            raise SimulationError("host already stopped")
         self._detector.start()
 
     def stop(self) -> None:
         """Neutralize the host: cancel pending timers, ignore deliveries.
 
-        Called when the service removes or restarts a process — without
+        Called when a service removes or restarts a process — without
         this, the removed incarnation's detector keeps re-arming its
         freshness-point timer chain forever, so churn-heavy runs would
         accumulate one inert event chain per departed incarnation.
-        Idempotent.
+        Idempotent; measurement state is closed by :meth:`finish`.
         """
         self._stopped = True
-        for handle in self._timers:
-            handle.cancel()
+        for timer in self._timers:
+            timer._handle.cancel()
         self._timers.clear()
 
     def deliver(self, seq: int, send_local_time: float) -> None:
-        """Called by the sender machinery at the message's arrival time."""
+        """Feed one heartbeat; its receipt time is q-local *now*."""
         if self._stopped:
             return  # late arrival to a removed incarnation
         self._delivered += 1
-        heartbeat = Heartbeat(
-            seq=seq,
-            send_local_time=send_local_time,
-            receive_local_time=self.local_now(),
+        recv = self.local_now()
+        if self._observer is not None:
+            self._observer.observe_arrival(seq, send_local_time, recv)
+        self._detector.on_heartbeat(
+            Heartbeat(
+                seq=seq,
+                send_local_time=send_local_time,
+                receive_local_time=recv,
+            )
         )
-        self._detector.on_heartbeat(heartbeat)
 
     def _on_transition(self, local_time: float, output: str) -> None:
-        # The listener fires synchronously inside an event, so the real
-        # time of the transition is simply the simulator's current time.
         if self._stopped:
-            return  # trace already closed; stray event after stop()
-        self._trace.record(self._sim.now, output)
+            return  # stray callback after stop()
+        # The listener fires synchronously inside a driver callback or a
+        # delivery, so the driver's current time is the transition's; on
+        # a perfect clock that is the local time the detector just read.
+        time = local_time if self._clock is None else self._driver.now()
+        if self._trace is not None:
+            self._trace.record(time, output)
+        if self._estimator is not None:
+            self._estimator.observe(time, output)
+        if self._on_transition_hook is not None:
+            self._on_transition_hook(local_time, output)
 
-    def finish(self) -> OutputTrace:
-        """Close and return the output trace at the current time."""
-        return self._trace.close(self._sim.now)
+    def finish(self, end: Optional[float] = None) -> Optional[OutputTrace]:
+        """Close the measurement state at driver time ``end`` (default:
+        now) and return the trace (None when ``keep_trace`` was off).
+        A snapshot, not a shutdown: the host keeps running, and a later
+        call moves the trace's end time."""
+        return close_books(
+            self._trace,
+            self._estimator,
+            self._driver.now() if end is None else end,
+        )

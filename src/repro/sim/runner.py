@@ -171,12 +171,7 @@ def _build(
             loss_probability=config.loss_probability,
             rng=rng,
         )
-    host = DetectorHost(
-        sim,
-        detector,
-        clock=config.monitor_clock,
-        sender_clock=config.sender_clock,
-    )
+    host = DetectorHost(sim, detector, clock=config.monitor_clock)
     sender = HeartbeatSender(
         sim,
         link,

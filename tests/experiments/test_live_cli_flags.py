@@ -39,7 +39,7 @@ class TestFastPathFlags:
             ["monitor", "--port", "9999"]
         )
         assert args.drain_batch == 256
-        assert args.no_batched_socket is False
+        assert not hasattr(args, "no_batched_socket")
         assert args.uvloop is False
 
 

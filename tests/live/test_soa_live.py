@@ -3,7 +3,7 @@
 ``LiveMonitorService`` keeps the state of plain NFD-S/U/E peers in the
 shared :class:`VectorMonitorEngine` with a single armed
 ``loop.call_at`` wakeup; any other detector keeps its own
-:class:`LiveDetectorHost`.  The observable behaviour — dispatch,
+:class:`DetectorHost`.  The observable behaviour — dispatch,
 suspicion, incarnation restarts, removal, metrics — must not depend on
 which.
 """
@@ -17,9 +17,10 @@ import numpy as np
 from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
 from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
-from repro.live.runtime import LiveDetectorHost
-from repro.live.soa import SoALiveHost
+from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.wire import encode_heartbeat
+from repro.sim.monitor import DetectorHost
+from tests.reference import SteppedLoop
 
 
 def counter(service, name, **labels):
@@ -34,27 +35,6 @@ async def drain(service, rounds=6):
 
 def nfds_factory(eta, delta):
     return lambda first_seq: NFDS(eta, delta, first_seq=first_seq)
-
-
-class _SteppedLoop:
-    """A clock the test sets and timers that never fire: all a host
-    driven synchronously needs from its loop."""
-
-    class _Handle:
-        def cancel(self):
-            pass
-
-        def cancelled(self):
-            return False
-
-    def __init__(self):
-        self.now = 0.0
-
-    def time(self):
-        return self.now
-
-    def call_at(self, when, callback):
-        return self._Handle()
 
 
 class TestEngineSelection:
@@ -77,7 +57,7 @@ class TestEngineSelection:
 
     def test_adaptive_nfde_keeps_its_own_host_and_reconfigures(self):
         """An ``NFDE`` subclass is never hosted as a plain NFD-E row: it
-        gets a :class:`LiveDetectorHost` and adopts exactly the
+        gets a :class:`DetectorHost` and adopts exactly the
         reconfigurations of the same detector driven bare."""
         eta = 0.05
         rng = np.random.default_rng(3)
@@ -99,16 +79,18 @@ class TestEngineSelection:
             )
 
         bare_adopted = []
-        loop = _SteppedLoop()
-        bare = LiveDetectorHost(adaptive(bare_adopted), loop=loop, origin=0.0)
+        loop = SteppedLoop()
+        bare = DetectorHost(
+            LoopWheelScheduler(loop, 0.0), adaptive(bare_adopted)
+        )
         bare.start()
         for seq, at in arrivals:
             loop.now = at
-            bare.deliver_parts(seq, seq * eta)
+            bare.deliver(seq, seq * eta)
 
         async def main():
             adopted = []
-            loop = _SteppedLoop()
+            loop = SteppedLoop()
             service = LiveMonitorService(loop=loop, origin=0.0)
             service.add_peer(
                 "p0", lambda first_seq: adaptive(adopted), eta=eta
@@ -119,7 +101,7 @@ class TestEngineSelection:
                 service.on_datagram(encode_heartbeat("p0", 0, seq, seq * eta))
                 await drain(service, rounds=2)
             host = service.host("p0")
-            assert isinstance(host, LiveDetectorHost)
+            assert isinstance(host, DetectorHost)
             assert service.soa_engine is None
             assert host.delivered_count == len(arrivals)
             assert adopted == bare_adopted and adopted

@@ -225,6 +225,44 @@ class TestBatchedUdp:
 
         asyncio.run(main())
 
+    def test_falls_back_when_loop_has_no_add_reader(self, monkeypatch):
+        """On a loop without a readiness API (proactor style) the
+        transport selects the per-datagram endpoint by itself: it still
+        delivers, still counts, and says which path it took."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+
+            def no_add_reader(fd, callback, *args):
+                raise NotImplementedError
+
+            monkeypatch.setattr(loop, "add_reader", no_add_reader)
+            received = asyncio.Queue()
+            monitor = BatchedUdpMonitorTransport(
+                "127.0.0.1", 0, received.put_nowait
+            )
+            await monitor.start()
+            assert monitor.batched is False
+            host, port = monitor.local_address
+            sender = UdpSenderTransport(host, port)
+            await sender.start()
+            payloads = [b"hb-%d" % i for i in range(5)]
+            for payload in payloads:
+                sender.send(payload)
+            got = [
+                await asyncio.wait_for(received.get(), timeout=2.0)
+                for _ in payloads
+            ]
+            assert sorted(got) == sorted(payloads)
+            assert monitor.received == len(payloads)
+            await sender.aclose()
+            await monitor.aclose()
+            await monitor.aclose()  # idempotent
+            with pytest.raises(SimulationError):
+                monitor.local_address  # nothing left bound
+
+        asyncio.run(main())
+
     def test_rejects_bad_limits(self):
         with pytest.raises(SimulationError):
             BatchedUdpMonitorTransport(

@@ -1,22 +1,36 @@
-"""Reaching the reference hosts from a test.
+"""Reaching the reference host from a test.
 
 The services host a detector in the shared vectorized engine exactly
 when :func:`repro.service.soa.supports_detector` accepts it — the exact
-types ``NFDS`` / ``NFDU`` / ``NFDE`` — and in the per-detector host
-(:class:`~repro.sim.monitor.DetectorHost`,
-:class:`~repro.live.runtime.LiveDetectorHost`) otherwise.  A trivial
-subclass overrides nothing, so it runs the unmodified :mod:`repro.core`
+types ``NFDS`` / ``NFDU`` / ``NFDE`` — and in the one per-detector
+reference host, :class:`~repro.sim.monitor.DetectorHost`, otherwise
+(simulated or live: only the driver differs).  A trivial subclass
+overrides nothing, so it runs the unmodified :mod:`repro.core`
 algorithm there: the oracle every identity test compares the engine
 against, reached through the product's own observable selection.
+
+:class:`SteppedLoop` is the loop-side counterpart of the simulator for
+those comparisons: an asyncio-shaped clock and timer heap that the test
+steps by hand.
 """
 
 from __future__ import annotations
+
+import heapq
+import itertools
 
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 
-__all__ = ["RefNFDS", "RefNFDU", "RefNFDE", "HOSTINGS", "hosted"]
+__all__ = [
+    "RefNFDS",
+    "RefNFDU",
+    "RefNFDE",
+    "HOSTINGS",
+    "hosted",
+    "SteppedLoop",
+]
 
 
 class RefNFDS(NFDS):
@@ -46,3 +60,42 @@ def hosted(hosting: str, detector):
     else:
         assert hosting == "soa", hosting
     return detector
+
+
+class SteppedLoop:
+    """What a :class:`~repro.live.soa.LoopWheelScheduler` needs from its
+    loop — ``time()`` and ``call_at()`` — on a clock the test owns.
+
+    Assigning :attr:`now` moves the clock and fires nothing (a loop
+    lagging behind its deadlines); :meth:`run_until` fires every due
+    timer in ``(when, arming order)``, an overdue one as soon as
+    possible, like asyncio.
+    """
+
+    class _Handle:
+        def __init__(self, callback):
+            self.callback = callback
+
+        def cancel(self):
+            self.callback = None
+
+    def __init__(self):
+        self.now = 0.0
+        self._heap = []
+        self._order = itertools.count()
+
+    def time(self):
+        return self.now
+
+    def call_at(self, when, callback):
+        handle = self._Handle(callback)
+        heapq.heappush(self._heap, (when, next(self._order), handle))
+        return handle
+
+    def run_until(self, horizon):
+        while self._heap and self._heap[0][0] <= horizon:
+            when, _, handle = heapq.heappop(self._heap)
+            if handle.callback is not None:
+                self.now = max(self.now, when)
+                handle.callback()
+        self.now = horizon

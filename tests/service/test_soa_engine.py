@@ -19,11 +19,10 @@ from repro.errors import InvalidParameterError, SimulationError
 from repro.net.clocks import DriftingClock, SkewedClock
 from repro.service.soa import (
     ManualScheduler,
-    SimWheelScheduler,
     VectorMonitorEngine,
     supports_detector,
 )
-from repro.sim.engine import Simulator
+from repro.sim.engine import Simulator, SimWheelScheduler
 from repro.sim.monitor import DetectorHost
 
 ETA, DELTA = 1.0, 0.5
@@ -42,19 +41,16 @@ def object_stream(detector_factories, schedule, horizon, clocks=None):
     log = []
     hosts = []
     for i, factory in enumerate(detector_factories):
-        det = factory()
-        host = DetectorHost(
-            sim, det, clock=clocks[i] if clocks else None
+        hosts.append(
+            DetectorHost(
+                sim,
+                factory(),
+                clock=clocks[i] if clocks else None,
+                on_transition=lambda local, out, i=i: log.append(
+                    (sim.now, i, out)
+                ),
+            )
         )
-        inner = det._listener
-
-        def listener(local, out, i=i, inner=inner):
-            if inner is not None:
-                inner(local, out)
-            log.append((sim.now, i, out))
-
-        det._listener = listener
-        hosts.append(host)
     for host in hosts:
         host.start()
     for t, i, seq in schedule:
