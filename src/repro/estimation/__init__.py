@@ -12,6 +12,9 @@ estimated from the heartbeat stream itself:
   key observation enabling Section 6 (:class:`DelayStatsEstimator`);
 * expected arrival times — eq. (6.3), in
   :class:`repro.core.nfd_e.ArrivalTimeEstimator` (re-exported here);
+* all three for one (p, q) pair in :class:`HeartbeatObserver`, and for
+  every process a monitor tracks in the columns of
+  :class:`ObserverTable` — state-equal to one observer per row;
 * the Section 8.1.2 short-term/long-term combiner for bursty networks
   (:class:`ShortLongCombiner`).
 """
@@ -21,6 +24,7 @@ from repro.estimation.combined import CombinedEstimate, ShortLongCombiner
 from repro.estimation.delay_stats import DelayStatsEstimator, WindowedDelayStats
 from repro.estimation.loss import LossRateEstimator
 from repro.estimation.observer import HeartbeatObserver, NetworkEstimate
+from repro.estimation.table import ObserverRow, ObserverTable
 
 __all__ = [
     "LossRateEstimator",
@@ -29,6 +33,8 @@ __all__ = [
     "ArrivalTimeEstimator",
     "HeartbeatObserver",
     "NetworkEstimate",
+    "ObserverTable",
+    "ObserverRow",
     "ShortLongCombiner",
     "CombinedEstimate",
 ]

@@ -25,10 +25,17 @@ with the operational hardening a wall-clock service needs:
   :class:`~repro.live.supervisor.TaskSupervisor` and is restarted if it
   ever dies on an unexpected exception.
 
-All measurement state (traces, online QoS estimators, observers) lives
-in the hosts; the service contributes registry counters so an operator
-can watch the stream (``live_*`` series, exported through the existing
-:mod:`repro.telemetry.export` JSONL/Prometheus writers unchanged).
+Traces and online QoS estimators live in the hosts.  The Section 5/6
+estimators (loss / delay / expected arrival) of every incarnation are
+rows of the service's one :class:`~repro.estimation.ObserverTable`: a
+host holds its row's live view as ``observer``, a drained chunk updates
+all its rows with one ``observe_batch`` right before the engine's one
+``ingest``, and closing an incarnation exports its row as the real
+:class:`~repro.estimation.HeartbeatObserver` of
+:attr:`LivePeerResult.observer`.  The service contributes registry
+counters so an operator can watch the stream (``live_*`` series,
+exported through the existing :mod:`repro.telemetry.export`
+JSONL/Prometheus writers unchanged).
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ import numpy as np
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import EstimationError, InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
+from repro.estimation.table import ObserverTable
 from repro.live.soa import LoopWheelScheduler
 from repro.live.supervisor import TaskSupervisor
 from repro.live.wire import (
@@ -68,6 +76,11 @@ DetectorFactory = Callable[[int], HeartbeatFailureDetector]
 
 #: auto-admission hook: name -> (detector_factory, eta), or None to refuse.
 AdmitHook = Callable[[str], Optional[tuple]]
+
+#: the wire carries sequence numbers as ``!Q``; the engine's and the
+#: estimators' columns are ``int64``.  A number at or past this cannot
+#: be booked and is junk (2^63 heartbeats is 10^11 years at 1 kHz).
+_SEQ_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -172,14 +185,21 @@ class LiveMonitorService:
         self._soa_engine: Optional[VectorMonitorEngine] = None
         self._drain_batch = int(drain_batch)
         self._decoder = HeartbeatBatchDecoder()
-        # Reused accumulators for the SoA ingest path.  Receipt times
-        # are constant within a chunk segment (one clock read per
-        # drained chunk), so instead of appending the same float per
-        # heartbeat the marks list records ``(time, start_index)`` per
-        # segment and the flush expands it.
+        self._observers = ObserverTable()
+        # Reused accumulators for the SoA ingest path: engine row,
+        # sequence number, sender timestamp and estimator slot (-1: none)
+        # per buffered receipt.  Receipt times are constant within a
+        # chunk segment (one clock read per drained chunk), so instead
+        # of appending the same float per heartbeat the marks list
+        # records ``(time, start_index)`` per segment and the flush
+        # expands it.
         self._pend_rows: List[int] = []
         self._pend_seqs: List[int] = []
+        self._pend_sigmas: List[float] = []
+        self._pend_slots: List[int] = []
         self._pend_marks: List[tuple] = []
+        #: buffered receipts the estimators rejected, this chunk so far
+        self._pend_rejected = 0
         # The inbox is a plain deque plus a wakeup event rather than an
         # asyncio.Queue: the producer side is always the synchronous
         # transport callback (put_nowait semantics only), so the Queue's
@@ -296,10 +316,10 @@ class LiveMonitorService:
             eta: the peer's nominal inter-sending time (for the
                 estimation pipeline and the first-seq computation).
             observe: attach the Section 5/6 estimation pipeline (loss /
-                delay / expected-arrival) to every incarnation.  Turn
-                off for peers whose detector parameters are fixed — the
-                per-heartbeat estimator update is then skipped entirely,
-                which is a large share of the monitor's hot-path cost.
+                delay / expected-arrival) to every incarnation, as a row
+                of the service's estimator table.  Off, a peer whose
+                detector parameters are fixed gets no row and its
+                heartbeats skip the table's per-chunk pass.
         """
         if name in self._peers:
             raise InvalidParameterError(f"peer {name!r} already monitored")
@@ -327,7 +347,7 @@ class LiveMonitorService:
         observer = None
         if peer.observe:
             stats, arrival, horizon = peer.observer_windows
-            observer = HeartbeatObserver(
+            observer = self._observers.add(
                 eta=peer.eta,
                 first_seq=first_seq,
                 stats_window=stats,
@@ -389,13 +409,18 @@ class LiveMonitorService:
         self._flush_soa()
         trace = host.finish()
         host.stop()
+        # The estimator row leaves the table as the observer object the
+        # results carry; only now — after the flush — may its slot go.
+        observer = host.observer
+        if observer is not None:
+            observer = self._observers.release(observer)
         result = LivePeerResult(
             name=peer.name,
             incarnation=peer.incarnation,
             first_seq=peer.first_seq,
             trace=trace,
             estimator=host.estimator,
-            observer=host.observer,
+            observer=observer,
             delivered=host.delivered_count,
         )
         self._results.append(result)
@@ -541,6 +566,7 @@ class LiveMonitorService:
             peer is None
             or peer.host is None
             or hb.incarnation != peer.incarnation
+            or hb.seq >= _SEQ_LIMIT
         ):
             return
         observer = peer.host.observer
@@ -569,29 +595,62 @@ class LiveMonitorService:
             self._dispatch_batch(batch)
 
     def _flush_soa(self) -> None:
-        """Apply buffered receipts to the SoA engine in one ingest."""
+        """Apply buffered receipts: one ``observe_batch`` on the
+        estimator table, then one engine ``ingest`` of what it accepted
+        (a receipt the estimators reject never reaches the detector and
+        is added to :attr:`_pend_rejected`)."""
         rows = self._pend_rows
         if not rows:
             self._pend_marks.clear()
             return
         assert self._soa_engine is not None
         marks = self._pend_marks
-        # Every buffered receipt must belong to a recorded segment —
-        # feeding uninitialized times to the engine would corrupt
-        # verdicts silently.
-        assert marks and marks[0][1] == 0, "receipts outside any segment"
-        times = np.empty(len(rows), dtype=np.float64)
-        for k, (t, start) in enumerate(marks):
-            end = marks[k + 1][1] if k + 1 < len(marks) else len(rows)
-            times[start:end] = t
-        self._soa_engine.ingest(
-            times,
-            np.asarray(rows, dtype=np.int64),
-            np.asarray(self._pend_seqs, dtype=np.int64),
-        )
-        rows.clear()
-        self._pend_seqs.clear()
-        marks.clear()
+        try:
+            # Every buffered receipt must belong to a recorded segment —
+            # feeding uninitialized times to the engine would corrupt
+            # verdicts silently.
+            assert marks and marks[0][1] == 0, "receipts outside any segment"
+            n = len(rows)
+            times = np.empty(n, dtype=np.float64)
+            for k, (t, start) in enumerate(marks):
+                end = marks[k + 1][1] if k + 1 < len(marks) else n
+                times[start:end] = t
+            engine_rows = np.asarray(rows, dtype=np.int64)
+            seqs = np.asarray(self._pend_seqs, dtype=np.int64)
+            slots = np.asarray(self._pend_slots, dtype=np.int64)
+            sigmas = np.asarray(self._pend_sigmas, dtype=np.float64)
+            # Booked receipts are on clockless hosts: q-local receipt
+            # time is the engine time.
+            observed = slots >= 0
+            if observed.all():
+                rejected = self._observers.observe_batch(
+                    slots, seqs, sigmas, times
+                )
+            else:
+                rejected = np.zeros(n, dtype=bool)
+                rejected[observed] = self._observers.observe_batch(
+                    slots[observed],
+                    seqs[observed],
+                    sigmas[observed],
+                    times[observed],
+                )
+            if rejected.any():
+                self._pend_rejected += int(np.count_nonzero(rejected))
+                keep = ~rejected
+                times, engine_rows, seqs = (
+                    times[keep],
+                    engine_rows[keep],
+                    seqs[keep],
+                )
+            self._soa_engine.ingest(times, engine_rows, seqs)
+        finally:
+            # The buffers never outlive a flush, however it ends: a
+            # restarted consumer must not meet the chunk that killed it.
+            rows.clear()
+            self._pend_seqs.clear()
+            self._pend_sigmas.clear()
+            self._pend_slots.clear()
+            marks.clear()
 
     def _dispatch_batch(self, payloads: List[bytes]) -> None:
         """Decode and dispatch one drained chunk.
@@ -605,16 +664,23 @@ class LiveMonitorService:
         :class:`~repro.live.wire.HeartbeatBatchDecoder` (tuples +
         interned names, no per-message dataclass), counters are
         incremented once per chunk, and deliveries to engine-hosted
-        peers are accumulated as ``(time, row, seq)`` and applied with a
+        peers are accumulated as ``(time, row, seq, σ, estimator slot)``
+        and applied with a single
+        :meth:`~repro.estimation.ObserverTable.observe_batch` and a
         single :meth:`~repro.service.soa.VectorMonitorEngine.ingest`.
         The buffer is flushed before any structural change (admission,
-        incarnation restart) so engine state never moves out of order.
+        incarnation restart) and before this method returns, so neither
+        engine nor estimator state moves out of order or lags the
+        counters.
         """
+        self._pend_rejected = 0
         decode = self._decoder.decode_fields
         peers = self._peers
         n_invalid = n_unknown = n_stale = n_prewindow = n_dispatched = 0
         pend_rows = self._pend_rows
         pend_seqs = self._pend_seqs
+        pend_sigmas = self._pend_sigmas
+        pend_slots = self._pend_slots
         # One receipt timestamp for the whole chunk: every drained
         # datagram was already queued when the consumer woke, so the
         # wakeup instant is their shared local receipt time (and the
@@ -624,6 +690,9 @@ class LiveMonitorService:
             try:
                 sender, incarnation, seq, sigma = decode(payload)
             except WireError:
+                n_invalid += 1
+                continue
+            if seq >= _SEQ_LIMIT:
                 n_invalid += 1
                 continue
             peer = peers.get(sender)
@@ -651,16 +720,24 @@ class LiveMonitorService:
                 if chunk_now is None:
                     chunk_now = self._soa_engine.now
                     self._pend_marks.append((chunk_now, len(pend_rows)))
-                if host._observer is None:
-                    # Inlined prepare() for the estimator-less case: the
-                    # per-heartbeat work collapses to a delivered count
-                    # and two appends (same package, hot path).
+                if host._clock is None:
+                    # Inlined prepare() (same package, hot path): the
+                    # per-heartbeat work is a delivered count and four
+                    # appends; the estimators see the receipt in the
+                    # flush, with the rest of the chunk.
                     if not host._stopped:
                         host._delivered += 1
                         pend_rows.append(host._row)
                         pend_seqs.append(seq)
+                        pend_sigmas.append(sigma)
+                        observer = host._observer
+                        pend_slots.append(
+                            -1 if observer is None else observer._slot
+                        )
                     n_dispatched += 1
                     continue
+                # q-local receipt time needs the host's clock: the
+                # estimators are fed here, one receipt at a time.
                 try:
                     t = host.prepare(seq, sigma, chunk_now)
                 except EstimationError:
@@ -671,6 +748,8 @@ class LiveMonitorService:
                     # the current segment.
                     pend_rows.append(host.row)
                     pend_seqs.append(seq)
+                    pend_sigmas.append(sigma)
+                    pend_slots.append(-1)
                 n_dispatched += 1
             else:
                 try:
@@ -680,6 +759,10 @@ class LiveMonitorService:
                     continue
                 n_dispatched += 1
         self._flush_soa()
+        # Buffered receipts were counted dispatched when booked; the
+        # ones the estimators then rejected are pre-window instead.
+        n_prewindow += self._pend_rejected
+        n_dispatched -= self._pend_rejected
         if n_invalid:
             self._c_invalid.inc(n_invalid)
         if n_unknown:

@@ -196,6 +196,8 @@ class VectorMonitorEngine:
         self._expiry_stamp = np.zeros(cap, dtype=np.int64)
         self._incarnation = np.zeros(cap, dtype=np.int64)
         self._delivered = np.zeros(cap, dtype=np.int64)
+        # ``_clocks[row] is None`` as a column, for the ingest fast lane
+        self._clockless = np.zeros(cap, dtype=bool)
         # NFD-E normalized-arrival windows (compact slots, only E rows)
         self._win_slot = np.full(cap, -1, dtype=np.int64)
         self._win_width = 0
@@ -278,6 +280,7 @@ class VectorMonitorEngine:
             "_expiry_stamp",
             "_incarnation",
             "_delivered",
+            "_clockless",
             "_win_slot",
         ):
             old = getattr(self, name)
@@ -350,6 +353,7 @@ class VectorMonitorEngine:
         self._incarnation[row] = incarnation
         self._delivered[row] = 0
         self._clocks.append(None if clock is None else clock)
+        self._clockless[row] = clock is None
         self._sinks.append(on_transition)
         self._labels.append(label)
         if isinstance(detector, NFDE):
@@ -741,11 +745,7 @@ class VectorMonitorEngine:
         fast = (
             (self._kind[rows] == KIND_NFDS)
             & self._trusted[rows]
-            & np.fromiter(
-                (self._clocks[r] is None for r in rows),
-                dtype=bool,
-                count=len(rows),
-            )
+            & self._clockless[rows]
         )
         if fast.any():
             np.maximum.at(self._max_seq, rows[fast], seqs[fast])
@@ -807,10 +807,16 @@ class SoAMonitorHost:
     Arguments, surface and time rule are the reference
     :class:`~repro.sim.monitor.DetectorHost`'s (see that module), plus
     ``incarnation`` / ``label`` for the engine's tables.  The host owns
-    the incarnation's measurement state; detector state and freshness
-    deadlines live in the engine.  A simulator pipeline feeds receipts
-    one at a time through :meth:`deliver`; the live inbox drain books
-    them through :meth:`prepare` and applies them in bulk.
+    the incarnation's trace and online QoS estimator; detector state and
+    freshness deadlines live in the engine; ``observer`` is anything
+    with ``HeartbeatObserver``'s surface — the object itself, or the
+    live view of an :class:`~repro.estimation.ObserverTable` row, which
+    is what :class:`~repro.live.monitor.LiveMonitorService` passes.  A
+    simulator pipeline feeds receipts one at a time through
+    :meth:`deliver`; the live inbox drain books a clockless host's
+    receipts itself (an inline of :meth:`prepare` without the observer
+    call) and applies a chunk with one ``ObserverTable.observe_batch``
+    and one :meth:`VectorMonitorEngine.ingest`.
     """
 
     __slots__ = (
@@ -917,14 +923,14 @@ class SoAMonitorHost:
         """Book-keep one receipt and return its engine receipt time —
         without applying it to the engine.
 
-        The live inbox drain calls this per heartbeat, accumulates
-        ``(time, row, seq)`` triples, and applies the whole chunk with
-        one :meth:`VectorMonitorEngine.ingest`.  Everything the
-        reference host's ``deliver`` does *outside* its detector happens
-        here, in the same order: delivered count, then observer (whose
-        pre-window :class:`~repro.errors.EstimationError` propagates
-        before any engine state moves).  Returns None for a stopped host
-        (the late arrival is swallowed).
+        Everything the reference host's ``deliver`` does *outside* its
+        detector happens here, in the same order: delivered count, then
+        observer (whose pre-window
+        :class:`~repro.errors.EstimationError` propagates before any
+        engine state moves).  The caller applies the receipt — at once
+        (:meth:`deliver`) or, in the live inbox drain, with the rest of
+        its chunk in one :meth:`VectorMonitorEngine.ingest`.  Returns
+        None for a stopped host (the late arrival is swallowed).
 
         ``now`` lets the caller hoist the clock read: datagrams drained
         together were all already queued when the consumer woke, so one

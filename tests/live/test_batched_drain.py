@@ -12,13 +12,17 @@ real wall-clock pacing.
 from __future__ import annotations
 
 import asyncio
+import gc
+from collections import deque
 
 import pytest
 
 from repro.core.nfd_s import NFDS
+from repro.errors import EstimationError
+from repro.estimation import HeartbeatObserver
 from repro.live.monitor import LiveMonitorService
 from repro.live.wire import encode_heartbeat
-from tests.reference import HOSTINGS, hosted
+from tests.reference import HOSTINGS, SteppedLoop, hosted, observer_state
 
 ETA, DELTA = 0.05, 0.03
 
@@ -290,5 +294,183 @@ class TestPacedTransitions:
                     if got == expected:
                         break
                 assert got == expected, (mode, got)
+
+        asyncio.run(main())
+
+
+# ---------------------------------------------------------------------- #
+# Estimator state: the same bar at the service
+# ---------------------------------------------------------------------- #
+
+NAN, INF = float("nan"), float("inf")
+OVERFLOW_LIMIT = 6
+
+
+def estimator_stream():
+    """Bursts ``(slot, [datagram specs])`` for two peers, ``e0`` (an
+    engine row) and ``r0`` (a ``RefNFDS`` on a ``DetectorHost``); a spec
+    is ``(incarnation, seq, sigma)`` sent to both, or raw bytes.  Burst
+    ``b`` is offered with the clock at ``b·η + 0.01``."""
+
+    def hb(inc, seq, sigma=None):
+        return (inc, seq, seq * ETA if sigma is None else sigma)
+
+    return [
+        (1, [hb(0, 1)]),
+        (2, [hb(0, 2)]),
+        (3, [hb(0, 3), hb(0, 3)]),  # duplicate
+        (4, [hb(0, 4), hb(0, 2)]),  # out-of-order repeat
+        (5, [b"\x00not-a-heartbeat"]),  # m_5 lost
+        (6, [hb(0, 6), hb(0, 5)]),  # gap opens, then the late m_5
+        (7, [hb(0, 7, NAN)]),  # booked by the loss estimator, rejected
+        # 8 datagrams into an inbox of 6: both m_11 are shed and noted
+        (8, [hb(0, 8), hb(0, 9), hb(0, 10), hb(0, 11)]),
+        (9, [hb(0, 12)]),  # opens the gap the shed numbers sit in
+        # restart (first_seq 11 at this clock) with a stale straggler
+        (10, [hb(1, 13), hb(0, 12)]),
+        (11, [hb(1, 9), hb(1, 14)]),  # a pre-window number
+        (12, [hb(1, 15), hb(1, 12)]),  # late, inside the horizon
+        (13, [hb(1, 16, -INF), hb(1, 17, 1.0e200)]),
+        (14, [hb(1, 18)]),
+    ]
+
+
+def _encode(burst):
+    out = []
+    for spec in burst:
+        if isinstance(spec, bytes):
+            out.append(spec)
+        else:
+            inc, seq, sigma = spec
+            out.extend(
+                encode_heartbeat(name, inc, seq, sigma) for name in ("e0", "r0")
+            )
+    return out
+
+
+def oracle_observers():
+    """What the stream must leave behind: one ``HeartbeatObserver`` per
+    closed incarnation, fed what the service's decision procedure lets
+    through, plus the number of receipts the observers rejected."""
+    current = {name: 0 for name in ("e0", "r0")}
+    live = {name: HeartbeatObserver(eta=ETA, first_seq=1) for name in current}
+    closed, rejected = {}, 0
+    for slot, burst in estimator_stream():
+        now = slot * ETA + 0.01
+        flat = [
+            (name, spec)
+            for spec in burst
+            for name in (("junk",) if isinstance(spec, bytes) else ("e0", "r0"))
+        ]
+        # shed at the inbox before anything queued in this burst drains
+        for name, (inc, seq, _) in flat[OVERFLOW_LIMIT:]:
+            assert inc == current[name]
+            live[name].note_local_drop(seq)
+        for name, spec in flat[:OVERFLOW_LIMIT]:
+            if name == "junk":
+                continue
+            inc, seq, sigma = spec
+            if inc < current[name]:
+                continue  # stale straggler
+            if inc > current[name]:
+                closed[name, current[name]] = live[name]
+                current[name] = inc
+                live[name] = HeartbeatObserver(
+                    eta=ETA, first_seq=int(now // ETA) + 1
+                )
+            try:
+                live[name].observe_arrival(seq, sigma, now)
+            except EstimationError:
+                rejected += 1
+    closed.update({(name, current[name]): live[name] for name in live})
+    return closed, rejected
+
+
+class TestEstimatorIdentity:
+    def test_results_carry_the_oracle_state_for_every_chunk_size(self):
+        async def run_one(drain):
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop,
+                origin=0.0,
+                inbox_limit=OVERFLOW_LIMIT,
+                drain_batch=drain,
+                keep_traces=False,
+            )
+            service.add_peer("e0", _factory, eta=ETA)
+            service.add_peer("r0", _factory_on("object"), eta=ETA)
+            service.start()
+            offered = 0
+            for slot, burst in estimator_stream():
+                loop.run_until(slot * ETA + 0.01)
+                payloads = _encode(burst)
+                for payload in payloads:
+                    service.on_datagram(payload)
+                offered += len(payloads)
+                counters = _counters(service.registry)
+                while (
+                    _processed(service.registry)
+                    + counters["live_inbox_dropped_total"]
+                    < offered
+                ):
+                    await asyncio.sleep(0)
+            results = await service.aclose()
+            assert service.consumer_crashes == []
+            assert len(service._observers) == 0  # every row released
+            return _counters(service.registry), {
+                (r.name, r.incarnation): r.observer for r in results
+            }
+
+        async def main():
+            want, want_rejected = oracle_observers()
+            baseline = None
+            for drain in (1, 7, 256):
+                counters, observers = await run_one(drain)
+                if baseline is None:
+                    baseline = counters
+                assert counters == baseline, drain
+                assert sorted(observers) == sorted(want)
+                for key, observer in observers.items():
+                    assert type(observer) is HeartbeatObserver
+                    assert observer_state(observer) == observer_state(
+                        want[key]
+                    ), (drain, key)
+            assert baseline["live_prewindow_heartbeats_total"] == want_rejected == 6
+            assert baseline["live_inbox_dropped_total"] == 2
+            assert baseline["live_dropped_heartbeats_noted_total"] == 2
+            assert baseline["live_stale_incarnation_total"] == 2
+            assert baseline["live_incarnation_restarts_total"] == 2
+            assert baseline["live_datagrams_invalid_total"] == 1
+            # the stream reached the estimators' corners
+            e0 = want["e0", 0].loss
+            assert e0.missing_count == 0 and e0.received_count == 11
+            assert want["e0", 1].loss.pending_missing == 1
+
+        asyncio.run(main())
+
+    def test_registration_touches_no_ring_and_builds_no_estimator_objects(self):
+        """2 000 engine-hosted peers cost columns only: both rings are
+        still at depth 0 and no per-peer observer, deque or set exists."""
+
+        def census():
+            gc.collect()
+            kinds = (HeartbeatObserver, deque, set)
+            objects = gc.get_objects()
+            return [sum(isinstance(o, k) for o in objects) for k in kinds]
+
+        async def main():
+            service = LiveMonitorService(keep_traces=False)
+            before = census()
+            for i in range(2000):
+                service.add_peer(f"p{i}", _factory, eta=ETA)
+            grown = [b - a for a, b in zip(before, census())]
+            assert grown[0] == 0
+            assert max(grown[1:]) < 20  # the parent grew by 2 000 of each
+            table = service._observers
+            assert len(table) == 2000
+            assert table._delays.buf.shape[0] == 0
+            assert table._arrivals.buf.shape[0] == 0
+            assert table._missing == {} and table._local_drops == {}
+            await service.aclose()
 
         asyncio.run(main())

@@ -65,6 +65,62 @@ class TestJunkTolerance:
 
         asyncio.run(main())
 
+    @pytest.mark.parametrize("one_chunk", [True, False])
+    def test_sequence_number_past_int64_is_junk_not_a_wedge(self, one_chunk):
+        """The wire field is an unsigned 64-bit integer, the tables are
+        int64: a number at or past 2^63 from a registered peer is
+        counted invalid and dropped.  (It used to raise in the flush
+        with the buffers left full, so every later chunk raised again:
+        no counter moved and ``aclose()`` raised.)"""
+
+        async def main():
+            service = LiveMonitorService()
+            service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
+            service.start()
+            for seq in (1, 1 << 63, 2):
+                service.on_datagram(encode_heartbeat("p0", 0, seq, 0.05))
+                if not one_chunk:
+                    await drain(service)
+            await drain(service)
+            assert service.consumer_crashes == []
+            assert counter(service, "live_datagrams_invalid_total") == 1
+            assert counter(service, "live_heartbeats_dispatched_total") == 2
+            (result,) = await service.aclose()
+            assert result.delivered == 2
+            assert result.observer.loss.highest_seq == 2
+
+        asyncio.run(main())
+
+    def test_failed_flush_does_not_poison_later_chunks(self):
+        """Whatever kills a flush, the buffered chunk dies with it: the
+        restarted consumer starts from empty buffers."""
+
+        async def main():
+            service = LiveMonitorService()
+            service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
+            service.start()
+            engine, row = service.soa_engine, service.host("p0").row
+            ingest = engine.ingest
+
+            def fail_once(*args):
+                engine.ingest = ingest
+                raise RuntimeError("boom")
+
+            engine.ingest = fail_once
+            service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
+            await drain(service)
+            assert len(service.consumer_crashes) == 1
+            service.on_datagram(encode_heartbeat("p0", 0, 2, 0.10))
+            await asyncio.sleep(0.1)  # the supervisor's restart backoff
+            await drain(service)
+            assert len(service.consumer_crashes) == 1
+            assert counter(service, "live_heartbeats_dispatched_total") == 1
+            await service.aclose()
+            # the chunk that died is gone; only the later one was applied
+            assert engine.delivered_count(row) == 1
+
+        asyncio.run(main())
+
     def test_auto_admit(self):
         async def main():
             service = LiveMonitorService(

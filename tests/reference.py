@@ -12,6 +12,11 @@ against, reached through the product's own observable selection.
 :class:`SteppedLoop` is the loop-side counterpart of the simulator for
 those comparisons: an asyncio-shaped clock and timer heap that the test
 steps by hand.
+
+:func:`observer_state` is the estimators' side of the same bar: every
+field of a :class:`~repro.estimation.HeartbeatObserver`, so that a row
+exported from an :class:`~repro.estimation.ObserverTable` can be
+compared with the oracle fed the same receipts.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ __all__ = [
     "HOSTINGS",
     "hosted",
     "SteppedLoop",
+    "observer_state",
 ]
 
 
@@ -99,3 +105,30 @@ class SteppedLoop:
                 self.now = max(self.now, when)
                 handle.callback()
         self.now = horizon
+
+
+def observer_state(observer) -> dict:
+    """Every field of a ``HeartbeatObserver``'s three estimators, floats
+    as ``float.hex`` (so a nan equals a nan)."""
+    loss, stats, arrival = observer.loss, observer.delay_stats, observer.arrival
+    eta = arrival._eta
+    return {
+        "first_seq": loss._first_seq,
+        "horizon": loss._horizon,
+        "highest": loss._highest,
+        "swept_at": loss._swept_at,
+        "received": loss._received_count,
+        "lost_compacted": loss._lost_compacted,
+        "missing": set(loss._missing),
+        "local_drops": set(loss._local_drops),
+        "stats_window": stats._window,
+        "samples": [x.hex() for x in stats._samples],
+        "sum": stats._sum.hex(),
+        "sum_sq": stats._sum_sq.hex(),
+        "evictions": stats._evictions_since_resync,
+        "eta": eta.hex(),
+        "arrival_window": arrival._window,
+        # all the oracle ever uses of an entry is A − η·seq
+        "entries": [(t - eta * s).hex() for s, t in arrival._entries],
+        "normalized_sum": arrival._normalized_sum.hex(),
+    }
