@@ -16,7 +16,10 @@ offset format   field
 27     ``Ls``   sender name, UTF-8
 ====== ======== ==========================================================
 
-All integers are network byte order.  The send timestamp is the
+All integers are network byte order.  The table exists once in code,
+as ``_HEADER_FIELDS``: the scalar codecs' ``struct`` layout and the
+chunk parser's packed record dtype are both derived from it, and no
+other module knows a byte offset.  The send timestamp is the
 *nominal* ``σ_i = i·η`` of the sender's schedule, not the actual wall
 time the datagram left the socket — exactly the semantics of the
 simulator's :class:`~repro.sim.heartbeat.HeartbeatSender`, and what the
@@ -28,7 +31,10 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from operator import itemgetter
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import ReproError
 
@@ -39,16 +45,35 @@ __all__ = [
     "decode_heartbeat",
     "HeartbeatEncoder",
     "HeartbeatBatchDecoder",
+    "name_bytes",
 ]
 
 MAGIC = b"RQHB"
 VERSION = 1
-_HEADER = struct.Struct("!4sBIQdH")
+#: the header, field by field: (name, ``struct`` code, NumPy code).  The
+#: scalar codecs' ``struct`` layout and the chunk parser's packed record
+#: dtype are both derived from this one table.
+_HEADER_FIELDS = (
+    ("magic", "4s", "S4"),
+    ("version", "B", "u1"),
+    ("incarnation", "I", ">u4"),
+    ("seq", "Q", ">u8"),
+    ("sigma", "d", ">f8"),
+    ("name_len", "H", ">u2"),
+)
+_HEADER = struct.Struct("!" + "".join(code for _, code, _ in _HEADER_FIELDS))
+_HEADER_DTYPE = np.dtype([(name, code) for name, _, code in _HEADER_FIELDS])
 #: byte offset of the (seq, σ_i) pair inside the header: the only two
 #: fields that change between a sender's consecutive heartbeats.
-_SEQ_SIGMA_OFFSET = 9
+_SEQ_SIGMA_OFFSET = _HEADER_DTYPE.fields["seq"][1]
 _SEQ_SIGMA = struct.Struct("!Qd")
+_HEADER_BYTES = np.arange(_HEADER.size)
+_INT64_MAX = np.uint64(np.iinfo(np.int64).max)
 MAX_NAME_BYTES = 0xFFFF
+
+#: the bytes after a payload's header — the sender's name, for a payload
+#: :meth:`HeartbeatBatchDecoder.decode_chunk` marked parsed.
+name_bytes = itemgetter(slice(_HEADER.size, None))
 
 
 class WireError(ReproError):
@@ -171,6 +196,12 @@ class HeartbeatEncoder:
 class HeartbeatBatchDecoder:
     """Decoder for the monitor's drain loop: no per-message dataclass.
 
+    Two entry points.  :meth:`decode_chunk` parses the headers of a
+    whole drained chunk as NumPy columns and says which payloads it
+    could read without looking past the header; :meth:`decode_fields`
+    decodes one payload completely — short chunks, and whatever the
+    chunk parser deferred.
+
     :meth:`decode_fields` performs exactly the validation of
     :func:`decode_heartbeat` but returns a plain
     ``(sender, incarnation, seq, send_local_time)`` tuple, and resolves
@@ -197,6 +228,58 @@ class HeartbeatBatchDecoder:
         #: constant-region bytes -> (sender, incarnation)
         self._prefix: Dict[bytes, Tuple[str, int]] = {}
         self._max_names = int(max_names)
+
+    @staticmethod
+    def decode_chunk(
+        payloads: Sequence[bytes],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Parse the headers of a whole drained chunk as columns.
+
+        Returns ``(incarnation, seq, σ, parsed)``, one entry per payload
+        (``int64``, ``int64``, ``float64``, ``bool``).  ``parsed[i]``
+        means payload ``i`` passed exactly :func:`decode_heartbeat`'s
+        header checks *and ends with its name*: at least a header long,
+        right magic and version, ``name_len`` equal to the bytes after
+        the header, and a sequence number the ``int64`` column can carry
+        (compared unsigned, before the cast).  Its name is then
+        :func:`name_bytes` of the payload — not validated as UTF-8: the
+        caller looks it up among names it encoded itself, where invalid
+        bytes cannot match.  Where ``parsed[i]`` is False the other
+        columns hold garbage and the payload is *deferred*, not junk:
+        trailing bytes after the name, for one, are tolerated by
+        :meth:`decode_fields`, which is where the caller sends it.
+
+        One ``b"".join``, one fancy-index gather of the headers over
+        ``np.frombuffer`` and five column comparisons per chunk, instead
+        of a dict probe and a struct unpack per payload.
+        """
+        n = len(payloads)
+        lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=n)
+        whole = lengths >= _HEADER.size
+        if not whole.any():
+            zeros = np.zeros(n, dtype=np.int64)
+            return zeros, zeros, np.zeros(n), whole
+        buf = np.frombuffer(b"".join(payloads), dtype=np.uint8)
+        # A short payload has no header to gather — its 27 bytes would
+        # run into its neighbour's or, last in the chunk, past the
+        # buffer.  It reads the chunk's first 27 bytes instead (some
+        # payload is whole, so they exist) and is masked by ``whole``.
+        starts = np.where(whole, np.cumsum(lengths) - lengths, 0)
+        header = buf[starts[:, None] + _HEADER_BYTES].view(_HEADER_DTYPE)[:, 0]
+        seq = header["seq"]
+        parsed = (
+            whole
+            & (header["magic"] == MAGIC)
+            & (header["version"] == VERSION)
+            & (header["name_len"] == lengths - _HEADER.size)
+            & (seq <= _INT64_MAX)
+        )
+        return (
+            header["incarnation"].astype(np.int64),
+            seq.astype(np.int64),
+            header["sigma"].astype(np.float64),
+            parsed,
+        )
 
     def decode_fields(self, payload) -> Tuple[str, int, int, float]:
         """Parse one payload; raises :class:`WireError` on junk.

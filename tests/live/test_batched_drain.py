@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import asyncio
 import gc
-from collections import deque
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.core.nfd_s import NFDS
 from repro.errors import EstimationError
 from repro.estimation import HeartbeatObserver
-from repro.live.monitor import LiveMonitorService
+from repro.live.monitor import _COLUMNAR_FROM, LiveMonitorService
 from repro.live.wire import encode_heartbeat
 from tests.reference import HOSTINGS, SteppedLoop, hosted, observer_state
 
@@ -83,10 +84,11 @@ def _counters(registry):
 
 
 async def _dispatch_all(payloads, *, hosting, drain, n_senders=6, **kw):
-    loop = asyncio.get_running_loop()
+    # A stepped clock: a restart's first_seq is ⌊now/η⌋ + 1, which on a
+    # wall clock depends on how long the machine took to get there.
     service = LiveMonitorService(
-        loop=loop,
-        origin=loop.time(),
+        loop=SteppedLoop(),
+        origin=0.0,
         inbox_limit=len(payloads) + 1,
         drain_batch=drain,
         keep_traces=False,
@@ -306,11 +308,84 @@ NAN, INF = float("nan"), float("inf")
 OVERFLOW_LIMIT = 6
 
 
+async def drain_stream(stream, *, drain, peers, probe_after=None, **service_kw):
+    """Offer ``stream`` to a service on a :class:`SteppedLoop` and close
+    it.  ``stream`` is a list of ``(slot, step)``: with the clock at
+    ``slot·η + 0.01`` a list of payloads is offered as one burst and
+    drained, a callable is called with the service (a membership
+    change between chunks).  ``peers`` maps a name to its hosting.
+
+    Returns the counters, the results, the published events, ``delivered_count`` of every hosted peer read
+    mid-run (after step ``probe_after``), and how often the columnar
+    and the scalar lane ran.
+    """
+    loop = SteppedLoop()
+    service = LiveMonitorService(
+        loop=loop,
+        origin=0.0,
+        drain_batch=drain,
+        keep_traces=False,
+        **service_kw,
+    )
+    events = []
+    service.subscribe(
+        lambda e: events.append(
+            (e.time, e.process, e.output, e.administrative, e.incarnation)
+        )
+    )
+    lanes = {"columnar": 0, "scalar": 0}
+
+    def count_calls(lane, method):
+        inner = getattr(service, method)
+
+        def counted(*args):
+            lanes[lane] += 1
+            return inner(*args)
+
+        setattr(service, method, counted)
+
+    count_calls("columnar", "_book_run")
+    count_calls("scalar", "_dispatch_scalar")
+    for name, hosting in peers.items():
+        service.add_peer(name, _factory_on(hosting), eta=ETA)
+    service.start()
+    offered, midrun = 0, None
+    for k, (slot, step) in enumerate(stream):
+        loop.run_until(slot * ETA + 0.01)
+        if callable(step):
+            step(service)
+        else:
+            for payload in step:
+                service.on_datagram(payload)
+            offered += len(step)
+            dropped = _counters(service.registry)["live_inbox_dropped_total"]
+            for _ in range(len(step) + 10):  # loop turns: one a chunk at most
+                if _processed(service.registry) + dropped == offered:
+                    break
+                await asyncio.sleep(0)
+            else:
+                pytest.fail(f"burst not drained: {service.consumer_crashes}")
+        if k == probe_after:
+            midrun = {
+                name: service.host(name).delivered_count
+                for name in service.peer_names
+            }
+    results = await service.aclose()
+    assert service.consumer_crashes == []
+    assert len(service._observers) == 0  # every row released
+    return (
+        _counters(service.registry),
+        results,
+        events,
+        midrun,
+        lanes,
+    )
+
+
 def estimator_stream():
-    """Bursts ``(slot, [datagram specs])`` for two peers, ``e0`` (an
-    engine row) and ``r0`` (a ``RefNFDS`` on a ``DetectorHost``); a spec
-    is ``(incarnation, seq, sigma)`` sent to both, or raw bytes.  Burst
-    ``b`` is offered with the clock at ``b·η + 0.01``."""
+    """Bursts for two peers, ``e0`` (an engine row) and ``r0`` (a
+    ``RefNFDS`` on a ``DetectorHost``); a spec is ``(incarnation, seq,
+    sigma)`` sent to both, or raw bytes."""
 
     def hb(inc, seq, sigma=None):
         return (inc, seq, seq * ETA if sigma is None else sigma)
@@ -386,53 +461,193 @@ def oracle_observers():
     return closed, rejected
 
 
+# ---------------------------------------------------------------------- #
+# The columnar lane against the scalar lane
+# ---------------------------------------------------------------------- #
+
+#: engine-hosted names of mixed byte length: 1 … 80 bytes, with 2-, 3-
+#: and 4-byte UTF-8 sequences; "ab" / "abX" differ by a trailing byte
+REGULARS = [
+    "a",
+    "ab",
+    "abX",
+    "peer-03",
+    "длинное-имя",
+    "节点-7",
+    "🙂node",
+    "é",
+    "p" * 80,
+] + [f"n{i:02d}" for i in range(52)]
+RESTARTER, SILENT, REFERENCE = "x", "quiet", "r0"
+#: 64 peers fill the index's first columns to the brim, so a stranger's
+#: -1, used as a gather index, reads a real engine row's entry (the last)
+COLUMNAR_PEERS = {
+    REFERENCE: "object",
+    **{name: "soa" for name in (RESTARTER, SILENT, *REGULARS)},
+}
+
+
+def _admit_g(name):
+    """Admission hook: names in ``g…`` are admitted, the rest refused."""
+    return (_factory, ETA) if name.startswith("g") else None
+
+
+def columnar_stream():
+    """Every way the columnar lane met to be wrong, as bursts long
+    enough to be decoded as columns when drained whole."""
+    rng = np.random.default_rng(20)
+
+    def hb(name, seq, inc=0, sigma=None):
+        return encode_heartbeat(
+            name, inc, seq, seq * ETA if sigma is None else sigma
+        )
+
+    def regular(slot, skip=()):
+        names = [n for n in (*REGULARS, REFERENCE) if n not in skip]
+        return [hb(names[i], slot) for i in rng.permutation(len(names))]
+
+    def junk(slot):
+        good = hb("n00", slot)
+        return [
+            b"RQ",  # shorter than a header
+            good[:26],  # one byte short of a header
+            b"X" + good[1:],  # bad magic
+            good[:4] + b"\x07" + good[5:],  # bad version
+            good[:-1],  # truncated name
+            hb("n00", 2**63 + slot),  # no int64 column can carry it
+            hb("n00", 2**64 - 1),
+            good[:25] + b"\x00\x02" + b"\xff\xfe",  # name is not UTF-8
+            good + b"\x00\x01",  # trailing bytes: tolerated, a duplicate
+            hb("ab", slot - 1) + b"X",  # trailing byte spells peer "abX"
+        ]
+
+    def spliced(burst, extra, where):
+        at = {"head": 0, "middle": len(burst) // 2, "tail": len(burst)}[where]
+        return burst[:at] + extra + burst[at:]
+
+    stream = [(slot, regular(slot) + [hb(SILENT, slot), hb(RESTARTER, slot)])
+              for slot in (1, 2)]
+    # junk of each kind at the head, in the middle and at the tail of a
+    # chunk; the tail one ends on a short datagram (gather past the buffer)
+    for slot, where in ((3, "head"), (4, "middle"), (5, "tail")):
+        extra = junk(slot)
+        if where == "tail":
+            extra = extra[2:] + extra[:2]
+        stream.append((slot, spliced(regular(slot), extra, where)))
+    # SILENT was suspected at τ_3; it returns here (S→T on the engine's
+    # scalar lane).  Restart, straggler and the new incarnation's next
+    # heartbeat in one chunk: the peer's state moves under the mask.
+    stream.append(
+        (
+            6,
+            spliced(
+                regular(6) + [hb(SILENT, 6)],
+                [
+                    hb(RESTARTER, 8, inc=1),
+                    hb(RESTARTER, 5),
+                    hb(RESTARTER, 9, inc=1),
+                ],
+                "middle",
+            ),
+        )
+    )
+    # strangers: one refused, one admitted whose second heartbeat
+    # follows in the same chunk (its name was unknown at the head)
+    stream.append(
+        (
+            7,
+            spliced(
+                regular(7),
+                [hb("zz", 7), hb("g0", 9), hb("n01", 7), hb("g0", 10)],
+                "middle",
+            ),
+        )
+    )
+    # one peer's duplicate and out-of-order repeat, split across the
+    # lanes: the trailing-byte payloads are deferred to the scalar one
+    stream.append(
+        (
+            8,
+            spliced(
+                regular(8, skip=("n02",)),
+                [
+                    hb("n02", 8),
+                    hb("n02", 8) + b"\x00",
+                    hb("n02", 6) + b"\x00",
+                    hb("n02", 9),
+                    hb("n02", 7),
+                ],
+                "middle",
+            ),
+        )
+    )
+    # index reuse: the same name again, and a new name on a freed index
+
+    def churn(service):
+        for name in ("n03", "n04"):
+            service.remove_peer(name)
+        service.add_peer("n03", _factory, eta=ETA)
+        service.add_peer("fresh", _factory, eta=ETA)
+
+    stream.append((9, churn))
+    # first_seq is 10 for both at this clock
+    stream.append(
+        (
+            9,
+            regular(9, skip=("n03", "n04"))
+            + [hb("n03", 10), hb("n04", 10), hb("fresh", 10), hb("g0", 11)],
+        )
+    )
+    # rejected by the estimators after the columnar lane counted them
+    stream.append(
+        (
+            10,
+            spliced(
+                regular(10, skip=("n03", "n04", "n05", "n06")),
+                [hb("n05", 10, sigma=NAN), hb("n06", 0), hb("n03", 11)],
+                "middle",
+            ),
+        )
+    )
+    # payloads that are not ``bytes``: this chunk has no hashable names
+    burst = regular(11, skip=("n03", "n04"))
+    burst[3] = bytearray(burst[3])
+    burst[-2] = memoryview(burst[-2])
+    stream.append((11, burst))
+    stream.append((12, regular(12, skip=("n03", "n04")) + [hb("n03", 13)]))
+    return stream
+
+
+def _by_process(events):
+    out = {}
+    for event in events:
+        out.setdefault(event[1], []).append(event)
+    return out
+
+
 class TestEstimatorIdentity:
     def test_results_carry_the_oracle_state_for_every_chunk_size(self):
-        async def run_one(drain):
-            loop = SteppedLoop()
-            service = LiveMonitorService(
-                loop=loop,
-                origin=0.0,
-                inbox_limit=OVERFLOW_LIMIT,
-                drain_batch=drain,
-                keep_traces=False,
-            )
-            service.add_peer("e0", _factory, eta=ETA)
-            service.add_peer("r0", _factory_on("object"), eta=ETA)
-            service.start()
-            offered = 0
-            for slot, burst in estimator_stream():
-                loop.run_until(slot * ETA + 0.01)
-                payloads = _encode(burst)
-                for payload in payloads:
-                    service.on_datagram(payload)
-                offered += len(payloads)
-                counters = _counters(service.registry)
-                while (
-                    _processed(service.registry)
-                    + counters["live_inbox_dropped_total"]
-                    < offered
-                ):
-                    await asyncio.sleep(0)
-            results = await service.aclose()
-            assert service.consumer_crashes == []
-            assert len(service._observers) == 0  # every row released
-            return _counters(service.registry), {
-                (r.name, r.incarnation): r.observer for r in results
-            }
-
         async def main():
+            stream = [
+                (slot, _encode(burst)) for slot, burst in estimator_stream()
+            ]
             want, want_rejected = oracle_observers()
             baseline = None
             for drain in (1, 7, 256):
-                counters, observers = await run_one(drain)
+                counters, results, _, _, _ = await drain_stream(
+                    stream,
+                    drain=drain,
+                    peers={"e0": "soa", "r0": "object"},
+                    inbox_limit=OVERFLOW_LIMIT,
+                )
                 if baseline is None:
                     baseline = counters
                 assert counters == baseline, drain
-                assert sorted(observers) == sorted(want)
-                for key, observer in observers.items():
-                    assert type(observer) is HeartbeatObserver
-                    assert observer_state(observer) == observer_state(
+                assert sorted((r.name, r.incarnation) for r in results) == sorted(want)
+                for result in results:
+                    key = result.name, result.incarnation
+                    assert type(result.observer) is HeartbeatObserver
+                    assert observer_state(result.observer) == observer_state(
                         want[key]
                     ), (drain, key)
             assert baseline["live_prewindow_heartbeats_total"] == want_rejected == 6
@@ -448,29 +663,222 @@ class TestEstimatorIdentity:
 
         asyncio.run(main())
 
+    def test_columnar_lane_decides_like_the_scalar_lane(self):
+        """``drain_batch=1`` never decodes a chunk as columns; every
+        other chunking — just below the columnar threshold, at it, and a
+        whole burst at a time — must leave the same counters, books,
+        estimator state and published events behind."""
+
+        def digest(results):
+            return {
+                (r.name, r.incarnation, r.first_seq): (
+                    r.delivered,
+                    observer_state(r.observer),
+                )
+                for r in results
+            }
+
+        async def main():
+            stream = columnar_stream()
+            probe = next(
+                k for k, (slot, _) in enumerate(stream) if slot == 8
+            )
+            runs = {}
+            for drain in (1, 7, _COLUMNAR_FROM - 1, _COLUMNAR_FROM, 256):
+                runs[drain] = await drain_stream(
+                    stream,
+                    drain=drain,
+                    peers=COLUMNAR_PEERS,
+                    probe_after=probe,
+                    inbox_limit=4096,
+                    auto_admit=_admit_g,
+                )
+            counters, results, events, midrun, lanes = runs[1]
+            assert lanes["columnar"] == 0
+            assert len(COLUMNAR_PEERS) == 64
+            for drain, got in runs.items():
+                assert got[0] == counters, drain
+                assert digest(got[1]) == digest(results), drain
+                # A DetectorHost publishes at delivery, an engine row at
+                # the chunk's flush: the two interleave by chunking, each
+                # keeps its own order.
+                assert _by_process(got[2]) == _by_process(events), drain
+                on_engine = [e for e in events if e[1] != REFERENCE]
+                assert [e for e in got[2] if e[1] != REFERENCE] == on_engine
+                assert got[3] == midrun, drain
+                columnar = drain >= _COLUMNAR_FROM
+                assert (got[4]["columnar"] > 0) == columnar, drain
+                assert got[4]["scalar"] > 0
+            # the stream met every decision, and the traps
+            assert counters["live_datagrams_invalid_total"] == 3 * 8
+            assert counters["live_unknown_sender_total"] == 2
+            assert counters["live_stale_incarnation_total"] == 1
+            assert counters["live_incarnation_restarts_total"] == 1
+            assert counters["live_prewindow_heartbeats_total"] == 2
+            books = digest(results)
+            assert books["x", 1, 7][0] == 2
+            assert books["g0", 0, 8][0] == 3
+            assert books["n03", 0, 1][0] == 8 and books["n03", 0, 10][0] == 3
+            assert books["fresh", 0, 10][0] == 1
+            assert midrun["n02"] == 7 + 5 and midrun[REFERENCE] == 8
+            kinds = [(e[2], e[3]) for e in _by_process(events)[SILENT]]
+            assert kinds == [
+                ("S", True), ("T", False), ("S", False), ("T", False),
+                ("S", False), ("S", True),
+            ]
+
+        asyncio.run(main())
+
     def test_registration_touches_no_ring_and_builds_no_estimator_objects(self):
         """2 000 engine-hosted peers cost columns only: both rings are
-        still at depth 0 and no per-peer observer, deque or set exists."""
+        still at depth 0, no per-peer observer, deque, set or function
+        exists, and the name index holds one key and one integer a peer."""
 
         def census():
             gc.collect()
-            kinds = (HeartbeatObserver, deque, set)
-            objects = gc.get_objects()
-            return [sum(isinstance(o, k) for o in objects) for k in kinds]
+            return Counter(type(o).__name__ for o in gc.get_objects())
 
         async def main():
             service = LiveMonitorService(keep_traces=False)
+            service.add_peer("warm", _factory, eta=ETA)  # builds the engine
             before = census()
             for i in range(2000):
                 service.add_peer(f"p{i}", _factory, eta=ETA)
-            grown = [b - a for a, b in zip(before, census())]
-            assert grown[0] == 0
-            assert max(grown[1:]) < 20  # the parent grew by 2 000 of each
+            after = census()
+            grown = {
+                kind: after[kind] - before[kind]
+                for kind in after
+                if after[kind] - before[kind] >= 200  # a tenth of a peer
+            }
+            # One object of each of these per peer and nothing else the
+            # collector tracks: no HeartbeatObserver, deque or set (the
+            # table's columns), no function, cell or defaults tuple (the
+            # transition hook is a slotted object).
+            assert grown == dict.fromkeys(
+                (
+                    "_Peer",
+                    "_TransitionHook",
+                    "SoAMonitorHost",
+                    "_RowDetectorView",
+                    "NFDS",
+                    "method",
+                    "OnlineQoSEstimator",
+                    "Welford",
+                    "ObserverRow",
+                ),
+                2000,
+            )
+            lookup = service._index.lookup
+            assert len(lookup) == 2001
+            assert {type(k) for k in lookup} == {bytes}
+            assert sorted(lookup.values()) == list(range(2001))
             table = service._observers
-            assert len(table) == 2000
+            assert len(table) == 2001
             assert table._delays.buf.shape[0] == 0
             assert table._arrivals.buf.shape[0] == 0
             assert table._missing == {} and table._local_drops == {}
             await service.aclose()
+
+        asyncio.run(main())
+
+
+class TestStrangers:
+    """Misdirected heartbeats interleaved with real ones must not
+    fragment the chunk: only an *admission* is a structural change."""
+
+    N_PEERS, EVERY = 224, 7  # 224 + 32 strangers: one chunk of 256
+
+    def _chunk(self, non_bytes):
+        chunk = []
+        for i in range(self.N_PEERS):
+            if i % self.EVERY == 0:
+                chunk.append(encode_heartbeat(f"g{i}", 0, 1, ETA))
+            chunk.append(encode_heartbeat(f"p{i:03d}", 0, 1, ETA))
+        assert len(chunk) == 256
+        if non_bytes:  # the whole chunk takes the scalar lane
+            chunk[1] = bytearray(chunk[1])
+        return chunk
+
+    async def _drain(self, chunk, *, drain, make_hook):
+        """Drain ``chunk``; ``make_hook(ingests)`` builds the admission
+        hook around the list of receipts-per-``ingest`` seen so far."""
+        loop = SteppedLoop()
+        loop.now = 0.01
+        ingests = []
+        service = LiveMonitorService(
+            loop=loop,
+            origin=0.0,
+            drain_batch=drain,
+            keep_traces=False,
+            auto_admit=make_hook(ingests),
+        )
+        for i in range(self.N_PEERS):
+            service.add_peer(f"p{i:03d}", _factory, eta=ETA)
+        engine = service.soa_engine
+        inner = engine.ingest
+
+        def ingest(times, rows, seqs):
+            ingests.append(len(rows))
+            inner(times, rows, seqs)
+
+        engine.ingest = ingest
+        for payload in chunk:
+            service.on_datagram(payload)
+        service.start()
+        while _processed(service.registry) < len(chunk):
+            await asyncio.sleep(0)
+        results = await service.aclose()
+        books = sorted(
+            (r.name, r.incarnation, r.first_seq, r.delivered) for r in results
+        )
+        return _counters(service.registry), books, ingests
+
+    @pytest.mark.parametrize("lane", ["columnar", "scalar"])
+    @pytest.mark.parametrize(
+        "make_hook",
+        [lambda ingests: None, lambda ingests: lambda name: None],
+        ids=["no-hook", "refusing-hook"],
+    )
+    def test_refused_strangers_cost_no_flush(self, make_hook, lane):
+        async def main():
+            chunk = self._chunk(non_bytes=lane == "scalar")
+            counters, books, ingests = await self._drain(
+                chunk, drain=256, make_hook=make_hook
+            )
+            assert ingests == [self.N_PEERS]  # the parent made 33 calls
+            assert counters["live_unknown_sender_total"] == 32
+            one_by_one = await self._drain(chunk, drain=1, make_hook=make_hook)
+            assert (counters, books) == one_by_one[:2]
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("lane", ["columnar", "scalar"])
+    def test_admission_flushes_what_came_before_it(self, lane):
+        """An admitted stranger's row registers after every receipt
+        queued before it was applied — and only then is there a flush."""
+
+        async def main():
+            chunk = self._chunk(non_bytes=lane == "scalar")
+            applied = []  # receipts ingested when each factory ran
+
+            def make_hook(ingests):
+                def factory(first_seq):  # called by add_peer
+                    applied.append(sum(ingests))
+                    return _factory(first_seq)
+
+                return lambda name: (factory, ETA)
+
+            counters, books, ingests = await self._drain(
+                chunk, drain=256, make_hook=make_hook
+            )
+            # 7 registered heartbeats between strangers, plus the one of
+            # each stranger admitted so far
+            assert applied == [8 * k for k in range(32)]
+            # the first stranger heads the chunk: nothing to flush yet
+            assert ingests == [8] * 32
+            assert counters["live_unknown_sender_total"] == 0
+            del applied[:]
+            one_by_one = await self._drain(chunk, drain=1, make_hook=make_hook)
+            assert (counters, books) == one_by_one[:2]
 
         asyncio.run(main())

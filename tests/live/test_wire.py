@@ -7,6 +7,9 @@ import struct
 import pytest
 
 from repro.live.wire import (
+    _HEADER,
+    _HEADER_DTYPE,
+    _HEADER_FIELDS,
     MAGIC,
     VERSION,
     LiveHeartbeat,
@@ -80,3 +83,17 @@ class TestJunkRejection:
             encode_heartbeat("p", 0, -1, 0.0)
         with pytest.raises(WireError):
             encode_heartbeat("x" * 70_000, 0, 1, 0.0)
+
+
+class TestLayout:
+    def test_record_dtype_is_the_struct_layout(self):
+        """The chunk parser's packed record and the scalar codecs'
+        ``struct`` put every field at the same offset."""
+        assert _HEADER_DTYPE.itemsize == _HEADER.size == 27
+        prefix = "!"
+        for name, code, _ in _HEADER_FIELDS:
+            dtype, offset = _HEADER_DTYPE.fields[name][:2]
+            assert offset == struct.calcsize(prefix), name
+            assert dtype.itemsize == struct.calcsize("!" + code), name
+            prefix += code
+        assert prefix == _HEADER.format

@@ -10,14 +10,17 @@ Three contracts, fuzzed rather than example-tested:
   agrees with :func:`decode_heartbeat` on every input, valid or junk
   (same fields or both raise :class:`WireError`), including repeated
   payloads that hit the prefix-cache fast path and mutated payloads
-  that must not;
+  that must not; :meth:`HeartbeatBatchDecoder.decode_chunk` marks
+  *parsed* only what :func:`decode_heartbeat` reads the same way, and
+  everything it accepts that ends with its name;
 * **junk totality** — no input, however malformed, raises anything but
-  :class:`WireError` out of either decoder.
+  :class:`WireError` out of any of the three decoders.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +32,7 @@ from repro.live.wire import (
     WireError,
     decode_heartbeat,
     encode_heartbeat,
+    name_bytes,
 )
 
 names = st.text(min_size=1, max_size=40).filter(
@@ -37,6 +41,28 @@ names = st.text(min_size=1, max_size=40).filter(
 incarnations = st.integers(min_value=0, max_value=2**32 - 1)
 seqs = st.integers(min_value=0, max_value=2**64 - 1)
 sigmas = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def datagrams(draw):
+    """Arbitrary bytes, weighted towards near-heartbeats: a valid
+    payload (any σ bit pattern, nan payloads included), or one
+    truncated, extended or with a flipped byte."""
+    kind = draw(st.sampled_from(["raw", "valid", "truncate", "extend", "flip"]))
+    if kind == "raw":
+        return draw(st.binary(max_size=80))
+    sigma = struct.unpack("!d", draw(st.binary(min_size=8, max_size=8)))[0]
+    payload = bytearray(
+        encode_heartbeat(draw(names), draw(incarnations), draw(seqs), sigma)
+    )
+    if kind == "truncate":
+        del payload[draw(st.integers(0, len(payload))) :]
+    elif kind == "extend":
+        payload += draw(st.binary(min_size=1, max_size=8))
+    elif kind == "flip":
+        pos = draw(st.integers(0, len(payload) - 1))
+        payload[pos] ^= draw(st.integers(1, 255))
+    return bytes(payload)
 
 
 def _fields_of(payload, decoder):
@@ -163,6 +189,41 @@ class TestDecoderEquivalence:
         assert _fields_of(junk, decoder.decode_fields) == _fields_of(
             junk, decode_heartbeat
         )
+
+    @given(chunk=st.lists(datagrams(), max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_chunk_parser_marks_parsed_what_the_scalar_decoder_reads(
+        self, chunk
+    ):
+        """The third decoder.  *Parsed* means: these are
+        :func:`decode_heartbeat`'s fields (σ by its 8 bytes), the name —
+        not validated here — is what follows the header, and the
+        sequence number fits ``int64``.  Everything else is deferred;
+        nothing :func:`decode_heartbeat` accepts that ends with its
+        name may be."""
+        incarnations, seqs, sigmas, parsed = (
+            HeartbeatBatchDecoder.decode_chunk(chunk)
+        )
+        assert len(parsed) == len(chunk)
+        for i, payload in enumerate(chunk):
+            outcome, fields = _fields_of(payload, decode_heartbeat)
+            if parsed[i]:
+                name = name_bytes(payload)
+                if outcome == "junk":
+                    # the one check the parser leaves to its caller
+                    with pytest.raises(UnicodeDecodeError):
+                        name.decode("utf-8")
+                    continue
+                sender, incarnation, seq, sigma = fields
+                assert sender.encode("utf-8") == name
+                assert (incarnations[i], seqs[i]) == (incarnation, seq)
+                assert struct.pack("!d", sigmas[i]) == struct.pack("!d", sigma)
+            elif outcome == "ok":
+                sender, incarnation, seq, sigma = fields
+                ends_with_its_name = payload == encode_heartbeat(
+                    sender, incarnation, seq, sigma
+                )
+                assert not ends_with_its_name or seq >= 2**63
 
     def test_interning_and_prefix_caches_stay_bounded(self):
         """Ever-fresh names (port-scan traffic) reset the caches rather
