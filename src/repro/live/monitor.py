@@ -155,12 +155,16 @@ class _PeerIndex:
     Indices are dense (a removed peer's index is reused), so the columns
     stay as long as the largest population ever monitored.  Every write
     bumps :attr:`version`: a drain that gathered from the columns
-    re-reads them when it sees the version move.
+    re-reads them when it sees the version move.  Only :meth:`add` and
+    :meth:`remove` change what a name resolves to, and they bump
+    :attr:`names` as well: a restart (:meth:`host` / :meth:`unhost`)
+    leaves the indices a drain has probed valid.
     """
 
     __slots__ = (
         "lookup",
         "version",
+        "names",
         "incarnation",
         "row",
         "slot",
@@ -171,7 +175,7 @@ class _PeerIndex:
     def __init__(self) -> None:
         #: wire name bytes -> index; the only per-peer objects held here
         self.lookup: Dict[bytes, int] = {}
-        self.version = 0
+        self.version = self.names = 0
         cap = 64
         #: the incarnation currently monitored
         self.incarnation = np.zeros(cap, dtype=np.int64)
@@ -194,6 +198,7 @@ class _PeerIndex:
                 self._grow()
         self.lookup[name.encode()] = index
         self.version += 1
+        self.names += 1
         return index
 
     def _grow(self) -> None:
@@ -212,6 +217,7 @@ class _PeerIndex:
         """Forget an unhosted peer; its index goes to the next :meth:`add`."""
         self._free.append(self.lookup.pop(name.encode()))
         self.version += 1
+        self.names += 1
 
     def host(self, index: int, incarnation: int, row: int, slot: int) -> None:
         self.incarnation[index] = incarnation
@@ -880,19 +886,24 @@ class LiveMonitorService:
         payloads the parser deferred — is a run for the scalar lane,
         which is the whole decision procedure and may restart or admit a
         peer.  "Known", "current" and "on a row" are therefore true only
-        until the index's version moves: names and mask are then taken
-        again over what is left of the chunk.
+        until the index's version moves: the mask is then taken again
+        over what is left of the chunk — and the names too, if the
+        change was to what a name resolves to (an admission, not a
+        restart).
         """
         index = self._index
         columns = self._decoder.decode_chunk(payloads)
+        names = None
         while payloads:
             incarnations, seqs, sigmas, parsed = columns
             version = index.version
-            who = np.fromiter(
-                map(index.lookup.get, map(name_bytes, payloads), repeat(-1)),
-                dtype=np.int64,
-                count=len(payloads),
-            )
+            if names != index.names:
+                names = index.names
+                who = np.fromiter(
+                    map(index.lookup.get, map(name_bytes, payloads), repeat(-1)),
+                    dtype=np.int64,
+                    count=len(payloads),
+                )
             # ``who`` is -1 for a stranger and meaningless where the
             # header did not parse; as a gather index it reads some
             # other peer's entry, so ``known`` masks those first.
@@ -918,6 +929,7 @@ class LiveMonitorService:
                 if index.version != version:
                     break
             payloads = payloads[start:]
+            who = who[start:]
             columns = [column[start:] for column in columns]
 
     def _book_run(

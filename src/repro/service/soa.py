@@ -12,18 +12,27 @@ with a struct-of-arrays core:
 
 * **state tables** — per-sender NFD-S/U/E state (highest sequence
   number, next freshness index, next freshness point, current verdict,
-  incarnation, delivered count, NFD-E's normalized-arrival window) lives
-  in NumPy arrays indexed by a dense integer *row* id;
+  incarnation, delivered count, NFD-U/E's expiry time and the stamp it
+  was armed under, NFD-E's normalized-arrival window) lives in NumPy
+  arrays indexed by a dense integer *row* id;
 * **one timer wheel** — instead of N independent timer chains there is
   a single deadline heap with *one* scheduled wakeup (the earliest
   deadline).  Same-(η, δ) NFD-S senders on perfect clocks share a
   *cohort*: the whole cohort's freshness point ``τ_i`` is one heap entry
   processed with one vectorized pass, so the wakeup count is O(ticks),
-  not O(senders × ticks);
+  not O(senders × ticks).  All NFD-U/E rows share one entry too, kept
+  beside the heap: a lower bound of the expiry column's minimum, which
+  a heartbeat touches only by arming below it.  When it comes due the
+  expiries that have passed, up to the heap's next entry, are one
+  ``flatnonzero``, and it moves to the column's new minimum: the wheel
+  holds cohorts + NFD-S rows with a clock + 1 entries at any age;
 * **batched ingestion** — :meth:`VectorMonitorEngine.ingest` consumes a
-  time-sorted array of heartbeats and processes the (dominant) trusted
-  NFD-S rows with ``np.maximum.at`` between wheel ticks, reusing the
-  batched-kernel idiom of :mod:`repro.sim.batch`.
+  time-sorted array of heartbeats and, between wheel ticks, applies the
+  receipts that cannot flip a verdict as columns: trusted NFD-S rows
+  with ``np.maximum.at``, trusted NFD-E rows (heard once in the span, a
+  new number, fresh on arrival) with one pass of eq. (6.3) over the
+  window tables.  The rest goes one receipt at a time through the
+  scalar procedure, the only place ``ingest`` emits a transition from.
 
 Correctness bar: the engine produces **bit-identical verdict streams**
 to the reference host (:class:`~repro.sim.monitor.DetectorHost` running
@@ -33,10 +42,13 @@ under churn, restarts, scheduled crashes and fault scenarios.
 
 Tie ordering: when several freshness deadlines land on the *identical*
 timestamp they fire in the order their timers were armed, which is what
-a simulator with one timer per detector does.  Every wheel entry carries
-an arming stamp — a fresh one per NFD-U/E arm and per initial arm, one
-shared by all re-arms made inside a slice (the per-detector NFD-S timers
-re-arm together, in start order, from inside the previous firing) — and
+a simulator with one timer per detector does.  Every deadline carries
+an arming stamp — a fresh one per initial arm, one shared by all re-arms
+made inside a slice (the per-detector NFD-S timers re-arm together, in
+start order, from inside the previous firing), and for an NFD-U/E
+expiry the stamp column's entry: one per heartbeat that arms, numbered
+in arrival order across the lanes of a span (a timer a listener arms
+from inside a span's transition is stamped after the whole span) — and
 a slice's suspicions are emitted in ``(stamp, row id)`` order, row ids
 being assigned in registration order.  Deadlines at time ``t`` are
 processed before heartbeats arriving at ``t``; the per-detector host
@@ -90,6 +102,14 @@ KIND_NFDE = 2
 #: whole — but keeps tuples comparable)
 _ENTRY_ROW = 0
 _ENTRY_COHORT = 1
+
+#: receipts of trusted perfect-clock NFD-E rows in a span from which the
+#: vector lane (about 40 µs a call) beats the scalar one.  µs per
+#: heartbeat of ``ingest`` in chunks of that size (10^4 NFD-E rows, one
+#: heartbeat each per slot, best of three medians over eight slots),
+#: scalar → vector: 4: 9.8 → 11.7, 6: 6.6 → 7.8, 8: 5.8 → 5.5, 12: 5.0 →
+#: 3.9, 16: 4.7 → 2.8, 32: 4.0 → 1.5, 64: 3.8 → 0.77, 256: 3.4 → 0.26.
+_NFDE_VECTOR_FROM = 8
 
 #: transition sink signature: (real_time, local_time, "T"/"S")
 TransitionSink = Callable[[float, float, str], None]
@@ -192,8 +212,13 @@ class VectorMonitorEngine:
         self._max_seq = np.zeros(cap, dtype=np.int64)  # max seq (S) / ℓ (U/E)
         self._next_check = np.zeros(cap, dtype=np.int64)  # S freshness index
         self._tau_next = np.zeros(cap, dtype=np.float64)  # U/E τ_{ℓ+1} (local)
-        # U/E: stamp of the live expiry entry (any other stamp is stale)
+        # U/E: real time at which the row is suspected unless a fresher
+        # heartbeat moves it (inf: none), and the stamp it was armed under
+        self._expiry_at = np.full(cap, math.inf)
         self._expiry_stamp = np.zeros(cap, dtype=np.int64)
+        # the wheel's one entry for every U/E row: a lower bound of
+        # ``_expiry_at``'s minimum, kept beside the heap
+        self._expiry_bound = math.inf
         self._incarnation = np.zeros(cap, dtype=np.int64)
         self._delivered = np.zeros(cap, dtype=np.int64)
         # ``_clocks[row] is None`` as a column, for the ingest fast lane
@@ -207,6 +232,9 @@ class VectorMonitorEngine:
         self._win_head = np.zeros(0, dtype=np.int64)
         self._win_sum = np.zeros(0, dtype=np.float64)
         self._win_len = np.zeros(0, dtype=np.int64)
+        # scratch: position of a slot's last receipt in the span at hand
+        self._win_mark = np.zeros(0, dtype=np.int64)
+        self._win_free: List[int] = []  # slots of removed rows
         # Per-row Python-object state (cold; scalar paths only)
         self._clocks: List[Optional[Clock]] = []
         self._sinks: List[Optional[TransitionSink]] = []
@@ -242,8 +270,9 @@ class VectorMonitorEngine:
 
     @property
     def pending_deadlines(self) -> int:
-        """Heap entries (including lazily-invalidated ones)."""
-        return len(self._heap)
+        """Wheel entries: the heap's, plus the one all NFD-U/E
+        expiries share while any is armed."""
+        return len(self._heap) + (self._expiry_bound < math.inf)
 
     def output_char(self, row: int) -> str:
         return TRUST if self._trusted[row] else SUSPECT
@@ -277,6 +306,7 @@ class VectorMonitorEngine:
             "_max_seq",
             "_next_check",
             "_tau_next",
+            "_expiry_at",
             "_expiry_stamp",
             "_incarnation",
             "_delivered",
@@ -287,6 +317,8 @@ class VectorMonitorEngine:
             grown = np.zeros(cap, dtype=old.dtype)
             if name == "_win_slot":
                 grown.fill(-1)
+            elif name == "_expiry_at":
+                grown.fill(math.inf)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
 
@@ -299,22 +331,30 @@ class VectorMonitorEngine:
             ]
             self._win_buf = grown
             self._win_width = width
-        if self._win_rows == len(self._win_count):
-            cap = max(2 * len(self._win_count), 8)
-            for name in ("_win_count", "_win_head", "_win_len"):
-                old = getattr(self, name)
-                grown = np.zeros(cap, dtype=np.int64)
-                grown[: self._win_rows] = old[: self._win_rows]
-                setattr(self, name, grown)
-            grown_sum = np.zeros(cap)
-            grown_sum[: self._win_rows] = self._win_sum[: self._win_rows]
-            self._win_sum = grown_sum
-            if self._win_buf.shape[0] < cap:
-                grown_buf = np.zeros((cap, self._win_width))
-                grown_buf[: self._win_rows] = self._win_buf[: self._win_rows]
-                self._win_buf = grown_buf
-        slot = self._win_rows
-        self._win_rows += 1
+        if self._win_free:
+            slot = self._win_free.pop()  # a removed row's ring, emptied
+            self._win_count[slot] = self._win_head[slot] = 0
+            self._win_sum[slot] = 0.0
+        else:
+            slot = self._win_rows
+            if slot == len(self._win_count):
+                cap = max(2 * slot, 8)
+                for name in (
+                    "_win_count",
+                    "_win_head",
+                    "_win_len",
+                    "_win_mark",
+                    "_win_sum",
+                ):
+                    old = getattr(self, name)
+                    grown = np.zeros(cap, dtype=old.dtype)
+                    grown[:slot] = old
+                    setattr(self, name, grown)
+                if self._win_buf.shape[0] < cap:
+                    grown_buf = np.zeros((cap, self._win_width))
+                    grown_buf[:slot] = self._win_buf[:slot]
+                    self._win_buf = grown_buf
+            self._win_rows += 1
         self._win_len[slot] = window
         self._win_slot[row] = slot
 
@@ -381,10 +421,17 @@ class VectorMonitorEngine:
         """Retire a row.  **Idempotent**; no transition is ever emitted
         for the row after this returns — deadlines already due in the
         wheel are invalidated, the SoA analogue of cancelling a removed
-        sender's timer chain."""
+        sender's timer chain.  Nothing of the row's owner stays
+        referenced, and an NFD-E row's window slot goes to the next one
+        registered."""
         if row < 0 or row >= self._n or not self._active[row]:
             return
         self._active[row] = False
+        self._expiry_at[row] = math.inf
+        self._sinks[row] = self._clocks[row] = self._ea_fns[row] = None
+        if self._win_slot[row] >= 0:
+            self._win_free.append(int(self._win_slot[row]))
+            self._win_slot[row] = -1
 
     # ------------------------------------------------------------------ #
     # Clock helpers (scalar paths)
@@ -434,14 +481,22 @@ class VectorMonitorEngine:
             # NFD-U/E: τ_0 = 0; arm only if the local clock is behind it.
             if self._tau_next[row] > self._local(row, now_real):
                 real = max(self._real(row, self._tau_next[row]), self._time)
-                self._arm_expiry(row, real)
+                self._arm_expiry(row, real, self._next_stamp())
         self._request_wakeup()
 
-    def _arm_expiry(self, row: int, real: float) -> None:
-        """Push the NFD-U/E row's expiry; superseded entries go stale."""
-        stamp = self._next_stamp()
+    def _arm_expiry(self, row: int, real: float, stamp: int) -> None:
+        """Set the NFD-U/E row's expiry, replacing the one it had; the
+        shared entry moves only when this one lands below it."""
+        self._expiry_at[row] = real
         self._expiry_stamp[row] = stamp
-        heapq.heappush(self._heap, (real, stamp, _ENTRY_ROW, row, -1))
+        if real < self._expiry_bound:
+            self._expiry_bound = real
+
+    def _next_deadline(self) -> float:
+        """Earliest wheel entry (inf: none)."""
+        if self._heap and self._heap[0][0] < self._expiry_bound:
+            return self._heap[0][0]
+        return self._expiry_bound
 
     def _join_cohort(self, row: int, eta: float, delta: float) -> None:
         key = (eta, delta)
@@ -469,10 +524,8 @@ class VectorMonitorEngine:
         # member is picked up when the shared grid reaches it.
 
     def _request_wakeup(self) -> None:
-        if not self._heap:
-            return
-        t = self._heap[0][0]
-        if self._armed is not None and self._armed <= t:
+        t = self._next_deadline()
+        if t == math.inf or (self._armed is not None and self._armed <= t):
             return
         self._armed = t
         self._scheduler.wake_at(t, self._on_wake)
@@ -493,14 +546,36 @@ class VectorMonitorEngine:
         their transitions emitted in arming order (module docstring).
         """
         heap = self._heap
-        while heap and heap[0][0] <= time:
-            t0 = heap[0][0]
+        while True:
+            ahead = heap[0][0] if heap else math.inf
+            t0 = min(ahead, self._expiry_bound)
+            if t0 > time or t0 == math.inf:
+                break
+            if t0 < ahead:
+                self._expire_run(time, ahead)
+                continue
             entries = []
             while heap and heap[0][0] == t0:
                 entries.append(heapq.heappop(heap))
             self._time = max(self._time, t0)
             self._process_slice(t0, entries)
         self._time = max(self._time, time)
+
+    def _expire_run(self, time: float, ahead: float) -> None:
+        """The shared NFD-U/E entry with no heap entry on its instant:
+        every expiry up to ``time`` and short of the heap's next entry
+        ``ahead`` — however many instants they fall on — gathered once
+        and fired in ``(instant, stamp, row)`` order."""
+        expiry = self._expiry_at[: self._n]
+        due = np.flatnonzero((expiry <= time) & (expiry < ahead))
+        stamps = self._expiry_stamp[due].tolist()
+        for t, _, row in sorted(zip(expiry[due].tolist(), stamps, due.tolist())):
+            self._expiry_at[row] = math.inf
+            self._time = max(self._time, t)
+            if self._trusted[row]:
+                self._trusted[row] = False
+                self._emit(row, t, SUSPECT)
+        self._expiry_bound = float(self._expiry_at[: self._n].min())
 
     def _process_slice(self, t0: float, entries: List[Tuple]) -> None:
         suspects: List[Tuple[int, int]] = []  # (stamp that fired, row)
@@ -545,32 +620,31 @@ class VectorMonitorEngine:
                     )
                 )
             else:
+                # NFD-S row with a clock: b is the freshness index.
                 row = a
-                if not self._active[row]:
+                if not self._active[row] or b != self._next_check[row]:
                     continue
-                if b >= 0:
-                    # NFD-S (non-perfect clock): b is the freshness index.
-                    if b != self._next_check[row]:
-                        continue
-                    if self._max_seq[row] < b and self._trusted[row]:
-                        self._trusted[row] = False
-                        suspects.append((stamp, row))
-                    self._next_check[row] = b + 1
-                    eta = float(self._eta[row])
-                    delta = float(self._shift[row])
-                    real = max(
-                        self._real(row, (b + 1) * eta + delta), t0
-                    )
-                    rearm.append((real, rearm_stamp, _ENTRY_ROW, row, b + 1))
-                else:
-                    # NFD-U/E expiry.
-                    if stamp != self._expiry_stamp[row]:
-                        continue  # cancelled by a later heartbeat
-                    if self._trusted[row]:
-                        self._trusted[row] = False
-                        suspects.append((stamp, row))
+                if self._max_seq[row] < b and self._trusted[row]:
+                    self._trusted[row] = False
+                    suspects.append((stamp, row))
+                self._next_check[row] = b + 1
+                eta = float(self._eta[row])
+                delta = float(self._shift[row])
+                real = max(self._real(row, (b + 1) * eta + delta), t0)
+                rearm.append((real, rearm_stamp, _ENTRY_ROW, row, b + 1))
         for item in rearm:
             heapq.heappush(self._heap, item)
+        if self._expiry_bound <= t0:
+            # The shared NFD-U/E entry on a heap entry's instant: the
+            # expiries that have come due join the slice, each under the
+            # stamp it was armed with; then the column's new minimum.
+            expiry = self._expiry_at[: self._n]
+            due = np.flatnonzero(expiry <= t0)
+            expiry[due] = math.inf
+            due = due[self._trusted[due]]
+            self._trusted[due] = False
+            suspects += zip(self._expiry_stamp[due].tolist(), due.tolist())
+            self._expiry_bound = float(expiry.min())
         if suspects:
             suspects.sort()
             for _, row in suspects:
@@ -639,7 +713,11 @@ class VectorMonitorEngine:
             self._trusted[row] = True
             self._emit(row, t, TRUST)
 
-    def _deliver_nfdu(self, row: int, seq: int, t: float) -> None:
+    def _deliver_nfdu(
+        self, row: int, seq: int, t: float, stamp: int = 0
+    ) -> None:
+        """One NFD-U/E receipt (Fig. 9 lines 8-11); ``stamp`` is the
+        arming stamp :meth:`ingest` reserved for it (0: take the next)."""
         if seq <= self._max_seq[row]:
             return  # old or duplicate message: no effect (Fig. 9)
         self._max_seq[row] = seq
@@ -651,14 +729,15 @@ class VectorMonitorEngine:
             ea = self._ea_fns[row](seq + 1)
         tau = ea + float(self._shift[row])
         self._tau_next[row] = tau
-        self._expiry_stamp[row] = 0  # cancels any armed expiry
         if now_local < tau:
             if not self._trusted[row]:
                 self._trusted[row] = True
                 self._emit(row, t, TRUST)
-            self._arm_expiry(row, max(self._real(row, tau), t))
+            real = max(self._real(row, tau), t)
+            self._arm_expiry(row, real, stamp or self._next_stamp())
         else:
             # m_ℓ already stale on arrival: remain (or become) suspect.
+            self._expiry_at[row] = math.inf
             if self._trusted[row]:
                 self._trusted[row] = False
                 self._emit(row, t, SUSPECT)
@@ -700,11 +779,14 @@ class VectorMonitorEngine:
     ) -> None:
         """Consume a batch of heartbeats sorted by arrival time.
 
-        Between consecutive wheel deadlines, receipts for *trusted*
-        perfect-clock NFD-S rows — the steady-state bulk — are applied
-        as single vectorized passes; receipts that can transition
-        (suspected rows, NFD-U/E rows, skewed clocks) replay through the
-        exact scalar path, preserving bit-identical verdict streams.
+        Between consecutive wheel deadlines, receipts that cannot flip a
+        verdict — the steady-state bulk — are applied as vector passes:
+        those of *trusted* perfect-clock NFD-S rows, and those of
+        trusted perfect-clock NFD-E rows that are new, fresh on arrival
+        and the row's only one in the span.  Everything else (suspected
+        rows, stale, old or repeated receipts, NFD-U rows — ``EA`` is a
+        Python callable —, skewed clocks) replays through the exact
+        scalar path in arrival order: bit-identical verdict streams.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -714,12 +796,7 @@ class VectorMonitorEngine:
             raise InvalidParameterError("times/rows/seqs length mismatch")
         pos = 0
         while pos < n:
-            t_dead = self._heap[0][0] if self._heap else math.inf
-            hi = (
-                int(np.searchsorted(times, t_dead, side="left"))
-                if math.isfinite(t_dead)
-                else n
-            )
+            hi = int(np.searchsorted(times, self._next_deadline(), "left"))
             if hi > pos:
                 self._ingest_chunk(
                     times[pos:hi], rows[pos:hi], seqs[pos:hi]
@@ -732,36 +809,100 @@ class VectorMonitorEngine:
     def _ingest_chunk(
         self, times: np.ndarray, rows: np.ndarray, seqs: np.ndarray
     ) -> None:
-        """Apply a deadline-free span of receipts."""
+        """Apply a span of receipts that no deadline armed before it
+        falls inside."""
         act = self._active[rows]
         if not act.all():
             times, rows, seqs = times[act], rows[act], seqs[act]
             if len(rows) == 0:
                 return
         np.add.at(self._delivered, rows, 1)
-        # Fast lane: trusted, perfect-clock NFD-S rows.  No deadline
-        # falls inside the chunk, so a trusted row stays trusted for the
-        # whole span and its receipts reduce to a running max.
-        fast = (
-            (self._kind[rows] == KIND_NFDS)
-            & self._trusted[rows]
-            & self._clockless[rows]
-        )
+        # One arming stamp a receipt, in arrival order whichever lane
+        # takes it: expiries armed here that fall on one instant fire in
+        # the order the per-detector timers were armed in.
+        base = self._stamp
+        self._stamp += len(rows)
+        kind = self._kind[rows]
+        # A trusted row stays trusted up to its receipt: the deadline
+        # that could suspect it is not inside the span.
+        calm = self._trusted[rows] & self._clockless[rows]
+        fast = calm & (kind == KIND_NFDS)  # receipts reduce to a running max
         if fast.any():
             np.maximum.at(self._max_seq, rows[fast], seqs[fast])
         slow = ~fast
         if slow.any():
-            for t, row, seq in zip(times[slow], rows[slow], seqs[slow]):
-                row = int(row)
-                t = float(t)
+            nfde = np.flatnonzero(calm & (kind == KIND_NFDE))
+            if len(nfde) >= _NFDE_VECTOR_FROM:
+                slow[self._ingest_nfde(times, rows, seqs, nfde, base)] = False
+            index = np.flatnonzero(slow)
+            for k, t, row, seq in zip(
+                index.tolist(),
+                times[index].tolist(),
+                rows[index].tolist(),
+                seqs[index].tolist(),
+            ):
+                if self._next_deadline() <= t:
+                    self.advance(t)  # an expiry armed inside the span
+                if not self._active[row]:
+                    continue  # removed by a listener earlier in the span
                 self._time = max(self._time, t)
-                kind = self._kind[row]
-                if kind == KIND_NFDS:
-                    self._deliver_nfds(row, int(seq), t)
+                if self._kind[row] == KIND_NFDS:
+                    self._deliver_nfds(row, seq, t)
                 else:
-                    self._deliver_nfdu(row, int(seq), t)
-        if len(times):
-            self._time = max(self._time, float(times[-1]))
+                    self._deliver_nfdu(row, seq, t, base + 1 + k)
+        self._time = max(self._time, float(times[-1]))
+
+    def _ingest_nfde(
+        self,
+        times: np.ndarray,
+        rows: np.ndarray,
+        seqs: np.ndarray,
+        at: np.ndarray,
+        base: int,
+    ) -> np.ndarray:
+        """The NFD-E lane: eq. (6.3) and ``τ_{ℓ+1} = EA_{ℓ+1} + α`` as
+        columns over the span positions ``at`` (receipts of trusted
+        perfect-clock NFD-E rows), in :meth:`_observe_window`'s float-op
+        order.  Returns the positions it applied; a row heard twice, an
+        old or duplicate number and a receipt stale on arrival (the
+        verdict flips) are left to the scalar lane, untouched.
+        """
+        slot = self._win_slot[rows[at]]
+        order = np.arange(len(at))
+        self._win_mark[slot] = order
+        keep = self._win_mark[slot] == order  # but for a row's last receipt
+        if not keep.all():
+            keep = ~np.isin(slot, slot[~keep])
+        while True:
+            if not keep.all():
+                at, slot = at[keep], slot[keep]
+                if not len(at):
+                    return at
+            r, s, t = rows[at], seqs[at], times[at]
+            eta = self._eta[r]
+            width = self._win_len[slot]
+            count = self._win_count[slot]
+            head = self._win_head[slot]
+            full = count == width
+            pos = (head + count) % width  # the oldest entry when full
+            norm = t - eta * s
+            total = self._win_sum[slot] + norm
+            total = np.where(full, total - self._win_buf[slot, pos], total)
+            count += ~full
+            tau = total / count + eta * (s + 1) + self._shift[r]
+            keep = (s > self._max_seq[r]) & (t < tau)
+            if keep.all():
+                break  # else nothing is written yet: take the rest again
+        self._win_buf[slot, pos] = norm
+        self._win_head[slot] = (head + full) % width
+        self._win_count[slot] = count
+        self._win_sum[slot] = total
+        self._max_seq[r] = s
+        self._tau_next[r] = tau
+        self._expiry_at[r] = tau  # t < τ and no clock: real time τ
+        self._expiry_stamp[r] = base + 1 + at
+        self._expiry_bound = min(self._expiry_bound, float(tau.min()))
+        return at
 
 
 # ---------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.errors import EstimationError
 from repro.estimation import HeartbeatObserver
@@ -26,13 +27,23 @@ from repro.live.wire import encode_heartbeat
 from tests.reference import HOSTINGS, SteppedLoop, hosted, observer_state
 
 ETA, DELTA = 0.05, 0.03
+#: NFD-E slack: a heartbeat drained at s·η + 0.01 stays fresh until
+#: (s + 1)·η + 0.04 — past the next drain, short of the one after
+ALPHA = 0.03
 
 
 def _factory(first_seq):
     return NFDS(ETA, DELTA, first_seq=first_seq)
 
 
+def _factory_e(first_seq):
+    return NFDE(ETA, ALPHA, window=4, first_seq=first_seq)
+
+
 def _factory_on(hosting):
+    """``"soa-e"``: an NFD-E row of the engine."""
+    if hosting == "soa-e":
+        return _factory_e
     return lambda first_seq: hosted(hosting, _factory(first_seq))
 
 
@@ -308,18 +319,23 @@ NAN, INF = float("nan"), float("inf")
 OVERFLOW_LIMIT = 6
 
 
-async def drain_stream(stream, *, drain, peers, probe_after=None, **service_kw):
+async def drain_stream(
+    stream, *, drain, peers, probe_after=None, admit=None, **service_kw
+):
     """Offer ``stream`` to a service on a :class:`SteppedLoop` and close
     it.  ``stream`` is a list of ``(slot, step)``: with the clock at
     ``slot·η + 0.01`` a list of payloads is offered as one burst and
     drained, a callable is called with the service (a membership
-    change between chunks).  ``peers`` maps a name to its hosting.
+    change between chunks).  ``peers`` maps a name to its hosting;
+    ``admit(service, name)`` is the admission hook.
 
     Returns the counters, the results, the published events, ``delivered_count`` of every hosted peer read
     mid-run (after step ``probe_after``), and how often the columnar
     and the scalar lane ran.
     """
     loop = SteppedLoop()
+    if admit is not None:
+        service_kw["auto_admit"] = lambda name: admit(service, name)
     service = LiveMonitorService(
         loop=loop,
         origin=0.0,
@@ -333,7 +349,8 @@ async def drain_stream(stream, *, drain, peers, probe_after=None, **service_kw):
             (e.time, e.process, e.output, e.administrative, e.incarnation)
         )
     )
-    lanes = {"columnar": 0, "scalar": 0}
+    #: calls of the drain's two lanes; receipts the engine's NFD-E lane took
+    lanes = {"columnar": 0, "scalar": 0, "nfde": 0}
 
     def count_calls(lane, method):
         inner = getattr(service, method)
@@ -348,6 +365,16 @@ async def drain_stream(stream, *, drain, peers, probe_after=None, **service_kw):
     count_calls("scalar", "_dispatch_scalar")
     for name, hosting in peers.items():
         service.add_peer(name, _factory_on(hosting), eta=ETA)
+    engine = service.soa_engine
+    if engine is not None:
+        nfde_lane = engine._ingest_nfde
+
+        def counted_nfde(*args):
+            taken = nfde_lane(*args)
+            lanes["nfde"] += len(taken)
+            return taken
+
+        engine._ingest_nfde = counted_nfde
     service.start()
     offered, midrun = 0, None
     for k, (slot, step) in enumerate(stream):
@@ -477,18 +504,31 @@ REGULARS = [
     "🙂node",
     "é",
     "p" * 80,
-] + [f"n{i:02d}" for i in range(52)]
+] + [f"n{i:02d}" for i in range(50)]
 RESTARTER, SILENT, REFERENCE = "x", "quiet", "r0"
+RESTARTER_E, SILENT_E = "xe", "quiet-e"
 #: 64 peers fill the index's first columns to the brim, so a stranger's
-#: -1, used as a gather index, reads a real engine row's entry (the last)
+#: -1, used as a gather index, reads a real engine row's entry (the last).
+#: Half the engine's rows are NFD-E: the restarter and the silent peer
+#: come in both kinds, and so does every other regular one.
 COLUMNAR_PEERS = {
     REFERENCE: "object",
-    **{name: "soa" for name in (RESTARTER, SILENT, *REGULARS)},
+    RESTARTER: "soa",
+    SILENT: "soa",
+    RESTARTER_E: "soa-e",
+    SILENT_E: "soa-e",
+    **{name: ("soa-e", "soa")[i % 2] for i, name in enumerate(REGULARS)},
 }
 
 
-def _admit_g(name):
-    """Admission hook: names in ``g…`` are admitted, the rest refused."""
+EVICTED = "n07"
+
+
+def _admit_g(service, name):
+    """Admission hook: names in ``g…`` are admitted, the rest refused;
+    ``g1`` takes the place — and the freed index — of ``EVICTED``."""
+    if name == "g1":
+        service.remove_peer(EVICTED)
     return (_factory, ETA) if name.startswith("g") else None
 
 
@@ -502,8 +542,12 @@ def columnar_stream():
             name, inc, seq, seq * ETA if sigma is None else sigma
         )
 
+    gone = set()
+
     def regular(slot, skip=()):
-        names = [n for n in (*REGULARS, REFERENCE) if n not in skip]
+        names = [
+            n for n in (*REGULARS, REFERENCE) if n not in skip and n not in gone
+        ]
         return [hb(names[i], slot) for i in rng.permutation(len(names))]
 
     def junk(slot):
@@ -522,10 +566,16 @@ def columnar_stream():
         ]
 
     def spliced(burst, extra, where):
-        at = {"head": 0, "middle": len(burst) // 2, "tail": len(burst)}[where]
+        at = {
+            "head": 0,
+            "third": len(burst) // 3,
+            "middle": len(burst) // 2,
+            "tail": len(burst),
+        }[where]
         return burst[:at] + extra + burst[at:]
 
-    stream = [(slot, regular(slot) + [hb(SILENT, slot), hb(RESTARTER, slot)])
+    specials = (SILENT, RESTARTER, SILENT_E, RESTARTER_E)
+    stream = [(slot, regular(slot) + [hb(name, slot) for name in specials])
               for slot in (1, 2)]
     # junk of each kind at the head, in the middle and at the tail of a
     # chunk; the tail one ends on a short datagram (gather past the buffer)
@@ -534,35 +584,47 @@ def columnar_stream():
         if where == "tail":
             extra = extra[2:] + extra[:2]
         stream.append((slot, spliced(regular(slot), extra, where)))
-    # SILENT was suspected at τ_3; it returns here (S→T on the engine's
-    # scalar lane).  Restart, straggler and the new incarnation's next
-    # heartbeat in one chunk: the peer's state moves under the mask.
+    # SILENT was suspected at τ_3, SILENT_E when m_2 went stale; they
+    # return here (S→T on the engine's scalar lane).  Restart, straggler
+    # and the new incarnation's next heartbeat in one chunk, once for
+    # each kind: the peer's state moves under the mask, and its old
+    # row's expiry and window leave the engine in mid-chunk.
+    def restart(name):
+        return [hb(name, 8, inc=1), hb(name, 5), hb(name, 9, inc=1)]
+
     stream.append(
         (
             6,
             spliced(
-                regular(6) + [hb(SILENT, 6)],
-                [
-                    hb(RESTARTER, 8, inc=1),
-                    hb(RESTARTER, 5),
-                    hb(RESTARTER, 9, inc=1),
-                ],
-                "middle",
+                spliced(
+                    regular(6) + [hb(SILENT, 6), hb(SILENT_E, 6)],
+                    restart(RESTARTER),
+                    "middle",
+                ),
+                restart(RESTARTER_E),
+                "third",
             ),
         )
     )
     # strangers: one refused, one admitted whose second heartbeat
-    # follows in the same chunk (its name was unknown at the head)
+    # follows in the same chunk (its name was unknown at the head), and
+    # one whose admission evicts a peer heard earlier in the chunk: the
+    # index that name was probed to is the newcomer's by its next one
     stream.append(
         (
             7,
             spliced(
-                regular(7),
-                [hb("zz", 7), hb("g0", 9), hb("n01", 7), hb("g0", 10)],
-                "middle",
+                spliced(
+                    regular(7, skip=(EVICTED,)),
+                    [hb("zz", 7), hb("g0", 9), hb("n01", 7), hb("g0", 10)],
+                    "middle",
+                ),
+                [hb(EVICTED, 7), hb("g1", 9), hb(EVICTED, 8), hb("g1", 10)],
+                "third",
             ),
         )
     )
+    gone.add(EVICTED)
     # one peer's duplicate and out-of-order repeat, split across the
     # lanes: the trailing-byte payloads are deferred to the scalar one
     stream.append(
@@ -691,11 +753,13 @@ class TestEstimatorIdentity:
                     peers=COLUMNAR_PEERS,
                     probe_after=probe,
                     inbox_limit=4096,
-                    auto_admit=_admit_g,
+                    admit=_admit_g,
                 )
             counters, results, events, midrun, lanes = runs[1]
-            assert lanes["columnar"] == 0
+            assert lanes["columnar"] == 0 and lanes["nfde"] == 0
             assert len(COLUMNAR_PEERS) == 64
+            kinds = Counter(COLUMNAR_PEERS.values())
+            assert kinds["soa-e"] == 32 and kinds["soa"] == 31
             for drain, got in runs.items():
                 assert got[0] == counters, drain
                 assert digest(got[1]) == digest(results), drain
@@ -709,23 +773,27 @@ class TestEstimatorIdentity:
                 columnar = drain >= _COLUMNAR_FROM
                 assert (got[4]["columnar"] > 0) == columnar, drain
                 assert got[4]["scalar"] > 0
+                # a chunk of 19 or more has the engine's NFD-E lane run
+                assert (got[4]["nfde"] > 100) == (drain >= 19), drain
             # the stream met every decision, and the traps
             assert counters["live_datagrams_invalid_total"] == 3 * 8
-            assert counters["live_unknown_sender_total"] == 2
-            assert counters["live_stale_incarnation_total"] == 1
-            assert counters["live_incarnation_restarts_total"] == 1
+            assert counters["live_unknown_sender_total"] == 3
+            assert counters["live_stale_incarnation_total"] == 2
+            assert counters["live_incarnation_restarts_total"] == 2
             assert counters["live_prewindow_heartbeats_total"] == 2
             books = digest(results)
-            assert books["x", 1, 7][0] == 2
-            assert books["g0", 0, 8][0] == 3
+            assert books["x", 1, 7][0] == books["xe", 1, 7][0] == 2
+            assert books["g0", 0, 8][0] == 3 and books["g1", 0, 8][0] == 2
+            assert books[EVICTED, 0, 1][0] == 7
             assert books["n03", 0, 1][0] == 8 and books["n03", 0, 10][0] == 3
             assert books["fresh", 0, 10][0] == 1
             assert midrun["n02"] == 7 + 5 and midrun[REFERENCE] == 8
-            kinds = [(e[2], e[3]) for e in _by_process(events)[SILENT]]
-            assert kinds == [
-                ("S", True), ("T", False), ("S", False), ("T", False),
-                ("S", False), ("S", True),
-            ]
+            for name in (SILENT, SILENT_E):
+                kinds = [(e[2], e[3]) for e in _by_process(events)[name]]
+                assert kinds == [
+                    ("S", True), ("T", False), ("S", False), ("T", False),
+                    ("S", False), ("S", True),
+                ], name
 
         asyncio.run(main())
 

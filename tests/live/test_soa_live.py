@@ -11,10 +11,12 @@ which.
 from __future__ import annotations
 
 import asyncio
+import gc
 
 import numpy as np
 
 from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
+from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
@@ -204,6 +206,48 @@ class TestRemoval:
             # The retired row's deadline must not fire a ghost S.
             await asyncio.sleep(0.2)
             assert service.results == [first]
+            await service.aclose()
+
+        asyncio.run(main())
+
+    def test_restarts_leave_nothing_behind_in_the_engine(self):
+        """A restarted incarnation's row is retired, not reused — but
+        what it referenced (the host behind its sink, through it the
+        estimator and the transition hook) must go, and an NFD-E row's
+        window ring must serve the next incarnation: 1 000 restarts of
+        one peer cost the engine 1 000 rows of columns and nothing
+        else."""
+
+        def hosts():
+            gc.collect()
+            return sum(type(o) is SoALiveHost for o in gc.get_objects())
+
+        async def main():
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop, origin=0.0, drain_batch=64, keep_traces=False
+            )
+            service.add_peer(
+                "p0",
+                lambda first_seq: NFDE(0.05, 0.03, window=8, first_seq=first_seq),
+                eta=0.05,
+            )
+            service.start()
+            before = hosts()
+            for incarnation in range(1, 1001):
+                loop.run_until(incarnation * 0.05 + 0.01)
+                for seq in (incarnation + 1, incarnation + 2):
+                    service.on_datagram(
+                        encode_heartbeat("p0", incarnation, seq, seq * 0.05)
+                    )
+                await drain(service, rounds=3)
+            assert counter(service, "live_incarnation_restarts_total") == 1000
+            eng = service.soa_engine
+            assert eng.n_rows == 1001 and eng.n_active == 1
+            assert eng._win_rows <= 2
+            assert eng.pending_deadlines <= 1
+            assert hosts() == before == 1
+            assert sum(s is not None for s in eng._sinks) == 1
             await service.aclose()
 
         asyncio.run(main())

@@ -272,6 +272,36 @@ class TestRemoval:
         # rows) entries, not O(removed rows).
         assert eng.pending_deadlines <= 4
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: NFDU(eta=ETA, alpha=DELTA, expected_arrival=lambda i: i * ETA),
+            lambda: NFDE(eta=ETA, alpha=DELTA, window=4),
+        ],
+        ids=["nfdu", "nfde"],
+    )
+    def test_expiries_share_one_entry_whatever_was_heard_or_removed(
+        self, factory
+    ):
+        eng = engine()
+        rows = [eng.register(factory()) for _ in range(64)]
+        for row in rows:
+            eng.start_row(row)
+        for seq in range(1, 6):  # five heartbeats a row: 320 arms
+            for row in rows:
+                eng.deliver(row, seq, at_real=seq * ETA + 0.001 * row)
+            assert eng.pending_deadlines == 1
+        for row in rows[:60]:
+            eng.remove(row)
+        assert eng.pending_deadlines <= 1
+        eng.advance(100.0)
+        assert eng.n_active == 4
+        # the removed rows' expiries went with them: four suspicions
+        assert [(row, out) for _, row, out in eng.transition_log[64:]] == [
+            (row, "S") for row in rows[60:]
+        ]
+        assert eng.pending_deadlines == 0  # nothing armed, nothing held
+
 
 class TestBatchIngest:
     def test_batch_matches_scalar_bit_for_bit(self):
