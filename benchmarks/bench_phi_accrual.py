@@ -24,7 +24,8 @@ def test_phi_accrual_comparison(benchmark, emit):
 
     max_td = table.column("max T_D")
     mean_td = table.column("mean T_D")
-    # NFD-E's detection bound holds by construction.
-    assert max_td[0] <= 2.0 + 1e-6
+    # NFD-E's T_D is at most alpha + eta (= 1.98) plus its window's
+    # mean delay: near E(D) = 0.02, not bounded by it.
+    assert max_td[0] <= 2.0 + 0.02
     # φ-accrual trades detection speed for accuracy with the threshold.
     assert mean_td[1] < mean_td[-1]

@@ -31,20 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="role", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--uvloop",
-        action="store_true",
-        help=(
-            "run on uvloop (optional dependency); fails loudly if the "
-            "package is not installed"
-        ),
-    )
-
     soak = sub.add_parser(
-        "soak",
-        parents=[common],
-        help="loopback soak gated against the Theorem 5 closed forms",
+        "soak", help="loopback soak gated against the Theorem 5 closed forms"
     )
     soak.add_argument("--peers", type=int, default=4)
     soak.add_argument("--eta", type=float, default=0.05)
@@ -75,24 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "Prometheus exposition goes alongside with a .prom suffix"
         ),
     )
-    soak.add_argument(
-        "--drain-batch",
-        type=int,
-        default=256,
-        help="datagrams drained per consumer wakeup (1 = per-datagram)",
-    )
-    soak.add_argument(
-        "--fanout",
-        action="store_true",
-        help=(
-            "pace all senders off one HeartbeatFanout timer instead of "
-            "one asyncio task per sender"
-        ),
-    )
 
-    send = sub.add_parser(
-        "send", parents=[common], help="UDP heartbeat sender (process p)"
-    )
+    send = sub.add_parser("send", help="UDP heartbeat sender (process p)")
     send.add_argument("--name", required=True, help="this process's name")
     send.add_argument("--host", default="127.0.0.1")
     send.add_argument("--port", type=int, required=True)
@@ -105,11 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bump after a restart (a recovered process is a new identity)",
     )
 
-    mon = sub.add_parser(
-        "monitor",
-        parents=[common],
-        help="UDP heartbeat monitor (process q)",
-    )
+    mon = sub.add_parser("monitor", help="UDP heartbeat monitor (process q)")
     mon.add_argument("--host", default="0.0.0.0")
     mon.add_argument("--port", type=int, required=True)
     mon.add_argument("--eta", type=float, default=1.0)
@@ -125,12 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--duration", type=float, default=None)
     mon.add_argument("--report-every", type=float, default=2.0)
     mon.add_argument("--telemetry-out", type=Path, default=None)
-    mon.add_argument(
-        "--drain-batch",
-        type=int,
-        default=256,
-        help="datagrams drained per consumer wakeup (1 = per-datagram)",
-    )
     return parser
 
 
@@ -156,8 +118,6 @@ def _run_soak(args) -> int:
         kill=args.kill,
         kill_after=args.kill_after,
         seed=args.seed,
-        drain_batch=args.drain_batch,
-        fanout=args.fanout,
     )
     result = run_soak(config)
     report = result.report()
@@ -208,7 +168,6 @@ def _run_monitor(args) -> int:
                 duration=args.duration,
                 report_every=args.report_every,
                 registry=registry,
-                drain_batch=args.drain_batch,
             )
         )
     except KeyboardInterrupt:
@@ -220,16 +179,6 @@ def _run_monitor(args) -> int:
 
 def live_main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.uvloop:
-        from repro.live.loops import install_uvloop
-
-        if not install_uvloop():
-            print(
-                "error: --uvloop requested but the uvloop package is "
-                "not installed (pip install uvloop)",
-                file=sys.stderr,
-            )
-            return 2
     if args.role == "soak":
         return _run_soak(args)
     if args.role == "send":

@@ -10,7 +10,7 @@ data-dependent timers do not vectorize).
 The instructive outcome: φ-accrual spans a *family* of operating points
 (one per Φ) on the detection-time/accuracy trade-off, while NFD-E with a
 configured (η, α) hits a *contracted* point — detection time bounded by
-construction.
+``α + η`` plus the mean delay of its estimation window.
 """
 
 from __future__ import annotations
@@ -107,8 +107,9 @@ def run_phi_comparison(
             crash.max_detection_time,
         )
     table.add_note(
-        "NFD-E's max T_D is bounded by construction (alpha + eta + E(D)); "
-        "phi-accrual trades detection speed for accuracy via the "
-        "threshold with no hard bound"
+        "NFD-E's T_D is bounded by alpha + eta + the mean delay over its "
+        "eq. 6.3 window (EA uses the window's mean, not E(D), so max T_D "
+        "can sit just above alpha + eta + E(D)); phi-accrual trades "
+        "detection speed for accuracy via the threshold with no hard bound"
     )
     return table

@@ -14,8 +14,8 @@ Layers:
 * :mod:`repro.live.transport` — UDP endpoints and the seedable
   loopback transport driven by the simulation's link models;
 * :mod:`repro.live.soa` — the loop as the hosts' clock-and-timer driver;
-* :mod:`repro.live.sender` — η-paced heartbeat sending;
-* :mod:`repro.live.fanout` — many sender streams off one armed timer;
+* :mod:`repro.live.fanout` — η-paced heartbeat sending: one stream (a
+  real process p) or thousands (a soak, a benchmark) off one armed timer;
 * :mod:`repro.live.monitor` — the monitoring service (bounded inbox,
   incarnation dispatch, supervised consumer);
 * :mod:`repro.live.supervisor` — crash/restart task supervision;
@@ -25,7 +25,6 @@ Layers:
 
 from repro.live.fanout import FanoutStream, HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
-from repro.live.sender import LiveHeartbeatSender
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.soak import KillReport, SoakConfig, SoakGate, SoakResult, run_soak
 from repro.live.supervisor import TaskCrash, TaskSupervisor
@@ -49,7 +48,6 @@ from repro.live.wire import (
 __all__ = [
     "LiveMonitorService",
     "LivePeerResult",
-    "LiveHeartbeatSender",
     "FanoutStream",
     "HeartbeatFanout",
     "SoALiveHost",

@@ -1,12 +1,10 @@
-"""Single-timer heartbeat fan-out: N sender streams, one armed wakeup.
+"""The monitored process p on a real event loop: η-paced heartbeats.
 
-:class:`~repro.live.sender.LiveHeartbeatSender` is one asyncio task per
-sender — the right shape for a real process sending its own heartbeats,
-and the wrong shape for a benchmark or soak driving *thousands* of
-in-process streams: each task costs a coroutine frame, a timer heap
-entry per period, and a scheduler pass per heartbeat.
-
-:class:`HeartbeatFanout` paces any number of streams off **one** armed
+p's algorithm is one line — send ``m_i`` at ``σ_i = i·η`` on the local
+clock (``local = loop.time() − origin``) — and :class:`HeartbeatFanout`
+is its one implementation, whether it paces the single stream of a real
+process (``live send``) or the thousands of in-process streams of a
+soak or a benchmark.  Every stream is paced off **one** armed
 ``loop.call_at`` — the same lazy-wheel idea as
 :class:`~repro.service.soa.VectorMonitorEngine`'s deadline wheel, applied
 to the sending side.  Streams sharing an η join a *cohort* on the shared
@@ -14,14 +12,18 @@ to the sending side.  Streams sharing an η join a *cohort* on the shared
 heartbeat for that slot, so the wakeup count is O(ticks), not
 O(streams × ticks).
 
-Pacing semantics are exactly the task sender's, per stream:
+Pacing semantics are the simulator's
+:class:`~repro.sim.heartbeat.HeartbeatSender`'s, per stream:
 
 * messages carry the *nominal* ``σ_i = i·η``, never the actual departure
-  time;
-* slots already in the past are skipped, never burst — after a stall the
-  stream resumes at its first future slot (the armed slot itself is sent
-  even when the wakeup fires late, matching a sleeping task that wakes
-  past its deadline);
+  time, so receiver-side ``A − S`` measures network delay plus send
+  lateness — the end-to-end quantity the Section 5/6 estimators define;
+* pacing is absolute: a tick fires at its slot's deadline, so scheduling
+  latency does not accumulate into drift over a long run;
+* slots already in the past are skipped, never burst — a stream that
+  joins mid-schedule starts, and one that stalls (an event-loop
+  hiccough, a suspended laptop) resumes, at its first future slot (the
+  armed slot itself is sent even when the wakeup fires late);
 * a stopped stream stops immediately; in-flight datagrams survive
   (Section 3.1 crash semantics), and dead streams are lazily compacted
   out of their cohort at the next tick.
@@ -46,13 +48,8 @@ __all__ = ["FanoutStream", "HeartbeatFanout"]
 
 
 class FanoutStream:
-    """One paced heartbeat stream inside a :class:`HeartbeatFanout`.
-
-    Exposes the surface a soak/benchmark driver needs from
-    :class:`~repro.live.sender.LiveHeartbeatSender` — ``name``,
-    ``sent_count``, ``next_seq``, ``stop()``, ``stopped`` — so the two
-    pacing backends are drop-in interchangeable for drivers.
-    """
+    """One paced heartbeat stream inside a :class:`HeartbeatFanout`:
+    ``name``, ``sent_count``, ``next_seq``, ``stop()``, ``stopped``."""
 
     __slots__ = (
         "name",
@@ -177,9 +174,9 @@ class HeartbeatFanout:
     # ------------------------------------------------------------------ #
 
     def _first_slot(self, eta: float, first_seq: int) -> int:
-        """First sendable slot: skip slots already in the past (the task
-        sender's rule — ``σ < now`` is skipped, ``σ >= now`` is armed),
-        never before ``first_seq``."""
+        """First sendable slot: skip slots already in the past (``σ <
+        now`` is skipped, ``σ >= now`` is armed), never before
+        ``first_seq``."""
         now_local = self.local_now()
         j = max(1, int(math.ceil(now_local / eta)))
         while j * eta < now_local:
@@ -293,8 +290,7 @@ class HeartbeatFanout:
                 )
                 member._sent += 1
                 # Advance to the next slot, skipping any now in the
-                # past — a late tick resumes at the first future slot,
-                # exactly like the task sender after a stall.
+                # past — a late tick resumes at the first future slot.
                 nxt = tick + 1
                 if nxt * eta < now_local:
                     j = max(nxt, int(math.ceil(now_local / eta)))

@@ -25,13 +25,16 @@ with the operational hardening a wall-clock service needs:
   :class:`~repro.live.supervisor.TaskSupervisor` and is restarted if it
   ever dies on an unexpected exception.
 
-The consumer drains the inbox in chunks.  A long enough chunk is decoded
-as columns (:meth:`~repro.live.wire.HeartbeatBatchDecoder.decode_chunk`,
-names resolved through the service's interned peer index) and its
+The consumer drains the inbox in chunks of up to :data:`_DRAIN_BATCH`.
+A long enough chunk is decoded as columns
+(:meth:`~repro.live.wire.HeartbeatBatchDecoder.decode_chunk`) and its
 ordinary heartbeats — known sender, current incarnation, engine row —
 are booked as array slices; everything else in it, and every datagram
 of a short chunk, goes through the one datagram-by-datagram decision
 procedure.  Decisions, counters and books are the same either way.
+Both lanes turn a datagram into a peer the same way: the name bytes
+after the header are probed in the service's interned peer index, and
+only a stranger's name is decoded as UTF-8, for the admission hook.
 
 Traces and online QoS estimators live in the hosts.  The Section 5/6
 estimators (loss / delay / expected arrival) of every incarnation are
@@ -66,8 +69,8 @@ from repro.live.supervisor import TaskSupervisor
 from repro.live.wire import (
     HeartbeatBatchDecoder,
     WireError,
-    decode_heartbeat,
     name_bytes,
+    parse_heartbeat,
 )
 from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.service.events import MonitorEvent
@@ -103,6 +106,13 @@ _SEQ_LIMIT = 1 << 63
 #: 1024: 2.4 → 0.97.  A monitor of a few peers drains chunks below it.
 _COLUMNAR_FROM = 20
 
+#: datagrams the consumer drains per wakeup.  Every datagram of a chunk
+#: shares one receipt time, the consumer's wakeup instant, so a longer
+#: chunk is cheaper (the sweep above: 64: 2.5, 256: 1.25, 1024: 0.97 µs
+#: a heartbeat) and stamps later receipts coarser.  Decisions and
+#: counters are the same for every size (``tests/live/test_batched_drain.py``).
+_DRAIN_BATCH = 256
+
 
 @dataclass(frozen=True)
 class LivePeerResult:
@@ -130,12 +140,10 @@ class _Peer:
         "observe",
     )
 
-    def __init__(
-        self, name, index, eta, factory, observer_windows, observe
-    ) -> None:
+    def __init__(self, name, eta, factory, observer_windows, observe) -> None:
         self.name = name
         #: the peer's entry in the service's :class:`_PeerIndex`
-        self.index = index
+        self.index = -1
         self.eta = eta
         self.factory = factory
         #: (stats_window, arrival_window, loss_reorder_horizon)
@@ -148,9 +156,10 @@ class _Peer:
 
 
 class _PeerIndex:
-    """``name.encode() → dense peer index`` plus, per index, the four
-    integers the columnar drain lane needs to book a heartbeat without
-    touching the peer's objects.
+    """The service's one name resolver: ``name.encode() → dense peer
+    index``, plus, per index, the :class:`_Peer` and the four integers
+    the columnar drain lane needs to book a heartbeat without touching
+    the peer's objects.
 
     Indices are dense (a removed peer's index is reused), so the columns
     stay as long as the largest population ever monitored.  Every write
@@ -163,6 +172,7 @@ class _PeerIndex:
 
     __slots__ = (
         "lookup",
+        "peers",
         "version",
         "names",
         "incarnation",
@@ -173,8 +183,10 @@ class _PeerIndex:
     )
 
     def __init__(self) -> None:
-        #: wire name bytes -> index; the only per-peer objects held here
+        #: wire name bytes -> index
         self.lookup: Dict[bytes, int] = {}
+        #: index -> the peer it resolves to, None: free
+        self.peers: List[Optional[_Peer]] = []
         self.version = self.names = 0
         cap = 64
         #: the incarnation currently monitored
@@ -189,17 +201,23 @@ class _PeerIndex:
         self.booked = np.zeros(cap, dtype=np.int64)
         self._free: List[int] = []
 
-    def add(self, name: str) -> int:
+    def add(self, peer: _Peer) -> None:
         if self._free:
             index = self._free.pop()
+            self.peers[index] = peer
         else:
-            index = len(self.lookup)  # dense: 0 .. len − 1 are all in use
+            index = len(self.peers)  # dense: 0 .. len − 1 are all in use
             if index == len(self.row):
                 self._grow()
-        self.lookup[name.encode()] = index
+            self.peers.append(peer)
+        peer.index = index
+        self.lookup[peer.name.encode()] = index
         self.version += 1
         self.names += 1
-        return index
+
+    def get(self, name: str) -> Optional[_Peer]:
+        index = self.lookup.get(name.encode())
+        return None if index is None else self.peers[index]
 
     def _grow(self) -> None:
         for column, fill in (
@@ -213,9 +231,11 @@ class _PeerIndex:
             grown[: len(old)] = old
             setattr(self, column, grown)
 
-    def remove(self, name: str) -> None:
-        """Forget an unhosted peer; its index goes to the next :meth:`add`."""
-        self._free.append(self.lookup.pop(name.encode()))
+    def remove(self, peer: _Peer) -> None:
+        """Forget a peer; its index goes to the next :meth:`add`."""
+        del self.lookup[peer.name.encode()]
+        self.peers[peer.index] = None
+        self._free.append(peer.index)
         self.version += 1
         self.names += 1
 
@@ -240,16 +260,16 @@ class _TransitionHook:
     defaults tuple and its cells.
     """
 
-    __slots__ = ("_service", "_name", "_incarnation")
+    __slots__ = ("_service", "_peer", "_incarnation")
 
-    def __init__(self, service, name: str, incarnation: int) -> None:
+    def __init__(self, service, peer: _Peer, incarnation: int) -> None:
         self._service = service
-        self._name = name
+        self._peer = peer
         self._incarnation = incarnation
 
     def __call__(self, time: float, output: str) -> None:
         self._service._note_transition(
-            self._name, output, time, self._incarnation
+            self._peer, output, time, self._incarnation
         )
 
 
@@ -266,15 +286,6 @@ class LiveMonitorService:
         warmup: per-incarnation startup span excluded from online QoS.
         keep_traces: retain full output traces (on for soaks/tests, off
             for indefinitely-running services).
-        drain_batch: how many queued datagrams the consumer drains per
-            wakeup (one clock read per drained chunk, so ``1`` stamps
-            every datagram with its own receipt time).  A chunk is
-            decoded by the batch decoder — as columns from
-            :data:`_COLUMNAR_FROM` datagrams on — and its receipts for
-            engine-hosted peers applied via one
-            :meth:`~repro.service.soa.VectorMonitorEngine.ingest` call.
-            Verdicts and every counter are identical for every size —
-            the batched-drain equality suite pins it.
 
     Peers whose factory returns a plain NFD-S/U/E detector share one
     :class:`~repro.service.soa.VectorMonitorEngine` — one armed loop
@@ -295,15 +306,10 @@ class LiveMonitorService:
         warmup: float = 0.0,
         keep_traces: bool = True,
         auto_admit: Optional[AdmitHook] = None,
-        drain_batch: int = 256,
     ) -> None:
         if inbox_limit < 1:
             raise InvalidParameterError(
                 f"inbox_limit must be >= 1, got {inbox_limit}"
-            )
-        if drain_batch < 1:
-            raise InvalidParameterError(
-                f"drain_batch must be >= 1, got {drain_batch}"
             )
         self._loop = (
             loop if loop is not None else asyncio.get_running_loop()
@@ -316,8 +322,6 @@ class LiveMonitorService:
         self._keep_traces = keep_traces
         self._auto_admit = auto_admit
         self._soa_engine: Optional[VectorMonitorEngine] = None
-        self._drain_batch = int(drain_batch)
-        self._decoder = HeartbeatBatchDecoder()
         self._observers = ObserverTable()
         self._index = _PeerIndex()
         # Receipts booked for the SoA ingest path and not yet applied:
@@ -343,7 +347,6 @@ class LiveMonitorService:
         self._inbox_limit = int(inbox_limit)
         self._inbox: Deque[bytes] = deque()
         self._inbox_ready = asyncio.Event()
-        self._peers: Dict[str, _Peer] = {}
         self._results: List[LivePeerResult] = []
         self._listeners: List[Callable[[MonitorEvent], None]] = []
         self._suspected: set = set()
@@ -410,11 +413,6 @@ class LiveMonitorService:
         return self._scheduler.origin
 
     @property
-    def drain_batch(self) -> int:
-        """Datagrams drained from the inbox per consumer wakeup."""
-        return self._drain_batch
-
-    @property
     def soa_engine(self) -> Optional[VectorMonitorEngine]:
         """The shared SoA engine, if the service has built one."""
         return self._soa_engine
@@ -456,13 +454,12 @@ class LiveMonitorService:
                 detector parameters are fixed gets no row and its
                 heartbeats skip the table's per-chunk pass.
         """
-        if name in self._peers:
+        if self._index.get(name) is not None:
             raise InvalidParameterError(f"peer {name!r} already monitored")
         if eta <= 0:
             raise InvalidParameterError(f"eta must be positive, got {eta}")
         peer = _Peer(
             name=name,
-            index=self._index.add(name),
             eta=float(eta),
             factory=detector_factory,
             observer_windows=(
@@ -472,7 +469,7 @@ class LiveMonitorService:
             ),
             observe=observe,
         )
-        self._peers[name] = peer
+        self._index.add(peer)
         self._start_incarnation(peer, incarnation=0)
 
     def _start_incarnation(self, peer: _Peer, incarnation: int) -> None:
@@ -490,7 +487,7 @@ class LiveMonitorService:
                 arrival_window=arrival,
                 loss_reorder_horizon=horizon,
             )
-        hook = _TransitionHook(self, peer.name, incarnation)
+        hook = _TransitionHook(self, peer, incarnation)
         if supports_detector(detector):
             host = SoAMonitorHost(
                 self._soa(),
@@ -597,12 +594,13 @@ class LiveMonitorService:
         later heartbeat from the same name re-admits it as a brand-new
         peer — admission policy, not this method, owns membership.
         """
-        peer = self._peers.pop(name, None)
+        peer = self._index.get(name)
         if peer is None:
             return None
-        result = self._finalize_incarnation(peer)
-        self._index.remove(name)
-        return result
+        # Out of the index first: the closing flush's transitions are
+        # no longer the current peer's, and are muted.
+        self._index.remove(peer)
+        return self._finalize_incarnation(peer)
 
     def _settle_delivered(self, peer: _Peer) -> None:
         """Tell the peer's host about the receipts the columnar lane
@@ -626,7 +624,7 @@ class LiveMonitorService:
         # fresh engine time).  A refused stranger costs no flush.
         self._flush_soa()
         self.add_peer(name, factory, eta=eta)
-        return self._peers[name]
+        return self._index.get(name)
 
     def subscribe(self, listener: Callable[[MonitorEvent], None]) -> None:
         """Register a callback for every detector transition.
@@ -644,13 +642,17 @@ class LiveMonitorService:
             callback(event)
 
     def _note_transition(
-        self, name: str, output: str, time: float, incarnation: int
+        self, peer: _Peer, output: str, time: float, incarnation: int
     ) -> None:
-        peer = self._peers.get(name)
-        if peer is None or peer.incarnation != incarnation:
-            # A superseded incarnation's host fired after its books were
-            # closed; its opinion must not leak to gauges or listeners.
+        if (
+            self._index.peers[peer.index] is not peer
+            or peer.incarnation != incarnation
+        ):
+            # A removed peer's or a superseded incarnation's host fired
+            # after its books were closed; its opinion must not leak to
+            # gauges or listeners.
             return
+        name = peer.name
         if output == SUSPECT:
             self._t_suspect.inc()
             self._suspected.add(name)
@@ -669,7 +671,7 @@ class LiveMonitorService:
 
     @property
     def peer_names(self) -> List[str]:
-        return sorted(self._peers)
+        return sorted(p.name for p in self._index.peers if p is not None)
 
     @property
     def suspected(self) -> set:
@@ -684,7 +686,7 @@ class LiveMonitorService:
         lane counts receipts per peer index and tells the host here and
         when the incarnation closes, so a reference kept across later
         drains can lag behind :attr:`LivePeerResult.delivered`."""
-        peer = self._peers.get(name)
+        peer = self._index.get(name)
         if peer is None or peer.host is None:
             raise SimulationError(f"no live host for peer {name!r}")
         self._settle_delivered(peer)
@@ -721,27 +723,29 @@ class LiveMonitorService:
         heartbeat so it cannot poison the reorder-horizon accounting
         (the message *did* traverse the network)."""
         try:
-            hb = decode_heartbeat(payload)
+            name, incarnation, seq, _ = parse_heartbeat(payload)
         except WireError:
             return  # junk; nothing to protect
-        peer = self._peers.get(hb.sender)
+        index = self._index.lookup.get(name)
+        if index is None:
+            return
+        peer = self._index.peers[index]
         if (
-            peer is None
-            or peer.host is None
-            or hb.incarnation != peer.incarnation
-            or hb.seq >= _SEQ_LIMIT
+            peer.host is None
+            or incarnation != peer.incarnation
+            or seq >= _SEQ_LIMIT
         ):
             return
         observer = peer.host.observer
         if observer is not None:
-            observer.note_local_drop(hb.seq)
+            observer.note_local_drop(seq)
             self._c_drop_noted.inc()
 
     async def _consume(self) -> None:
         inbox = self._inbox
         ready = self._inbox_ready
         popleft = inbox.popleft
-        limit = self._drain_batch
+        limit = _DRAIN_BATCH
         while True:
             # Block for the first datagram, then opportunistically drain
             # the backlog up to the chunk limit: under load one consumer
@@ -892,7 +896,7 @@ class LiveMonitorService:
         restart).
         """
         index = self._index
-        columns = self._decoder.decode_chunk(payloads)
+        columns = HeartbeatBatchDecoder.decode_chunk(payloads)
         names = None
         while payloads:
             incarnations, seqs, sigmas, parsed = columns
@@ -948,11 +952,13 @@ class LiveMonitorService:
     def _dispatch_scalar(
         self, payloads: Sequence[bytes], tally: List[int]
     ) -> None:
-        """The decision procedure, datagram by datagram, decoded by the
-        allocation-light :meth:`HeartbeatBatchDecoder.decode_fields`
-        (tuples + interned names, no per-message dataclass)."""
-        decode = self._decoder.decode_fields
-        peers = self._peers
+        """The decision procedure, datagram by datagram: one
+        :func:`~repro.live.wire.parse_heartbeat`, one probe of the peer
+        index with the name bytes, and a UTF-8 decode only for a
+        stranger the admission hook is asked about."""
+        parse = parse_heartbeat
+        lookup = self._index.lookup
+        peer_at = self._index.peers
         n_invalid = n_unknown = n_stale = n_prewindow = n_dispatched = 0
         pend_rows, pend_seqs, pend_sigmas, pend_slots = self._pend_lists
         # The buffer's receipt time, read when its first receipt is
@@ -961,15 +967,22 @@ class LiveMonitorService:
         chunk_now = self._pend_time
         for payload in payloads:
             try:
-                sender, incarnation, seq, sigma = decode(payload)
+                name, incarnation, seq, sigma = parse(payload)
             except WireError:
                 n_invalid += 1
                 continue
             if seq >= _SEQ_LIMIT:
                 n_invalid += 1
                 continue
-            peer = peers.get(sender)
-            if peer is None:
+            index = lookup.get(name)
+            if index is not None:
+                peer = peer_at[index]
+            else:
+                try:
+                    sender = name.decode("utf-8")
+                except UnicodeDecodeError:
+                    n_invalid += 1
+                    continue
                 peer = self._try_admit(sender)
                 if peer is None:
                     n_unknown += 1
@@ -1060,8 +1073,8 @@ class LiveMonitorService:
         self._inbox.clear()
         if leftovers:
             self._dispatch_batch(leftovers)
-        for name in sorted(self._peers):
-            self._finalize_incarnation(self._peers[name])
+        for name in self.peer_names:
+            self._finalize_incarnation(self._index.get(name))
         self._scheduler.close()
         return list(self._results)
 

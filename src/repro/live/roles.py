@@ -26,8 +26,8 @@ from typing import Callable, Optional
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError
+from repro.live.fanout import HeartbeatFanout
 from repro.live.monitor import LiveMonitorService
-from repro.live.sender import LiveHeartbeatSender
 from repro.live.transport import (
     BatchedUdpMonitorTransport,
     UdpSenderTransport,
@@ -75,31 +75,28 @@ async def run_udp_sender(
 ) -> int:
     """Send η-paced heartbeats to ``host:port`` until duration/cancel.
 
-    Returns the number of heartbeats sent.
+    One stream of a :class:`~repro.live.fanout.HeartbeatFanout` on the
+    epoch clock: it starts at the current wall-time slot, not at seq 1
+    (decades ago).  Returns the number of heartbeats sent.
     """
     loop = asyncio.get_running_loop()
     transport = UdpSenderTransport(host, port)
-    await transport.start()
-    origin = epoch_origin(loop)
-    sender = LiveHeartbeatSender(
-        transport,
-        name=name,
-        eta=eta,
-        loop=loop,
-        origin=origin,
-        incarnation=incarnation,
-        # Start at the current wall-time slot, not at seq 1 (which was
-        # decades ago on the epoch clock).
-        first_seq=max(1, int((loop.time() - origin) // eta) + 1),
+    fanout = HeartbeatFanout(loop=loop, origin=epoch_origin(loop))
+    # Validated before the socket opens: a refused stream leaks nothing.
+    stream = fanout.add_stream(
+        name, transport, eta=eta, incarnation=incarnation
     )
-    if duration is not None:
-        loop.call_later(duration, sender.stop)
+    await transport.start()
+    fanout.start()
     try:
-        await sender.run()
+        if duration is None:
+            await asyncio.Event().wait()  # until cancelled
+        else:
+            await asyncio.sleep(duration)
     finally:
-        sender.stop()
+        await fanout.aclose()
         await transport.aclose()
-    return sender.sent_count
+    return stream.sent_count
 
 
 async def run_udp_monitor(
@@ -113,7 +110,6 @@ async def run_udp_monitor(
     report_every: float = 2.0,
     registry=None,
     emit: Callable[[str], None] = print,
-    drain_batch: int = 256,
 ) -> LiveMonitorService:
     """Monitor whatever senders appear at ``host:port``.
 
@@ -121,10 +117,8 @@ async def run_udp_monitor(
     restarts are recognized through the wire incarnation.  Every
     ``report_every`` seconds a one-line status is emitted.  Returns the
     (closed) service so callers can inspect results and telemetry.
-
-    ``drain_batch`` sizes the chunked inbox drain; verdicts do not
-    depend on it.  The socket is drained with ``recv_into`` wherever
-    the loop has ``add_reader`` (the transport falls back by itself).
+    The socket is drained with ``recv_into`` wherever the loop has
+    ``add_reader`` (the transport falls back by itself).
     """
     loop = asyncio.get_running_loop()
     service = LiveMonitorService(
@@ -132,7 +126,6 @@ async def run_udp_monitor(
         origin=epoch_origin(loop),
         registry=registry,
         keep_traces=False,  # a real monitor runs indefinitely
-        drain_batch=drain_batch,
         auto_admit=lambda name: (
             detector_factory_for(detector, eta, delta),
             eta,

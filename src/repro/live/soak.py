@@ -1,12 +1,13 @@
 """Wall-clock soak runs gated against the Theorem 5 closed forms.
 
-A soak starts N live senders and one :class:`LiveMonitorService` over
-the loopback transport, whose per-peer delay and loss come from the
-seeded simulation link models.  Because the *model* is known exactly,
-the measured QoS of the live runtime is a statistical quantity with a
-known target: the NFD-S accuracy metrics of Theorem 5.  The gate
-machinery mirrors ``tests/conformance``: pooled sample-level T_MR / T_M
-against a 99.9% bootstrap confidence interval.
+A soak paces N live sender streams off one
+:class:`~repro.live.fanout.HeartbeatFanout`, heartbeating one
+:class:`LiveMonitorService` over the loopback transport, whose per-peer
+delay and loss come from the seeded simulation link models.  Because
+the *model* is known exactly, the measured QoS of the live runtime is a
+statistical quantity with a known target: the NFD-S accuracy metrics of
+Theorem 5.  The gate machinery mirrors ``tests/conformance``: pooled
+sample-level T_MR / T_M against a 99.9% bootstrap confidence interval.
 
 Two systematic differences from the simulator are made explicit rather
 than hidden in tolerance fudge:
@@ -24,7 +25,12 @@ than hidden in tolerance fudge:
 Killed senders stop sending but their in-flight datagrams still arrive
 (Section 3.1 crash semantics); their traces feed the detection-time
 gate and are excluded from the accuracy pooling (which, per the paper,
-is defined over failure-free behaviour).
+is defined over failure-free behaviour).  A kill made while the monitor
+already suspects the victim would measure nothing (``T_D = 0``: the
+crash lands inside a mistake), so a victim is killed at the first
+instant at or after ``kill_time`` at which it is trusted, and a kill the
+run's budget forces on a suspected victim fails its gate as
+uninformative.
 """
 
 from __future__ import annotations
@@ -39,14 +45,12 @@ import numpy as np
 from repro.analysis.nfds_theory import NFDSAnalysis, QoSPrediction
 from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError
-from repro.live.fanout import HeartbeatFanout
+from repro.live.fanout import FanoutStream, HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
-from repro.live.sender import LiveHeartbeatSender
-from repro.live.supervisor import TaskSupervisor
 from repro.live.transport import LoopbackNetwork
 from repro.metrics.confidence import ConfidenceInterval, mean_ci
 from repro.metrics.qos import detection_times
-from repro.metrics.transitions import OutputTrace
+from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.delays import ExponentialDelay
 from repro.net.link import LossyLink
 from repro.sim.seeds import STREAM_LIVE, derive_rng
@@ -82,11 +86,6 @@ class SoakConfig:
     sched_allowance: float = 0.005
     #: extra detection time allowed over the δ+η bound (callback dispatch).
     detect_allowance: float = 0.25
-    #: datagrams drained per consumer wakeup (1 = per-datagram dispatch).
-    drain_batch: int = 256
-    #: pace all senders off one HeartbeatFanout timer instead of one
-    #: asyncio task per sender.
-    fanout: bool = False
 
     def __post_init__(self) -> None:
         if self.peers < 1:
@@ -105,10 +104,6 @@ class SoakConfig:
             )
         if self.eta <= 0 or self.delta < 0:
             raise InvalidParameterError("need eta > 0 and delta >= 0")
-        if self.drain_batch < 1:
-            raise InvalidParameterError(
-                f"drain_batch must be >= 1, got {self.drain_batch}"
-            )
         kill_at = self.kill_time
         if self.kill and not (
             self.effective_warmup
@@ -135,7 +130,9 @@ class SoakConfig:
 
     @property
     def kill_time(self) -> float:
-        """Local time of the kill (default: leaves just the budget)."""
+        """Earliest local time of the kill (default: leaves twice the
+        budget); a victim suspected then is killed when next trusted, by
+        ``duration − detection_budget`` at the latest."""
         if self.kill_after is not None:
             return self.kill_after
         return self.duration - 2.0 * self.detection_budget
@@ -176,7 +173,32 @@ class KillReport:
     detection_time: float
     bound: float
     allowance: float
+    #: the monitor already suspected the victim when it was killed, so
+    #: its detection time measures nothing
+    suspected_at_kill: bool
     passed: bool
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        killed_at: float,
+        trace: OutputTrace,
+        config: SoakConfig,
+    ) -> "KillReport":
+        """Judge a kill from the victim's closed output trace."""
+        bound = config.delta + config.eta
+        td = float(detection_times([killed_at], [trace])[0])
+        suspected = trace.output_at(killed_at) == SUSPECT
+        return cls(
+            name=name,
+            killed_at=killed_at,
+            detection_time=td,
+            bound=bound,
+            allowance=config.detect_allowance,
+            suspected_at_kill=suspected,
+            passed=not suspected and td <= bound + config.detect_allowance,
+        )
 
     def describe(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -185,8 +207,13 @@ class KillReport:
             if math.isinf(self.detection_time)
             else f"T_D={self.detection_time:.4f}s"
         )
+        when = (
+            " while suspected (uninformative)"
+            if self.suspected_at_kill
+            else ""
+        )
         return (
-            f"{self.name}: killed at {self.killed_at:.3f}s, {td},"
+            f"{self.name}: killed at {self.killed_at:.3f}s{when}, {td},"
             f" bound {self.bound:.4f}s + allowance {self.allowance:.3f}s"
             f" -> {verdict}"
         )
@@ -338,36 +365,21 @@ async def soak(config: SoakConfig) -> SoakResult:
         inbox_limit=config.inbox_limit,
         warmup=config.effective_warmup,
         keep_traces=True,
-        drain_batch=config.drain_batch,
     )
     network = LoopbackNetwork(loop)
     network.attach_monitor(service.on_datagram)
 
-    # Either pacing backend exposes the same surface per stream (name,
-    # sent_count, stop); the kill/teardown paths below are agnostic.
-    fanout = (
-        HeartbeatFanout(loop=loop, origin=origin) if config.fanout else None
-    )
-    senders: List = []
+    fanout = HeartbeatFanout(loop=loop, origin=origin)
+    senders: List[FanoutStream] = []
     for i in range(config.peers):
         name = f"p{i}"
         rng = derive_rng(config.seed, STREAM_LIVE, i)
         link = LossyLink(
             ExponentialDelay(config.mean_delay), config.loss, rng
         )
-        if fanout is not None:
-            sender = fanout.add_stream(
-                name, network.sender(link), eta=config.eta
-            )
-        else:
-            sender = LiveHeartbeatSender(
-                network.sender(link),
-                name=name,
-                eta=config.eta,
-                loop=loop,
-                origin=origin,
-            )
-        senders.append(sender)
+        senders.append(
+            fanout.add_stream(name, network.sender(link), eta=config.eta)
+        )
         service.add_peer(
             name,
             lambda first_seq: NFDS(
@@ -376,31 +388,42 @@ async def soak(config: SoakConfig) -> SoakResult:
             eta=config.eta,
         )
 
-    supervisor = TaskSupervisor()
-    service.start()
-    if fanout is not None:
-        fanout.start()
-    else:
-        for sender in senders:
-            supervisor.spawn(f"sender:{sender.name}", sender.run)
-
     killed: Dict[str, float] = {}
+    #: victims suspected at ``kill_time``, killed when next trusted
+    waiting: Dict[str, FanoutStream] = {}
+
+    def kill(stream: FanoutStream) -> None:
+        # Record when the sender actually stopped, not the nominal
+        # schedule: the detection gate measures from the true crash
+        # instant.
+        stream.stop()
+        killed[stream.name] = loop.time() - origin
+
+    def kill_when_trusted(event) -> None:
+        if event.output == TRUST and event.process in waiting:
+            kill(waiting.pop(event.process))
+
+    service.subscribe(kill_when_trusted)
+    service.start()
+    fanout.start()
     try:
         if config.kill:
             await _sleep_until_local(loop, origin, config.kill_time)
-            for sender in senders[: config.kill]:
-                # Record when the sender actually stopped, not the
-                # nominal schedule: the detection gate measures from the
-                # true crash instant.
-                sender.stop()
-                killed[sender.name] = loop.time() - origin
+            suspected = service.suspected
+            for stream in senders[: config.kill]:
+                if stream.name in suspected:
+                    waiting[stream.name] = stream
+                else:
+                    kill(stream)
+            await _sleep_until_local(
+                loop, origin, config.duration - config.detection_budget
+            )
+            for stream in waiting.values():
+                kill(stream)  # out of budget: judged uninformative
+            waiting.clear()
         await _sleep_until_local(loop, origin, config.duration)
     finally:
-        for sender in senders:
-            sender.stop()
-        if fanout is not None:
-            await fanout.aclose()
-        await supervisor.shutdown()
+        await fanout.aclose()
         await network.aclose()
         peer_results = await service.aclose()
 
@@ -435,23 +458,15 @@ async def soak(config: SoakConfig) -> SoakResult:
         _gate("e_tm", tm_pooled, _band(pred_lo, pred_hi, "e_tm")),
     ]
 
-    kills: List[KillReport] = []
-    bound = config.delta + config.eta
-    for name, crash_local in killed.items():
-        result = next(r for r in peer_results if r.name == name)
-        td = float(
-            detection_times([crash_local], [result.trace])[0]
+    kills = [
+        KillReport.of(
+            name,
+            crash_local,
+            next(r for r in peer_results if r.name == name).trace,
+            config,
         )
-        kills.append(
-            KillReport(
-                name=name,
-                killed_at=crash_local,
-                detection_time=td,
-                bound=bound,
-                allowance=config.detect_allowance,
-                passed=td <= bound + config.detect_allowance,
-            )
-        )
+        for name, crash_local in killed.items()
+    ]
 
     counters = {
         key: metric.value
@@ -466,8 +481,7 @@ async def soak(config: SoakConfig) -> SoakResult:
         peer_results=peer_results,
         counters=counters,
         sender_sent={s.name: s.sent_count for s in senders},
-        supervisor_crashes=len(supervisor.crashes)
-        + len(service.consumer_crashes),
+        supervisor_crashes=len(service.consumer_crashes),
         registry=registry,
     )
 

@@ -19,7 +19,9 @@ offset format   field
 All integers are network byte order.  The table exists once in code,
 as ``_HEADER_FIELDS``: the scalar codecs' ``struct`` layout and the
 chunk parser's packed record dtype are both derived from it, and no
-other module knows a byte offset.  The send timestamp is the
+other module knows a byte offset.  So are the checks: one payload is
+validated by :func:`parse_heartbeat` alone, which every scalar decoder
+calls, and a chunk by the same checks as columns.  The send timestamp is the
 *nominal* ``σ_i = i·η`` of the sender's schedule, not the actual wall
 time the datagram left the socket — exactly the semantics of the
 simulator's :class:`~repro.sim.heartbeat.HeartbeatSender`, and what the
@@ -32,7 +34,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -43,6 +45,8 @@ __all__ = [
     "LiveHeartbeat",
     "encode_heartbeat",
     "decode_heartbeat",
+    "decode_fields",
+    "parse_heartbeat",
     "HeartbeatEncoder",
     "HeartbeatBatchDecoder",
     "name_bytes",
@@ -109,12 +113,17 @@ def encode_heartbeat(
     )
 
 
-def decode_heartbeat(payload: bytes) -> LiveHeartbeat:
-    """Parse a datagram payload; raises :class:`WireError` on junk.
+def parse_heartbeat(payload) -> Tuple[bytes, int, int, float]:
+    """The one header validator: ``(name bytes, incarnation, seq, σ)``.
 
-    A monitor bound to a real UDP port will receive stray datagrams
-    (port scans, misdirected traffic); decoding failures are ordinary
-    events to be counted, not crashes.
+    Raises :class:`WireError` on junk.  A monitor bound to a real UDP
+    port will receive stray datagrams (port scans, misdirected traffic);
+    decoding failures are ordinary events to be counted, not crashes.
+    The name is not checked as UTF-8 here: a monitor probes it among the
+    names it encoded itself, where invalid bytes cannot match.  Accepts
+    ``bytes``, ``bytearray`` or ``memoryview``; the name is always
+    ``bytes`` (a view's slice is a view, and a writable one does not
+    hash).
     """
     if len(payload) < _HEADER.size:
         raise WireError(f"datagram too short ({len(payload)} bytes)")
@@ -130,16 +139,26 @@ def decode_heartbeat(payload: bytes) -> LiveHeartbeat:
         raise WireError(
             f"truncated name: header says {name_len}, got {len(name)} bytes"
         )
+    if type(name) is not bytes:
+        name = bytes(name)
+    return name, incarnation, seq, send_local_time
+
+
+def decode_fields(payload) -> Tuple[str, int, int, float]:
+    """:func:`parse_heartbeat` with the name decoded:
+    ``(sender, incarnation, seq, σ)``; raises :class:`WireError` on junk,
+    a name that is not UTF-8 included."""
+    name, incarnation, seq, send_local_time = parse_heartbeat(payload)
     try:
         sender = name.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise WireError(f"sender name is not UTF-8: {exc}") from None
-    return LiveHeartbeat(
-        sender=sender,
-        incarnation=incarnation,
-        seq=seq,
-        send_local_time=send_local_time,
-    )
+    return sender, incarnation, seq, send_local_time
+
+
+def decode_heartbeat(payload) -> LiveHeartbeat:
+    """Parse a datagram payload; raises :class:`WireError` on junk."""
+    return LiveHeartbeat(*decode_fields(payload))
 
 
 # ---------------------------------------------------------------------- #
@@ -196,38 +215,16 @@ class HeartbeatEncoder:
 class HeartbeatBatchDecoder:
     """Decoder for the monitor's drain loop: no per-message dataclass.
 
-    Two entry points.  :meth:`decode_chunk` parses the headers of a
-    whole drained chunk as NumPy columns and says which payloads it
-    could read without looking past the header; :meth:`decode_fields`
-    decodes one payload completely — short chunks, and whatever the
-    chunk parser deferred.
-
-    :meth:`decode_fields` performs exactly the validation of
-    :func:`decode_heartbeat` but returns a plain
-    ``(sender, incarnation, seq, send_local_time)`` tuple, and resolves
-    the sender name through an interning cache — a monitor receiving
-    thousands of heartbeats per second from a fixed population decodes
-    each name's UTF-8 once, not once per message.  The cache is bounded:
-    junk traffic with ever-fresh names (port scans) clears it rather
-    than growing it without limit.
-
-    On top of name interning, consecutive heartbeats from one sender
-    differ *only* in the 16 ``(seq, σ)`` bytes.  The decoder therefore
-    caches ``(sender, incarnation)`` keyed by the payload's constant
-    region — header prefix plus name tail — and a hit skips the full
-    header unpack and every validation step those constant bytes
-    already passed: one dict probe plus one 16-byte unpack per message.
-    A key can only enter the cache through the fully-validating slow
-    path, so junk never hits.
+    Two entry points, neither with state.  :meth:`decode_chunk` parses
+    the headers of a whole drained chunk as NumPy columns and says which
+    payloads it could read without looking past the header;
+    :meth:`decode_fields` is :func:`decode_fields`, one payload at a
+    time.
     """
 
-    __slots__ = ("_names", "_prefix", "_max_names")
+    __slots__ = ()
 
-    def __init__(self, max_names: int = 65536) -> None:
-        self._names: Dict[bytes, str] = {}
-        #: constant-region bytes -> (sender, incarnation)
-        self._prefix: Dict[bytes, Tuple[str, int]] = {}
-        self._max_names = int(max_names)
+    decode_fields = staticmethod(decode_fields)
 
     @staticmethod
     def decode_chunk(
@@ -237,8 +234,8 @@ class HeartbeatBatchDecoder:
 
         Returns ``(incarnation, seq, σ, parsed)``, one entry per payload
         (``int64``, ``int64``, ``float64``, ``bool``).  ``parsed[i]``
-        means payload ``i`` passed exactly :func:`decode_heartbeat`'s
-        header checks *and ends with its name*: at least a header long,
+        means payload ``i`` passed exactly :func:`parse_heartbeat`'s
+        checks *and ends with its name*: at least a header long,
         right magic and version, ``name_len`` equal to the bytes after
         the header, and a sequence number the ``int64`` column can carry
         (compared unsigned, before the cast).  Its name is then
@@ -247,11 +244,11 @@ class HeartbeatBatchDecoder:
         bytes cannot match.  Where ``parsed[i]`` is False the other
         columns hold garbage and the payload is *deferred*, not junk:
         trailing bytes after the name, for one, are tolerated by
-        :meth:`decode_fields`, which is where the caller sends it.
+        :func:`parse_heartbeat`, which is where the caller sends it.
 
         One ``b"".join``, one fancy-index gather of the headers over
         ``np.frombuffer`` and five column comparisons per chunk, instead
-        of a dict probe and a struct unpack per payload.
+        of a struct unpack per payload.
         """
         n = len(payloads)
         lengths = np.fromiter(map(len, payloads), dtype=np.int64, count=n)
@@ -280,57 +277,3 @@ class HeartbeatBatchDecoder:
             header["sigma"].astype(np.float64),
             parsed,
         )
-
-    def decode_fields(self, payload) -> Tuple[str, int, int, float]:
-        """Parse one payload; raises :class:`WireError` on junk.
-
-        Accepts ``bytes``, ``bytearray`` or ``memoryview`` — the
-        ``recv_into`` transport hands out views over a reused buffer.
-        """
-        # Fast path: everything but (seq, σ) matched a previously
-        # validated payload byte-for-byte.  The key length pins the
-        # payload length too (|key| = |payload| − 16), so a hit implies
-        # the header unpack and name checks below would succeed with
-        # identical results.
-        if type(payload) is bytes:
-            key = payload[:_SEQ_SIGMA_OFFSET] + payload[_HEADER.size - 2 :]
-        else:  # bytearray / memoryview: slices are not hashable bytes
-            key = bytes(payload[:_SEQ_SIGMA_OFFSET]) + bytes(
-                payload[_HEADER.size - 2 :]
-            )
-        hit = self._prefix.get(key)
-        if hit is not None:
-            seq, send_local_time = _SEQ_SIGMA.unpack_from(
-                payload, _SEQ_SIGMA_OFFSET
-            )
-            return hit[0], hit[1], seq, send_local_time
-        if len(payload) < _HEADER.size:
-            raise WireError(f"datagram too short ({len(payload)} bytes)")
-        magic, version, incarnation, seq, send_local_time, name_len = (
-            _HEADER.unpack_from(payload)
-        )
-        if magic != MAGIC:
-            raise WireError(f"bad magic {magic!r}")
-        if version != VERSION:
-            raise WireError(f"unsupported version {version}")
-        name = bytes(payload[_HEADER.size : _HEADER.size + name_len])
-        if len(name) != name_len:
-            raise WireError(
-                f"truncated name: header says {name_len}, got "
-                f"{len(name)} bytes"
-            )
-        sender = self._names.get(name)
-        if sender is None:
-            try:
-                sender = name.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise WireError(
-                    f"sender name is not UTF-8: {exc}"
-                ) from None
-            if len(self._names) >= self._max_names:
-                self._names.clear()
-            self._names[name] = sender
-        if len(self._prefix) >= self._max_names:
-            self._prefix.clear()
-        self._prefix[key] = (sender, incarnation)
-        return sender, incarnation, seq, send_local_time

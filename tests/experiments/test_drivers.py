@@ -7,11 +7,13 @@ the paper's qualitative findings, which must hold at any scale.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.experiments.adaptive_exp import AdaptiveScenario, run_adaptive
+from repro.experiments.cli import main
 from repro.experiments.config_examples import run_config_examples
 from repro.experiments.cutoff_ablation import run_cutoff_ablation
 from repro.experiments.detection_time import run_detection_time
@@ -22,6 +24,7 @@ from repro.experiments.optimality import run_optimality
 from repro.experiments.phi_comparison import run_phi_comparison
 
 QUICK = dict(target_mistakes=150, max_heartbeats=3_000_000)
+RESULTS = Path(__file__).resolve().parents[2] / "results"
 
 
 @pytest.mark.slow
@@ -170,8 +173,18 @@ class TestPhiComparison:
             n_crash_runs=30,
         )
         max_td = table.column("max T_D")
-        # NFD-E's detection bound holds.
-        assert max_td[0] <= 2.0 + 1e-6
+        # NFD-E's T_D is at most alpha + eta (= 1.98) plus its
+        # window's mean delay: near E(D) = 0.02, not bounded by it.
+        assert max_td[0] <= 2.0 + 0.02
         # φ-accrual's detection time grows with the threshold.
         mean_td = table.column("mean T_D")
         assert mean_td[1] < mean_td[2]
+
+    def test_committed_table_is_current(self, tmp_path):
+        """``results/phi-accrual.txt`` is what the CLI regenerates, byte
+        for byte: a stale table fails here, not in a later review."""
+        main(["phi-accrual", "--out", str(tmp_path)])
+        committed = RESULTS / "phi-accrual.txt"
+        assert (tmp_path / "phi-accrual.txt").read_bytes() == (
+            committed.read_bytes()
+        )

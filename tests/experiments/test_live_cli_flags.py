@@ -1,11 +1,10 @@
-"""The live CLI's fast-path flags and the gated uvloop selection."""
+"""The live CLI's flags: what reaches the run, and no fork left to set."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments.live_cli import _build_parser, live_main
-from repro.live.loops import install_uvloop, uvloop_available
 
 
 class TestFastPathFlags:
@@ -20,38 +19,20 @@ class TestFastPathFlags:
 
         monkeypatch.setattr(soak_mod, "run_soak", fake_run_soak)
         with pytest.raises(SystemExit):
-            live_main(
-                [
-                    "soak",
-                    "--drain-batch",
-                    "64",
-                    "--fanout",
-                    "--duration",
-                    "5",
-                ]
-            )
+            live_main(["soak", "--peers", "3", "--duration", "5"])
         config = captured["config"]
-        assert config.drain_batch == 64
-        assert config.fanout is True
+        assert (config.peers, config.duration) == (3, 5.0)
 
     def test_monitor_flags_parse_with_defaults(self):
-        args = _build_parser().parse_args(
-            ["monitor", "--port", "9999"]
+        args = _build_parser().parse_args(["monitor", "--port", "9999"])
+        assert (args.eta, args.delta, args.detector) == (1.0, 0.5, "nfd-s")
+        roles = (
+            ["soak"],
+            ["monitor", "--port", "1"],
+            ["send", "--name", "p", "--port", "1"],
         )
-        assert args.drain_batch == 256
-        assert not hasattr(args, "no_batched_socket")
-        assert args.uvloop is False
-
-
-class TestUvloopGate:
-    def test_flag_fails_loudly_when_uvloop_missing(self, capsys):
-        if uvloop_available():  # pragma: no cover - env dependent
-            pytest.skip("uvloop installed in this environment")
-        code = live_main(["soak", "--uvloop", "--duration", "5"])
-        assert code == 2
-        assert "uvloop" in capsys.readouterr().err
-
-    def test_install_returns_false_without_package(self):
-        if uvloop_available():  # pragma: no cover - env dependent
-            pytest.skip("uvloop installed in this environment")
-        assert install_uvloop() is False
+        for argv in roles:
+            _build_parser().parse_args(argv)
+            for fork in (["--drain-batch", "64"], ["--fanout"], ["--uvloop"]):
+                with pytest.raises(SystemExit):
+                    _build_parser().parse_args(argv + fork)

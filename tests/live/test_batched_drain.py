@@ -2,11 +2,12 @@
 
 Chunked drains (chunk decode, hoisted receipt clock, single engine
 ingest per drain) must make exactly the decisions of a one-datagram-at-
-a-time consumer (``drain_batch=1``) feeding per-detector reference
-hosts (``tests/reference.py``) — same counters, same per-incarnation
-books, same detector transition kinds — under junk, unknown senders,
+a-time consumer (chunks of one) feeding per-detector reference hosts
+(``tests/reference.py``) — same counters, same per-incarnation books,
+same detector transition kinds — under junk, unknown senders,
 reordering, incarnation restarts, stale stragglers, inbox overflow, and
-real wall-clock pacing.
+real wall-clock pacing.  The chunk size is the monitor's constant,
+patched here (:func:`chunks_of`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import gc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.errors import EstimationError
 from repro.estimation import HeartbeatObserver
+from repro.live import monitor
 from repro.live.monitor import _COLUMNAR_FROM, LiveMonitorService
 from repro.live.wire import encode_heartbeat
 from tests.reference import HOSTINGS, SteppedLoop, hosted, observer_state
@@ -30,6 +33,12 @@ ETA, DELTA = 0.05, 0.03
 #: NFD-E slack: a heartbeat drained at s·η + 0.01 stays fresh until
 #: (s + 1)·η + 0.04 — past the next drain, short of the one after
 ALPHA = 0.03
+
+
+def chunks_of(n):
+    """The consumer drains chunks of at most ``n`` datagrams while this
+    is active (it reads the constant when it starts)."""
+    return mock.patch.object(monitor, "_DRAIN_BATCH", n)
 
 
 def _factory(first_seq):
@@ -101,7 +110,6 @@ async def _dispatch_all(payloads, *, hosting, drain, n_senders=6, **kw):
         loop=SteppedLoop(),
         origin=0.0,
         inbox_limit=len(payloads) + 1,
-        drain_batch=drain,
         keep_traces=False,
         **kw,
     )
@@ -110,9 +118,10 @@ async def _dispatch_all(payloads, *, hosting, drain, n_senders=6, **kw):
     for payload in payloads:
         service.on_datagram(payload)
     n = len(payloads)
-    service.start()
-    while _processed(service.registry) < n:
-        await asyncio.sleep(0)
+    with chunks_of(drain):
+        service.start()
+        while _processed(service.registry) < n:
+            await asyncio.sleep(0)
     results = await service.aclose()
     books = sorted(
         (r.name, r.incarnation, r.first_seq, r.delivered) for r in results
@@ -148,33 +157,38 @@ class TestDecisionIdentity:
 
     def test_aclose_drains_leftovers_through_batch_path(self):
         """Datagrams queued but never consumed (service closed before
-        the consumer ran) still reach the books — identically."""
+        the consumer ran) still reach the books — identically to a
+        consumer draining them one at a time."""
 
         async def main():
             payloads = mixed_stream(n_senders=3, slots=4)
             results = {}
-            for drain in (1, 64):
+            for started in (True, False):
                 loop = asyncio.get_running_loop()
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=len(payloads) + 1,
-                    drain_batch=drain,
                     keep_traces=False,
                 )
                 for i in range(3):
                     service.add_peer(f"s{i}", _factory, eta=ETA)
                 for payload in payloads:
                     service.on_datagram(payload)
-                books = await service.aclose()  # never started
-                results[drain] = (
+                if started:
+                    with chunks_of(1):
+                        service.start()
+                        while _processed(service.registry) < len(payloads):
+                            await asyncio.sleep(0)
+                books = await service.aclose()
+                results[started] = (
                     _counters(service.registry),
                     sorted(
                         (r.name, r.incarnation, r.delivered) for r in books
                     ),
                 )
-            assert results[1] == results[64]
-            counters, _ = results[1]
+            assert results[True] == results[False]
+            counters, _ = results[False]
             assert counters["live_heartbeats_dispatched_total"] > 0
 
         asyncio.run(main())
@@ -199,15 +213,15 @@ class TestOverflow:
                     loop=loop,
                     origin=loop.time(),
                     inbox_limit=8,
-                    drain_batch=drain,
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA)
                 for payload in payloads:  # all before the consumer runs
                     service.on_datagram(payload)
-                service.start()
-                while _processed(service.registry) < 8:
-                    await asyncio.sleep(0)
+                with chunks_of(drain):
+                    service.start()
+                    while _processed(service.registry) < 8:
+                        await asyncio.sleep(0)
                 await service.aclose()
                 outcomes[drain] = _counters(service.registry)
             assert outcomes[1] == outcomes[256]
@@ -218,6 +232,32 @@ class TestOverflow:
             # heartbeat, so all were noted to the loss estimator
             assert counters["live_dropped_heartbeats_noted_total"] == 12
             assert counters["live_heartbeats_dispatched_total"] == 8
+
+        asyncio.run(main())
+
+    def test_shed_views_are_counted_and_noted(self):
+        """A datagram handed over as a ``bytearray`` or a ``memoryview``
+        is shed like a ``bytes`` one: counted dropped and noted to the
+        loss estimator, never raised out of the transport callback."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            service = LiveMonitorService(
+                loop=loop, origin=loop.time(), inbox_limit=2, keep_traces=False
+            )
+            service.add_peer("s0", _factory, eta=ETA)
+            for seq in range(1, 7):
+                view = (bytearray, memoryview)[seq % 2]
+                service.on_datagram(view(encode_heartbeat("s0", 0, seq, seq * ETA)))
+            counters = _counters(service.registry)
+            assert counters["live_inbox_dropped_total"] == 4
+            assert counters["live_dropped_heartbeats_noted_total"] == 4
+            service.start()
+            while _processed(service.registry) < 2:
+                await asyncio.sleep(0)
+            (result,) = await service.aclose()
+            assert result.delivered == 2
+            assert result.observer.loss.missing_count == 0
 
         asyncio.run(main())
 
@@ -235,7 +275,6 @@ class TestObserveFlag:
                 service = LiveMonitorService(
                     loop=loop,
                     origin=loop.time(),
-                    drain_batch=256,
                     keep_traces=False,
                 )
                 service.add_peer("s0", _factory, eta=ETA, observe=observe)
@@ -274,7 +313,6 @@ class TestPacedTransitions:
             service = LiveMonitorService(
                 loop=loop,
                 origin=origin,
-                drain_batch=drain,
                 keep_traces=True,
             )
             service.add_peer(
@@ -284,7 +322,9 @@ class TestPacedTransitions:
                 ),
                 eta=eta,
             )
-            service.start()
+            with chunks_of(drain):
+                service.start()
+                await asyncio.sleep(0)  # the consumer reads the chunk size
             for seq in sends:
                 loop.call_at(
                     origin + seq * eta + 0.005,
@@ -339,7 +379,6 @@ async def drain_stream(
     service = LiveMonitorService(
         loop=loop,
         origin=0.0,
-        drain_batch=drain,
         keep_traces=False,
         **service_kw,
     )
@@ -375,7 +414,9 @@ async def drain_stream(
             return taken
 
         engine._ingest_nfde = counted_nfde
-    service.start()
+    with chunks_of(drain):
+        service.start()
+        await asyncio.sleep(0)  # the consumer reads the chunk size
     offered, midrun = 0, None
     for k, (slot, step) in enumerate(stream):
         loop.run_until(slot * ETA + 0.01)
@@ -726,7 +767,7 @@ class TestEstimatorIdentity:
         asyncio.run(main())
 
     def test_columnar_lane_decides_like_the_scalar_lane(self):
-        """``drain_batch=1`` never decodes a chunk as columns; every
+        """Chunks of one are never decoded as columns; every
         other chunking — just below the columnar threshold, at it, and a
         whole burst at a time — must leave the same counters, books,
         estimator state and published events behind."""
@@ -876,7 +917,6 @@ class TestStrangers:
         service = LiveMonitorService(
             loop=loop,
             origin=0.0,
-            drain_batch=drain,
             keep_traces=False,
             auto_admit=make_hook(ingests),
         )
@@ -892,9 +932,10 @@ class TestStrangers:
         engine.ingest = ingest
         for payload in chunk:
             service.on_datagram(payload)
-        service.start()
-        while _processed(service.registry) < len(chunk):
-            await asyncio.sleep(0)
+        with chunks_of(drain):
+            service.start()
+            while _processed(service.registry) < len(chunk):
+                await asyncio.sleep(0)
         results = await service.aclose()
         books = sorted(
             (r.name, r.incarnation, r.first_seq, r.delivered) for r in results

@@ -1,24 +1,31 @@
-"""Tests for the single-timer sender fan-out (tier-1: sub-second)."""
+"""Tests for the η-paced sender fan-out, the live path's one pacer
+(tier-1: sub-second)."""
 
 from __future__ import annotations
 
 import asyncio
 import math
+import time
 
 import pytest
 
 from repro.errors import InvalidParameterError, SimulationError
 from repro.live.fanout import HeartbeatFanout
-from repro.live.sender import LiveHeartbeatSender
+from repro.live.roles import epoch_origin
 from repro.live.wire import decode_heartbeat
 
 
 class RecordingTransport:
-    def __init__(self):
+    def __init__(self, clock=None):
         self.payloads = []
+        #: local send time of each payload, when given a clock
+        self.times = []
+        self._clock = clock
 
     def send(self, payload):
         self.payloads.append(payload)
+        if self._clock is not None:
+            self.times.append(self._clock())
 
 
 class TestPacing:
@@ -89,37 +96,82 @@ class TestPacing:
 
         asyncio.run(main())
 
-    def test_matches_task_sender_schedule(self):
-        """Fan-out and task-sender pacing produce the same sequence
-        numbers over the same span: the two backends are drop-in
-        interchangeable for soak drivers."""
+    def test_exact_schedule_over_a_span(self):
+        """Stopped mid-slot, a stream has sent exactly the slots whose
+        σ_i lies before the stop: absolute pacing loses none and adds
+        none."""
 
         async def main():
             loop = asyncio.get_running_loop()
-            origin = loop.time()
-            fan_transport = RecordingTransport()
-            task_transport = RecordingTransport()
-            fanout = HeartbeatFanout(loop=loop, origin=origin)
-            fanout.add_stream("p", fan_transport, eta=0.05)
-            sender = LiveHeartbeatSender(
-                task_transport, name="p", eta=0.05, loop=loop, origin=origin
-            )
+            transport = RecordingTransport()
+            fanout = HeartbeatFanout(loop=loop, origin=loop.time())
+            fanout.add_stream("p", transport, eta=0.05)
             fanout.start()
-            task = asyncio.ensure_future(sender.run())
             # Stop mid-slot (σ_5=0.25, σ_6=0.30): a 25 ms margin on both
             # sides of the boundary dwarfs timer lateness.
             await asyncio.sleep(0.275)
             fanout.stop_all()
-            sender.stop()
-            await task
             await fanout.aclose()
-            fan_seqs = [
-                decode_heartbeat(p).seq for p in fan_transport.payloads
+            seqs = [decode_heartbeat(p).seq for p in transport.payloads]
+            assert seqs == [1, 2, 3, 4, 5]
+
+        asyncio.run(main())
+
+    def test_started_mid_schedule_skips_past_slots(self):
+        """On the epoch clock of ``live send`` slot 1 was decades ago: a
+        stream starts at its first future slot and never bursts the
+        backlog."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            eta = 0.05
+            fanout = HeartbeatFanout(loop=loop, origin=epoch_origin(loop))
+            transport = RecordingTransport()
+            before = fanout.local_now()
+            stream = fanout.add_stream("p0", transport, eta=eta)
+            first = stream.next_seq
+            assert before <= first * eta
+            assert (first - 1) * eta < fanout.local_now()
+            assert first > 10**10
+            fanout.start()
+            await asyncio.sleep(0.12)
+            await fanout.aclose()
+            heartbeats = [decode_heartbeat(p) for p in transport.payloads]
+            assert 1 <= len(heartbeats) <= 4  # no backlog burst
+            assert heartbeats[0].seq == first
+            seqs = [hb.seq for hb in heartbeats]
+            assert seqs == sorted(set(seqs))
+            for hb in heartbeats:
+                assert hb.send_local_time == hb.seq * eta
+
+        asyncio.run(main())
+
+    def test_stall_skips_past_slots(self):
+        """A loop that stalls across many slots sends the slot it had
+        armed, late, and resumes at its first future slot: the slots
+        that passed during the stall are skipped, never burst."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            eta = 0.02
+            fanout = HeartbeatFanout(loop=loop, origin=loop.time())
+            transport = RecordingTransport(fanout.local_now)
+            fanout.add_stream("p0", transport, eta=eta)
+            fanout.start()
+            while len(transport.payloads) < 2:
+                await asyncio.sleep(0.005)
+            time.sleep(10 * eta)  # the loop stalls
+            stall_end = fanout.local_now()
+            await asyncio.sleep(3 * eta)
+            await fanout.aclose()
+            sent = [
+                (decode_heartbeat(p).seq * eta, t)
+                for p, t in zip(transport.payloads, transport.times)
             ]
-            task_seqs = [
-                decode_heartbeat(p).seq for p in task_transport.payloads
-            ]
-            assert fan_seqs == task_seqs == [1, 2, 3, 4, 5]
+            late = [sigma for sigma, t in sent if sigma < stall_end <= t]
+            assert len(late) == 1  # the armed slot, nothing before it
+            resumed = [sigma for sigma, t in sent if t >= stall_end][1:]
+            assert resumed and min(resumed) >= stall_end
 
         asyncio.run(main())
 
@@ -164,6 +216,25 @@ class TestLifecycle:
             await asyncio.sleep(0.08)
             assert t1.payloads, "rejoining a dormant cohort must re-arm it"
             assert fanout.stream_names == ["p0", "p1"]
+            await fanout.aclose()
+
+        asyncio.run(main())
+
+    def test_stop_while_armed_sends_nothing(self):
+        """A stream stopped while its first slot is armed sends nothing;
+        the tick that finds no live member leaves no timer behind."""
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            fanout = HeartbeatFanout(loop=loop, origin=loop.time())
+            transport = RecordingTransport()
+            stream = fanout.add_stream("p0", transport, eta=0.05)
+            fanout.start()
+            stream.stop()
+            await asyncio.sleep(0.12)
+            assert stream.stopped and stream.sent_count == 0
+            assert transport.payloads == []
+            assert fanout._handle is None  # the cohort went dormant
             await fanout.aclose()
 
         asyncio.run(main())

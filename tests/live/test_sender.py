@@ -1,172 +1,76 @@
-"""Tests for the η-paced live sender (tier-1: sub-second)."""
+"""Tests for ``live send``'s sender, a one-stream fan-out on the epoch
+clock, over real loopback UDP (tier-1: sub-second)."""
 
 from __future__ import annotations
 
 import asyncio
+import socket
+import time
 
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.live.sender import LiveHeartbeatSender
+from repro.live.roles import run_udp_sender
 from repro.live.wire import decode_heartbeat
 
 
-class RecordingTransport:
-    def __init__(self):
-        self.payloads = []
+def _bound_socket() -> socket.socket:
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.setblocking(False)
+    return sock
 
-    def send(self, payload):
-        self.payloads.append(payload)
+
+def _drain(sock: socket.socket) -> list:
+    payloads = []
+    while True:
+        try:
+            payloads.append(sock.recv(2048))
+        except BlockingIOError:
+            return payloads
 
 
 class TestPacing:
     def test_nominal_sigma_stamps(self):
-        """Messages carry σ_i = i·η even when sent late — the simulator's
-        (and the paper's) semantics."""
-
-        async def main():
-            loop = asyncio.get_running_loop()
-            transport = RecordingTransport()
-            sender = LiveHeartbeatSender(
-                transport,
-                name="p0",
-                eta=0.04,
-                loop=loop,
-                origin=loop.time(),
+        """Messages carry σ_i = i·η on the epoch clock — the simulator's
+        (and the paper's) semantics: the first is the current wall-time
+        slot, and every later one is the next slot."""
+        eta = 0.04
+        sock = _bound_socket()
+        try:
+            port = sock.getsockname()[1]
+            started = time.time()
+            sent = asyncio.run(
+                run_udp_sender(
+                    name="p0",
+                    host="127.0.0.1",
+                    port=port,
+                    eta=eta,
+                    duration=0.30,
+                )
             )
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0.30)
-            sender.stop()
-            await task
-            heartbeats = [decode_heartbeat(p) for p in transport.payloads]
-            assert 4 <= len(heartbeats) <= 8
-            for hb in heartbeats:
-                assert hb.sender == "p0"
-                assert hb.send_local_time == pytest.approx(hb.seq * 0.04)
-            seqs = [hb.seq for hb in heartbeats]
-            assert seqs[0] == 1
-            assert seqs == sorted(set(seqs))
-
-        asyncio.run(main())
-
-    def test_started_mid_schedule_skips_past_slots(self):
-        """A sender whose origin lies in the past begins at its first
-        future slot — never bursts the backlog (sim `_arm_next` rule)."""
-
-        async def main():
-            loop = asyncio.get_running_loop()
-            transport = RecordingTransport()
-            sender = LiveHeartbeatSender(
-                transport,
-                name="p0",
-                eta=0.05,
-                loop=loop,
-                origin=loop.time() - 10.0,  # 200 slots in the past
-            )
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0.12)
-            sender.stop()
-            await task
-            heartbeats = [decode_heartbeat(p) for p in transport.payloads]
-            assert 1 <= len(heartbeats) <= 4  # no backlog burst
-            assert heartbeats[0].seq >= 200
-
-        asyncio.run(main())
-
-    def test_send_gate_defers_but_keeps_sigma(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            transport = RecordingTransport()
-            t_sent = []
-
-            class TimedTransport(RecordingTransport):
-                def send(self, payload):
-                    super().send(payload)
-                    t_sent.append(loop.time() - origin)
-
-            transport = TimedTransport()
-            origin = loop.time()
-            sender = LiveHeartbeatSender(
-                transport,
-                name="p0",
-                eta=0.05,
-                loop=loop,
-                origin=origin,
-                # Defer the first slot (σ=0.05) to local 0.12.
-                send_gate=lambda t: 0.12 if t < 0.1 else t,
-            )
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0.16)
-            sender.stop()
-            await task
-            heartbeats = [decode_heartbeat(p) for p in transport.payloads]
-            assert heartbeats[0].seq == 1
-            assert heartbeats[0].send_local_time == pytest.approx(0.05)
-            assert t_sent[0] == pytest.approx(0.12, abs=0.03)
-
-        asyncio.run(main())
-
-
-class TestStop:
-    def test_stop_wakes_sleeping_sender(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            sender = LiveHeartbeatSender(
-                RecordingTransport(),
-                name="p0",
-                eta=3600.0,  # would sleep for an hour
-                loop=loop,
-                origin=loop.time(),
-            )
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0.02)
-            t0 = loop.time()
-            sender.stop()
-            await asyncio.wait_for(task, timeout=1.0)
-            assert loop.time() - t0 < 0.5
-            assert sender.sent_count == 0
-
-        asyncio.run(main())
-
-    def test_crash_after_arms_a_kill(self):
-        async def main():
-            loop = asyncio.get_running_loop()
-            transport = RecordingTransport()
-            origin = loop.time()
-            sender = LiveHeartbeatSender(
-                transport, name="p0", eta=0.03, loop=loop, origin=origin
-            )
-            sender.crash_after(0.10)
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0.25)
-            assert sender.stopped
-            await task
-            # Only slots before the crash were sent.
-            assert 2 <= len(transport.payloads) <= 4
-
-        asyncio.run(main())
+            stopped = time.time()
+            heartbeats = [decode_heartbeat(p) for p in _drain(sock)]
+        finally:
+            sock.close()
+        assert 4 <= sent <= 8
+        assert len(heartbeats) == sent
+        for hb in heartbeats:
+            assert hb.sender == "p0"
+            assert hb.incarnation == 0
+            assert hb.send_local_time == pytest.approx(hb.seq * eta)
+        seqs = [hb.seq for hb in heartbeats]
+        assert seqs == list(range(seqs[0], seqs[0] + len(seqs)))
+        assert started <= seqs[0] * eta < started + eta + 0.05
+        assert seqs[-1] * eta <= stopped
 
 
 class TestValidation:
     def test_parameters(self):
-        loop = asyncio.new_event_loop()
-        try:
+        for eta in (0.0, -0.05):
             with pytest.raises(InvalidParameterError):
-                LiveHeartbeatSender(
-                    RecordingTransport(),
-                    name="p",
-                    eta=0.0,
-                    loop=loop,
-                    origin=0.0,
+                asyncio.run(
+                    run_udp_sender(
+                        name="p", host="127.0.0.1", port=9, eta=eta
+                    )
                 )
-            with pytest.raises(InvalidParameterError):
-                LiveHeartbeatSender(
-                    RecordingTransport(),
-                    name="p",
-                    eta=0.1,
-                    loop=loop,
-                    origin=0.0,
-                    first_seq=0,
-                )
-        finally:
-            loop.close()

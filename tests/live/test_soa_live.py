@@ -225,7 +225,7 @@ class TestRemoval:
         async def main():
             loop = SteppedLoop()
             service = LiveMonitorService(
-                loop=loop, origin=0.0, drain_batch=64, keep_traces=False
+                loop=loop, origin=0.0, keep_traces=False
             )
             service.add_peer(
                 "p0",

@@ -7,12 +7,12 @@ Three contracts, fuzzed rather than example-tested:
   :class:`~repro.live.wire.HeartbeatEncoder` produces byte-identical
   payloads;
 * **decoder equivalence** — :meth:`HeartbeatBatchDecoder.decode_fields`
-  agrees with :func:`decode_heartbeat` on every input, valid or junk
-  (same fields or both raise :class:`WireError`), including repeated
-  payloads that hit the prefix-cache fast path and mutated payloads
-  that must not; :meth:`HeartbeatBatchDecoder.decode_chunk` marks
-  *parsed* only what :func:`decode_heartbeat` reads the same way, and
-  everything it accepts that ends with its name;
+  and :func:`decode_heartbeat` agree on every input, valid or junk, as
+  ``bytes``, ``bytearray`` or ``memoryview`` (same fields or both raise
+  :class:`WireError`), and both are :func:`parse_heartbeat` plus UTF-8;
+  :meth:`HeartbeatBatchDecoder.decode_chunk` marks *parsed* only what
+  :func:`decode_heartbeat` reads the same way, and everything it
+  accepts that ends with its name;
 * **junk totality** — no input, however malformed, raises anything but
   :class:`WireError` out of any of the three decoders.
 """
@@ -33,6 +33,7 @@ from repro.live.wire import (
     decode_heartbeat,
     encode_heartbeat,
     name_bytes,
+    parse_heartbeat,
 )
 
 names = st.text(min_size=1, max_size=40).filter(
@@ -122,22 +123,22 @@ class TestDecoderEquivalence:
     def test_valid_payloads_including_cache_hits(
         self, name, inc, seq, sigma
     ):
-        """Cold decode, warm decode (prefix-cache fast path), and the
-        bytearray/memoryview input forms all agree with the reference
-        decoder exactly."""
+        """Repeated decodes and the bytearray/memoryview input forms, of
+        both decoders, all agree with the reference decoder exactly."""
         payload = encode_heartbeat(name, inc, seq, sigma)
         expected = _fields_of(payload, decode_heartbeat)
+        assert expected[0] == "ok"
         decoder = HeartbeatBatchDecoder()
-        for _ in range(2):  # second pass must hit the prefix cache
-            assert _fields_of(payload, decoder.decode_fields) == expected
-            assert (
-                _fields_of(bytearray(payload), decoder.decode_fields)
-                == expected
-            )
-            assert (
-                _fields_of(memoryview(payload), decoder.decode_fields)
-                == expected
-            )
+        forms = (
+            bytes,
+            bytearray,
+            memoryview,
+            lambda p: memoryview(bytearray(p)),  # writable: unhashable
+        )
+        for _ in range(2):
+            for form in forms:
+                for decode in (decoder.decode_fields, decode_heartbeat):
+                    assert _fields_of(form(payload), decode) == expected
 
     @given(
         name=names,
@@ -150,13 +151,12 @@ class TestDecoderEquivalence:
     def test_mutated_payloads_stay_equivalent(
         self, name, inc, seq, sigma, data
     ):
-        """Decode a valid payload (warming the cache), then a mutation
-        of it — truncated, extended, or with flipped bytes.  The cache
-        must never turn a mutant junk payload into a hit with wrong
-        fields: both decoders agree on every mutant."""
+        """Decode a valid payload, then a mutation of it — truncated,
+        extended, or with flipped bytes: both decoders agree on every
+        mutant."""
         payload = encode_heartbeat(name, inc, seq, sigma)
         decoder = HeartbeatBatchDecoder()
-        decoder.decode_fields(payload)  # warm the prefix cache
+        decoder.decode_fields(payload)
         mutant = bytearray(payload)
         kind = data.draw(
             st.sampled_from(["truncate", "extend", "flip"])
@@ -225,21 +225,27 @@ class TestDecoderEquivalence:
                 )
                 assert not ends_with_its_name or seq >= 2**63
 
-    def test_interning_and_prefix_caches_stay_bounded(self):
-        """Ever-fresh names (port-scan traffic) reset the caches rather
-        than growing them without limit — and decoding stays correct
-        across the reset."""
-        decoder = HeartbeatBatchDecoder(max_names=8)
-        for i in range(40):
-            payload = encode_heartbeat(f"scan-{i}", 0, i, float(i))
-            assert decoder.decode_fields(payload) == (
-                f"scan-{i}",
-                0,
-                i,
-                float(i),
-            )
-        assert len(decoder._names) <= 8
-        assert len(decoder._prefix) <= 8
+    @given(payload=datagrams())
+    @settings(max_examples=300, deadline=None)
+    def test_parse_is_the_one_validator(self, payload):
+        """:func:`parse_heartbeat` accepts exactly what the decoders
+        accept but for a name that is not UTF-8, and hands out the name
+        as ``bytes`` whatever the input form."""
+        outcome, fields = _fields_of(payload, decode_heartbeat)
+        try:
+            name, incarnation, seq, sigma = parse_heartbeat(payload)
+        except WireError:
+            assert outcome == "junk"
+            return
+        assert parse_heartbeat(memoryview(bytearray(payload)))[0] == name
+        assert type(name) is bytes
+        try:
+            sender = name.decode("utf-8")
+        except UnicodeDecodeError:
+            assert outcome == "junk"
+            return
+        assert fields[:3] == (sender, incarnation, seq)
+        assert struct.pack("!d", fields[3]) == struct.pack("!d", sigma)
 
     def test_nan_sigma_round_trips_through_both_decoders(self):
         payload = encode_heartbeat("p", 0, 1, math.nan)
