@@ -36,7 +36,9 @@ Both lanes turn a datagram into a peer the same way: the name bytes
 after the header are probed in the service's interned peer index, and
 only a stranger's name is decoded as UTF-8, for the admission hook.
 
-Traces and online QoS estimators live in the hosts.  The Section 5/6
+Traces live in the hosts; the online QoS estimators are rows of the
+engine's :class:`~repro.telemetry.qos_online.QoSTable`, exported as
+:attr:`LivePeerResult.estimator` when an incarnation closes.  The Section 5/6
 estimators (loss / delay / expected arrival) of every incarnation are
 rows of the service's one :class:`~repro.estimation.ObserverTable`: a
 host holds its row's live view as ``observer``, a drained chunk updates
@@ -55,6 +57,7 @@ import asyncio
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Callable, Deque, Dict, List, Optional, Sequence
 
@@ -250,29 +253,6 @@ class _PeerIndex:
         self.version += 1
 
 
-class _TransitionHook:
-    """``on_transition`` of one incarnation's host.
-
-    The incarnation travels with the hook so a transition fired by a
-    superseded host can be recognized and muted — the election layer
-    must never act on a stale incarnation's bit.  A slotted object, not
-    a closure: one small object a peer instead of a function, its
-    defaults tuple and its cells.
-    """
-
-    __slots__ = ("_service", "_peer", "_incarnation")
-
-    def __init__(self, service, peer: _Peer, incarnation: int) -> None:
-        self._service = service
-        self._peer = peer
-        self._incarnation = incarnation
-
-    def __call__(self, time: float, output: str) -> None:
-        self._service._note_transition(
-            self._peer, output, time, self._incarnation
-        )
-
-
 class LiveMonitorService:
     """Monitors a set of peers from a live datagram stream.
 
@@ -294,6 +274,14 @@ class LiveMonitorService:
     :func:`~repro.service.soa.supports_detector`) runs in its own
     :class:`~repro.sim.monitor.DetectorHost` with per-peer loop timers.
     Verdicts are identical either way.
+
+    The engine hands the service its verdicts as batches — a wheel
+    slice, a run of one drained chunk — and a batch updates every book
+    (counters, the suspected set and gauge; the engine has already
+    updated the QoS table) before any subscriber hears of it.  Each
+    subscriber is isolated: an exception it raises is counted
+    (``live_listener_errors_total``), handed to the loop's exception
+    handler, and the remaining subscribers and events go on.
     """
 
     def __init__(
@@ -322,6 +310,9 @@ class LiveMonitorService:
         self._keep_traces = keep_traces
         self._auto_admit = auto_admit
         self._soa_engine: Optional[VectorMonitorEngine] = None
+        #: engine row -> the peer it is the current incarnation of;
+        #: None: removed or superseded, its verdicts muted
+        self._row_owner: List[Optional[_Peer]] = []
         self._observers = ObserverTable()
         self._index = _PeerIndex()
         # Receipts booked for the SoA ingest path and not yet applied:
@@ -403,6 +394,11 @@ class LiveMonitorService:
         self._g_suspected = reg.gauge(
             "live_suspected_processes", "peers currently suspected"
         )
+        self._c_listener_errors = reg.counter(
+            "live_listener_errors_total",
+            "exceptions raised by subscribers (each handed to the loop's "
+            "exception handler)",
+        )
 
     # ------------------------------------------------------------------ #
     # Clock
@@ -420,6 +416,7 @@ class LiveMonitorService:
     def _soa(self) -> VectorMonitorEngine:
         if self._soa_engine is None:
             self._soa_engine = VectorMonitorEngine(self._scheduler)
+            self._soa_engine.listen(self._on_rows)
         return self._soa_engine
 
     def local_now(self) -> float:
@@ -487,7 +484,6 @@ class LiveMonitorService:
                 arrival_window=arrival,
                 loss_reorder_horizon=horizon,
             )
-        hook = _TransitionHook(self, peer, incarnation)
         if supports_detector(detector):
             host = SoAMonitorHost(
                 self._soa(),
@@ -495,20 +491,25 @@ class LiveMonitorService:
                 warmup=self._warmup,
                 keep_trace=self._keep_traces,
                 observer=observer,
-                on_transition=hook,
                 incarnation=incarnation,
                 label=peer.name,
             )
+            assert host.row == len(self._row_owner)
+            self._row_owner.append(peer)
             # the columnar lane books for clockless rows only
             row = host.row if host._clock is None else -1
         else:
+            # The incarnation travels with the hook, so a transition a
+            # superseded host fires can be recognized and muted.
             host = DetectorHost(
                 self._scheduler,
                 detector,
                 warmup=self._warmup,
                 keep_trace=self._keep_traces,
                 observer=observer,
-                on_transition=hook,
+                on_transition=partial(
+                    self._note_transition, peer, incarnation
+                ),
             )
             row = -1
         peer.incarnation = incarnation
@@ -548,6 +549,7 @@ class LiveMonitorService:
         self._index.unhost(peer.index)
         trace = host.finish()
         host.stop()
+        self._mute(peer)
         # The estimator row leaves the table as the observer object the
         # results carry; only now — after the flush — may its slot go.
         observer = host.observer
@@ -600,7 +602,13 @@ class LiveMonitorService:
         # Out of the index first: the closing flush's transitions are
         # no longer the current peer's, and are muted.
         self._index.remove(peer)
+        self._mute(peer)
         return self._finalize_incarnation(peer)
+
+    def _mute(self, peer: _Peer) -> None:
+        """No verdict of the peer's current engine row is heard again."""
+        if isinstance(peer.host, SoAMonitorHost):
+            self._row_owner[peer.host.row] = None
 
     def _settle_delivered(self, peer: _Peer) -> None:
         """Tell the peer's host about the receipts the columnar lane
@@ -639,11 +647,50 @@ class LiveMonitorService:
 
     def _publish(self, event: MonitorEvent) -> None:
         for callback in self._listeners:
-            callback(event)
+            try:
+                callback(event)
+            except Exception as exc:
+                self._listener_failed(exc, event)
+
+    def _listener_failed(self, exc: Exception, event: MonitorEvent) -> None:
+        self._c_listener_errors.inc()
+        self._loop.call_exception_handler(
+            {
+                "message": "monitor subscriber raised",
+                "exception": exc,
+                "event": event,
+            }
+        )
+
+    def _on_rows(self, time: float, rows: np.ndarray, output: str) -> None:
+        """The engine's batch listener: books first, then one event a
+        row for the subscribers, skipping a row muted in the meantime
+        (a subscriber removed or restarted its peer)."""
+        owner = self._row_owner
+        rows = rows.tolist()
+        peers = [owner[row] for row in rows]
+        if None in peers:
+            # Removed or superseded before the batch (the closing flush
+            # of a removal): its opinion must not leak to books or
+            # subscribers.
+            live = [(r, p) for r, p in zip(rows, peers) if p is not None]
+            rows = [r for r, _ in live]
+            peers = [p for _, p in live]
+        self._book(output, [peer.name for peer in peers])
+        if not self._listeners:
+            return
+        for row, peer in zip(rows, peers):
+            if owner[row] is peer:
+                self._publish(
+                    MonitorEvent(
+                        time, peer.name, output, False, peer.incarnation
+                    )
+                )
 
     def _note_transition(
-        self, peer: _Peer, output: str, time: float, incarnation: int
+        self, peer: _Peer, incarnation: int, time: float, output: str
     ) -> None:
+        """``on_transition`` of a :class:`DetectorHost` peer."""
         if (
             self._index.peers[peer.index] is not peer
             or peer.incarnation != incarnation
@@ -652,22 +699,22 @@ class LiveMonitorService:
             # after its books were closed; its opinion must not leak to
             # gauges or listeners.
             return
-        name = peer.name
-        if output == SUSPECT:
-            self._t_suspect.inc()
-            self._suspected.add(name)
-        else:
-            self._t_trust.inc()
-            self._suspected.discard(name)
-        self._g_suspected.set(len(self._suspected))
+        self._book(output, [peer.name])
         self._publish(
-            MonitorEvent(
-                time=time,
-                process=name,
-                output=output,
-                incarnation=incarnation,
-            )
+            MonitorEvent(time, peer.name, output, False, incarnation)
         )
+
+    def _book(self, output: str, names: List[str]) -> None:
+        """Counters, suspected set and gauge for a batch of verdicts."""
+        if not names:
+            return
+        if output == SUSPECT:
+            self._t_suspect.inc(len(names))
+            self._suspected.update(names)
+        else:
+            self._t_trust.inc(len(names))
+            self._suspected.difference_update(names)
+        self._g_suspected.set(len(self._suspected))
 
     @property
     def peer_names(self) -> List[str]:
@@ -1076,6 +1123,9 @@ class LiveMonitorService:
         for name in self.peer_names:
             self._finalize_incarnation(self._index.get(name))
         self._scheduler.close()
+        if self._soa_engine is not None:
+            # every row is closed: a closed service is freed by refcount
+            self._soa_engine.listen(None)
         return list(self._results)
 
     @property

@@ -38,7 +38,7 @@ class TaskCrash:
 @dataclass
 class _Supervised:
     name: str
-    factory: CoroFactory
+    factory: Optional[CoroFactory]  # None once shut down
     restart: bool
     task: Optional[asyncio.Task] = None
     restarts: int = 0
@@ -139,6 +139,8 @@ class TaskSupervisor:
                     await entry.task
                 except asyncio.CancelledError:
                     pass
+            # no restart can follow: let go of what the factory holds
+            entry.factory = None
 
     # ------------------------------------------------------------------ #
 

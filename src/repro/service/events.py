@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet
+from typing import FrozenSet, NamedTuple
 
 __all__ = ["MonitorEvent", "MembershipEvent"]
 
 
-@dataclass(frozen=True)
-class MonitorEvent:
+class MonitorEvent(NamedTuple):
     """A failure-detector transition for one monitored process.
+
+    A named tuple: a verdict storm builds one per transition for every
+    subscribed service, and a tuple is the cheapest immutable record.
 
     Attributes:
         time: real (simulation) time of the transition.

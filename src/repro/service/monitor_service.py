@@ -114,6 +114,8 @@ class MonitorService:
         self._scheduler = SimWheelScheduler(sim)
         self._seed = int(seed)
         self._soa: Optional[VectorMonitorEngine] = None
+        #: engine row -> (name, incarnation) of the pipeline it hosts
+        self._row_owner: List[Tuple[str, int]] = []
         self._processes: Dict[str, MonitoredProcess] = {}
         self._closed_traces: Dict[Tuple[str, int], OutputTrace] = {}
         self._closed_crash_times: Dict[Tuple[str, int], float] = {}
@@ -132,7 +134,14 @@ class MonitorService:
     def _soa_engine(self) -> VectorMonitorEngine:
         if self._soa is None:
             self._soa = VectorMonitorEngine(self._scheduler)
+            self._soa.listen(self._on_rows)
         return self._soa
+
+    def _on_rows(self, _time: float, rows: np.ndarray, output: str) -> None:
+        """The engine's batch listener: each row's transition, in order."""
+        owner = self._row_owner
+        for row in rows.tolist():
+            self._note_transition(*owner[row], output)
 
     @property
     def process_names(self) -> tuple:
@@ -222,21 +231,23 @@ class MonitorService:
             link = FaultyLink(link, fault_rng)
             sender_clock = _resolve_clock(sender_clock, scenario, "sender")
             monitor_clock = _resolve_clock(monitor_clock, scenario, "monitor")
-        # The incarnation is captured so a transition can be attributed
-        # to (or muted for) exactly the pipeline that produced it.
-        def hook(_local_time: float, output: str) -> None:
-            self._note_transition(name, incarnation, output)
-
+        # The incarnation travels with a transition so it can be
+        # attributed to (or muted for) exactly the pipeline that made it.
         if supports_detector(detector):
             host = SoAMonitorHost(
                 self._soa_engine(),
                 detector,
                 clock=monitor_clock,
-                on_transition=hook,
                 incarnation=incarnation,
                 label=name,
             )
+            assert host.row == len(self._row_owner)
+            self._row_owner.append((name, incarnation))
         else:
+
+            def hook(_local_time: float, output: str) -> None:
+                self._note_transition(name, incarnation, output)
+
             host = DetectorHost(
                 self._scheduler,
                 detector,

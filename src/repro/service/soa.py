@@ -27,12 +27,28 @@ with a struct-of-arrays core:
   ``flatnonzero``, and it moves to the column's new minimum: the wheel
   holds cohorts + NFD-S rows with a clock + 1 entries at any age;
 * **batched ingestion** — :meth:`VectorMonitorEngine.ingest` consumes a
-  time-sorted array of heartbeats and, between wheel ticks, applies the
-  receipts that cannot flip a verdict as columns: trusted NFD-S rows
-  with ``np.maximum.at``, trusted NFD-E rows (heard once in the span, a
-  new number, fresh on arrival) with one pass of eq. (6.3) over the
-  window tables.  The rest goes one receipt at a time through the
-  scalar procedure, the only place ``ingest`` emits a transition from.
+  time-sorted array of heartbeats and, between wheel ticks, applies
+  receipts as columns: trusted NFD-S rows with ``np.maximum.at``,
+  trusted NFD-E rows (heard once in the span, a new number, fresh on
+  arrival) with one pass of eq. (6.3) over the window tables, and
+  suspected clockless NFD-S rows heard once in the span with one pass
+  of the window index ``i(t)`` (those with ``max_seq ≥ i`` turn T).
+  The rest goes one receipt at a time through the scalar procedure;
+* **transition batches** — a verdict leaves the engine as a batch
+  ``(time, rows, output)``: one per wheel slice, one per instant of
+  the shared NFD-U/E entry, and one per run of equal-time, equal-output
+  transitions of an ``ingest`` span (or a ``deliver``).  A batch feeds
+  :attr:`VectorMonitorEngine.transition_log`, then the engine's
+  :class:`~repro.telemetry.qos_online.QoSTable` (the online QoS
+  estimators of the rows that have one, as columns), then the one batch
+  listener (:meth:`VectorMonitorEngine.listen`).  A row registered with
+  its own ``on_transition`` sink gets it per row; while any row has one,
+  every batch is published row by row — log, table, sink, listener —
+  re-checking each row's liveness as it goes.  *Order rule:* a slice is
+  in ``(stamp, row)`` order (below), a span in arrival order whichever
+  lane turned the row — the vector lanes set a row's state at the start
+  of its span, the scalar lane at its receipt — and a run is published
+  before any receipt of a later instant is applied.
 
 Correctness bar: the engine produces **bit-identical verdict streams**
 to the reference host (:class:`~repro.sim.monitor.DetectorHost` running
@@ -68,8 +84,10 @@ contract stated in :mod:`repro.sim.monitor`.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
+from itertools import repeat
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,8 +100,7 @@ from repro.errors import InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.clocks import Clock, PerfectClock
-from repro.sim.monitor import close_books, open_books
-from repro.telemetry.qos_online import OnlineQoSEstimator
+from repro.telemetry.qos_online import OnlineQoSEstimator, QoSTable
 
 __all__ = [
     "VectorMonitorEngine",
@@ -111,8 +128,19 @@ _ENTRY_COHORT = 1
 #: 3.9, 16: 4.7 → 2.8, 32: 4.0 → 1.5, 64: 3.8 → 0.77, 256: 3.4 → 0.26.
 _NFDE_VECTOR_FROM = 8
 
-#: transition sink signature: (real_time, local_time, "T"/"S")
+#: receipts of suspected clockless NFD-S rows in a span from which they
+#: take the S→T lane instead of the scalar one.  µs per heartbeat of
+#: ``ingest`` in chunks of that size, every receipt a return (4 096
+#: NFD-S rows, median over 19 slots), scalar → vector: 4: 7.2 → 9.8,
+#: 8: 4.5 → 4.9, 12: 3.5 → 3.3, 16: 3.0 → 2.5, 32: 2.3 → 1.3,
+#: 64: 1.9 → 0.69, 256: 1.74 → 0.24.
+_RETURN_VECTOR_FROM = 12
+
+#: per-row transition sink signature: (real_time, local_time, "T"/"S")
 TransitionSink = Callable[[float, float, str], None]
+
+#: batch listener signature: (real_time, rows, "T"/"S")
+BatchListener = Callable[[float, np.ndarray, str], None]
 
 
 def supports_detector(detector: HeartbeatFailureDetector) -> bool:
@@ -223,6 +251,8 @@ class VectorMonitorEngine:
         self._delivered = np.zeros(cap, dtype=np.int64)
         # ``_clocks[row] is None`` as a column, for the ingest fast lane
         self._clockless = np.zeros(cap, dtype=bool)
+        # scratch: position of a row's last receipt in the span at hand
+        self._mark = np.zeros(cap, dtype=np.int64)
         # NFD-E normalized-arrival windows (compact slots, only E rows)
         self._win_slot = np.full(cap, -1, dtype=np.int64)
         self._win_width = 0
@@ -238,6 +268,15 @@ class VectorMonitorEngine:
         # Per-row Python-object state (cold; scalar paths only)
         self._clocks: List[Optional[Clock]] = []
         self._sinks: List[Optional[TransitionSink]] = []
+        self._n_sinks = 0  # active rows with a sink of their own
+        self._listener: Optional[BatchListener] = None
+        # the scalar lane's pending run: rows that turned ``_run_out`` at
+        # ``_run_t``, published as one batch when the run ends
+        self._run: List[int] = []
+        self._run_t = 0.0
+        self._run_out = TRUST
+        #: online QoS estimators of the rows that have one, as columns
+        self.qos = QoSTable(cap)
         self._ea_fns: List[Optional[Callable[[int], float]]] = []
         self._labels: List[str] = []
         self._cohorts: Dict[Tuple[float, float], _Cohort] = {}
@@ -311,6 +350,7 @@ class VectorMonitorEngine:
             "_incarnation",
             "_delivered",
             "_clockless",
+            "_mark",
             "_win_slot",
         ):
             old = getattr(self, name)
@@ -321,6 +361,7 @@ class VectorMonitorEngine:
                 grown.fill(math.inf)
             grown[: self._n] = old[: self._n]
             setattr(self, name, grown)
+        self.qos.reserve(cap)
 
     def _alloc_window(self, row: int, window: int) -> None:
         if window > self._win_width:
@@ -395,6 +436,7 @@ class VectorMonitorEngine:
         self._clocks.append(None if clock is None else clock)
         self._clockless[row] = clock is None
         self._sinks.append(on_transition)
+        self._n_sinks += on_transition is not None
         self._labels.append(label)
         if isinstance(detector, NFDE):
             self._kind[row] = KIND_NFDE
@@ -417,6 +459,14 @@ class VectorMonitorEngine:
             self._ea_fns.append(None)
         return row
 
+    def listen(self, listener: Optional[BatchListener]) -> None:
+        """Install the engine's one batch listener, called as
+        ``listener(time, rows, output)`` after the log and the QoS
+        table (module docstring).  ``rows`` were active when the batch
+        was published; a listener that acts on the engine re-checks
+        :meth:`is_active` for the rows after the one it acted on."""
+        self._listener = listener
+
     def remove(self, row: int) -> None:
         """Retire a row.  **Idempotent**; no transition is ever emitted
         for the row after this returns — deadlines already due in the
@@ -428,6 +478,7 @@ class VectorMonitorEngine:
             return
         self._active[row] = False
         self._expiry_at[row] = math.inf
+        self._n_sinks -= self._sinks[row] is not None
         self._sinks[row] = self._clocks[row] = self._ea_fns[row] = None
         if self._win_slot[row] >= 0:
             self._win_free.append(int(self._win_slot[row]))
@@ -532,8 +583,11 @@ class VectorMonitorEngine:
 
     def _on_wake(self) -> None:
         self._armed = None
-        self.advance(self._scheduler.now())
-        self._request_wakeup()
+        try:
+            self.advance(self._scheduler.now())
+        finally:
+            # whatever a sink raised, the wheel stays armed
+            self._request_wakeup()
 
     # ------------------------------------------------------------------ #
     # Wheel
@@ -543,8 +597,11 @@ class VectorMonitorEngine:
         """Process every freshness deadline with ``deadline <= time``.
 
         Deadlines sharing a timestamp are gathered into one slice and
-        their transitions emitted in arming order (module docstring).
+        their transitions published as one batch in arming order
+        (module docstring).
         """
+        if self._run:
+            self._flush_run()
         heap = self._heap
         while True:
             ahead = heap[0][0] if heap else math.inf
@@ -565,20 +622,27 @@ class VectorMonitorEngine:
         """The shared NFD-U/E entry with no heap entry on its instant:
         every expiry up to ``time`` and short of the heap's next entry
         ``ahead`` — however many instants they fall on — gathered once
-        and fired in ``(instant, stamp, row)`` order."""
+        and published one batch an instant, in ``(stamp, row)`` order."""
         expiry = self._expiry_at[: self._n]
         due = np.flatnonzero((expiry <= time) & (expiry < ahead))
-        stamps = self._expiry_stamp[due].tolist()
-        for t, _, row in sorted(zip(expiry[due].tolist(), stamps, due.tolist())):
-            self._expiry_at[row] = math.inf
-            self._time = max(self._time, t)
-            if self._trusted[row]:
-                self._trusted[row] = False
-                self._emit(row, t, SUSPECT)
+        if len(due):
+            at = expiry[due]
+            order = np.lexsort((due, self._expiry_stamp[due], at))
+            due, at = due[order], at[order]
+            cuts = np.flatnonzero(at[1:] != at[:-1]) + 1
+            instants = at[np.concatenate(([0], cuts))].tolist()
+            for t, rows in zip(instants, np.split(due, cuts)):
+                self._expiry_at[rows] = math.inf
+                self._time = max(self._time, t)
+                rows = rows[self._trusted[rows]]
+                self._trusted[rows] = False
+                self._publish(t, rows, SUSPECT)
         self._expiry_bound = float(self._expiry_at[: self._n].min())
 
     def _process_slice(self, t0: float, entries: List[Tuple]) -> None:
-        suspects: List[Tuple[int, int]] = []  # (stamp that fired, row)
+        # suspicions as (stamps, rows) pieces, published in that order
+        stamps: List[np.ndarray] = []
+        suspects: List[np.ndarray] = []
         rearm: List[Tuple] = []
         rearm_stamp = self._next_stamp()  # shared: they re-arm together
         for entry in entries:
@@ -605,9 +669,8 @@ class VectorMonitorEngine:
                         newly = stale[self._trusted[stale]]
                         if newly.size:
                             self._trusted[newly] = False
-                            suspects.extend(
-                                (stamp, r) for r in newly.tolist()
-                            )
+                            stamps.append(np.full(newly.size, stamp))
+                            suspects.append(newly)
                     self._next_check[due] = tick + 1
                 cohort.tick = tick + 1
                 rearm.append(
@@ -626,7 +689,8 @@ class VectorMonitorEngine:
                     continue
                 if self._max_seq[row] < b and self._trusted[row]:
                     self._trusted[row] = False
-                    suspects.append((stamp, row))
+                    stamps.append(np.array([stamp]))
+                    suspects.append(np.array([row]))
                 self._next_check[row] = b + 1
                 eta = float(self._eta[row])
                 delta = float(self._shift[row])
@@ -643,21 +707,72 @@ class VectorMonitorEngine:
             expiry[due] = math.inf
             due = due[self._trusted[due]]
             self._trusted[due] = False
-            suspects += zip(self._expiry_stamp[due].tolist(), due.tolist())
+            stamps.append(self._expiry_stamp[due])
+            suspects.append(due)
             self._expiry_bound = float(expiry.min())
         if suspects:
-            suspects.sort()
-            for _, row in suspects:
-                self._emit(row, t0, SUSPECT)
+            rows = np.concatenate(suspects)
+            stamps = np.concatenate(stamps)
+            if len(rows) and stamps.min() == stamps.max():
+                rows = np.sort(rows)  # one stamp: (stamp, row) is row
+            else:
+                rows = rows[np.lexsort((rows, stamps))]
+            self._publish(t0, rows, SUSPECT)
+
+    # ------------------------------------------------------------------ #
+    # Publishing
+    # ------------------------------------------------------------------ #
 
     def _emit(self, row: int, real: float, output: str) -> None:
-        if not self._active[row]:
-            return  # removed by a listener earlier in this slice
+        """Add a scalar-lane transition to the pending run, publishing
+        the run first if it is of another instant or output."""
+        if self._run and (real != self._run_t or output != self._run_out):
+            self._flush_run()
+        self._run_t = real
+        self._run_out = output
+        self._run.append(row)
+
+    def _flush_run(self) -> None:
+        run = self._run
+        if run:
+            self._run = []
+            self._publish(
+                self._run_t, np.array(run, dtype=np.int64), self._run_out
+            )
+
+    def _publish(self, real: float, rows: np.ndarray, output: str) -> None:
+        """One transition batch: the log, the QoS table, the listener
+        (module docstring).  Rows removed before it are left out."""
+        rows = rows[self._active[rows]]
+        if not len(rows):
+            return
+        if self._n_sinks:
+            self._publish_rows(real, rows, output)
+            return
         if self.transition_log is not None:
-            self.transition_log.append((real, row, output))
-        sink = self._sinks[row]
-        if sink is not None:
-            sink(real, self._local(row, real), output)
+            self.transition_log.extend(
+                zip(repeat(real), rows.tolist(), repeat(output))
+            )
+        self.qos.update(real, rows, output)
+        if self._listener is not None:
+            self._listener(real, rows, output)
+
+    def _publish_rows(
+        self, real: float, rows: np.ndarray, output: str
+    ) -> None:
+        """A batch row by row, while some row has a sink of its own."""
+        for k, row in enumerate(rows.tolist()):
+            if not self._active[row]:
+                continue  # removed by a sink earlier in this batch
+            if self.transition_log is not None:
+                self.transition_log.append((real, row, output))
+            one = rows[k : k + 1]
+            self.qos.update(real, one, output)
+            sink = self._sinks[row]
+            if sink is not None:
+                sink(real, self._local(row, real), output)
+            if self._listener is not None:
+                self._listener(real, one, output)
 
     # ------------------------------------------------------------------ #
     # Scalar delivery
@@ -700,6 +815,7 @@ class VectorMonitorEngine:
             self._deliver_nfds(row, seq, t)
         else:
             self._deliver_nfdu(row, seq, t)
+        self._flush_run()
         self._request_wakeup()
 
     def _deliver_nfds(self, row: int, seq: int, t: float) -> None:
@@ -779,14 +895,18 @@ class VectorMonitorEngine:
     ) -> None:
         """Consume a batch of heartbeats sorted by arrival time.
 
-        Between consecutive wheel deadlines, receipts that cannot flip a
-        verdict — the steady-state bulk — are applied as vector passes:
-        those of *trusted* perfect-clock NFD-S rows, and those of
-        trusted perfect-clock NFD-E rows that are new, fresh on arrival
-        and the row's only one in the span.  Everything else (suspected
-        rows, stale, old or repeated receipts, NFD-U rows — ``EA`` is a
-        Python callable —, skewed clocks) replays through the exact
-        scalar path in arrival order: bit-identical verdict streams.
+        Between consecutive wheel deadlines, receipts are applied as
+        vector passes where a column says what the scalar procedure
+        would do: those of *trusted* perfect-clock NFD-S rows (no
+        verdict can flip), those of trusted perfect-clock NFD-E rows
+        that are new, fresh on arrival and the row's only one in the
+        span (none flips either), and those of *suspected* perfect-clock
+        NFD-S rows heard once in the span (S→T where ``max_seq`` reaches
+        the window index).  Everything else (suspected NFD-E rows,
+        stale, old or repeated receipts, NFD-U rows — ``EA`` is a Python
+        callable —, skewed clocks) replays through the exact scalar path
+        in arrival order: bit-identical verdict streams, published in
+        arrival order whichever lane turned them.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -795,16 +915,18 @@ class VectorMonitorEngine:
         if len(rows) != n or len(seqs) != n:
             raise InvalidParameterError("times/rows/seqs length mismatch")
         pos = 0
-        while pos < n:
-            hi = int(np.searchsorted(times, self._next_deadline(), "left"))
-            if hi > pos:
-                self._ingest_chunk(
-                    times[pos:hi], rows[pos:hi], seqs[pos:hi]
-                )
-                pos = hi
-            if pos < n:
-                self.advance(times[pos])
-        self._request_wakeup()
+        try:
+            while pos < n:
+                hi = int(np.searchsorted(times, self._next_deadline(), "left"))
+                if hi > pos:
+                    self._ingest_chunk(
+                        times[pos:hi], rows[pos:hi], seqs[pos:hi]
+                    )
+                    pos = hi
+                if pos < n:
+                    self.advance(times[pos])
+        finally:
+            self._request_wakeup()
 
     def _ingest_chunk(
         self, times: np.ndarray, rows: np.ndarray, seqs: np.ndarray
@@ -823,10 +945,13 @@ class VectorMonitorEngine:
         base = self._stamp
         self._stamp += len(rows)
         kind = self._kind[rows]
-        # A trusted row stays trusted up to its receipt: the deadline
-        # that could suspect it is not inside the span.
-        calm = self._trusted[rows] & self._clockless[rows]
-        fast = calm & (kind == KIND_NFDS)  # receipts reduce to a running max
+        nfds = kind == KIND_NFDS
+        trusted = self._trusted[rows]
+        clockless = self._clockless[rows]
+        # A row keeps its verdict up to its receipt: the deadline that
+        # could suspect a trusted one is not inside the span.
+        calm = trusted & clockless
+        fast = calm & nfds  # receipts reduce to a running max
         if fast.any():
             np.maximum.at(self._max_seq, rows[fast], seqs[fast])
         slow = ~fast
@@ -834,13 +959,33 @@ class VectorMonitorEngine:
             nfde = np.flatnonzero(calm & (kind == KIND_NFDE))
             if len(nfde) >= _NFDE_VECTOR_FROM:
                 slow[self._ingest_nfde(times, rows, seqs, nfde, base)] = False
+            back = None  # span positions the S→T lane turned T
+            returning = np.flatnonzero(~trusted & clockless & nfds)
+            if len(returning) >= _RETURN_VECTOR_FROM:
+                taken, back = self._ingest_returns(
+                    times, rows, seqs, returning
+                )
+                slow[taken] = False
             index = np.flatnonzero(slow)
-            for k, t, row, seq in zip(
+            # how many of the lane's T's come before each scalar receipt
+            ahead = (
+                repeat(0)
+                if back is None
+                else np.searchsorted(back, index).tolist()
+            )
+            staged = 0
+            for k, t, row, seq, upto in zip(
                 index.tolist(),
                 times[index].tolist(),
                 rows[index].tolist(),
                 seqs[index].tolist(),
+                ahead,
             ):
+                if upto > staged:
+                    self._stage_returns(times, rows, back[staged:upto])
+                    staged = upto
+                if self._run and t != self._run_t:
+                    self._flush_run()
                 if self._next_deadline() <= t:
                     self.advance(t)  # an expiry armed inside the span
                 if not self._active[row]:
@@ -850,7 +995,72 @@ class VectorMonitorEngine:
                     self._deliver_nfds(row, seq, t)
                 else:
                     self._deliver_nfdu(row, seq, t, base + 1 + k)
+            if back is not None and staged < len(back):
+                self._stage_returns(times, rows, back[staged:])
+            self._flush_run()
         self._time = max(self._time, float(times[-1]))
+
+    def _ingest_returns(
+        self,
+        times: np.ndarray,
+        rows: np.ndarray,
+        seqs: np.ndarray,
+        at: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The S→T lane: :meth:`_deliver_nfds` as columns over the span
+        positions ``at`` (receipts of suspected clockless NFD-S rows).
+        A row heard more than once is left to the scalar lane.  Returns
+        the positions applied and, of those, the ones that turned T —
+        whose publication :meth:`_stage_returns` merges into the span's
+        arrival order."""
+        r = rows[at]
+        order = np.arange(len(at))
+        self._mark[r] = order
+        once = self._mark[r] == order  # but for a row's last receipt
+        if not once.all():
+            once = ~np.isin(r, r[~once])
+            at, r = at[once], r[once]
+        t = times[at]
+        seq = np.maximum(self._max_seq[r], seqs[at])
+        eta = self._eta[r]
+        delta = self._shift[r]
+        # _window_index: the floor and its two correction loops, as masks
+        i = np.floor((t - delta) / eta)
+        while True:
+            over = i * eta + delta > t
+            if not over.any():
+                break
+            i -= over
+        while True:
+            under = (i + 1) * eta + delta <= t
+            if not under.any():
+                break
+            i += under
+        turn = seq >= np.maximum(i, 0.0).astype(np.int64)
+        self._max_seq[r] = seq
+        self._trusted[r[turn]] = True
+        return at, at[turn]
+
+    def _stage_returns(
+        self, times: np.ndarray, rows: np.ndarray, at: np.ndarray
+    ) -> None:
+        """Add the S→T lane's T's at span positions ``at`` to the pending
+        run, instant by instant, each after the deadlines due at it."""
+        instants = times[at].tolist()
+        turned = rows[at].tolist()
+        lo = 0
+        while lo < len(instants):
+            t = instants[lo]
+            hi = bisect.bisect_right(instants, t, lo)
+            if self._run and (t != self._run_t or self._run_out != TRUST):
+                self._flush_run()
+            if self._next_deadline() <= t:
+                self.advance(t)  # an expiry armed inside the span
+            self._time = max(self._time, t)
+            self._run_t = t
+            self._run_out = TRUST
+            self._run.extend(turned[lo:hi])
+            lo = hi
 
     def _ingest_nfde(
         self,
@@ -948,8 +1158,13 @@ class SoAMonitorHost:
     Arguments, surface and time rule are the reference
     :class:`~repro.sim.monitor.DetectorHost`'s (see that module), plus
     ``incarnation`` / ``label`` for the engine's tables.  The host owns
-    the incarnation's trace and online QoS estimator; detector state and
-    freshness deadlines live in the engine; ``observer`` is anything
+    the incarnation's trace; its online QoS estimator is the row's entry
+    in the engine's :class:`~repro.telemetry.qos_online.QoSTable`
+    (:attr:`estimator` exports it), detector state and freshness
+    deadlines live in the engine.  Only a host that keeps a trace or has
+    an ``on_transition`` hook gives its row a per-row sink: a service
+    hosts its rows without either and hears them through the engine's
+    batch listener.  ``observer`` is anything
     with ``HeartbeatObserver``'s surface — the object itself, or the
     live view of an :class:`~repro.estimation.ObserverTable` row, which
     is what :class:`~repro.live.monitor.LiveMonitorService` passes.  A
@@ -969,7 +1184,6 @@ class SoAMonitorHost:
         "_stopped",
         "_delivered",
         "_trace",
-        "_estimator",
         "_row",
         "_detector_view",
     )
@@ -995,16 +1209,25 @@ class SoAMonitorHost:
         self._started = False
         self._stopped = False
         self._delivered = 0
-        self._trace, self._estimator = open_books(
-            engine.now, detector.output, keep_trace, warmup
+        start = engine.now
+        self._trace = (
+            OutputTrace(start_time=start, initial_output=detector.output)
+            if keep_trace
+            else None
         )
         self._row = engine.register(
             detector,
             clock=self._clock,
-            on_transition=self._on_transition,
+            on_transition=(
+                self._on_transition
+                if keep_trace or on_transition is not None
+                else None
+            ),
             incarnation=incarnation,
             label=label,
         )
+        if warmup is not None:
+            engine.qos.open(self._row, start, detector.output, warmup)
         self._detector_view = _RowDetectorView(engine, self._row, detector)
 
     @property
@@ -1021,7 +1244,9 @@ class SoAMonitorHost:
 
     @property
     def estimator(self) -> Optional[OnlineQoSEstimator]:
-        return self._estimator
+        """The row's QoS accounting exported as an estimator object (a
+        snapshot; None without ``warmup``)."""
+        return self._engine.qos.export(self._row)
 
     @property
     def delivered_count(self) -> int:
@@ -1094,20 +1319,19 @@ class SoAMonitorHost:
             self._engine.deliver(self._row, seq, send_local_time, t)
 
     def _on_transition(self, real: float, local: float, output: str) -> None:
-        if self._stopped:
-            return
         if self._trace is not None:
             self._trace.record(real, output)
-        if self._estimator is not None:
-            self._estimator.observe(real, output)
         if self._on_transition_hook is not None:
             self._on_transition_hook(local, output)
 
     def finish(self, end: Optional[float] = None) -> Optional[OutputTrace]:
         """Snapshot the books at driver time ``end`` (default: now), as
-        :meth:`repro.sim.monitor.DetectorHost.finish` does."""
-        return close_books(
-            self._trace,
-            self._estimator,
-            self._engine.now if end is None else end,
-        )
+        :meth:`repro.sim.monitor.DetectorHost.finish` does: the
+        estimator closes once, the trace again on every call."""
+        end = self._engine.now if end is None else end
+        qos = self._engine.qos
+        if qos.is_open(self._row):
+            qos.close(self._row, end)
+        if self._trace is not None:
+            self._trace.close(end)
+        return self._trace

@@ -69,34 +69,6 @@ class _HostTimer:
         self._handle.cancel()
 
 
-def open_books(start: float, output: str, keep_trace: bool, warmup):
-    """The measurement state a host keeps from driver time ``start``:
-    ``(trace or None, estimator or None)``."""
-    trace = (
-        OutputTrace(start_time=start, initial_output=output)
-        if keep_trace
-        else None
-    )
-    estimator = (
-        OnlineQoSEstimator(
-            start_time=start, initial_output=output, warmup=warmup
-        )
-        if warmup is not None
-        else None
-    )
-    return trace, estimator
-
-
-def close_books(trace, estimator, end: float) -> Optional[OutputTrace]:
-    """Close a host's books at ``end``: the estimator once, the trace
-    again on every call."""
-    if estimator is not None and not estimator.closed:
-        estimator.close(end)
-    if trace is not None:
-        trace.close(end)
-    return trace
-
-
 class DetectorHost:
     """Runs one failure-detector object over a driver.
 
@@ -142,8 +114,18 @@ class DetectorHost:
         # not yet fired* included, or a removed incarnation could fire
         # one final transition.
         self._timers: set = set()
-        self._trace, self._estimator = open_books(
-            driver.now(), detector.output, keep_trace, warmup
+        start, output = driver.now(), detector.output
+        self._trace = (
+            OutputTrace(start_time=start, initial_output=output)
+            if keep_trace
+            else None
+        )
+        self._estimator = (
+            OnlineQoSEstimator(
+                start_time=start, initial_output=output, warmup=warmup
+            )
+            if warmup is not None
+            else None
         )
         detector.bind(self, self._on_transition)
 
@@ -250,9 +232,10 @@ class DetectorHost:
         """Close the measurement state at driver time ``end`` (default:
         now) and return the trace (None when ``keep_trace`` was off).
         A snapshot, not a shutdown: the host keeps running, and a later
-        call moves the trace's end time."""
-        return close_books(
-            self._trace,
-            self._estimator,
-            self._driver.now() if end is None else end,
-        )
+        call moves the trace's end time; the estimator closes once."""
+        end = self._driver.now() if end is None else end
+        if self._estimator is not None and not self._estimator.closed:
+            self._estimator.close(end)
+        if self._trace is not None:
+            self._trace.close(end)
+        return self._trace

@@ -10,7 +10,9 @@ online counterpart:
 * **online QoS estimators** (:mod:`repro.telemetry.qos_online`)
   computing ``E(T_MR)``, ``E(T_M)``, ``E(T_G)``, ``P_A``, ``λ_M`` and
   ``E(T_FG)`` incrementally from transition events, validated against
-  the trace-based :func:`repro.metrics.qos.estimate_accuracy`;
+  the trace-based :func:`repro.metrics.qos.estimate_accuracy` — one
+  object a process, or a :class:`~repro.telemetry.qos_online.QoSTable`
+  of rows fed transition batches;
 * **hooks** — :meth:`Simulator.attach_telemetry`, the fastsim/batch/
   parallel executors' recording into the process-global registry
   (:mod:`repro.telemetry.runtime`), and
@@ -37,6 +39,7 @@ from repro.telemetry.export import (
 from repro.telemetry.hierarchy import HierarchyTelemetry
 from repro.telemetry.qos_online import (
     OnlineQoSEstimator,
+    QoSTable,
     ServiceTelemetry,
     pool_online,
 )
@@ -65,6 +68,7 @@ __all__ = [
     "enabled",
     # online QoS
     "OnlineQoSEstimator",
+    "QoSTable",
     "ServiceTelemetry",
     "pool_online",
     # hierarchy

@@ -22,12 +22,21 @@ differencing; interval samples kept iff their *start* is post-horizon;
 :meth:`OnlineQoSEstimator.from_trace` agrees with the trace-based
 estimator to float tolerance — the equivalence the test suite pins at
 1e-9 relative.
+
+:class:`QoSTable` keeps the same accumulators for many processes as
+columns indexed by a dense row id (the engine's), and applies a batch
+of transitions — one time, one output, many rows — with masked vector
+operations in :meth:`OnlineQoSEstimator.observe`'s float-op order:
+:meth:`QoSTable.export` is state-equal to the estimator fed the same
+stream.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics.relations import forward_good_period_mean
@@ -36,6 +45,7 @@ from repro.telemetry.registry import MetricsRegistry, Welford
 
 __all__ = [
     "OnlineQoSEstimator",
+    "QoSTable",
     "pool_online",
     "ServiceTelemetry",
 ]
@@ -264,6 +274,240 @@ class OnlineQoSEstimator:
             f"OnlineQoSEstimator({state}, n_mistakes={self._n_s}, "
             f"observation={self.observation_time:.6g})"
         )
+
+
+#: batches shorter than this are applied row by row through the oracle
+#: itself (export, ``observe``, store back: a few µs a row); longer ones
+#: as masked columns (about 40 µs a batch, whatever its length)
+_VECTOR_FROM = 8
+
+#: column name -> fill of a row never opened
+_COLUMNS = {
+    "_tracked": False,
+    "_live": False,  # tracked and not closed: a batch updates it
+    "_trust": False,  # current output is T
+    "_start": 0.0,
+    "_horizon": 0.0,
+    "_since": 0.0,
+    "_last": 0.0,
+    "_end": math.nan,
+    "_trusted": 0.0,
+    "_n_s": 0,
+    "_prev_s": math.nan,  # nan: None
+    "_sum_tmr": 0.0,
+    "_n_tmr": 0,
+    "_sum_tm": 0.0,
+    "_n_tm": 0,
+    "_open_m": math.nan,
+    "_open_t": math.nan,
+    "_tg_n": 0,
+    "_tg_mean": 0.0,
+    "_tg_m2": 0.0,
+    "_tg_min": math.inf,
+    "_tg_max": -math.inf,
+}
+
+
+class QoSTable:
+    """:class:`OnlineQoSEstimator` for many rows, as columns.
+
+    A row is opened once (:meth:`open`), fed transition batches
+    ``(time, rows, output)`` in nondecreasing time (:meth:`update`) and
+    closed once (:meth:`close`); :meth:`export` returns the row as an
+    estimator object, state-equal — every slot, ``==`` on floats — to
+    one fed the same transitions.  A batch names each row at most once
+    (one output per batch), so each row sees at most one push, in the
+    estimator's float-op order: the columns are bit-identical to it.
+    Rows never opened, and closed rows, are ignored by a batch.
+    """
+
+    def __init__(self, capacity: int = 64) -> None:
+        self.n_live = 0
+        for name, fill in _COLUMNS.items():
+            setattr(self, name, np.full(capacity, fill))
+
+    def reserve(self, capacity: int) -> None:
+        """Make room for row ids below ``capacity``."""
+        old = len(self._tracked)
+        if capacity <= old:
+            return
+        capacity = max(capacity, 2 * old)
+        for name, fill in _COLUMNS.items():
+            column = getattr(self, name)
+            grown = np.full(capacity, fill, dtype=column.dtype)
+            grown[:old] = column
+            setattr(self, name, grown)
+
+    def open(
+        self,
+        row: int,
+        start_time: float = 0.0,
+        initial_output: str = SUSPECT,
+        warmup: float = 0.0,
+    ) -> None:
+        """Start accounting for ``row``, as ``OnlineQoSEstimator(...)``."""
+        if initial_output not in (TRUST, SUSPECT):
+            raise InvalidParameterError(
+                f"initial_output must be 'T' or 'S', got {initial_output!r}"
+            )
+        if warmup < 0:
+            raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
+        self.reserve(row + 1)
+        if self._tracked[row]:
+            raise InvalidParameterError(f"row {row} already opened")
+        start = float(start_time)
+        self._tracked[row] = self._live[row] = True
+        self._trust[row] = initial_output == TRUST
+        self._start[row] = self._since[row] = self._last[row] = start
+        self._horizon[row] = start + float(warmup)
+        self.n_live += 1
+
+    def is_open(self, row: int) -> bool:
+        return row < len(self._live) and self._live.item(row)
+
+    # ------------------------------------------------------------------ #
+
+    def export(self, row: int) -> Optional[OnlineQoSEstimator]:
+        """The row as an estimator object (None: never opened)."""
+        if row >= len(self._tracked) or not self._tracked.item(row):
+            return None
+        est = OnlineQoSEstimator.__new__(OnlineQoSEstimator)
+        est._start = self._start.item(row)
+        est._horizon = self._horizon.item(row)
+        est._cur = TRUST if self._trust.item(row) else SUSPECT
+        est._cur_since = self._since.item(row)
+        est._end = None if self._live.item(row) else self._end.item(row)
+        est._trusted = self._trusted.item(row)
+        est._n_s = self._n_s.item(row)
+        est._prev_s = _none_if_nan(self._prev_s.item(row))
+        est._sum_tmr = self._sum_tmr.item(row)
+        est._n_tmr = self._n_tmr.item(row)
+        est._sum_tm = self._sum_tm.item(row)
+        est._n_tm = self._n_tm.item(row)
+        est._open_m = _none_if_nan(self._open_m.item(row))
+        est._open_t = _none_if_nan(self._open_t.item(row))
+        tg = est._tg = Welford()
+        tg.n = self._tg_n.item(row)
+        tg.mean = self._tg_mean.item(row)
+        tg.m2 = self._tg_m2.item(row)
+        tg.min = self._tg_min.item(row)
+        tg.max = self._tg_max.item(row)
+        est._last_time = self._last.item(row)
+        return est
+
+    def _store(self, row: int, est: OnlineQoSEstimator) -> None:
+        """Write an (open) estimator's accumulators back into ``row``."""
+        self._trust[row] = est._cur == TRUST
+        self._since[row] = est._cur_since
+        self._trusted[row] = est._trusted
+        self._n_s[row] = est._n_s
+        self._prev_s[row] = _nan_if_none(est._prev_s)
+        self._sum_tmr[row] = est._sum_tmr
+        self._n_tmr[row] = est._n_tmr
+        self._sum_tm[row] = est._sum_tm
+        self._n_tm[row] = est._n_tm
+        self._open_m[row] = _nan_if_none(est._open_m)
+        self._open_t[row] = _nan_if_none(est._open_t)
+        tg = est._tg
+        self._tg_n[row] = tg.n
+        self._tg_mean[row] = tg.mean
+        self._tg_m2[row] = tg.m2
+        self._tg_min[row] = tg.min
+        self._tg_max[row] = tg.max
+        self._last[row] = est._last_time
+
+    def close(self, row: int, end_time: float) -> None:
+        """Close the row's observation window, as
+        :meth:`OnlineQoSEstimator.close`; a closed row takes no batch."""
+        if not self.is_open(row):
+            raise TraceError(f"row {row} is not open")
+        t = float(end_time)
+        last = self._last.item(row)
+        if t < last:
+            raise TraceError(f"end_time {t} before last transition {last}")
+        if self._trust.item(row):
+            seg = t - max(self._since.item(row), self._horizon.item(row))
+            if seg > 0.0:
+                self._trusted[row] = self._trusted.item(row) + seg
+        self._end[row] = t
+        self._live[row] = False
+        self.n_live -= 1
+
+    # ------------------------------------------------------------------ #
+
+    def update(self, time: float, rows: np.ndarray, output: str) -> None:
+        """Record that each of ``rows`` outputs ``output`` from ``time``
+        on (rows distinct and below the capacity; unopened and closed
+        ones are skipped)."""
+        if not self.n_live:
+            return
+        rows = rows[self._live[rows]]
+        if len(rows) < _VECTOR_FROM:
+            for row in rows.tolist():
+                est = self.export(row)
+                if est.observe(time, output):
+                    self._store(row, est)
+            return
+        if output not in (TRUST, SUSPECT):
+            raise TraceError(f"output must be 'T' or 'S', got {output!r}")
+        t = float(time)
+        if t < self._last[rows].max():
+            raise TraceError(f"non-monotone transition time {t}")
+        trust = output == TRUST
+        r = rows[self._trust[rows] != trust]
+        if not len(r):
+            return
+        horizon = self._horizon[r]
+        if trust:
+            # The open mistakes complete; good periods begin.
+            open_m = self._open_m[r]
+            done = open_m >= horizon  # False where none is open (nan)
+            self._sum_tm[r[done]] += t - open_m[done]
+            self._n_tm[r[done]] += 1
+            self._open_m[r] = math.nan
+            self._open_t[r] = t
+        else:
+            # Close the trusted segments (clipped to the horizon); the
+            # open good periods complete; mistakes begin.
+            seg = t - np.maximum(self._since[r], horizon)
+            grew = seg > 0.0
+            self._trusted[r[grew]] += seg[grew]
+            open_t = self._open_t[r]
+            good = open_t >= horizon
+            if good.any():
+                self._push_tg(r[good], t - open_t[good])
+            self._open_t[r] = math.nan
+            self._open_m[r] = t
+            late = r[t >= horizon]
+            prev = self._prev_s[late]
+            had = ~np.isnan(prev)
+            self._sum_tmr[late[had]] += t - prev[had]
+            self._n_tmr[late[had]] += 1
+            self._prev_s[late] = t
+            self._n_s[late] += 1
+        self._trust[r] = trust
+        self._since[r] = t
+        self._last[r] = t
+
+    def _push_tg(self, rows: np.ndarray, x: np.ndarray) -> None:
+        """:meth:`Welford.push` on each row's ``T_G`` accumulator."""
+        n = self._tg_n[rows] + 1
+        mean = self._tg_mean[rows]
+        delta = x - mean
+        mean = mean + delta / n
+        self._tg_m2[rows] += delta * (x - mean)
+        self._tg_n[rows] = n
+        self._tg_mean[rows] = mean
+        self._tg_min[rows] = np.minimum(self._tg_min[rows], x)
+        self._tg_max[rows] = np.maximum(self._tg_max[rows], x)
+
+
+def _none_if_nan(x: float) -> Optional[float]:
+    return None if x != x else x
+
+
+def _nan_if_none(x: Optional[float]) -> float:
+    return math.nan if x is None else x
 
 
 def pool_online(estimators: Iterable[OnlineQoSEstimator]) -> dict:

@@ -861,18 +861,15 @@ class TestEstimatorIdentity:
             }
             # One object of each of these per peer and nothing else the
             # collector tracks: no HeartbeatObserver, deque or set (the
-            # table's columns), no function, cell or defaults tuple (the
-            # transition hook is a slotted object).
+            # observer table's columns), no OnlineQoSEstimator or Welford
+            # (the QoS table's), no hook, method or function (the engine
+            # hears the service's rows through its one batch listener).
             assert grown == dict.fromkeys(
                 (
                     "_Peer",
-                    "_TransitionHook",
                     "SoAMonitorHost",
                     "_RowDetectorView",
                     "NFDS",
-                    "method",
-                    "OnlineQoSEstimator",
-                    "Welford",
                     "ObserverRow",
                 ),
                 2000,

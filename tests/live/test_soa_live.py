@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import weakref
 
 import numpy as np
 
@@ -164,6 +165,106 @@ class TestDispatchAndSuspicion:
         asyncio.run(main())
 
 
+class TestSubscriberErrors:
+    def test_a_raising_subscriber_leaves_the_books_whole(self):
+        """Four trusted peers go stale at one freshness point and a
+        subscriber raises on the second suspicion.  Every book still
+        says S for all four, the other events are still delivered, the
+        error is counted and handed to the loop — and the wheel stays
+        armed: a fifth peer, silent from then on, is suspected at its
+        own freshness point with no heartbeat to re-arm it."""
+        eta, delta = 0.05, 0.02
+        names = [f"p{i}" for i in range(5)]
+
+        async def main():
+            loop = SteppedLoop()
+            service = LiveMonitorService(loop=loop, origin=0.0, keep_traces=False)
+            for name in names:
+                service.add_peer(name, nfds_factory(eta, delta), eta=eta)
+            suspicions = []
+
+            def subscriber(event):
+                if event.output == "S" and not event.administrative:
+                    suspicions.append(event.process)
+                    if len(suspicions) == 2:
+                        raise RuntimeError("subscriber bug")
+
+            service.subscribe(subscriber)
+            service.start()
+            for seq in (1, 2, 3, 4):
+                loop.run_until(seq * eta + 0.005)
+                for name in names if seq < 4 else names[4:]:
+                    service.on_datagram(encode_heartbeat(name, 0, seq, seq * eta))
+                if seq == 4:  # early: p4 is covered up to τ_5
+                    service.on_datagram(encode_heartbeat("p4", 0, 5, 5 * eta))
+                await drain(service)
+            assert service.suspected == set()
+            loop.run_until(4 * eta + delta)  # τ_4: p0..p3 in one slice
+            assert suspicions == names[:4]
+            assert service.suspected == set(names[:4])
+            assert counter(service, "live_transitions_total", output="S") == 4
+            assert counter(service, "live_listener_errors_total") == 1
+            assert [type(c["exception"]) for c in loop.exceptions] == [RuntimeError]
+            assert loop.exceptions[0]["event"].process == "p1"
+            loop.run_until(6 * eta + delta)  # τ_6: only the wheel can tell
+            assert suspicions == names
+            assert service.suspected == set(names)
+            results = await service.aclose()
+            assert [r.estimator.n_mistakes for r in results] == [1] * 5
+
+        asyncio.run(main())
+
+
+class TestRegistrationCost:
+    def test_a_peer_costs_at_most_five_tracked_objects(self):
+        """What the collector walks grows by at most five objects a
+        registered NFD-S peer (``_Peer``, the host, its detector view,
+        the spec detector, the observer row): the QoS books are table
+        columns and the engine hears the service's rows through one
+        batch listener, not one hook a peer."""
+
+        async def main():
+            service = LiveMonitorService(keep_traces=False)
+            factory = nfds_factory(0.05, 0.02)  # one for all: not counted
+            service.add_peer("warm", factory, eta=0.05)
+            gc.collect()
+            before = len(gc.get_objects())
+            n = 2000
+            for i in range(n):
+                service.add_peer(f"p{i}", factory, eta=0.05)
+            gc.collect()
+            per_peer = (len(gc.get_objects()) - before) / n
+            assert per_peer <= 5.0, per_peer
+            await service.aclose()
+
+        asyncio.run(main())
+
+    def test_a_closed_service_is_freed_by_refcount(self):
+        """Once closed, nothing the service handed out (the engine's
+        batch listener, the consumer task's factory) refers back to it:
+        dropping it frees its peers at once, not at the next collection
+        of the cyclic collector."""
+
+        async def main():
+            service = LiveMonitorService(keep_traces=False)
+            for i in range(50):
+                service.add_peer(f"p{i}", nfds_factory(0.05, 0.02), eta=0.05)
+            service.start()
+            for i in range(50):
+                service.on_datagram(encode_heartbeat(f"p{i}", 0, 1, 0.05))
+            await drain(service)
+            await service.aclose()
+            return weakref.ref(service)
+
+        gc.collect()
+        gc.disable()
+        try:
+            ref = asyncio.run(main())
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
 class TestAutoAdmit:
     def test_walk_in_lands_in_engine(self):
         async def main():
@@ -247,7 +348,10 @@ class TestRemoval:
             assert eng._win_rows <= 2
             assert eng.pending_deadlines <= 1
             assert hosts() == before == 1
-            assert sum(s is not None for s in eng._sinks) == 1
+            # service rows carry no per-row sink; of the 1001 rows only
+            # the current incarnation's still names its peer
+            assert not any(eng._sinks)
+            assert sum(p is not None for p in service._row_owner) == 1
             await service.aclose()
 
         asyncio.run(main())

@@ -75,7 +75,9 @@ class SteppedLoop:
     Assigning :attr:`now` moves the clock and fires nothing (a loop
     lagging behind its deadlines); :meth:`run_until` fires every due
     timer in ``(when, arming order)``, an overdue one as soon as
-    possible, like asyncio.
+    possible, like asyncio — but an exception a callback raises reaches
+    the caller.  What is handed to :meth:`call_exception_handler` is
+    kept in :attr:`exceptions`.
     """
 
     class _Handle:
@@ -87,11 +89,15 @@ class SteppedLoop:
 
     def __init__(self):
         self.now = 0.0
+        self.exceptions = []
         self._heap = []
         self._order = itertools.count()
 
     def time(self):
         return self.now
+
+    def call_exception_handler(self, context):
+        self.exceptions.append(context)
 
     def call_at(self, when, callback):
         handle = self._Handle(callback)

@@ -1,9 +1,11 @@
 """The ingest lanes against the paper's algorithm, float for float.
 
-:meth:`VectorMonitorEngine.ingest` applies a span of receipts on three
-lanes — NFD-S rows as a running max, NFD-E rows as eq. (6.3) columns,
-everything else one receipt at a time — and keeps every NFD-U/E expiry
-in one column behind one wheel entry.  The identity suites next door
+:meth:`VectorMonitorEngine.ingest` applies a span of receipts on four
+lanes — trusted NFD-S rows as a running max, trusted NFD-E rows as
+eq. (6.3) columns, suspected NFD-S rows as the window index ``i(t)``
+(S→T), everything else one receipt at a time — publishes their
+transitions in arrival order, and keeps every NFD-U/E expiry in one
+column behind one wheel entry.  The identity suites next door
 drive the engine through ``deliver``, which never reaches the vector
 lanes; here one stream is cut into chunks of every size and given to
 ``ingest``, and the same stream is given receipt by receipt to the
@@ -37,6 +39,7 @@ from repro.core.nfd_u import NFDU
 from repro.net.clocks import Clock, DriftingClock, SkewedClock
 from repro.service.soa import (
     _NFDE_VECTOR_FROM,
+    _RETURN_VECTOR_FROM,
     ManualScheduler,
     VectorMonitorEngine,
 )
@@ -45,7 +48,9 @@ from repro.sim.monitor import DetectorHost
 from tests.reference import hosted
 
 ETA = 1.0
-CHUNKINGS = (1, _NFDE_VECTOR_FROM - 1, _NFDE_VECTOR_FROM, 12, 64, 256, None)
+#: every lane's edge: one receipt short of it, and on it
+EDGES = sorted({_NFDE_VECTOR_FROM, _RETURN_VECTOR_FROM})
+CHUNKINGS = (1, *(k for edge in EDGES for k in (edge - 1, edge)), 64, 256, None)
 
 
 @dataclass(frozen=True)
@@ -58,6 +63,7 @@ class Spec:
     first_seq: int = 1
     clock: Optional[Clock] = None
     offset: float = 0.125  # NFD-U: EA_i = i·η + offset
+    eta: float = ETA  # NFD-S only
 
     def detector(self):
         if self.kind == "E":
@@ -72,7 +78,7 @@ class Spec:
                 expected_arrival=lambda i: i * ETA + offset,
                 first_seq=self.first_seq,
             )
-        return NFDS(ETA, self.shift, first_seq=self.first_seq)
+        return NFDS(self.eta, self.shift, first_seq=self.first_seq)
 
 
 @dataclass(frozen=True)
@@ -194,21 +200,36 @@ class Engine(World):
         self.engine = VectorMonitorEngine(
             ManualScheduler(start), record_transitions=True
         )
-        self.lanes = {"vector": [], "scalar": []}  # rows each lane applied
+        # rows each lane applied: the NFD-E columns, the S→T columns
+        # (and, of those, the receipts that turned T), the scalar lane
+        self.lanes = {"vector": [], "returns": [], "turned": [], "scalar": []}
         self.wheel_bound = 1
-        lane, scalar = self.engine._ingest_nfde, self.engine._deliver_nfdu
+        eng = self.engine
+        lane, returns = eng._ingest_nfde, eng._ingest_returns
+        scalar_u, scalar_s = eng._deliver_nfdu, eng._deliver_nfds
 
         def counted_lane(times, rows, seqs, at, base):
             taken = lane(times, rows, seqs, at, base)
             self.lanes["vector"].extend(rows[taken].tolist())
             return taken
 
-        def counted_scalar(row, *args):
-            self.lanes["scalar"].append(row)
-            return scalar(row, *args)
+        def counted_returns(times, rows, seqs, at):
+            taken, turned = returns(times, rows, seqs, at)
+            self.lanes["returns"].extend(rows[taken].tolist())
+            self.lanes["turned"].extend(rows[turned].tolist())
+            return taken, turned
 
-        self.engine._ingest_nfde = counted_lane
-        self.engine._deliver_nfdu = counted_scalar
+        def counted_scalar(scalar):
+            def counted(row, *args):
+                self.lanes["scalar"].append(row)
+                return scalar(row, *args)
+
+            return counted
+
+        eng._ingest_nfde = counted_lane
+        eng._ingest_returns = counted_returns
+        eng._deliver_nfdu = counted_scalar(scalar_u)
+        eng._deliver_nfds = counted_scalar(scalar_s)
         super().__init__(specs, listeners)
 
     @property
@@ -309,8 +330,11 @@ def random_stream(seed, window, first_seq, alpha, quantum):
 
     20 clockless NFD-E rows (every other one with half the slack, so an
     arm can land below the shared entry), NFD-U rows (``EA`` is a Python
-    callable), NFD-E and NFD-S rows on skewed and drifting clocks, and a
-    clockless NFD-S cohort.  Ten per cent loss; delays exponential with
+    callable), NFD-E and NFD-S rows on skewed and drifting clocks, and
+    24 clockless NFD-S rows in three cohorts (δ = η/4, η/2, 0.9η), all
+    of them silent every seventh slot, so that the next one brings a
+    crowd back — in a span of its own, the S→T lane.  Ten per cent
+    loss; delays exponential with
     one in twenty an η or two late, so a heartbeat is overtaken (an
     out-of-order repeat) and a window's mean jumps; one in twenty
     duplicated, so rows are heard twice in a span.
@@ -333,8 +357,9 @@ def random_stream(seed, window, first_seq, alpha, quantum):
         Spec("E", alpha, window, first_seq + 7000, clock=SkewedClock(0.375)),
         Spec("E", alpha, window, first_seq, clock=DriftingClock(-0.25, 1e-3)),
         Spec("S", 0.5, first_seq=first_seq, clock=SkewedClock(0.125)),
-        *(Spec("S", 0.5, first_seq=first_seq) for _ in range(6)),
+        *(Spec("S", (0.5, 0.25, 0.9)[i % 3], first_seq=first_seq) for i in range(24)),
     ]
+    outage = {i for i, spec in enumerate(specs) if spec.kind == "S" and spec.clock is None}
     receipts = []
     # q starts monitoring at (first_seq − 1)·η and every row's k-th
     # heartbeat is sent kη later: for NFD-S and NFD-U rows, which count
@@ -342,7 +367,7 @@ def random_stream(seed, window, first_seq, alpha, quantum):
     start = (first_seq - 1) * ETA
     for k in range(1, SLOTS + 1):
         for index, spec in enumerate(specs):
-            if rng.random() < 0.1:
+            if rng.random() < 0.1 or (k % 7 == 0 and index in outage):
                 continue
             delay = rng.exponential(0.15)
             if rng.random() < 0.05:
@@ -384,13 +409,23 @@ def test_seeded_population_equals_core(seed, window, first_seq, alpha, quantum):
         specs, receipts, horizon, start=start
     )
     assert len(oracle.log) > len(specs)  # verdicts flipped both ways
+    nfds = {i for i, spec in enumerate(specs) if spec.kind == "S" and spec.clock is None}
     for chunk, world in worlds.items():
         assert world.lanes["scalar"], chunk
         if chunk is not None and chunk < _NFDE_VECTOR_FROM:
             assert not world.lanes["vector"], chunk
-        elif alpha >= ETA and chunk in (64, 256):
-            # rows that stay trusted from one heartbeat to the next
-            assert len(world.lanes["vector"]) > len(receipts) // 8, chunk
+        if chunk is not None and chunk < _RETURN_VECTOR_FROM:
+            assert not world.lanes["returns"], chunk
+        else:
+            # both lanes bring suspected NFD-S rows back
+            assert set(world.lanes["turned"]) <= nfds
+            assert nfds & set(world.lanes["scalar"]), chunk
+            if chunk is None or chunk >= 64:
+                assert world.lanes["turned"], chunk
+            if alpha >= ETA and chunk in (64, 256):
+                # rows that stay trusted from one heartbeat to the next
+                heard = sum(specs[i].kind == "E" for _, i, _ in receipts)
+                assert len(world.lanes["vector"]) > heard // 5, chunk
 
 
 def test_populations_reach_the_corners():
@@ -684,3 +719,101 @@ def test_listener_acts_in_the_middle_of_a_span():
     ]
     assert len(worlds[None].engine._kind) == 128
     assert 64 in worlds[None].lanes["vector"]
+
+
+# ---------------------------------------------------------------------- #
+# The S→T lane
+# ---------------------------------------------------------------------- #
+
+#: enough suspected NFD-S rows heard once in a span for the lane to run
+RETURNERS = [Spec("S", 0.5) for _ in range(_RETURN_VECTOR_FROM + 2)]
+
+
+def test_return_lane_ties_at_the_window_index():
+    """NFD-S, δ = η/2: ``τ_i = i + 0.5``.  At 3.25 (window 2) row 0
+    hears ``m_2`` — ``seq == i``, it turns T — and row 1 hears ``m_1`` —
+    ``seq == i − 1``, it stays S; row 3 is heard twice in the span and
+    is left to the scalar lane.  Rows 2 and 3 and the returners are then
+    silent up to ``τ_4`` = 4.5, are suspected there, and hear ``m_4``
+    exactly at 4.5 and after: the deadline fires first, the receipt on
+    its instant brings them back."""
+    specs = [Spec("S", 0.5)] * 4 + RETURNERS
+    first = 4
+
+    def returners(seq, at):
+        return [(at + k / 256, first + k, seq) for k in range(len(RETURNERS))]
+
+    stream = sorted_stream(
+        [(3.25, 0, 2), (3.25, 1, 1), (3.25, 3, 2), (3.3, 3, 3), (3.3, 2, 3)],
+        returners(3, 3.25),
+        [(4.5, 2, 4)],
+        returners(4, 4.5),
+    )
+    oracle, worlds = assert_equal_to_oracle(specs, stream, 9.0)
+    log = oracle.log
+    assert (3.25, 0, "T") in log and (3.5, 0, "S") in log
+    assert not [e for e in log if e[1] == 1]  # m_1 in window 2: S throughout
+    at_tau = [e for e in log if e[0] == 4.5]
+    suspected = [row for _, row, out in at_tau if out == "S"]
+    assert suspected == [2, 3, *range(first, first + len(RETURNERS))]
+    assert at_tau[len(suspected)] == (4.5, 2, "T")
+    assert at_tau[len(suspected) + 1] == (4.5, first, "T")
+    for chunk in (1, _RETURN_VECTOR_FROM - 1):
+        assert not worlds[chunk].lanes["returns"], chunk
+    lanes = worlds[None].lanes
+    assert {0, 1, 2} <= set(lanes["returns"])
+    assert {0, 2} <= set(lanes["turned"]) and 1 not in lanes["turned"]
+    assert 3 not in lanes["returns"] and lanes["scalar"].count(3) == 2
+    assert lanes["turned"].count(2) == 2  # at 3.3 and at τ_4 itself
+    assert set(range(first, len(specs))) <= set(lanes["turned"])
+
+
+@pytest.mark.parametrize("same_instant", [False, True])
+def test_return_lane_publishes_in_arrival_order(same_instant):
+    """Ten NFD-S rows, trusted, silent for ``m_13``, suspected at 13.5,
+    come back in one span (the S→T lane).  Between their receipts the
+    scalar lane turns NFD-E rows 0 and 1 S on a receipt stale on arrival
+    (the construction of the late-sample test: ``τ`` falls on or before
+    the receipt) and row 2 T on its first heartbeat.  Whether the span's
+    receipts have distinct instants or one shared instant, as a drained
+    chunk's do, the verdicts come out in arrival order."""
+    specs = [Spec("E", 0.5, window=2)] * 3 + RETURNERS
+    first = 3
+    back = list(range(first, first + len(RETURNERS)))
+    opening = [(9.25, row, 1) for row in (0, 1)] + [
+        (10.25, row, 10) for row in (0, 1)
+    ]
+    trusted = [(s + 0.125, row, s) for s in range(9, 13) for row in back]
+    arrivals = [back[0], 0, back[1], back[2], 2, back[3], 1, *back[4:]]
+    slot = [
+        (14.25 if same_instant else 14.25 + k / 128, row, 11 if row < 2 else 14)
+        for k, row in enumerate(arrivals)
+    ]
+    stream = sorted_stream(opening, trusted, [boundary(14.0)], slot)
+    oracle, worlds = assert_equal_to_oracle(specs, stream, 20.0)
+    published = [(row, out) for t, row, out in oracle.log if 14.0 <= t < 14.5]
+    assert published == [
+        (row, "S" if row < 2 else "T") for row in arrivals
+    ]
+    lanes = worlds[None].lanes
+    assert set(back) <= set(lanes["turned"])
+    assert {0, 1, 2} <= set(lanes["scalar"])
+
+
+def test_return_lane_window_index_rounding():
+    """η = 0.1, δ = 0: ``(t − δ)/η`` rounds to the wrong side of an
+    integer in both directions.  At 1.7, ``floor(1.7/0.1)`` = 17 but
+    ``τ_17`` = 17·0.1 = 1.7000000000000002 is still ahead — window 16;
+    at 4.3, ``floor(4.3/0.1)`` = 42 but ``τ_43`` = 4.3 — window 43.  Half
+    the rows hear exactly the window's number (T), half one less (S)."""
+    n = _RETURN_VECTOR_FROM + 2
+    specs = [Spec("S", 0.0, eta=0.1)] * n
+    stream = [(1.7, row, 16 - row % 2) for row in range(n)] + [
+        (4.3, row, 43 - row % 2) for row in range(n)
+    ]
+    oracle, worlds = assert_equal_to_oracle(specs, stream, 5.0)
+    trusted = [(t, row) for t, row, out in oracle.log if out == "T"]
+    assert trusted == [(1.7, row) for row in range(0, n, 2)] + [
+        (4.3, row) for row in range(0, n, 2)
+    ]
+    assert len(worlds[None].lanes["returns"]) == 2 * n

@@ -16,6 +16,7 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, SimulationError
+from repro.live.soa import LoopWheelScheduler
 from repro.net.clocks import DriftingClock, SkewedClock
 from repro.service.soa import (
     ManualScheduler,
@@ -24,6 +25,7 @@ from repro.service.soa import (
 )
 from repro.sim.engine import Simulator, SimWheelScheduler
 from repro.sim.monitor import DetectorHost
+from tests.reference import SteppedLoop
 
 ETA, DELTA = 1.0, 0.5
 
@@ -390,3 +392,64 @@ class TestSchedulers:
         soa = engine_stream(factories, schedule, 25.0, clocks)
         assert obj == soa
         assert any(out == "S" for _, _, out in obj)
+
+    def test_wheel_stays_armed_when_a_sink_raises(self):
+        """A sink raising inside the wheel's wake-up reaches the loop,
+        and the wheel is armed for the next deadline all the same: row 1,
+        heard once more than row 0, is suspected one freshness point
+        later with nothing else to wake the engine."""
+        loop = SteppedLoop()
+        eng = VectorMonitorEngine(LoopWheelScheduler(loop, 0.0))
+        seen = []
+
+        def sink(real, local, output):
+            seen.append((real, output))
+            if output == "S" and len(seen) == 3:
+                raise RuntimeError("sink bug")
+
+        rows = [eng.register(NFDS(eta=ETA, delta=DELTA), on_transition=sink) for _ in range(2)]
+        for row in rows:
+            eng.start_row(row)
+        eng.deliver(rows[0], 1, at_real=1.1)
+        eng.deliver(rows[1], 2, at_real=1.1)
+        with pytest.raises(RuntimeError):
+            loop.run_until(2 * ETA + DELTA)
+        loop.run_until(10.0)
+        assert seen == [(1.1, "T"), (1.1, "T"), (2.5, "S"), (3.5, "S")]
+
+
+class TestBatches:
+    def test_listener_hears_one_batch_per_slice_and_per_run(self):
+        """A slice is one batch, in row order; a span's transitions are
+        one batch per instant and output, in arrival order, whichever
+        lane turned them; the QoS table is up to date when it is heard."""
+        eng = engine()
+        batches = []
+        eng.listen(
+            lambda t, rows, out: batches.append(
+                (t, rows.tolist(), out, eng.qos.export(int(rows[0])).n_mistakes)
+            )
+        )
+        n = 12
+        for row in range(n):
+            eng.register(NFDS(eta=ETA, delta=DELTA))
+            eng.qos.open(row, 0.0)
+            eng.start_row(row)
+        order = [5, 3, 11, 0, 7, 1, 2, 4, 6, 8, 9, 10]
+        eng.ingest(np.full(n, 1.25), np.array(order), np.ones(n, dtype=np.int64))
+        eng.advance(2.5)
+        later = [4, 2, 9]
+        eng.ingest(
+            np.array([3.125, 3.125, 3.25]),
+            np.array(later),
+            np.full(3, 3, dtype=np.int64),
+        )
+        assert batches == [
+            (1.25, order, "T", 0),
+            (2.5, list(range(n)), "S", 1),
+            (3.125, [4, 2], "T", 1),
+            (3.25, [9], "T", 1),
+        ]
+        assert eng.transition_log == [
+            (t, row, out) for t, rows, out, _ in batches for row in rows
+        ]
