@@ -16,27 +16,35 @@ state equality** with it on every stream and every chunking:
 ``HeartbeatObserver`` and ``tests/estimation/test_table_identity.py``
 compares it with one fed the same receipts, field for field.
 
-Layout.  Loss-estimator state is integer columns; the per-row sets of
-missing and locally-shed sequence numbers are rare (a loss-free stream
-never creates one) and live in two dicts keyed by slot.  Each sliding
-window (delay samples; eq. 6.3 normalized arrivals) is a ring in one
-*time-major* buffer ``buf[position, slot]`` whose depth grows with the
-fill (1, 2, 4, …): opening a row touches no ring memory, and a held
-sample costs 8 bytes.  The arrival ring holds ``A − η·seq``, which is
+Layout.  Every column holds its fill value (zero) in a slot nobody
+holds: :meth:`ObserverTable.release` puts it back, so opening a row
+writes only what differs — η, ``first_seq``, the horizon and the two
+window lengths.  A released slot's generation moves on, which is how a
+view taken before the release knows it is stale.  Loss-estimator state
+is integer columns; the per-row sets of missing and locally-shed
+sequence numbers are rare (a loss-free stream never creates one) and
+live in two dicts keyed by slot.  Each sliding window (delay samples;
+eq. 6.3 normalized arrivals) is a ring in one *time-major* buffer
+``buf[position, slot]`` whose depth grows with the fill (1, 2, 4, …):
+opening a row touches no ring memory, and a held sample costs 8
+bytes.  The arrival ring holds ``A − η·seq``, which is
 all :class:`~repro.core.nfd_e.ArrivalTimeEstimator` ever uses of an
 entry; an exported entry is therefore ``(0, A − η·seq)``.
 
-Two lanes.  A receipt takes the vector lane when its row has been heard
-before, is heard once in the chunk, the sequence number is a new
-highest and the delay sample is finite.  Everything else — first
-receipts, late and duplicate numbers, rows heard several times in one
-chunk (NumPy scatter with repeated indices is unordered), pre-window
-numbers and non-finite samples, which raise — replays through the
-scalar lane in arrival order, as does the whole of a chunk too small
-to repay a NumPy pass.  Rows are independent, so only per-row order
-matters.  Both lanes use the oracle's float-op order:
-``(sum + x) − old``, ``x * x``, ``A − η * seq``, and the exact
-``math.fsum`` resync after ``window`` evictions.
+Two lanes.  A receipt takes the vector lane when its row is heard once
+in the chunk, the sequence number is a new highest and the delay sample
+is finite.  A row not heard yet keeps ``first_seq − 1`` as its highest,
+so its first receipt is a new highest like any other: the gap from
+``first_seq`` opens, the row starts, and no compaction sweep runs (the
+first receipt is the sweep mark).  Everything else — late and duplicate
+numbers, rows heard several times in one chunk (NumPy scatter with
+repeated indices is unordered), pre-window numbers and non-finite
+samples, which raise — replays through the scalar lane in arrival
+order, as does the whole of a chunk too small to repay a NumPy pass.
+Rows are independent, so only per-row order matters.  Both lanes use
+the oracle's float-op order: ``(sum + x) − old``, ``x * x``,
+``A − η * seq``, and the exact ``math.fsum`` resync after ``window``
+evictions.
 """
 
 from __future__ import annotations
@@ -85,9 +93,9 @@ class _Rings:
         self.evictions = np.zeros(cap, dtype=np.int64)
         self.buf = np.zeros((0, cap), dtype=np.float64)
 
-    _COLUMNS = (
-        "window", "count", "head", "total", "total_sq", "evictions", "buf"
-    )
+    #: per-row columns; ``buf`` is shared
+    _STATE = ("window", "count", "head", "total", "total_sq", "evictions")
+    _COLUMNS = _STATE + ("buf",)
 
     def widen(self, cap: int) -> None:
         for name in self._COLUMNS:
@@ -99,13 +107,11 @@ class _Rings:
         buf[:depth] = self.buf
         self.buf = buf
 
-    def reset(self, slot: int, window: int) -> None:
-        self.window[slot] = window
-        self.count[slot] = 0
-        self.head[slot] = 0
-        self.total[slot] = 0.0
-        self.total_sq[slot] = 0.0
-        self.evictions[slot] = 0
+    def clear(self, slot: int) -> None:
+        """Put a row back to the fill value (its samples stay in the
+        buffer, beyond ``count``, and are overwritten)."""
+        for name in self._STATE:
+            getattr(self, name)[slot] = 0
 
     def _resync(self, slot: int) -> None:
         """Recompute a full row's sums exactly (``fsum`` is order-free,
@@ -186,14 +192,14 @@ class _Rings:
 class ObserverTable:
     """Loss / delay / expected-arrival estimators for many rows.
 
-    :meth:`add` opens a row and returns its live view (an
-    :class:`ObserverRow`, the object a host holds as its ``observer``);
-    :meth:`observe_batch` applies a chunk of receipts;
+    :meth:`add` opens a row and returns a live view of it (an
+    :class:`ObserverRow`); :meth:`observe_batch` applies a chunk of receipts;
     :meth:`export` materializes a row as a ``HeartbeatObserver``;
     :meth:`release` does so one last time and frees the row's slot.
     """
 
-    _COLUMNS = (
+    #: a row's columns, all zero in a slot nobody holds
+    _STATE = (
         "_eta",
         "_first_seq",
         "_started",
@@ -202,9 +208,8 @@ class ObserverTable:
         "_lost_compacted",
         "_swept_at",
         "_horizon",
-        "_mark",
-        "_repeated",
     )
+    _COLUMNS = _STATE + ("_gen", "_mark", "_repeated")
 
     def __init__(self) -> None:
         cap = 64
@@ -212,7 +217,8 @@ class ObserverTable:
         self._free: List[int] = []
         self._eta = np.zeros(cap, dtype=np.float64)
         # LossRateEstimator's fields; ``_started`` is its ``highest is
-        # not None`` and a zero horizon its ``None``.
+        # not None``, a zero horizon its ``None``, and a row not started
+        # holds ``first_seq − 1`` as its highest (module docstring).
         self._first_seq = np.zeros(cap, dtype=np.int64)
         self._started = np.zeros(cap, dtype=bool)
         self._highest = np.zeros(cap, dtype=np.int64)
@@ -220,6 +226,8 @@ class ObserverTable:
         self._lost_compacted = np.zeros(cap, dtype=np.int64)
         self._swept_at = np.zeros(cap, dtype=np.int64)
         self._horizon = np.zeros(cap, dtype=np.int64)
+        #: releases of the slot so far: a view is of one generation
+        self._gen = np.zeros(cap, dtype=np.int64)
         self._missing: Dict[int, set] = {}
         self._local_drops: Dict[int, set] = {}
         self._delays = _Rings(cap, squares=True)
@@ -274,27 +282,31 @@ class ObserverTable:
                 self._arrivals.widen(cap)
             slot = self._n
             self._n += 1
+        # Every other column of the slot is at its fill value.
         self._eta[slot] = eta
-        self._first_seq[slot] = first_seq
-        self._started[slot] = False
-        self._highest[slot] = 0
-        self._received[slot] = 0
-        self._lost_compacted[slot] = 0
-        self._swept_at[slot] = 0
-        self._horizon[slot] = loss_reorder_horizon or 0
-        self._delays.reset(slot, int(stats_window))
-        self._arrivals.reset(slot, int(arrival_window))
-        return ObserverRow(self, slot)
+        if first_seq:
+            self._first_seq[slot] = first_seq
+        if first_seq != 1:
+            self._highest[slot] = first_seq - 1
+        if loss_reorder_horizon:
+            self._horizon[slot] = loss_reorder_horizon
+        self._delays.window[slot] = stats_window
+        self._arrivals.window[slot] = arrival_window
+        return ObserverRow(self, slot, self._gen.item(slot))
 
     def release(self, row: "ObserverRow") -> HeartbeatObserver:
         """Close ``row``: return its final :meth:`export` and free its
-        slot for reuse.  The view (and any sub-view taken from it)
-        raises from then on."""
+        slot for reuse.  The view (and any sub-view taken from it, or
+        any view of the slot built before) raises from then on."""
         slot = row.slot
         observer = self.export(slot)
-        row._slot = -1
         self._missing.pop(slot, None)
         self._local_drops.pop(slot, None)
+        for name in self._STATE:
+            getattr(self, name)[slot] = 0
+        self._delays.clear(slot)
+        self._arrivals.clear(slot)
+        self._gen[slot] += 1
         self._free.append(slot)
         return observer
 
@@ -473,7 +485,6 @@ class ObserverTable:
                     self._repeated[again] = True
                     vector = ~self._repeated[slots]
                     self._repeated[again] = False
-                vector &= self._started[slots]
                 vector &= seqs > self._highest[slots]
                 vector &= np.isfinite(samples)
                 if vector.all():
@@ -507,8 +518,10 @@ class ObserverTable:
         samples: np.ndarray,
         recvs: np.ndarray,
     ) -> None:
-        """The vector lane: distinct started rows, each with a new
-        highest sequence number and a finite sample."""
+        """The vector lane: distinct rows, each with a new highest
+        sequence number and a finite sample.  A row not started yet
+        holds ``first_seq − 1`` as its highest, so its gap opens from
+        ``first_seq``, as ``_observe_seq`` opens it."""
         highest = self._highest[slots]
         opening = seqs - 1 > highest
         if opening.any():
@@ -521,6 +534,13 @@ class ObserverTable:
             ):
                 self._open_gap(slot, lo, hi)
         self._highest[slots] = seqs
+        fresh = ~self._started[slots]
+        if fresh.any():
+            # First receipts: the row starts, and its sweep mark is the
+            # receipt itself, so no sweep is due below.
+            first = slots[fresh]
+            self._started[first] = True
+            self._swept_at[first] = seqs[fresh]
         horizon = self._horizon[slots]
         due = (horizon > 0) & (seqs - self._swept_at[slots] >= horizon)
         if due.any():
@@ -653,19 +673,21 @@ class ObserverRow:
     a :class:`HeartbeatObserver` that hosts and their callers use.
 
     Reads go to the table's columns, so a view (or a sub-view such as
-    ``row.loss``) taken once stays current across later chunks.  After
-    :meth:`ObserverTable.release` every access raises.
+    ``row.loss``) taken once stays current across later chunks.  A view
+    is of one generation of its slot: after :meth:`ObserverTable.release`
+    every access raises, even once the slot holds another row.
     """
 
-    __slots__ = ("_table", "_slot")
+    __slots__ = ("_table", "_slot", "_gen")
 
-    def __init__(self, table: ObserverTable, slot: int) -> None:
+    def __init__(self, table: ObserverTable, slot: int, gen: int) -> None:
         self._table = table
         self._slot = slot
+        self._gen = gen
 
     @property
     def slot(self) -> int:
-        if self._slot < 0:
+        if self._table._gen.item(self._slot) != self._gen:
             raise EstimationError("observer row was released")
         return self._slot
 

@@ -44,7 +44,21 @@ from repro.errors import InvalidParameterError, SimulationError
 from repro.live.transport import SenderTransport
 from repro.live.wire import HeartbeatEncoder
 
-__all__ = ["FanoutStream", "HeartbeatFanout"]
+__all__ = ["FanoutStream", "HeartbeatFanout", "first_slot"]
+
+
+def first_slot(now: float, eta: float) -> int:
+    """The first slot ``j >= 1`` of the grid ``σ_j = j·η`` still to come
+    at local time ``now``: ``σ < now`` has passed, ``σ >= now`` is still
+    to come.  The fan-out paces a new stream from it and the monitor
+    opens a new incarnation's window at it, so the two agree at an exact
+    grid instant too."""
+    j = max(1, math.ceil(now / eta))
+    while j * eta < now:
+        j += 1
+    while j > 1 and (j - 1) * eta >= now:
+        j -= 1
+    return j
 
 
 class FanoutStream:
@@ -173,18 +187,6 @@ class HeartbeatFanout:
 
     # ------------------------------------------------------------------ #
 
-    def _first_slot(self, eta: float, first_seq: int) -> int:
-        """First sendable slot: skip slots already in the past (``σ <
-        now`` is skipped, ``σ >= now`` is armed), never before
-        ``first_seq``."""
-        now_local = self.local_now()
-        j = max(1, int(math.ceil(now_local / eta)))
-        while j * eta < now_local:
-            j += 1
-        while j > 1 and (j - 1) * eta >= now_local:
-            j -= 1
-        return max(first_seq, j)
-
     def add_stream(
         self,
         name: str,
@@ -208,7 +210,8 @@ class HeartbeatFanout:
                 f"first_seq must be >= 1, got {first_seq}"
             )
         eta = float(eta)
-        next_seq = self._first_slot(eta, int(first_seq))
+        # the first slot still to come, never before first_seq
+        next_seq = max(int(first_seq), first_slot(self.local_now(), eta))
         stream = FanoutStream(
             name, transport, eta, int(incarnation), next_seq
         )

@@ -41,7 +41,7 @@ engine's :class:`~repro.telemetry.qos_online.QoSTable`, exported as
 :attr:`LivePeerResult.estimator` when an incarnation closes.  The Section 5/6
 estimators (loss / delay / expected arrival) of every incarnation are
 rows of the service's one :class:`~repro.estimation.ObserverTable`: a
-host holds its row's live view as ``observer``, a drained chunk updates
+host's ``observer`` is a view of its row, a drained chunk updates
 all its rows with one ``observe_batch`` right before the engine's one
 ``ingest``, and closing an incarnation exports its row as the real
 :class:`~repro.estimation.HeartbeatObserver` of
@@ -67,6 +67,7 @@ from repro.core.base import HeartbeatFailureDetector
 from repro.errors import EstimationError, InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
 from repro.estimation.table import ObserverTable
+from repro.live.fanout import first_slot
 from repro.live.soa import LoopWheelScheduler
 from repro.live.supervisor import TaskSupervisor
 from repro.live.wire import (
@@ -130,6 +131,11 @@ class LivePeerResult:
     delivered: int
 
 
+#: ``add_peer``'s default estimator windows, shared by every peer that
+#: keeps them (a tuple a peer would be one more object a peer)
+_DEFAULT_WINDOWS = (1000, 32, 1024)
+
+
 class _Peer:
     __slots__ = (
         "name",
@@ -139,19 +145,19 @@ class _Peer:
         "incarnation",
         "first_seq",
         "host",
-        "observer_windows",
-        "observe",
+        "windows",
     )
 
-    def __init__(self, name, eta, factory, observer_windows, observe) -> None:
+    def __init__(self, name, eta, factory, windows) -> None:
         self.name = name
-        #: the peer's entry in the service's :class:`_PeerIndex`
+        #: the peer's entry in the service's :class:`_PeerIndex`; -1
+        #: until its first incarnation has started
         self.index = -1
         self.eta = eta
         self.factory = factory
-        #: (stats_window, arrival_window, loss_reorder_horizon)
-        self.observer_windows = observer_windows
-        self.observe = observe
+        #: (stats_window, arrival_window, loss_reorder_horizon) of the
+        #: estimator row every incarnation gets; None: no row
+        self.windows = windows
         self.incarnation = 0
         self.first_seq = 1
         #: SoAMonitorHost (NFD-S/U/E engine row) or DetectorHost (the rest)
@@ -299,6 +305,8 @@ class LiveMonitorService:
             raise InvalidParameterError(
                 f"inbox_limit must be >= 1, got {inbox_limit}"
             )
+        if not warmup >= 0:
+            raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
         self._loop = (
             loop if loop is not None else asyncio.get_running_loop()
         )
@@ -450,74 +458,82 @@ class LiveMonitorService:
                 of the service's estimator table.  Off, a peer whose
                 detector parameters are fixed gets no row and its
                 heartbeats skip the table's per-chunk pass.
+
+        A registration that raises (a factory or a window the estimators
+        refuse) leaves nothing behind: the name is free again.
         """
         if self._index.get(name) is not None:
             raise InvalidParameterError(f"peer {name!r} already monitored")
-        if eta <= 0:
-            raise InvalidParameterError(f"eta must be positive, got {eta}")
-        peer = _Peer(
-            name=name,
-            eta=float(eta),
-            factory=detector_factory,
-            observer_windows=(
-                stats_window,
-                arrival_window,
-                loss_reorder_horizon,
-            ),
-            observe=observe,
-        )
-        self._index.add(peer)
+        if not 0.0 < eta < math.inf:
+            raise InvalidParameterError(
+                f"eta must be positive and finite, got {eta}"
+            )
+        windows = None
+        if observe:
+            windows = (stats_window, arrival_window, loss_reorder_horizon)
+            if windows == _DEFAULT_WINDOWS:
+                windows = _DEFAULT_WINDOWS
+        peer = _Peer(name, float(eta), detector_factory, windows)
         self._start_incarnation(peer, incarnation=0)
 
     def _start_incarnation(self, peer: _Peer, incarnation: int) -> None:
-        # A detector started mid-stream must begin at the current send
-        # window, not at seq 1 — same first-seq rule as MonitorService.
-        first_seq = max(1, int(math.floor(self.local_now() / peer.eta)) + 1)
+        # One clock read: a detector started mid-stream begins at the
+        # first heartbeat still to come — the fan-out's first slot
+        # (MonitorService keeps its own rule: it starts the sender too).
+        now = self._scheduler.now()
+        first_seq = first_slot(now, peer.eta)
         detector = peer.factory(first_seq)
         observer = None
-        if peer.observe:
-            stats, arrival, horizon = peer.observer_windows
+        if peer.windows is not None:
+            stats, arrival, horizon = peer.windows
             observer = self._observers.add(
-                eta=peer.eta,
-                first_seq=first_seq,
-                stats_window=stats,
-                arrival_window=arrival,
-                loss_reorder_horizon=horizon,
+                peer.eta, stats, arrival, first_seq, horizon
             )
-        if supports_detector(detector):
-            host = SoAMonitorHost(
-                self._soa(),
-                detector,
-                warmup=self._warmup,
-                keep_trace=self._keep_traces,
-                observer=observer,
-                incarnation=incarnation,
-                label=peer.name,
-            )
-            assert host.row == len(self._row_owner)
+        try:
+            if supports_detector(detector):
+                host = SoAMonitorHost(
+                    self._soa(),
+                    detector,
+                    warmup=self._warmup,
+                    keep_trace=self._keep_traces,
+                    observer=observer,
+                    incarnation=incarnation,
+                    now=now,
+                )
+                row = host.row
+            else:
+                # The incarnation travels with the hook, so a transition
+                # a superseded host fires can be recognized and muted.
+                host = DetectorHost(
+                    self._scheduler,
+                    detector,
+                    warmup=self._warmup,
+                    keep_trace=self._keep_traces,
+                    observer=observer,
+                    on_transition=partial(
+                        self._note_transition, peer, incarnation
+                    ),
+                )
+                row = -1
+        except BaseException:
+            if observer is not None:
+                self._observers.release(observer)
+            raise
+        if row >= 0:
+            assert row == len(self._row_owner)
             self._row_owner.append(peer)
-            # the columnar lane books for clockless rows only
-            row = host.row if host._clock is None else -1
-        else:
-            # The incarnation travels with the hook, so a transition a
-            # superseded host fires can be recognized and muted.
-            host = DetectorHost(
-                self._scheduler,
-                detector,
-                warmup=self._warmup,
-                keep_trace=self._keep_traces,
-                observer=observer,
-                on_transition=partial(
-                    self._note_transition, peer, incarnation
-                ),
-            )
-            row = -1
+        if peer.index < 0:
+            # A new peer is named only once its first host exists.
+            self._index.add(peer)
         peer.incarnation = incarnation
         peer.first_seq = first_seq
         peer.host = host
         self._suspected.add(peer.name)  # paper detectors start at S
         self._g_suspected.set(len(self._suspected))
-        host.start()
+        if row >= 0:
+            host.start(now)
+        else:
+            host.start()
         self._index.host(
             peer.index,
             incarnation,
@@ -528,15 +544,16 @@ class LiveMonitorService:
         # (administrative — not a detector transition, so no counters),
         # which guarantees a consumer holding a stale trust bit drops it
         # the instant the restart is observed.
-        self._publish(
-            MonitorEvent(
-                time=self.local_now(),
-                process=peer.name,
-                output=SUSPECT,
-                administrative=True,
-                incarnation=incarnation,
+        if self._listeners:
+            self._publish(
+                MonitorEvent(
+                    time=now,
+                    process=peer.name,
+                    output=SUSPECT,
+                    administrative=True,
+                    incarnation=incarnation,
+                )
             )
-        )
 
     def _finalize_incarnation(self, peer: _Peer) -> Optional[LivePeerResult]:
         host = peer.host
@@ -574,15 +591,16 @@ class LiveMonitorService:
         # Departure event: subscribers (e.g. an elector) must untrust a
         # peer whose books just closed, exactly like the sim service's
         # synthetic S on remove_process.
-        self._publish(
-            MonitorEvent(
-                time=self.local_now(),
-                process=peer.name,
-                output=SUSPECT,
-                administrative=True,
-                incarnation=peer.incarnation,
+        if self._listeners:
+            self._publish(
+                MonitorEvent(
+                    time=self.local_now(),
+                    process=peer.name,
+                    output=SUSPECT,
+                    administrative=True,
+                    incarnation=peer.incarnation,
+                )
             )
-        )
         return result
 
     def remove_peer(self, name: str) -> Optional[LivePeerResult]:
@@ -776,17 +794,16 @@ class LiveMonitorService:
         index = self._index.lookup.get(name)
         if index is None:
             return
-        peer = self._index.peers[index]
+        # the current incarnation's estimator row (-1: none, or no host)
+        slot = self._index.slot.item(index)
         if (
-            peer.host is None
-            or incarnation != peer.incarnation
+            slot < 0
+            or incarnation != self._index.peers[index].incarnation
             or seq >= _SEQ_LIMIT
         ):
             return
-        observer = peer.host.observer
-        if observer is not None:
-            observer.note_local_drop(seq)
-            self._c_drop_noted.inc()
+        self._observers.note_local_drop(slot, seq)
+        self._c_drop_noted.inc()
 
     async def _consume(self) -> None:
         inbox = self._inbox
@@ -1047,36 +1064,16 @@ class LiveMonitorService:
             if isinstance(host, SoAMonitorHost):
                 if chunk_now is None:
                     chunk_now = self._pend_time = self._soa_engine.now
-                if host._clock is None:
-                    # Inlined prepare() (same package, hot path): the
-                    # per-heartbeat work is a delivered count and four
-                    # appends; the estimators see the receipt in the
-                    # flush, with the rest of the chunk.
-                    if not host._stopped:
-                        host._delivered += 1
-                        pend_rows.append(host._row)
-                        pend_seqs.append(seq)
-                        pend_sigmas.append(sigma)
-                        observer = host._observer
-                        pend_slots.append(
-                            -1 if observer is None else observer._slot
-                        )
-                    n_dispatched += 1
-                    continue
-                # q-local receipt time needs the host's clock: the
-                # estimators are fed here, one receipt at a time.
-                try:
-                    t = host.prepare(seq, sigma, chunk_now)
-                except EstimationError:
-                    n_prewindow += 1
-                    continue
-                if t is not None:
-                    # prepare() echoed chunk_now: the receipt joins the
-                    # buffer under its receipt time.
-                    pend_rows.append(host.row)
+                # Inlined prepare() (same package, hot path; the service's
+                # rows have no clock): the per-heartbeat work is a
+                # delivered count and four appends; the estimators see
+                # the receipt in the flush, with the rest of the chunk.
+                if not host._stopped:
+                    host._delivered += 1
+                    pend_rows.append(host._row)
                     pend_seqs.append(seq)
                     pend_sigmas.append(sigma)
-                    pend_slots.append(-1)
+                    pend_slots.append(host._obs_slot)
                 n_dispatched += 1
             else:
                 try:

@@ -76,8 +76,10 @@ class OutputTrace:
             raise TraceError(f"initial_output must be 'T' or 'S', got {initial_output!r}")
         self._start = float(start_time)
         self._initial = initial_output
-        self._times: List[float] = []
-        self._kinds: List[TransitionKind] = []
+        # Empty tuples until the first transition: a trace that never
+        # moves (most of a large fleet's, most of the time) holds no list.
+        self._times: Sequence[float] = ()
+        self._kinds: Sequence[TransitionKind] = ()
         self._end: Optional[float] = None
 
     # ------------------------------------------------------------------ #
@@ -108,8 +110,12 @@ class OutputTrace:
             if output == TRUST
             else TransitionKind.S_TRANSITION
         )
-        self._times.append(t)
-        self._kinds.append(kind)
+        if self._times:
+            self._times.append(t)
+            self._kinds.append(kind)
+        else:
+            self._times = [t]
+            self._kinds = [kind]
         return True
 
     def close(self, end_time: float) -> "OutputTrace":

@@ -239,7 +239,6 @@ class MonitorService:
                 detector,
                 clock=monitor_clock,
                 incarnation=incarnation,
-                label=name,
             )
             assert host.row == len(self._row_owner)
             self._row_owner.append((name, incarnation))

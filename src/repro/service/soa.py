@@ -98,6 +98,7 @@ from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
+from repro.estimation.table import ObserverRow
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.clocks import Clock, PerfectClock
 from repro.telemetry.qos_online import OnlineQoSEstimator, QoSTable
@@ -113,6 +114,9 @@ __all__ = [
 KIND_NFDS = 0
 KIND_NFDU = 1
 KIND_NFDE = 2
+
+#: the exact detector types the tables model, and their kinds
+_KIND_OF = {NFDS: KIND_NFDS, NFDU: KIND_NFDU, NFDE: KIND_NFDE}
 
 #: heap-entry discriminators (third tuple element, after the deadline and
 #: the arming stamp; value irrelevant to semantics — slices are gathered
@@ -152,7 +156,7 @@ def supports_detector(detector: HeartbeatFailureDetector) -> bool:
     and therefore takes the per-detector host, like every other
     detector the tables do not model (φ-accrual, Jacobson, SFD, …).
     """
-    return type(detector) in (NFDS, NFDU, NFDE)
+    return type(detector) in _KIND_OF
 
 
 # ---------------------------------------------------------------------- #
@@ -249,7 +253,10 @@ class VectorMonitorEngine:
         self._expiry_bound = math.inf
         self._incarnation = np.zeros(cap, dtype=np.int64)
         self._delivered = np.zeros(cap, dtype=np.int64)
-        # ``_clocks[row] is None`` as a column, for the ingest fast lane
+        # the spec's first_seq and NFD-E window (:meth:`spec`)
+        self._first_seq = np.zeros(cap, dtype=np.int64)
+        self._window = np.zeros(cap, dtype=np.int64)
+        # ``row not in _clocks`` as a column, for the ingest fast lane
         self._clockless = np.zeros(cap, dtype=bool)
         # scratch: position of a row's last receipt in the span at hand
         self._mark = np.zeros(cap, dtype=np.int64)
@@ -261,13 +268,13 @@ class VectorMonitorEngine:
         self._win_count = np.zeros(0, dtype=np.int64)
         self._win_head = np.zeros(0, dtype=np.int64)
         self._win_sum = np.zeros(0, dtype=np.float64)
-        self._win_len = np.zeros(0, dtype=np.int64)
         # scratch: position of a slot's last receipt in the span at hand
         self._win_mark = np.zeros(0, dtype=np.int64)
         self._win_free: List[int] = []  # slots of removed rows
-        # Per-row Python-object state (cold; scalar paths only)
-        self._clocks: List[Optional[Clock]] = []
-        self._sinks: List[Optional[TransitionSink]] = []
+        # Per-row Python objects, by row, for the active rows that have
+        # one (cold; scalar paths only): most rows have none of them
+        self._clocks: Dict[int, Clock] = {}
+        self._sinks: Dict[int, TransitionSink] = {}
         self._n_sinks = 0  # active rows with a sink of their own
         self._listener: Optional[BatchListener] = None
         # the scalar lane's pending run: rows that turned ``_run_out`` at
@@ -277,8 +284,7 @@ class VectorMonitorEngine:
         self._run_out = TRUST
         #: online QoS estimators of the rows that have one, as columns
         self.qos = QoSTable(cap)
-        self._ea_fns: List[Optional[Callable[[int], float]]] = []
-        self._labels: List[str] = []
+        self._ea_fns: Dict[int, Callable[[int], float]] = {}
         self._cohorts: Dict[Tuple[float, float], _Cohort] = {}
         self.transition_log: Optional[List[Tuple[float, int, str]]] = (
             [] if record_transitions else None
@@ -349,6 +355,8 @@ class VectorMonitorEngine:
             "_expiry_stamp",
             "_incarnation",
             "_delivered",
+            "_first_seq",
+            "_window",
             "_clockless",
             "_mark",
             "_win_slot",
@@ -383,7 +391,6 @@ class VectorMonitorEngine:
                 for name in (
                     "_win_count",
                     "_win_head",
-                    "_win_len",
                     "_win_mark",
                     "_win_sum",
                 ):
@@ -396,7 +403,6 @@ class VectorMonitorEngine:
                     grown_buf[:slot] = self._win_buf[:slot]
                     self._win_buf = grown_buf
             self._win_rows += 1
-        self._win_len[slot] = window
         self._win_slot[row] = slot
 
     def register(
@@ -406,15 +412,16 @@ class VectorMonitorEngine:
         clock: Optional[Clock] = None,
         on_transition: Optional[TransitionSink] = None,
         incarnation: int = 0,
-        label: str = "",
     ) -> int:
         """Add a sender row; the detector instance is the parameter spec.
 
         The detector must be fresh (unbound, unstarted): the engine owns
         the state from here on, and the instance is only read for its
-        parameters (η, δ/α, window, first_seq).
+        parameters (η, δ/α, window, first_seq) — :meth:`spec` rebuilds
+        it from the columns, so nobody needs to keep it.
         """
-        if not supports_detector(detector):
+        kind = _KIND_OF.get(type(detector))
+        if kind is None:
             raise InvalidParameterError(
                 f"SoA engine does not support {type(detector).__name__}; "
                 f"host it in a DetectorHost instead"
@@ -424,40 +431,55 @@ class VectorMonitorEngine:
                 "detector already bound/started; the SoA engine needs a "
                 "fresh instance as its parameter spec"
             )
-        if self._n == len(self._kind):
-            self._grow()
         row = self._n
-        self._n += 1
+        if row == len(self._kind):
+            self._grow()
+        self._n = row + 1
+        # A fresh row holds every column's fill value (a detector
+        # starts at S, nothing delivered, no expiry): only what differs
+        # is written.
+        first = detector._first_seq
         self._active[row] = True
-        self._trusted[row] = False  # paper detectors start at S
-        self._eta[row] = detector.eta
-        self._incarnation[row] = incarnation
-        self._delivered[row] = 0
-        self._clocks.append(None if clock is None else clock)
-        self._clockless[row] = clock is None
-        self._sinks.append(on_transition)
-        self._n_sinks += on_transition is not None
-        self._labels.append(label)
-        if isinstance(detector, NFDE):
-            self._kind[row] = KIND_NFDE
-            self._shift[row] = detector.alpha
-            self._max_seq[row] = detector._first_seq - 1  # ℓ
-            self._tau_next[row] = 0.0
-            self._ea_fns.append(None)
-            self._alloc_window(row, detector.estimator.window)
-        elif isinstance(detector, NFDU):
-            self._kind[row] = KIND_NFDU
-            self._shift[row] = detector.alpha
-            self._max_seq[row] = detector._first_seq - 1  # ℓ
-            self._tau_next[row] = 0.0
-            self._ea_fns.append(detector._expected_arrival)
+        self._eta[row] = detector._eta
+        self._first_seq[row] = first
+        if first != 1:
+            self._max_seq[row] = first - 1  # NFD-S max seq, NFD-U/E ℓ
+        if incarnation:
+            self._incarnation[row] = incarnation
+        if clock is None:
+            self._clockless[row] = True
         else:
-            self._kind[row] = KIND_NFDS
-            self._shift[row] = detector.delta
-            self._max_seq[row] = detector._first_seq - 1
-            self._next_check[row] = detector._first_seq
-            self._ea_fns.append(None)
+            self._clocks[row] = clock
+        if on_transition is not None:
+            self._sinks[row] = on_transition
+            self._n_sinks += 1
+        if kind == KIND_NFDS:
+            self._shift[row] = detector._delta
+            self._next_check[row] = first
+            return row
+        self._kind[row] = kind
+        self._shift[row] = detector._alpha
+        if kind == KIND_NFDE:
+            window = detector._estimator.window
+            self._window[row] = window
+            self._alloc_window(row, window)
+        else:
+            self._ea_fns[row] = detector._expected_arrival
         return row
+
+    def spec(self, row: int) -> HeartbeatFailureDetector:
+        """A fresh, unbound detector with the row's parameters — the
+        spec it was registered with, rebuilt from the columns (an NFD-U
+        row's ``EA`` callable is gone once the row is removed)."""
+        kind = self._kind.item(row)
+        eta = self._eta.item(row)
+        shift = self._shift.item(row)
+        first = self._first_seq.item(row)
+        if kind == KIND_NFDS:
+            return NFDS(eta, shift, first_seq=first)
+        if kind == KIND_NFDE:
+            return NFDE(eta, shift, self._window.item(row), first_seq=first)
+        return NFDU(eta, shift, self._ea_fns.get(row), first_seq=first)
 
     def listen(self, listener: Optional[BatchListener]) -> None:
         """Install the engine's one batch listener, called as
@@ -478,8 +500,9 @@ class VectorMonitorEngine:
             return
         self._active[row] = False
         self._expiry_at[row] = math.inf
-        self._n_sinks -= self._sinks[row] is not None
-        self._sinks[row] = self._clocks[row] = self._ea_fns[row] = None
+        self._n_sinks -= self._sinks.pop(row, None) is not None
+        self._clocks.pop(row, None)
+        self._ea_fns.pop(row, None)
         if self._win_slot[row] >= 0:
             self._win_free.append(int(self._win_slot[row]))
             self._win_slot[row] = -1
@@ -489,11 +512,11 @@ class VectorMonitorEngine:
     # ------------------------------------------------------------------ #
 
     def _local(self, row: int, real: float) -> float:
-        clock = self._clocks[row]
+        clock = self._clocks.get(row)
         return real if clock is None else clock.local_time(real)
 
     def _real(self, row: int, local: float) -> float:
-        clock = self._clocks[row]
+        clock = self._clocks.get(row)
         return local if clock is None else clock.real_time(local)
 
     # ------------------------------------------------------------------ #
@@ -504,34 +527,41 @@ class VectorMonitorEngine:
         self._stamp += 1
         return self._stamp
 
-    def start_row(self, row: int) -> None:
-        """Arm the row's initial freshness deadline (detector start)."""
-        if not self._active[row]:
+    def start_row(self, row: int, now: Optional[float] = None) -> None:
+        """Arm the row's initial freshness deadline (detector start) at
+        engine time; ``now`` is a reading of the scheduler's clock the
+        caller has just taken (default: take one)."""
+        if not self._active.item(row):
             return
-        now_real = self.now
-        self._time = max(self._time, now_real)
-        kind = self._kind[row]
+        if now is None:
+            now = self._scheduler.now()
+        now_real = self._time = max(self._time, now)  # :attr:`now`
+        kind = self._kind.item(row)
         if kind == KIND_NFDS:
-            eta = float(self._eta[row])
-            delta = float(self._shift[row])
-            if self._clocks[row] is None:
+            eta = self._eta.item(row)
+            delta = self._shift.item(row)
+            i = self._next_check.item(row)
+            if row not in self._clocks:
                 # Catch a stale first_seq up to the present (the object
                 # host replays overdue freshness points asap; nothing is
                 # emitted because the initial output is already S and no
                 # heartbeat can have arrived before start).
-                while self._next_check[row] * eta + delta <= now_real:
-                    self._next_check[row] += 1
-                self._join_cohort(row, eta, delta)
+                if i * eta + delta <= now_real:
+                    i += 1
+                    while i * eta + delta <= now_real:
+                        i += 1
+                    self._next_check[row] = i
+                self._join_cohort(row, eta, delta, i)
             else:
-                i = int(self._next_check[row])
-                real = max(self._real(row, i * eta + delta), self._time)
+                real = max(self._real(row, i * eta + delta), now_real)
                 heapq.heappush(
                     self._heap, (real, self._next_stamp(), _ENTRY_ROW, row, i)
                 )
         else:
             # NFD-U/E: τ_0 = 0; arm only if the local clock is behind it.
-            if self._tau_next[row] > self._local(row, now_real):
-                real = max(self._real(row, self._tau_next[row]), self._time)
+            tau = self._tau_next.item(row)
+            if tau > self._local(row, now_real):
+                real = max(self._real(row, tau), now_real)
                 self._arm_expiry(row, real, self._next_stamp())
         self._request_wakeup()
 
@@ -549,14 +579,15 @@ class VectorMonitorEngine:
             return self._heap[0][0]
         return self._expiry_bound
 
-    def _join_cohort(self, row: int, eta: float, delta: float) -> None:
+    def _join_cohort(
+        self, row: int, eta: float, delta: float, first: int
+    ) -> None:
         key = (eta, delta)
         cohort = self._cohorts.get(key)
         if cohort is None:
             cohort = _Cohort(eta, delta)
             self._cohorts[key] = cohort
         cohort.add(row)
-        first = int(self._next_check[row])
         if not cohort.armed:
             cohort.tick = first
             cohort.armed = True
@@ -768,7 +799,7 @@ class VectorMonitorEngine:
                 self.transition_log.append((real, row, output))
             one = rows[k : k + 1]
             self.qos.update(real, one, output)
-            sink = self._sinks[row]
+            sink = self._sinks.get(row)
             if sink is not None:
                 sink(real, self._local(row, real), output)
             if self._listener is not None:
@@ -867,7 +898,7 @@ class VectorMonitorEngine:
         (append-then-evict), so estimates are bit-identical.
         """
         slot = self._win_slot[row]
-        window = int(self._win_len[slot])
+        window = int(self._window[row])
         count = int(self._win_count[slot])
         head = int(self._win_head[slot])
         norm = recv_local - eta * seq
@@ -1090,7 +1121,7 @@ class VectorMonitorEngine:
                     return at
             r, s, t = rows[at], seqs[at], times[at]
             eta = self._eta[r]
-            width = self._win_len[slot]
+            width = self._window[r]
             count = self._win_count[slot]
             head = self._win_head[slot]
             full = count == width
@@ -1121,20 +1152,20 @@ class VectorMonitorEngine:
 
 
 class _RowDetectorView:
-    """Read-only detector facade over one engine row.
+    """Read-only detector facade over one engine row, built on access.
 
     Presents the surface of a live :class:`HeartbeatFailureDetector`
     (``output``, ``suspects``, parameters, ``describe``) while the real
-    state lives in the engine's tables; parameter attributes delegate to
-    the original (unbound) spec detector.
+    state lives in the engine's tables; parameter attributes are read
+    off the row's spec, rebuilt from the columns
+    (:meth:`VectorMonitorEngine.spec`).
     """
 
-    __slots__ = ("_engine", "_row", "_spec")
+    __slots__ = ("_engine", "_row")
 
-    def __init__(self, engine: VectorMonitorEngine, row: int, spec) -> None:
+    def __init__(self, engine: VectorMonitorEngine, row: int) -> None:
         self._engine = engine
         self._row = row
-        self._spec = spec
 
     @property
     def output(self) -> str:
@@ -1145,10 +1176,10 @@ class _RowDetectorView:
         return self.output == SUSPECT
 
     def describe(self) -> str:
-        return f"soa:{self._spec.describe()}"
+        return f"soa:{self._engine.spec(self._row).describe()}"
 
     def __getattr__(self, name):
-        return getattr(self._spec, name)
+        return getattr(self._engine.spec(self._row), name)
 
 
 class SoAMonitorHost:
@@ -1157,35 +1188,43 @@ class SoAMonitorHost:
 
     Arguments, surface and time rule are the reference
     :class:`~repro.sim.monitor.DetectorHost`'s (see that module), plus
-    ``incarnation`` / ``label`` for the engine's tables.  The host owns
-    the incarnation's trace; its online QoS estimator is the row's entry
-    in the engine's :class:`~repro.telemetry.qos_online.QoSTable`
-    (:attr:`estimator` exports it), detector state and freshness
-    deadlines live in the engine.  Only a host that keeps a trace or has
-    an ``on_transition`` hook gives its row a per-row sink: a service
+    ``incarnation`` for the engine's tables and ``now``, a reading of
+    the driver's clock the caller has just taken (default: read it).
+    The host owns the incarnation's trace; its online QoS estimator is
+    the row's entry in the engine's
+    :class:`~repro.telemetry.qos_online.QoSTable` (:attr:`estimator`
+    exports it), detector state and freshness deadlines live in the
+    engine.  Only a host that keeps a trace or has an
+    ``on_transition`` hook gives its row a per-row sink: a service
     hosts its rows without either and hears them through the engine's
-    batch listener.  ``observer`` is anything
-    with ``HeartbeatObserver``'s surface — the object itself, or the
-    live view of an :class:`~repro.estimation.ObserverTable` row, which
-    is what :class:`~repro.live.monitor.LiveMonitorService` passes.  A
-    simulator pipeline feeds receipts one at a time through
-    :meth:`deliver`; the live inbox drain books a clockless host's
-    receipts itself (an inline of :meth:`prepare` without the observer
-    call) and applies a chunk with one ``ObserverTable.observe_batch``
-    and one :meth:`VectorMonitorEngine.ingest`.
+    batch listener.
+
+    ``observer`` is anything with ``HeartbeatObserver``'s surface — the
+    object itself, or a view of an
+    :class:`~repro.estimation.ObserverTable` row, which is what
+    :class:`~repro.live.monitor.LiveMonitorService` passes.  A view is
+    kept as its table, slot and generation, and :attr:`observer` and
+    :attr:`detector` build their views when read: a registered host is
+    one object the collector tracks.  A simulator pipeline feeds
+    receipts one at a time through :meth:`deliver`; the live inbox
+    drain books a host's receipts itself (an inline of :meth:`prepare`
+    without the observer call) and applies a chunk with one
+    ``ObserverTable.observe_batch`` and one
+    :meth:`VectorMonitorEngine.ingest`.
     """
 
     __slots__ = (
         "_engine",
+        "_row",
         "_clock",
         "_observer",
+        "_obs_slot",
+        "_obs_gen",
         "_on_transition_hook",
         "_started",
         "_stopped",
         "_delivered",
         "_trace",
-        "_row",
-        "_detector_view",
     )
 
     def __init__(
@@ -1199,48 +1238,55 @@ class SoAMonitorHost:
         observer: Optional[HeartbeatObserver] = None,
         on_transition: Optional[Callable[[float, str], None]] = None,
         incarnation: int = 0,
-        label: str = "",
+        now: Optional[float] = None,
     ) -> None:
         self._engine = engine
         # The tables' fast lane is keyed on "no clock object".
         self._clock = None if isinstance(clock, PerfectClock) else clock
-        self._observer = observer
+        if type(observer) is ObserverRow:
+            self._observer = observer._table
+            self._obs_slot = observer.slot
+            self._obs_gen = observer._gen
+        else:
+            self._observer = observer
+            self._obs_slot = -1  # ``_observer`` is the observer itself
+            self._obs_gen = 0
         self._on_transition_hook = on_transition
         self._started = False
         self._stopped = False
         self._delivered = 0
-        start = engine.now
+        start = engine.now if now is None else max(engine._time, now)
+        # a fresh detector starts at S (register checks it is fresh)
         self._trace = (
-            OutputTrace(start_time=start, initial_output=detector.output)
+            OutputTrace(start_time=start, initial_output=SUSPECT)
             if keep_trace
             else None
         )
         self._row = engine.register(
             detector,
             clock=self._clock,
+            # the host itself, not a bound method: one object fewer a row
             on_transition=(
-                self._on_transition
-                if keep_trace or on_transition is not None
-                else None
+                self if keep_trace or on_transition is not None else None
             ),
             incarnation=incarnation,
-            label=label,
         )
         if warmup is not None:
-            engine.qos.open(self._row, start, detector.output, warmup)
-        self._detector_view = _RowDetectorView(engine, self._row, detector)
+            engine.qos.open(self._row, start, SUSPECT, warmup)
 
     @property
     def row(self) -> int:
         return self._row
 
     @property
-    def detector(self):
-        return self._detector_view
+    def detector(self) -> _RowDetectorView:
+        return _RowDetectorView(self._engine, self._row)
 
     @property
     def observer(self) -> Optional[HeartbeatObserver]:
-        return self._observer
+        if self._obs_slot < 0:
+            return self._observer
+        return ObserverRow(self._observer, self._obs_slot, self._obs_gen)
 
     @property
     def estimator(self) -> Optional[OnlineQoSEstimator]:
@@ -1268,11 +1314,12 @@ class SoAMonitorHost:
         now = self._engine.now
         return now if self._clock is None else self._clock.local_time(now)
 
-    def start(self) -> None:
+    def start(self, now: Optional[float] = None) -> None:
+        """Arm the row (``now`` as in the constructor)."""
         if self._started or self._stopped:
             raise SimulationError("host already started or stopped")
         self._started = True
-        self._engine.start_row(self._row)
+        self._engine.start_row(self._row, now)
 
     def stop(self) -> None:
         """Retire the row; idempotent.  No transition follows, even for
@@ -1307,9 +1354,13 @@ class SoAMonitorHost:
             return None  # late arrival to a removed incarnation
         self._delivered += 1
         t = self._engine.now if now is None else now
-        if self._observer is not None:
+        observer = self._observer
+        if observer is not None:
             recv = t if self._clock is None else self._clock.local_time(t)
-            self._observer.observe_arrival(seq, send_local_time, recv)
+            if self._obs_slot < 0:
+                observer.observe_arrival(seq, send_local_time, recv)
+            else:  # a table row: no view a receipt
+                observer.observe(self._obs_slot, seq, send_local_time, recv)
         return t
 
     def deliver(self, seq: int, send_local_time: float) -> None:
@@ -1318,7 +1369,8 @@ class SoAMonitorHost:
         if t is not None:
             self._engine.deliver(self._row, seq, send_local_time, t)
 
-    def _on_transition(self, real: float, local: float, output: str) -> None:
+    def __call__(self, real: float, local: float, output: str) -> None:
+        """The row's transition sink (a :data:`TransitionSink`)."""
         if self._trace is not None:
             self._trace.record(real, output)
         if self._on_transition_hook is not None:

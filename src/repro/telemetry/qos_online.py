@@ -311,7 +311,8 @@ _COLUMNS = {
 class QoSTable:
     """:class:`OnlineQoSEstimator` for many rows, as columns.
 
-    A row is opened once (:meth:`open`), fed transition batches
+    A row is opened once (:meth:`open`, which writes only the columns
+    that differ from a never-opened row's), fed transition batches
     ``(time, rows, output)`` in nondecreasing time (:meth:`update`) and
     closed once (:meth:`close`); :meth:`export` returns the row as an
     estimator object, state-equal — every slot, ``==`` on floats — to
@@ -352,12 +353,15 @@ class QoSTable:
             )
         if warmup < 0:
             raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
-        self.reserve(row + 1)
-        if self._tracked[row]:
+        if row >= len(self._tracked):
+            self.reserve(row + 1)
+        elif self._tracked.item(row):
             raise InvalidParameterError(f"row {row} already opened")
+        # A row is opened once, so every other column holds its fill.
         start = float(start_time)
         self._tracked[row] = self._live[row] = True
-        self._trust[row] = initial_output == TRUST
+        if initial_output == TRUST:
+            self._trust[row] = True
         self._start[row] = self._since[row] = self._last[row] = start
         self._horizon[row] = start + float(warmup)
         self.n_live += 1

@@ -57,10 +57,13 @@ def make_driver(kind):
     return LoopWheelScheduler(loop, 0.0), loop.run_until
 
 
-def make_host(kind, driver, detector, **kwargs):
+def make_host(kind, driver, detector, engine=None, **kwargs):
+    """A host of ``kind``; an engine row goes on ``engine`` if given."""
     if kind == "object":
         return DetectorHost(driver, hosted("object", detector), **kwargs)
-    return SoAMonitorHost(VectorMonitorEngine(driver), detector, **kwargs)
+    if engine is None:
+        engine = VectorMonitorEngine(driver)
+    return SoAMonitorHost(engine, detector, **kwargs)
 
 
 class Feed:
@@ -227,16 +230,23 @@ class TestLifecycle:
         """A timer in the past fires as soon as possible (the drivers'
         rule), so a detector started late with ``first_seq`` behind the
         clock walks its overdue freshness points without raising and
-        then behaves like one started at the current window."""
+        then behaves like one started at the current window — also when
+        it starts exactly on a freshness point (``τ_10 = 10·η + δ``),
+        which is overdue too: the engine's catch-up walks it (``<=``).
+        A companion started at zero keeps the row's cohort armed, so at
+        τ_10 its slice has run and the late row must join at τ_11."""
 
-        def late_join(first_seq):
+        def late_join(first_seq, start):
             driver, run_until = make_driver(driver_kind)
-            run_until(10.3)
+            engine = VectorMonitorEngine(driver)
+            make_host(host_kind, driver, DETECTORS["nfds"](), engine).start()
+            run_until(start)
             transitions = []
             host = make_host(
                 host_kind,
                 driver,
                 DETECTORS["nfds"](first_seq),
+                engine,
                 on_transition=lambda t, out: transitions.append((t, out)),
             )
             host.start()
@@ -244,9 +254,11 @@ class TestLifecycle:
             run_until(15.0)
             return transitions, trace_tuple(host.finish())
 
-        stale, current = late_join(1), late_join(11)
-        assert stale == current
-        assert stale[0] == [(11.05, TRUST), (12 * ETA + 0.4, SUSPECT)]
+        for start in (10.3, 10 * ETA + 0.4):
+            stale, current = late_join(1, start), late_join(11, start)
+            assert stale == current, start
+            assert stale[0] == [(11.05, TRUST), (12 * ETA + 0.4, SUSPECT)]
+            assert stale[1][0] == start
 
 
 @pytest.mark.parametrize("host_kind", HOSTINGS)

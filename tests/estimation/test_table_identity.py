@@ -20,6 +20,7 @@ import pytest
 
 from repro.errors import EstimationError, InvalidParameterError
 from repro.estimation import HeartbeatObserver, ObserverTable
+from repro.estimation.table import _VECTOR_FROM
 from tests.reference import observer_state as state
 
 FIRST_SEQS = (0, 1, 1000)
@@ -242,7 +243,7 @@ def test_table_equals_oracle_past_its_first_capacity():
 
 def test_one_chunk_per_round_is_all_vector():
     """Steady state: every row once per chunk, in order, nothing odd —
-    after the first receipts no heartbeat touches the scalar lane."""
+    no heartbeat touches the scalar lane, the first receipts included."""
     table = ObserverTable()
     n = 50
     params = dict(eta=1.0, stats_window=4, arrival_window=3)
@@ -258,7 +259,7 @@ def test_one_chunk_per_round_is_all_vector():
         assert not rejected.any()
         for oracle in oracles:
             oracle.observe_arrival(seq, sigma, recv)
-    assert lanes.vector == 18 * n
+    assert lanes.vector == 19 * n
     for row, oracle in zip(rows, oracles):
         assert state(table.export(row.slot)) == state(oracle)
 
@@ -330,3 +331,72 @@ def test_exported_observer_keeps_going_like_the_oracle():
         oracle.observe_arrival(seq, seq * 0.25, seq * 0.25 + 0.02)
     assert state(exported) == state(oracle)
     assert exported.expected_arrival(12).hex() == oracle.expected_arrival(12).hex()
+
+
+@pytest.mark.parametrize("horizon", [None, 1, 4, 1024])
+def test_first_receipts_take_the_vector_lane(horizon):
+    """A row's first receipt is a new highest over ``first_seq − 1``:
+    at ``first_seq``, above it (a gap opens), and at or past the reorder
+    horizon (compacted at once past it) — mixed with started rows in
+    chunks the vector lane takes whole, equal to the oracle after every
+    chunk, every first receipt counted on the vector lane."""
+    eta = 0.5
+    table = ObserverTable()
+    lanes = Lanes(table)
+    firsts = []  # slots the vector lane started
+    apply = table._apply
+
+    def watched(slots, *rest):
+        firsts.extend(slots[~table._started[slots]].tolist())
+        apply(slots, *rest)
+
+    table._apply = watched
+    reach = horizon or 1024
+    rows, oracles, first_seqs, offsets = [], [], [], []
+    for k in range(4 * _VECTOR_FROM):
+        params = dict(
+            eta=eta,
+            first_seq=(0, 1, 7)[k % 3],
+            stats_window=3,
+            arrival_window=2,
+            loss_reorder_horizon=horizon,
+        )
+        rows.append(table.add(**params))
+        oracles.append(HeartbeatObserver(**params))
+        first_seqs.append(params["first_seq"])
+        # how far past first_seq the first receipt lands
+        offsets.append((0, 1, 3, reach - 1, reach, reach + 5)[k % 6])
+    slots = np.array([row.slot for row in rows], dtype=np.int64)
+    # a drop noted before the first receipt, inside the gap it opens
+    rows[2].note_local_drop(first_seqs[2] + 1)
+    oracles[2].note_local_drop(first_seqs[2] + 1)
+    half = len(rows) // 2
+    fresh = [range(half), range(half, len(rows)), range(0)]
+    started, sent = [], 0
+    for new in fresh:
+        # the rows started so far, then a fresh half (if any)
+        chunk = started + list(new)
+        assert len(chunk) >= _VECTOR_FROM
+        seqs = [
+            oracles[k].loss.highest_seq + 1
+            if k in started
+            else first_seqs[k] + offsets[k]
+            for k in chunk
+        ]
+        recvs = [seq * eta + 0.01 * k for k, seq in zip(chunk, seqs)]
+        rejected = table.observe_batch(
+            slots[chunk],
+            np.array(seqs, dtype=np.int64),
+            np.array(seqs, dtype=np.float64) * eta,
+            np.array(recvs, dtype=np.float64),
+        )
+        assert not rejected.any()
+        for k, seq, recv in zip(chunk, seqs, recvs):
+            oracles[k].observe_arrival(seq, seq * eta, recv)
+        started, sent = chunk, sent + len(chunk)
+        for row, oracle in zip(rows, oracles):
+            assert state(table.export(row.slot)) == state(oracle)
+            assert reads(row) == reads(oracle)
+    assert sorted(firsts) == sorted(slots.tolist())
+    assert lanes.vector == sent
+    assert lanes.gaps > 0

@@ -863,17 +863,10 @@ class TestEstimatorIdentity:
             # collector tracks: no HeartbeatObserver, deque or set (the
             # observer table's columns), no OnlineQoSEstimator or Welford
             # (the QoS table's), no hook, method or function (the engine
-            # hears the service's rows through its one batch listener).
-            assert grown == dict.fromkeys(
-                (
-                    "_Peer",
-                    "SoAMonitorHost",
-                    "_RowDetectorView",
-                    "NFDS",
-                    "ObserverRow",
-                ),
-                2000,
-            )
+            # hears the service's rows through its one batch listener),
+            # no spec detector (the engine's columns), no detector or
+            # observer view (built when read).
+            assert grown == dict.fromkeys(("_Peer", "SoAMonitorHost"), 2000)
             lookup = service._index.lookup
             assert len(lookup) == 2001
             assert {type(k) for k in lookup} == {bytes}

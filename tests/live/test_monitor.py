@@ -8,8 +8,11 @@ import pytest
 
 from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError
+from repro.live.fanout import HeartbeatFanout
 from repro.live.monitor import LiveMonitorService
+from repro.live.transport import SenderTransport
 from repro.live.wire import encode_heartbeat
+from tests.reference import SteppedLoop
 
 
 def counter(service, name, **labels):
@@ -183,6 +186,73 @@ class TestIncarnationDispatch:
             )
             assert counter(service, "live_heartbeats_dispatched_total") == 0
             await service.aclose()
+
+        asyncio.run(main())
+
+
+class TestRegistration:
+    """A registration that raises leaves no ghost: the name is free, a
+    corrected re-add works and its heartbeats are dispatched."""
+
+    @staticmethod
+    async def _readd_works(service):
+        assert service.peer_names == []
+        assert len(service._observers) == 0  # the estimator row went back
+        service.add_peer("p0", nfds_factory(0.05, 0.02), eta=0.05)
+        service.on_datagram(encode_heartbeat("p0", 0, 1, 0.05))
+        results = await service.aclose()
+        assert counter(service, "live_heartbeats_dispatched_total") == 1
+        assert counter(service, "live_stale_incarnation_total") == 0
+        assert [r.name for r in results] == ["p0"]
+
+    def test_a_raising_factory_leaves_no_ghost(self):
+        async def main():
+            service = LiveMonitorService()
+            with pytest.raises(InvalidParameterError):
+                service.add_peer("p0", nfds_factory(0.1, -1.0), eta=0.1)
+            await self._readd_works(service)
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_bad_eta_is_refused_and_leaves_no_ghost(self, eta):
+        async def main():
+            service = LiveMonitorService()
+            with pytest.raises(InvalidParameterError):
+                service.add_peer("p0", nfds_factory(0.05, 0.02), eta=eta)
+            await self._readd_works(service)
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("now,eta", [(2.0, 0.5), (1.0, 0.1), (3.0, 0.25)])
+    def test_first_window_at_an_exact_grid_instant(self, now, eta):
+        """A monitor and a fan-out registered at local time ``j·η``
+        agree on the first heartbeat: seq j, sent at ``σ_j = now`` (still
+        to come), opens the window — it is not pre-window."""
+
+        class Wire(SenderTransport):
+            def __init__(self, service):
+                self.service = service
+
+            def send(self, payload):
+                self.service.on_datagram(payload)
+
+        async def main():
+            loop = SteppedLoop()
+            loop.now = now
+            service = LiveMonitorService(loop=loop, origin=0.0)
+            fanout = HeartbeatFanout(loop=loop, origin=0.0)
+            service.add_peer("p0", nfds_factory(eta, eta / 2), eta=eta)
+            stream = fanout.add_stream("p0", Wire(service), eta=eta)
+            first = stream.next_seq
+            assert first * eta == now
+            fanout.start()
+            loop.run_until(now + 2.5 * eta)  # slots j, j+1, j+2
+            await fanout.aclose()
+            results = await service.aclose()
+            assert results[0].first_seq == first
+            assert counter(service, "live_prewindow_heartbeats_total") == 0
+            assert counter(service, "live_heartbeats_dispatched_total") == 3
 
         asyncio.run(main())
 

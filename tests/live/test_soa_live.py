@@ -15,6 +15,7 @@ import gc
 import weakref
 
 import numpy as np
+import pytest
 
 from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
 from repro.core.nfd_e import NFDE
@@ -22,6 +23,9 @@ from repro.core.nfd_s import NFDS
 from repro.live.monitor import LiveMonitorService
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.wire import encode_heartbeat
+from repro.service.monitor_service import MonitorService
+from repro.service.soa import SoAMonitorHost
+from repro.sim.engine import Simulator
 from repro.sim.monitor import DetectorHost
 from tests.reference import SteppedLoop
 
@@ -215,29 +219,66 @@ class TestSubscriberErrors:
         asyncio.run(main())
 
 
+def tracked_growth(register, n):
+    """Objects the collector tracks, grown per call of ``register(i)``
+    for ``i < n`` (after one warm-up call that builds shared state)."""
+    register(-1)
+    gc.collect()
+    before = len(gc.get_objects())
+    for i in range(n):
+        register(i)
+    gc.collect()
+    return (len(gc.get_objects()) - before) / n
+
+
 class TestRegistrationCost:
-    def test_a_peer_costs_at_most_five_tracked_objects(self):
-        """What the collector walks grows by at most five objects a
-        registered NFD-S peer (``_Peer``, the host, its detector view,
-        the spec detector, the observer row): the QoS books are table
-        columns and the engine hears the service's rows through one
-        batch listener, not one hook a peer."""
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            nfds_factory(0.05, 0.02),
+            lambda first_seq: NFDE(0.05, 0.02, first_seq=first_seq),
+        ],
+        ids=["nfd-s", "nfd-e"],
+    )
+    def test_a_peer_costs_at_most_three_tracked_objects(self, factory):
+        """What the collector walks grows by at most three objects a
+        registered NFD-S or NFD-E peer (today two: ``_Peer`` and the
+        host): the QoS books and the estimators are table columns, the
+        spec detector is rebuilt from the engine's columns, the detector
+        and observer views are built when read, and the engine hears
+        the service's rows through one batch listener, not one hook a
+        peer.  The factory is shared, so it is not counted."""
 
         async def main():
             service = LiveMonitorService(keep_traces=False)
-            factory = nfds_factory(0.05, 0.02)  # one for all: not counted
-            service.add_peer("warm", factory, eta=0.05)
-            gc.collect()
-            before = len(gc.get_objects())
-            n = 2000
-            for i in range(n):
-                service.add_peer(f"p{i}", factory, eta=0.05)
-            gc.collect()
-            per_peer = (len(gc.get_objects()) - before) / n
-            assert per_peer <= 5.0, per_peer
+            per_peer = tracked_growth(
+                lambda i: service.add_peer(f"p{i}", factory, eta=0.05), 2000
+            )
+            assert per_peer <= 3.0, per_peer
+            host = service.host("p7")
+            assert host.detector.describe().startswith("soa:NFD-")
+            assert host.observer.loss.highest_seq is None
             await service.aclose()
 
         asyncio.run(main())
+
+    def test_an_engine_row_of_the_sim_service_costs_at_most_three(self):
+        """A row of ``MonitorService``'s engine, hosted as the service
+        hosts it (a kept trace, no observer): today the host and its
+        trace — a trace holds no list before its first transition, the
+        host is its row's sink (not a bound method), and it keeps no
+        spec detector or view."""
+        service = MonitorService(Simulator())
+        engine = service._soa_engine()
+        hosts = []
+        per_row = tracked_growth(
+            lambda i: hosts.append(
+                SoAMonitorHost(engine, NFDS(1.0, 0.5), incarnation=i + 1)
+            ),
+            2000,
+        )
+        assert per_row <= 3.0, per_row
+        assert hosts[0].detector.delta == 0.5
 
     def test_a_closed_service_is_freed_by_refcount(self):
         """Once closed, nothing the service handed out (the engine's

@@ -281,7 +281,7 @@ class Engine(World):
         window = ()
         if self.specs[index].kind == "E":
             slot = eng._win_slot[index]
-            head, width = eng._win_head[slot], eng._win_len[slot]
+            head, width = eng._win_head[slot], eng._window[index]
             window = (
                 [
                     float(eng._win_buf[slot, (head + j) % width])
