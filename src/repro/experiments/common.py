@@ -96,9 +96,8 @@ def fmt(value: Any, width: int = 12) -> str:
 class ExperimentTable:
     """A named table of results — one per reproduced figure/table.
 
-    The text form is what the benchmark harness prints, what
-    EXPERIMENTS.md embeds, and what ``python -m repro.experiments``
-    writes to disk.
+    The text form is what ``python -m repro.experiments`` writes to
+    disk and what EXPERIMENTS.md embeds.
     """
 
     title: str

@@ -20,9 +20,9 @@ fan-out while keeping that guarantee, for any job count and any chunking:
   (non-Unix platforms, daemon processes) execution silently falls back
   to in-process serial — which is bit-identical by construction.
 * **Per-worker instrumentation.**  Each chunk reports the worker PID and
-  its busy time; :class:`ParallelStats` aggregates them for the
-  ``benchmarks/bench_parallel.py`` harness and ``--jobs`` progress
-  reporting.
+  its busy time; :class:`ParallelStats` aggregates them for callers that
+  pass ``with_stats=True`` and for run telemetry (``--telemetry-out``).
+  ``tests/sim/test_parallel.py`` asserts the bit-identity contract.
 """
 
 from __future__ import annotations

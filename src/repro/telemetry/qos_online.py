@@ -658,14 +658,14 @@ class ServiceTelemetry:
         if event.administrative:
             # remove/restart departure: not a detector transition.  The
             # incarnation's observation window ends here, matching the
-            # trace the service retains for it.
+            # trace the service retains for it.  An incarnation that never
+            # transitioned has no estimator yet; the process is still
+            # registered here, so materialise it before it is gone.
             self._admin.inc()
             self._suspected.discard(event.process)
             self._suspected_gauge.set(len(self._suspected))
-            est = self._estimators.get(
-                (event.process, self._service.process(event.process).incarnation)
-            )
-            if est is not None and not est.closed:
+            est = self._estimator_for(event.process)
+            if not est.closed:
                 est.close(event.time)
             return
         if event.output == SUSPECT:

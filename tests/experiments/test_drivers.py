@@ -99,6 +99,8 @@ class TestDetectionTime:
         bounds = table.column("bound")
         maxes = table.column("max T_D")
         assert maxes[0] <= bounds[0] + 1e-9
+        # The NFD-S bound is tight: the worst crash phase comes close.
+        assert maxes[0] > bounds[0] - 0.15
 
 
 @pytest.mark.slow
@@ -131,6 +133,9 @@ class TestDistributions:
         note = table.notes[0]
         bound = float(note.split(">=")[1].split(",")[0])
         assert all(v >= bound * (1 - 1e-9) for v in exact)
+        # Simulation agrees with the exact value in every family.
+        for e, s in zip(exact, table.column("E(T_MR) sim")):
+            assert s == pytest.approx(e, rel=0.35)
 
 
 @pytest.mark.slow
@@ -147,7 +152,7 @@ class TestAdaptive:
         adaptive = table.column("adaptive rate")
         etas = table.column("adaptive eta")
         peak = regimes.index("peak")
-        assert adaptive[peak] < fixed[peak]
+        assert adaptive[peak] < fixed[peak] / 5.0
         # The adaptive detector bought accuracy with bandwidth.
         assert etas[peak] < etas[0]
 
@@ -161,6 +166,9 @@ class TestGossipComparison:
         budgets = table.column("msgs/s/process")
         assert budgets[0] == pytest.approx(budgets[1], rel=0.05)
         assert all(v < 1e6 for v in table.column("max T_D"))
+        # Speeds were equalised by construction, up to estimation noise.
+        mean_td = table.column("mean T_D")
+        assert mean_td[1] == pytest.approx(mean_td[0], rel=0.5)
 
 
 @pytest.mark.slow

@@ -113,6 +113,27 @@ class TestOnlineEstimators:
         for key in (("flaky", 0), ("flaky", 1)):
             assert_estimator_matches_trace(estimators[key], traces[key])
 
+    @pytest.mark.parametrize("action", ["remove", "restart"])
+    def test_incarnation_ended_before_its_first_transition(self, action):
+        sim = Simulator()
+        svc = MonitorService(sim, seed=1)
+        add(svc, "a")
+        add(svc, "b")
+        tel = ServiceTelemetry(svc)
+        svc.start()
+        sim.run_until(0.5)
+        if action == "remove":
+            svc.remove_process("a")
+        else:
+            svc.restart_process(
+                "a", NFDS(eta=1.0, delta=0.5), eta=1.0, delay=ConstantDelay(0.1)
+            )
+        sim.run_until(5.0)
+        estimators = tel.finish()
+        traces = svc.finish()
+        assert set(estimators) == set(traces)
+        assert_estimator_matches_trace(estimators[("a", 0)], traces[("a", 0)])
+
     def test_pooled_over_running_service_leaves_stream_open(self):
         sim, svc = build_flaky()
         tel = ServiceTelemetry(svc)
