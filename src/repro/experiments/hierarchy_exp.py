@@ -36,7 +36,7 @@ from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError
 from repro.experiments.common import ExperimentTable
 from repro.hierarchy import HierarchicalMonitor, HierarchyConfig
-from repro.metrics.qos import estimate_accuracy, pool_accuracy
+from repro.metrics.qos import detection_time, estimate_accuracy, pool_accuracy
 from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.net.delays import DelayDistribution, ExponentialDelay
 from repro.service.monitor_service import MonitorService
@@ -149,14 +149,6 @@ class _FlatRun:
         return traces
 
 
-def _final_detection(trace: OutputTrace, crash_time: float) -> float:
-    if trace.current_output != SUSPECT:
-        return math.inf
-    transitions = trace.transitions
-    final = transitions[-1].time if transitions else trace.start_time
-    return max(0.0, final - crash_time)
-
-
 def _completeness(
     traces: Dict[str, OutputTrace], crashed: Sequence[str], at_time: float
 ) -> float:
@@ -245,7 +237,7 @@ def _detection_runs(
         flat.crash(victim, at_time=crash_at)
         flat.sim.run_until(horizon)
         flat_td.append(
-            _final_detection(flat.finish()[victim], crash_at)
+            detection_time(flat.finish()[victim], crash_at)
         )
 
         hm = HierarchicalMonitor(s.hierarchy_config(seed_offset=200 + i))

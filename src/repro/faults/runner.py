@@ -213,20 +213,6 @@ def windowed_suspicion(
         if end <= start:
             out.append((window, float("nan")))
             continue
-        suspected = 0.0
-        # Walk the right-continuous output history across [start, end).
-        current = trace.output_at(start)
-        cursor = start
-        for transition in trace.transitions:
-            if transition.time <= start:
-                continue
-            if transition.time >= end:
-                break
-            if current == SUSPECT:
-                suspected += transition.time - cursor
-            cursor = transition.time
-            current = transition.kind.new_output
-        if current == SUSPECT:
-            suspected += end - cursor
+        suspected = trace.time_in_output(SUSPECT, start, end)
         out.append((window, suspected / (end - start)))
     return out

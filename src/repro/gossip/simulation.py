@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.gossip.node import GossipNode
+from repro.metrics.qos import detection_time
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.delays import DelayDistribution
 from repro.sim.engine import Simulator
@@ -324,7 +325,9 @@ def run_gossip(
     """Run a gossip cluster, watching every node's view of one subject.
 
     The *subject* is the crashed member when a crash is scheduled, else
-    the last member; every other node observes it.
+    the last member; every other node observes it.  With a crash, each
+    observer's ``T_D`` in :attr:`GossipResult.detection_times` is
+    :func:`repro.metrics.detection_time` of its trace.
     """
     if horizon <= 0.0:
         raise InvalidParameterError(f"horizon must be positive, got {horizon}")
@@ -360,17 +363,11 @@ def run_gossip(
     cluster.sim.run_until(horizon)
     traces = cluster.finish()
 
-    detection: Dict[str, float] = {}
-    if crash_member is not None:
-        for (observer, subj), trace in traces.items():
-            if subj != crash_member:
-                continue
-            if trace.current_output != SUSPECT:
-                detection[observer] = math.inf
-                continue
-            transitions = trace.transitions
-            final = transitions[-1].time if transitions else trace.start_time
-            detection[observer] = max(0.0, final - when)
+    detection = {
+        observer: detection_time(trace, when)
+        for (observer, subj), trace in traces.items()
+        if crash_member is not None and subj == crash_member
+    }
     return GossipResult(
         traces=traces,
         messages_sent=cluster.messages_sent,

@@ -36,6 +36,7 @@ from repro.errors import InvalidParameterError
 from repro.gossip.simulation import GossipCluster
 from repro.hierarchy.leaf import LeafMonitor
 from repro.hierarchy.root import RootAggregator
+from repro.metrics.qos import detection_time
 from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.net.delays import DelayDistribution
 from repro.sim.engine import Simulator
@@ -140,19 +141,15 @@ class HierarchyResult:
     def detection_times(self) -> Dict[str, float]:
         """Root-level T_D per crashed sender (``inf`` = undetected).
 
-        Measured from the recorded crash time to the transition after
-        which the root's output stays S — the same "final suspicion"
-        convention :func:`repro.gossip.run_gossip` uses.
+        Each is :func:`repro.metrics.detection_time` of the root's trace
+        (Section 2.2's final-suspicion rule).
         """
         out: Dict[str, float] = {}
         for name, crash_time in self.crash_times.items():
             trace = self.root_traces.get(name)
-            if trace is None or trace.current_output != SUSPECT:
-                out[name] = math.inf
-                continue
-            transitions = trace.transitions
-            final = transitions[-1].time if transitions else trace.start_time
-            out[name] = max(0.0, final - crash_time)
+            out[name] = (
+                math.inf if trace is None else detection_time(trace, crash_time)
+            )
         return out
 
     def detection_completeness(self, at_time: float) -> float:

@@ -131,11 +131,6 @@ class LivePeerResult:
     delivered: int
 
 
-#: ``add_peer``'s default estimator windows, shared by every peer that
-#: keeps them (a tuple a peer would be one more object a peer)
-_DEFAULT_WINDOWS = (1000, 32, 1024)
-
-
 class _Peer:
     __slots__ = (
         "name",
@@ -145,19 +140,18 @@ class _Peer:
         "incarnation",
         "first_seq",
         "host",
-        "windows",
+        "observe",
     )
 
-    def __init__(self, name, eta, factory, windows) -> None:
+    def __init__(self, name, eta, factory, observe) -> None:
         self.name = name
         #: the peer's entry in the service's :class:`_PeerIndex`; -1
         #: until its first incarnation has started
         self.index = -1
         self.eta = eta
         self.factory = factory
-        #: (stats_window, arrival_window, loss_reorder_horizon) of the
-        #: estimator row every incarnation gets; None: no row
-        self.windows = windows
+        #: whether every incarnation gets an estimator row
+        self.observe = observe
         self.incarnation = 0
         self.first_seq = 1
         #: SoAMonitorHost (NFD-S/U/E engine row) or DetectorHost (the rest)
@@ -440,9 +434,6 @@ class LiveMonitorService:
         detector_factory: DetectorFactory,
         *,
         eta: float,
-        stats_window: int = 1000,
-        arrival_window: int = 32,
-        loss_reorder_horizon: Optional[int] = 1024,
         observe: bool = True,
     ) -> None:
         """Register a peer and start monitoring it now.
@@ -455,12 +446,13 @@ class LiveMonitorService:
                 estimation pipeline and the first-seq computation).
             observe: attach the Section 5/6 estimation pipeline (loss /
                 delay / expected-arrival) to every incarnation, as a row
-                of the service's estimator table.  Off, a peer whose
-                detector parameters are fixed gets no row and its
-                heartbeats skip the table's per-chunk pass.
+                of the service's estimator table with its default
+                windows.  Off, a peer whose detector parameters are
+                fixed gets no row and its heartbeats skip the table's
+                per-chunk pass.
 
-        A registration that raises (a factory or a window the estimators
-        refuse) leaves nothing behind: the name is free again.
+        A registration that raises (a factory that fails) leaves
+        nothing behind: the name is free again.
         """
         if self._index.get(name) is not None:
             raise InvalidParameterError(f"peer {name!r} already monitored")
@@ -468,12 +460,7 @@ class LiveMonitorService:
             raise InvalidParameterError(
                 f"eta must be positive and finite, got {eta}"
             )
-        windows = None
-        if observe:
-            windows = (stats_window, arrival_window, loss_reorder_horizon)
-            if windows == _DEFAULT_WINDOWS:
-                windows = _DEFAULT_WINDOWS
-        peer = _Peer(name, float(eta), detector_factory, windows)
+        peer = _Peer(name, float(eta), detector_factory, observe)
         self._start_incarnation(peer, incarnation=0)
 
     def _start_incarnation(self, peer: _Peer, incarnation: int) -> None:
@@ -484,11 +471,8 @@ class LiveMonitorService:
         first_seq = first_slot(now, peer.eta)
         detector = peer.factory(first_seq)
         observer = None
-        if peer.windows is not None:
-            stats, arrival, horizon = peer.windows
-            observer = self._observers.add(
-                peer.eta, stats, arrival, first_seq, horizon
-            )
+        if peer.observe:
+            observer = self._observers.add(peer.eta, first_seq=first_seq)
         try:
             if supports_detector(detector):
                 host = SoAMonitorHost(

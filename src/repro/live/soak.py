@@ -49,7 +49,7 @@ from repro.live.fanout import FanoutStream, HeartbeatFanout
 from repro.live.monitor import LiveMonitorService, LivePeerResult
 from repro.live.transport import LoopbackNetwork
 from repro.metrics.confidence import ConfidenceInterval, mean_ci
-from repro.metrics.qos import detection_times
+from repro.metrics.qos import detection_time, window_samples
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.delays import ExponentialDelay
 from repro.net.link import LossyLink
@@ -188,7 +188,7 @@ class KillReport:
     ) -> "KillReport":
         """Judge a kill from the victim's closed output trace."""
         bound = config.delta + config.eta
-        td = float(detection_times([killed_at], [trace])[0])
+        td = detection_time(trace, killed_at)
         suspected = trace.output_at(killed_at) == SUSPECT
         return cls(
             name=name,
@@ -287,32 +287,8 @@ class SoakResult:
 
 
 # ---------------------------------------------------------------------- #
-# Sample extraction
+# Gates
 # ---------------------------------------------------------------------- #
-
-
-def _post_warmup_samples(
-    trace: OutputTrace, horizon: float
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(T_MR, T_M) samples after the horizon.
-
-    Same semantics as :func:`repro.metrics.qos.estimate_accuracy`:
-    S-times are filtered to the horizon *before* differencing, and a
-    mistake duration is kept iff the mistake *starts* post-horizon.
-    """
-    s_times = trace.s_transition_times
-    s_post = s_times[s_times >= horizon]
-    tmr = np.diff(s_post)
-    tm: List[float] = []
-    open_s: Optional[float] = None
-    for tr in trace.transitions:
-        if tr.is_suspicion:
-            open_s = tr.time
-        elif open_s is not None:
-            if open_s >= horizon:
-                tm.append(tr.time - open_s)
-            open_s = None
-    return tmr, np.asarray(tm, dtype=float)
 
 
 def _band(
@@ -436,7 +412,7 @@ async def soak(config: SoakConfig) -> SoakResult:
     tmr_parts = []
     tm_parts = []
     for result in surviving:
-        tmr, tm = _post_warmup_samples(result.trace, horizon)
+        tmr, tm, _, _ = window_samples(result.trace, horizon)
         tmr_parts.append(tmr)
         tm_parts.append(tm)
     tmr_pooled = (

@@ -7,7 +7,8 @@ average mistake rate ``λ_M``, query accuracy probability ``P_A``, good
 period duration ``T_G`` and forward good period duration ``T_FG``.
 
 * :mod:`repro.metrics.transitions` — the S/T output trace model;
-* :mod:`repro.metrics.qos` — estimating all seven metrics from traces;
+* :mod:`repro.metrics.qos` — estimating all seven metrics from traces
+  (one ``T_D`` rule, one window walk for the accuracy metrics);
 * :mod:`repro.metrics.recovery` — crash-recovery extension: stitching
   per-incarnation traces into per-identity recovery traces with
   recovery-aware mistake accounting;
@@ -27,9 +28,11 @@ from repro.metrics.io import (
 from repro.metrics.qos import (
     AccuracyEstimate,
     QoSRequirements,
+    detection_time,
     detection_times,
     estimate_accuracy,
     pool_accuracy,
+    window_samples,
 )
 from repro.metrics.recovery import (
     IncarnationSpan,
@@ -65,6 +68,8 @@ __all__ = [
     "QoSRequirements",
     "estimate_accuracy",
     "pool_accuracy",
+    "window_samples",
+    "detection_time",
     "detection_times",
     "IncarnationSpan",
     "RecoveryTrace",

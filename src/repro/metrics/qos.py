@@ -4,26 +4,34 @@
   Section 4 — the contract an application hands to the configurators.
 * :func:`estimate_accuracy` turns a failure-free :class:`OutputTrace` into
   an :class:`AccuracyEstimate` holding all six accuracy metrics.
-* :func:`detection_times` measures ``T_D`` over a collection of crash runs.
+* :func:`window_samples` is the one walk behind every accuracy score
+  (this estimator and the crash-recovery one in
+  :mod:`repro.metrics.recovery`): the ``T_MR``/``T_M``/``T_G`` samples
+  of a window of the trace; ``P_A`` over the same window is
+  :meth:`OutputTrace.time_in_output`.
+* :func:`detection_time` is the one ``T_D`` rule (Section 2.2);
+  :func:`detection_times` applies it to a collection of crash runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics import relations
-from repro.metrics.transitions import SUSPECT, OutputTrace
+from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 
 __all__ = [
     "QoSRequirements",
     "AccuracyEstimate",
     "estimate_accuracy",
     "pool_accuracy",
+    "window_samples",
+    "detection_time",
     "detection_times",
 ]
 
@@ -135,93 +143,111 @@ def estimate_accuracy(
         raise TraceError("trace must be closed before estimation")
     if warmup < 0:
         raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
-
-    horizon_start = trace.start_time + warmup
-    if horizon_start > trace.end_time:
+    horizon = trace.start_time + warmup
+    if horizon > trace.end_time:
         raise InvalidParameterError("warmup exceeds the trace duration")
+    return _window_accuracy(trace, horizon)
 
-    s_times = trace.s_transition_times
-    s_times = s_times[s_times >= horizon_start]
-    tmr = np.diff(s_times)
 
-    tm_all = _intervals_after(trace.mistake_duration_samples(), trace, horizon_start, kind="M")
-    tg_all = _intervals_after(trace.good_period_samples(), trace, horizon_start, kind="G")
+def window_samples(
+    trace: OutputTrace, horizon: float, crash_time: float = math.inf
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(T_MR, T_M, T_G, n_mistakes)`` of a closed trace's window from
+    ``horizon`` (an absolute time) to the crash or the trace end.
 
-    observation = trace.end_time - horizon_start
-    # P_A over the post-warmup window.
-    p_a = _query_accuracy_after(trace, horizon_start)
+    This is the one walk every accuracy score reads:
 
-    e_tmr = float(tmr.mean()) if tmr.size else math.nan
-    e_tm = float(tm_all.mean()) if tm_all.size else math.nan
-    e_tg = float(tg_all.mean()) if tg_all.size else math.nan
-    rate = s_times.size / observation if observation > 0 else math.nan
-    if tg_all.size >= 2 and tg_all.mean() > 0:
-        e_tfg = relations.forward_good_period_mean(
-            float(tg_all.mean()), float(tg_all.var())
-        )
-    elif tg_all.size and tg_all.mean() == 0:
-        e_tfg = 0.0
-    else:
-        e_tfg = math.nan
+    * a mistake is an S-transition at/after ``horizon`` and strictly
+      before the crash (at the crash p is down: a detection); ``T_MR``
+      differences the mistakes' times;
+    * a ``T_M`` (``T_G``) sample is kept iff its S (T) transition starts
+      at/after ``horizon``;
+    * a mistake open at the crash is charged up to the crash, one open
+      at the trace end is dropped, and a good period open at either is
+      censored;
+    * a crash at or after the trace end scores as no crash.
 
-    return AccuracyEstimate(
-        e_tmr=e_tmr,
-        e_tm=e_tm,
-        e_tg=e_tg,
-        query_accuracy=p_a,
-        mistake_rate=rate,
-        e_tfg=e_tfg,
-        n_mistakes=int(s_times.size),
-        observation_time=observation,
-        tmr_samples=tmr,
-        tm_samples=tm_all,
-        tg_samples=tg_all,
+    A horizon at or after the trace end yields no samples.
+    """
+    stop = crash_time if crash_time < trace.end_time else math.inf
+    s_times: List[float] = []
+    tm: List[float] = []
+    tg: List[float] = []
+    open_s: Optional[float] = None  # start of the open post-horizon mistake
+    open_t: Optional[float] = None  # start of the open post-horizon good period
+    for tr in trace.transitions:
+        t = tr.time
+        if t >= stop:
+            break
+        start = t if t >= horizon else None
+        if tr.is_suspicion:
+            if open_t is not None:
+                tg.append(t - open_t)
+            if start is not None:
+                s_times.append(t)
+            open_s, open_t = start, None
+        else:
+            if open_s is not None:
+                tm.append(t - open_s)
+            open_s, open_t = None, start
+    if open_s is not None and stop < math.inf:
+        tm.append(stop - open_s)
+    return (
+        np.diff(np.asarray(s_times, dtype=float)),
+        np.asarray(tm, dtype=float),
+        np.asarray(tg, dtype=float),
+        len(s_times),
     )
 
 
-def _intervals_after(
-    samples: np.ndarray, trace: OutputTrace, horizon_start: float, kind: str
-) -> np.ndarray:
-    """Filter interval samples to those starting at/after ``horizon_start``.
-
-    ``T_M`` intervals start at S-transitions; ``T_G`` intervals start at
-    T-transitions.  We recompute starts from the trace to align samples
-    with their start times.
-    """
-    if kind == "M":
-        starts = trace.s_transition_times
-        # mistake_duration_samples drops a trailing un-closed mistake, so
-        # align lengths from the front.
-        starts = starts[: samples.size]
+def _window_accuracy(
+    trace: OutputTrace, horizon: float, crash_time: float = math.inf
+) -> AccuracyEstimate:
+    """All accuracy metrics over :func:`window_samples`' window, with
+    ``P_A`` and ``λ_M`` normalized by its length (a window of length
+    zero reads ``P_A`` as the final output's)."""
+    tmr, tm, tg, n_mistakes = window_samples(trace, horizon, crash_time)
+    hi = min(crash_time, trace.end_time)
+    observation = hi - horizon
+    if observation > 0:
+        p_a = trace.time_in_output(TRUST, horizon, hi) / observation
+        rate = n_mistakes / observation
     else:
-        starts = trace.t_transition_times
-        starts = starts[: samples.size]
-    mask = starts >= horizon_start
-    return samples[mask]
+        p_a = 1.0 if trace.current_output == TRUST else 0.0
+        rate = math.nan
+    return _from_samples(tmr, tm, tg, p_a, rate, n_mistakes, observation)
 
 
-def _query_accuracy_after(trace: OutputTrace, horizon_start: float) -> float:
-    """``P_A`` measured over ``[horizon_start, end]`` only."""
-    if horizon_start <= trace.start_time:
-        return trace.empirical_query_accuracy()
-    end = trace.end_time
-    if end == horizon_start:
-        return 1.0 if trace.output_at(end) == "T" else 0.0
-    # Accumulate trusted time after horizon_start by walking transitions.
-    trusted = 0.0
-    cur = trace.initial_output
-    cur_start = trace.start_time
-    for tr in trace.transitions:
-        seg_start = max(cur_start, horizon_start)
-        seg_end = min(tr.time, end)
-        if cur == "T" and seg_end > seg_start:
-            trusted += seg_end - seg_start
-        cur = tr.kind.new_output
-        cur_start = tr.time
-    seg_start = max(cur_start, horizon_start)
-    if cur == "T" and end > seg_start:
-        trusted += end - seg_start
-    return trusted / (end - horizon_start)
+def _from_samples(
+    tmr: np.ndarray,
+    tm: np.ndarray,
+    tg: np.ndarray,
+    p_a: float,
+    rate: float,
+    n_mistakes: int,
+    observation: float,
+) -> AccuracyEstimate:
+    if tg.size >= 2 and tg.mean() > 0:
+        e_tfg = relations.forward_good_period_mean(
+            float(tg.mean()), float(tg.var())
+        )
+    elif tg.size and tg.mean() == 0:
+        e_tfg = 0.0
+    else:
+        e_tfg = math.nan
+    return AccuracyEstimate(
+        e_tmr=float(tmr.mean()) if tmr.size else math.nan,
+        e_tm=float(tm.mean()) if tm.size else math.nan,
+        e_tg=float(tg.mean()) if tg.size else math.nan,
+        query_accuracy=p_a,
+        mistake_rate=rate,
+        e_tfg=e_tfg,
+        n_mistakes=n_mistakes,
+        observation_time=observation,
+        tmr_samples=tmr,
+        tm_samples=tm,
+        tg_samples=tg,
+    )
 
 
 def pool_accuracy(estimates: Sequence[AccuracyEstimate]) -> AccuracyEstimate:
@@ -255,57 +281,43 @@ def pool_accuracy(estimates: Sequence[AccuracyEstimate]) -> AccuracyEstimate:
         if not math.isnan(e.mistake_rate):
             rate_mistakes += e.n_mistakes
             rate_time += e.observation_time
-    p_a = trusted / pa_time if pa_time > 0 else math.nan
-    if tg.size >= 2 and tg.mean() > 0:
-        e_tfg = relations.forward_good_period_mean(
-            float(tg.mean()), float(tg.var())
-        )
-    elif tg.size and tg.mean() == 0:
-        e_tfg = 0.0
-    else:
-        e_tfg = math.nan
-    return AccuracyEstimate(
-        e_tmr=float(tmr.mean()) if tmr.size else math.nan,
-        e_tm=float(tm.mean()) if tm.size else math.nan,
-        e_tg=float(tg.mean()) if tg.size else math.nan,
-        query_accuracy=p_a,
-        mistake_rate=rate_mistakes / rate_time if rate_time > 0 else math.nan,
-        e_tfg=e_tfg,
-        n_mistakes=n_mistakes,
-        observation_time=total_time,
-        tmr_samples=tmr,
-        tm_samples=tm,
-        tg_samples=tg,
+    return _from_samples(
+        tmr,
+        tm,
+        tg,
+        trusted / pa_time if pa_time > 0 else math.nan,
+        rate_mistakes / rate_time if rate_time > 0 else math.nan,
+        n_mistakes,
+        total_time,
     )
+
+
+def detection_time(trace: OutputTrace, crash_time: float) -> float:
+    """``T_D`` of one crash run (paper, Section 2.2).
+
+    The time from the crash to the *final* S-transition, after which
+    the output never changes again; a trace with no transition has been
+    suspected since ``trace.start_time``.  ``inf`` if the trace ends
+    trusting (the detection never completed within the window); ``0`` if
+    permanent suspicion predates the crash.
+    """
+    if trace.current_output != SUSPECT:
+        return math.inf
+    transitions = trace.transitions
+    final = transitions[-1].time if transitions else trace.start_time
+    return max(0.0, final - crash_time)
 
 
 def detection_times(
     crash_times: Sequence[float],
     traces: Sequence[OutputTrace],
 ) -> np.ndarray:
-    """Measure ``T_D`` for a collection of crash runs.
-
-    For each run, ``T_D`` is the time from the crash to the *final*
-    S-transition after which the output never changes again (paper,
-    Section 2.2).  If the final output of a trace is not ``S`` the
-    detection never completed within the window and ``inf`` is recorded.
-    If the last S-transition precedes the crash, ``T_D = 0``.
-    """
+    """:func:`detection_time` for a collection of closed crash runs."""
     if len(crash_times) != len(traces):
         raise InvalidParameterError("crash_times and traces length mismatch")
     out = np.empty(len(traces), dtype=float)
     for i, (crash, trace) in enumerate(zip(crash_times, traces)):
         if not trace.closed:
             raise TraceError("traces must be closed")
-        if trace.current_output != SUSPECT:
-            out[i] = math.inf
-            continue
-        transitions = trace.transitions
-        if not transitions:
-            # Suspected from the start and never trusted: permanent
-            # suspicion predates the crash.
-            out[i] = 0.0
-            continue
-        final = transitions[-1].time
-        out[i] = max(0.0, final - crash)
+        out[i] = detection_time(trace, crash)
     return out

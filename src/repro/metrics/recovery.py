@@ -49,13 +49,15 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import InvalidParameterError, TraceError
-from repro.metrics import relations
 from repro.metrics.qos import (
     AccuracyEstimate,
+    _from_samples,
+    _window_accuracy,
+    detection_time,
     estimate_accuracy,
     pool_accuracy,
 )
-from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
+from repro.metrics.transitions import OutputTrace
 
 __all__ = [
     "IncarnationSpan",
@@ -202,26 +204,6 @@ class RecoveryTrace:
         )
 
 
-def _trusted_time_between(trace: OutputTrace, lo: float, hi: float) -> float:
-    """Time the output is T inside ``[lo, hi]`` (subinterval of the trace)."""
-    if hi <= lo:
-        return 0.0
-    trusted = 0.0
-    cur = trace.initial_output
-    cur_start = trace.start_time
-    for tr in trace.transitions:
-        seg_start = max(cur_start, lo)
-        seg_end = min(tr.time, hi)
-        if cur == TRUST and seg_end > seg_start:
-            trusted += seg_end - seg_start
-        cur = tr.kind.new_output
-        cur_start = tr.time
-    seg_start = max(cur_start, lo)
-    if cur == TRUST and hi > seg_start:
-        trusted += hi - seg_start
-    return trusted
-
-
 def span_accuracy(
     trace: OutputTrace,
     crash_time: float = math.inf,
@@ -232,8 +214,10 @@ def span_accuracy(
 
     With ``crash_time`` at/after the trace end this is — bit for bit —
     :func:`repro.metrics.qos.estimate_accuracy` (the crash-stop
-    estimator observed the same window).  With a crash inside the
-    window, accounting truncates at the crash instant:
+    estimator observed the same window): both score the trace with
+    :func:`repro.metrics.qos.window_samples`, and a crash inside the
+    window only ends that walk early, so accounting truncates at the
+    crash instant:
 
     * S-transitions at/after the crash are correct detections, not
       mistakes;
@@ -250,98 +234,13 @@ def span_accuracy(
     if warmup < 0:
         raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
 
-    horizon_start = trace.start_time + warmup
-    if crash_time <= horizon_start:
+    horizon = trace.start_time + warmup
+    if crash_time <= horizon:
         # The incarnation crashed before (or the instant) steady state
         # was reached: nothing observable while up.
-        return AccuracyEstimate(
-            e_tmr=math.nan,
-            e_tm=math.nan,
-            e_tg=math.nan,
-            query_accuracy=math.nan,
-            mistake_rate=math.nan,
-            e_tfg=math.nan,
-            n_mistakes=0,
-            observation_time=0.0,
-            tmr_samples=np.empty(0, dtype=float),
-            tm_samples=np.empty(0, dtype=float),
-            tg_samples=np.empty(0, dtype=float),
-        )
-
-    times = [t.time for t in trace.transitions]
-    kinds = [t.kind.new_output for t in trace.transitions]
-
-    # Mistake S-transitions: strictly before the crash (the process is
-    # already down *at* crash_time, mirroring crashed_by()).
-    mistake_s = [
-        t
-        for t, out in zip(times, kinds)
-        if out == SUSPECT and horizon_start <= t < crash_time
-    ]
-    tmr = np.diff(np.asarray(mistake_s, dtype=float))
-
-    # Mistake durations, truncated at the crash.
-    tm_list: List[float] = []
-    tg_list: List[float] = []
-    open_s = None  # time of the S-transition opening the current mistake
-    open_t = None  # time of the T-transition opening the current good period
-    for t, out in zip(times, kinds):
-        if t >= crash_time:
-            break
-        if out == SUSPECT:
-            if t >= horizon_start:
-                open_s = t
-            else:
-                open_s = None
-            if open_t is not None and open_t >= horizon_start:
-                # Good period ended by a detector mistake: a sample.
-                tg_list.append(t - open_t)
-            open_t = None
-        else:
-            if open_s is not None:
-                tm_list.append(t - open_s)
-            open_s = None
-            open_t = t
-    if open_s is not None:
-        # Mistake still open when the process died: it stops costing
-        # anything at the crash instant.
-        tm_list.append(crash_time - open_s)
-    # A good period open at the crash is censored — ended by a real
-    # failure, not by a mistake — exactly like the trailing good period
-    # at the end of a crash-stop window.
-
-    observation = crash_time - horizon_start
-    trusted = _trusted_time_between(trace, horizon_start, crash_time)
-    p_a = trusted / observation
-
-    tm = np.asarray(tm_list, dtype=float)
-    tg = np.asarray(tg_list, dtype=float)
-    e_tmr = float(tmr.mean()) if tmr.size else math.nan
-    e_tm = float(tm.mean()) if tm.size else math.nan
-    e_tg = float(tg.mean()) if tg.size else math.nan
-    rate = len(mistake_s) / observation if observation > 0 else math.nan
-    if tg.size >= 2 and tg.mean() > 0:
-        e_tfg = relations.forward_good_period_mean(
-            float(tg.mean()), float(tg.var())
-        )
-    elif tg.size and tg.mean() == 0:
-        e_tfg = 0.0
-    else:
-        e_tfg = math.nan
-
-    return AccuracyEstimate(
-        e_tmr=e_tmr,
-        e_tm=e_tm,
-        e_tg=e_tg,
-        query_accuracy=p_a,
-        mistake_rate=rate,
-        e_tfg=e_tfg,
-        n_mistakes=len(mistake_s),
-        observation_time=observation,
-        tmr_samples=tmr,
-        tm_samples=tm,
-        tg_samples=tg,
-    )
+        empty = np.empty(0, dtype=float)
+        return _from_samples(empty, empty, empty, math.nan, math.nan, 0, 0.0)
+    return _window_accuracy(trace, horizon, crash_time)
 
 
 def estimate_recovery_accuracy(
@@ -376,31 +275,20 @@ def estimate_recovery_accuracy(
 def recovery_detection_times(recovery: RecoveryTrace) -> np.ndarray:
     """``T_D`` samples for every crash inside a recovery trace.
 
-    For each span whose crash instant lies inside its trace window:
-    ``0`` if the detector already suspected at the crash (a mistake the
-    crash turned retroactively correct), else the delay to the first
-    S-transition after the crash; ``inf`` if the incarnation's window
-    closed with the crash still undetected (censored).
+    Each span whose crash instant lies inside its trace window is scored
+    by :func:`repro.metrics.qos.detection_time` (Section 2.2): the delay
+    to the final S-transition, ``0`` if the permanent suspicion predates
+    the crash, ``inf`` if the incarnation's window closed trusting
+    (censored).
     """
-    out: List[float] = []
-    for span in recovery.spans:
-        if not span.crashed:
-            continue
-        trace = span.trace
-        crash = span.crash_time
-        if trace.output_at(crash) == SUSPECT:
-            out.append(0.0)
-            continue
-        later = trace.s_transition_times
-        later = later[later >= crash]
-        if later.size:
-            out.append(float(later[0]) - crash)
-        elif trace.current_output == SUSPECT:
-            # Suspicion at the very end (close coincides with the flip).
-            out.append(float(trace.end_time) - crash)
-        else:
-            out.append(math.inf)
-    return np.asarray(out, dtype=float)
+    return np.asarray(
+        [
+            detection_time(span.trace, span.crash_time)
+            for span in recovery.spans
+            if span.crashed
+        ],
+        dtype=float,
+    )
 
 
 def stitch_recovery_traces(

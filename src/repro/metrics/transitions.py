@@ -291,21 +291,30 @@ class OutputTrace:
     # Time-occupancy
     # ------------------------------------------------------------------ #
 
-    def time_in_output(self, output: str) -> float:
-        """Total time spent in ``output`` over the observation window."""
+    def time_in_output(
+        self,
+        output: str,
+        lo: Optional[float] = None,
+        hi: Optional[float] = None,
+    ) -> float:
+        """Time spent in ``output`` inside ``[lo, hi]`` (default: the
+        whole observation window; bounds are clamped to it)."""
         if output not in (TRUST, SUSPECT):
             raise TraceError(f"output must be 'T' or 'S', got {output!r}")
-        end = self.end_time
+        lo = self._start if lo is None else max(lo, self._start)
+        hi = self.end_time if hi is None else min(hi, self.end_time)
         total = 0.0
         cur = self._initial
         cur_start = self._start
         for t, k in zip(self._times, self._kinds):
-            if cur == output:
-                total += t - cur_start
+            if t >= hi:
+                break
+            if cur == output and t > lo:
+                total += t - max(cur_start, lo)
             cur = k.new_output
             cur_start = t
-        if cur == output:
-            total += end - cur_start
+        if cur == output and hi > max(cur_start, lo):
+            total += hi - max(cur_start, lo)
         return total
 
     def empirical_query_accuracy(self) -> float:

@@ -19,8 +19,12 @@ import numpy as np
 
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import InvalidParameterError
-from repro.metrics.qos import AccuracyEstimate, estimate_accuracy
-from repro.metrics.transitions import SUSPECT, OutputTrace
+from repro.metrics.qos import (
+    AccuracyEstimate,
+    detection_time,
+    estimate_accuracy,
+)
+from repro.metrics.transitions import OutputTrace
 from repro.net.clocks import Clock, PerfectClock
 from repro.net.delays import DelayDistribution
 from repro.net.link import LossyLink
@@ -259,13 +263,7 @@ def _run_single_crash(
     sender.start()
     sim.run_until(crash_time + settle)
     trace = host.finish()
-    if trace.current_output != SUSPECT:
-        detection = math.inf
-    else:
-        transitions = trace.transitions
-        final = transitions[-1].time if transitions else trace.start_time
-        detection = max(0.0, final - crash_time)
-    return detection, (trace if keep_trace else None)
+    return detection_time(trace, crash_time), (trace if keep_trace else None)
 
 
 def run_crash_runs(

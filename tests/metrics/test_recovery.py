@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.nfd_s import NFDS
 from repro.errors import InvalidParameterError, TraceError
-from repro.metrics.qos import estimate_accuracy
+from repro.metrics.qos import detection_times, estimate_accuracy
 from repro.metrics.recovery import (
     IncarnationSpan,
     RecoveryTrace,
@@ -177,6 +177,20 @@ class TestDetectionTimes:
         trace = make_trace(0.0, [(1.0, TRUST), (5.0, SUSPECT)], 12.0)
         rec = RecoveryTrace("p", [IncarnationSpan(0, trace, crash_time=6.0)])
         assert np.array_equal(recovery_detection_times(rec), [0.0])
+
+    def test_late_heartbeat_after_the_crash_defers_detection(self):
+        """``T_D`` ends at the *final* S-transition (Section 2.2): a late
+        heartbeat's T at 10.7 makes the first suspicion a transient."""
+        trace = make_trace(
+            0.0,
+            [(1.0, TRUST), (10.5, SUSPECT), (10.7, TRUST), (11.5, SUSPECT)],
+            20.0,
+        )
+        rec = RecoveryTrace("p", [IncarnationSpan(0, trace, crash_time=10.0)])
+        assert np.array_equal(recovery_detection_times(rec), [1.5])
+        assert np.array_equal(
+            recovery_detection_times(rec), detection_times([10.0], [trace])
+        )
 
     def test_undetected_crash_is_censored(self):
         trace = make_trace(0.0, [(1.0, TRUST)], 12.0)

@@ -209,3 +209,36 @@ def test_flap_bursts_preserve_alternation_and_occupancy(initial, bursts):
         assert a != b
     total = trace.time_in_output(TRUST) + trace.time_in_output(SUSPECT)
     assert total == pytest.approx(trace.duration, abs=1e-6)
+
+
+@given(
+    initial=st.sampled_from([TRUST, SUSPECT]),
+    step_list=steps,
+    tail=st.floats(min_value=0.0, max_value=10.0),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_occupancy_over_an_interval_and_whole_window_samples(
+    initial, step_list, tail, data
+):
+    trace = build(initial, step_list, tail)
+    # Bounds drawn from the tie instants: transitions and trace ends.
+    instants = sorted(
+        {trace.start_time, trace.end_time}
+        | {t.time for t in trace.transitions}
+    )
+    lo, hi = sorted(
+        data.draw(st.lists(st.sampled_from(instants), min_size=2, max_size=2))
+    )
+    cuts = [lo] + [t for t in instants if lo < t < hi] + [hi]
+    for output in (TRUST, SUSPECT):
+        expected = 0.0
+        for a, b in zip(cuts, cuts[1:]):
+            if b > a and trace.output_at(a) == output:
+                expected += b - a
+        assert trace.time_in_output(output, lo, hi) == expected
+
+    est = estimate_accuracy(trace)
+    assert np.array_equal(est.tmr_samples, trace.mistake_recurrence_samples())
+    assert np.array_equal(est.tm_samples, trace.mistake_duration_samples())
+    assert np.array_equal(est.tg_samples, trace.good_period_samples())
