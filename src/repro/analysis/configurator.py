@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.nfds_theory import NFDSAnalysis, QoSPrediction
 from repro.analysis.search import largest_feasible_eta
 from repro.errors import InvalidParameterError, QoSUnachievableError
 from repro.metrics.qos import QoSRequirements
@@ -103,23 +102,3 @@ def configure_nfds(
     return NFDSConfig(
         eta=eta, delta=delta, eta_max=eta_max, requirements=requirements
     )
-
-
-def verify_nfds_config(
-    config: NFDSConfig,
-    loss_probability: float,
-    delay: DelayDistribution,
-) -> QoSPrediction:
-    """Evaluate the exact Theorem 5 QoS of a configuration.
-
-    Provided for auditing: Theorem 7 guarantees the procedure's output
-    satisfies the requirements; this function lets callers (and tests)
-    check it against the exact formulas rather than trust the derivation.
-    """
-    analysis = NFDSAnalysis(
-        eta=config.eta,
-        delta=config.delta,
-        loss_probability=loss_probability,
-        delay=delay,
-    )
-    return analysis.predict()

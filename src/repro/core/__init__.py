@@ -20,8 +20,7 @@ from repro.core.nfd_e import NFDE, ArrivalTimeEstimator
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.core.phi_accrual import PhiAccrualFD
-from repro.core.registry import available_detectors, create_detector, register_detector
-from repro.core.simple import SimpleFD, sfd_for_detection_bound
+from repro.core.simple import SimpleFD
 
 __all__ = [
     "Heartbeat",
@@ -32,12 +31,8 @@ __all__ = [
     "NFDE",
     "ArrivalTimeEstimator",
     "SimpleFD",
-    "sfd_for_detection_bound",
     "PhiAccrualFD",
     "JacobsonFD",
     "AdaptiveNFDE",
     "AdaptiveController",
-    "available_detectors",
-    "create_detector",
-    "register_detector",
 ]

@@ -122,18 +122,3 @@ class SimpleFD(HeartbeatFailureDetector):
         if self._cutoff is None:
             return f"SFD(TO={self._timeout:g})"
         return f"SFD(TO={self._timeout:g}, cutoff={self._cutoff:g})"
-
-
-def sfd_for_detection_bound(
-    detection_time_upper: float, cutoff: float
-) -> SimpleFD:
-    """Build the cutoff SFD meeting ``T_D ≤ detection_time_upper``.
-
-    The paper's Section 7.2 recipe: choose ``c``, then ``TO = T_D^U − c``.
-    """
-    if cutoff >= detection_time_upper:
-        raise InvalidParameterError(
-            f"cutoff {cutoff} must be smaller than the detection bound "
-            f"{detection_time_upper}"
-        )
-    return SimpleFD(timeout=detection_time_upper - cutoff, cutoff=cutoff)

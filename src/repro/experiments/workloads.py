@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.errors import InvalidParameterError
 from repro.net.delays import (
     DelayDistribution,
     ExponentialDelay,
@@ -25,7 +24,7 @@ from repro.net.delays import (
     UniformDelay,
 )
 
-__all__ = ["NetworkProfile", "PROFILES", "get_profile"]
+__all__ = ["NetworkProfile", "PROFILES"]
 
 
 @dataclass(frozen=True)
@@ -104,13 +103,3 @@ def _build_profiles() -> Dict[str, NetworkProfile]:
 
 
 PROFILES: Dict[str, NetworkProfile] = _build_profiles()
-
-
-def get_profile(name: str) -> NetworkProfile:
-    """Look up a profile by name; raises with the available names."""
-    try:
-        return PROFILES[name]
-    except KeyError:
-        raise InvalidParameterError(
-            f"unknown profile {name!r}; available: {sorted(PROFILES)}"
-        ) from None

@@ -73,11 +73,6 @@ def dominates(a: SenderStatus, b: SenderStatus) -> bool:
     return a.order_key > b.order_key
 
 
-def merge_status(a: SenderStatus, b: SenderStatus) -> SenderStatus:
-    """The join of two statuses: the dominant one (idempotent)."""
-    return a if a.order_key >= b.order_key else b
-
-
 @dataclass(frozen=True)
 class ShardDigest:
     """One monitor's published summary of its shard.

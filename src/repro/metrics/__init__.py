@@ -16,15 +16,7 @@ period duration ``T_G`` and forward good period duration ``T_FG``.
 * :mod:`repro.metrics.confidence` — confidence intervals on estimates.
 """
 
-from repro.metrics.confidence import ConfidenceInterval, bootstrap_mean_ci, mean_ci
-from repro.metrics.io import (
-    accuracy_from_dict,
-    accuracy_to_dict,
-    load_trace,
-    save_trace,
-    trace_from_dict,
-    trace_to_dict,
-)
+from repro.metrics.confidence import ConfidenceInterval, mean_ci
 from repro.metrics.qos import (
     AccuracyEstimate,
     QoSRequirements,
@@ -77,12 +69,6 @@ __all__ = [
     "estimate_recovery_accuracy",
     "recovery_detection_times",
     "stitch_recovery_traces",
-    "trace_to_dict",
-    "trace_from_dict",
-    "save_trace",
-    "load_trace",
-    "accuracy_to_dict",
-    "accuracy_from_dict",
     "derived_metrics",
     "mistake_rate",
     "query_accuracy",
@@ -91,5 +77,4 @@ __all__ = [
     "forward_good_period_cdf",
     "ConfidenceInterval",
     "mean_ci",
-    "bootstrap_mean_ci",
 ]

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import stats
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["ConfidenceInterval", "mean_ci", "bootstrap_mean_ci"]
+__all__ = ["ConfidenceInterval", "mean_ci"]
 
 
 @dataclass(frozen=True)
@@ -63,29 +62,3 @@ def mean_ci(samples: np.ndarray, level: float = 0.95) -> ConfidenceInterval:
         return ConfidenceInterval(point, point, point, level)
     t = float(stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
     return ConfidenceInterval(point, point - t * sem, point + t * sem, level)
-
-
-def bootstrap_mean_ci(
-    samples: np.ndarray,
-    level: float = 0.95,
-    n_resamples: int = 2000,
-    rng: Optional[np.random.Generator] = None,
-) -> ConfidenceInterval:
-    """Percentile-bootstrap CI for the mean — robust for skewed samples."""
-    if not 0 < level < 1:
-        raise InvalidParameterError(f"level must be in (0,1), got {level}")
-    if n_resamples < 10:
-        raise InvalidParameterError("n_resamples must be >= 10")
-    arr = np.asarray(samples, dtype=float)
-    if arr.size == 0:
-        raise InvalidParameterError("need at least one sample")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    point = float(arr.mean())
-    if arr.size == 1:
-        return ConfidenceInterval(point, -math.inf, math.inf, level)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = arr[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
-    low, high = np.quantile(means, [alpha, 1.0 - alpha])
-    return ConfidenceInterval(point, float(low), float(high), level)

@@ -13,11 +13,9 @@ online counterpart:
   the trace-based :func:`repro.metrics.qos.estimate_accuracy` — one
   object a process, or a :class:`~repro.telemetry.qos_online.QoSTable`
   of rows fed transition batches;
-* **hooks** — :meth:`Simulator.attach_telemetry`, the fastsim/batch/
-  parallel executors' recording into the process-global registry
-  (:mod:`repro.telemetry.runtime`), and
-  :class:`~repro.telemetry.qos_online.ServiceTelemetry` for the
-  service/membership layer;
+* **hooks** — :meth:`Simulator.attach_telemetry` and the fastsim/
+  batch/parallel executors' recording into the process-global registry
+  (:mod:`repro.telemetry.runtime`);
 * **export** (:mod:`repro.telemetry.export`): JSON-lines snapshots
   (schema ``repro.telemetry/1``; CLI flag ``--telemetry-out``) and the
   Prometheus text exposition format.
@@ -37,12 +35,7 @@ from repro.telemetry.export import (
     validate_record,
 )
 from repro.telemetry.hierarchy import HierarchyTelemetry
-from repro.telemetry.qos_online import (
-    OnlineQoSEstimator,
-    QoSTable,
-    ServiceTelemetry,
-    pool_online,
-)
+from repro.telemetry.qos_online import OnlineQoSEstimator, QoSTable
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -69,8 +62,6 @@ __all__ = [
     # online QoS
     "OnlineQoSEstimator",
     "QoSTable",
-    "ServiceTelemetry",
-    "pool_online",
     # hierarchy
     "HierarchyTelemetry",
     # export

@@ -34,21 +34,16 @@ stream.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics.relations import forward_good_period_mean
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
-from repro.telemetry.registry import MetricsRegistry, Welford
+from repro.telemetry.registry import Welford
 
-__all__ = [
-    "OnlineQoSEstimator",
-    "QoSTable",
-    "pool_online",
-    "ServiceTelemetry",
-]
+__all__ = ["OnlineQoSEstimator", "QoSTable"]
 
 
 class OnlineQoSEstimator:
@@ -249,11 +244,6 @@ class OnlineQoSEstimator:
         if self._tg.n and self._tg.mean == 0:
             return 0.0
         return math.nan
-
-    @property
-    def tg_moments(self) -> Welford:
-        """The good-period accumulator (for pooling)."""
-        return self._tg
 
     def metrics(self) -> dict:
         """All six metrics plus support counts, JSON-serializable."""
@@ -512,215 +502,3 @@ def _none_if_nan(x: float) -> Optional[float]:
 
 def _nan_if_none(x: Optional[float]) -> float:
     return math.nan if x is None else x
-
-
-def pool_online(estimators: Iterable[OnlineQoSEstimator]) -> dict:
-    """Pool per-run online estimators, mirroring
-    :func:`repro.metrics.qos.pool_accuracy` on the same runs.
-
-    Sample-weighted means pool by summed numerators/counts;
-    time-weighted quantities (``P_A``, ``λ_M``) pool by the observation
-    time of the runs where the per-run quantity is defined — the same
-    NaN-exclusion rule the (fixed) trace-based pooling applies.
-    """
-    ests = list(estimators)
-    if not ests:
-        raise InvalidParameterError("need at least one estimator to pool")
-    sum_tmr = sum(e._sum_tmr for e in ests)
-    n_tmr = sum(e._n_tmr for e in ests)
-    sum_tm = sum(e._sum_tm for e in ests)
-    n_tm = sum(e._n_tm for e in ests)
-    tg = Welford()
-    for e in ests:
-        tg.merge(e.tg_moments)
-    trusted = 0.0
-    pa_time = 0.0
-    rate_mistakes = 0
-    rate_time = 0.0
-    for e in ests:
-        obs = e.observation_time
-        if not math.isnan(e.query_accuracy):
-            trusted += e.query_accuracy * obs
-            pa_time += obs
-        if not math.isnan(e.mistake_rate):
-            rate_mistakes += e.n_mistakes
-            rate_time += obs
-    if tg.n >= 2 and tg.mean > 0:
-        e_tfg = forward_good_period_mean(tg.mean, tg.variance)
-    elif tg.n and tg.mean == 0:
-        e_tfg = 0.0
-    else:
-        e_tfg = math.nan
-    return {
-        "e_tmr": sum_tmr / n_tmr if n_tmr else math.nan,
-        "e_tm": sum_tm / n_tm if n_tm else math.nan,
-        "e_tg": tg.mean if tg.n else math.nan,
-        "query_accuracy": trusted / pa_time if pa_time > 0 else math.nan,
-        "mistake_rate": (
-            rate_mistakes / rate_time if rate_time > 0 else math.nan
-        ),
-        "e_tfg": e_tfg,
-        "n_mistakes": sum(e.n_mistakes for e in ests),
-        "observation_time": sum(e.observation_time for e in ests),
-    }
-
-
-class ServiceTelemetry:
-    """Wires a :class:`~repro.service.monitor_service.MonitorService`
-    (and optionally its :class:`~repro.service.membership.GroupMembership`)
-    into a metrics registry plus per-incarnation online QoS estimators.
-
-    Per monitored incarnation ``(name, incarnation)`` it keeps one
-    :class:`OnlineQoSEstimator` fed from the service's event stream
-    (administrative events — remove/restart departures — are *not*
-    detector transitions and are excluded from the QoS accounting).
-    Registry series:
-
-    * ``service_transitions_total{output=...}`` — detector transitions;
-    * ``service_administrative_events_total`` — synthetic remove events;
-    * ``service_suspected_processes`` — gauge of currently suspected;
-    * ``membership_view_changes_total`` / ``membership_spurious_changes_total``
-      (when a membership layer is attached).
-    """
-
-    def __init__(
-        self,
-        service,
-        registry: Optional[MetricsRegistry] = None,
-        membership=None,
-    ) -> None:
-        self._service = service
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._estimators: Dict[Tuple[str, int], OnlineQoSEstimator] = {}
-        self._suspected: set = set()
-        self._transitions_t = self.registry.counter(
-            "service_transitions_total",
-            "detector output transitions seen by the service",
-            labels={"output": "T"},
-        )
-        self._transitions_s = self.registry.counter(
-            "service_transitions_total",
-            "detector output transitions seen by the service",
-            labels={"output": "S"},
-        )
-        self._admin = self.registry.counter(
-            "service_administrative_events_total",
-            "synthetic departure events from remove/restart",
-        )
-        self._suspected_gauge = self.registry.gauge(
-            "service_suspected_processes",
-            "processes currently suspected",
-        )
-        service.subscribe(self._on_event)
-        if membership is not None:
-            self.attach_membership(membership)
-
-    def attach_membership(self, membership) -> None:
-        views = self.registry.counter(
-            "membership_view_changes_total", "installed membership views"
-        )
-        spurious = self.registry.counter(
-            "membership_spurious_changes_total",
-            "view changes that removed a live process",
-        )
-        members = self.registry.gauge(
-            "membership_view_size", "members in the current view"
-        )
-        mem = membership
-
-        def on_view(event) -> None:
-            views.inc()
-            members.set(len(event.members))
-            # The membership layer owns the spurious/justified decision;
-            # mirror its counter rather than re-deriving it.
-            diff = mem.spurious_change_count - spurious.value
-            if diff > 0:
-                spurious.inc(diff)
-
-        membership.subscribe(on_view)
-
-    # ------------------------------------------------------------------ #
-
-    def _estimator_for(self, name: str) -> OnlineQoSEstimator:
-        proc = self._service.process(name)
-        key = (name, proc.incarnation)
-        est = self._estimators.get(key)
-        if est is None:
-            host = proc.host
-            est = OnlineQoSEstimator(
-                start_time=host.trace_start_time,
-                initial_output=host.trace_initial_output,
-            )
-            self._estimators[key] = est
-        return est
-
-    def _on_event(self, event) -> None:
-        if event.administrative:
-            # remove/restart departure: not a detector transition.  The
-            # incarnation's observation window ends here, matching the
-            # trace the service retains for it.  An incarnation that never
-            # transitioned has no estimator yet; the process is still
-            # registered here, so materialise it before it is gone.
-            self._admin.inc()
-            self._suspected.discard(event.process)
-            self._suspected_gauge.set(len(self._suspected))
-            est = self._estimator_for(event.process)
-            if not est.closed:
-                est.close(event.time)
-            return
-        if event.output == SUSPECT:
-            self._transitions_s.inc()
-            self._suspected.add(event.process)
-        else:
-            self._transitions_t.inc()
-            self._suspected.discard(event.process)
-        self._suspected_gauge.set(len(self._suspected))
-        self._estimator_for(event.process).observe(event.time, event.output)
-
-    # ------------------------------------------------------------------ #
-
-    @property
-    def estimators(self) -> Dict[Tuple[str, int], OnlineQoSEstimator]:
-        """Live per-incarnation estimators (open until :meth:`finish`)."""
-        return dict(self._estimators)
-
-    def _sweep(self) -> None:
-        # Processes that never transitioned still occupy observation
-        # time (always-S); materialize their estimators.
-        for name in self._service.process_names:
-            self._estimator_for(name)
-
-    def finish(self) -> Dict[Tuple[str, int], OnlineQoSEstimator]:
-        """Close every estimator at the current simulation time."""
-        self._sweep()
-        now = self._service.sim.now
-        for est in self._estimators.values():
-            if not est.closed:
-                est.close(now)
-        return dict(self._estimators)
-
-    def pooled(self) -> dict:
-        """Pooled service-wide accuracy metrics (see :func:`pool_online`)."""
-        self._sweep()
-        if not self._estimators:
-            raise InvalidParameterError("no estimators to pool yet")
-        now = self._service.sim.now
-        closed: List[OnlineQoSEstimator] = []
-        for est in self._estimators.values():
-            closed.append(est if est.closed else _snapshot_closed(est, now))
-        return pool_online(closed)
-
-
-def _snapshot_closed(
-    est: OnlineQoSEstimator, now: float
-) -> OnlineQoSEstimator:
-    """A closed copy of an open estimator, without disturbing it."""
-    import copy
-
-    clone = copy.copy(est)
-    # copy.copy on __slots__ classes shares the Welford instance; give
-    # the clone its own so closing it cannot corrupt the live stream.
-    clone_tg = Welford()
-    clone_tg.merge(est.tg_moments)
-    clone._tg = clone_tg
-    return clone.close(now)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.configurator import configure_nfds, verify_nfds_config
+from repro.analysis.configurator import configure_nfds
 from repro.analysis.configurator_nfdu import configure_nfdu
 from repro.analysis.configurator_unknown import configure_nfds_unknown
 from repro.analysis.chebyshev import nfds_accuracy_bounds
@@ -31,7 +31,9 @@ class TestSection4PaperExample:
     def test_output_satisfies_requirements_exactly(self):
         """Theorem 7 case 1 verified with the exact Theorem 5 formulas."""
         cfg = configure_nfds(PAPER_REQ, 0.01, ExponentialDelay(0.02))
-        pred = verify_nfds_config(cfg, 0.01, ExponentialDelay(0.02))
+        pred = NFDSAnalysis(
+            cfg.eta, cfg.delta, 0.01, ExponentialDelay(0.02)
+        ).predict()
         assert pred.detection_time_bound <= 30.0 + 1e-9
         assert pred.e_tmr >= 2_592_000.0 * (1 - 1e-9)
         assert pred.e_tm <= 60.0

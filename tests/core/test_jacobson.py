@@ -22,11 +22,6 @@ class TestParameters:
         with pytest.raises(InvalidParameterError):
             JacobsonFD(min_margin=0.0)
 
-    def test_registered(self):
-        from repro.core.registry import available_detectors
-
-        assert "jacobson" in available_detectors()
-
 
 class TestEstimation:
     def test_ewma_tracking(self, scripted):

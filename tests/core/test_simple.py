@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.core.simple import SimpleFD, sfd_for_detection_bound
+from repro.core.simple import SimpleFD
 from repro.errors import InvalidParameterError
 from repro.metrics.transitions import SUSPECT, TRUST
 from repro.net.delays import ConstantDelay, ExponentialDelay
@@ -23,13 +23,6 @@ class TestParameters:
     def test_detection_bound(self):
         assert SimpleFD(timeout=2.0).detection_time_bound == math.inf
         assert SimpleFD(timeout=2.0, cutoff=0.5).detection_time_bound == 2.5
-
-    def test_builder(self):
-        fd = sfd_for_detection_bound(3.0, cutoff=0.5)
-        assert fd.timeout == pytest.approx(2.5)
-        assert fd.cutoff == pytest.approx(0.5)
-        with pytest.raises(InvalidParameterError):
-            sfd_for_detection_bound(1.0, cutoff=1.5)
 
 
 class TestTimerSemantics:

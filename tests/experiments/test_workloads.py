@@ -6,9 +6,8 @@ import math
 
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.experiments.profile_costs import run_profile_costs
-from repro.experiments.workloads import PROFILES, get_profile
+from repro.experiments.workloads import PROFILES
 from repro.metrics.qos import QoSRequirements
 
 
@@ -26,7 +25,7 @@ class TestProfiles:
             assert name in PROFILES
 
     def test_paper_profile_matches_section7(self):
-        p = get_profile("paper-section7")
+        p = PROFILES["paper-section7"]
         assert p.mean_delay == pytest.approx(0.02)
         assert p.loss_probability == pytest.approx(0.01)
         assert p.var_delay == pytest.approx(4e-4)
@@ -39,15 +38,8 @@ class TestProfiles:
             assert p.note
 
     def test_ordering_of_latency_classes(self):
-        assert get_profile("lan").mean_delay < get_profile("wan").mean_delay
-        assert (
-            get_profile("wan").mean_delay
-            < get_profile("satellite").mean_delay
-        )
-
-    def test_unknown_profile(self):
-        with pytest.raises(InvalidParameterError):
-            get_profile("carrier-pigeon")
+        assert PROFILES["lan"].mean_delay < PROFILES["wan"].mean_delay
+        assert PROFILES["wan"].mean_delay < PROFILES["satellite"].mean_delay
 
     def test_profiles_sampleable(self, rng):
         for p in PROFILES.values():

@@ -12,7 +12,6 @@ from repro.hierarchy.digest import (
     SenderStatus,
     ShardDigest,
     dominates,
-    merge_status,
 )
 
 
@@ -27,33 +26,10 @@ def st(trusted=True, incarnation=0, version=1, since=0.0, present=True):
 
 
 class TestMergeLattice:
-    STATUSES = [
-        st(trusted=True, incarnation=0, version=1),
-        st(trusted=False, incarnation=0, version=2),
-        st(trusted=True, incarnation=1, version=1),
-        st(trusted=False, incarnation=1, version=3, since=5.0),
-        st(present=False, incarnation=1, version=4, since=6.0),
-    ]
-
-    def test_commutative(self):
-        for a, b in itertools.product(self.STATUSES, repeat=2):
-            assert merge_status(a, b) == merge_status(b, a)
-
-    def test_associative(self):
-        for a, b, c in itertools.product(self.STATUSES, repeat=3):
-            assert merge_status(a, merge_status(b, c)) == merge_status(
-                merge_status(a, b), c
-            )
-
-    def test_idempotent(self):
-        for a in self.STATUSES:
-            assert merge_status(a, a) == a
-
     def test_incarnation_dominates_version(self):
         old = st(incarnation=0, version=100, trusted=False)
         new = st(incarnation=1, version=1, trusted=True)
         assert dominates(new, old)
-        assert merge_status(old, new) == new
 
     def test_version_orders_within_incarnation(self):
         v1 = st(version=1, trusted=True)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.metrics.confidence import bootstrap_mean_ci, mean_ci
+from repro.metrics.confidence import mean_ci
 
 
 class TestMeanCI:
@@ -55,23 +55,3 @@ class TestMeanCI:
         assert ci.contains(2.0)
         assert not ci.contains(100.0)
 
-
-class TestBootstrapCI:
-    def test_matches_t_interval_for_normal_data(self, rng):
-        s = rng.normal(50.0, 5.0, 2000)
-        t_ci = mean_ci(s)
-        b_ci = bootstrap_mean_ci(s, rng=rng)
-        assert b_ci.low == pytest.approx(t_ci.low, abs=0.2)
-        assert b_ci.high == pytest.approx(t_ci.high, abs=0.2)
-
-    def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            bootstrap_mean_ci(np.array([]))
-        with pytest.raises(InvalidParameterError):
-            bootstrap_mean_ci(np.array([1.0, 2.0]), n_resamples=5)
-        with pytest.raises(InvalidParameterError):
-            bootstrap_mean_ci(np.array([1.0, 2.0]), level=0.0)
-
-    def test_single_sample(self):
-        ci = bootstrap_mean_ci(np.array([4.0]))
-        assert math.isinf(ci.low)

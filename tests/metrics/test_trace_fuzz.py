@@ -111,23 +111,6 @@ def test_estimator_never_crashes_and_respects_ranges(
     assert est.n_mistakes >= 0
 
 
-@given(
-    initial=st.sampled_from([TRUST, SUSPECT]),
-    step_list=steps,
-    tail=st.floats(min_value=0.0, max_value=10.0),
-)
-@settings(max_examples=150, deadline=None)
-def test_serialization_round_trip_fuzz(initial, step_list, tail):
-    from repro.metrics.io import trace_from_dict, trace_to_dict
-
-    trace = build(initial, step_list, tail)
-    restored = trace_from_dict(trace_to_dict(trace))
-    assert restored.n_transitions == trace.n_transitions
-    assert restored.empirical_query_accuracy() == pytest.approx(
-        trace.empirical_query_accuracy(), abs=1e-9
-    )
-
-
 # Duplication/reordering-shaped histories: bursts of same-instant flaps
 # (a duplicate arriving at the exact time of a suspicion, a reordered
 # heartbeat immediately retracting it) interleaved with quiet stretches.

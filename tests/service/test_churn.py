@@ -5,24 +5,20 @@ against the monitoring service; after every quiescent period the
 membership view must equal exactly the set of live, monitored
 processes — and the view id must keep increasing monotonically.  The
 directed tests pin the per-incarnation accounting: removed
-incarnations keep their closed traces, replaced detectors stop
-ticking, and the online estimators agree with the retained traces.
+incarnations keep their closed traces and replaced detectors stop
+ticking.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
 
 from repro.core.nfd_s import NFDS
-from repro.metrics.qos import estimate_accuracy
 from repro.net.delays import ConstantDelay, ExponentialDelay
 from repro.service.membership import GroupMembership
 from repro.service.monitor_service import MonitorService
 from repro.sim.engine import Simulator
-from repro.telemetry import ServiceTelemetry
 
 ETA, DELTA = 1.0, 0.5
 SETTLE = 3 * (ETA + DELTA)  # long enough for joins and detections
@@ -190,69 +186,3 @@ class TestIncarnationAccounting:
         assert len(old_proc.events) == n_old
         new_events = [e for e in events if e.time > 50.0]
         assert new_events, "new incarnation produced transitions"
-
-    def test_online_estimators_match_traces_under_churn(self):
-        rng = np.random.default_rng(20260806)
-        sim = Simulator()
-        svc = MonitorService(sim, seed=3)
-        tel = ServiceTelemetry(svc)
-        svc.start()
-
-        def add(name):
-            svc.add_process(
-                name,
-                NFDS(eta=ETA, delta=0.2),
-                eta=ETA,
-                delay=ExponentialDelay(0.3),
-                loss_probability=0.2,
-            )
-
-        live, crashed, ever = set(), set(), 0
-        for _ in range(30):
-            action = rng.choice(["join", "crash", "restart", "remove", "wait"])
-            if action == "join" or not live:
-                ever += 1
-                add(f"c{ever}")
-                live.add(f"c{ever}")
-            elif action == "crash":
-                victim = sorted(live)[int(rng.integers(len(live)))]
-                svc.crash(victim)
-                live.discard(victim)
-                crashed.add(victim)
-            elif action == "restart" and crashed:
-                name = sorted(crashed)[int(rng.integers(len(crashed)))]
-                crashed.discard(name)
-                svc.restart_process(
-                    name,
-                    NFDS(eta=ETA, delta=0.2),
-                    eta=ETA,
-                    delay=ExponentialDelay(0.3),
-                    loss_probability=0.2,
-                )
-                live.add(name)
-            elif action == "remove":
-                victim = sorted(live)[int(rng.integers(len(live)))]
-                svc.remove_process(victim)
-                live.discard(victim)
-            sim.run_until(sim.now + SETTLE)
-
-        estimators = tel.finish()
-        traces = svc.finish()
-        assert set(estimators) == set(traces)
-        for key, trace in traces.items():
-            expected = estimate_accuracy(trace)
-            est = estimators[key]
-            for name in (
-                "e_tmr",
-                "e_tm",
-                "e_tg",
-                "query_accuracy",
-                "mistake_rate",
-                "e_tfg",
-            ):
-                want = getattr(expected, name)
-                got = getattr(est, name)
-                if isinstance(want, float) and math.isnan(want):
-                    assert math.isnan(got), (key, name)
-                else:
-                    assert got == pytest.approx(want, rel=1e-9), (key, name)

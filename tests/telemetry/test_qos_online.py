@@ -3,8 +3,7 @@
 The acceptance bar for the telemetry layer: on any closed trace the
 O(1)-memory online estimator reproduces every number
 :func:`repro.metrics.qos.estimate_accuracy` computes, to 1e-9 relative
-tolerance, including the warmup filtering semantics — and the pooled
-variant mirrors (the fixed) :func:`repro.metrics.qos.pool_accuracy`.
+tolerance, including the warmup filtering semantics.
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, TraceError
-from repro.metrics.qos import estimate_accuracy, pool_accuracy
+from repro.metrics.qos import estimate_accuracy
 from repro.metrics.transitions import OutputTrace
 from repro.net.delays import ExponentialDelay
 from repro.sim.runner import SimulationConfig, run_failure_free
-from repro.telemetry.qos_online import OnlineQoSEstimator, pool_online
+from repro.telemetry.qos_online import OnlineQoSEstimator
 
 RTOL = 1e-9
 
@@ -148,33 +147,3 @@ class TestStreamDiscipline:
         with pytest.raises(TraceError):
             OnlineQoSEstimator.from_trace(trace)
 
-
-class TestPooling:
-    def test_pool_online_matches_pool_accuracy(self):
-        traces = traces_for("nfds", seeds=(0, 1, 2, 3))
-        estimates = [estimate_accuracy(t, warmup=2.0) for t in traces]
-        pooled = pool_accuracy(estimates)
-        online = pool_online(
-            OnlineQoSEstimator.from_trace(t, warmup=2.0) for t in traces
-        )
-        for name in METRIC_NAMES:
-            assert_close(online[name], getattr(pooled, name), name)
-        assert online["n_mistakes"] == pooled.n_mistakes
-        assert online["observation_time"] == pytest.approx(
-            pooled.observation_time, rel=RTOL
-        )
-
-    def test_empty_pool_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            pool_online([])
-
-    def test_mistake_free_run_pools_cleanly(self):
-        est = OnlineQoSEstimator()
-        est.observe(1.0, "T")
-        est.close(101.0)
-        pooled = pool_online([est])
-        # Initial suspicion [0, 1) is part of the window, as in
-        # estimate_accuracy; no S-*transition* ever happened.
-        assert pooled["query_accuracy"] == pytest.approx(100.0 / 101.0)
-        assert pooled["mistake_rate"] == 0.0
-        assert math.isnan(pooled["e_tmr"])
