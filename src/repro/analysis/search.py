@@ -33,10 +33,10 @@ def largest_feasible_eta(
     log_f: Callable[[float], float],
     eta_max: float,
     target: float,
-    rel_tol: float = 1e-10,
     max_halvings: int = 200,
 ) -> float:
-    """Largest ``η ≤ eta_max`` with ``f(η) ≥ target`` (up to ``rel_tol``).
+    """Largest ``η ≤ eta_max`` with ``f(η) ≥ target`` (relative
+    precision 1e-10).
 
     Args:
         log_f: returns ``log f(η)``; may return ``+inf`` (perfect
@@ -44,7 +44,6 @@ def largest_feasible_eta(
             ``(0, eta_max]``.
         eta_max: upper limit for η (from Step 1 of each procedure).
         target: the requirement ``T_MR^L`` (in linear space, > 0).
-        rel_tol: relative precision of the bisection.
         max_halvings: safety cap on the bracketing phase.
 
     Raises:
@@ -80,7 +79,7 @@ def largest_feasible_eta(
             )
 
     # Bisect: invariant feasible(lo) and not feasible(hi).
-    while hi - lo > rel_tol * hi:
+    while hi - lo > 1e-10 * hi:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

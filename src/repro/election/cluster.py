@@ -137,8 +137,6 @@ class ElectionCluster:
             from each link's own stream).
         loss_probability: i.i.d. message-loss probability per link.
         seed: base seed; monitors derive independent streams from it.
-        registry: optional telemetry registry shared by all electors
-            (labelled per monitor).
         scenario_factory: optional ``(monitor, subject) -> FaultScenario``
             applied to each *initial* pipeline (fault windows for the
             E17 fault table).  Restarted incarnations also consult it —
@@ -159,7 +157,6 @@ class ElectionCluster:
         delay: DelayDistribution,
         loss_probability: float = 0.0,
         seed: int = 0,
-        registry=None,
         scenario_factory=None,
         clock_factory=None,
     ) -> None:
@@ -191,9 +188,7 @@ class ElectionCluster:
                     continue
                 self._add_pipeline(service, m, subject, incarnation=0)
             self.services[m] = service
-            self.electors[m] = ServiceElector(
-                service, m, registry=registry, label=m
-            )
+            self.electors[m] = ServiceElector(service, m)
         for service in self.services.values():
             service.start()
 

@@ -44,14 +44,14 @@ __all__ = [
 class GroundTruth:
     """Real crash/recovery instants of a set of identities.
 
-    All names are up from ``start``.  A crash at ``c`` makes the
+    All names are up from time 0.  A crash at ``c`` makes the
     process down on ``[c, r)`` where ``r`` is the matching recovery
     (down forever if none) — the same right-continuous convention as
     ``MonitoredProcess.crashed_by``.
     """
 
-    def __init__(self, names: Iterable[str], start: float = 0.0) -> None:
-        self._start = float(start)
+    def __init__(self, names: Iterable[str]) -> None:
+        self._start = 0.0
         self._crashes: Dict[str, List[float]] = {n: [] for n in names}
         self._recoveries: Dict[str, List[float]] = {n: [] for n in names}
         self._events: List[Tuple[float, str, str]] = []

@@ -90,9 +90,9 @@ class OmegaCore:
             ``election_demotions_total`` counters and the
             ``election_trusted_candidates`` / ``election_has_leader``
             gauges.
-        keep_history: record a ``(time, trusted-set, leader)`` snapshot
-            on every observed transition (the property suites sample
-            these; turn off for indefinitely-running services).
+
+    Every observed transition records a ``(time, trusted-set, leader)``
+    snapshot in :attr:`history` (the property suites sample these).
     """
 
     def __init__(
@@ -101,7 +101,6 @@ class OmegaCore:
         candidates: Tuple[str, ...] = (),
         *,
         registry=None,
-        keep_history: bool = True,
         label: str = "",
     ) -> None:
         self._self = self_name
@@ -111,7 +110,6 @@ class OmegaCore:
         self._trusted = {self_name} if self_name is not None else set()
         self._leader: Optional[str] = min(self._trusted) if self._trusted else None
         self._events: List[LeaderEvent] = []
-        self._keep_history = keep_history
         self._history: List[Tuple[float, frozenset, Optional[str]]] = []
         self._listeners: List[Callable[[LeaderEvent], None]] = []
         self._c_changes = self._c_demotions = None
@@ -219,8 +217,7 @@ class OmegaCore:
         new_leader = min(self._trusted) if self._trusted else None
         if self._g_trusted is not None:
             self._g_trusted.set(len(self._trusted))
-        if self._keep_history:
-            self._history.append((time, frozenset(self._trusted), new_leader))
+        self._history.append((time, frozenset(self._trusted), new_leader))
         if new_leader == self._leader:
             return
         event = LeaderEvent(
@@ -253,19 +250,9 @@ class ServiceElector:
         self,
         service,
         self_name: Optional[str] = None,
-        *,
-        registry=None,
-        keep_history: bool = True,
-        label: str = "",
     ) -> None:
         self._service = service
-        self.core = OmegaCore(
-            self_name,
-            tuple(service.process_names),
-            registry=registry,
-            keep_history=keep_history,
-            label=label,
-        )
+        self.core = OmegaCore(self_name, tuple(service.process_names))
         service.subscribe(self._on_event)
 
     def _on_event(self, event) -> None:
@@ -296,17 +283,13 @@ class LiveElector:
         service,
         self_name: Optional[str] = None,
         *,
-        registry=None,
-        keep_history: bool = True,
         label: str = "",
     ) -> None:
         self._service = service
-        reg = registry if registry is not None else service.registry
         self.core = OmegaCore(
             self_name,
             tuple(service.peer_names),
-            registry=reg,
-            keep_history=keep_history,
+            registry=service.registry,
             label=label,
         )
         service.subscribe(self._on_event)

@@ -38,12 +38,11 @@ class ShortLongCombiner:
     Args:
         short_window: samples in the fast-reacting component (e.g. 10).
         long_window: samples in the stable component (e.g. 1000).
-        first_seq: first heartbeat sequence number.
+
+    Heartbeat sequence numbers start at 1.
     """
 
-    def __init__(
-        self, short_window: int = 10, long_window: int = 1000, first_seq: int = 1
-    ) -> None:
+    def __init__(self, short_window: int = 10, long_window: int = 1000) -> None:
         if short_window >= long_window:
             raise InvalidParameterError(
                 f"short_window ({short_window}) must be smaller than "
@@ -53,7 +52,7 @@ class ShortLongCombiner:
         self._long = WindowedDelayStats(window=long_window)
         # Loss estimation needs a long horizon regardless; a 10-sample
         # window cannot resolve a 1% loss rate.
-        self._loss = LossRateEstimator(first_seq=first_seq)
+        self._loss = LossRateEstimator(first_seq=1)
 
     @property
     def short(self) -> WindowedDelayStats:

@@ -20,14 +20,12 @@ def render_series(
     series: Sequence[tuple],
     width: int = 72,
     height: int = 22,
-    logy: bool = True,
     title: str = "",
-    x_label: str = "T_D^U",
-    y_label: str = "E(T_MR)",
 ) -> str:
-    """Render ``series = [(glyph, label, y-values), ...]`` as ASCII.
+    """Render ``series = [(glyph, label, y-values), ...]`` as ASCII:
+    ``E(T_MR)`` against ``T_D^U``.
 
-    NaN/非-finite points are skipped.  With ``logy`` the y axis is
+    NaN/非-finite and non-positive points are skipped.  The y axis is
     log10-scaled (the paper's Fig. 12 is log-scale).
     """
     if width < 20 or height < 5:
@@ -37,17 +35,14 @@ def render_series(
         if len(ys) != len(x_values):
             raise ValueError("series length mismatch")
         for x, y in zip(x_values, ys):
-            if y is None or not math.isfinite(y) or (logy and y <= 0):
+            if y is None or not math.isfinite(y) or y <= 0:
                 continue
             points.append((float(x), float(y), glyph))
     if not points:
         return "(no finite points to plot)"
 
-    def ty(y: float) -> float:
-        return math.log10(y) if logy else y
-
     xs = [p[0] for p in points]
-    ys = [ty(p[1]) for p in points]
+    ys = [math.log10(p[1]) for p in points]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi == x_lo:
@@ -58,16 +53,16 @@ def render_series(
     grid: List[List[str]] = [[" "] * width for _ in range(height)]
     for x, y, glyph in points:
         col = round((x - x_lo) / (x_hi - x_lo) * (width - 1))
-        row = round((ty(y) - y_lo) / (y_hi - y_lo) * (height - 1))
+        row = round((math.log10(y) - y_lo) / (y_hi - y_lo) * (height - 1))
         grid[height - 1 - row][col] = glyph
 
     lines: List[str] = []
     if title:
         lines.append(title)
-    y_top = f"1e{y_hi:.1f}" if logy else f"{y_hi:.3g}"
-    y_bot = f"1e{y_lo:.1f}" if logy else f"{y_lo:.3g}"
-    margin = max(len(y_top), len(y_bot), len(y_label)) + 1
-    lines.append(f"{y_label.rjust(margin)}")
+    y_top = f"1e{y_hi:.1f}"
+    y_bot = f"1e{y_lo:.1f}"
+    margin = max(len(y_top), len(y_bot), len("E(T_MR)")) + 1
+    lines.append("E(T_MR)".rjust(margin))
     for i, row_cells in enumerate(grid):
         if i == 0:
             label = y_top
@@ -77,7 +72,7 @@ def render_series(
             label = ""
         lines.append(f"{label.rjust(margin)} |" + "".join(row_cells))
     lines.append(" " * margin + " +" + "-" * width)
-    x_axis = f"{x_lo:.2g}".ljust(width - 8) + f"{x_hi:.2g} {x_label}"
+    x_axis = f"{x_lo:.2g}".ljust(width - 8) + f"{x_hi:.2g} T_D^U"
     lines.append(" " * (margin + 2) + x_axis)
     legend = "   ".join(f"{glyph} {label}" for glyph, label, _ in series)
     lines.append(" " * (margin + 2) + legend)

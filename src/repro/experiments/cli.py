@@ -117,10 +117,9 @@ def main(argv: Optional[list] = None) -> int:
     )
     parser.add_argument(
         "experiment",
-        choices=sorted(_EXPERIMENTS) + ["all", "report"],
+        choices=sorted(_EXPERIMENTS) + ["all"],
         help=(
-            "which experiment to run ('all' for every one; 'report' "
-            "writes a single markdown report with every table; see also "
+            "which experiment to run ('all' for every one; see also "
             "the 'live' subcommand: `... live {soak,send,monitor} -h`)"
         ),
     )
@@ -158,19 +157,6 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0 (0 = all cores), got {args.jobs}")
-
-    if args.experiment == "report":
-        from repro.experiments.report import generate_report
-
-        out_dir = args.out if args.out is not None else Path("results")
-        path = generate_report(
-            out_dir / "REPORT.md",
-            full=args.full,
-            jobs=args.jobs,
-            telemetry_out=args.telemetry_out,
-        )
-        print(f"report written: {path}")
-        return 0
 
     names = sorted(_EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     if args.telemetry_out is None:

@@ -45,7 +45,6 @@ def steady_state_warmup(
     return max(candidates)
 
 
-@dataclass(frozen=True)
 class Fig12Settings:
     """The Section 7 simulation settings, used by most experiments.
 
@@ -53,12 +52,12 @@ class Fig12Settings:
     0.02 (so ``V(D) = 4·10⁻⁴``), SFD cutoffs 8·E(D) and 4·E(D).
     """
 
-    eta: float = 1.0
-    loss_probability: float = 0.01
-    mean_delay: float = 0.02
-    nfde_window: int = 32
-    cutoff_large: float = 0.16  # SFD-L: 8 × E(D)
-    cutoff_small: float = 0.08  # SFD-S: 4 × E(D)
+    eta = 1.0
+    loss_probability = 0.01
+    mean_delay = 0.02
+    nfde_window = 32
+    cutoff_large = 0.16  # SFD-L: 8 × E(D)
+    cutoff_small = 0.08  # SFD-S: 4 × E(D)
 
     @property
     def delay(self) -> DelayDistribution:
@@ -77,19 +76,21 @@ class Fig12Settings:
 FIG12_SETTINGS = Fig12Settings()
 
 
-def fmt(value: Any, width: int = 12) -> str:
-    """Format one table cell: compact scientific for floats."""
+def fmt(value: Any) -> str:
+    """Format one table cell, 12 wide: compact scientific for floats."""
     if value is None:
-        return "-".rjust(width)
-    if isinstance(value, float):
-        if math.isnan(value):
-            return "nan".rjust(width)
-        if math.isinf(value):
-            return ("inf" if value > 0 else "-inf").rjust(width)
-        if value != 0 and (abs(value) >= 1e5 or abs(value) < 1e-3):
-            return f"{value:.4g}".rjust(width)
-        return f"{value:.4f}".rjust(width)
-    return str(value).rjust(width)
+        text = "-"
+    elif not isinstance(value, float):
+        text = str(value)
+    elif math.isnan(value):
+        text = "nan"
+    elif math.isinf(value):
+        text = "inf" if value > 0 else "-inf"
+    elif value != 0 and (abs(value) >= 1e5 or abs(value) < 1e-3):
+        text = f"{value:.4g}"
+    else:
+        text = f"{value:.4f}"
+    return text.rjust(12)
 
 
 @dataclass
@@ -102,8 +103,8 @@ class ExperimentTable:
 
     title: str
     columns: Sequence[str]
-    rows: List[List[Any]] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
+    rows: List[List[Any]] = field(default_factory=list, init=False)
+    notes: List[str] = field(default_factory=list, init=False)
 
     def add_row(self, *values: Any) -> None:
         if len(values) != len(self.columns):
@@ -128,15 +129,13 @@ class ExperimentTable:
             "notes": list(self.notes),
         }
 
-    def to_text(self, cell_width: int = 12) -> str:
+    def to_text(self) -> str:
         lines = [self.title, "=" * len(self.title)]
-        header = " | ".join(str(c).rjust(cell_width) for c in self.columns)
+        header = " | ".join(str(c).rjust(12) for c in self.columns)
         lines.append(header)
         lines.append("-" * len(header))
         for row in self.rows:
-            lines.append(
-                " | ".join(fmt(v, cell_width) for v in row)
-            )
+            lines.append(" | ".join(fmt(v) for v in row))
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)

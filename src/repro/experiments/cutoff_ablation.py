@@ -17,7 +17,6 @@ from repro.analysis.sfd_theory import SFDAnalysis
 from repro.experiments.common import (
     FIG12_SETTINGS,
     ExperimentTable,
-    Fig12Settings,
     steady_state_warmup,
 )
 from repro.sim.batch import (
@@ -28,14 +27,15 @@ from repro.sim.parallel import parallel_map
 
 __all__ = ["run_cutoff_ablation"]
 
+#: the base seed of the committed table
+SEED = 808
+
 
 def run_cutoff_ablation(
     tdu: float = 2.5,
     cutoffs: Optional[Sequence[float]] = None,
-    settings: Fig12Settings = FIG12_SETTINGS,
     target_mistakes: int = 1000,
     max_heartbeats: int = 20_000_000,
-    seed: int = 808,
     jobs: Optional[int] = 1,
 ) -> ExperimentTable:
     """Sweep the SFD cutoff at a fixed detection bound.
@@ -45,9 +45,9 @@ def run_cutoff_ablation(
     """
     if cutoffs is None:
         cutoffs = [0.02, 0.04, 0.08, 0.16, 0.32, 0.64, 1.28]
-    eta = settings.eta
-    p_l = settings.loss_probability
-    delay = settings.delay
+    eta = FIG12_SETTINGS.eta
+    p_l = FIG12_SETTINGS.loss_probability
+    delay = FIG12_SETTINGS.delay
 
     table = ExperimentTable(
         title=(
@@ -79,7 +79,7 @@ def run_cutoff_ablation(
                 dict(
                     eta=eta,
                     delta=tdu - eta,
-                    seed=seed + 1,
+                    seed=SEED + 1,
                     warmup=steady_state_warmup(eta, delta=tdu - eta),
                     **common,
                 ),
@@ -90,7 +90,7 @@ def run_cutoff_ablation(
                 eta=eta,
                 timeout=tdu - c,
                 cutoff=c,
-                seed=seed,
+                seed=SEED,
                 warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
                 **common,
             ),

@@ -23,7 +23,6 @@ from repro.core.simple import SimpleFD
 from repro.experiments.common import (
     FIG12_SETTINGS,
     ExperimentTable,
-    Fig12Settings,
     steady_state_warmup,
 )
 from repro.sim.batch import run_crash_runs_batched
@@ -31,12 +30,13 @@ from repro.sim.runner import SimulationConfig
 
 __all__ = ["run_detection_time"]
 
+#: the base seed of the committed table
+SEED = 707
+
 
 def run_detection_time(
     tdu: float = 2.0,
-    settings: Fig12Settings = FIG12_SETTINGS,
     n_runs: int = 200,
-    seed: int = 707,
     jobs: Optional[int] = 1,
 ) -> ExperimentTable:
     """Measure ``T_D`` distributions for all detectors at one ``T_D^U``.
@@ -48,11 +48,11 @@ def run_detection_time(
     detector it has no closed form for; ``jobs`` fans the batches out
     over worker processes, again with bit-identical results.
     """
-    eta = settings.eta
-    delay = settings.delay
-    p_l = settings.loss_probability
+    eta = FIG12_SETTINGS.eta
+    delay = FIG12_SETTINGS.delay
+    p_l = FIG12_SETTINGS.loss_probability
     delta = tdu - eta
-    alpha = tdu - settings.mean_delay - eta
+    alpha = tdu - FIG12_SETTINGS.mean_delay - eta
 
     def config_for(warmup: float) -> SimulationConfig:
         return SimulationConfig(
@@ -61,7 +61,7 @@ def run_detection_time(
             loss_probability=p_l,
             horizon=80.0,
             warmup=warmup,
-            seed=seed,
+            seed=SEED,
         )
 
     table = ExperimentTable(
@@ -85,27 +85,27 @@ def run_detection_time(
         ),
         (
             f"NFD-E (alpha={alpha:g})",
-            lambda: NFDE(eta=eta, alpha=alpha, window=settings.nfde_window),
+            lambda: NFDE(eta=eta, alpha=alpha, window=FIG12_SETTINGS.nfde_window),
             # NFD-U/E bound is relative: (alpha + eta) + E(D).
-            alpha + eta + settings.mean_delay,
+            alpha + eta + FIG12_SETTINGS.mean_delay,
             steady_state_warmup(
                 eta,
                 alpha=alpha,
-                mean_delay=settings.mean_delay,
-                window=settings.nfde_window,
+                mean_delay=FIG12_SETTINGS.mean_delay,
+                window=FIG12_SETTINGS.nfde_window,
             ),
         ),
         (
-            f"SFD (c={settings.cutoff_large:g})",
+            f"SFD (c={FIG12_SETTINGS.cutoff_large:g})",
             lambda: SimpleFD(
-                timeout=tdu - settings.cutoff_large,
-                cutoff=settings.cutoff_large,
+                timeout=tdu - FIG12_SETTINGS.cutoff_large,
+                cutoff=FIG12_SETTINGS.cutoff_large,
             ),
             tdu,
             steady_state_warmup(
                 eta,
-                timeout=tdu - settings.cutoff_large,
-                cutoff=settings.cutoff_large,
+                timeout=tdu - FIG12_SETTINGS.cutoff_large,
+                cutoff=FIG12_SETTINGS.cutoff_large,
             ),
         ),
         (

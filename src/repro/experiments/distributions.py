@@ -18,11 +18,11 @@ simulation check, and the distribution-free Theorem 9 bounds.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.analysis.chebyshev import nfds_accuracy_bounds
 from repro.analysis.nfds_theory import NFDSAnalysis
-from repro.experiments.common import FIG12_SETTINGS, ExperimentTable, Fig12Settings
+from repro.experiments.common import FIG12_SETTINGS, ExperimentTable
 from repro.net.delays import (
     DelayDistribution,
     ExponentialDelay,
@@ -34,6 +34,9 @@ from repro.net.delays import (
 from repro.sim.fastsim import simulate_nfds_fast
 
 __all__ = ["matched_distributions", "run_distributions"]
+
+#: the base seed of the committed table
+SEED = 909
 
 
 def matched_distributions(
@@ -63,18 +66,11 @@ def matched_distributions(
 
 
 def run_distributions(
-    tdu: float = 2.5,
-    settings: Fig12Settings = FIG12_SETTINGS,
-    mean: float = 0.1,
-    std: float = 0.3,
-    loss_probability: float = 0.001,
-    target_mistakes: int = 1000,
-    max_heartbeats: int = 20_000_000,
-    seed: int = 909,
+    target_mistakes: int = 1000, max_heartbeats: int = 20_000_000
 ) -> ExperimentTable:
     """NFD-S accuracy across matched-moment delay distributions.
 
-    Defaults deliberately differ from the Section 7 settings: at the
+    The network deliberately differs from the Section 7 settings: at the
     paper's tiny delays (E(D) = 0.02) the ``p_L`` term dominates every
     ``p_j`` factor and all shapes coincide — itself worth knowing, but
     uninformative as an ablation.  With heavier delays (mean 0.1,
@@ -83,10 +79,10 @@ def run_distributions(
     identical first and second moments — the quantitative case for the
     conservatism of the Section 5 distribution-free procedure.
     """
-    eta = settings.eta
-    p_l = loss_probability
-    sd = std
-    delta = tdu - eta
+    eta = FIG12_SETTINGS.eta
+    p_l = 0.001
+    mean, sd = 0.1, 0.3
+    delta = 2.5 - eta
 
     bounds = nfds_accuracy_bounds(
         eta=eta,
@@ -116,7 +112,7 @@ def run_distributions(
             delta,
             p_l,
             dist,
-            seed=seed,
+            seed=SEED,
             target_mistakes=target_mistakes,
             max_heartbeats=max_heartbeats,
         )

@@ -60,17 +60,17 @@ class ElectionSettings:
     """
 
     names: Tuple[str, ...] = ("p0", "p1", "p2", "p3")
-    eta: float = 1.0
-    mean_delay: float = 0.1
-    loss_probability: float = 0.05
-    delta: float = 0.5
-    alpha: float = 0.4
-    window: int = 32
-    seed: int = 1717
     horizon: float = 800.0
+    eta = 1.0
+    mean_delay = 0.1
+    loss_probability = 0.05
+    delta = 0.5
+    alpha = 0.4
+    window = 32
+    seed = 1717
     #: everything before this is excluded from the QoS accounting
     #: (detector start-up transients).
-    warmup: float = 20.0
+    warmup = 20.0
 
     @property
     def delay(self) -> DelayDistribution:
@@ -149,7 +149,6 @@ def _detector_qos(result, settings: ElectionSettings):
 
 
 def _run_churn(
-    label: str,
     factory: Callable,
     eta: float,
     settings: ElectionSettings,
@@ -178,7 +177,6 @@ def _run_churn(
 
 
 def _run_faults(
-    label: str,
     factory: Callable,
     eta: float,
     settings: ElectionSettings,
@@ -247,7 +245,7 @@ def run_election_qos(
             ],
         )
         for label, factory, eta, predicted in settings.detectors():
-            result = runner(label, factory, eta, settings)
+            result = runner(factory, eta, settings)
             pooled, t_d = _detector_qos(result, settings)
             qos = result.qos(settings.observer, start=settings.warmup)
             table.add_row(

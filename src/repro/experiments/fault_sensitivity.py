@@ -63,26 +63,15 @@ class FaultSensitivitySettings:
     scale.
     """
 
-    def __init__(
-        self,
-        eta: float = 1.0,
-        mean_delay: float = 0.02,
-        average_loss: float = 0.05,
-        delta: float = 0.6,
-        nfde_window: int = 32,
-        sfd_timeout: float = 1.5,
-        sfd_cutoff: float = 0.16,
-        seed: int = 0xE14,
-    ) -> None:
-        self.eta = eta
-        self.mean_delay = mean_delay
-        self.average_loss = average_loss
-        self.delta = delta
-        self.alpha = delta - mean_delay  # NFD-E: E(D) + α == δ
-        self.nfde_window = nfde_window
-        self.sfd_timeout = sfd_timeout
-        self.sfd_cutoff = sfd_cutoff
-        self.seed = seed
+    eta = 1.0
+    mean_delay = 0.02
+    average_loss = 0.05
+    delta = 0.6
+    alpha = delta - mean_delay  # NFD-E: E(D) + α == δ
+    nfde_window = 32
+    sfd_timeout = 1.5
+    sfd_cutoff = 0.16
+    seed = 0xE14
 
     @property
     def delay(self) -> ExponentialDelay:
@@ -168,7 +157,6 @@ def _prediction_in_cis(pooled, prediction: QoSPrediction, level: float) -> bool:
 
 
 def burst_sweep_table(
-    settings: Optional[FaultSensitivitySettings] = None,
     burst_lengths: Sequence[float] = (2.0, 4.0, 8.0),
     horizon: float = 2500.0,
     n_runs: int = 3,
@@ -178,7 +166,7 @@ def burst_sweep_table(
     """Per-detector QoS vs. Gilbert–Elliott burst length at equal
     average loss.  Burst length 1 is the i.i.d. channel (zero fault
     intensity); its row carries the Theorem 5 CI check."""
-    s = settings if settings is not None else FaultSensitivitySettings()
+    s = FaultSensitivitySettings()
     table = ExperimentTable(
         title=(
             f"E14a: QoS vs. loss burstiness at equal average p_L="
@@ -284,10 +272,7 @@ def composite_scenario() -> FaultScenario:
     )
 
 
-def composite_scenario_table(
-    settings: Optional[FaultSensitivitySettings] = None,
-    horizon: float = 2400.0,
-) -> ExperimentTable:
+def composite_scenario_table(horizon: float = 2400.0) -> ExperimentTable:
     """NFD-S vs. NFD-E through the composite scenario, segmented by
     fault window.
 
@@ -298,7 +283,7 @@ def composite_scenario_table(
     within its estimation window.  The per-window fractions after the
     jump make that contrast explicit.
     """
-    s = settings if settings is not None else FaultSensitivitySettings()
+    s = FaultSensitivitySettings()
     scenario = composite_scenario()
     results = {}
     for det_name, factory, _prediction, warmup in s.detectors():
@@ -346,7 +331,6 @@ def composite_scenario_table(
 def run_fault_sensitivity(
     full: bool = False,
     jobs: int = 1,
-    settings: Optional[FaultSensitivitySettings] = None,
     burst_lengths: Sequence[float] = (2.0, 4.0, 8.0),
     horizon: Optional[float] = None,
     n_runs: Optional[int] = None,
@@ -357,11 +341,10 @@ def run_fault_sensitivity(
     if n_runs is None:
         n_runs = 6 if full else 3
     sweep = burst_sweep_table(
-        settings=settings,
         burst_lengths=burst_lengths,
         horizon=horizon,
         n_runs=n_runs,
         jobs=jobs,
     )
-    composite = composite_scenario_table(settings=settings)
+    composite = composite_scenario_table()
     return [sweep, composite]

@@ -17,12 +17,10 @@ the byte-budget comparison would favour NFD even more.)
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.core.nfd_e import NFDE
-from repro.experiments.common import FIG12_SETTINGS, ExperimentTable, Fig12Settings
+from repro.experiments.common import FIG12_SETTINGS, ExperimentTable
 from repro.gossip.simulation import run_gossip
 from repro.metrics.qos import estimate_accuracy
 from repro.sim.runner import SimulationConfig, run_crash_runs, run_failure_free
@@ -31,17 +29,13 @@ __all__ = ["run_gossip_comparison"]
 
 
 def run_gossip_comparison(
-    n_nodes: int = 8,
-    t_gossip: float = 1.0,
-    t_fail: float = 6.0,
-    settings: Fig12Settings = FIG12_SETTINGS,
-    horizon: float = 20_000.0,
-    n_crash_runs: int = 60,
-    seed: int = 1313,
+    horizon: float = 20_000.0, n_crash_runs: int = 60
 ) -> ExperimentTable:
     """Gossip cluster vs NFD-E mesh at a matched message budget."""
-    delay = settings.delay
-    p_l = settings.loss_probability
+    n_nodes, t_gossip, t_fail = 8, 1.0, 6.0
+    seed = 1313
+    delay = FIG12_SETTINGS.delay
+    p_l = FIG12_SETTINGS.loss_probability
 
     # ----- gossip: failure-free accuracy ------------------------------ #
     gossip_ff = run_gossip(
@@ -85,7 +79,7 @@ def run_gossip_comparison(
     # equals gossip's observed mean T_D — equal speed, compare accuracy.
     target_td = float(np.mean(gossip_td)) if gossip_td.size else t_fail
     alpha = max(
-        target_td - eta / 2.0 - settings.mean_delay, 0.1 * eta
+        target_td - eta / 2.0 - FIG12_SETTINGS.mean_delay, 0.1 * eta
     )
     config = SimulationConfig(
         eta=eta,

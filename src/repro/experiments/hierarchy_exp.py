@@ -57,13 +57,13 @@ class HierarchySettings:
 
     n_senders: int = 48
     n_leaves: int = 4
-    eta_flat: float = 1.0
-    delta: float = 0.5
-    mean_delay: float = 0.1
-    loss_probability: float = 0.05
     t_digest: float = 1.0
-    plane_t_fail: float = 8.0
-    seed: int = 1616
+    eta_flat = 1.0
+    delta = 0.5
+    mean_delay = 0.1
+    loss_probability = 0.05
+    plane_t_fail = 8.0
+    seed = 1616
 
     @property
     def delay(self) -> DelayDistribution:

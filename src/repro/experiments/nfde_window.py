@@ -16,7 +16,6 @@ from repro.analysis.nfde_theory import nfde_approximation
 from repro.experiments.common import (
     FIG12_SETTINGS,
     ExperimentTable,
-    Fig12Settings,
     steady_state_warmup,
 )
 from repro.sim.fastsim import simulate_nfde_fast, simulate_nfdu_fast
@@ -24,14 +23,14 @@ from repro.sim.parallel import parallel_map
 
 __all__ = ["run_nfde_window"]
 
+#: the base seed of the committed table
+SEED = 505
+
 
 def run_nfde_window(
-    tdu: float = 2.0,
     windows: Optional[Sequence[int]] = None,
-    settings: Fig12Settings = FIG12_SETTINGS,
     target_mistakes: int = 2000,
     max_heartbeats: int = 20_000_000,
-    seed: int = 505,
     jobs: Optional[int] = 1,
 ) -> ExperimentTable:
     """Sweep the EA-estimation window and compare against NFD-U.
@@ -41,10 +40,11 @@ def run_nfde_window(
     """
     if windows is None:
         windows = [2, 4, 8, 16, 32, 64]
-    eta = settings.eta
-    p_l = settings.loss_probability
-    delay = settings.delay
-    alpha = tdu - settings.mean_delay - eta
+    tdu = 2.0
+    eta = FIG12_SETTINGS.eta
+    p_l = FIG12_SETTINGS.loss_probability
+    delay = FIG12_SETTINGS.delay
+    alpha = tdu - FIG12_SETTINGS.mean_delay - eta
 
     def evaluate(n: Optional[int]):
         if n is None:  # the NFD-U (known EA) reference
@@ -53,11 +53,11 @@ def run_nfde_window(
                 alpha,
                 p_l,
                 delay,
-                seed=seed,
+                seed=SEED,
                 target_mistakes=target_mistakes,
                 max_heartbeats=max_heartbeats,
                 warmup=steady_state_warmup(
-                    eta, alpha=alpha, mean_delay=settings.mean_delay, window=1
+                    eta, alpha=alpha, mean_delay=FIG12_SETTINGS.mean_delay, window=1
                 ),
             )
         return simulate_nfde_fast(
@@ -66,11 +66,11 @@ def run_nfde_window(
             p_l,
             delay,
             window=int(n),
-            seed=seed + 13 + n,
+            seed=SEED + 13 + n,
             target_mistakes=target_mistakes,
             max_heartbeats=max_heartbeats,
             warmup=steady_state_warmup(
-                eta, alpha=alpha, mean_delay=settings.mean_delay, window=int(n)
+                eta, alpha=alpha, mean_delay=FIG12_SETTINGS.mean_delay, window=int(n)
             ),
         )
 

@@ -9,13 +9,12 @@ check the claim against every competitor in this library that satisfies
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 from repro.analysis.nfds_theory import NFDSAnalysis
 from repro.experiments.common import (
     FIG12_SETTINGS,
     ExperimentTable,
-    Fig12Settings,
     steady_state_warmup,
 )
 from repro.sim.batch import (
@@ -26,14 +25,14 @@ from repro.sim.parallel import parallel_map
 
 __all__ = ["run_optimality"]
 
+#: the base seed of the committed table
+SEED = 606
+
 
 def run_optimality(
     tdu: float = 2.0,
-    settings: Fig12Settings = FIG12_SETTINGS,
-    cutoffs: Optional[Sequence[float]] = None,
     target_mistakes: int = 2000,
     max_heartbeats: int = 20_000_000,
-    seed: int = 606,
     jobs: Optional[int] = 1,
 ) -> ExperimentTable:
     """Compare ``P_A`` across same-rate, same-detection-bound detectors.
@@ -41,11 +40,10 @@ def run_optimality(
     ``jobs`` fans the table rows out over worker processes; the rows
     (and their seeds) are identical to serial evaluation.
     """
-    if cutoffs is None:
-        cutoffs = [0.04, 0.08, 0.16, 0.32, 0.64]
-    eta = settings.eta
-    p_l = settings.loss_probability
-    delay = settings.delay
+    cutoffs = [0.04, 0.08, 0.16, 0.32, 0.64]
+    eta = FIG12_SETTINGS.eta
+    p_l = FIG12_SETTINGS.loss_probability
+    delay = FIG12_SETTINGS.delay
     delta_star = tdu - eta
 
     table = ExperimentTable(
@@ -60,14 +58,14 @@ def run_optimality(
     # the fan-out reproduces exactly the serial seeds and ordering.  The
     # sub-optimal NFD-S rows show delta = T_D^U - eta is the right
     # choice within the NFD family too.
-    cases = [(f"NFD-S* (delta={delta_star:g})", "nfds", delta_star, seed)]
+    cases = [(f"NFD-S* (delta={delta_star:g})", "nfds", delta_star, SEED)]
     for frac in (0.5, 0.75):
         delta = delta_star * frac
-        cases.append((f"NFD-S (delta={delta:g})", "nfds", delta, seed + 1))
+        cases.append((f"NFD-S (delta={delta:g})", "nfds", delta, SEED + 1))
     for c in cutoffs:
         if c >= tdu:
             continue
-        cases.append((f"SFD (c={c:g})", "sfd", c, seed + 2))
+        cases.append((f"SFD (c={c:g})", "sfd", c, SEED + 2))
 
     def task_for(case) -> AccuracyTask:
         _label, kind, param, case_seed = case

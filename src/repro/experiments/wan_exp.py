@@ -62,24 +62,21 @@ class WanSettings:
     deadline and the distortion becomes visible.
     """
 
+    eta = 1.0
+    delta = 1.0
+    ci_level = 0.99
+    seed = 0xE18
+    warmup = steady_state_warmup(eta, delta=delta)
+
     def __init__(
         self,
-        eta: float = 1.0,
-        delta: float = 1.0,
         horizon: float = 3000.0,
         n_ff_runs: int = 5,
         n_crash_runs: int = 40,
-        ci_level: float = 0.99,
-        seed: int = 0xE18,
     ) -> None:
-        self.eta = eta
-        self.delta = delta
         self.horizon = horizon
         self.n_ff_runs = n_ff_runs
         self.n_crash_runs = n_crash_runs
-        self.ci_level = ci_level
-        self.seed = seed
-        self.warmup = steady_state_warmup(eta, delta=delta)
 
     @property
     def detection_bound(self) -> float:

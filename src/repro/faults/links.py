@@ -91,7 +91,6 @@ class GilbertElliottLink:
         delay: DelayDistribution,
         average_loss: float,
         burst_length: float,
-        p_bad: float = 1.0,
         p_good: float = 0.0,
         rng: Optional[np.random.Generator] = None,
     ) -> "GilbertElliottLink":
@@ -99,6 +98,7 @@ class GilbertElliottLink:
 
         ``average_loss`` pins the stationary loss rate and
         ``burst_length`` the mean bad-state sojourn (in messages); the
+        bad state loses every message (``p_bad = 1``), and the
         transition probabilities follow from
         ``π_bad = (avg − p_good) / (p_bad − p_good)``, ``p_bg =
         1/burst_length`` and the stationarity balance
@@ -108,6 +108,7 @@ class GilbertElliottLink:
             raise InvalidParameterError(
                 f"burst_length must be >= 1 message, got {burst_length}"
             )
+        p_bad = 1.0
         if not p_good <= average_loss < p_bad:
             raise InvalidParameterError(
                 f"average_loss must lie in [p_good, p_bad) = "

@@ -480,7 +480,7 @@ class ScenarioEngine:
             # construction from the scenario); the engine only records
             # and reports them.
             end = event.start + event.duration
-            sim.schedule_at(start, lambda e=event: self._begin_stall(e, start, end))
+            sim.schedule_at(start, lambda: self._begin_stall(start, end))
             sim.schedule_at(end, self._end_stall)
         else:  # pragma: no cover - FaultScenario validated the types
             raise InvalidParameterError(f"unknown fault event {event!r}")
@@ -568,7 +568,7 @@ class ScenarioEngine:
         )
         self._emit("drift_onset", 0)
 
-    def _begin_stall(self, event: Stall, start: float, end: float) -> None:
+    def _begin_stall(self, start: float, end: float) -> None:
         self.timeline.add(FaultWindow(start, end, "stall"))
         self._emit("stall", +1)
 

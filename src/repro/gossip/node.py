@@ -50,7 +50,7 @@ class GossipNode:
         members: all member identities (including this node).
         t_gossip: gossip period.
         t_fail: suspicion threshold on counter staleness.
-        send: callback ``send(src, dst, vector_copy)`` used each round.
+        send: callback ``send(dst, vector_copy)`` used each round.
         rng: random generator for peer selection.
         now: callback returning the node's local time.
     """
@@ -61,7 +61,7 @@ class GossipNode:
         members: Sequence[str],
         t_gossip: float,
         t_fail: float,
-        send: Callable[[str, str, Dict[str, int]], None],
+        send: Callable[[str, Dict[str, int]], None],
         rng: np.random.Generator,
         now: Callable[[], float],
     ) -> None:
@@ -143,7 +143,7 @@ class GossipNode:
             }
         else:
             payload = counters
-        self._send(self.node_id, peer, payload)
+        self._send(peer, payload)
         return peer
 
     def receive(self, payload: Dict[str, Any]) -> None:

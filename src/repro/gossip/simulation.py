@@ -160,7 +160,7 @@ class GossipCluster:
     # Transport
     # ------------------------------------------------------------------ #
 
-    def _transmit(self, src: str, dst: str, payload: Dict[str, int]) -> None:
+    def _transmit(self, dst: str, payload: Dict[str, int]) -> None:
         self.messages_sent += 1
         self.bytes_sent += payload_size_bytes(payload)
         if self._p_l > 0.0 and self._rng.random() < self._p_l:

@@ -172,13 +172,9 @@ class HierarchyResult:
 class HierarchicalMonitor:
     """Builder/driver for the federation; one instance = one run."""
 
-    def __init__(
-        self,
-        config: HierarchyConfig,
-        sim: Optional[Simulator] = None,
-    ) -> None:
+    def __init__(self, config: HierarchyConfig) -> None:
         self.config = config
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
         cfg = config
         self.leaf_ids = [f"L{i}" for i in range(cfg.n_leaves)]
         self.root_id = "root"

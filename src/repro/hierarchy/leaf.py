@@ -15,7 +15,6 @@ from typing import Callable, Dict, Optional
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import InvalidParameterError
 from repro.hierarchy.digest import SenderStatus, ShardDigest
-from repro.net.clocks import Clock
 from repro.net.delays import DelayDistribution
 from repro.service.events import MonitorEvent
 from repro.service.monitor_service import MonitorService
@@ -50,8 +49,6 @@ class LeafMonitor:
         eta: float,
         delay: DelayDistribution,
         loss_probability: float = 0.0,
-        sender_clock: Optional[Clock] = None,
-        monitor_clock: Optional[Clock] = None,
         incarnation: int = 0,
     ) -> None:
         self.service.add_process(
@@ -60,8 +57,6 @@ class LeafMonitor:
             eta=eta,
             delay=delay,
             loss_probability=loss_probability,
-            sender_clock=sender_clock,
-            monitor_clock=monitor_clock,
             incarnation=incarnation,
         )
         # Detectors initialize to S (suspect until the first fresh

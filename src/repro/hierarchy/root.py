@@ -54,7 +54,7 @@ class RootAggregator:
     # Registration
     # ------------------------------------------------------------------ #
 
-    def expect(self, name: str, leaf_id: Optional[str] = None) -> None:
+    def expect(self, name: str) -> None:
         """Pre-register a sender so its trace starts now (output S).
 
         The paper's convention: a monitor suspects a process until the
@@ -63,8 +63,6 @@ class RootAggregator:
         """
         if name in self._traces:
             raise InvalidParameterError(f"sender {name!r} already expected")
-        if leaf_id is not None:
-            self._shard_of[name] = leaf_id
         self._traces[name] = OutputTrace(
             start_time=self._now(), initial_output=SUSPECT
         )

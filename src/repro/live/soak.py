@@ -80,12 +80,11 @@ class SoakConfig:
     kill: int = 1
     kill_after: Optional[float] = None
     seed: int = 0
-    inbox_limit: int = 4096
-    warmup: Optional[float] = None
+    inbox_limit = 4096
     #: extra δ the theory band allows for event-loop timer lateness.
-    sched_allowance: float = 0.005
+    sched_allowance = 0.005
     #: extra detection time allowed over the δ+η bound (callback dispatch).
-    detect_allowance: float = 0.25
+    detect_allowance = 0.25
 
     def __post_init__(self) -> None:
         if self.peers < 1:
@@ -119,8 +118,6 @@ class SoakConfig:
     @property
     def effective_warmup(self) -> float:
         """Startup span excluded from QoS accounting."""
-        if self.warmup is not None:
-            return self.warmup
         return 2.0 * (self.delta + self.eta)
 
     @property

@@ -109,18 +109,15 @@ class AccuracyEstimate:
     tm_samples: np.ndarray = field(repr=False)
     tg_samples: np.ndarray = field(repr=False)
 
-    def satisfies(
-        self, req: QoSRequirements, *, slack: float = 1.0
-    ) -> bool:
+    def satisfies(self, req: QoSRequirements) -> bool:
         """Whether the *accuracy* part of ``req`` holds for these estimates.
 
-        ``slack`` < 1 tightens the check (useful in tests that must pass
-        with statistical noise); detection time is checked separately via
-        :func:`detection_times` since it needs crash runs.
+        Detection time is checked separately via :func:`detection_times`
+        since it needs crash runs.
         """
-        if not math.isnan(self.e_tmr) and self.e_tmr < req.mistake_recurrence_lower * slack:
+        if not math.isnan(self.e_tmr) and self.e_tmr < req.mistake_recurrence_lower:
             return False
-        if not math.isnan(self.e_tm) and self.e_tm > req.mistake_duration_upper / slack:
+        if not math.isnan(self.e_tm) and self.e_tm > req.mistake_duration_upper:
             return False
         return True
 

@@ -18,7 +18,7 @@ Two interfaces are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional
 
 import numpy as np
@@ -64,8 +64,8 @@ class LinkEpoch:
     """
 
     loss_probability: float
-    offered: int = 0
-    dropped: int = 0
+    offered: int = field(default=0, init=False)
+    dropped: int = field(default=0, init=False)
 
     @property
     def delivered(self) -> int:

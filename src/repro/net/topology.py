@@ -117,8 +117,6 @@ class PathDelay(DelayDistribution):
 
 def compose_path(
     hops: Sequence[Tuple[DelayDistribution, float]],
-    cdf_samples: int = 200_000,
-    seed: int = 0,
 ) -> Tuple[PathDelay, float]:
     """Compose ``(delay, loss)`` pairs into end-to-end ``(delay, loss)``."""
     if not hops:
@@ -132,18 +130,13 @@ def compose_path(
             )
         survive *= 1.0 - loss
         delays.append(delay)
-    return (
-        PathDelay(delays, cdf_samples=cdf_samples, seed=seed),
-        1.0 - survive,
-    )
+    return PathDelay(delays), 1.0 - survive
 
 
 def end_to_end_behavior(
     graph: nx.Graph,
     source,
     target,
-    cdf_samples: int = 200_000,
-    seed: int = 0,
 ) -> Tuple[PathDelay, float, list]:
     """End-to-end ``(delay, loss, path)`` along the best route.
 
@@ -177,5 +170,5 @@ def end_to_end_behavior(
         (graph.edges[u, v]["delay"], graph.edges[u, v]["loss"])
         for u, v in zip(path[:-1], path[1:])
     ]
-    delay, loss = compose_path(hops, cdf_samples=cdf_samples, seed=seed)
+    delay, loss = compose_path(hops)
     return delay, loss, path

@@ -74,17 +74,13 @@ def predict_route(
     eta: float,
     delta: float,
     down: frozenset = frozenset(),
-    cdf_samples: int = 200_000,
-    seed: int = 0,
 ) -> WanPathPrediction:
     """Reduce a WAN route to the paper's link model and run Theorem 5.
 
     ``down`` lets callers price a degraded topology: the prediction for
     "link X is partitioned" is the composition along the best *detour*.
     """
-    delay, loss, path = topology.compose_route(
-        source, target, down=down, cdf_samples=cdf_samples, seed=seed
-    )
+    delay, loss, path = topology.compose_route(source, target, down=down)
     prediction = NFDSAnalysis(
         eta=eta, delta=delta, loss_probability=loss, delay=delay
     ).predict()
@@ -129,15 +125,14 @@ def within_theorem5_band(
 def detection_within_bound(
     prediction: WanPathPrediction,
     detection_times: Sequence[float],
-    slack: float = 1e-9,
 ) -> bool:
     """Whether every observed crash-detection time respects ``δ + η``.
 
     Theorem 5's ``T_D`` is a *sure* bound for NFD-S, so a single finite
     violation (or an undetected crash, encoded as ``inf``/``nan``)
-    fails the gate.
+    fails the gate.  The bound has a slack of 1e-9 for rounding.
     """
-    bound = prediction.detection_time_bound + slack
+    bound = prediction.detection_time_bound + 1e-9
     times = np.asarray(list(detection_times), dtype=float)
     if times.size == 0:
         raise InvalidParameterError(

@@ -85,7 +85,7 @@ class CongestionProcess:
     def factor_at(self, t: float) -> float:
         return self._spec.factor if self.congested(t) else 1.0
 
-    def congested_time(self, start: float, end: float, step: int = 4096) -> float:
+    def congested_time(self, start: float, end: float) -> float:
         """Measure of ``[start, end)`` covered by episodes (exact union)."""
         if end <= start:
             return 0.0

@@ -204,15 +204,11 @@ class RoutedWanLink:
         network: WanNetwork,
         source: str,
         target: str,
-        cdf_samples: int = 200_000,
-        seed: int = 0,
     ) -> None:
         self._network = network
         self._source = source
         self._target = target
-        delay, loss, path = network.topology.compose_route(
-            source, target, cdf_samples=cdf_samples, seed=seed
-        )
+        delay, loss, path = network.topology.compose_route(source, target)
         self._composite_delay = delay
         self._composite_loss = loss
         self._default_path = tuple(path)

@@ -187,7 +187,6 @@ def periodic_partitions(
     period: float,
     duration: float,
     count: int,
-    name: str = "periodic-partitions",
 ) -> FaultScenario:
     """``count`` partition windows of ``duration`` every ``period``.
 
@@ -209,5 +208,5 @@ def periodic_partitions(
             Partition(start=first + i * period, duration=duration)
             for i in range(count)
         ],
-        name=name,
+        name="periodic-partitions",
     )

@@ -300,8 +300,6 @@ class WanTopology:
         source: str,
         target: str,
         down: frozenset = frozenset(),
-        cdf_samples: int = 200_000,
-        seed: int = 0,
     ) -> Tuple[PathDelay, float, List[str]]:
         """Fault-free end-to-end ``(delay, loss, path)`` along the best
         live route — the reduction of this WAN path to the paper's
@@ -316,5 +314,5 @@ class WanTopology:
             (self.link(u, v).delay, self.link(u, v).loss)
             for u, v in zip(path[:-1], path[1:])
         ]
-        delay, loss = compose_path(hops, cdf_samples=cdf_samples, seed=seed)
+        delay, loss = compose_path(hops)
         return delay, loss, path

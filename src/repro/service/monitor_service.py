@@ -63,8 +63,8 @@ class MonitoredProcess:
     #: process is still live (and a suspicion still a mistake) until
     #: then, which is what the membership layer's spurious-change
     #: accounting compares against.
-    crash_time: float = math.inf
-    events: List[MonitorEvent] = field(default_factory=list)
+    crash_time: float = field(default=math.inf, init=False)
+    events: List[MonitorEvent] = field(default_factory=list, init=False)
 
     @property
     def detector(self) -> HeartbeatFailureDetector:
@@ -312,8 +312,6 @@ class MonitorService:
         contract,
         delay: DelayDistribution,
         loss_probability: float = 0.0,
-        sender_clock: Optional[Clock] = None,
-        monitor_clock: Optional[Clock] = None,
     ) -> MonitoredProcess:
         """Register a process by *QoS contract* rather than by detector.
 
@@ -332,8 +330,6 @@ class MonitorService:
             eta=configured.eta,
             delay=delay,
             loss_probability=loss_probability,
-            sender_clock=sender_clock,
-            monitor_clock=monitor_clock,
         )
 
     def restart_process(

@@ -824,7 +824,6 @@ class VectorMonitorEngine:
         self,
         row: int,
         seq: int,
-        send_local_time: float = 0.0,
         at_real: Optional[float] = None,
     ) -> None:
         """Process one heartbeat receipt for ``row`` at ``at_real``
@@ -1367,7 +1366,7 @@ class SoAMonitorHost:
         """Book one receipt and apply it to the row now."""
         t = self.prepare(seq, send_local_time)
         if t is not None:
-            self._engine.deliver(self._row, seq, send_local_time, t)
+            self._engine.deliver(self._row, seq, t)
 
     def __call__(self, real: float, local: float, output: str) -> None:
         """The row's transition sink (a :data:`TransitionSink`)."""

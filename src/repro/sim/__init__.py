@@ -34,7 +34,6 @@ from repro.sim.fastsim import (
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
 from repro.sim.parallel import (
-    ParallelStats,
     parallel_map,
     run_crash_runs_parallel,
     run_failure_free_parallel,
@@ -62,7 +61,6 @@ __all__ = [
     "CrashRunResult",
     "run_failure_free",
     "run_crash_runs",
-    "ParallelStats",
     "parallel_map",
     "run_crash_runs_parallel",
     "run_failure_free_parallel",

@@ -580,12 +580,9 @@ def run_crash_runs_batched(
     n_runs: int,
     batch_size: int = 64,
     jobs: Optional[int] = 1,
-    crash_window: Optional[tuple] = None,
     settle_time: Optional[float] = None,
     keep_traces: bool = False,
-    progress=None,
-    with_stats: bool = False,
-):
+) -> CrashRunResult:
     """Batched :func:`repro.sim.runner.run_crash_runs` — same results.
 
     Replicas are grouped into batches of ``batch_size`` and each batch
@@ -613,15 +610,10 @@ def run_crash_runs_batched(
             config,
             n_runs,
             jobs=jobs,
-            crash_window=crash_window,
             settle_time=settle_time,
             keep_traces=keep_traces,
-            progress=progress,
-            with_stats=with_stats,
         )
-    crash_times, settle = _prepare_crash_runs(
-        config, n_runs, crash_window, settle_time
-    )
+    crash_times, settle = _prepare_crash_runs(config, n_runs, None, settle_time)
     sends = _send_schedule(config.eta, float(crash_times.max()))
     spans = chunk_spans(n_runs, int(batch_size))
     replayer = _FateReplayer(config)
@@ -632,14 +624,7 @@ def run_crash_runs_batched(
             spec, replayer, crash_times[start:stop], start, settle, sends
         )
 
-    outs, stats = parallel_map(
-        span_fn,
-        spans,
-        jobs=jobs,
-        chunk_size=1,
-        progress=progress,
-        with_stats=True,
-    )
+    outs = parallel_map(span_fn, spans, jobs=jobs, chunk_size=1)
     detections = np.concatenate(outs)
     reg = _telemetry_active()
     if reg is not None:
@@ -648,10 +633,9 @@ def run_crash_runs_batched(
         reg.counter("batch_crash_batches_total", labels=labels).inc(
             len(spans)
         )
-    result = CrashRunResult(
+    return CrashRunResult(
         detection_times=detections, crash_times=crash_times, traces=[]
     )
-    return (result, stats) if with_stats else result
 
 
 # --------------------------------------------------------------------- #

@@ -102,23 +102,22 @@ class Simulator:
         """Number of scheduled (non-cancelled) events."""
         return self._live
 
-    def attach_telemetry(self, registry, prefix: str = "sim") -> None:
+    def attach_telemetry(self, registry) -> None:
         """Record event counts and heap depth into ``registry``.
 
-        Series: ``{prefix}_events_scheduled_total``,
-        ``{prefix}_events_fired_total`` (counters) and
-        ``{prefix}_heap_depth`` (gauge; its ``max`` is the high-water
-        mark — the number churn-heavy runs previously inflated with
-        inert timer chains).
+        Series: ``sim_events_scheduled_total``,
+        ``sim_events_fired_total`` (counters) and ``sim_heap_depth``
+        (gauge; its ``max`` is the high-water mark — the number
+        churn-heavy runs previously inflated with inert timer chains).
         """
         self._tel_scheduled = registry.counter(
-            f"{prefix}_events_scheduled_total", "events pushed on the heap"
+            "sim_events_scheduled_total", "events pushed on the heap"
         )
         self._tel_fired = registry.counter(
-            f"{prefix}_events_fired_total", "event callbacks executed"
+            "sim_events_fired_total", "event callbacks executed"
         )
         self._tel_depth = registry.gauge(
-            f"{prefix}_heap_depth", "pending (non-cancelled) events"
+            "sim_heap_depth", "pending (non-cancelled) events"
         )
 
     def detach_telemetry(self) -> None:

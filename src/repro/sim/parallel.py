@@ -19,10 +19,10 @@ fan-out while keeping that guarantee, for any job count and any chunking:
   workers and only results travel back.  Where ``fork`` is unavailable
   (non-Unix platforms, daemon processes) execution silently falls back
   to in-process serial — which is bit-identical by construction.
-* **Per-worker instrumentation.**  Each chunk reports the worker PID and
-  its busy time; :class:`ParallelStats` aggregates them for callers that
-  pass ``with_stats=True`` and for run telemetry (``--telemetry-out``).
-  ``tests/sim/test_parallel.py`` asserts the bit-identity contract.
+* **Per-chunk instrumentation.**  Each chunk is timed where it runs;
+  the parent records the timings in the ``parallel_*`` telemetry series
+  (``--telemetry-out``).  ``tests/sim/test_parallel.py`` asserts the
+  bit-identity contract.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import math
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,16 +48,12 @@ from repro.sim.runner import (
 )
 
 __all__ = [
-    "ChunkTiming",
-    "ParallelStats",
     "resolve_jobs",
     "chunk_spans",
     "parallel_map",
     "run_crash_runs_parallel",
     "run_failure_free_parallel",
 ]
-
-ProgressCallback = Callable[[int, int], None]
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -88,56 +83,6 @@ def default_chunk_size(n_items: int, jobs: int) -> int:
     return max(1, math.ceil(n_items / (jobs * 4)))
 
 
-@dataclass(frozen=True)
-class ChunkTiming:
-    """Timing record for one executed chunk."""
-
-    chunk: int  # chunk ordinal (by item order)
-    start: int  # first item index
-    stop: int  # one past the last item index
-    pid: int  # worker process id (parent pid on the serial path)
-    seconds: float  # busy wall time spent on this chunk
-
-
-@dataclass
-class ParallelStats:
-    """Execution report for one fan-out."""
-
-    jobs: int
-    chunk_size: int
-    wall_seconds: float
-    chunks: List[ChunkTiming]
-
-    @property
-    def n_chunks(self) -> int:
-        return len(self.chunks)
-
-    @property
-    def n_items(self) -> int:
-        return sum(c.stop - c.start for c in self.chunks)
-
-    @property
-    def busy_seconds(self) -> float:
-        """Total worker busy time (≈ serial time when load is balanced)."""
-        return sum(c.seconds for c in self.chunks)
-
-    def per_worker_seconds(self) -> Dict[int, float]:
-        """Busy seconds per worker PID."""
-        out: Dict[int, float] = {}
-        for c in self.chunks:
-            out[c.pid] = out.get(c.pid, 0.0) + c.seconds
-        return out
-
-    def summary(self) -> str:
-        workers = self.per_worker_seconds()
-        return (
-            f"{self.n_items} items in {self.n_chunks} chunks "
-            f"(chunk_size={self.chunk_size}) on {len(workers)} worker(s), "
-            f"jobs={self.jobs}: wall {self.wall_seconds:.2f}s, "
-            f"busy {self.busy_seconds:.2f}s"
-        )
-
-
 # --------------------------------------------------------------------- #
 # Core chunk executor
 # --------------------------------------------------------------------- #
@@ -149,13 +94,19 @@ class ParallelStats:
 _ITEM_FN: Optional[Callable[[int], Any]] = None
 
 
-def _invoke_chunk(span: Tuple[int, int, int]):
-    chunk_idx, start, stop = span
+def _run_chunk(fn: Callable[[int], Any], span: Tuple[int, int]):
+    """``(start, stop, results, seconds)`` of one chunk, timed where it
+    runs."""
+    start, stop = span
     t0 = time.perf_counter()
+    out = [fn(i) for i in range(start, stop)]
+    return start, stop, out, time.perf_counter() - t0
+
+
+def _invoke_chunk(span: Tuple[int, int]):
     fn = _ITEM_FN
     assert fn is not None, "worker forked without a payload"
-    out = [fn(i) for i in range(start, stop)]
-    return chunk_idx, start, stop, os.getpid(), time.perf_counter() - t0, out
+    return _run_chunk(fn, span)
 
 
 def _fork_available() -> bool:
@@ -174,8 +125,7 @@ def _execute(
     n_items: int,
     jobs: Optional[int],
     chunk_size: Optional[int],
-    progress: Optional[ProgressCallback],
-) -> Tuple[List[Any], ParallelStats]:
+) -> List[Any]:
     """Run ``item_fn`` over ``range(n_items)``; results in item order.
 
     Deterministic by construction: ``item_fn`` must derive all of its
@@ -187,71 +137,39 @@ def _execute(
     jobs_resolved = max(1, min(resolve_jobs(jobs), n_items))
     if chunk_size is None:
         chunk_size = default_chunk_size(n_items, jobs_resolved)
-    spans = [
-        (ci, start, stop)
-        for ci, (start, stop) in enumerate(chunk_spans(n_items, chunk_size))
-    ]
-    results: List[Any] = [None] * n_items
-    timings: List[ChunkTiming] = []
+    spans = chunk_spans(n_items, chunk_size)
     wall0 = time.perf_counter()
     use_pool = jobs_resolved > 1 and len(spans) > 1 and _fork_available()
     if not use_pool:
-        for ci, start, stop in spans:
-            t0 = time.perf_counter()
-            results[start:stop] = [item_fn(i) for i in range(start, stop)]
-            timings.append(
-                ChunkTiming(
-                    chunk=ci,
-                    start=start,
-                    stop=stop,
-                    pid=os.getpid(),
-                    seconds=time.perf_counter() - t0,
-                )
-            )
-            if progress is not None:
-                progress(len(timings), len(spans))
+        chunks = [_run_chunk(item_fn, span) for span in spans]
     else:
         ctx = multiprocessing.get_context("fork")
         _ITEM_FN = item_fn  # must be set before the pool forks
         try:
             with ctx.Pool(processes=jobs_resolved) as pool:
-                for ci, start, stop, pid, secs, out in pool.imap_unordered(
-                    _invoke_chunk, spans
-                ):
-                    results[start:stop] = out
-                    timings.append(
-                        ChunkTiming(
-                            chunk=ci,
-                            start=start,
-                            stop=stop,
-                            pid=pid,
-                            seconds=secs,
-                        )
-                    )
-                    if progress is not None:
-                        progress(len(timings), len(spans))
+                chunks = sorted(
+                    pool.imap_unordered(_invoke_chunk, spans),
+                    key=lambda chunk: chunk[0],
+                )
         finally:
             _ITEM_FN = None
-    timings.sort(key=lambda c: c.chunk)
-    stats = ParallelStats(
-        jobs=jobs_resolved,
-        chunk_size=chunk_size,
-        wall_seconds=time.perf_counter() - wall0,
-        chunks=timings,
-    )
+    wall_seconds = time.perf_counter() - wall0
+    results: List[Any] = [None] * n_items
+    for start, stop, out, _seconds in chunks:
+        results[start:stop] = out
     reg = _telemetry_active()
     if reg is not None:
         # Chunk timings are gathered in the parent, so this records even
         # when the items themselves ran in forked workers (whose own
         # process-global registries are discarded with the fork).
         reg.counter("parallel_items_total").inc(n_items)
-        reg.counter("parallel_chunks_total").inc(len(timings))
+        reg.counter("parallel_chunks_total").inc(len(chunks))
         reg.gauge("parallel_jobs").set(jobs_resolved)
         chunk_hist = reg.histogram("parallel_chunk_seconds")
-        for c in timings:
-            chunk_hist.observe(c.seconds)
-        reg.histogram("parallel_wall_seconds").observe(stats.wall_seconds)
-    return results, stats
+        for _start, _stop, _out, seconds in chunks:
+            chunk_hist.observe(seconds)
+        reg.histogram("parallel_wall_seconds").observe(wall_seconds)
+    return results
 
 
 # --------------------------------------------------------------------- #
@@ -264,9 +182,7 @@ def parallel_map(
     items: Sequence[Any],
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    with_stats: bool = False,
-):
+) -> List[Any]:
     """Map ``fn`` over ``items`` across worker processes, order-preserving.
 
     The experiments layer uses this for sweep-point fan-out (Fig. 12
@@ -276,16 +192,12 @@ def parallel_map(
     """
     items = list(items)
     if not items:
-        empty_stats = ParallelStats(
-            jobs=1, chunk_size=1, wall_seconds=0.0, chunks=[]
-        )
-        return ([], empty_stats) if with_stats else []
+        return []
 
     def item_fn(i: int):
         return fn(items[i])
 
-    results, stats = _execute(item_fn, len(items), jobs, chunk_size, progress)
-    return (results, stats) if with_stats else results
+    return _execute(item_fn, len(items), jobs, chunk_size)
 
 
 def run_crash_runs_parallel(
@@ -294,12 +206,9 @@ def run_crash_runs_parallel(
     n_runs: int,
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    crash_window: Optional[tuple] = None,
     settle_time: Optional[float] = None,
     keep_traces: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    with_stats: bool = False,
-):
+) -> CrashRunResult:
     """Fan :func:`repro.sim.runner.run_crash_runs` out over workers.
 
     Bit-identical to the serial function for the same config and seed:
@@ -307,9 +216,7 @@ def run_crash_runs_parallel(
     *i*'s stream is keyed by ``i`` — so scheduling cannot change any
     result.  ``jobs=1`` runs in-process (no pool).
     """
-    crash_times, settle = _prepare_crash_runs(
-        config, n_runs, crash_window, settle_time
-    )
+    crash_times, settle = _prepare_crash_runs(config, n_runs, None, settle_time)
 
     def item_fn(i: int):
         return _run_single_crash(
@@ -321,15 +228,14 @@ def run_crash_runs_parallel(
             keep_traces,
         )
 
-    outs, stats = _execute(item_fn, n_runs, jobs, chunk_size, progress)
+    outs = _execute(item_fn, n_runs, jobs, chunk_size)
     detections = np.fromiter(
         (d for d, _ in outs), dtype=float, count=n_runs
     )
     traces = [t for _, t in outs] if keep_traces else []
-    result = CrashRunResult(
+    return CrashRunResult(
         detection_times=detections, crash_times=crash_times, traces=traces
     )
-    return (result, stats) if with_stats else result
 
 
 def run_failure_free_parallel(
@@ -338,9 +244,7 @@ def run_failure_free_parallel(
     n_runs: int,
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    progress: Optional[ProgressCallback] = None,
-    with_stats: bool = False,
-):
+) -> List[FailureFreeResult]:
     """Run ``n_runs`` failure-free runs (indices ``0..n_runs-1``) fanned
     out over workers; returns the :class:`FailureFreeResult` list in run
     order, bit-identical to calling :func:`run_failure_free` serially."""
@@ -350,5 +254,4 @@ def run_failure_free_parallel(
     def item_fn(i: int) -> FailureFreeResult:
         return run_failure_free(detector_factory, config, run_index=i)
 
-    results, stats = _execute(item_fn, n_runs, jobs, chunk_size, progress)
-    return (results, stats) if with_stats else results
+    return _execute(item_fn, n_runs, jobs, chunk_size)

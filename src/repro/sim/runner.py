@@ -285,8 +285,7 @@ def run_crash_runs(
             crash just after a send).
         settle_time: extra time simulated past the crash so the detector's
             output can become permanently ``S``; defaults to
-            4·(detection bound guess) = ``4 · horizon`` is wasteful, so we
-            default to ``horizon`` after the crash window.
+            ``config.horizon``.
         keep_traces: keep the full per-run traces (memory-heavy).
 
     ``T_D`` per run is the time from the crash to the final S-transition,

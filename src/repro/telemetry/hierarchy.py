@@ -24,29 +24,26 @@ __all__ = ["HierarchyTelemetry"]
 class HierarchyTelemetry:
     """Labeled counters/gauges for one monitoring hierarchy."""
 
-    def __init__(
-        self, registry: MetricsRegistry, prefix: str = "hier"
-    ) -> None:
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._registry = registry
-        self._prefix = prefix
         self._published: Dict[int, Counter] = {}
         self._messages: Dict[int, Counter] = {}
         self._bytes: Dict[int, Counter] = {}
         self._nodes: Dict[int, Gauge] = {}
         self.digests_applied = registry.counter(
-            f"{prefix}_digests_applied_total",
+            "hier_digests_applied_total",
             "digests merged at an aggregator",
         )
         self.status_changes = registry.counter(
-            f"{prefix}_status_changes_total",
+            "hier_status_changes_total",
             "per-sender merged-status changes at an aggregator",
         )
         self.root_suspected = registry.gauge(
-            f"{prefix}_root_suspected_senders",
+            "hier_root_suspected_senders",
             "senders currently suspected at the root",
         )
         self.stale_leaves = registry.gauge(
-            f"{prefix}_stale_leaves",
+            "hier_stale_leaves",
             "leaves currently gossip-suspected at the root",
         )
 
@@ -54,7 +51,7 @@ class HierarchyTelemetry:
         metric = cache.get(level)
         if metric is None:
             metric = self._registry.counter(
-                f"{self._prefix}_{name}", help, labels={"level": str(level)}
+                f"hier_{name}", help, labels={"level": str(level)}
             )
             cache[level] = metric
         return metric
@@ -87,7 +84,7 @@ class HierarchyTelemetry:
         gauge = self._nodes.get(level)
         if gauge is None:
             gauge = self._registry.gauge(
-                f"{self._prefix}_level_nodes",
+                "hier_level_nodes",
                 "processes participating at this level",
                 labels={"level": str(level)},
             )

@@ -105,8 +105,8 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self._value + amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.set(self._value - amount)
+    def dec(self) -> None:
+        self.set(self._value - 1.0)
 
     @property
     def value(self) -> float:
@@ -378,11 +378,8 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        quantiles: Iterable[float] = Histogram.DEFAULT_QUANTILES,
     ) -> Histogram:
-        return self._get_or_create(
-            Histogram, metric_key(name, labels), help, quantiles
-        )
+        return self._get_or_create(Histogram, metric_key(name, labels), help)
 
     def __contains__(self, key: str) -> bool:
         return key in self._metrics

@@ -25,16 +25,14 @@ __all__ = ["enable", "disable", "active", "enabled"]
 _ACTIVE: Optional[MetricsRegistry] = None
 
 
-def enable(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
+def enable() -> MetricsRegistry:
     """Turn telemetry on, returning the now-active registry.
 
-    A fresh :class:`MetricsRegistry` is created unless one is passed in;
-    enabling twice with no argument keeps the existing registry.
+    A fresh :class:`MetricsRegistry` is created; enabling twice keeps
+    the existing registry.
     """
     global _ACTIVE
-    if registry is not None:
-        _ACTIVE = registry
-    elif _ACTIVE is None:
+    if _ACTIVE is None:
         _ACTIVE = MetricsRegistry()
     return _ACTIVE
 
@@ -51,13 +49,12 @@ def active() -> Optional[MetricsRegistry]:
 
 
 @contextmanager
-def enabled(
-    registry: Optional[MetricsRegistry] = None,
-) -> Iterator[MetricsRegistry]:
-    """Scoped telemetry: enable on entry, restore the prior state on exit."""
+def enabled() -> Iterator[MetricsRegistry]:
+    """Scoped telemetry: enable a fresh registry on entry, restore the
+    prior state on exit."""
     global _ACTIVE
     prior = _ACTIVE
-    reg = registry if registry is not None else MetricsRegistry()
+    reg = MetricsRegistry()
     _ACTIVE = reg
     try:
         yield reg

@@ -1,34 +1,10 @@
-"""Tests for the report generator and the CLI plumbing."""
+"""Tests for the CLI plumbing."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments.cli import _EXPERIMENTS, main
-from repro.experiments.report import generate_report
-
-
-class TestReport:
-    def test_generates_markdown_with_selected_experiments(self, tmp_path):
-        path = generate_report(
-            tmp_path / "REPORT.md",
-            full=False,
-            experiments=["config-examples", "profile-costs"],
-        )
-        text = path.read_text()
-        assert "# Reproduction report" in text
-        assert "## config-examples" in text
-        assert "## profile-costs" in text
-        assert "paper worked examples" in text
-        assert "```text" in text
-
-    def test_environment_stamps_present(self, tmp_path):
-        path = generate_report(
-            tmp_path / "R.md", experiments=["config-examples"]
-        )
-        text = path.read_text()
-        assert "library: repro" in text
-        assert "python:" in text
 
 
 class TestCLI:
@@ -53,16 +29,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Configuration procedures" in out
         assert (tmp_path / "config-examples.txt").exists()
-
-    def test_cli_report_mode(self, capsys, tmp_path, monkeypatch):
-        # Keep it fast: shrink the registry to one cheap experiment.
-        monkeypatch.setattr(
-            "repro.experiments.cli._EXPERIMENTS",
-            {"config-examples": _EXPERIMENTS["config-examples"]},
-        )
-        rc = main(["report", "--out", str(tmp_path)])
-        assert rc == 0
-        assert (tmp_path / "REPORT.md").exists()
 
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
@@ -115,24 +81,3 @@ class TestTelemetryOut:
         prom = tmp_path / "telemetry.prom"
         assert prom.exists()
         assert "# TYPE fastsim_runs_total counter" in prom.read_text()
-
-    def test_report_mode_includes_telemetry_section(
-        self, tmp_path, monkeypatch
-    ):
-        import json
-
-        from repro.telemetry.export import validate_record
-
-        monkeypatch.setattr(
-            "repro.experiments.cli._EXPERIMENTS",
-            {"config-examples": _EXPERIMENTS["config-examples"]},
-        )
-        out = tmp_path / "t.jsonl"
-        path = generate_report(
-            tmp_path / "R.md",
-            experiments=["config-examples"],
-            telemetry_out=out,
-        )
-        assert "## telemetry" in path.read_text()
-        for line in out.read_text().splitlines():
-            validate_record(json.loads(line))

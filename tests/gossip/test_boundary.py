@@ -43,7 +43,7 @@ class TestSuspectsBoundary:
             ["a", "b"],
             t_gossip=1.0,
             t_fail=6.0,
-            send=lambda src, dst, payload: None,
+            send=lambda dst, payload: None,
             rng=np.random.default_rng(0),
             now=lambda: now_ref[0],
         )

@@ -26,7 +26,7 @@ def make_node(node_id="a", members=("a", "b", "c"), t_gossip=1.0,
         members=list(members),
         t_gossip=t_gossip,
         t_fail=t_fail,
-        send=lambda s, d, v: sent.append((s, d, dict(v))),
+        send=lambda d, v: sent.append((d, dict(v))),
         rng=np.random.default_rng(seed),
         now=clock,
     )
@@ -54,8 +54,8 @@ class TestProtocol:
         peer = node.gossip_round()
         assert peer in ("b", "c")
         assert len(sent) == 1
-        src, dst, vector = sent[0]
-        assert src == "a" and dst == peer
+        dst, vector = sent[0]
+        assert dst == peer
         assert vector == {"a": 1, "b": 0, "c": 0}
         assert node.vector["a"].last_increase == 3.0
 
@@ -104,7 +104,7 @@ class TestProtocol:
         for _ in range(3000):
             node.gossip_round()
         counts = {}
-        for _, dst, _v in sent:
+        for dst, _v in sent:
             counts[dst] = counts.get(dst, 0) + 1
         for dst in ("b", "c", "d"):
             assert counts[dst] == pytest.approx(1000, rel=0.15)
@@ -116,7 +116,7 @@ class TestDigestPlane:
         node.gossip_round()
         # No digests yet: the wire payload stays a plain counters dict
         # (backward compatible with pre-digest receivers).
-        _, _, payload = sent[0]
+        _, payload = sent[0]
         assert payload == {"a": 1, "b": 0, "c": 0}
 
     def test_publish_bumps_version_and_rides_on_rounds(self):
@@ -125,7 +125,7 @@ class TestDigestPlane:
         v2 = node.publish_digest({"shard": "y"})
         assert v2 == v1 + 1
         node.gossip_round()
-        _, _, payload = sent[-1]
+        _, payload = sent[-1]
         assert payload["counters"]["a"] == 1
         assert payload["digests"]["a"] == (v2, {"shard": "y"})
 

@@ -20,7 +20,6 @@ from repro.errors import InvalidParameterError
 from repro.net.delays import ExponentialDelay
 from repro.sim.fastsim import simulate_nfds_fast, simulate_sfd_fast
 from repro.sim.parallel import (
-    ParallelStats,
     chunk_spans,
     default_chunk_size,
     parallel_map,
@@ -29,6 +28,7 @@ from repro.sim.parallel import (
     run_failure_free_parallel,
 )
 from repro.sim.runner import SimulationConfig, run_crash_runs, run_failure_free
+from repro.telemetry.runtime import enabled as telemetry_enabled
 from repro.sim.seeds import (
     STREAM_CRASH_RUN,
     STREAM_CRASH_TIMES,
@@ -174,38 +174,22 @@ class TestParallelMap:
                 assert got == expected
 
     def test_empty_items(self):
-        results, stats = parallel_map(
-            lambda x: x, [], jobs=4, with_stats=True
-        )
-        assert results == []
-        assert isinstance(stats, ParallelStats)
-        assert stats.n_items == 0
+        assert parallel_map(lambda x: x, [], jobs=4) == []
 
     def test_stats_account_for_every_item(self):
-        results, stats = parallel_map(
-            lambda x: -x, list(range(20)), jobs=2, chunk_size=3,
-            with_stats=True,
-        )
+        # The fan-out reports itself through the parallel_* telemetry
+        # series, one chunk timing each, even when the chunks ran in
+        # forked workers.
+        with telemetry_enabled() as reg:
+            results = parallel_map(
+                lambda x: -x, list(range(20)), jobs=2, chunk_size=3
+            )
         assert results == [-i for i in range(20)]
-        assert stats.n_items == 20
-        assert stats.n_chunks == 7
-        assert stats.chunk_size == 3
-        assert stats.busy_seconds >= 0.0
-        assert sum(stats.per_worker_seconds().values()) == pytest.approx(
-            stats.busy_seconds
-        )
-        assert "20 items in 7 chunks" in stats.summary()
-
-    def test_progress_callback_sees_every_chunk(self):
-        calls = []
-        parallel_map(
-            lambda x: x,
-            list(range(10)),
-            jobs=1,
-            chunk_size=4,
-            progress=lambda done, total: calls.append((done, total)),
-        )
-        assert calls == [(1, 3), (2, 3), (3, 3)]
+        assert reg.counter("parallel_items_total").value == 20
+        assert reg.counter("parallel_chunks_total").value == 7
+        assert reg.histogram("parallel_chunk_seconds").count == 7
+        assert reg.histogram("parallel_chunk_seconds").sum >= 0.0
+        assert reg.histogram("parallel_wall_seconds").count == 1
 
 
 # --------------------------------------------------------------------- #
@@ -245,12 +229,13 @@ class TestCrashRunDeterminism:
 
     def test_stats_report_the_fan_out(self):
         config = _config(seed=3)
-        result, stats = run_crash_runs_parallel(
-            _factory, config, n_runs=8, jobs=2, chunk_size=2, with_stats=True
-        )
+        with telemetry_enabled() as reg:
+            result = run_crash_runs_parallel(
+                _factory, config, n_runs=8, jobs=2, chunk_size=2
+            )
         assert result.detection_times.size == 8
-        assert stats.n_items == 8
-        assert stats.n_chunks == 4
+        assert reg.counter("parallel_items_total").value == 8
+        assert reg.counter("parallel_chunks_total").value == 4
 
 
 class TestFailureFreeDeterminism:

@@ -1,14 +1,28 @@
-"""Every public name in ``src/repro`` pays rent, or says why it stays.
+"""Every public name and every option in ``src/repro`` pays rent, or says
+why it stays.
 
 A public top-level ``def`` or ``class`` that nothing under ``src/``,
-``examples/`` or ``benchmarks/`` references is code that only the tests
-reach.  It goes, unless it is a paper object the tests check against the
-paper; those are listed in :data:`ALLOWED` with their reason.  The scan
-is by identifier: a ``Name``, an ``Attribute`` or an import alias
-spelling the name counts, except inside the name's own definition and in
-a package ``__init__.py``'s re-exports.
+``examples/``, ``benchmarks/`` or ``.github/scripts/`` references is
+code that only the tests reach.  It goes, unless it is a paper object
+the tests check against the paper; those are listed in :data:`ALLOWED`
+with their reason.  The scan is by identifier: a ``Name``, an
+``Attribute`` or an import alias spelling the name counts, except inside
+the name's own definition and in a package ``__init__.py``'s re-exports.
 
-The second check walks every subpackage: each ``__all__`` resolves and
+A parameter with a default (an *option*) on a public function, or on a
+public method of a public class, that no call passes is a configuration
+nobody runs.  It goes, its default written into the code, unless
+:data:`OPTIONS_ALLOWED` names it with a reason.  Every call under the
+scanned trees and ``tests/`` whose callee has the function's name (the
+class name for a constructor, whose dataclass fields count as its
+parameters) is a caller; a call passes a parameter if it names it as a
+keyword, reaches its position, or forwards ``*args``/``**kwargs``.
+
+A parameter that its own function body never reads is accepted and
+ignored; it goes too, unless a protocol fixes the signature
+(:data:`UNREAD_ALLOWED`).
+
+The last check walks every subpackage: each ``__all__`` resolves and
 names nothing twice.
 """
 
@@ -19,13 +33,16 @@ import functools
 import importlib
 import pkgutil
 from pathlib import Path
+from typing import NamedTuple
 
 import repro
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "repro"
-USERS = ("src", "examples", "benchmarks")
+USERS = ("src", "examples", "benchmarks", ".github/scripts")
+CALLERS = USERS + ("tests",)
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: public names that only the tests reach, and why each stays
 ALLOWED = {
@@ -54,32 +71,244 @@ ALLOWED = {
     ),
 }
 
+#: options that no call passes, and why each stays
+OPTIONS_ALLOWED = {
+    "core.adaptive.AdaptiveNFDE.__init__.window": (
+        "§8.1's estimation window n, on an ALLOWED paper object"
+    ),
+    "core.adaptive.AdaptiveNFDE.__init__.stats_window": (
+        "§8.1's (p_L, V(D)) estimation window, on an ALLOWED paper object"
+    ),
+    "service.contracts.detector_for_contract_unsync.window": (
+        "eq. 6.3's window n of the §6 procedure, on an ALLOWED paper object"
+    ),
+    "telemetry.registry.Counter.__init__.help": (
+        "MetricsRegistry._get_or_create passes it through *args"
+    ),
+    "telemetry.registry.Gauge.__init__.help": (
+        "MetricsRegistry._get_or_create passes it through *args"
+    ),
+    "telemetry.registry.Histogram.__init__.help": (
+        "MetricsRegistry._get_or_create passes it through *args"
+    ),
+}
+
+#: parameters that their own function never reads, and why each stays
+UNREAD_ALLOWED = {
+    "experiments.adaptive_exp._Pipeline._build.on_transition.local_time": (
+        "DetectorHost's on_transition(local_time, output) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_digest.origin": (
+        "the gossip plane's on_digest(origin, version, digest) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_digest.version": (
+        "the gossip plane's on_digest(origin, version, digest) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_plane_transition.time": (
+        "the gossip plane's (observer, subject, time, output) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_root_transition.name": (
+        "RootAggregator's on_transition(name, time, output) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_root_transition.time": (
+        "RootAggregator's on_transition(name, time, output) listener"
+    ),
+    "hierarchy.federation.HierarchicalMonitor._on_root_transition.output": (
+        "RootAggregator's on_transition(name, time, output) listener"
+    ),
+    "live.transport._MonitorProtocol.datagram_received.addr": (
+        "asyncio.DatagramProtocol.datagram_received(data, addr)"
+    ),
+    "live.transport._SenderProtocol.error_received.exc": (
+        "asyncio.DatagramProtocol.error_received(exc)"
+    ),
+    "net.delays.ConstantDelay.sample.rng": (
+        "DelayDistribution.sample(rng, size); a constant draws nothing"
+    ),
+}
+
+
+class Scan(NamedTuple):
+    #: ``module.name`` -> (file, name) of every public top-level def/class
+    definitions: dict
+    #: the qualified names above referenced outside their own definition
+    reached: set
+    #: ``module[.Class].function.param`` -> (callee name, param, index)
+    options: dict
+    #: the qualified options above that some call passes
+    passed: set
+    #: ``module[.Class].function.param`` never read by its own body
+    unread: set
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        name = target.attr if isinstance(target, ast.Attribute) else getattr(
+            target, "id", None
+        )
+        if name == "dataclass":
+            return True
+    return any(getattr(b, "id", None) == "NamedTuple" for b in node.bases)
+
+
+def _field_options(node: ast.ClassDef) -> list:
+    """(name, positional index, has default) of a dataclass's own init
+    fields; ``field(init=False)`` and ``ClassVar`` are not parameters."""
+    fields = []
+    for stmt in node.body:
+        if not (
+            isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)
+        ):
+            continue
+        if "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        value = stmt.value
+        if isinstance(value, ast.Call) and any(
+            kw.arg == "init"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is False
+            for kw in value.keywords
+        ):
+            continue
+        fields.append((stmt.target.id, len(fields), value is not None))
+    return fields
+
+
+def _signature_options(fn, skip_first: bool) -> list:
+    """(name, positional index or None, has default) of a def's params."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaults = [None] * (len(positional) - len(args.defaults)) + list(
+        args.defaults
+    )
+    out = []
+    offset = 1 if skip_first and positional else 0
+    for i, (arg, default) in enumerate(zip(positional, defaults)):
+        if i < offset:
+            continue
+        out.append((arg.arg, i - offset, default is not None))
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        out.append((arg.arg, None, default is not None))
+    return out
+
+
+def _is_static(fn) -> bool:
+    return any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+
+
+def _is_stub(fn) -> bool:
+    """A body with nothing to read params in: docstring, ``...``,
+    ``pass`` or ``raise NotImplementedError``."""
+    for stmt in fn.body:
+        if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+            continue
+        if isinstance(stmt, ast.Pass):
+            continue
+        if isinstance(stmt, ast.Raise) and "NotImplementedError" in ast.unparse(
+            stmt
+        ):
+            continue
+        return False
+    return True
+
+
+def _unread_params(fn) -> list:
+    args = fn.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+    read = {
+        sub.id
+        for stmt in fn.body
+        for sub in ast.walk(stmt)
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store)
+    }
+    return [
+        p
+        for p in params
+        if p not in read and p not in ("self", "cls") and not p.startswith("_")
+    ]
+
+
+def _unread_in(node, prefix: str):
+    """``prefix.qualname.param`` of every parameter that its own def
+    below ``node`` never reads; stub bodies read nothing and are
+    skipped."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, DEFINITIONS):
+            qualname = f"{prefix}.{child.name}"
+            if isinstance(child, FUNCTIONS) and not _is_stub(child):
+                for param in _unread_params(child):
+                    yield f"{qualname}.{param}"
+            yield from _unread_in(child, qualname)
+        else:
+            yield from _unread_in(child, prefix)
+
+
+def _callee(call: ast.Call, owner):
+    """The name a call's callee has; ``cls(...)`` and
+    ``super().__init__(...)`` inside a class name that class and its
+    first base."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        if func.id == "cls" and isinstance(owner, ast.ClassDef):
+            return owner.name
+        return func.id
+    if isinstance(func, ast.Attribute):
+        if (
+            func.attr == "__init__"
+            and isinstance(owner, ast.ClassDef)
+            and owner.bases
+            and ast.unparse(func.value) == "super()"
+        ):
+            return ast.unparse(owner.bases[0]).rsplit(".", 1)[-1]
+        return func.attr
+    return None
+
+
+def _shape(call: ast.Call) -> tuple:
+    """(positional arguments, keyword names, forwards ``*``/``**``)."""
+    keywords = {kw.arg for kw in call.keywords}
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return len(call.args) - starred, keywords, starred or None in keywords
+
 
 @functools.lru_cache(maxsize=None)
-def scan() -> tuple:
-    """(definitions, reached): ``module.name`` -> (file, name) for every
-    public top-level ``def``/``class`` in a non-``__init__`` module of
-    ``repro``, and the set of those referenced from outside their own
-    definition."""
+def scan() -> Scan:
+    """One walk over every caller tree; see :class:`Scan`."""
     definitions = {}
     where = {}  # name -> {(file, top-level definition it sits in)}
-    for top in USERS:
+    options = {}
+    unread = set()
+    calls = {}  # callee name -> [(n positional, keywords, forwards)]
+    for top in CALLERS:
+        user = top in USERS
         for path in sorted((ROOT / top).rglob("*.py")):
             tree = ast.parse(path.read_text())
             in_package = path.is_relative_to(PACKAGE)
             reexports = in_package and path.name == "__init__.py"
             module = None
-            if in_package and not reexports:
-                module = ".".join(
+            if in_package:
+                dotted = ".".join(
                     path.relative_to(PACKAGE).with_suffix("").parts
                 )
+                unread.update(_unread_in(tree, dotted))
+                module = None if reexports else dotted
             for node in tree.body:
                 owner = None
                 if isinstance(node, DEFINITIONS):
                     owner = node.name
                     if module and not owner.startswith("_"):
                         definitions[f"{module}.{owner}"] = (path, owner)
+                        _collect_options(module, node, options)
                 for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call):
+                        name = _callee(sub, node)
+                        if name is not None:
+                            calls.setdefault(name, []).append(_shape(sub))
+                    if not user:
+                        continue
                     if isinstance(sub, ast.Name):
                         name = sub.id
                     elif isinstance(sub, ast.Attribute):
@@ -94,12 +323,55 @@ def scan() -> tuple:
         for qualified, (path, name) in definitions.items()
         if where.get(name, set()) - {(path, name)}
     }
-    return definitions, reached
+    passed = {
+        qualified
+        for qualified, (callee, param, index) in options.items()
+        if any(
+            param in keywords
+            or forwards
+            or (index is not None and index < n_positional)
+            for n_positional, keywords, forwards in calls.get(callee, ())
+        )
+    }
+    return Scan(definitions, reached, options, passed, unread)
+
+
+def _collect_options(module: str, node, options: dict) -> None:
+    """Add the options of a public top-level def, or of a public class's
+    constructor and public methods, to ``options``."""
+    if isinstance(node, FUNCTIONS):
+        for param, index, default in _signature_options(node, False):
+            if default:
+                options[f"{module}.{node.name}.{param}"] = (
+                    node.name, param, index
+                )
+        return
+    has_init = False
+    for stmt in node.body:
+        if not isinstance(stmt, FUNCTIONS):
+            continue
+        if stmt.name.startswith("_") and stmt.name != "__init__":
+            continue
+        has_init |= stmt.name == "__init__"
+        callee = node.name if stmt.name == "__init__" else stmt.name
+        for param, index, default in _signature_options(
+            stmt, not _is_static(stmt)
+        ):
+            if default:
+                options[f"{module}.{node.name}.{stmt.name}.{param}"] = (
+                    callee, param, index
+                )
+    if _is_dataclass(node) and not has_init:
+        for param, index, default in _field_options(node):
+            if default:
+                options[f"{module}.{node.name}.__init__.{param}"] = (
+                    node.name, param, index
+                )
 
 
 def test_every_public_name_is_reached_or_allowed():
-    definitions, reached = scan()
-    unreached = set(definitions) - reached
+    found = scan()
+    unreached = set(found.definitions) - found.reached
     stray = sorted(unreached - set(ALLOWED))
     assert not stray, (
         "reached only by tests (delete, or add to ALLOWED with a reason): "
@@ -108,14 +380,50 @@ def test_every_public_name_is_reached_or_allowed():
 
 
 def test_allow_list_is_current():
-    definitions, reached = scan()
-    gone = sorted(set(ALLOWED) - set(definitions))
+    found = scan()
+    gone = sorted(set(ALLOWED) - set(found.definitions))
     assert not gone, "ALLOWED names no definition: " + ", ".join(gone)
-    now_reached = sorted(set(ALLOWED) & reached)
+    now_reached = sorted(set(ALLOWED) & found.reached)
     assert not now_reached, (
         "ALLOWED names something that pays rent now: " + ", ".join(now_reached)
     )
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_option_is_set_or_allowed():
+    found = scan()
+    unset = set(found.options) - found.passed
+    stray = sorted(unset - set(OPTIONS_ALLOWED))
+    assert not stray, (
+        f"{len(stray)} options no call passes (delete, writing the default "
+        "into the code, or add to OPTIONS_ALLOWED with a reason): "
+        + ", ".join(stray)
+    )
+
+
+def test_option_allow_list_is_current():
+    found = scan()
+    gone = sorted(set(OPTIONS_ALLOWED) - set(found.options))
+    assert not gone, "OPTIONS_ALLOWED names no option: " + ", ".join(gone)
+    now_passed = sorted(set(OPTIONS_ALLOWED) & found.passed)
+    assert not now_passed, (
+        "OPTIONS_ALLOWED names an option some call passes now: "
+        + ", ".join(now_passed)
+    )
+    assert all(reason.strip() for reason in OPTIONS_ALLOWED.values())
+
+
+def test_every_parameter_is_read():
+    found = scan()
+    stray = sorted(found.unread - set(UNREAD_ALLOWED))
+    assert not stray, (
+        "parameters their own function never reads (delete, or add to "
+        "UNREAD_ALLOWED with a reason): " + ", ".join(stray)
+    )
+    gone = sorted(set(UNREAD_ALLOWED) - found.unread)
+    assert not gone, "UNREAD_ALLOWED names a parameter that is read: " + (
+        ", ".join(gone)
+    )
 
 
 def test_every_subpackage_all_resolves_once():
