@@ -173,21 +173,6 @@ class NFDSAnalysis:
         """``T_D ≤ δ + η``, and the bound is tight (Theorem 5.1)."""
         return self.delta + self.eta
 
-    def expected_detection_time(self) -> float:
-        """Approximate ``E(T_D)`` over a uniformly random crash phase.
-
-        The paper only bounds ``T_D``; its expectation follows from the
-        Lemma 18 argument: a crash at ``t ∈ (σ_i, σ_{i+1}]`` is detected
-        permanently at ``τ_{i+1} = σ_i + δ + η`` in every run where q
-        trusts p at some point in ``[t, τ_{i+1})``, giving
-        ``T_D = τ_{i+1} − t`` ~ Uniform[δ, δ+η) and hence
-        ``E(T_D) ≈ δ + η/2``.  Runs where q never trusts in that window
-        (probability ≈ u(0), astronomically small for any configuration
-        worth deploying) detect strictly earlier, so this is a tight
-        upper approximation.
-        """
-        return self.delta + self.eta / 2.0
-
     def integral_u(self) -> float:
         """``∫₀^η u(x) dx`` by adaptive quadrature.
 

@@ -17,9 +17,9 @@ Two pieces implement this:
 * :class:`AdaptiveNFDE` — an NFD-E whose slack ``α`` tracks the
   controller's output *live*.  The heartbeat *rate* ``η`` is owned by the
   sender, so η changes cannot be applied unilaterally by the monitor; the
-  controller's recommended η is surfaced through ``on_reconfigure`` /
-  :attr:`AdaptiveNFDE.recommended_eta` for the deployment (or the
-  experiment driver) to apply at an epoch boundary.
+  controller's recommended η is surfaced through ``on_reconfigure`` for
+  the deployment (or the experiment driver) to apply at an epoch
+  boundary.
 """
 
 from __future__ import annotations
@@ -62,15 +62,6 @@ class AdaptiveController:
         self._t_m_u = float(mistake_duration_upper)
         self._hysteresis = float(hysteresis)
         self._current: Optional[NFDUConfig] = None
-        self._reconfig_count = 0
-
-    @property
-    def current(self) -> Optional[NFDUConfig]:
-        return self._current
-
-    @property
-    def reconfiguration_count(self) -> int:
-        return self._reconfig_count
 
     def update(self, estimate: NetworkEstimate) -> Optional[NFDUConfig]:
         """Recompute the configuration; return it if it changed enough.
@@ -91,7 +82,6 @@ class AdaptiveController:
         if self._current is not None and not self._changed(candidate):
             return None
         self._current = candidate
-        self._reconfig_count += 1
         return candidate
 
     def _changed(self, candidate: NFDUConfig) -> bool:
@@ -151,8 +141,6 @@ class AdaptiveNFDE(NFDE):
         self._reconfig_every = int(reconfig_every)
         self._since_reconfig = 0
         self._on_reconfigure = on_reconfigure
-        self._recommended_eta = eta
-        self._qos_alerts = 0
 
     @property
     def observer(self) -> HeartbeatObserver:
@@ -161,16 +149,6 @@ class AdaptiveNFDE(NFDE):
     @property
     def controller(self) -> AdaptiveController:
         return self._controller
-
-    @property
-    def recommended_eta(self) -> float:
-        """The η the controller would use, for the sender to adopt."""
-        return self._recommended_eta
-
-    @property
-    def qos_alert_count(self) -> int:
-        """Times the contract became unachievable under current estimates."""
-        return self._qos_alerts
 
     def _note_arrival(self, heartbeat: Heartbeat) -> None:
         super()._note_arrival(heartbeat)
@@ -187,14 +165,12 @@ class AdaptiveNFDE(NFDE):
         try:
             config = self._controller.update(self._observer.snapshot())
         except QoSUnachievableError:
-            self._qos_alerts += 1
-            return
+            return  # unachievable under current estimates: keep α
         if config is None:
             return
         # α applies immediately; the very next freshness point computed on
         # a heartbeat receipt uses it.
         self._alpha = config.alpha
-        self._recommended_eta = config.eta
         if self._on_reconfigure is not None:
             self._on_reconfigure(config)
 

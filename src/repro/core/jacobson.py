@@ -69,14 +69,6 @@ class JacobsonFD(HeartbeatFailureDetector):
         self._last_seq = 0
         self._timer: Optional[TimerHandle] = None
 
-    @property
-    def smoothed_interval(self) -> Optional[float]:
-        return self._srtt
-
-    @property
-    def deviation(self) -> float:
-        return self._rttvar
-
     def current_timeout(self) -> Optional[float]:
         """The adaptive timeout ``srtt + k·rttvar`` (None pre-bootstrap)."""
         if self._srtt is None:

@@ -63,8 +63,6 @@ class SimpleFD(HeartbeatFailureDetector):
         self._timeout = float(timeout)
         self._cutoff = None if cutoff is None else float(cutoff)
         self._timer: Optional[TimerHandle] = None
-        self._accepted = 0
-        self._discarded = 0
 
     @property
     def timeout(self) -> float:
@@ -81,16 +79,6 @@ class SimpleFD(HeartbeatFailureDetector):
             return math.inf
         return self._cutoff + self._timeout
 
-    @property
-    def accepted_count(self) -> int:
-        """Heartbeats accepted (passed the cutoff filter)."""
-        return self._accepted
-
-    @property
-    def discarded_count(self) -> int:
-        """Heartbeats discarded as slow by the cutoff rule."""
-        return self._discarded
-
     # ------------------------------------------------------------------ #
     # Algorithm
     # ------------------------------------------------------------------ #
@@ -105,9 +93,7 @@ class SimpleFD(HeartbeatFailureDetector):
             # (the regime in which the paper evaluates this variant).
             delay = heartbeat.receive_local_time - heartbeat.send_local_time
             if delay > self._cutoff:
-                self._discarded += 1
                 return
-        self._accepted += 1
         self._set_output(TRUST)
         if self._timer is not None:
             self._timer.cancel()

@@ -24,8 +24,6 @@ from repro.election.cluster import ClusterResult, ElectionCluster
 from repro.election.metrics import (
     ElectionQoS,
     GroundTruth,
-    cluster_agreement_time,
-    leader_at,
     score_election,
 )
 from repro.election.omega import (
@@ -42,9 +40,7 @@ __all__ = [
     "LiveElector",
     "ElectionQoS",
     "GroundTruth",
-    "leader_at",
     "score_election",
-    "cluster_agreement_time",
     "ElectionCluster",
     "ClusterResult",
 ]

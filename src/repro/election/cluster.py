@@ -31,14 +31,10 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
-from repro.election.metrics import (
-    GroundTruth,
-    cluster_agreement_time,
-    score_election,
-)
+from repro.election.metrics import GroundTruth, score_election
 from repro.election.omega import ServiceElector
 from repro.net.delays import DelayDistribution
 from repro.service.monitor_service import MonitorService
@@ -82,17 +78,6 @@ class ClusterResult:
     services: Dict[str, MonitorService]
     end: float
 
-    @property
-    def timelines(self):
-        """``{monitor: leader-event tuple}`` for every monitor."""
-        return {m: e.events for m, e in self.electors.items()}
-
-    @property
-    def initial_leaders(self) -> Dict[str, Optional[str]]:
-        """Leader before any event: an elector on a candidate process
-        elects itself at birth (it trusts only itself)."""
-        return {m: m for m in self.electors}
-
     def qos(self, observer: str, *, start: float = 0.0):
         """Consumer-level QoS as seen by one monitor, masked to the
         instants that monitor was itself up."""
@@ -103,20 +88,6 @@ class ClusterResult:
             end=self.end,
             initial=observer,
             observer=observer,
-        )
-
-    def agreement_time(self, *, after: Optional[float] = None) -> float:
-        """First instant (default: after the last real crash/recovery)
-        from which all up monitors agree on one up leader through the
-        end of the run."""
-        if after is None:
-            after = self.truth.last_event_time
-        return cluster_agreement_time(
-            self.timelines,
-            self.truth,
-            after=after,
-            end=self.end,
-            initial=self.initial_leaders,
         )
 
     def recovery_traces(self, observer: str):

@@ -35,9 +35,7 @@ from repro.election.omega import LeaderEvent
 __all__ = [
     "GroundTruth",
     "ElectionQoS",
-    "leader_at",
     "score_election",
-    "cluster_agreement_time",
 ]
 
 
@@ -47,7 +45,7 @@ class GroundTruth:
     All names are up from time 0.  A crash at ``c`` makes the
     process down on ``[c, r)`` where ``r`` is the matching recovery
     (down forever if none) — the same right-continuous convention as
-    ``MonitoredProcess.crashed_by``.
+    a monitored process's ``crash_time`` (down iff ``time >= crash_time``).
     """
 
     def __init__(self, names: Iterable[str]) -> None:
@@ -74,11 +72,6 @@ class GroundTruth:
         return tuple(
             (t, n) for t, n, kind in self.events if kind == "crash"
         )
-
-    @property
-    def last_event_time(self) -> float:
-        """Time of the last crash/recovery (``start`` if none)."""
-        return max((t for t, _, _ in self._events), default=self._start)
 
     def _series(self, name: str) -> Tuple[List[float], List[float]]:
         try:
@@ -119,9 +112,6 @@ class GroundTruth:
         # Up iff every crash at/before `time` has a recovery at/before it.
         return int(i) == int(j)
 
-    def up_set(self, time: float) -> frozenset:
-        return frozenset(n for n in self._crashes if self.up(n, time))
-
     def up_intervals(
         self, name: str, lo: float, hi: float
     ) -> List[Tuple[float, float]]:
@@ -151,21 +141,6 @@ class GroundTruth:
         return sum(b - a for a, b in self.up_intervals(name, lo, hi))
 
 
-def leader_at(
-    events: Sequence[LeaderEvent],
-    time: float,
-    initial: Optional[str] = None,
-) -> Optional[str]:
-    """The elected leader at ``time`` (right-continuous, like the
-    detector output convention)."""
-    leader = initial
-    for ev in events:
-        if ev.time > time:
-            break
-        leader = ev.leader
-    return leader
-
-
 @dataclass
 class ElectionQoS:
     """Consumer-level QoS of one elector over an observation window."""
@@ -190,10 +165,6 @@ class ElectionQoS:
     @property
     def max_latency(self) -> float:
         return float(self.latencies.max()) if self.latencies.size else math.nan
-
-    @property
-    def n_leader_crashes(self) -> int:
-        return int(self.latencies.size)
 
 
 def _segments(
@@ -316,51 +287,3 @@ def score_election(
             correct / observation if observation > 0 else math.nan
         ),
     )
-
-
-def cluster_agreement_time(
-    timelines: Dict[str, Sequence[LeaderEvent]],
-    truth: GroundTruth,
-    *,
-    after: float,
-    end: float,
-    initial: Optional[Dict[str, Optional[str]]] = None,
-) -> float:
-    """First instant in ``[after, end]`` from which every up process
-    agrees on one up leader *through the end of the window* (``inf`` if
-    never).  The Omega liveness property made measurable: after the
-    last crash/recovery event, this is the cluster's stabilization
-    instant."""
-    initial = initial or {}
-    # Candidate instants: `after` plus every event/boundary after it.
-    instants = {after}
-    for name, events in timelines.items():
-        for ev in events:
-            if after < ev.time <= end:
-                instants.add(ev.time)
-    for t in sorted(instants):
-        if _agree_throughout(timelines, truth, t, end, initial):
-            return t
-    return math.inf
-
-
-def _agree_throughout(timelines, truth, lo, hi, initial) -> bool:
-    # Check agreement at `lo` and at every later change instant.
-    checkpoints = {lo}
-    for name, events in timelines.items():
-        for ev in events:
-            if lo < ev.time <= hi:
-                checkpoints.add(ev.time)
-    for t in sorted(checkpoints):
-        up = truth.up_set(t)
-        leaders = {
-            leader_at(timelines[n], t, initial.get(n))
-            for n in timelines
-            if n in up
-        }
-        if len(leaders) != 1:
-            return False
-        leader = next(iter(leaders))
-        if leader is None or leader not in up:
-            return False
-    return True

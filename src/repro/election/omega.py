@@ -65,15 +65,6 @@ class LeaderEvent:
             return False
         return self.leader is None or self.leader > self.previous
 
-    @property
-    def is_preemption(self) -> bool:
-        """A smaller trusted candidate displaced a still-trusted leader."""
-        return (
-            self.previous is not None
-            and self.leader is not None
-            and self.leader < self.previous
-        )
-
 
 class OmegaCore:
     """Elects the smallest trusted candidate; keeps a leader timeline.
@@ -110,7 +101,6 @@ class OmegaCore:
         self._trusted = {self_name} if self_name is not None else set()
         self._leader: Optional[str] = min(self._trusted) if self._trusted else None
         self._events: List[LeaderEvent] = []
-        self._history: List[Tuple[float, frozenset, Optional[str]]] = []
         self._listeners: List[Callable[[LeaderEvent], None]] = []
         self._c_changes = self._c_demotions = None
         self._g_trusted = self._g_has_leader = None
@@ -153,11 +143,6 @@ class OmegaCore:
         return self._leader
 
     @property
-    def is_leader(self) -> bool:
-        """Whether this process currently considers *itself* leader."""
-        return self._self is not None and self._leader == self._self
-
-    @property
     def trusted(self) -> frozenset:
         return frozenset(self._trusted)
 
@@ -169,12 +154,6 @@ class OmegaCore:
     def events(self) -> Tuple[LeaderEvent, ...]:
         """The leader timeline, oldest first."""
         return tuple(self._events)
-
-    @property
-    def history(self) -> Tuple[Tuple[float, frozenset, Optional[str]], ...]:
-        """``(time, trusted-set, leader)`` snapshots, one per observed
-        transition (not just per leader change)."""
-        return tuple(self._history)
 
     def subscribe(self, listener: Callable[[LeaderEvent], None]) -> None:
         """Register a callback for every leader change."""
@@ -217,7 +196,6 @@ class OmegaCore:
         new_leader = min(self._trusted) if self._trusted else None
         if self._g_trusted is not None:
             self._g_trusted.set(len(self._trusted))
-        self._history.append((time, frozenset(self._trusted), new_leader))
         if new_leader == self._leader:
             return
         event = LeaderEvent(

@@ -58,10 +58,6 @@ class ShortLongCombiner:
     def short(self) -> WindowedDelayStats:
         return self._short
 
-    @property
-    def long(self) -> WindowedDelayStats:
-        return self._long
-
     def observe(self, heartbeat: Heartbeat) -> None:
         sample = heartbeat.receive_local_time - heartbeat.send_local_time
         self._short.observe(sample)

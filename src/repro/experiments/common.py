@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.net.delays import DelayDistribution, ExponentialDelay
 
@@ -120,14 +120,6 @@ class ExperimentTable:
         """All values of one column, by header name."""
         idx = list(self.columns).index(name)
         return [row[idx] for row in self.rows]
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "title": self.title,
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "notes": list(self.notes),
-        }
 
     def to_text(self) -> str:
         lines = [self.title, "=" * len(self.title)]

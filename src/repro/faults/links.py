@@ -152,28 +152,9 @@ class GilbertElliottLink:
         pi_bad = self.stationary_bad
         return (1.0 - pi_bad) * self._p_good + pi_bad * self._p_bad
 
-    @property
-    def mean_burst_length(self) -> float:
-        """Mean bad-state sojourn, ``1/p_bg`` messages."""
-        return 1.0 / self._p_bg
-
-    @property
-    def transition_probabilities(self) -> Tuple[float, float]:
-        """``(p_gb, p_bg)``."""
-        return (self._p_gb, self._p_bg)
-
-    @property
-    def state_loss_probabilities(self) -> Tuple[float, float]:
-        """``(p_good, p_bad)``."""
-        return (self._p_good, self._p_bad)
-
     # ------------------------------------------------------------------ #
     # LossyLink-compatible surface
     # ------------------------------------------------------------------ #
-
-    @property
-    def delay_distribution(self) -> DelayDistribution:
-        return self._delay
 
     @property
     def loss_probability(self) -> float:
@@ -181,14 +162,10 @@ class GilbertElliottLink:
         return self.stationary_loss_rate
 
     @property
-    def in_bad_state(self) -> bool:
-        return self._bad
-
-    @property
     def stats(self) -> LinkStats:
         return self._stats
 
-    def _step_fate(self) -> bool:
+    def step_fate(self) -> bool:
         """One message's fate: loss draw in the current state, then one
         Markov transition.  Always two uniform draws per message, so the
         stream layout is independent of the realized path."""
@@ -205,32 +182,12 @@ class GilbertElliottLink:
 
     def transmit(self, seq: int, send_time: float) -> MessageRecord:
         """Decide the fate of one message sent at ``send_time``."""
-        if self._step_fate():
+        if self.step_fate():
             self._stats.record(dropped=True)
             return MessageRecord(seq=seq, send_time=send_time, delay=math.inf)
         delay = float(self._delay.sample(self._rng, 1)[0])
         self._stats.record(dropped=False)
         return MessageRecord(seq=seq, send_time=send_time, delay=delay)
-
-    def transmit_batch(self, n: int) -> np.ndarray:
-        """Fates of ``n`` consecutive messages (lost ⇒ ``+inf`` delay).
-
-        Same draw order as ``n`` calls to :meth:`transmit`, so the two
-        paths produce identical fate sequences for the same generator
-        state.
-        """
-        if n < 0:
-            raise InvalidParameterError(f"n must be >= 0, got {n}")
-        out = np.empty(n, dtype=float)
-        n_lost = 0
-        for i in range(n):
-            if self._step_fate():
-                out[i] = math.inf
-                n_lost += 1
-            else:
-                out[i] = float(self._delay.sample(self._rng, 1)[0])
-        self._stats.record_batch(offered=n, dropped=n_lost)
-        return out
 
 
 class FaultyLink:
@@ -266,10 +223,6 @@ class FaultyLink:
     @property
     def base(self):
         return self._base
-
-    @property
-    def delay_distribution(self) -> DelayDistribution:
-        return self._base.delay_distribution
 
     @property
     def loss_probability(self) -> float:

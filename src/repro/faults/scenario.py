@@ -263,9 +263,6 @@ class FaultTimeline:
     def windows(self) -> Tuple[FaultWindow, ...]:
         return tuple(sorted(self._windows, key=lambda w: (w.start, w.kind)))
 
-    def of_kind(self, kind: str) -> Tuple[FaultWindow, ...]:
-        return tuple(w for w in self.windows if w.kind == kind)
-
     def __len__(self) -> int:
         return len(self._windows)
 
@@ -403,11 +400,6 @@ class ScenarioEngine:
     @property
     def scenario(self) -> FaultScenario:
         return self._scenario
-
-    @property
-    def active_faults(self) -> int:
-        """Number of currently active fault windows."""
-        return self._active
 
     def _emit(self, kind: str, delta: int) -> None:
         registry = _telemetry_active()

@@ -170,19 +170,6 @@ class GossipCluster:
             self.sim.now + d, lambda: self.nodes[dst].receive(payload)
         )
 
-    def set_loss_probability(self, loss_probability: float) -> None:
-        """Change the plane's loss rate mid-run (burst/flap injection).
-
-        Messages already in flight keep their fate; only future sends
-        draw against the new rate — same regime-change semantics as
-        :meth:`repro.net.link.LossyLink.set_conditions`.
-        """
-        if not 0.0 <= loss_probability < 1.0:
-            raise InvalidParameterError(
-                f"loss_probability must be in [0,1), got {loss_probability}"
-            )
-        self._p_l = float(loss_probability)
-
     # ------------------------------------------------------------------ #
     # Watching pairs
     # ------------------------------------------------------------------ #
@@ -223,15 +210,6 @@ class GossipCluster:
         called on every recorded watch transition (the hierarchy layer
         drives its root-side leaf-staleness masking off this)."""
         self._listeners.append(listener)
-
-    def watched_output(self, observer: str, subject: str) -> str:
-        """The currently *recorded* output for a watched pair."""
-        try:
-            return self._watch_state[(observer, subject)]
-        except KeyError:
-            raise InvalidParameterError(
-                f"pair ({observer!r}, {subject!r}) is not watched"
-            ) from None
 
     def _evaluate(self, key: Tuple[str, str]) -> None:
         """Record a transition if the observer's view of subject flipped;

@@ -8,9 +8,9 @@ the status with the higher ``(incarnation, version)`` key wins, so
 merges are commutative, associative and idempotent — exactly the
 property an epidemic substrate needs for copies arriving out of order
 along different gossip paths to converge to the same book.  That same
-property is what makes the design N-level: an aggregator's merged book
-re-publishes as a digest (:meth:`DigestBook.to_digest`) whose merge
-upstream composes with the leaves' own updates.
+property is what makes the design N-level: an aggregator's merged book,
+re-published as a digest of its statuses, merges upstream exactly as
+the leaves' own digests would.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import InvalidParameterError
 
 __all__ = ["SenderStatus", "ShardDigest", "DigestBook", "dominates"]
 
@@ -130,25 +129,18 @@ class DigestBook:
     def __init__(self) -> None:
         self._statuses: Dict[str, SenderStatus] = {}
         self._owners: Dict[str, str] = {}
-        self._digest_versions: Dict[str, int] = {}
-        self._digest_seen_at: Dict[str, float] = {}
 
     # ------------------------------------------------------------------ #
     # Merging
     # ------------------------------------------------------------------ #
 
-    def apply(self, digest: ShardDigest, at_time: float) -> List[str]:
+    def apply(self, digest: ShardDigest) -> List[str]:
         """Merge one digest; returns senders whose merged status changed.
 
         Out-of-order and duplicate digests are safe: per-sender statuses
-        only move up the merge order, and a stale digest (version at or
-        below the one already applied for its origin) can still carry no
-        sender backwards.
+        only move up the merge order, so a stale digest carries no sender
+        backwards.
         """
-        version = self._digest_versions.get(digest.origin)
-        if version is None or digest.version > version:
-            self._digest_versions[digest.origin] = digest.version
-            self._digest_seen_at[digest.origin] = float(at_time)
         changed: List[str] = []
         for name, status in digest.statuses.items():
             held = self._statuses.get(name)
@@ -183,16 +175,6 @@ class DigestBook:
             sorted(n for n, o in self._owners.items() if o == origin)
         )
 
-    def digest_version(self, origin: str) -> int:
-        return self._digest_versions.get(origin, 0)
-
-    def digest_seen_at(self, origin: str) -> float:
-        return self._digest_seen_at.get(origin, -math.inf)
-
-    @property
-    def origins(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._digest_versions))
-
     def trusted_set(self) -> frozenset:
         return frozenset(
             n
@@ -205,30 +187,4 @@ class DigestBook:
             n
             for n, s in self._statuses.items()
             if s.present and not s.trusted
-        )
-
-    # ------------------------------------------------------------------ #
-    # N-level republish
-    # ------------------------------------------------------------------ #
-
-    def to_digest(
-        self, origin: str, version: int, at_time: float
-    ) -> ShardDigest:
-        """Re-publish the merged book as a digest of ``origin``.
-
-        Because per-sender statuses keep their original (incarnation,
-        version) keys, merging a republished book upstream is the same
-        lattice join as merging the leaves' digests directly — an
-        aggregator tier is transparent to the merge semantics, which is
-        what makes the two-level topology extensible to N levels.
-        """
-        if version < 1:
-            raise InvalidParameterError(
-                f"digest version must be >= 1, got {version}"
-            )
-        return ShardDigest(
-            origin=origin,
-            version=version,
-            published_at=float(at_time),
-            statuses=dict(self._statuses),
         )

@@ -17,8 +17,8 @@ The root's per-sender S/T traces are the paper's own QoS surface, so
 end-to-end detection time, mistake recurrence and mistake duration *as
 seen at the root* come from the standard estimators.  Deeper trees
 compose the same pieces: an aggregator republishes its merged book as a
-digest (:meth:`~repro.hierarchy.digest.DigestBook.to_digest`) into the
-next plane up — the lattice merge makes the middle tier transparent.
+digest into the next plane up — the lattice merge makes the middle tier
+transparent.
 """
 
 from __future__ import annotations
@@ -122,21 +122,6 @@ class HierarchyResult:
     plane_messages: int
     plane_bytes: int
     crash_times: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total_messages(self) -> int:
-        return self.heartbeat_messages + self.plane_messages
-
-    @property
-    def per_process_message_rate(self) -> float:
-        """Messages per unit time per process, over all levels.
-
-        Processes = senders + leaves + root; the numerator pools
-        heartbeats and digest-plane traffic, which is the budget that a
-        flat deployment spends entirely on heartbeats.
-        """
-        n_processes = self.n_senders + self.n_leaves + 1
-        return self.total_messages / (n_processes * self.horizon)
 
     def detection_times(self) -> Dict[str, float]:
         """Root-level T_D per crashed sender (``inf`` = undetected).
@@ -369,22 +354,6 @@ class HierarchicalMonitor:
         else:
             self.sim.schedule_at(
                 float(at_time), lambda: leaf.remove_sender(name)
-            )
-
-    def crash_leaf(self, leaf_id: str, at_time: Optional[float] = None) -> None:
-        """Crash a leaf's digest-plane presence (its gossip falls silent).
-
-        The root's gossip staleness watch then suspects the leaf after
-        ``plane_t_fail`` and masks its whole shard as suspected — the
-        federation's answer to "who monitors the monitor".
-        """
-        if leaf_id not in self.leaves:
-            raise InvalidParameterError(f"unknown leaf {leaf_id!r}")
-        if at_time is None or at_time <= self.sim.now:
-            self.plane.crash(leaf_id)
-        else:
-            self.sim.schedule_at(
-                float(at_time), lambda: self.plane.crash(leaf_id)
             )
 
     # ------------------------------------------------------------------ #

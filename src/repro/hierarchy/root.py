@@ -86,7 +86,7 @@ class RootAggregator:
     def apply_digest(self, digest: ShardDigest) -> List[str]:
         """Merge one digest and re-evaluate the senders it changed."""
         now = self._now()
-        changed = self.book.apply(digest, at_time=now)
+        changed = self.book.apply(digest)
         self.digests_applied += 1
         self.status_changes += len(changed)
         for name in changed:

@@ -101,10 +101,6 @@ class FanoutStream:
     def next_seq(self) -> int:
         return self._next_seq
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def stop(self) -> None:
         """Stop sending immediately (crash injection / shutdown).
 
@@ -167,10 +163,6 @@ class HeartbeatFanout:
     @property
     def started(self) -> bool:
         return self._started
-
-    @property
-    def stream_names(self) -> List[str]:
-        return sorted(self._streams)
 
     def stream(self, name: str) -> FanoutStream:
         try:

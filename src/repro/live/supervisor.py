@@ -41,7 +41,6 @@ class _Supervised:
     factory: Optional[CoroFactory]  # None once shut down
     restart: bool
     task: Optional[asyncio.Task] = None
-    restarts: int = 0
     crashes: List[TaskCrash] = field(default_factory=list)
 
 
@@ -111,7 +110,6 @@ class TaskSupervisor:
                 if not entry.restart or attempt >= self._max_restarts:
                     return
                 attempt += 1
-                entry.restarts += 1
                 await asyncio.sleep(self._backoff * attempt)
 
     # ------------------------------------------------------------------ #
@@ -151,10 +149,6 @@ class TaskSupervisor:
         for entry in self._tasks.values():
             out.extend(entry.crashes)
         return out
-
-    @property
-    def restart_count(self) -> int:
-        return sum(e.restarts for e in self._tasks.values())
 
     def alive(self, name: str) -> bool:
         entry = self._tasks.get(name)

@@ -99,11 +99,6 @@ class LoopbackSender(SenderTransport):
     def link(self):
         return self._link
 
-    @property
-    def in_flight(self) -> int:
-        """Deliveries scheduled but not yet fired (nor cancelled)."""
-        return len(self._pending)
-
     def send(self, payload: bytes) -> None:
         loop = self._network.loop
         now = loop.time()

@@ -109,18 +109,6 @@ class AccuracyEstimate:
     tm_samples: np.ndarray = field(repr=False)
     tg_samples: np.ndarray = field(repr=False)
 
-    def satisfies(self, req: QoSRequirements) -> bool:
-        """Whether the *accuracy* part of ``req`` holds for these estimates.
-
-        Detection time is checked separately via :func:`detection_times`
-        since it needs crash runs.
-        """
-        if not math.isnan(self.e_tmr) and self.e_tmr < req.mistake_recurrence_lower:
-            return False
-        if not math.isnan(self.e_tm) and self.e_tm > req.mistake_duration_upper:
-            return False
-        return True
-
 
 def estimate_accuracy(
     trace: OutputTrace,

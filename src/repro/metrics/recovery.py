@@ -80,8 +80,7 @@ class IncarnationSpan:
             (``inf`` = it never crashed inside the observation window;
             a value at/after ``trace.end_time`` is equivalent).  The
             incarnation is *up* on ``[trace.start_time, crash_time)``
-            and *down* from ``crash_time`` on — matching
-            ``MonitoredProcess.crashed_by`` (``time >= crash_time``).
+            and *down* from ``crash_time`` on (``time >= crash_time``).
     """
 
     incarnation: int
@@ -166,36 +165,6 @@ class RecoveryTrace:
     def up_time(self) -> float:
         """Total time the identity was actually up."""
         return sum(s.up_time for s in self._spans)
-
-    @property
-    def down_time(self) -> float:
-        """Total genuine downtime inside ``[start_time, end_time]``:
-        post-crash tails of crashed spans plus the gaps between spans."""
-        return (self.end_time - self.start_time) - self.up_time
-
-    def up_at(self, time: float) -> bool:
-        """Whether the identity was up at ``time`` (down during gaps)."""
-        for span in self._spans:
-            if span.up_start <= time < span.up_end:
-                return True
-        return False
-
-    def split_at_incarnation(self, incarnation: int) -> Tuple["RecoveryTrace", "RecoveryTrace"]:
-        """Split into two identities at an incarnation boundary.
-
-        The first part holds spans with ``incarnation < incarnation``,
-        the second the rest.  Both sides must be nonempty.
-        """
-        head = [s for s in self._spans if s.incarnation < incarnation]
-        tail = [s for s in self._spans if s.incarnation >= incarnation]
-        if not head or not tail:
-            raise InvalidParameterError(
-                f"split at incarnation {incarnation} leaves an empty side"
-            )
-        return (
-            RecoveryTrace(self._name, head),
-            RecoveryTrace(self._name, tail),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -299,8 +268,7 @@ def stitch_recovery_traces(
 
     Args:
         traces: closed traces keyed by ``(name, incarnation)`` — the
-            shape of :meth:`MonitorService.finish` /
-            :attr:`MonitorService.closed_traces`.
+            shape of :meth:`MonitorService.finish`.
         crash_times: real crash instants for the same keys; missing keys
             mean the incarnation never crashed (``inf``).
     """

@@ -8,8 +8,9 @@ The paper adopts the convention that the output is right-continuous: at the
 instant of a transition the output already has its new value (Appendix C).
 
 :class:`OutputTrace` records an output history over a finite observation
-window and exposes the interval decompositions the QoS metrics are defined
-on (Fig. 4 of the paper):
+window.  The interval decompositions the QoS metrics are defined on
+(Fig. 4 of the paper) are taken from it by one walk,
+:func:`repro.metrics.qos.window_samples`:
 
 * *mistake durations* ``T_M`` — S-transition → next T-transition;
 * *good periods* ``T_G`` — T-transition → next S-transition;
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,7 +69,7 @@ class OutputTrace:
     The class is deliberately tolerant of *same-time* flips S→T→S, which
     NFD can produce when a freshness point and a message receipt coincide;
     such zero-length intervals are kept (they have measure zero and do not
-    affect ``P_A``) but callers can drop them via ``drop_zero_length``.
+    affect ``P_A``).
     """
 
     def __init__(self, start_time: float = 0.0, initial_output: str = SUSPECT):
@@ -127,23 +128,6 @@ class OutputTrace:
         self._end = t
         return self
 
-    @classmethod
-    def from_transitions(
-        cls,
-        transitions: Iterable[Tuple[float, str]],
-        start_time: float = 0.0,
-        initial_output: str = SUSPECT,
-        end_time: Optional[float] = None,
-    ) -> "OutputTrace":
-        """Build a closed trace from ``(time, output)`` pairs."""
-        trace = cls(start_time=start_time, initial_output=initial_output)
-        last = start_time
-        for time, output in transitions:
-            trace.record(time, output)
-            last = max(last, time)
-        trace.close(end_time if end_time is not None else last)
-        return trace
-
     # ------------------------------------------------------------------ #
     # Inspection
     # ------------------------------------------------------------------ #
@@ -182,10 +166,6 @@ class OutputTrace:
             Transition(t, k) for t, k in zip(self._times, self._kinds)
         )
 
-    @property
-    def n_transitions(self) -> int:
-        return len(self._times)
-
     def output_at(self, time: float) -> str:
         """Output at ``time`` (right-continuous, per the paper's convention)."""
         if time < self._start:
@@ -207,85 +187,6 @@ class OutputTrace:
     @property
     def s_transition_times(self) -> np.ndarray:
         return self.transition_times(TransitionKind.S_TRANSITION)
-
-    @property
-    def t_transition_times(self) -> np.ndarray:
-        return self.transition_times(TransitionKind.T_TRANSITION)
-
-    # ------------------------------------------------------------------ #
-    # Interval decompositions (Fig. 4)
-    # ------------------------------------------------------------------ #
-
-    def mistake_recurrence_samples(self) -> np.ndarray:
-        """Times between consecutive S-transitions (``T_MR`` samples)."""
-        s_times = self.s_transition_times
-        return np.diff(s_times)
-
-    def mistake_duration_samples(self) -> np.ndarray:
-        """S-transition → next T-transition intervals (``T_M`` samples).
-
-        Only *completed* mistakes are counted: a final suspicion period cut
-        off by the end of the observation window is dropped (counting it
-        would bias ``E(T_M)`` downward).
-        """
-        durations: List[float] = []
-        open_s: Optional[float] = None
-        for t, k in zip(self._times, self._kinds):
-            if k is TransitionKind.S_TRANSITION:
-                open_s = t
-            elif open_s is not None:
-                durations.append(t - open_s)
-                open_s = None
-        return np.asarray(durations, dtype=float)
-
-    def good_period_samples(self) -> np.ndarray:
-        """T-transition → next S-transition intervals (``T_G`` samples)."""
-        periods: List[float] = []
-        open_t: Optional[float] = None
-        for t, k in zip(self._times, self._kinds):
-            if k is TransitionKind.T_TRANSITION:
-                open_t = t
-            elif open_t is not None:
-                periods.append(t - open_t)
-                open_t = None
-        return np.asarray(periods, dtype=float)
-
-    def drop_zero_length(self) -> "OutputTrace":
-        """Return a copy with zero-length intervals removed.
-
-        A pair of same-time transitions (e.g. S at t immediately followed
-        by T at t) cancels out; this normalization makes traces produced by
-        different but equivalent implementations comparable.
-        """
-        pairs: List[Tuple[float, TransitionKind]] = list(
-            zip(self._times, self._kinds)
-        )
-        # Repeatedly cancel adjacent same-time opposite transitions.
-        changed = True
-        while changed:
-            changed = False
-            out: List[Tuple[float, TransitionKind]] = []
-            i = 0
-            while i < len(pairs):
-                if (
-                    i + 1 < len(pairs)
-                    and pairs[i][0] == pairs[i + 1][0]
-                    and pairs[i][1] is not pairs[i + 1][1]
-                ):
-                    i += 2
-                    changed = True
-                else:
-                    out.append(pairs[i])
-                    i += 1
-            pairs = out
-        # After cancellation, consecutive same-kind records may appear; the
-        # later one is redundant (output unchanged) and must be dropped.
-        trace = OutputTrace(self._start, self._initial)
-        for t, k in pairs:
-            trace.record(t, k.new_output)
-        if self._end is not None:
-            trace.close(self._end)
-        return trace
 
     # ------------------------------------------------------------------ #
     # Time-occupancy

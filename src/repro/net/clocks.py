@@ -137,11 +137,6 @@ class FaultableClock(Clock):
             (0.0, float(skew), 1.0 + float(drift))
         ]
 
-    @property
-    def n_faults(self) -> int:
-        """Number of re-programmings applied so far."""
-        return len(self._segments) - 1
-
     def _local_at(self, real_time: float) -> float:
         start, local, rate = self._segments[-1]
         return local + rate * (real_time - start)

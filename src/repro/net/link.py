@@ -5,14 +5,8 @@ may *drop* each message independently with probability ``p_L`` and delays
 each delivered message by an i.i.d. draw from a delay distribution ``D``.
 This "message independence" assumption (footnote 10) is what makes the
 closed-form analysis of Theorem 5 possible, and it is exactly what this
-module implements.
-
-Two interfaces are provided:
-
-* :meth:`LossyLink.transmit` — per-message fate, used by the discrete-event
-  simulator;
-* :meth:`LossyLink.transmit_batch` — vectorized fates for ``n`` messages,
-  used by :mod:`repro.sim.fastsim` (lost messages get delay ``+inf``).
+module implements: :meth:`LossyLink.transmit` decides one message's fate
+for the discrete-event simulator.
 """
 
 from __future__ import annotations
@@ -87,8 +81,7 @@ class LinkStats:
     ``delivered``) are lifetime totals, but ``empirical_loss_rate`` is
     the **current epoch's** rate — blending pre- and post-regime traffic
     into one ratio (the old behaviour) produced a number that converges
-    to no parameter of either regime.  The lifetime blend is still
-    available as :attr:`lifetime_loss_rate`.
+    to no parameter of either regime.
     """
 
     def __init__(self, loss_probability: float = 0.0) -> None:
@@ -97,10 +90,6 @@ class LinkStats:
     @property
     def current_epoch(self) -> LinkEpoch:
         return self.epochs[-1]
-
-    @property
-    def n_epochs(self) -> int:
-        return len(self.epochs)
 
     def begin_epoch(self, loss_probability: float) -> None:
         """Start a new regime's counter set.
@@ -120,11 +109,6 @@ class LinkStats:
         if dropped:
             epoch.dropped += 1
 
-    def record_batch(self, offered: int, dropped: int) -> None:
-        epoch = self.epochs[-1]
-        epoch.offered += offered
-        epoch.dropped += dropped
-
     @property
     def offered(self) -> int:
         """Lifetime total of messages offered, across all epochs."""
@@ -143,14 +127,6 @@ class LinkStats:
     def empirical_loss_rate(self) -> float:
         """Loss rate of the *current* regime (see class docstring)."""
         return self.current_epoch.empirical_loss_rate
-
-    @property
-    def lifetime_loss_rate(self) -> float:
-        """Loss rate blended over every regime the link has been in."""
-        offered = self.offered
-        if offered == 0:
-            return 0.0
-        return self.dropped / offered
 
 
 class LossyLink:
@@ -180,10 +156,6 @@ class LossyLink:
         self._p_l = float(loss_probability)
         self._rng = rng if rng is not None else np.random.default_rng()
         self._stats = LinkStats(self._p_l)
-
-    @property
-    def delay_distribution(self) -> DelayDistribution:
-        return self._delay
 
     @property
     def loss_probability(self) -> float:
@@ -225,23 +197,3 @@ class LossyLink:
         delay = float(self._delay.sample(self._rng, 1)[0])
         self._stats.record(dropped=False)
         return MessageRecord(seq=seq, send_time=send_time, delay=delay)
-
-    def transmit_batch(self, n: int) -> np.ndarray:
-        """Draw the delays of ``n`` consecutive messages at once.
-
-        Returns an array of ``n`` delays where lost messages appear as
-        ``+inf``.  The caller supplies the send times; since losses and
-        delays are i.i.d., fates do not depend on send times.
-        """
-        if n < 0:
-            raise InvalidParameterError(f"n must be >= 0, got {n}")
-        if n == 0:
-            return np.empty(0, dtype=float)
-        delays = self._delay.sample(self._rng, n).astype(float, copy=False)
-        n_lost = 0
-        if self._p_l > 0.0:
-            lost = self._rng.random(n) < self._p_l
-            delays = np.where(lost, np.inf, delays)
-            n_lost = int(lost.sum())
-        self._stats.record_batch(offered=n, dropped=n_lost)
-        return delays

@@ -85,20 +85,6 @@ class CongestionProcess:
     def factor_at(self, t: float) -> float:
         return self._spec.factor if self.congested(t) else 1.0
 
-    def congested_time(self, start: float, end: float) -> float:
-        """Measure of ``[start, end)`` covered by episodes (exact union)."""
-        if end <= start:
-            return 0.0
-        covered = 0.0
-        cursor = start
-        for s, e in self._episodes:
-            lo = max(max(s, cursor), start)
-            hi = min(e, end)
-            if hi > lo:
-                covered += hi - lo
-                cursor = hi
-        return covered
-
 
 class CongestionField:
     """All of a topology's congestion processes, instantiated for one run.
@@ -122,10 +108,6 @@ class CongestionField:
             spec.key: topology.congestion_indices(spec.key)
             for spec in topology.links
         }
-
-    @property
-    def processes(self) -> Tuple[CongestionProcess, ...]:
-        return tuple(self._processes)
 
     def factor(self, key: Tuple[str, str], t: float) -> float:
         """Combined delay factor on link ``key`` at time ``t``.

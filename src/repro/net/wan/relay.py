@@ -17,9 +17,9 @@ single run generator in call order.  Same seed ⇒ bit-identical fates.
 :class:`RoutedWanLink` is a drop-in for
 :class:`~repro.net.link.LossyLink`: ``transmit`` returns the same
 :class:`~repro.net.link.MessageRecord`, ``stats`` is a
-:class:`~repro.net.link.LinkStats`, and ``delay_distribution`` /
-``loss_probability`` expose the *fault-free composite* of the default
-route — the single-link reduction the Theorem 5 analysis consumes.
+:class:`~repro.net.link.LinkStats`, and ``loss_probability`` is the
+*fault-free composite* of the default route — the single-link reduction
+the Theorem 5 analysis consumes.
 """
 
 from __future__ import annotations
@@ -32,49 +32,12 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.faults.links import GilbertElliottLink
 from repro.net.link import LinkStats, MessageRecord
-from repro.net.topology import PathDelay
 from repro.net.wan.congestion import CongestionField
 from repro.net.wan.schedule import WanSchedule
-from repro.net.wan.topology import LinkSpec, WanTopology, pair_key
+from repro.net.wan.topology import WanTopology, pair_key
 from repro.telemetry.runtime import active as _telemetry_active
 
 __all__ = ["WanNetwork", "RoutedWanLink"]
-
-
-class _BurstChain:
-    """One bursty link's Gilbert–Elliott state for one run.
-
-    Parameters come from the equal-average construction of
-    :meth:`GilbertElliottLink.from_average`; the chain consumes exactly
-    two uniforms per message (fate, then transition), mirroring the
-    single-link implementation draw for draw.
-    """
-
-    def __init__(self, spec: LinkSpec, rng: np.random.Generator) -> None:
-        probe = GilbertElliottLink.from_average(
-            spec.delay, spec.loss, spec.burst_length
-        )
-        self._p_good, self._p_bad = probe.state_loss_probabilities
-        self._p_gb, self._p_bg = probe.transition_probabilities
-        self._rng = rng
-        self._bad = bool(rng.random() < probe.stationary_bad)
-
-    @property
-    def bad(self) -> bool:
-        return self._bad
-
-    def step(self) -> bool:
-        """Fate of one message: drop?  Then one Markov transition."""
-        p = self._p_bad if self._bad else self._p_good
-        lost = bool(self._rng.random() < p)
-        r = self._rng.random()
-        if self._bad:
-            if r < self._p_bg:
-                self._bad = False
-        else:
-            if r < self._p_gb:
-                self._bad = True
-        return lost
 
 
 class WanNetwork:
@@ -102,8 +65,12 @@ class WanNetwork:
         self._rng = rng
         self._schedule = schedule
         self.congestion = CongestionField(topology, rng, horizon)
-        self._chains: Dict[Tuple[str, str], _BurstChain] = {
-            spec.key: _BurstChain(spec, rng)
+        # One equal-average Gilbert–Elliott chain per bursty link, on the
+        # run's stream: one initial-state uniform each, then two a message.
+        self._chains: Dict[Tuple[str, str], GilbertElliottLink] = {
+            spec.key: GilbertElliottLink.from_average(
+                spec.delay, spec.loss, spec.burst_length, rng=rng
+            )
             for spec in topology.links
             if spec.burst_length is not None
         }
@@ -164,7 +131,7 @@ class WanNetwork:
         if override is not None:
             lost = override > 0.0 and self._rng.random() < override
         elif key in self._chains:
-            lost = self._chains[key].step()
+            lost = self._chains[key].step_fate()
         else:
             lost = spec.loss > 0.0 and self._rng.random() < spec.loss
         if lost:
@@ -193,10 +160,9 @@ class RoutedWanLink:
       existed (at send time or mid-flight);
     * ``relay_drops`` — messages dropped by per-hop stochastic loss.
 
-    ``delay_distribution``/``loss_probability`` expose the fault-free
-    composite of the default route (via
-    :meth:`WanTopology.compose_route`), which is exactly the single-link
-    abstraction the analytic machinery consumes.
+    ``loss_probability`` is the fault-free composite of the default
+    route (via :meth:`WanTopology.compose_route`), which is exactly the
+    single-link abstraction the analytic machinery consumes.
     """
 
     def __init__(
@@ -208,10 +174,8 @@ class RoutedWanLink:
         self._network = network
         self._source = source
         self._target = target
-        delay, loss, path = network.topology.compose_route(source, target)
-        self._composite_delay = delay
+        _, loss, _ = network.topology.compose_route(source, target)
         self._composite_loss = loss
-        self._default_path = tuple(path)
         self._stats = LinkStats(loss)
         self._last_path: Optional[Tuple[str, ...]] = None
         self.route_flips = 0
@@ -224,20 +188,12 @@ class RoutedWanLink:
     # ------------------------------------------------------------------ #
 
     @property
-    def delay_distribution(self) -> PathDelay:
-        return self._composite_delay
-
-    @property
     def loss_probability(self) -> float:
         return self._composite_loss
 
     @property
     def stats(self) -> LinkStats:
         return self._stats
-
-    @property
-    def default_path(self) -> Tuple[str, ...]:
-        return self._default_path
 
     @property
     def source(self) -> str:

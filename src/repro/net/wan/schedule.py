@@ -99,14 +99,6 @@ class _LinkTrack:
         i = bisect.bisect_right(self._delay_times, t)
         return self._delay_values[i - 1] if i > 0 else None
 
-    @property
-    def transitions(self) -> Tuple[float, ...]:
-        out = set()
-        for start, end in self._spans:
-            out.add(start)
-            out.add(end)
-        return tuple(sorted(out))
-
 
 class WanSchedule:
     """Per-link fault scripts over one topology, compiled for queries.
@@ -172,14 +164,6 @@ class WanSchedule:
         return frozenset(
             key for key, track in self._tracks.items() if track.down(t)
         )
-
-    @property
-    def partition_transitions(self) -> Tuple[float, ...]:
-        """Every time the down-set changes, sorted (route cache keys)."""
-        out = set()
-        for track in self._tracks.values():
-            out.update(track.transitions)
-        return tuple(sorted(out))
 
 
 def periodic_partitions(

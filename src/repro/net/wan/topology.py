@@ -208,10 +208,6 @@ class WanTopology:
     # ------------------------------------------------------------------ #
 
     @property
-    def sites(self) -> Tuple[str, ...]:
-        return tuple(self._sites)
-
-    @property
     def links(self) -> Tuple[LinkSpec, ...]:
         return tuple(self._links[k] for k in sorted(self._links))
 
@@ -236,19 +232,6 @@ class WanTopology:
             for i, spec in enumerate(self._congestions)
             if key in spec.pairs
         )
-
-    def to_graph(self) -> nx.Graph:
-        """A fresh :mod:`networkx` view with ``delay``/``loss`` edges.
-
-        Suitable for :func:`repro.net.topology.end_to_end_behavior`;
-        callers own the returned graph (mutating it does not touch the
-        topology).
-        """
-        g = nx.Graph()
-        g.add_nodes_from(self._sites)
-        for spec in self._links.values():
-            g.add_edge(spec.a, spec.b, delay=spec.delay, loss=spec.loss)
-        return g
 
     def _routing_graph(self) -> nx.Graph:
         if self._graph is None:

@@ -57,7 +57,6 @@ class GroupMembership:
         self._view = MembershipView(
             view_id=0, members=frozenset(), installed_at=service.sim.now
         )
-        self._history: List[MembershipView] = [self._view]
         self._listeners: List[Callable[[MembershipEvent], None]] = []
         self._spurious_changes = 0
         service.subscribe(self._on_transition)
@@ -68,14 +67,9 @@ class GroupMembership:
         return self._view
 
     @property
-    def history(self) -> tuple:
-        """All installed views, oldest first."""
-        return tuple(self._history)
-
-    @property
     def view_change_count(self) -> int:
         """Number of view changes since the initial (empty) view."""
-        return len(self._history) - 1
+        return self._view.view_id
 
     @property
     def spurious_change_count(self) -> int:
@@ -126,7 +120,6 @@ class GroupMembership:
             members=members,
             installed_at=time,
         )
-        self._history.append(self._view)
         event = MembershipEvent(
             time=time,
             view_id=self._view.view_id,

@@ -83,13 +83,9 @@ class MonitoredProcess:
         """Whether a crash has been injected (now or scheduled).
 
         For "has it crashed *yet*" compare :attr:`crash_time` against
-        the simulation clock: ``proc.crashed_by(sim.now)``.
+        the simulation clock: down iff ``sim.now >= proc.crash_time``.
         """
         return self.crash_time != math.inf
-
-    def crashed_by(self, time: float) -> bool:
-        """Whether this incarnation is actually down at ``time``."""
-        return time >= self.crash_time
 
 
 class MonitorService:
@@ -306,32 +302,6 @@ class MonitorService:
         for callback in self._listeners:
             callback(event)
 
-    def add_process_with_contract(
-        self,
-        name: str,
-        contract,
-        delay: DelayDistribution,
-        loss_probability: float = 0.0,
-    ) -> MonitoredProcess:
-        """Register a process by *QoS contract* rather than by detector.
-
-        The Section 4 configurator translates the contract plus the
-        link's known behaviour into an NFD-S and the matching heartbeat
-        rate (the two are inseparable).  Raises
-        :class:`~repro.errors.QoSUnachievableError` when the contract is
-        impossible on this link — for *any* failure detector.
-        """
-        from repro.service.contracts import detector_for_contract
-
-        configured = detector_for_contract(contract, loss_probability, delay)
-        return self.add_process(
-            name,
-            configured.detector,
-            eta=configured.eta,
-            delay=delay,
-            loss_probability=loss_probability,
-        )
-
     def restart_process(
         self,
         name: str,
@@ -443,12 +413,6 @@ class MonitorService:
         return frozenset(
             name for name, p in self._processes.items() if not p.trusted
         )
-
-    @property
-    def closed_traces(self) -> Dict[Tuple[str, int], OutputTrace]:
-        """Traces of incarnations already removed/restarted, keyed by
-        ``(name, incarnation)``."""
-        return dict(self._closed_traces)
 
     def finish(self) -> Dict[Tuple[str, int], OutputTrace]:
         """Close and return the output traces of *every* incarnation.

@@ -310,10 +310,6 @@ class VectorMonitorEngine:
         return self._n
 
     @property
-    def n_active(self) -> int:
-        return int(np.count_nonzero(self._active[: self._n]))
-
-    @property
     def pending_deadlines(self) -> int:
         """Wheel entries: the heap's, plus the one all NFD-U/E
         expiries share while any is armed."""
@@ -322,19 +318,11 @@ class VectorMonitorEngine:
     def output_char(self, row: int) -> str:
         return TRUST if self._trusted[row] else SUSPECT
 
-    def is_active(self, row: int) -> bool:
-        return bool(self._active[row])
-
     def delivered_count(self, row: int) -> int:
         return int(self._delivered[row])
 
     def incarnation(self, row: int) -> int:
         return int(self._incarnation[row])
-
-    def trusted_rows(self) -> np.ndarray:
-        """Row ids currently active and trusting."""
-        mask = self._active[: self._n] & self._trusted[: self._n]
-        return np.nonzero(mask)[0]
 
     # ------------------------------------------------------------------ #
     # Registration / removal
@@ -485,8 +473,8 @@ class VectorMonitorEngine:
         """Install the engine's one batch listener, called as
         ``listener(time, rows, output)`` after the log and the QoS
         table (module docstring).  ``rows`` were active when the batch
-        was published; a listener that acts on the engine re-checks
-        :meth:`is_active` for the rows after the one it acted on."""
+        was published; a listener that retires one of them does not
+        shorten the batch it is handed."""
         self._listener = listener
 
     def remove(self, row: int) -> None:
@@ -1296,18 +1284,6 @@ class SoAMonitorHost:
     @property
     def delivered_count(self) -> int:
         return self._delivered
-
-    @property
-    def trace_start_time(self) -> float:
-        return self._trace.start_time
-
-    @property
-    def trace_initial_output(self) -> str:
-        return self._trace.initial_output
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
 
     def local_now(self) -> float:
         now = self._engine.now

@@ -47,8 +47,8 @@ events at exactly ``end`` still fire):
 
 Runs that end suspecting with no transition after the crash (the
 detector was already suspecting when the crash landed) report a
-detection time of exactly ``0.0``, matching the serial clamp — see
-:attr:`repro.sim.runner.CrashRunResult.n_premature`.
+detection time of exactly ``0.0``, matching the serial clamp of
+:func:`repro.metrics.qos.detection_time`.
 """
 
 from __future__ import annotations
@@ -360,13 +360,6 @@ class _FateReplayer:
             for m in range(lo, need):
                 f[m] = float(delay.sample(rng, 1)[0])
         st.n = need
-
-
-def _replay_message_fates(
-    config: SimulationConfig, n_sent: int, run_index: int
-) -> np.ndarray:
-    """One run's fates through a throwaway replayer (test/debug helper)."""
-    return _FateReplayer(config).fates(run_index, n_sent).copy()
 
 
 # --------------------------------------------------------------------- #

@@ -86,11 +86,6 @@ class Simulator:
         # sender queries it on every send, which made the old
         # scan-the-heap implementation O(heap) per event.
         self._live = 0
-        # Optional telemetry series (None = uninstrumented; the loops
-        # below pay only a None check per event).
-        self._tel_fired = None
-        self._tel_scheduled = None
-        self._tel_depth = None
 
     @property
     def now(self) -> float:
@@ -101,29 +96,6 @@ class Simulator:
     def pending(self) -> int:
         """Number of scheduled (non-cancelled) events."""
         return self._live
-
-    def attach_telemetry(self, registry) -> None:
-        """Record event counts and heap depth into ``registry``.
-
-        Series: ``sim_events_scheduled_total``,
-        ``sim_events_fired_total`` (counters) and ``sim_heap_depth``
-        (gauge; its ``max`` is the high-water mark — the number
-        churn-heavy runs previously inflated with inert timer chains).
-        """
-        self._tel_scheduled = registry.counter(
-            "sim_events_scheduled_total", "events pushed on the heap"
-        )
-        self._tel_fired = registry.counter(
-            "sim_events_fired_total", "event callbacks executed"
-        )
-        self._tel_depth = registry.gauge(
-            "sim_heap_depth", "pending (non-cancelled) events"
-        )
-
-    def detach_telemetry(self) -> None:
-        self._tel_fired = None
-        self._tel_scheduled = None
-        self._tel_depth = None
 
     # ------------------------------------------------------------------ #
     # Scheduling
@@ -153,18 +125,7 @@ class Simulator:
         )
         heapq.heappush(self._heap, ev)
         self._live += 1
-        if self._tel_scheduled is not None:
-            self._tel_scheduled.inc()
-            self._tel_depth.set(self._live)
         return EventHandle(ev)
-
-    def schedule_after(
-        self, delay: float, callback: Callable[[], None]
-    ) -> EventHandle:
-        """Schedule ``callback`` to fire ``delay`` time units from now."""
-        if delay < 0:
-            raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, callback)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -181,9 +142,6 @@ class Simulator:
             ev.fired = True
             self._live -= 1
             self._now = ev.time
-            if self._tel_fired is not None:
-                self._tel_fired.inc()
-                self._tel_depth.set(self._live)
             ev.callback()
             return True
         return False
@@ -213,9 +171,6 @@ class Simulator:
                 ev.fired = True
                 self._live -= 1
                 self._now = ev.time
-                if self._tel_fired is not None:
-                    self._tel_fired.inc()
-                    self._tel_depth.set(self._live)
                 ev.callback()
             self._now = float(horizon)
         finally:

@@ -33,7 +33,7 @@ All simulators stream in chunks with O(chunk) memory, carry exact state
 across chunk boundaries (running max ℓ, open mistakes, rolling windows),
 and stop after ``target_mistakes`` S-transitions or ``max_heartbeats``.
 They are cross-validated against the event-driven implementations in
-``tests/sim/test_fastsim_vs_engine.py``.
+``tests/sim/test_fastsim_exact.py``.
 """
 
 from __future__ import annotations

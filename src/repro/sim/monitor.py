@@ -166,19 +166,6 @@ class DetectorHost:
     def delivered_count(self) -> int:
         return self._delivered
 
-    @property
-    def trace_start_time(self) -> float:
-        """Driver time the output trace (observation window) began."""
-        return self._trace.start_time
-
-    @property
-    def trace_initial_output(self) -> str:
-        return self._trace.initial_output
-
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
     def start(self) -> None:
         if self._stopped:
             raise SimulationError("host already stopped")

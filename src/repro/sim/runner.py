@@ -138,16 +138,6 @@ class CrashRunResult:
         return int(np.sum(~np.isfinite(self.detection_times)))
 
     @property
-    def n_premature(self) -> int:
-        """Runs already suspecting at the crash (zero detection time).
-
-        The detection time clamps to exactly ``0.0`` when the detector's
-        last S-transition precedes the crash — the crash landed during a
-        mistake, so the "detection" was premature rather than reactive.
-        """
-        return int(np.sum(self.detection_times == 0.0))
-
-    @property
     def max_detection_time(self) -> float:
         """Max ``T_D`` over *detected* runs; NaN if none detected."""
         detected = self.detected_times

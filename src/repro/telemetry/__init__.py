@@ -13,9 +13,8 @@ online counterpart:
   the trace-based :func:`repro.metrics.qos.estimate_accuracy` — one
   object a process, or a :class:`~repro.telemetry.qos_online.QoSTable`
   of rows fed transition batches;
-* **hooks** — :meth:`Simulator.attach_telemetry` and the fastsim/
-  batch/parallel executors' recording into the process-global registry
-  (:mod:`repro.telemetry.runtime`);
+* **hooks** — the fastsim/batch/parallel executors' recording into the
+  process-global registry (:mod:`repro.telemetry.runtime`);
 * **export** (:mod:`repro.telemetry.export`): JSON-lines snapshots
   (schema ``repro.telemetry/1``; CLI flag ``--telemetry-out``) and the
   Prometheus text exposition format.

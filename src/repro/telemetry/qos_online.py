@@ -18,9 +18,9 @@ them incrementally from the transition stream:
 The estimator replicates :func:`estimate_accuracy`'s warmup semantics
 exactly (S-times filtered to the post-warmup horizon *before*
 differencing; interval samples kept iff their *start* is post-horizon;
-``P_A`` over the post-horizon window), so on any closed trace
-:meth:`OnlineQoSEstimator.from_trace` agrees with the trace-based
-estimator to float tolerance — the equivalence the test suite pins at
+``P_A`` over the post-horizon window), so a closed trace's transitions
+observed one by one agree with the trace-based estimator to float
+tolerance — the equivalence the test suite pins at
 1e-9 relative.
 
 :class:`QoSTable` keeps the same accumulators for many processes as
@@ -40,7 +40,7 @@ import numpy as np
 
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics.relations import forward_good_period_mean
-from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
+from repro.metrics.transitions import SUSPECT, TRUST
 from repro.telemetry.registry import Welford
 
 __all__ = ["OnlineQoSEstimator", "QoSTable"]
@@ -181,24 +181,6 @@ class OnlineQoSEstimator:
     @property
     def closed(self) -> bool:
         return self._end is not None
-
-    @classmethod
-    def from_trace(
-        cls, trace: OutputTrace, warmup: float = 0.0
-    ) -> "OnlineQoSEstimator":
-        """Replay a closed trace through a fresh estimator."""
-        if not trace.closed:
-            raise TraceError("trace must be closed before estimation")
-        est = cls(
-            start_time=trace.start_time,
-            initial_output=trace.initial_output,
-            warmup=warmup,
-        )
-        if est._horizon > trace.end_time:
-            raise InvalidParameterError("warmup exceeds the trace duration")
-        for tr in trace.transitions:
-            est.observe(tr.time, tr.kind.new_output)
-        return est.close(trace.end_time)
 
     # ------------------------------------------------------------------ #
     # Metrics

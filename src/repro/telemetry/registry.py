@@ -105,9 +105,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.set(self._value + amount)
 
-    def dec(self) -> None:
-        self.set(self._value - 1.0)
-
     @property
     def value(self) -> float:
         return self._value

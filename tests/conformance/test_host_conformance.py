@@ -191,7 +191,6 @@ class TestLifecycle:
             )
         run_until(3.2)
         first = trace_tuple(host.finish())
-        assert not host.stopped
         run_until(6.2)  # still fed: no transition falls after the snapshot
         second = trace_tuple(host.finish())
         assert host.delivered_count == 6
@@ -215,7 +214,6 @@ class TestLifecycle:
         run_until(tau_2 - 0.01)
         assert transitions == [(1.1, TRUST)]
         run_until(tau_2 + 5 * ETA)
-        assert host.stopped
         assert transitions == [(1.1, TRUST)]
         assert host.detector.output == TRUST  # its timer chain is dead
         # Late arrivals are swallowed, not errors; the books stay shut.
@@ -282,7 +280,7 @@ def test_runs_unmodified_on_a_real_loop(host_kind):
         trace = host.finish()
         host.stop()
         driver.close()
-        assert trace.n_transitions >= 2
+        assert len(trace.transitions) >= 2
         assert trace.current_output == SUSPECT
         assert host.estimator.closed
 

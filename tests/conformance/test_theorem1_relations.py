@@ -16,8 +16,10 @@ import pytest
 from repro.core.nfd_s import NFDS
 from repro.metrics import (
     SUSPECT,
+    TransitionKind,
     forward_good_period_mean,
     forward_good_period_moment,
+    window_samples,
 )
 from repro.net.delays import ExponentialDelay
 from repro.sim.runner import SimulationConfig, run_failure_free
@@ -52,7 +54,7 @@ class TestTheorem1Relations:
     def test_query_accuracy_is_good_share_of_recurrence(self, trace):
         """P_A = E(T_G)/E(T_MR) (Theorem 1.3a)."""
         tmr = np.diff(trace.s_transition_times)
-        tg = trace.good_period_samples()
+        tg = window_samples(trace, trace.start_time)[2]
         assert trace.empirical_query_accuracy() == pytest.approx(
             tg.mean() / tmr.mean(), rel=0.02
         )
@@ -61,22 +63,21 @@ class TestTheorem1Relations:
         """E(T_MR) = E(T_G) + E(T_M): a recurrence interval is one good
         period plus one mistake duration."""
         tmr = np.diff(trace.s_transition_times)
-        tg = trace.good_period_samples()
-        tm = trace.mistake_duration_samples()
+        _, tm, tg, _ = window_samples(trace, trace.start_time)
         assert tmr.mean() == pytest.approx(tg.mean() + tm.mean(), rel=0.02)
 
     def test_forward_good_period_waiting_time_formula(self, trace):
         """E(T_FG) = E(T_G²)/(2·E(T_G)) (Theorem 1.3b), checked against
         the forward distance to the next S-transition measured at random
         good instants of the trace — the operational definition."""
-        tg = trace.good_period_samples()
+        tg = window_samples(trace, trace.start_time)[2]
         predicted = forward_good_period_moment(1, tg)
         # The two closed forms must agree exactly on the same samples.
         assert predicted == pytest.approx(
             forward_good_period_mean(float(tg.mean()), float(tg.var()))
         )
         s_times = trace.s_transition_times
-        t_times = trace.t_transition_times
+        t_times = trace.transition_times(TransitionKind.T_TRANSITION)
         grid = np.linspace(
             trace.start_time, s_times[-1], 200_001, endpoint=False
         )

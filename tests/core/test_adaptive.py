@@ -27,7 +27,6 @@ class TestAdaptiveController:
         cfg = c.update(estimate())
         assert cfg is not None
         assert cfg.eta + cfg.alpha == pytest.approx(3.0)
-        assert c.reconfiguration_count == 1
 
     def test_hysteresis_suppresses_noise(self):
         c = AdaptiveController(3.0, 10_000.0, 1.0, hysteresis=0.05)
@@ -36,7 +35,6 @@ class TestAdaptiveController:
         # A 1% wiggle in variance shouldn't trigger a reconfiguration.
         again = c.update(estimate(var=4e-4 * 1.01))
         assert again is None
-        assert c.reconfiguration_count == 1
 
     def test_large_change_reconfigures(self):
         c = AdaptiveController(3.0, 10_000.0, 1.0, hysteresis=0.05)
@@ -78,7 +76,6 @@ class TestAdaptiveNFDE:
         det, adopted = self.build()
         assert len(adopted) >= 1
         assert det.alpha == pytest.approx(adopted[-1].alpha)
-        assert det.recommended_eta == pytest.approx(adopted[-1].eta)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):

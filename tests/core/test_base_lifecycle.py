@@ -78,7 +78,7 @@ class TestLifecycle:
         host.deliver(1, 1.0)
         host.deliver(2, 2.0)  # already trusting: no new transition
         trace = host.finish()
-        assert trace.n_transitions == 1
+        assert len(trace.transitions) == 1
 
     def test_describe_default(self):
         assert Recorder().describe() == "Recorder"

@@ -7,7 +7,7 @@ import pytest
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError
-from repro.metrics.transitions import SUSPECT, TRUST
+from repro.metrics.transitions import SUSPECT, TRUST, TransitionKind
 from repro.net.clocks import SkewedClock
 from repro.net.delays import ConstantDelay
 from repro.sim.engine import Simulator
@@ -61,7 +61,7 @@ class TestStateMachine:
         trace = run.run(msgs, until=4.4)
         assert trace.output_at(4.3) == TRUST
         # exactly one T-transition: no flapping
-        assert len(trace.t_transition_times) == 1
+        assert len(trace.transition_times(TransitionKind.T_TRANSITION)) == 1
 
     def test_stale_on_arrival_stays_suspect(self, scripted):
         """A message arriving after its own next freshness point does not

@@ -59,9 +59,6 @@ class TestTimerSemantics:
         run = scripted(SimpleFD(timeout=1.0, cutoff=0.2))
         # m_1 delay 0.1 (accepted), m_2 delay 0.5 (discarded).
         trace = run.run([(1, 1.1, 1.0), (2, 2.5, 2.0)], until=4.0)
-        det = run.detector
-        assert det.accepted_count == 1
-        assert det.discarded_count == 1
         assert trace.output_at(2.0) == TRUST
         assert trace.output_at(2.2) == SUSPECT  # timer from 1.1 expired
         assert trace.output_at(2.6) == SUSPECT  # m_2 was discarded

@@ -56,7 +56,7 @@ class TestRemoveRestartRace:
 
         # Closed books keyed by (name, incarnation): the old one ends
         # at the restart instant, the crash instant is preserved.
-        closed = service.closed_traces
+        closed = service.finish()  # a snapshot of the live incarnation
         assert ("x", 0) in closed
         assert closed[("x", 0)].end_time == restart_time
         assert service.crash_times()[("x", 0)] == 10.0
@@ -146,5 +146,5 @@ class TestRemoveRestartRace:
         assert proc.output == SUSPECT
         sim.run_until(10.0)
         assert proc.output == TRUST
-        keys = sorted(k for k in service.closed_traces if k[0] == "x")
-        assert keys == [("x", 0), ("x", 1), ("x", 2)]
+        keys = sorted(k for k in service.finish() if k[0] == "x")
+        assert keys == [("x", 0), ("x", 1), ("x", 2), ("x", 3)]

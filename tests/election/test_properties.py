@@ -86,9 +86,27 @@ episodes = st.lists(
 )
 
 
-def state_timeline(core):
-    """Piecewise-constant ``(trusted, leader)`` lookup from history."""
-    history = core.history
+def record_states(cluster):
+    """Log each elector's ``(time, trusted, leader)`` after every input
+    its core is fed (a transition or a reset), keyed by monitor."""
+    histories = {}
+    for m, elector in cluster.electors.items():
+        core = elector.core
+        history = histories[m] = []
+        for method in ("on_transition", "reset"):
+
+            def logged(time, *args, _inner=getattr(core, method), _core=core,
+                       _history=history):
+                _inner(time, *args)
+                _history.append((time, _core.trusted, _core.leader))
+
+            setattr(core, method, logged)
+    return histories
+
+
+def state_timeline(core, history):
+    """Piecewise-constant ``(trusted, leader)`` lookup from a logged
+    history."""
 
     def at(t):
         state = (frozenset({core.self_name}), core.self_name)
@@ -99,6 +117,47 @@ def state_timeline(core):
         return state
 
     return at
+
+
+def leader_at(events, time, initial):
+    """The elected leader at ``time`` (right-continuous, like the
+    detector output convention)."""
+    leader = initial
+    for ev in events:
+        if ev.time > time:
+            break
+        leader = ev.leader
+    return leader
+
+
+def up_set(truth, t):
+    return frozenset(n for n in truth.names if truth.up(n, t))
+
+
+def agree_from(res, lo):
+    """Whether every up monitor holds the same up leader at ``lo`` and
+    at every later leader change through the end of the run: the Omega
+    liveness property made measurable."""
+    timelines = {m: e.events for m, e in res.electors.items()}
+    checkpoints = {lo} | {
+        ev.time
+        for events in timelines.values()
+        for ev in events
+        if lo < ev.time <= res.end
+    }
+    for t in sorted(checkpoints):
+        up = up_set(res.truth, t)
+        leaders = {
+            leader_at(events, t, m)
+            for m, events in timelines.items()
+            if m in up
+        }
+        if len(leaders) != 1:
+            return False
+        leader = next(iter(leaders))
+        if leader is None or leader not in up:
+            return False
+    return True
 
 
 class TestAtMostOneLeader:
@@ -117,16 +176,18 @@ class TestAtMostOneLeader:
     ):
         skews = {f"p{i}": s for i, s in enumerate(skew_list)}
         cluster, _ = build_cluster(n, seed, loss, schedule, skews=skews)
+        histories = record_states(cluster)
         cluster.run_until(HORIZON)
         res = cluster.result()
         lookups = {
-            m: state_timeline(e.core) for m, e in res.electors.items()
+            m: state_timeline(e.core, histories[m])
+            for m, e in res.electors.items()
         }
         instants = sorted(
-            {t for e in res.electors.values() for t, _, _ in e.core.history}
+            {t for history in histories.values() for t, _, _ in history}
         )
         for t in instants:
-            up = res.truth.up_set(t)
+            up = up_set(res.truth, t)
             states = {m: lookups[m](t) for m in up}
             self_leaders = [
                 m for m, (_, leader) in states.items() if leader == m
@@ -172,7 +233,7 @@ class TestEventualAgreement:
         after = max(last_event, burst_start + burst_len) + SETTLE
         # From one settling span past the last disturbance, every up
         # monitor holds the same up leader through the end of the run.
-        assert res.agreement_time(after=after) == after
+        assert agree_from(res, after)
 
     @given(
         n=st.integers(min_value=3, max_value=4),
@@ -185,11 +246,10 @@ class TestEventualAgreement:
         cluster.run_until(HORIZON)
         res = cluster.result()
         t = last_event + SETTLE
-        up = res.truth.up_set(t)
+        up = up_set(res.truth, t)
         expected = min(up)
         for m in up:
-            lookup = state_timeline(res.electors[m].core)
-            assert lookup(HORIZON)[1] == expected
+            assert res.electors[m].leader == expected
 
 
 class TestElectionLatencyBound:

@@ -56,12 +56,6 @@ class TestExperimentTable:
         t.save(path)
         assert path.read_text().startswith("t\n")
 
-    def test_to_dict_round_trip(self):
-        t = ExperimentTable(title="t", columns=["a"])
-        t.add_row(1)
-        d = t.to_dict()
-        assert d["rows"] == [[1]]
-
     def test_fmt_special_values(self):
         assert fmt(None).strip() == "-"
         assert fmt(math.nan).strip() == "nan"

@@ -29,7 +29,6 @@ class TestClosedForms:
     def test_stationary_distribution(self, rng):
         link = _link(rng, p_gb=0.02, p_bg=0.25)
         assert link.stationary_bad == pytest.approx(0.02 / 0.27)
-        assert link.mean_burst_length == pytest.approx(4.0)
 
     @given(
         p_good=st.floats(min_value=0.0, max_value=0.3),
@@ -59,7 +58,6 @@ class TestClosedForms:
             rng=np.random.default_rng(0),
         )
         assert link.stationary_loss_rate == pytest.approx(0.05)
-        assert link.mean_burst_length == pytest.approx(6.0)
 
     def test_from_average_validates(self):
         delay = ConstantDelay(0.1)
@@ -96,10 +94,13 @@ class TestStatistics:
             ConstantDelay(0.1), average, burst,
             rng=np.random.default_rng(seed),
         )
-        p_gb, p_bg = link.transition_probabilities
-        p_good, p_bad = link.state_loss_probabilities
-        fates = np.isinf(link.transmit_batch(n))
+        # from_average's chain: p_good = 0, p_bad = 1, p_bg = 1/burst and
+        # stationarity π_good·p_gb = π_bad·p_bg with π_bad = average.
+        p_good, p_bad, p_bg = 0.0, 1.0, 1.0 / burst
+        p_gb = average * p_bg / (1.0 - average)
+        fates = np.array([link.transmit(i, 0.0).lost for i in range(n)])
         pi_bad = link.stationary_bad
+        assert pi_bad == pytest.approx(average)
         p_bar = link.stationary_loss_rate
         rho = 1.0 - p_gb - p_bg
         var = p_bar * (1.0 - p_bar) + (
@@ -118,7 +119,7 @@ class TestStatistics:
             ConstantDelay(0.1), 0.05, burst_length=8.0,
             rng=np.random.default_rng(123),
         )
-        fates = np.isinf(link.transmit_batch(400_000)).astype(int)
+        fates = np.array([link.step_fate() for _ in range(400_000)], dtype=int)
         edges = np.diff(np.concatenate([[0], fates, [0]]))
         starts = np.flatnonzero(edges == 1)
         ends = np.flatnonzero(edges == -1)
@@ -136,13 +137,20 @@ class TestDeterminism:
             assert ra.delay == rb.delay
 
     def test_transmit_and_batch_share_the_stream(self):
-        """n transmit() calls and one transmit_batch(n) draw the same
-        fates from the same generator state."""
-        a = _link(np.random.default_rng(7))
-        b = _link(np.random.default_rng(7))
-        singles = np.array([a.transmit(i, 0.0).delay for i in range(300)])
-        batch = b.transmit_batch(300)
-        assert np.array_equal(singles, batch)
+        """transmit() draws a message's fate with step_fate() (two
+        uniforms), then its delay: with a constant delay, which draws
+        nothing, n transmit() calls and a batch of n step_fate() calls
+        see the same fates from the same generator state."""
+        def link(seed):
+            return GilbertElliottLink(
+                ConstantDelay(0.1), p_good=0.0, p_bad=1.0, p_gb=0.02,
+                p_bg=0.25, rng=np.random.default_rng(seed),
+            )
+
+        a, b = link(7), link(7)
+        singles = [a.transmit(i, 0.0).lost for i in range(300)]
+        assert singles == [b.step_fate() for _ in range(300)]
+        assert any(singles)
 
     def test_validates_parameters(self):
         with pytest.raises(InvalidParameterError):

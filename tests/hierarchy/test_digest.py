@@ -6,7 +6,6 @@ import itertools
 
 import pytest
 
-from repro.errors import InvalidParameterError
 from repro.hierarchy.digest import (
     DigestBook,
     SenderStatus,
@@ -50,28 +49,25 @@ class TestDigestBook:
     def test_apply_reports_semantic_changes_only(self):
         book = DigestBook()
         d1 = self._digest("L0", 1, {"s0": st(trusted=True, version=1)})
-        assert book.apply(d1, at_time=1.0) == ["s0"]
+        assert book.apply(d1) == ["s0"]
         # Same key re-applied: no change.
-        assert book.apply(d1, at_time=2.0) == []
+        assert book.apply(d1) == []
         # Higher version, same trust bit: the merge advances but the
         # sender's S/T view did not change.
         d2 = self._digest("L0", 2, {"s0": st(trusted=True, version=2)})
-        assert book.apply(d2, at_time=3.0) == []
+        assert book.apply(d2) == []
         # Trust flip does change.
         d3 = self._digest("L0", 3, {"s0": st(trusted=False, version=3)})
-        assert book.apply(d3, at_time=4.0) == ["s0"]
+        assert book.apply(d3) == ["s0"]
         assert book.suspected_set() == frozenset({"s0"})
 
     def test_out_of_order_digests_cannot_regress(self):
         book = DigestBook()
         new = self._digest("L0", 5, {"s0": st(trusted=False, version=9)})
         old = self._digest("L0", 2, {"s0": st(trusted=True, version=3)})
-        book.apply(new, at_time=1.0)
-        assert book.apply(old, at_time=2.0) == []
+        book.apply(new)
+        assert book.apply(old) == []
         assert book.status("s0").version == 9
-        assert book.digest_version("L0") == 5
-        # The freshness clock also keeps the newest copy's arrival.
-        assert book.digest_seen_at("L0") == 1.0
 
     def test_delivery_order_irrelevant(self):
         digests = [
@@ -84,7 +80,7 @@ class TestDigestBook:
         for perm in itertools.permutations(digests):
             book = DigestBook()
             for i, d in enumerate(perm):
-                book.apply(d, at_time=float(i))
+                book.apply(d)
             views.add(
                 (
                     book.trusted_set(),
@@ -96,14 +92,9 @@ class TestDigestBook:
 
     def test_tombstone_removes_from_both_sets(self):
         book = DigestBook()
-        book.apply(
-            self._digest("L0", 1, {"s0": st(version=1)}), at_time=0.0
-        )
+        book.apply(self._digest("L0", 1, {"s0": st(version=1)}))
         changed = book.apply(
-            self._digest(
-                "L0", 2, {"s0": st(version=2, present=False)}
-            ),
-            at_time=1.0,
+            self._digest("L0", 2, {"s0": st(version=2, present=False)})
         )
         assert changed == ["s0"]
         assert book.trusted_set() == frozenset()
@@ -112,9 +103,7 @@ class TestDigestBook:
 
     def test_ownership_tracks_advancing_origin(self):
         book = DigestBook()
-        book.apply(
-            self._digest("L0", 1, {"s0": st(version=1)}), at_time=0.0
-        )
+        book.apply(self._digest("L0", 1, {"s0": st(version=1)}))
         assert book.owner("s0") == "L0"
         assert book.senders_owned_by("L0") == ("s0",)
 
@@ -131,24 +120,28 @@ class TestDigestBook:
         ]
         mid = DigestBook()
         for d in leaf_digests:
-            mid.apply(d, at_time=1.0)
-        republished = mid.to_digest("M0", version=1, at_time=2.0)
+            mid.apply(d)
+        # An aggregator tier re-publishes its merged book as its own
+        # digest; per-sender statuses keep their (incarnation, version)
+        # keys, so the upstream merge is the same lattice join.
+        republished = ShardDigest(
+            origin="M0",
+            version=1,
+            published_at=2.0,
+            statuses={n: mid.status(n) for n in mid.senders()},
+        )
 
         via_mid = DigestBook()
-        via_mid.apply(republished, at_time=3.0)
+        via_mid.apply(republished)
 
         direct = DigestBook()
         for d in leaf_digests:
-            direct.apply(d, at_time=3.0)
+            direct.apply(d)
 
         assert via_mid.trusted_set() == direct.trusted_set()
         assert via_mid.suspected_set() == direct.suspected_set()
         for name in direct.senders():
             assert via_mid.status(name) == direct.status(name)
-
-    def test_to_digest_validates_version(self):
-        with pytest.raises(InvalidParameterError):
-            DigestBook().to_digest("M0", version=0, at_time=0.0)
 
 
 class TestPackedSize:

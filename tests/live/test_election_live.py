@@ -112,11 +112,11 @@ class TestLiveElector:
 
             # A perfectly fresh straggler from dead incarnation 0 is
             # shed at the source; the elector never sees it.
-            events_before = len(elector.core.history)
+            events_before = len(elector.core.events)
             service.on_datagram(encode_heartbeat("a", 0, 26, 26 * ETA))
             await drain(service)
             assert counter(service, "live_stale_incarnation_total") == 1
-            assert len(elector.core.history) == events_before
+            assert len(elector.core.events) == events_before
             assert "a" not in elector.core.trusted
             assert elector.leader == "b"
 

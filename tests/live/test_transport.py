@@ -127,13 +127,13 @@ class TestLoopback:
             )
             for _ in range(51):
                 sender.send(b"x")
-            assert sender.in_flight == 51
+            assert len(sender._pending) == 51
             await asyncio.sleep(0.05)
             # the 50 fast deliveries fired and pruned themselves; only
             # the slow straggler remains registered
-            assert sender.in_flight == 1
+            assert len(sender._pending) == 1
             await sender.aclose()
-            assert sender.in_flight == 0
+            assert len(sender._pending) == 0
             await network.aclose()
 
         asyncio.run(main())

@@ -91,8 +91,15 @@ class TestEstimateAccuracy:
         est = estimate_accuracy(periodic_trace(n_cycles=20))
         good = QoSRequirements(1.0, 10.0, 5.0)
         strict = QoSRequirements(1.0, 100.0, 5.0)
-        assert est.satisfies(good)
-        assert not est.satisfies(strict)
+        # The accuracy half of the eq. 4.1 contract.
+        def satisfies(req):
+            return (
+                est.e_tmr >= req.mistake_recurrence_lower
+                and est.e_tm <= req.mistake_duration_upper
+            )
+
+        assert satisfies(good)
+        assert not satisfies(strict)
 
     def test_query_accuracy_with_warmup(self):
         # 0-10 suspect, 10-20 trust; warmup 10 -> P_A = 1.

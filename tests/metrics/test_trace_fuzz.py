@@ -11,8 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.metrics.qos import estimate_accuracy
-from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
+from repro.metrics.qos import estimate_accuracy, window_samples
+from repro.metrics.transitions import (
+    SUSPECT,
+    TRUST,
+    OutputTrace,
+    TransitionKind,
+)
 
 # Random alternating-ish histories: (delta_t, output) steps; same-output
 # records exercise the no-op path, zero deltas the same-instant path.
@@ -24,6 +29,20 @@ steps = st.lists(
     min_size=0,
     max_size=60,
 )
+
+
+def completed_intervals(trace, opening):
+    """Lengths from each ``opening``-kind transition to the next one: the
+    ``T_M`` (opening S) or ``T_G`` (opening T) samples of the whole
+    window, by the Fig. 4 definitions."""
+    out, start = [], None
+    for tr in trace.transitions:
+        if tr.kind is opening:
+            start = tr.time
+        elif start is not None:
+            out.append(tr.time - start)
+            start = None
+    return np.asarray(out, dtype=float)
 
 
 def build(initial, step_list, tail):
@@ -71,12 +90,10 @@ def test_transitions_strictly_alternate(initial, step_list, tail):
 def test_interval_decompositions_consistent(initial, step_list, tail):
     trace = build(initial, step_list, tail)
     s_count = trace.s_transition_times.size
-    t_count = trace.t_transition_times.size
+    t_count = trace.transition_times(TransitionKind.T_TRANSITION).size
     # Alternation bounds the counts.
     assert abs(s_count - t_count) <= 1
-    tmr = trace.mistake_recurrence_samples()
-    tm = trace.mistake_duration_samples()
-    tg = trace.good_period_samples()
+    tmr, tm, tg, _ = window_samples(trace, trace.start_time)
     assert tmr.size == max(0, s_count - 1)
     assert np.all(tmr >= 0)
     assert np.all(tm >= 0)
@@ -156,11 +173,7 @@ def test_flap_bursts_never_poison_the_estimator(initial, bursts, tail):
     from repro.metrics.qos import pool_accuracy
 
     trace = build_flappy(initial, bursts, tail)
-    for samples in (
-        trace.mistake_recurrence_samples(),
-        trace.mistake_duration_samples(),
-        trace.good_period_samples(),
-    ):
+    for samples in window_samples(trace, trace.start_time)[:3]:
         assert np.all(samples >= 0)
         assert np.all(np.isfinite(samples))
     est = estimate_accuracy(trace)
@@ -221,7 +234,15 @@ def test_occupancy_over_an_interval_and_whole_window_samples(
                 expected += b - a
         assert trace.time_in_output(output, lo, hi) == expected
 
+    tmr, tm, tg, _ = window_samples(trace, trace.start_time)
+    assert np.array_equal(tmr, np.diff(trace.s_transition_times))
+    assert np.array_equal(
+        tm, completed_intervals(trace, TransitionKind.S_TRANSITION)
+    )
+    assert np.array_equal(
+        tg, completed_intervals(trace, TransitionKind.T_TRANSITION)
+    )
     est = estimate_accuracy(trace)
-    assert np.array_equal(est.tmr_samples, trace.mistake_recurrence_samples())
-    assert np.array_equal(est.tm_samples, trace.mistake_duration_samples())
-    assert np.array_equal(est.tg_samples, trace.good_period_samples())
+    assert np.array_equal(est.tmr_samples, tmr)
+    assert np.array_equal(est.tm_samples, tm)
+    assert np.array_equal(est.tg_samples, tg)

@@ -1,4 +1,5 @@
-"""Tests for output traces — including the paper's Fig. 2/Fig. 3 examples."""
+"""Tests for output traces — including the paper's Fig. 2/Fig. 3 examples
+and the Fig. 4 interval decompositions :func:`window_samples` takes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.errors import TraceError
+from repro.metrics.qos import window_samples
 from repro.metrics.transitions import (
     SUSPECT,
     TRUST,
@@ -15,9 +17,17 @@ from repro.metrics.transitions import (
 
 
 def make_trace(pairs, end, initial=SUSPECT, start=0.0):
-    return OutputTrace.from_transitions(
-        pairs, start_time=start, initial_output=initial, end_time=end
-    )
+    """A closed trace from ``(time, output)`` pairs."""
+    trace = OutputTrace(start_time=start, initial_output=initial)
+    for time, output in pairs:
+        trace.record(time, output)
+    return trace.close(end)
+
+
+def samples(trace):
+    """``(T_MR, T_M, T_G)`` samples of the whole trace window."""
+    tmr, tm, tg, _ = window_samples(trace, trace.start_time)
+    return tmr, tm, tg
 
 
 class TestConstruction:
@@ -46,7 +56,7 @@ class TestConstruction:
         assert t.record(1.0, SUSPECT) is False
         assert t.record(2.0, TRUST) is True
         assert t.record(3.0, TRUST) is False
-        assert t.n_transitions == 1
+        assert len(t.transitions) == 1
 
     def test_close_before_last_transition_rejected(self):
         t = OutputTrace()
@@ -90,7 +100,9 @@ class TestQueries:
             end=10.0,
         )
         np.testing.assert_allclose(t.s_transition_times, [3.0, 9.0])
-        np.testing.assert_allclose(t.t_transition_times, [1.0, 4.0])
+        np.testing.assert_allclose(
+            t.transition_times(TransitionKind.T_TRANSITION), [1.0, 4.0]
+        )
 
 
 class TestIntervalDecompositions:
@@ -102,9 +114,7 @@ class TestIntervalDecompositions:
              (9.5, TRUST), (20.0, SUSPECT)],
             end=25.0,
         )
-        np.testing.assert_allclose(
-            t.mistake_recurrence_samples(), [6.0, 11.0]
-        )
+        np.testing.assert_allclose(samples(t)[0], [6.0, 11.0])
 
     def test_mistake_durations_only_completed(self):
         t = make_trace(
@@ -112,14 +122,14 @@ class TestIntervalDecompositions:
             end=25.0,
         )
         # The suspicion open at the window end (9 -> 25) is dropped.
-        np.testing.assert_allclose(t.mistake_duration_samples(), [1.0])
+        np.testing.assert_allclose(samples(t)[1], [1.0])
 
     def test_good_periods(self):
         t = make_trace(
             [(1.0, TRUST), (3.0, SUSPECT), (4.0, TRUST), (9.0, SUSPECT)],
             end=25.0,
         )
-        np.testing.assert_allclose(t.good_period_samples(), [2.0, 5.0])
+        np.testing.assert_allclose(samples(t)[2], [2.0, 5.0])
 
     def test_tg_equals_tmr_minus_tm(self):
         """Theorem 1.1 on a concrete trace: T_G = T_MR − T_M pairwise."""
@@ -128,9 +138,7 @@ class TestIntervalDecompositions:
              (8.0, TRUST), (10.0, SUSPECT)],
             end=12.0,
         )
-        tmr = t.mistake_recurrence_samples()
-        tm = t.mistake_duration_samples()
-        tg = t.good_period_samples()
+        tmr, tm, tg = samples(t)
         # Pair mistake i's duration with the following good period.
         np.testing.assert_allclose(tmr, tm[: len(tmr)] + tg[1:][: len(tmr)])
 
@@ -190,26 +198,35 @@ class TestOccupancyAndAccuracy:
         assert s.empirical_query_accuracy() == 0.0
 
 
+
 class TestZeroLengthNormalization:
+    """A same-instant S→T pair is kept as a zero-length interval; the
+    trace with the cancelling pair removed by hand has the same
+    time-weighted metrics."""
+
     def test_cancelling_pair_removed(self):
-        t = OutputTrace(initial_output=TRUST)
-        t.record(1.0, SUSPECT)
-        t.record(1.0, TRUST)  # same-instant retraction
-        t.record(5.0, SUSPECT)
-        t.close(6.0)
-        clean = t.drop_zero_length()
-        assert clean.n_transitions == 1
-        assert clean.transitions[0].time == 5.0
-        assert clean.transitions[0].kind is TransitionKind.S_TRANSITION
+        t = make_trace(
+            [(1.0, SUSPECT), (1.0, TRUST), (5.0, SUSPECT)],  # same-instant pair
+            end=6.0,
+            initial=TRUST,
+        )
+        clean = make_trace([(5.0, SUSPECT)], end=6.0, initial=TRUST)
+        assert len(t.transitions) == 3
+        assert [(tr.time, tr.kind) for tr in clean.transitions] == [
+            (5.0, TransitionKind.S_TRANSITION)
+        ]
+        assert t.empirical_query_accuracy() == clean.empirical_query_accuracy()
+        # The pair is one mistake of length zero.
+        np.testing.assert_array_equal(samples(t)[1], [0.0])
+        assert samples(clean)[1].size == 0
 
     def test_occupancy_unchanged_by_normalization(self):
-        t = OutputTrace(initial_output=TRUST)
-        t.record(1.0, SUSPECT)
-        t.record(1.0, TRUST)
-        t.record(2.0, SUSPECT)
-        t.record(4.0, TRUST)
-        t.close(6.0)
-        clean = t.drop_zero_length()
+        t = make_trace(
+            [(1.0, SUSPECT), (1.0, TRUST), (2.0, SUSPECT), (4.0, TRUST)],
+            end=6.0,
+            initial=TRUST,
+        )
+        clean = make_trace([(2.0, SUSPECT), (4.0, TRUST)], end=6.0, initial=TRUST)
         assert clean.time_in_output(TRUST) == pytest.approx(
             t.time_in_output(TRUST)
         )

@@ -67,14 +67,17 @@ class TestCongestionProcess:
         assert len(p.episodes) == pytest.approx(0.05 * 100_000.0, rel=0.1)
 
     def test_congested_time_union(self):
+        """Overlapping episodes congest their union: covered through
+        the later end, free in the gaps."""
         p = CongestionProcess.__new__(CongestionProcess)
         p._spec = spec()
         p._episodes = [(0.0, 10.0), (5.0, 12.0), (20.0, 30.0)]
         p._starts = [0.0, 5.0, 20.0]
         p._max_end = [10.0, 12.0, 30.0]
-        assert p.congested_time(0.0, 50.0) == pytest.approx(12.0 + 10.0)
-        assert p.congested_time(11.0, 25.0) == pytest.approx(1.0 + 5.0)
-        assert p.congested_time(40.0, 50.0) == pytest.approx(0.0)
+        covered = [t for t in np.arange(0.0, 50.0, 0.5) if p.congested(t)]
+        assert len(covered) * 0.5 == pytest.approx(12.0 + 10.0)
+        assert p.congested(11.0) and not p.congested(12.0)
+        assert p.congested(20.0) and not p.congested(30.0)
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -83,10 +86,15 @@ class TestCongestionProcess:
 
 class TestCongestionField:
     def test_multiple_specs_compound_multiplicatively(self):
-        field = CongestionField(
-            topo(n_specs=2), np.random.default_rng(5), horizon=5000.0
+        topology = topo(n_specs=2)
+        field = CongestionField(topology, np.random.default_rng(5), horizon=5000.0)
+        # The field draws its processes in declaration order: the same
+        # seed replays them one by one.
+        rng = np.random.default_rng(5)
+        shared, solo = (
+            CongestionProcess(s, rng, horizon=5000.0)
+            for s in topology.congestions
         )
-        shared, solo = field.processes
         key = pair_key("A", "B")
         ts = np.linspace(0.0, 5000.0, 2000)
         both = [
@@ -108,4 +116,8 @@ class TestCongestionField:
     def test_field_is_deterministic_in_the_seed(self):
         a = CongestionField(topo(), np.random.default_rng(9), horizon=1000.0)
         b = CongestionField(topo(), np.random.default_rng(9), horizon=1000.0)
-        assert a.processes[0].episodes == b.processes[0].episodes
+        key = pair_key("A", "B")
+        ts = np.linspace(0.0, 1000.0, 4001)
+        factors = [a.factor(key, t) for t in ts]
+        assert factors == [b.factor(key, t) for t in ts]
+        assert 3.0 in factors

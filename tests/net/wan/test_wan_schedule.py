@@ -92,9 +92,9 @@ class TestQueries:
                 )
             },
         )
+        assert sched.down(("A", "B"), 0.0)
         assert sched.down(("A", "B"), 12.0)
         assert not sched.down(("A", "B"), 15.0)
-        assert sched.partition_transitions == (0.0, 15.0)
 
     def test_regime_steps_apply_from_their_time(self):
         d = ConstantDelay(0.5)

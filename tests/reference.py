@@ -24,6 +24,8 @@ from __future__ import annotations
 import heapq
 import itertools
 
+import numpy as np
+
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
@@ -36,6 +38,7 @@ __all__ = [
     "hosted",
     "SteppedLoop",
     "observer_state",
+    "active_rows",
 ]
 
 
@@ -138,3 +141,9 @@ def observer_state(observer) -> dict:
         "entries": [(t - eta * s).hex() for s, t in arrival._entries],
         "normalized_sum": arrival._normalized_sum.hex(),
     }
+
+
+def active_rows(engine) -> set:
+    """Rows of a :class:`~repro.service.soa.VectorMonitorEngine` that
+    are registered and not retired."""
+    return set(np.flatnonzero(engine._active[: engine.n_rows]).tolist())

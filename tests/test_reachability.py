@@ -1,5 +1,5 @@
-"""Every public name and every option in ``src/repro`` pays rent, or says
-why it stays.
+"""Every public name, member and option in ``src/repro`` pays rent, or
+says why it stays.
 
 A public top-level ``def`` or ``class`` that nothing under ``src/``,
 ``examples/``, ``benchmarks/`` or ``.github/scripts/`` references is
@@ -8,6 +8,14 @@ the tests check against the paper; those are listed in :data:`ALLOWED`
 with their reason.  The scan is by identifier: a ``Name``, an
 ``Attribute`` or an import alias spelling the name counts, except inside
 the name's own definition and in a package ``__init__.py``'s re-exports.
+
+The same rule holds one level down.  A public method or property (dunders
+excluded) of a public top-level class counts as reached when its name
+appears as a ``Name``, an ``Attribute`` or a string constant in the
+scanned trees outside its own ``def`` (a property's setter is part of
+it).  A name collision with anything else makes it reached, so the rule
+errs on the side of keeping code.  A member only the tests reach goes,
+unless :data:`MEMBERS_ALLOWED` names it with a reason.
 
 A parameter with a default (an *option*) on a public function, or on a
 public method of a public class, that no call passes is a configuration
@@ -68,6 +76,39 @@ ALLOWED = {
     ),
     "election.omega.LiveElector": (
         "E17's live consumer, run by CI's live election soak"
+    ),
+}
+
+#: methods and properties that only the tests reach, and why each stays
+MEMBERS_ALLOWED = {
+    "core.nfd_u.NFDU.next_freshness_point": (
+        "Fig. 9's τ_{ℓ+1}; the ingest identity suite reads it as the "
+        "oracle's state"
+    ),
+    "estimation.loss.LossRateEstimator.received_count": (
+        "the observer-table identity suite reads it as the oracle's state"
+    ),
+    "live.monitor.LiveMonitorService.remove_peer": (
+        "the live service's only way to retire a peer"
+    ),
+    "net.topology.PathDelay.to_empirical": (
+        "kept for now: three tier-1 tests pin it (the §4 configurator's "
+        "empirical view of a multi-hop path); goes with them"
+    ),
+    "telemetry.registry.Welford.merge": (
+        "kept for now: two tier-1 tests pin it; ROADMAP item 8's "
+        "fork-gap registry merge is its consumer"
+    ),
+    "metrics.qos.QoSRequirements.mistake_rate_upper": (
+        "λ_M ≤ 1/T_MR^L, implied by the eq. 4.1 contract via Theorem 1"
+    ),
+    "metrics.qos.QoSRequirements.query_accuracy_lower": (
+        "P_A ≥ (T_MR^L − T_M^U)/T_MR^L, implied by the eq. 4.1 contract "
+        "via Theorem 1"
+    ),
+    "metrics.qos.QoSRequirements.forward_good_period_lower": (
+        "E(T_FG) ≥ (T_MR^L − T_M^U)/2, implied by the eq. 4.1 contract "
+        "via Theorem 1"
     ),
 }
 
@@ -139,6 +180,11 @@ class Scan(NamedTuple):
     passed: set
     #: ``module[.Class].function.param`` never read by its own body
     unread: set
+    #: ``module.Class.member`` -> (file, class, member) of every public
+    #: method and property of a public top-level class
+    members: dict
+    #: the qualified members above referenced outside their own def
+    members_reached: set
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -282,6 +328,10 @@ def scan() -> Scan:
     options = {}
     unread = set()
     calls = {}  # callee name -> [(n positional, keywords, forwards)]
+    members = {}
+    # identifier or string -> {(file, top-level definition, class member
+    # def)} it appears in
+    spoken = {}
     for top in CALLERS:
         user = top in USERS
         for path in sorted((ROOT / top).rglob("*.py")):
@@ -297,17 +347,31 @@ def scan() -> Scan:
                 module = None if reexports else dotted
             for node in tree.body:
                 owner = None
+                inside = {}  # id(ast node) -> the class member def holding it
                 if isinstance(node, DEFINITIONS):
                     owner = node.name
+                    if isinstance(node, ast.ClassDef):
+                        for stmt in node.body:
+                            if isinstance(stmt, FUNCTIONS):
+                                for sub in ast.walk(stmt):
+                                    inside[id(sub)] = stmt.name
                     if module and not owner.startswith("_"):
                         definitions[f"{module}.{owner}"] = (path, owner)
                         _collect_options(module, node, options)
+                        if isinstance(node, ast.ClassDef):
+                            _collect_members(module, node, path, members)
                 for sub in ast.walk(node):
                     if isinstance(sub, ast.Call):
                         name = _callee(sub, node)
                         if name is not None:
                             calls.setdefault(name, []).append(_shape(sub))
                     if not user:
+                        continue
+                    here = (path, owner, inside.get(id(sub)))
+                    if isinstance(sub, ast.Constant) and isinstance(
+                        sub.value, str
+                    ):
+                        spoken.setdefault(sub.value, set()).add(here)
                         continue
                     if isinstance(sub, ast.Name):
                         name = sub.id
@@ -318,6 +382,7 @@ def scan() -> Scan:
                     else:
                         continue
                     where.setdefault(name, set()).add((path, owner))
+                    spoken.setdefault(name, set()).add(here)
     reached = {
         qualified
         for qualified, (path, name) in definitions.items()
@@ -333,7 +398,23 @@ def scan() -> Scan:
             for n_positional, keywords, forwards in calls.get(callee, ())
         )
     }
-    return Scan(definitions, reached, options, passed, unread)
+    members_reached = {
+        qualified
+        for qualified, (path, cls, name) in members.items()
+        if spoken.get(name, set()) - {(path, cls, name)}
+    }
+    return Scan(
+        definitions, reached, options, passed, unread, members, members_reached
+    )
+
+
+def _collect_members(module: str, node: ast.ClassDef, path, members) -> None:
+    """Add a public class's public, non-dunder methods and properties."""
+    for stmt in node.body:
+        if isinstance(stmt, FUNCTIONS) and not stmt.name.startswith("_"):
+            members[f"{module}.{node.name}.{stmt.name}"] = (
+                path, node.name, stmt.name
+            )
 
 
 def _collect_options(module: str, node, options: dict) -> None:
@@ -388,6 +469,29 @@ def test_allow_list_is_current():
         "ALLOWED names something that pays rent now: " + ", ".join(now_reached)
     )
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_every_member_is_reached_or_allowed():
+    found = scan()
+    unreached = set(found.members) - found.members_reached
+    stray = sorted(unreached - set(MEMBERS_ALLOWED))
+    assert not stray, (
+        f"{len(stray)} methods and properties reached only by tests "
+        "(delete, or add to MEMBERS_ALLOWED with a reason): "
+        + ", ".join(stray)
+    )
+
+
+def test_member_allow_list_is_current():
+    found = scan()
+    gone = sorted(set(MEMBERS_ALLOWED) - set(found.members))
+    assert not gone, "MEMBERS_ALLOWED names no member: " + ", ".join(gone)
+    now_reached = sorted(set(MEMBERS_ALLOWED) & found.members_reached)
+    assert not now_reached, (
+        "MEMBERS_ALLOWED names a member that pays rent now: "
+        + ", ".join(now_reached)
+    )
+    assert all(reason.strip() for reason in MEMBERS_ALLOWED.values())
 
 
 def test_every_option_is_set_or_allowed():
