@@ -16,8 +16,7 @@ from repro.metrics.qos import pool_accuracy
 from repro.net.wan import (
     detection_within_bound, predict_route, within_theorem5_band,
 )
-from repro.sim.parallel import run_crash_runs_parallel
-from repro.sim.runner import run_failure_free
+from repro.sim.runner import run_crash_runs, run_failure_free
 
 s = WanSettings(horizon=1500.0, n_ff_runs=3, n_crash_runs=10)
 topology = build_topology()
@@ -30,9 +29,9 @@ pooled = pool_accuracy(
 assert within_theorem5_band(
     pred, pooled.tmr_samples, pooled.tm_samples, level=s.ci_level
 ), "relayed route fell outside the Theorem 5 band"
-crashes = run_crash_runs_parallel(
+crashes = run_crash_runs(
     s.detector_factory(), config, s.n_crash_runs,
-    settle_time=10.0 * s.detection_bound,
+    settle_time=10.0 * s.detection_bound, jobs=0,
 )
 assert detection_within_bound(pred, crashes.detection_times), \
     crashes.max_detection_time

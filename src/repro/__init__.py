@@ -82,7 +82,6 @@ from repro.faults import (
     FaultScenario,
     FaultyLink,
     GilbertElliottLink,
-    run_failure_free_with_faults,
 )
 from repro.metrics import (
     OutputTrace,
@@ -168,7 +167,6 @@ __all__ = [
     "GilbertElliottLink",
     "FaultyLink",
     "FaultScenario",
-    "run_failure_free_with_faults",
     # simulation
     "Simulator",
     "SimulationConfig",

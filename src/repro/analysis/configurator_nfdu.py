@@ -21,11 +21,10 @@ replacing ``T_D^U − E(D)``; remarkably, ``E(D)`` itself is never needed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.analysis.search import largest_feasible_eta
-from repro.errors import InvalidParameterError, QoSUnachievableError
+from repro.analysis.search import _cantelli_eta
+from repro.errors import InvalidParameterError
 from repro.metrics.qos import QoSRequirements
 
 __all__ = ["NFDUConfig", "configure_nfdu"]
@@ -79,29 +78,9 @@ def configure_nfdu(
     if t_mr_l <= 0 or t_m_u <= 0:
         raise InvalidParameterError("T_MR^L and T_M^U must be positive")
 
-    # Step 1
-    gamma_prime = (1.0 - loss_probability) * t_d_u**2 / (var_delay + t_d_u**2)
-    eta_max = min(gamma_prime * t_m_u, t_d_u)
-    if eta_max == 0.0:
-        raise QoSUnachievableError(
-            "eta_max = 0: the requirements cannot be achieved by any "
-            "failure detector in this system"
-        )
-
-    # Step 2
-    def log_f(eta: float) -> float:
-        n_terms = int(math.ceil(t_d_u / eta - 1e-12)) - 1
-        log_prod = 0.0
-        for j in range(1, n_terms + 1):
-            gap = t_d_u - j * eta
-            num = var_delay + gap * gap
-            den = var_delay + loss_probability * gap * gap
-            if den == 0.0:
-                return math.inf
-            log_prod += math.log(num) - math.log(den)
-        return math.log(eta) + log_prod
-
-    eta = largest_feasible_eta(log_f, eta_max, t_mr_l)
+    eta, eta_max = _cantelli_eta(
+        t_d_u, loss_probability, var_delay, t_mr_l, t_m_u
+    )
 
     # Step 3
     alpha = t_d_u - eta

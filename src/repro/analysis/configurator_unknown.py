@@ -23,11 +23,9 @@ distributional knowledge.
 
 from __future__ import annotations
 
-import math
-
 from repro.analysis.configurator import NFDSConfig
-from repro.analysis.search import largest_feasible_eta
-from repro.errors import InvalidParameterError, QoSUnachievableError
+from repro.analysis.search import _cantelli_eta
+from repro.errors import InvalidParameterError
 from repro.metrics.qos import QoSRequirements
 
 __all__ = ["configure_nfds_unknown"]
@@ -74,34 +72,9 @@ def configure_nfds_unknown(
     t_m_u = requirements.mistake_duration_upper
 
     t_tilde = t_d_u - mean_delay  # T̃ = T_D^U − E(D)
-
-    # Step 1
-    gamma_prime = (
-        (1.0 - loss_probability) * t_tilde**2 / (var_delay + t_tilde**2)
+    eta, eta_max = _cantelli_eta(
+        t_tilde, loss_probability, var_delay, t_mr_l, t_m_u
     )
-    eta_max = min(gamma_prime * t_m_u, t_tilde)
-    if eta_max == 0.0:
-        raise QoSUnachievableError(
-            "eta_max = 0: the requirements cannot be achieved by any "
-            "failure detector in this system"
-        )
-
-    # Step 2
-    def log_f(eta: float) -> float:
-        n_terms = int(math.ceil(t_tilde / eta - 1e-12)) - 1
-        log_prod = 0.0
-        for j in range(1, n_terms + 1):
-            gap = t_tilde - j * eta
-            num = var_delay + gap * gap
-            den = var_delay + loss_probability * gap * gap
-            if den == 0.0:
-                # V(D) = 0 and p_L = 0: deterministic, lossless network —
-                # any eta below t_tilde gives perfect accuracy.
-                return math.inf
-            log_prod += math.log(num) - math.log(den)
-        return math.log(eta) + log_prod
-
-    eta = largest_feasible_eta(log_f, eta_max, t_mr_l)
 
     # Step 3
     delta = t_d_u - eta

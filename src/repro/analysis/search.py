@@ -22,9 +22,9 @@ f(η) increases exponentially fast"); we harden it slightly:
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, QoSUnachievableError
 
 __all__ = ["largest_feasible_eta"]
 
@@ -88,3 +88,46 @@ def largest_feasible_eta(
 
     assert feasible(lo)
     return lo
+
+
+def _cantelli_eta(
+    shift: float,
+    loss_probability: float,
+    var_delay: float,
+    t_mr_l: float,
+    t_m_u: float,
+) -> Tuple[float, float]:
+    """Steps 1 and 2 of the distribution-free procedures: ``(η, η_max)``.
+
+    Section 5 calls it with ``shift = T̃ = T_D^U − E(D)``, Section 6 with
+    ``shift = T_D^u``; every ``P(D > t)`` is Cantelli's bound
+    ``V / (V + t²)`` (Theorem 9).
+
+    Raises:
+        QoSUnachievableError: when ``η_max = 0`` (Theorem 10/12 case 2).
+    """
+    # Step 1
+    gamma_prime = (1.0 - loss_probability) * shift**2 / (var_delay + shift**2)
+    eta_max = min(gamma_prime * t_m_u, shift)
+    if eta_max == 0.0:
+        raise QoSUnachievableError(
+            "eta_max = 0: the requirements cannot be achieved by any "
+            "failure detector in this system"
+        )
+
+    # Step 2
+    def log_f(eta: float) -> float:
+        n_terms = int(math.ceil(shift / eta - 1e-12)) - 1
+        log_prod = 0.0
+        for j in range(1, n_terms + 1):
+            gap = shift - j * eta
+            num = var_delay + gap * gap
+            den = var_delay + loss_probability * gap * gap
+            if den == 0.0:
+                # V(D) = 0 and p_L = 0: deterministic, lossless network —
+                # any eta below the shift gives perfect accuracy.
+                return math.inf
+            log_prod += math.log(num) - math.log(den)
+        return math.log(eta) + log_prod
+
+    return largest_feasible_eta(log_f, eta_max, t_mr_l), eta_max

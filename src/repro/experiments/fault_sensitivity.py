@@ -5,9 +5,9 @@ Two questions the closed-form analysis cannot answer:
 1. **How wrong does Theorem 5 get when loss is bursty?**  The first
    table sweeps fault intensity as Gilbert–Elliott mean burst length at
    *equal average loss rate*, per detector.  The zero-intensity row
-   (i.i.d. loss, burst length 1, run through the full fault pipeline)
-   doubles as a conformance check: its estimates must fall inside
-   confidence intervals around the fault-free analytic prediction.
+   (i.i.d. loss, burst length 1, the config's own link) doubles as a
+   conformance check: its estimates must fall inside confidence
+   intervals around the fault-free analytic prediction.
 2. **What does a detector's output look like across scripted fault
    windows?**  The second table runs one composite scenario — partition,
    GC stall, backward clock jump, duplication, reordering, a loss-regime
@@ -17,6 +17,7 @@ Two questions the closed-form analysis cannot answer:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,14 +36,16 @@ from repro.faults import (
     Partition,
     Reordering,
     Stall,
-    run_fault_runs_parallel,
-    run_failure_free_with_faults,
     windowed_suspicion,
 )
 from repro.metrics.confidence import mean_ci
 from repro.metrics.qos import pool_accuracy
 from repro.net.delays import ExponentialDelay
-from repro.sim.runner import SimulationConfig
+from repro.sim.runner import (
+    SimulationConfig,
+    run_failure_free,
+    run_failure_free_parallel,
+)
 
 __all__ = [
     "FaultSensitivitySettings",
@@ -199,11 +202,10 @@ def burst_sweep_table(
     for det_name, factory, prediction, warmup in s.detectors():
         config = s.config(horizon, warmup)
         for channel_name, link_factory in channels:
-            results = run_fault_runs_parallel(
+            results = run_failure_free_parallel(
                 factory,
-                config,
+                replace(config, link_factory=link_factory),
                 n_runs,
-                link_factory=link_factory,
                 jobs=jobs,
             )
             pooled = pool_accuracy([r.accuracy for r in results])
@@ -289,8 +291,8 @@ def composite_scenario_table(horizon: float = 2400.0) -> ExperimentTable:
     for det_name, factory, _prediction, warmup in s.detectors():
         if det_name == "SFD":
             continue
-        results[det_name] = run_failure_free_with_faults(
-            factory, s.config(horizon, warmup), scenario=scenario
+        results[det_name] = run_failure_free(
+            factory, replace(s.config(horizon, warmup), scenario=scenario)
         )
     nfds, nfde = results["NFD-S"], results["NFD-E"]
     table = ExperimentTable(

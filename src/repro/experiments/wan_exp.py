@@ -43,11 +43,12 @@ from repro.net.wan import (
     prediction_errors,
     within_theorem5_band,
 )
-from repro.sim.parallel import (
-    run_crash_runs_parallel,
+from repro.sim.runner import (
+    SimulationConfig,
+    run_crash_runs,
+    run_failure_free,
     run_failure_free_parallel,
 )
-from repro.sim.runner import SimulationConfig, run_failure_free
 
 __all__ = ["WanSettings", "build_topology", "route_config", "run_wan"]
 
@@ -196,12 +197,12 @@ def theorem5_table(
             s.detector_factory(), config, s.n_ff_runs, jobs=jobs
         )
         pooled = pool_accuracy([r.accuracy for r in results])
-        crashes = run_crash_runs_parallel(
+        crashes = run_crash_runs(
             s.detector_factory(),
             config,
             s.n_crash_runs,
-            jobs=jobs,
             settle_time=10.0 * s.detection_bound,
+            jobs=jobs,
         )
         in_band = within_theorem5_band(
             pred, pooled.tmr_samples, pooled.tm_samples, level=s.ci_level

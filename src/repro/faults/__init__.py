@@ -10,20 +10,19 @@ fault-free prediction:
 * :mod:`repro.faults.links` — Gilbert–Elliott bursty loss; a wrapper
   link adding partitions, duplication, and reordering;
 * :mod:`repro.faults.scenario` — timed fault events, the canonical
-  scenario container, and the engine that compiles a scenario onto the
-  discrete-event simulator (with telemetry + a queryable timeline);
-* :mod:`repro.faults.runner` — failure-free runs through the fault
-  pipeline (bit-identical to the plain runner when fault-free), the
-  deterministic parallel fan-out, and per-fault-window QoS segmentation.
+  scenario container, the engine that compiles a scenario onto the
+  discrete-event simulator (with telemetry + a queryable timeline), and
+  per-fault-window QoS segmentation.
+
+A scenario runs as data on the one simulated pipeline: set
+``SimulationConfig.scenario`` and :mod:`repro.sim.runner` (serial or
+fanned out, failure-free or crash runs) calls
+:meth:`FaultScenario.attach`, the one place the fault layer is wired;
+:meth:`repro.service.MonitorService.add_process` calls it too.  An empty
+scenario changes no draw: its runs are bit-identical to ``scenario=None``.
 """
 
 from repro.faults.links import FaultyLink, GilbertElliottLink
-from repro.faults.runner import (
-    FaultRunResult,
-    run_failure_free_with_faults,
-    run_fault_runs_parallel,
-    windowed_suspicion,
-)
 from repro.faults.scenario import (
     ClockJump,
     DelayRegime,
@@ -38,6 +37,7 @@ from repro.faults.scenario import (
     Reordering,
     ScenarioEngine,
     Stall,
+    windowed_suspicion,
 )
 
 __all__ = [
@@ -56,8 +56,5 @@ __all__ = [
     "FaultTimeline",
     "FaultWindow",
     "ScenarioEngine",
-    "FaultRunResult",
-    "run_failure_free_with_faults",
-    "run_fault_runs_parallel",
     "windowed_suspicion",
 ]

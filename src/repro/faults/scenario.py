@@ -26,7 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.errors import InvalidParameterError
+from repro.faults.links import FaultyLink
+from repro.metrics.transitions import SUSPECT, OutputTrace
 from repro.net.clocks import Clock, FaultableClock
 from repro.net.delays import DelayDistribution
 from repro.sim.engine import Simulator
@@ -46,6 +50,7 @@ __all__ = [
     "FaultTimeline",
     "FaultScenario",
     "ScenarioEngine",
+    "windowed_suspicion",
 ]
 
 _CLOCK_TARGETS = ("sender", "monitor")
@@ -250,6 +255,32 @@ class FaultWindow:
         return self.start <= time < self.end
 
 
+def windowed_suspicion(
+    trace: OutputTrace, windows: Sequence[FaultWindow]
+) -> list:
+    """Fraction of each window's span the detector spent suspecting.
+
+    This is the per-fault-window QoS segmentation: ``1 − P_A``
+    restricted to the window (instant windows report the output *at*
+    that instant: 1.0 for S, 0.0 for T).  Returns ``(window, fraction)``
+    pairs in timeline order.
+    """
+    out = []
+    for window in windows:
+        if window.duration == 0.0:
+            frac = 1.0 if trace.output_at(window.start) == SUSPECT else 0.0
+            out.append((window, frac))
+            continue
+        start = max(window.start, trace.start_time)
+        end = min(window.end, trace.end_time)
+        if end <= start:
+            out.append((window, float("nan")))
+            continue
+        suspected = trace.time_in_output(SUSPECT, start, end)
+        out.append((window, suspected / (end - start)))
+    return out
+
+
 class FaultTimeline:
     """The windows a scenario activated, for post-hoc QoS segmentation."""
 
@@ -350,6 +381,50 @@ class FaultScenario:
 
         return gate
 
+    def attach(
+        self,
+        sim: Simulator,
+        link,
+        fault_rng: np.random.Generator,
+        sender_clock: Optional[Clock],
+        monitor_clock: Optional[Clock],
+        label: Optional[str],
+    ) -> tuple:
+        """Put this scenario on one sender → link → detector pipeline.
+
+        The one place the fault layer is wired (:mod:`repro.sim.runner`
+        and :meth:`~repro.service.MonitorService.add_process` call it
+        before building the host and sender): the link is wrapped in a
+        :class:`~repro.faults.links.FaultyLink` drawing from
+        ``fault_rng``, a ``None`` clock the scenario re-programs becomes
+        a :class:`FaultableClock`, and a :class:`ScenarioEngine`
+        (telemetry ``label``, ``None`` for the scenario's name) is
+        installed on ``sim``.  Returns
+        ``(link, sender_clock, monitor_clock, send_gate, engine)``.
+        """
+        link = FaultyLink(link, fault_rng)
+        sender_clock = self._resolve_clock(sender_clock, "sender")
+        monitor_clock = self._resolve_clock(monitor_clock, "monitor")
+        engine = ScenarioEngine(
+            sim,
+            self,
+            link,
+            sender_clock=sender_clock,
+            monitor_clock=monitor_clock,
+            label=label,
+        )
+        engine.install()
+        return link, sender_clock, monitor_clock, self.send_gate(), engine
+
+    def _resolve_clock(
+        self, configured: Optional[Clock], target: str
+    ) -> Optional[Clock]:
+        """``configured``, or a fresh :class:`FaultableClock` for ``None``
+        when the scenario scripts faults for ``target``."""
+        if configured is None and self.needs_faultable_clock(target):
+            return FaultableClock()
+        return configured
+
 
 class ScenarioEngine:
     """Compiles one scenario onto a simulator and a fault pipeline.
@@ -396,10 +471,6 @@ class ScenarioEngine:
                         f"clock faults but the {target} clock is "
                         f"{type(clock).__name__}; pass a FaultableClock"
                     )
-
-    @property
-    def scenario(self) -> FaultScenario:
-        return self._scenario
 
     def _emit(self, kind: str, delta: int) -> None:
         registry = _telemetry_active()

@@ -13,8 +13,7 @@ derives that end-to-end behaviour from a hop-by-hop network description:
   paper's design: you can configure a certified detector over a path
   you only know hop-by-hop, without ever computing the composite delay
   law.)  For the exact Section 4 route, :class:`PathDelay` supports
-  sampling, and :meth:`PathDelay.to_empirical` materializes a sampled
-  empirical CDF.
+  sampling and a Monte-Carlo CDF.
 
 Topologies are :mod:`networkx` graphs whose edges carry ``delay``
 (a :class:`~repro.net.delays.DelayDistribution`) and ``loss``
@@ -29,7 +28,7 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import InvalidParameterError
-from repro.net.delays import DelayDistribution, EmpiricalDelay
+from repro.net.delays import DelayDistribution
 
 __all__ = ["PathDelay", "compose_path", "end_to_end_behavior"]
 
@@ -93,26 +92,6 @@ class PathDelay(DelayDistribution):
         xa = np.asarray(x, dtype=float)
         out = np.searchsorted(s, xa, side="right") / s.size
         return float(out) if np.ndim(x) == 0 else out
-
-    def to_empirical(
-        self, n: int = 100_000, seed: Optional[int] = None
-    ) -> EmpiricalDelay:
-        """Materialize a sampled empirical distribution of the path delay.
-
-        The draws come from the namespaced ``STREAM_PATH_EMPIRICAL``
-        stream (keyed by ``seed``, defaulting to the path's own seed),
-        never from the raw seed the cached-CDF sample uses — reusing
-        ``self._seed`` directly would replay the exact generator stream
-        behind :meth:`cdf`, making the "fresh" materialization perfectly
-        correlated with the cached sample instead of independent of it.
-        """
-        # Imported lazily: repro.net must stay importable on its own.
-        from repro.sim.seeds import STREAM_PATH_EMPIRICAL, derive_rng
-
-        rng = derive_rng(
-            self._seed if seed is None else seed, STREAM_PATH_EMPIRICAL
-        )
-        return EmpiricalDelay(self.sample(rng, n))
 
 
 def compose_path(

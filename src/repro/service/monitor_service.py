@@ -35,6 +35,7 @@ from repro.service.soa import (
 from repro.sim.engine import Simulator, SimWheelScheduler
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
+from repro.sim.seeds import STREAM_FAULTS
 
 __all__ = ["MonitoredProcess", "MonitorService"]
 
@@ -182,8 +183,10 @@ class MonitorService:
         constructed from a seeded generator for reproducible runs.
 
         ``scenario`` (a :class:`repro.faults.FaultScenario`) scripts
-        faults onto this process's pipeline only: the link is wrapped in
-        a :class:`repro.faults.FaultyLink` whose fault draws come from a
+        faults onto this process's pipeline only, through
+        :meth:`~repro.faults.FaultScenario.attach` (as the simulated
+        runner does): the link is wrapped in a
+        :class:`repro.faults.FaultyLink` whose fault draws come from a
         per-(process, incarnation) ``STREAM_FAULTS`` stream, clocks are
         auto-upgraded to :class:`~repro.net.clocks.FaultableClock` where
         the scenario needs them, and the engine's timeline is available
@@ -211,22 +214,19 @@ class MonitorService:
             link = LossyLink(
                 delay=delay, loss_probability=loss_probability, rng=rng
             )
-        engine = None
+        send_gate = engine = None
         if scenario is not None:
-            # Imported lazily: repro.faults sits above the service layer.
-            from repro.faults.links import FaultyLink
-            from repro.faults.runner import _resolve_clock
-            from repro.faults.scenario import ScenarioEngine
-            from repro.sim.seeds import STREAM_FAULTS
-
             fault_rng = np.random.default_rng(
                 np.random.SeedSequence(
                     [self._seed, name_key, incarnation, STREAM_FAULTS]
                 )
             )
-            link = FaultyLink(link, fault_rng)
-            sender_clock = _resolve_clock(sender_clock, scenario, "sender")
-            monitor_clock = _resolve_clock(monitor_clock, scenario, "monitor")
+            link, sender_clock, monitor_clock, send_gate, engine = (
+                scenario.attach(
+                    self._sim, link, fault_rng, sender_clock, monitor_clock,
+                    f"{name}#{incarnation}",
+                )
+            )
         # The incarnation travels with a transition so it can be
         # attributed to (or muted for) exactly the pipeline that made it.
         if supports_detector(detector):
@@ -260,18 +260,8 @@ class MonitorService:
             clock=sender_clock,
             first_seq=first_seq,
             origin=first_seq * eta,
-            send_gate=scenario.send_gate() if scenario is not None else None,
+            send_gate=send_gate,
         )
-        if scenario is not None and len(scenario):
-            engine = ScenarioEngine(
-                self._sim,
-                scenario,
-                link,
-                sender_clock=sender_clock,
-                monitor_clock=monitor_clock,
-                label=f"{name}#{incarnation}",
-            )
-            engine.install()
         proc = MonitoredProcess(
             name=name, sender=sender, host=host, link=link,
             incarnation=incarnation, scenario_engine=engine,

@@ -5,14 +5,15 @@
   heartbeats, optional crash);
 * :mod:`repro.sim.monitor` — the monitoring process *q* hosting a failure
   detector and recording its output trace;
-* :mod:`repro.sim.runner` — end-to-end experiment wiring (failure-free
-  accuracy runs and crash detection-time runs);
+* :mod:`repro.sim.runner` — the one simulated pipeline (failure-free
+  accuracy runs and crash detection-time runs, serial or fanned out,
+  with an optional fault scenario on the config);
 * :mod:`repro.sim.fastsim` — vectorized NumPy simulators for
   benchmark-scale statistics (hundreds of millions of heartbeats);
 * :mod:`repro.sim.seeds` — namespaced, collision-free RNG stream
   derivation shared by the serial and parallel paths;
-* :mod:`repro.sim.parallel` — a deterministic multiprocessing executor
-  whose results are bit-identical to serial for any job count;
+* :mod:`repro.sim.parallel` — the generic deterministic multiprocessing
+  executor, bit-identical to serial for any job count;
 * :mod:`repro.sim.batch` — the batched crash-run kernel, bit-identical
   to the serial runner for any batch size, and the accuracy-task unit of
   work.
@@ -33,17 +34,14 @@ from repro.sim.fastsim import (
 )
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
-from repro.sim.parallel import (
-    parallel_map,
-    run_crash_runs_parallel,
-    run_failure_free_parallel,
-)
+from repro.sim.parallel import parallel_map
 from repro.sim.runner import (
     CrashRunResult,
     FailureFreeResult,
     SimulationConfig,
     run_crash_runs,
     run_failure_free,
+    run_failure_free_parallel,
 )
 
 __all__ = [
@@ -62,7 +60,6 @@ __all__ = [
     "run_failure_free",
     "run_crash_runs",
     "parallel_map",
-    "run_crash_runs_parallel",
     "run_failure_free_parallel",
     "AccuracyTask",
     "run_accuracy_task",

@@ -73,16 +73,13 @@ from repro.sim.fastsim import (
     simulate_nfdu_fast,
     simulate_sfd_fast,
 )
-from repro.sim.parallel import (
-    chunk_spans,
-    parallel_map,
-    run_crash_runs_parallel,
-)
+from repro.sim.parallel import chunk_spans, parallel_map
 from repro.sim.runner import (
     CrashRunResult,
     DetectorFactory,
     SimulationConfig,
     _prepare_crash_runs,
+    run_crash_runs,
 )
 from repro.sim.seeds import STREAM_CRASH_RUN, derive_rng
 from repro.telemetry.runtime import active as _telemetry_active
@@ -120,15 +117,18 @@ def crash_kernel_spec(
 ) -> Optional[CrashKernelSpec]:
     """Derive the batched-kernel recipe for a factory, or ``None``.
 
-    The kernel covers the library's four detectors under perfect clocks
-    with the paper's sequence numbering (``first_seq = 1``) and a fresh
-    probe instance.  Exact types only: a subclass may override behaviour
+    The kernel covers the library's four detectors under perfect clocks,
+    on the config's own i.i.d. link (no ``link_factory``, no fault
+    ``scenario``), with the paper's sequence numbering (``first_seq =
+    1``) and a fresh probe instance.  Exact types only: a subclass may override behaviour
     the closed forms do not model.  For NFD-U the ``expected_arrival``
     callable must be pure and identical across factory invocations (it
     is tabulated once per batch); NFD-E — whose estimator state the
     kernel models explicitly — is matched before its NFD-U base.
     Anything unrecognized falls back to the event-driven path.
     """
+    if config.link_factory is not None or config.scenario is not None:
+        return None
     for clock in (config.sender_clock, config.monitor_clock):
         if clock is not None and type(clock) is not PerfectClock:
             return None
@@ -586,9 +586,10 @@ def run_crash_runs_batched(
     ``(batch_size, jobs)`` combination.
 
     When no closed-form kernel applies — unknown detector type,
-    non-perfect clocks, or ``keep_traces=True`` (the kernel never builds
-    traces) — this transparently falls back to
-    :func:`repro.sim.parallel.run_crash_runs_parallel`.
+    non-perfect clocks, a ``link_factory`` or fault ``scenario`` on the
+    config, or ``keep_traces=True`` (the kernel never builds traces) —
+    this transparently falls back to
+    :func:`repro.sim.runner.run_crash_runs` with the same ``jobs``.
     """
     if batch_size < 1:
         raise InvalidParameterError(
@@ -598,13 +599,13 @@ def run_crash_runs_batched(
         None if keep_traces else crash_kernel_spec(detector_factory, config)
     )
     if spec is None:
-        return run_crash_runs_parallel(
+        return run_crash_runs(
             detector_factory,
             config,
             n_runs,
-            jobs=jobs,
             settle_time=settle_time,
             keep_traces=keep_traces,
+            jobs=jobs,
         )
     crash_times, settle = _prepare_crash_runs(config, n_runs, None, settle_time)
     sends = _send_schedule(config.eta, float(crash_times.max()))

@@ -23,6 +23,11 @@ fan-out while keeping that guarantee, for any job count and any chunking:
   the parent records the timings in the ``parallel_*`` telemetry series
   (``--telemetry-out``).  ``tests/sim/test_parallel.py`` asserts the
   bit-identity contract.
+
+The executor is generic: it knows nothing of what it runs.
+:mod:`repro.sim.runner` (crash and failure-free runs, ``jobs=``),
+:mod:`repro.sim.batch` and the experiment sweeps hand it per-item
+callables.
 """
 
 from __future__ import annotations
@@ -33,26 +38,13 @@ import os
 import time
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import InvalidParameterError
 from repro.telemetry.runtime import active as _telemetry_active
-from repro.sim.runner import (
-    CrashRunResult,
-    DetectorFactory,
-    FailureFreeResult,
-    SimulationConfig,
-    _prepare_crash_runs,
-    _run_single_crash,
-    run_failure_free,
-)
 
 __all__ = [
     "resolve_jobs",
     "chunk_spans",
     "parallel_map",
-    "run_crash_runs_parallel",
-    "run_failure_free_parallel",
 ]
 
 
@@ -173,7 +165,7 @@ def _execute(
 
 
 # --------------------------------------------------------------------- #
-# Public fan-out APIs
+# Public fan-out API
 # --------------------------------------------------------------------- #
 
 
@@ -198,60 +190,3 @@ def parallel_map(
         return fn(items[i])
 
     return _execute(item_fn, len(items), jobs, chunk_size)
-
-
-def run_crash_runs_parallel(
-    detector_factory: DetectorFactory,
-    config: SimulationConfig,
-    n_runs: int,
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    settle_time: Optional[float] = None,
-    keep_traces: bool = False,
-) -> CrashRunResult:
-    """Fan :func:`repro.sim.runner.run_crash_runs` out over workers.
-
-    Bit-identical to the serial function for the same config and seed:
-    crash times come from one namespaced draw in the parent, and run
-    *i*'s stream is keyed by ``i`` — so scheduling cannot change any
-    result.  ``jobs=1`` runs in-process (no pool).
-    """
-    crash_times, settle = _prepare_crash_runs(config, n_runs, None, settle_time)
-
-    def item_fn(i: int):
-        return _run_single_crash(
-            detector_factory,
-            config,
-            i,
-            float(crash_times[i]),
-            settle,
-            keep_traces,
-        )
-
-    outs = _execute(item_fn, n_runs, jobs, chunk_size)
-    detections = np.fromiter(
-        (d for d, _ in outs), dtype=float, count=n_runs
-    )
-    traces = [t for _, t in outs] if keep_traces else []
-    return CrashRunResult(
-        detection_times=detections, crash_times=crash_times, traces=traces
-    )
-
-
-def run_failure_free_parallel(
-    detector_factory: DetectorFactory,
-    config: SimulationConfig,
-    n_runs: int,
-    jobs: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-) -> List[FailureFreeResult]:
-    """Run ``n_runs`` failure-free runs (indices ``0..n_runs-1``) fanned
-    out over workers; returns the :class:`FailureFreeResult` list in run
-    order, bit-identical to calling :func:`run_failure_free` serially."""
-    if n_runs < 1:
-        raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
-
-    def item_fn(i: int) -> FailureFreeResult:
-        return run_failure_free(detector_factory, config, run_index=i)
-
-    return _execute(item_fn, n_runs, jobs, chunk_size)

@@ -1,19 +1,24 @@
-"""End-to-end experiment wiring on the discrete-event simulator.
+"""The one place the simulated pipeline of §7 — sender → lossy link →
+detector — is built and run.  Two run shapes cover the evaluation:
 
-Two run shapes cover the paper's evaluation:
-
-* **failure-free runs** (:func:`run_failure_free`) — p never crashes;
-  these produce the accuracy metrics (``T_MR``, ``T_M``, ``T_G``, ``P_A``,
-  ``λ_M``, ``T_FG``), which the paper defines over failure-free runs;
+* **failure-free runs** (:func:`run_failure_free`,
+  :func:`run_failure_free_parallel`) — p never crashes; these produce
+  the accuracy metrics (``T_MR``, ``T_M``, ``T_G``, ``P_A``, ``λ_M``,
+  ``T_FG``), which the paper defines over failure-free runs;
 * **crash runs** (:func:`run_crash_runs`) — p crashes at a (randomized)
   time; these measure the detection time ``T_D``.
+
+The clocks, a ``link_factory`` transport and a fault ``scenario``
+(:mod:`repro.faults`) are data on :class:`SimulationConfig`.  A run's
+randomness is keyed by its index (:mod:`repro.sim.seeds`), so ``jobs``
+spreads runs over workers (:mod:`repro.sim.parallel`) bit-identically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,16 +30,18 @@ from repro.metrics.qos import (
     estimate_accuracy,
 )
 from repro.metrics.transitions import OutputTrace
-from repro.net.clocks import Clock, PerfectClock
+from repro.net.clocks import Clock
 from repro.net.delays import DelayDistribution
 from repro.net.link import LossyLink
 from repro.sim.engine import Simulator
 from repro.sim.heartbeat import HeartbeatSender
 from repro.sim.monitor import DetectorHost
+from repro.sim.parallel import _execute
 from repro.sim.seeds import (
     STREAM_CRASH_RUN,
     STREAM_CRASH_TIMES,
     STREAM_FAILURE_FREE,
+    STREAM_FAULTS,
     derive_rng,
 )
 
@@ -43,6 +50,7 @@ __all__ = [
     "FailureFreeResult",
     "CrashRunResult",
     "run_failure_free",
+    "run_failure_free_parallel",
     "run_crash_runs",
 ]
 
@@ -71,6 +79,9 @@ class SimulationConfig:
             ``delay``/``loss_probability`` then describe the *intended*
             single-link abstraction (used by analyses and tables), not
             the constructed transport.
+        scenario: optional :class:`repro.faults.FaultScenario` put on
+            every run by its ``attach``, fault draws from the run's own
+            ``STREAM_FAULTS`` stream; an empty one changes no run.
     """
 
     eta: float
@@ -82,6 +93,7 @@ class SimulationConfig:
     sender_clock: Optional[Clock] = None
     monitor_clock: Optional[Clock] = None
     link_factory: Optional[Callable[[np.random.Generator], object]] = None
+    scenario: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.eta <= 0:
@@ -98,12 +110,21 @@ class SimulationConfig:
 
 @dataclass
 class FailureFreeResult:
-    """Outcome of one failure-free (accuracy) run."""
+    """Outcome of one failure-free (accuracy) run.
+
+    The last four fields report the config's fault scenario: the
+    windows it activated and the fault layer's counters (``()`` and 0
+    when no scenario is set).
+    """
 
     trace: OutputTrace
     accuracy: AccuracyEstimate
     heartbeats_sent: int
     heartbeats_delivered: int
+    fault_windows: Tuple
+    partition_dropped: int
+    duplicated: int
+    reordered: int
 
     @property
     def empirical_loss_rate(self) -> float:
@@ -150,12 +171,20 @@ class CrashRunResult:
         return float(np.mean(detected)) if detected.size else math.nan
 
 
-def _build(
+def _run(
+    detector_factory: DetectorFactory,
     config: SimulationConfig,
-    detector: HeartbeatFailureDetector,
-    rng: np.random.Generator,
+    stream: int,
+    run_index: int,
     crash_time: Optional[float],
+    until: float,
 ):
+    """Build one pipeline and run it to ``until``; returns ``(trace,
+    sender, host, link, engine)`` (``engine``: the scenario's, or
+    ``None``).  Its streams are keyed by ``run_index`` alone, so any
+    worker computes the same run."""
+    rng = derive_rng(config.seed, stream, run_index)
+    detector = detector_factory()
     sim = Simulator()
     if config.link_factory is not None:
         link = config.link_factory(rng)
@@ -165,16 +194,29 @@ def _build(
             loss_probability=config.loss_probability,
             rng=rng,
         )
-    host = DetectorHost(sim, detector, clock=config.monitor_clock)
+    sender_clock, monitor_clock = config.sender_clock, config.monitor_clock
+    send_gate = engine = None
+    if config.scenario is not None:
+        fault_rng = derive_rng(config.seed, STREAM_FAULTS, run_index)
+        link, sender_clock, monitor_clock, send_gate, engine = (
+            config.scenario.attach(
+                sim, link, fault_rng, sender_clock, monitor_clock, None
+            )
+        )
+    host = DetectorHost(sim, detector, clock=monitor_clock)
     sender = HeartbeatSender(
         sim,
         link,
         eta=config.eta,
         deliver=host.deliver,
-        clock=config.sender_clock,
+        clock=sender_clock,
         crash_time=crash_time,
+        send_gate=send_gate,
     )
-    return sim, host, sender
+    host.start()
+    sender.start()
+    sim.run_until(until)
+    return host.finish(), sender, host, link, engine
 
 
 def run_failure_free(
@@ -183,19 +225,47 @@ def run_failure_free(
     run_index: int = 0,
 ) -> FailureFreeResult:
     """Run one failure-free simulation and estimate the accuracy metrics."""
-    rng = derive_rng(config.seed, STREAM_FAILURE_FREE, run_index)
-    detector = detector_factory()
-    sim, host, sender = _build(config, detector, rng, crash_time=None)
-    host.start()
-    sender.start()
-    sim.run_until(config.horizon)
-    trace = host.finish()
-    accuracy = estimate_accuracy(trace, warmup=config.warmup)
+    trace, sender, host, link, engine = _run(
+        detector_factory, config, STREAM_FAILURE_FREE, run_index, None,
+        config.horizon,
+    )
+    faults = (
+        ((), 0, 0, 0)
+        if engine is None
+        else (
+            engine.timeline.windows,
+            link.partition_dropped,
+            link.duplicated,
+            link.reordered,
+        )
+    )
     return FailureFreeResult(
-        trace=trace,
-        accuracy=accuracy,
-        heartbeats_sent=sender.sent_count,
-        heartbeats_delivered=host.delivered_count,
+        trace,
+        estimate_accuracy(trace, warmup=config.warmup),
+        sender.sent_count,
+        host.delivered_count,
+        *faults,
+    )
+
+
+def run_failure_free_parallel(
+    detector_factory: DetectorFactory,
+    config: SimulationConfig,
+    n_runs: int,
+    jobs: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+) -> List[FailureFreeResult]:
+    """Run ``n_runs`` failure-free runs (indices ``0..n_runs-1``) fanned
+    out over ``jobs`` workers; returns the :class:`FailureFreeResult`
+    list in run order, bit-identical to calling
+    :func:`run_failure_free` serially."""
+    if n_runs < 1:
+        raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
+    return _execute(
+        lambda i: run_failure_free(detector_factory, config, run_index=i),
+        n_runs,
+        jobs,
+        chunk_size,
     )
 
 
@@ -207,9 +277,9 @@ def _prepare_crash_runs(
 ):
     """Validate inputs and draw the crash-time vector for a batch.
 
-    Shared by the serial path below and :mod:`repro.sim.parallel`: the
-    crash times are drawn *once*, from their own namespaced stream, so
-    they are identical however the runs are later distributed.
+    Shared with :mod:`repro.sim.batch`: the crash times are drawn
+    *once*, from their own namespaced stream, so they are identical
+    however the runs are later distributed.
     """
     if n_runs < 1:
         raise InvalidParameterError(f"n_runs must be >= 1, got {n_runs}")
@@ -233,29 +303,6 @@ def _prepare_crash_runs(
     return crash_times, settle
 
 
-def _run_single_crash(
-    detector_factory: DetectorFactory,
-    config: SimulationConfig,
-    run_index: int,
-    crash_time: float,
-    settle: float,
-    keep_trace: bool,
-):
-    """One crash run; returns ``(detection_time, trace_or_None)``.
-
-    The run's stream is keyed by its absolute index, so the result is
-    the same whether it executes serially or on any parallel worker.
-    """
-    rng = derive_rng(config.seed, STREAM_CRASH_RUN, run_index)
-    detector = detector_factory()
-    sim, host, sender = _build(config, detector, rng, crash_time=crash_time)
-    host.start()
-    sender.start()
-    sim.run_until(crash_time + settle)
-    trace = host.finish()
-    return detection_time(trace, crash_time), (trace if keep_trace else None)
-
-
 def run_crash_runs(
     detector_factory: DetectorFactory,
     config: SimulationConfig,
@@ -263,6 +310,8 @@ def run_crash_runs(
     crash_window: Optional[tuple] = None,
     settle_time: Optional[float] = None,
     keep_traces: bool = False,
+    jobs: Optional[int] = 1,
+    chunk_size: Optional[int] = None,
 ) -> CrashRunResult:
     """Run ``n_runs`` crash simulations and measure detection times.
 
@@ -277,29 +326,30 @@ def run_crash_runs(
             output can become permanently ``S``; defaults to
             ``config.horizon``.
         keep_traces: keep the full per-run traces (memory-heavy).
+        jobs / chunk_size: worker processes (``None``/``0`` = all
+            cores, 1 = in-process) and runs per chunk.  Crash times are
+            drawn once, here, and run *i*'s stream is keyed by *i*, so
+            neither changes any result.
 
     ``T_D`` per run is the time from the crash to the final S-transition,
-    ``inf`` if the detector still trusts p at the end of the run.  For a
-    fan-out over worker processes with bit-identical results, see
-    :func:`repro.sim.parallel.run_crash_runs_parallel`.
+    ``inf`` if the detector still trusts p at the end of the run.
     """
     crash_times, settle = _prepare_crash_runs(
         config, n_runs, crash_window, settle_time
     )
-    detections = np.empty(n_runs, dtype=float)
-    traces = []
-    for i in range(n_runs):
-        detection, trace = _run_single_crash(
-            detector_factory,
-            config,
-            i,
-            float(crash_times[i]),
-            settle,
-            keep_traces,
-        )
-        detections[i] = detection
-        if keep_traces:
-            traces.append(trace)
+
+    def one_run(i: int):
+        crash = float(crash_times[i])
+        trace = _run(
+            detector_factory, config, STREAM_CRASH_RUN, i, crash, crash + settle
+        )[0]
+        return detection_time(trace, crash), trace if keep_traces else None
+
+    outs = _execute(one_run, n_runs, jobs, chunk_size)
     return CrashRunResult(
-        detection_times=detections, crash_times=crash_times, traces=traces
+        detection_times=np.fromiter(
+            (d for d, _ in outs), dtype=float, count=n_runs
+        ),
+        crash_times=crash_times,
+        traces=[t for _, t in outs] if keep_traces else [],
     )

@@ -42,7 +42,6 @@ __all__ = [
     "STREAM_FASTSIM",
     "STREAM_FAULTS",
     "STREAM_LIVE",
-    "STREAM_PATH_EMPIRICAL",
     "STREAM_WAN_CONGESTION",
     "stream_key",
     "seed_sequence",
@@ -58,7 +57,6 @@ STREAM_CRASH_TIMES = 0xC4A54  # the one-shot crash-time vector draw
 STREAM_FASTSIM = 0xFA57  # vectorized simulators, by sweep-point index
 STREAM_FAULTS = 0xFA17  # fault-injection draws (dup/reorder), by run index
 STREAM_LIVE = 0x11FE  # live-runtime loopback links, by peer index
-STREAM_PATH_EMPIRICAL = 0x7CDF  # PathDelay.to_empirical draws, by path seed
 STREAM_WAN_CONGESTION = 0xC09E  # WAN latent congestion episodes, by run index
 
 

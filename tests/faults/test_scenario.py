@@ -22,20 +22,24 @@ from repro.faults import (
     Reordering,
     ScenarioEngine,
     Stall,
-    run_failure_free_with_faults,
-    run_fault_runs_parallel,
     windowed_suspicion,
 )
 from repro.metrics.transitions import SUSPECT
 from repro.net.delays import ExponentialDelay
-from repro.sim.runner import SimulationConfig, run_failure_free
+from repro.sim.batch import run_crash_runs_batched
+from repro.sim.runner import (
+    SimulationConfig,
+    run_crash_runs,
+    run_failure_free,
+    run_failure_free_parallel,
+)
 from repro.telemetry import runtime
 
 ETA = 1.0
 DELTA = 0.6
 
 
-def config(horizon=400.0, seed=11, loss=0.05):
+def config(horizon=400.0, seed=11, loss=0.05, scenario=None):
     return SimulationConfig(
         eta=ETA,
         delay=ExponentialDelay(0.02),
@@ -43,6 +47,7 @@ def config(horizon=400.0, seed=11, loss=0.05):
         horizon=horizon,
         warmup=DELTA + ETA,
         seed=seed,
+        scenario=scenario,
     )
 
 
@@ -71,28 +76,35 @@ def trace_fingerprint(result):
 
 class TestFaultFreePassthrough:
     def test_none_scenario_bit_identical_to_plain_runner(self):
-        cfg = config()
-        plain = run_failure_free(nfds, cfg, run_index=2)
-        for scenario in (None, FaultScenario(())):
-            faulted = run_failure_free_with_faults(
-                nfds, cfg, scenario=scenario, run_index=2
+        """An empty scenario wraps the link and installs an engine but
+        changes no draw: the one runner gives the ``scenario=None`` run."""
+        plain = run_failure_free(nfds, config(), run_index=2)
+        empty = run_failure_free(
+            nfds, config(scenario=FaultScenario(())), run_index=2
+        )
+        assert empty.heartbeats_sent == plain.heartbeats_sent
+        assert empty.heartbeats_delivered == plain.heartbeats_delivered
+        assert trace_fingerprint(empty) == trace_fingerprint(plain)
+        assert np.array_equal(
+            empty.accuracy.tmr_samples, plain.accuracy.tmr_samples
+        )
+        assert np.array_equal(
+            empty.accuracy.tm_samples, plain.accuracy.tm_samples
+        )
+        assert empty.accuracy.query_accuracy == plain.accuracy.query_accuracy
+        for result in (plain, empty):
+            assert result.fault_windows == ()
+            assert result.partition_dropped == 0
+            assert result.duplicated == result.reordered == 0
+        crashes = [
+            run_crash_runs(
+                nfds, config(scenario=scenario), n_runs=4, settle_time=10.0
             )
-            assert faulted.heartbeats_sent == plain.heartbeats_sent
-            assert faulted.heartbeats_delivered == plain.heartbeats_delivered
-            assert trace_fingerprint(faulted) == [
-                (t.time, t.kind.new_output) for t in plain.trace.transitions
-            ]
-            assert np.array_equal(
-                faulted.accuracy.tmr_samples, plain.accuracy.tmr_samples
-            )
-            assert np.array_equal(
-                faulted.accuracy.tm_samples, plain.accuracy.tm_samples
-            )
-            assert (
-                faulted.accuracy.query_accuracy
-                == plain.accuracy.query_accuracy
-            )
-            assert faulted.fault_windows == ()
+            for scenario in (None, FaultScenario(()))
+        ]
+        assert np.array_equal(
+            crashes[0].detection_times, crashes[1].detection_times
+        )
 
 
 class TestDeterminism:
@@ -106,8 +118,8 @@ class TestDeterminism:
         canonical = FaultScenario(EVENTS)
         permuted = FaultScenario([EVENTS[i] for i in order])
         assert permuted.events == canonical.events
-        a = run_failure_free_with_faults(nfds, config(), scenario=canonical)
-        b = run_failure_free_with_faults(nfds, config(), scenario=permuted)
+        a = run_failure_free(nfds, config(scenario=canonical))
+        b = run_failure_free(nfds, config(scenario=permuted))
         assert trace_fingerprint(a) == trace_fingerprint(b)
         assert a.duplicated == b.duplicated
         assert a.reordered == b.reordered
@@ -115,8 +127,8 @@ class TestDeterminism:
 
     def test_replay_is_bit_identical(self):
         scenario = FaultScenario(EVENTS)
-        a = run_failure_free_with_faults(nfds, config(), scenario=scenario)
-        b = run_failure_free_with_faults(nfds, config(), scenario=scenario)
+        a = run_failure_free(nfds, config(scenario=scenario))
+        b = run_failure_free(nfds, config(scenario=scenario))
         assert trace_fingerprint(a) == trace_fingerprint(b)
         assert np.array_equal(
             a.accuracy.tmr_samples, b.accuracy.tmr_samples
@@ -124,11 +136,11 @@ class TestDeterminism:
 
     def test_parallel_fanout_matches_serial(self):
         scenario = FaultScenario(EVENTS)
-        serial = run_fault_runs_parallel(
-            nfds, config(), 5, scenario=scenario, jobs=1
+        serial = run_failure_free_parallel(
+            nfds, config(scenario=scenario), 5, jobs=1
         )
-        fanned = run_fault_runs_parallel(
-            nfds, config(), 5, scenario=scenario, jobs=3, chunk_size=1
+        fanned = run_failure_free_parallel(
+            nfds, config(scenario=scenario), 5, jobs=3, chunk_size=1
         )
         for a, b in zip(serial, fanned):
             assert trace_fingerprint(a) == trace_fingerprint(b)
@@ -147,8 +159,8 @@ class TestDeterminism:
                          lag=0.1)]
         )
         plain = run_failure_free(nfds, config(), run_index=0)
-        faulted = run_failure_free_with_faults(
-            nfds, config(), scenario=scenario, run_index=0
+        faulted = run_failure_free(
+            nfds, config(scenario=scenario), run_index=0
         )
         # Same number of heartbeats offered; extra deliveries are the
         # duplicates only.
@@ -163,9 +175,7 @@ class TestDeterminism:
 class TestBehaviour:
     def test_partition_forces_suspicion(self):
         scenario = FaultScenario([Partition(start=100.0, duration=20.0)])
-        result = run_failure_free_with_faults(
-            nfds, config(), scenario=scenario
-        )
+        result = run_failure_free(nfds, config(scenario=scenario))
         [(window, fraction)] = windowed_suspicion(
             result.trace, result.fault_windows
         )
@@ -175,11 +185,28 @@ class TestBehaviour:
         assert fraction >= (20.0 - DELTA - ETA) / 20.0 - 1e-9
         assert result.partition_dropped == 20
 
+    def test_crash_runs_honour_the_scenario(self):
+        """A scenario on the config reaches crash runs too: a partition
+        across the whole crash window has the detector suspecting when
+        the crash lands (``T_D`` clamps to 0), where the plain runs
+        detect after it; the batched entry point takes the event path."""
+        partition = FaultScenario([Partition(start=180.0, duration=30.0)])
+        cfg = config(scenario=partition)  # crashes in [200, 201)
+        plain = run_crash_runs(nfds, config(), n_runs=6, settle_time=10.0)
+        faulted = run_crash_runs(nfds, cfg, n_runs=6, settle_time=10.0)
+        assert np.array_equal(faulted.crash_times, plain.crash_times)
+        assert np.all(plain.detection_times > 0.0)
+        assert np.all(faulted.detection_times == 0.0)
+        batched = run_crash_runs_batched(
+            nfds, cfg, n_runs=6, batch_size=2, settle_time=10.0
+        )
+        assert np.array_equal(
+            batched.detection_times, faulted.detection_times
+        )
+
     def test_stall_longer_than_bound_causes_suspicion(self):
         scenario = FaultScenario([Stall(start=100.0, duration=6.0)])
-        result = run_failure_free_with_faults(
-            nfds, config(), scenario=scenario
-        )
+        result = run_failure_free(nfds, config(scenario=scenario))
         [(_, fraction)] = windowed_suspicion(
             result.trace, result.fault_windows
         )
@@ -195,14 +222,11 @@ class TestBehaviour:
         scenario = FaultScenario(
             [ClockJump(time=200.0, offset=-3.0, target="sender")]
         )
-        broken = run_failure_free_with_faults(
-            nfds, config(), scenario=scenario
-        )
+        broken = run_failure_free(nfds, config(scenario=scenario))
         assert broken.trace.output_at(390.0) == SUSPECT
-        adaptive = run_failure_free_with_faults(
+        adaptive = run_failure_free(
             lambda: NFDE(eta=ETA, alpha=DELTA - 0.02, window=32),
-            config(),
-            scenario=scenario,
+            config(scenario=scenario),
         )
         assert adaptive.trace.output_at(390.0) != SUSPECT
 
@@ -242,7 +266,7 @@ class TestBehaviour:
             [Partition(start=50.0, duration=10.0)], name="tele"
         )
         with runtime.enabled() as registry:
-            run_failure_free_with_faults(nfds, config(), scenario=scenario)
+            run_failure_free(nfds, config(scenario=scenario))
             snapshot = registry.snapshot()
         counters = snapshot["counters"]
         assert any(

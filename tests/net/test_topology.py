@@ -44,39 +44,6 @@ class TestPathDelay:
         expected = 1 - (b * np.exp(-x / b) - a * np.exp(-x / a)) / (b - a)
         assert float(path.cdf(x)) == pytest.approx(expected, abs=0.01)
 
-    def test_to_empirical(self):
-        emp = PathDelay([ExponentialDelay(0.02)]).to_empirical(n=5000)
-        assert emp.mean == pytest.approx(0.02, rel=0.1)
-
-    def test_to_empirical_independent_of_cached_cdf_stream(self):
-        """Regression: ``to_empirical(seed=None)`` used to re-seed the
-        exact generator stream behind the cached CDF sample, so the two
-        "independent" sample sets were bit-for-bit identical."""
-        n = 20_000
-        path = PathDelay(
-            [ExponentialDelay(0.02), ExponentialDelay(0.03)],
-            cdf_samples=n,
-            seed=7,
-        )
-        cached = np.sort(path._samples_for_cdf())
-        fresh = np.sort(path.to_empirical(n=n)._sorted)
-        # Pre-fix these arrays were equal elementwise (same RNG stream).
-        assert not np.array_equal(cached, fresh)
-        # ... while both still converge to the same law.
-        assert fresh.mean() == pytest.approx(path.mean, rel=0.05)
-        assert fresh.var() == pytest.approx(path.variance, rel=0.1)
-        grid = np.linspace(0.01, 0.2, 9)
-        emp_cdf = np.searchsorted(fresh, grid, side="right") / fresh.size
-        np.testing.assert_allclose(emp_cdf, path.cdf(grid), atol=0.02)
-
-    def test_to_empirical_explicit_seed_reproducible(self):
-        path = PathDelay([ExponentialDelay(0.02)])
-        a = path.to_empirical(n=2000, seed=3)
-        b = path.to_empirical(n=2000, seed=3)
-        c = path.to_empirical(n=2000, seed=4)
-        assert np.array_equal(a._sorted, b._sorted)
-        assert not np.array_equal(a._sorted, c._sorted)
-
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             PathDelay([])

@@ -12,8 +12,11 @@ from repro.net.link import LossyLink
 from repro.net.wan import RoutedWanLink, WanNetwork, WanTopology
 from repro.service import MonitorService
 from repro.sim.engine import Simulator
-from repro.sim.parallel import run_failure_free_parallel
-from repro.sim.runner import SimulationConfig, run_failure_free
+from repro.sim.runner import (
+    SimulationConfig,
+    run_failure_free,
+    run_failure_free_parallel,
+)
 
 
 def wan_link_factory(horizon=4000.0):
@@ -74,14 +77,11 @@ class TestRunnerLinkFactory:
     def test_parallel_matches_serial_with_factory(self):
         factory, composite, loss = wan_link_factory()
         config = self.config(factory, composite, loss, horizon=400.0)
-        serial = [
-            run_failure_free(
-                lambda: NFDS(eta=1.0, delta=1.0), config, run_index=i
-            )
-            for i in range(3)
-        ]
+        serial = run_failure_free_parallel(
+            lambda: NFDS(eta=1.0, delta=1.0), config, 3, jobs=1
+        )
         fanned = run_failure_free_parallel(
-            lambda: NFDS(eta=1.0, delta=1.0), config, 3, jobs=2
+            lambda: NFDS(eta=1.0, delta=1.0), config, 3, jobs=2, chunk_size=1
         )
         for a, b in zip(serial, fanned):
             assert a.heartbeats_delivered == b.heartbeats_delivered

@@ -204,6 +204,29 @@ class TestCrashKernelSpec:
         )
         _assert_same_result(ref, got)
 
+    def test_link_factory_falls_back(self):
+        """The kernel replays the config's i.i.d. ``LossyLink`` fates; a
+        ``link_factory`` transport (here bursty Gilbert–Elliott loss) is
+        not that link, so the batch must take the event path."""
+        from repro.faults import GilbertElliottLink
+
+        config = _config(
+            seed=5,
+            loss_probability=0.3,
+            link_factory=lambda rng: GilbertElliottLink.from_average(
+                ExponentialDelay(0.02), 0.3, 8.0, rng=rng
+            ),
+        )
+        assert crash_kernel_spec(DETECTORS["nfds"], config) is None
+        ref = run_crash_runs(
+            DETECTORS["nfds"], config, n_runs=40, settle_time=40.0
+        )
+        got = run_crash_runs_batched(
+            DETECTORS["nfds"], config, n_runs=40, batch_size=8,
+            settle_time=40.0,
+        )
+        _assert_same_result(ref, got)
+
     def test_keep_traces_falls_back(self):
         got = run_crash_runs_batched(
             DETECTORS["nfds"],
@@ -237,11 +260,9 @@ class TestAccuracyTask:
 class TestBatchedExperiments:
     def test_detection_time_kernel_equals_event_driven(self, monkeypatch):
         from repro.experiments import detection_time
-        from repro.sim.parallel import run_crash_runs_parallel
-
         kernel = detection_time.run_detection_time(n_runs=12)
         monkeypatch.setattr(
-            detection_time, "run_crash_runs_batched", run_crash_runs_parallel
+            detection_time, "run_crash_runs_batched", run_crash_runs
         )
         serial = detection_time.run_detection_time(n_runs=12)
         assert serial.to_text() == kernel.to_text()

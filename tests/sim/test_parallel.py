@@ -24,10 +24,13 @@ from repro.sim.parallel import (
     default_chunk_size,
     parallel_map,
     resolve_jobs,
-    run_crash_runs_parallel,
+)
+from repro.sim.runner import (
+    SimulationConfig,
+    run_crash_runs,
+    run_failure_free,
     run_failure_free_parallel,
 )
-from repro.sim.runner import SimulationConfig, run_crash_runs, run_failure_free
 from repro.telemetry.runtime import enabled as telemetry_enabled
 from repro.sim.seeds import (
     STREAM_CRASH_RUN,
@@ -203,7 +206,7 @@ class TestCrashRunDeterminism:
         serial = run_crash_runs(_factory, config, n_runs=12)
         for jobs in (1, 4):
             for chunk_size in (None, 1, 5):
-                par = run_crash_runs_parallel(
+                par = run_crash_runs(
                     _factory,
                     config,
                     n_runs=12,
@@ -218,8 +221,8 @@ class TestCrashRunDeterminism:
     def test_traces_survive_the_fan_out(self):
         config = _config(seed=11)
         serial = run_crash_runs(_factory, config, n_runs=4, keep_traces=True)
-        par = run_crash_runs_parallel(
-            _factory, config, n_runs=4, jobs=4, chunk_size=1, keep_traces=True
+        par = run_crash_runs(
+            _factory, config, n_runs=4, keep_traces=True, jobs=4, chunk_size=1
         )
         assert len(par.traces) == 4
         for a, b in zip(par.traces, serial.traces):
@@ -230,7 +233,7 @@ class TestCrashRunDeterminism:
     def test_stats_report_the_fan_out(self):
         config = _config(seed=3)
         with telemetry_enabled() as reg:
-            result = run_crash_runs_parallel(
+            result = run_crash_runs(
                 _factory, config, n_runs=8, jobs=2, chunk_size=2
             )
         assert result.detection_times.size == 8

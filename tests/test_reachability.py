@@ -91,10 +91,6 @@ MEMBERS_ALLOWED = {
     "live.monitor.LiveMonitorService.remove_peer": (
         "the live service's only way to retire a peer"
     ),
-    "net.topology.PathDelay.to_empirical": (
-        "kept for now: three tier-1 tests pin it (the §4 configurator's "
-        "empirical view of a multi-hop path); goes with them"
-    ),
     "telemetry.registry.Welford.merge": (
         "kept for now: two tier-1 tests pin it; ROADMAP item 8's "
         "fork-gap registry merge is its consumer"
