@@ -9,13 +9,12 @@ Run from the repository root: ``PYTHONPATH=src python
 .github/scripts/wan_smoke.py``.
 """
 
+from repro.analysis.nfds_theory import within_theorem5_band
 from repro.experiments.wan_exp import (
     WanSettings, build_topology, route_config,
 )
 from repro.metrics.qos import pool_accuracy
-from repro.net.wan import (
-    detection_within_bound, predict_route, within_theorem5_band,
-)
+from repro.net.wan import detection_within_bound, predict_route
 from repro.sim.runner import run_crash_runs, run_failure_free
 
 s = WanSettings(horizon=1500.0, n_ff_runs=3, n_crash_runs=10)
@@ -27,7 +26,7 @@ pooled = pool_accuracy(
      for i in range(s.n_ff_runs)]
 )
 assert within_theorem5_band(
-    pred, pooled.tmr_samples, pooled.tm_samples, level=s.ci_level
+    pred.prediction, pooled.tmr_samples, pooled.tm_samples, level=s.ci_level
 ), "relayed route fell outside the Theorem 5 band"
 crashes = run_crash_runs(
     s.detector_factory(), config, s.n_crash_runs,

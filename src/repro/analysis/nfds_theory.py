@@ -29,16 +29,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy import integrate
 
 from repro.errors import InvalidParameterError
+from repro.metrics.confidence import mean_ci
 from repro.metrics.relations import forward_good_period_mean
 from repro.net.delays import DelayDistribution
 
-__all__ = ["QoSPrediction", "NFDSAnalysis", "nfdu_analysis"]
+__all__ = [
+    "QoSPrediction",
+    "within_theorem5_band",
+    "NFDSAnalysis",
+    "nfdu_analysis",
+]
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -64,6 +70,31 @@ class QoSPrediction:
     q_0: float
     u_0: float
     k: int
+
+
+def within_theorem5_band(
+    prediction: QoSPrediction,
+    tmr_samples: Sequence[float],
+    tm_samples: Sequence[float],
+    level: float,
+) -> bool:
+    """Whether pooled simulation estimates are statistically consistent
+    with the closed-form prediction.
+
+    ``E(T_MR)``/``E(T_M)`` use t-intervals on the pooled i.i.d. samples
+    (Lemma 17).  ``P_A = 1 − E(T_M)/E(T_MR)`` has no per-sample
+    decomposition, so it is checked against the conservative interval
+    obtained by combining the two mean CIs end-to-end.
+    """
+    tmr_ci = mean_ci(tmr_samples, level=level)
+    tm_ci = mean_ci(tm_samples, level=level)
+    if not tmr_ci.contains(prediction.e_tmr):
+        return False
+    if not tm_ci.contains(prediction.e_tm):
+        return False
+    pa_low = 1.0 - tm_ci.high / tmr_ci.low
+    pa_high = 1.0 - tm_ci.low / tmr_ci.high
+    return pa_low <= prediction.query_accuracy <= pa_high
 
 
 class NFDSAnalysis:

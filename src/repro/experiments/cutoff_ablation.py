@@ -11,6 +11,7 @@ alongside as the reference.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.analysis.sfd_theory import SFDAnalysis
@@ -19,10 +20,7 @@ from repro.experiments.common import (
     ExperimentTable,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-)
+from repro.sim.fastsim import simulate_nfds_fast, simulate_sfd_fast
 from repro.sim.parallel import parallel_map
 
 __all__ = ["run_cutoff_ablation"]
@@ -66,38 +64,35 @@ def run_cutoff_ablation(
     )
     sweep = [c for c in cutoffs if c < tdu]
 
-    def task_for(c: Optional[float]) -> AccuracyTask:
-        common = dict(
-            loss_probability=p_l,
-            delay=delay,
-            target_mistakes=target_mistakes,
-            max_heartbeats=max_heartbeats,
+    common = dict(
+        eta=eta,
+        loss_probability=p_l,
+        delay=delay,
+        target_mistakes=target_mistakes,
+        max_heartbeats=max_heartbeats,
+    )
+    tasks = [
+        partial(
+            simulate_sfd_fast,
+            timeout=tdu - c,
+            cutoff=c,
+            seed=SEED,
+            warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
+            **common,
         )
-        if c is None:  # the NFD-S reference at equal rate and bound
-            return AccuracyTask(
-                "nfds",
-                dict(
-                    eta=eta,
-                    delta=tdu - eta,
-                    seed=SEED + 1,
-                    warmup=steady_state_warmup(eta, delta=tdu - eta),
-                    **common,
-                ),
-            )
-        return AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - c,
-                cutoff=c,
-                seed=SEED,
-                warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
-                **common,
-            ),
+        for c in sweep
+    ]
+    # The NFD-S reference at equal rate and bound.
+    tasks.append(
+        partial(
+            simulate_nfds_fast,
+            delta=tdu - eta,
+            seed=SEED + 1,
+            warmup=steady_state_warmup(eta, delta=tdu - eta),
+            **common,
         )
-
-    tasks = [task_for(c) for c in sweep + [None]]
-    results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
+    )
+    results = parallel_map(lambda task: task(), tasks, jobs=jobs)
     for c, r in zip(sweep, results):
         model = (
             SFDAnalysis(eta, tdu - c, p_l, delay, cutoff=c).e_tmr()

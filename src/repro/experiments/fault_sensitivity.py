@@ -22,7 +22,12 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.nfds_theory import NFDSAnalysis, QoSPrediction, nfdu_analysis
+from repro.analysis.nfds_theory import (
+    NFDSAnalysis,
+    QoSPrediction,
+    nfdu_analysis,
+    within_theorem5_band,
+)
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.simple import SimpleFD
@@ -38,7 +43,6 @@ from repro.faults import (
     Stall,
     windowed_suspicion,
 )
-from repro.metrics.confidence import mean_ci
 from repro.metrics.qos import pool_accuracy
 from repro.net.delays import ExponentialDelay
 from repro.sim.runner import (
@@ -139,26 +143,6 @@ class FaultSensitivitySettings:
         )
 
 
-def _prediction_in_cis(pooled, prediction: QoSPrediction, level: float) -> bool:
-    """Whether the analytic prediction is statistically consistent with
-    the pooled simulation estimates.
-
-    ``E(T_MR)``/``E(T_M)`` use t-intervals on the pooled i.i.d. samples
-    (Lemma 17).  ``P_A = 1 − E(T_M)/E(T_MR)`` has no per-sample
-    decomposition, so it is checked against the conservative interval
-    obtained by combining the two mean CIs end-to-end.
-    """
-    tmr_ci = mean_ci(pooled.tmr_samples, level=level)
-    tm_ci = mean_ci(pooled.tm_samples, level=level)
-    if not tmr_ci.contains(prediction.e_tmr):
-        return False
-    if not tm_ci.contains(prediction.e_tm):
-        return False
-    pa_low = 1.0 - tm_ci.high / tmr_ci.low
-    pa_high = 1.0 - tm_ci.low / tmr_ci.high
-    return pa_low <= prediction.query_accuracy <= pa_high
-
-
 def burst_sweep_table(
     burst_lengths: Sequence[float] = (2.0, 4.0, 8.0),
     horizon: float = 2500.0,
@@ -221,7 +205,12 @@ def burst_sweep_table(
                 if link_factory is None:
                     verdict = (
                         "pass"
-                        if _prediction_in_cis(pooled, prediction, ci_level)
+                        if within_theorem5_band(
+                            prediction,
+                            pooled.tmr_samples,
+                            pooled.tm_samples,
+                            ci_level,
+                        )
                         else "FAIL"
                     )
                 else:

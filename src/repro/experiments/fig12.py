@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.nfds_theory import NFDSAnalysis
 from repro.experiments.common import (
@@ -35,11 +36,12 @@ from repro.experiments.common import (
     Fig12Settings,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
+from repro.sim.fastsim import (
+    FastAccuracyResult,
+    simulate_nfde_fast,
+    simulate_nfds_fast,
+    simulate_sfd_fast,
 )
-from repro.sim.fastsim import FastAccuracyResult
 from repro.sim.parallel import parallel_map
 
 __all__ = [
@@ -71,111 +73,61 @@ def _fig12_tasks(
     target_mistakes: int,
     max_heartbeats: int,
     seed: int,
-) -> List[AccuracyTask]:
-    """The four accuracy tasks (nfds, nfde, sfd_l, sfd_s) of one point.
+) -> List[Callable[[], FastAccuracyResult]]:
+    """The four kernel calls (nfds, nfde, sfd_l, sfd_s) of one point.
 
-    Seeds are a pure function of ``(seed, idx)``, so tasks can be
+    Seeds are a pure function of ``(seed, idx)``, so the calls can be
     evaluated in any order, on any worker, with identical results.
     """
-    delay = settings.delay
     eta = settings.eta
-    p_l = settings.loss_probability
     delta = tdu - eta
     if delta < 0:
         raise ValueError(f"T_D^U={tdu} smaller than eta={eta}")
     alpha = tdu - settings.mean_delay - eta
     common = dict(
-        loss_probability=p_l,
-        delay=delay,
+        eta=eta,
+        loss_probability=settings.loss_probability,
+        delay=settings.delay,
         target_mistakes=target_mistakes,
         max_heartbeats=max_heartbeats,
     )
+
+    def sfd(cutoff: float, offset: int) -> Callable[[], FastAccuracyResult]:
+        return partial(
+            simulate_sfd_fast,
+            timeout=tdu - cutoff,
+            cutoff=cutoff,
+            seed=seed + 7 * idx + offset,
+            warmup=steady_state_warmup(
+                eta, timeout=tdu - cutoff, cutoff=cutoff
+            ),
+            **common,
+        )
+
     return [
-        AccuracyTask(
-            "nfds",
-            dict(
-                eta=eta,
-                delta=delta,
-                seed=seed + 7 * idx,
-                warmup=steady_state_warmup(eta, delta=delta),
-                **common,
-            ),
+        partial(
+            simulate_nfds_fast,
+            delta=delta,
+            seed=seed + 7 * idx,
+            warmup=steady_state_warmup(eta, delta=delta),
+            **common,
         ),
-        AccuracyTask(
-            "nfde",
-            dict(
-                eta=eta,
+        partial(
+            simulate_nfde_fast,
+            alpha=alpha,
+            window=settings.nfde_window,
+            seed=seed + 7 * idx + 1,
+            warmup=steady_state_warmup(
+                eta,
                 alpha=alpha,
+                mean_delay=settings.mean_delay,
                 window=settings.nfde_window,
-                seed=seed + 7 * idx + 1,
-                warmup=steady_state_warmup(
-                    eta,
-                    alpha=alpha,
-                    mean_delay=settings.mean_delay,
-                    window=settings.nfde_window,
-                ),
-                **common,
             ),
+            **common,
         ),
-        AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - settings.cutoff_large,
-                cutoff=settings.cutoff_large,
-                seed=seed + 7 * idx + 2,
-                warmup=steady_state_warmup(
-                    eta,
-                    timeout=tdu - settings.cutoff_large,
-                    cutoff=settings.cutoff_large,
-                ),
-                **common,
-            ),
-        ),
-        AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - settings.cutoff_small,
-                cutoff=settings.cutoff_small,
-                seed=seed + 7 * idx + 3,
-                warmup=steady_state_warmup(
-                    eta,
-                    timeout=tdu - settings.cutoff_small,
-                    cutoff=settings.cutoff_small,
-                ),
-                **common,
-            ),
-        ),
+        sfd(settings.cutoff_large, 2),
+        sfd(settings.cutoff_small, 3),
     ]
-
-
-def _fig12_point(
-    idx: int,
-    tdu: float,
-    settings: Fig12Settings,
-    target_mistakes: int,
-    max_heartbeats: int,
-    seed: int,
-) -> Fig12Point:
-    """Evaluate one ``T_D^U`` grid point (all four algorithms)."""
-    tasks = _fig12_tasks(
-        idx, tdu, settings, target_mistakes, max_heartbeats, seed
-    )
-    nfds, nfde, sfd_l, sfd_s = (run_accuracy_task(t) for t in tasks)
-    eta = settings.eta
-    analysis = NFDSAnalysis(
-        eta, tdu - eta, settings.loss_probability, settings.delay
-    )
-    return Fig12Point(
-        tdu=tdu,
-        analytic_tmr=analysis.e_tmr(),
-        analytic_tm=analysis.e_tm(),
-        nfds=nfds,
-        nfde=nfde,
-        sfd_l=sfd_l,
-        sfd_s=sfd_s,
-    )
 
 
 def run_fig12(
@@ -192,20 +144,41 @@ def run_fig12(
     (T_D^U = 3.5 needs ≈ 5·10⁸ heartbeats for 500 mistakes) pass a larger
     cap, e.g. via ``python -m repro.experiments fig12 --full``.
 
-    ``jobs`` fans the grid points out over worker processes
-    (:mod:`repro.sim.parallel`); results are bit-identical to ``jobs=1``
-    for the same seed.  ``0``/``None`` uses all cores.
+    ``jobs`` fans the kernel calls (four per grid point) out over worker
+    processes (:mod:`repro.sim.parallel`); results are bit-identical to
+    ``jobs=1`` for the same seed.  ``0``/``None`` uses all cores.
     """
     if tdu_values is None:
         tdu_values = settings.tdu_grid()
-
-    def point(args) -> Fig12Point:
-        idx, tdu = args
-        return _fig12_point(
+    tasks = [
+        task
+        for idx, tdu in enumerate(tdu_values)
+        for task in _fig12_tasks(
             idx, tdu, settings, target_mistakes, max_heartbeats, seed
         )
-
-    return parallel_map(point, list(enumerate(tdu_values)), jobs=jobs)
+    ]
+    results = parallel_map(lambda task: task(), tasks, jobs=jobs)
+    points = []
+    for idx, tdu in enumerate(tdu_values):
+        nfds, nfde, sfd_l, sfd_s = results[4 * idx : 4 * idx + 4]
+        analysis = NFDSAnalysis(
+            settings.eta,
+            tdu - settings.eta,
+            settings.loss_probability,
+            settings.delay,
+        )
+        points.append(
+            Fig12Point(
+                tdu=tdu,
+                analytic_tmr=analysis.e_tmr(),
+                analytic_tm=analysis.e_tm(),
+                nfds=nfds,
+                nfde=nfde,
+                sfd_l=sfd_l,
+                sfd_s=sfd_s,
+            )
+        )
+    return points
 
 
 def fig12_tmr_table(points: Sequence[Fig12Point]) -> ExperimentTable:

@@ -9,7 +9,8 @@ check the claim against every competitor in this library that satisfies
 
 from __future__ import annotations
 
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from repro.analysis.nfds_theory import NFDSAnalysis
 from repro.experiments.common import (
@@ -17,9 +18,10 @@ from repro.experiments.common import (
     ExperimentTable,
     steady_state_warmup,
 )
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
+from repro.sim.fastsim import (
+    FastAccuracyResult,
+    simulate_nfds_fast,
+    simulate_sfd_fast,
 )
 from repro.sim.parallel import parallel_map
 
@@ -54,54 +56,46 @@ def run_optimality(
         columns=["detector", "P_A (sim)", "1-P_A (sim)", "E(T_MR)", "E(T_M)"],
     )
 
-    # One entry per table row; each is (label, kind, parameter, seed) so
-    # the fan-out reproduces exactly the serial seeds and ordering.  The
-    # sub-optimal NFD-S rows show delta = T_D^U - eta is the right
-    # choice within the NFD family too.
-    cases = [(f"NFD-S* (delta={delta_star:g})", "nfds", delta_star, SEED)]
+    common = dict(
+        eta=eta,
+        loss_probability=p_l,
+        delay=delay,
+        target_mistakes=target_mistakes,
+        max_heartbeats=max_heartbeats,
+    )
+
+    def nfds(delta: float, seed: int) -> Callable[[], FastAccuracyResult]:
+        return partial(
+            simulate_nfds_fast,
+            delta=delta,
+            seed=seed,
+            warmup=steady_state_warmup(eta, delta=delta),
+            **common,
+        )
+
+    # One (label, kernel call) per table row, so the fan-out reproduces
+    # exactly the serial seeds and ordering.  The sub-optimal NFD-S rows
+    # show delta = T_D^U - eta is the right choice within the NFD family
+    # too.
+    rows = [(f"NFD-S* (delta={delta_star:g})", nfds(delta_star, SEED))]
     for frac in (0.5, 0.75):
         delta = delta_star * frac
-        cases.append((f"NFD-S (delta={delta:g})", "nfds", delta, SEED + 1))
+        rows.append((f"NFD-S (delta={delta:g})", nfds(delta, SEED + 1)))
     for c in cutoffs:
         if c >= tdu:
             continue
-        cases.append((f"SFD (c={c:g})", "sfd", c, SEED + 2))
-
-    def task_for(case) -> AccuracyTask:
-        _label, kind, param, case_seed = case
-        common = dict(
-            loss_probability=p_l,
-            delay=delay,
-            seed=case_seed,
-            target_mistakes=target_mistakes,
-            max_heartbeats=max_heartbeats,
+        sfd = partial(
+            simulate_sfd_fast,
+            timeout=tdu - c,
+            cutoff=c,
+            seed=SEED + 2,
+            warmup=steady_state_warmup(eta, timeout=tdu - c, cutoff=c),
+            **common,
         )
-        if kind == "nfds":
-            return AccuracyTask(
-                "nfds",
-                dict(
-                    eta=eta,
-                    delta=param,
-                    warmup=steady_state_warmup(eta, delta=param),
-                    **common,
-                ),
-            )
-        return AccuracyTask(
-            "sfd",
-            dict(
-                eta=eta,
-                timeout=tdu - param,
-                cutoff=param,
-                warmup=steady_state_warmup(
-                    eta, timeout=tdu - param, cutoff=param
-                ),
-                **common,
-            ),
-        )
+        rows.append((f"SFD (c={c:g})", sfd))
 
-    tasks = [task_for(case) for case in cases]
-    results = parallel_map(run_accuracy_task, tasks, jobs=jobs)
-    for (label, _kind, _param, _seed), r in zip(cases, results):
+    results = parallel_map(lambda row: row[1](), rows, jobs=jobs)
+    for (label, _task), r in zip(rows, results):
         table.add_row(
             label,
             r.query_accuracy,

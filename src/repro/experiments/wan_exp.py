@@ -28,6 +28,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.nfds_theory import within_theorem5_band
 from repro.experiments.common import ExperimentTable, steady_state_warmup
 from repro.core.nfd_s import NFDS
 from repro.metrics.qos import pool_accuracy
@@ -41,7 +42,6 @@ from repro.net.wan import (
     periodic_partitions,
     predict_route,
     prediction_errors,
-    within_theorem5_band,
 )
 from repro.sim.runner import (
     SimulationConfig,
@@ -205,7 +205,10 @@ def theorem5_table(
             jobs=jobs,
         )
         in_band = within_theorem5_band(
-            pred, pooled.tmr_samples, pooled.tm_samples, level=s.ci_level
+            pred.prediction,
+            pooled.tmr_samples,
+            pooled.tm_samples,
+            level=s.ci_level,
         )
         bound_ok = detection_within_bound(
             pred, crashes.detection_times

@@ -22,7 +22,8 @@ stress-test Theorem 5 against:
   partition cuts a link under them (Sens et al., partial connectivity);
 * :mod:`repro.net.wan.analysis` — the **analytic cross-check**: derive
   the Theorem 5 prediction for a WAN path from its per-hop
-  distributions and gate simulated QoS against the band.
+  distributions; :func:`repro.analysis.nfds_theory.within_theorem5_band`
+  gates simulated QoS against it.
 """
 
 from repro.net.wan.analysis import (
@@ -30,7 +31,6 @@ from repro.net.wan.analysis import (
     detection_within_bound,
     prediction_errors,
     predict_route,
-    within_theorem5_band,
 )
 from repro.net.wan.congestion import CongestionField, CongestionProcess
 from repro.net.wan.relay import RoutedWanLink, WanNetwork
@@ -49,7 +49,6 @@ __all__ = [
     "RoutedWanLink",
     "WanPathPrediction",
     "predict_route",
-    "within_theorem5_band",
     "detection_within_bound",
     "prediction_errors",
 ]

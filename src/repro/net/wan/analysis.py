@@ -5,10 +5,10 @@ loss)`` pair by :func:`repro.net.topology.compose_path` additivity, and
 that pair drops straight into the paper's NFD-S analysis —
 :class:`~repro.analysis.nfds_theory.NFDSAnalysis` neither knows nor
 cares that the "link" is three hops of WAN.  :func:`predict_route` does
-the reduction; :func:`within_theorem5_band` gates pooled simulation
-estimates against the closed-form prediction with the same
-t-interval consistency check the fault-sensitivity experiment (E14)
-uses; :func:`prediction_errors` quantifies the *relay distortion* — how
+the reduction, and
+:func:`repro.analysis.nfds_theory.within_theorem5_band` gates pooled
+simulation estimates against its ``prediction``;
+:func:`prediction_errors` quantifies the *relay distortion* — how
 far the hop-by-hop forwarding reality drifts from the composed
 single-link idealisation (the two differ only through scheduled
 partitions, congestion shocks and burstiness; fault-free they must
@@ -25,14 +25,12 @@ import numpy as np
 
 from repro.analysis.nfds_theory import NFDSAnalysis, QoSPrediction
 from repro.errors import InvalidParameterError
-from repro.metrics.confidence import mean_ci
 from repro.net.topology import PathDelay
 from repro.net.wan.topology import WanTopology
 
 __all__ = [
     "WanPathPrediction",
     "predict_route",
-    "within_theorem5_band",
     "detection_within_bound",
     "prediction_errors",
 ]
@@ -94,32 +92,6 @@ def predict_route(
         delta=delta,
         prediction=prediction,
     )
-
-
-def within_theorem5_band(
-    prediction: WanPathPrediction,
-    tmr_samples: Sequence[float],
-    tm_samples: Sequence[float],
-    level: float = 0.95,
-) -> bool:
-    """Whether pooled simulation estimates are statistically consistent
-    with the route's closed-form prediction.
-
-    The same gate as the fault-sensitivity experiment: t-intervals on
-    the pooled ``T_MR``/``T_M`` samples must contain the predicted
-    means, and the query accuracy ``P_A = 1 − E(T_M)/E(T_MR)`` must lie
-    in the conservative interval combining the two mean CIs.
-    """
-    p = prediction.prediction
-    tmr_ci = mean_ci(tmr_samples, level=level)
-    tm_ci = mean_ci(tm_samples, level=level)
-    if not tmr_ci.contains(p.e_tmr):
-        return False
-    if not tm_ci.contains(p.e_tm):
-        return False
-    pa_low = 1.0 - tm_ci.high / tmr_ci.low
-    pa_high = 1.0 - tm_ci.low / tmr_ci.high
-    return pa_low <= p.query_accuracy <= pa_high
 
 
 def detection_within_bound(

@@ -15,15 +15,10 @@
 * :mod:`repro.sim.parallel` — the generic deterministic multiprocessing
   executor, bit-identical to serial for any job count;
 * :mod:`repro.sim.batch` — the batched crash-run kernel, bit-identical
-  to the serial runner for any batch size, and the accuracy-task unit of
-  work.
+  to the serial runner for any batch size.
 """
 
-from repro.sim.batch import (
-    AccuracyTask,
-    run_accuracy_task,
-    run_crash_runs_batched,
-)
+from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.fastsim import (
     FastAccuracyResult,
@@ -61,7 +56,5 @@ __all__ = [
     "run_crash_runs",
     "parallel_map",
     "run_failure_free_parallel",
-    "AccuracyTask",
-    "run_accuracy_task",
     "run_crash_runs_batched",
 ]

@@ -17,10 +17,6 @@ form over the whole matrix — no event loop.  Because every replica is
 seeded by its absolute run index, the batch size can never change a
 result.
 
-Failure-free accuracy runs are described as :class:`AccuracyTask` values
-and executed one at a time by :func:`run_accuracy_task` through the
-serial :mod:`repro.sim.fastsim` kernels.
-
 Closed-form detection recipes (all proved against the event-driven
 implementations; ``end = crash_time + settle`` is the simulated horizon,
 events at exactly ``end`` still fire):
@@ -66,13 +62,6 @@ from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
 from repro.errors import InvalidParameterError
 from repro.net.clocks import PerfectClock
-from repro.sim.fastsim import (
-    FastAccuracyResult,
-    simulate_nfde_fast,
-    simulate_nfds_fast,
-    simulate_nfdu_fast,
-    simulate_sfd_fast,
-)
 from repro.sim.parallel import chunk_spans, parallel_map
 from repro.sim.runner import (
     CrashRunResult,
@@ -88,8 +77,6 @@ __all__ = [
     "CrashKernelSpec",
     "crash_kernel_spec",
     "run_crash_runs_batched",
-    "AccuracyTask",
-    "run_accuracy_task",
 ]
 
 
@@ -631,35 +618,3 @@ def run_crash_runs_batched(
         detection_times=detections, crash_times=crash_times, traces=[]
     )
 
-
-# --------------------------------------------------------------------- #
-# Failure-free accuracy tasks
-# --------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class AccuracyTask:
-    """One failure-free fastsim evaluation: kernel kind + its kwargs.
-
-    ``kwargs`` are exactly the keyword arguments of the corresponding
-    serial kernel (``simulate_<kind>_fast``); the experiment drivers
-    fan tasks out with :func:`repro.sim.parallel.parallel_map`.
-    """
-
-    kind: str  # "nfds" | "nfdu" | "nfde" | "sfd"
-    kwargs: Dict[str, Any]
-
-
-_SERIAL_KERNELS = {
-    "nfds": simulate_nfds_fast,
-    "nfdu": simulate_nfdu_fast,
-    "nfde": simulate_nfde_fast,
-    "sfd": simulate_sfd_fast,
-}
-
-
-def run_accuracy_task(task: AccuracyTask) -> FastAccuracyResult:
-    """Run one task through its serial kernel."""
-    if task.kind not in _SERIAL_KERNELS:
-        raise InvalidParameterError(f"unknown accuracy kind {task.kind!r}")
-    return _SERIAL_KERNELS[task.kind](**task.kwargs)

@@ -5,12 +5,21 @@ intervals per point.  At ``T_D^U = 3.5`` (η = 1, p_L = 0.01, exponential
 delays with mean 0.02) the analytic ``E(T_MR)`` is ≈ 10⁶ heartbeat
 periods, so one point needs ≈ 5·10⁸ simulated heartbeats — far beyond an
 event-driven loop in Python.  This module exploits structural properties
-of each algorithm to reduce a whole run to a handful of NumPy passes:
+of each algorithm to reduce a whole run to a handful of NumPy passes.
+
+One driver, :func:`_run`, does everything the four kernels share: it
+validates, seeds the generator, draws the arrival vector
+``A_j = j·η + d_j`` (``∞`` for lost messages) chunk by chunk within the
+heartbeat budget, tallies S-transitions, mistake durations, suspect and
+total time, stops after ``target_mistakes`` S-transitions or
+``max_heartbeats``, and records telemetry.  Each kernel hands it a
+per-chunk closure that holds only its closed form and the exact state
+it carries across chunk boundaries (O(chunk) memory):
 
 **NFD-S** (Proposition 13): within window ``[τ_i, τ_{i+1})`` only
 messages ``m_i … m_{i+k}`` matter, so the entire output trace is a
 function of the *windowed minimum* ``F_i = min(A_i, …, A_{i+k})`` of the
-arrival-time vector (``A_j = j·η + d_j``, ``∞`` for lost messages):
+arrival-time vector (carry: the trailing ``k`` arrivals):
 
 * q trusts during window i from ``max(τ_i, F_i)`` (if ``F_i < τ_{i+1}``);
 * an S-transition occurs at ``τ_i`` iff ``F_{i-1} < τ_i ≤ F_i``
@@ -22,18 +31,17 @@ arrival-time vector (``A_j = j·η + d_j``, ``∞`` for lost messages):
 (messages advancing the max sequence number ℓ) is fully determined by the
 receipt time ``t_m`` and the freshness point ``τ_m`` computed at that
 receipt — for NFD-U a constant shift, for NFD-E the eq. (6.3) rolling
-mean over the last n effective receipts.
+mean over the last n effective receipts (carry: the pending immature
+arrivals, ℓ and the rolling window).
 
 **SFD** (fixed timeout TO restarted on every accepted receipt, optional
 cutoff c): with identical timeouts, the expiry deadline is a running
 maximum, so suspicion periods are exactly the gaps ``> TO`` in the sorted
-accepted arrival times.
+accepted arrival times (carry: the sorted pending accepts).
 
-All simulators stream in chunks with O(chunk) memory, carry exact state
-across chunk boundaries (running max ℓ, open mistakes, rolling windows),
-and stop after ``target_mistakes`` S-transitions or ``max_heartbeats``.
-They are cross-validated against the event-driven implementations in
-``tests/sim/test_fastsim_exact.py``.
+NFD-S and NFD-U/E close their mistakes by one rule,
+:meth:`_Tally.mistakes`.  The kernels are cross-validated against the
+event-driven implementations in ``tests/sim/test_fastsim_exact.py``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 import time
 import weakref
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -148,12 +156,15 @@ def _record_kernel(result: "FastAccuracyResult", t0: Optional[float]) -> None:
     seconds.observe(time.perf_counter() - t0)
 
 
+
+
 def _validate_common(
     eta: float,
     loss_probability: float,
     target_mistakes: int,
     max_heartbeats: int,
-    warmup: float = 0.0,
+    warmup: float,
+    cutoff: Optional[float],
 ) -> None:
     if eta <= 0:
         raise InvalidParameterError(f"eta must be positive, got {eta}")
@@ -171,6 +182,8 @@ def _validate_common(
         )
     if warmup < 0:
         raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
+    if cutoff is not None and cutoff <= 0:
+        raise InvalidParameterError(f"cutoff must be positive, got {cutoff}")
 
 
 def _draw_arrivals(
@@ -179,17 +192,20 @@ def _draw_arrivals(
     rng: np.random.Generator,
     seqs: np.ndarray,
     eta: float,
+    cutoff: Optional[float],
 ) -> np.ndarray:
-    """Arrival times ``A_j = j·η + d_j`` with ``∞`` for lost messages.
+    """Arrival times ``A_j = j·η + d_j``, ``∞`` for lost messages and,
+    under an SFD cutoff ``c``, for messages delayed past ``c``.
 
-    ``seqs`` may be any numeric dtype; the product with the float ``eta``
-    promotes element-wise, so passing the int64 sequence vector directly
-    avoids an extra float copy per chunk.
+    ``seqs`` is the int64 sequence vector; the product with the float
+    ``eta`` promotes element-wise, so no float copy is made per chunk.
     """
     d = delay.sample(rng, seqs.size).astype(float, copy=False)
     if loss_probability > 0.0:
         lost = rng.random(seqs.size) < loss_probability
         d = np.where(lost, np.inf, d)
+    if cutoff is not None:
+        d = np.where(d > cutoff, np.inf, d)
     return seqs * eta + d
 
 
@@ -210,8 +226,199 @@ def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
+# The driver
+# --------------------------------------------------------------------- #
+
+
+class _Tally:
+    """What a run has measured so far; the driver stops on ``n_s``."""
+
+    def __init__(self) -> None:
+        self.s_times: List[np.ndarray] = []
+        self.durations: List[np.ndarray] = []
+        self.n_s = 0
+        self.suspect_time = 0.0
+        self.total_time = 0.0
+        # Start of the mistake no trust resumption has closed yet.
+        self.open_start: Optional[float] = None
+
+    def add(self, starts: np.ndarray, durations: np.ndarray) -> None:
+        self.s_times.append(starts)
+        self.durations.append(durations)
+        self.n_s += int(starts.size)
+
+    def mistakes(
+        self,
+        starts: np.ndarray,
+        s_idx: np.ndarray,
+        resumes: np.ndarray,
+        g_idx: np.ndarray,
+        side: str,
+    ) -> None:
+        """Tally the S-transitions at ``starts[s_idx]`` against the trust
+        resumptions at ``resumes[g_idx]`` (both index vectors ascending).
+
+        A mistake that starts at an S-transition ends at the first
+        resumption at (``side="left"``) or after (``"right"``) its
+        index; a mistake left open closes at the next chunk's first
+        resumption.
+        """
+        if self.open_start is not None and g_idx.size:
+            end = float(resumes[g_idx[0]])
+            self.durations.append(np.array([end - self.open_start]))
+            self.open_start = None
+        if s_idx.size:
+            pos = np.searchsorted(g_idx, s_idx, side=side)
+            closed = pos < g_idx.size
+            ends = resumes[g_idx[pos[closed]]]
+            if not closed[-1]:
+                # Only the *last* S-transition can be unresolved: any
+                # earlier one is followed by a trust resumption before
+                # the next S-transition, which closes it.
+                self.open_start = float(starts[s_idx[-1]])
+            self.add(starts[s_idx], ends - starts[s_idx[closed]])
+
+
+#: ``chunk(tally, seqs, arrivals)`` folds the next chunk into the tally
+_Chunk = Callable[[_Tally, np.ndarray, np.ndarray], None]
+
+
+def _run(
+    algorithm: str,
+    kernel: Callable[[], Tuple[_Chunk, int]],
+    eta: float,
+    loss_probability: float,
+    delay: DelayDistribution,
+    seed: int,
+    target_mistakes: int,
+    max_heartbeats: int,
+    chunk_size: int,
+    warmup: float,
+    cutoff: Optional[float] = None,
+) -> FastAccuracyResult:
+    """Drive one kernel over the chunked heartbeat stream.
+
+    ``kernel()`` runs once the common parameters are valid and returns
+    the per-chunk closure and the number of heartbeats its first window
+    needs — the one draw allowed past ``max_heartbeats``, when the cap
+    itself is smaller.
+    """
+    _validate_common(
+        eta, loss_probability, target_mistakes, max_heartbeats, warmup, cutoff
+    )
+    chunk, floor = kernel()
+    t0 = _kernel_timer()
+    rng = np.random.default_rng(seed)
+    tally = _Tally()
+    heartbeats = 0
+    truncated = False
+    while tally.n_s < target_mistakes:
+        if heartbeats >= max_heartbeats:
+            truncated = True
+            break
+        # Top a draw up only to the floor, so the final chunk never
+        # overshoots the documented heartbeat budget.
+        draw = max(
+            int(min(chunk_size, max_heartbeats - heartbeats)),
+            floor - heartbeats,
+        )
+        seqs = np.arange(heartbeats + 1, heartbeats + 1 + draw, dtype=np.int64)
+        heartbeats += draw
+        arrivals = _draw_arrivals(
+            delay, loss_probability, rng, seqs, eta, cutoff=cutoff
+        )
+        chunk(tally, seqs, arrivals)
+
+    def joined(parts: List[np.ndarray]) -> np.ndarray:
+        return np.concatenate(parts) if parts else np.empty(0, dtype=float)
+
+    result = FastAccuracyResult(
+        algorithm=algorithm,
+        n_heartbeats=heartbeats,
+        total_time=tally.total_time,
+        suspect_time=tally.suspect_time,
+        s_transition_times=joined(tally.s_times),
+        mistake_durations=joined(tally.durations),
+        truncated=truncated,
+    )
+    _record_kernel(result, t0)
+    return result
+
+
+# --------------------------------------------------------------------- #
 # NFD-S
 # --------------------------------------------------------------------- #
+
+
+def _nfds_chunks(
+    eta: float, delta: float, warmup: float
+) -> Tuple[_Chunk, int]:
+    """The windowed-minimum kernel; its first window needs ``k+1``
+    arrivals."""
+    if delta < 0:
+        raise InvalidParameterError(f"delta must be >= 0, got {delta}")
+    k = int(math.ceil(delta / eta - 1e-12))
+    carry = np.empty(0, dtype=float)  # A for trailing k seqs
+    prev_f: Optional[float] = None  # F_{i-1} of the first window this chunk
+    warming = warmup > 0.0
+    windows = 0
+
+    def chunk(tally: _Tally, seqs: np.ndarray, new: np.ndarray) -> None:
+        nonlocal carry, prev_f, warming, windows
+        start_seq = int(seqs[0]) - carry.size  # seq of arrivals[0]
+        arrivals = np.concatenate([carry, new])
+        m = arrivals.size - k  # windows computable: i = start_seq .. +m-1
+        if m <= 0:
+            carry = arrivals
+            return
+        # The carry for the next chunk is fixed by the *full* window
+        # count, before any warmup trimming below.
+        carry = arrivals[m:].copy()
+        f = arrivals[:m].copy()
+        for j in range(1, k + 1):
+            np.minimum(f, arrivals[j : j + m], out=f)
+
+        idx = np.arange(start_seq, start_seq + m, dtype=float)
+        tau = idx * eta + delta
+        tau_next = tau + eta
+
+        # Steady-state guard: drop leading windows whose freshness point
+        # precedes the warmup (their arrivals still feed the windowed
+        # minimum via prev_f, so the first retained window joins the
+        # stream mid-steady-state rather than at a fake cold start).
+        if warming:
+            nskip = int(np.searchsorted(tau, warmup, side="left"))
+            if nskip >= m:
+                prev_f = float(f[-1])
+                return
+            if nskip:
+                prev_f = float(f[nskip - 1])
+                f = f[nskip:]
+                tau = tau[nskip:]
+                tau_next = tau_next[nskip:]
+                m -= nskip
+            warming = False
+
+        # Suspect time per window: from τ_i until trust (capped at τ_{i+1}).
+        tally.suspect_time += float(
+            np.sum(np.clip(np.minimum(f, tau_next) - tau, 0.0, eta))
+        )
+        windows += m
+        tally.total_time = windows * eta
+
+        # S-transitions at τ_i: trusted just before (F_{i-1} < τ_i) and no
+        # fresh message at τ_i (F_i > τ_i).  Before τ_1 the output is S by
+        # initialization, so no S-transition can occur at τ_1 itself.
+        f_prev = np.empty(m, dtype=float)
+        f_prev[1:] = f[:-1]
+        f_prev[0] = np.inf if prev_f is None else prev_f
+        s_local = np.nonzero((f > tau) & (f_prev < tau))[0]
+        # Trust resumes in window m at F_m when F_m < τ_{m+1}.
+        g_local = np.nonzero(f < tau_next)[0]
+        tally.mistakes(tau, s_local, f, g_local, side="left")
+        prev_f = float(f[-1])
+
+    return chunk, k + 1
 
 
 def simulate_nfds_fast(
@@ -232,152 +439,18 @@ def simulate_nfds_fast(
     freshness point ``≥ warmup`` — the arrivals before it still seed the
     windowed minimum, they are just excluded from the accounting.
     """
-    _validate_common(
-        eta, loss_probability, target_mistakes, max_heartbeats, warmup
+    return _run(
+        "nfd-s",
+        lambda: _nfds_chunks(eta, delta, warmup),
+        eta,
+        loss_probability,
+        delay,
+        seed,
+        target_mistakes,
+        max_heartbeats,
+        chunk_size,
+        warmup,
     )
-    if delta < 0:
-        raise InvalidParameterError(f"delta must be >= 0, got {delta}")
-    t0 = _kernel_timer()
-    rng = np.random.default_rng(seed)
-    k = int(math.ceil(delta / eta - 1e-12))
-    warming = warmup > 0.0
-
-    s_times: List[np.ndarray] = []
-    durations: List[np.ndarray] = []
-    n_s = 0
-    suspect_time = 0.0
-    windows_done = 0
-
-    # Carries across chunks.
-    carry_arrivals = np.empty(0, dtype=float)  # A for trailing k seqs
-    carry_start_seq = 1  # seq of carry_arrivals[0] (when non-empty)
-    prev_f: Optional[float] = None  # F_{i-1} of the first window this chunk
-    open_mistake_start: Optional[float] = None
-    heartbeats = 0
-    truncated = False
-
-    while n_s < target_mistakes:
-        if heartbeats >= max_heartbeats:
-            truncated = True
-            break
-        draw = int(min(chunk_size, max_heartbeats - heartbeats))
-        # The run needs k+1 arrivals in total before any window can form;
-        # top up the draw only to reach that floor (the single case allowed
-        # past max_heartbeats, when the cap itself is < k+1), so the final
-        # chunk never overshoots the documented heartbeat budget.
-        if heartbeats + draw < k + 1:
-            draw = (k + 1) - heartbeats
-        first_new = carry_start_seq + carry_arrivals.size
-        new_seqs = np.arange(first_new, first_new + draw, dtype=float)
-        new_arrivals = _draw_arrivals(
-            delay, loss_probability, rng, new_seqs, eta
-        )
-        heartbeats += draw
-        arrivals = np.concatenate([carry_arrivals, new_arrivals])
-        start_seq = carry_start_seq
-
-        m = arrivals.size - k  # windows computable: i = start_seq .. +m-1
-        if m <= 0:
-            carry_arrivals = arrivals
-            continue
-        # Carries for the next chunk are fixed by the *full* window count,
-        # before any warmup trimming below.
-        next_carry_arrivals = arrivals[m:].copy()
-        next_carry_start_seq = start_seq + m
-        f = arrivals[:m].copy()
-        for j in range(1, k + 1):
-            np.minimum(f, arrivals[j : j + m], out=f)
-
-        idx = np.arange(start_seq, start_seq + m, dtype=float)
-        tau = idx * eta + delta
-        tau_next = tau + eta
-
-        # Steady-state guard: drop leading windows whose freshness point
-        # precedes the warmup (their arrivals still feed the windowed
-        # minimum via prev_f, so the first retained window joins the
-        # stream mid-steady-state rather than at a fake cold start).
-        if warming:
-            nskip = int(np.searchsorted(tau, warmup, side="left"))
-            if nskip >= m:
-                carry_arrivals = next_carry_arrivals
-                carry_start_seq = next_carry_start_seq
-                prev_f = float(f[-1])
-                continue
-            if nskip:
-                prev_f = float(f[nskip - 1])
-                f = f[nskip:]
-                tau = tau[nskip:]
-                tau_next = tau_next[nskip:]
-                m -= nskip
-            warming = False
-
-        # Suspect time per window: from τ_i until trust (capped at τ_{i+1}).
-        suspect_time += float(
-            np.sum(np.clip(np.minimum(f, tau_next) - tau, 0.0, eta))
-        )
-        windows_done += m
-
-        # S-transitions at τ_i: trusted just before (F_{i-1} < τ_i) and no
-        # fresh message at τ_i (F_i > τ_i).
-        f_prev = np.empty(m, dtype=float)
-        f_prev[1:] = f[:-1]
-        if prev_f is None:
-            # Before τ_1 the output is S by initialization, so no
-            # S-transition can occur at τ_1 itself.
-            f_prev[0] = np.inf
-        else:
-            f_prev[0] = prev_f
-        s_mask = (f > tau) & (f_prev < tau)
-        s_local = np.nonzero(s_mask)[0]
-
-        # Trust-resumption windows: F_m < τ_{m+1}.
-        g_local = np.nonzero(f < tau_next)[0]
-
-        # Close a mistake carried from the previous chunk.
-        if open_mistake_start is not None and g_local.size:
-            end = float(f[g_local[0]])
-            durations.append(
-                np.array([end - open_mistake_start], dtype=float)
-            )
-            open_mistake_start = None
-
-        if s_local.size:
-            pos = np.searchsorted(g_local, s_local, side="left")
-            closed = pos < g_local.size
-            closed_idx = s_local[closed]
-            ends = f[g_local[pos[closed]]]
-            durations.append(ends - tau[closed_idx])
-            n_open = int((~closed).sum())
-            if n_open:
-                # Only the *last* S-transition can be unresolved: any
-                # earlier one is followed by a trust window before the
-                # next S-transition, which would have closed it.
-                open_mistake_start = float(tau[s_local[-1]])
-            s_times.append(tau[s_local])
-            n_s += int(s_local.size)
-
-        # Prepare carries for the next chunk.
-        carry_arrivals = next_carry_arrivals
-        carry_start_seq = next_carry_start_seq
-        prev_f = float(f[-1])
-
-    all_s = (
-        np.concatenate(s_times) if s_times else np.empty(0, dtype=float)
-    )
-    all_d = (
-        np.concatenate(durations) if durations else np.empty(0, dtype=float)
-    )
-    result = FastAccuracyResult(
-        algorithm="nfd-s",
-        n_heartbeats=heartbeats,
-        total_time=windows_done * eta,
-        suspect_time=suspect_time,
-        s_transition_times=all_s,
-        mistake_durations=all_d,
-        truncated=truncated,
-    )
-    _record_kernel(result, t0)
-    return result
 
 
 # --------------------------------------------------------------------- #
@@ -385,21 +458,15 @@ def simulate_nfds_fast(
 # --------------------------------------------------------------------- #
 
 
-def _simulate_freshness_stream(
-    algorithm: str,
+def _freshness_chunks(
     eta: float,
     alpha: float,
-    loss_probability: float,
-    delay: DelayDistribution,
-    seed: int,
-    target_mistakes: int,
-    max_heartbeats: int,
-    chunk_size: int,
     ea_offset: Optional[float],
     window: Optional[int],
-    warmup: float = 0.0,
-) -> FastAccuracyResult:
-    """Common engine for NFD-U (``ea_offset`` known) and NFD-E (rolling).
+    warmup: float,
+) -> Tuple[_Chunk, int]:
+    """The effective-receipt kernel of NFD-U (``ea_offset`` known) and
+    NFD-E (rolling ``window``).
 
     Works on the stream of *effective* receipts (sequence-number maxima
     in arrival order).  For each effective receipt ``(t_m, s_m)`` the
@@ -415,20 +482,6 @@ def _simulate_freshness_stream(
     from the accounting (they still feed the EA estimator), as a
     steady-state guard on top of the window-fill warmup.
     """
-    _validate_common(
-        eta, loss_probability, target_mistakes, max_heartbeats, warmup
-    )
-    t0 = _kernel_timer()
-    rng = np.random.default_rng(seed)
-
-    s_times: List[np.ndarray] = []
-    durations: List[np.ndarray] = []
-    n_s = 0
-    suspect_time = 0.0
-    total_time = 0.0
-
-    heartbeats = 0
-    next_seq = 1
     ell = 0  # running max sequence number received
     # Messages received but not yet *mature*: a message arriving after
     # the chunk's last send time may still be overtaken by arrivals from
@@ -440,38 +493,29 @@ def _simulate_freshness_stream(
     # Interval carried across chunks: last effective receipt + its τ.
     t_prev: Optional[float] = None
     tau_prev: Optional[float] = None
-    open_mistake_start: Optional[float] = None
     # Warmup: skip accounting until the NFD-E window has filled once (for
     # NFD-U a single effective receipt suffices).
     warm_needed = window if window is not None else 1
     warm_seen = 0
     warming_time = warmup > 0.0
-    truncated = False
 
-    while n_s < target_mistakes:
-        if heartbeats >= max_heartbeats:
-            truncated = True
-            break
-        draw = int(min(chunk_size, max_heartbeats - heartbeats))
-        seqs = np.arange(next_seq, next_seq + draw, dtype=np.int64)
-        arrivals = _draw_arrivals(delay, loss_probability, rng, seqs, eta)
-        next_seq += draw
-        heartbeats += draw
-
+    def chunk(tally: _Tally, seqs: np.ndarray, arrivals: np.ndarray) -> None:
+        nonlocal ell, pend_seq, pend_t, norm_carry, t_prev, tau_prev
+        nonlocal warm_seen, warming_time
         received = np.isfinite(arrivals)
         all_seq = np.concatenate([pend_seq, seqs[received]])
         all_t = np.concatenate([pend_t, arrivals[received]])
         # Only arrivals at or before this chunk's last send time are
         # final — later ones may interleave with the next chunk's
         # messages, so they stay pending.
-        boundary = (next_seq - 1) * eta
+        boundary = int(seqs[-1]) * eta
         mature = all_t <= boundary
         pend_seq = all_seq[~mature]
         pend_t = all_t[~mature]
         r_seq = all_seq[mature]
         r_t = all_t[mature]
         if r_t.size == 0:
-            continue
+            return
         # Arrival order (delays can reorder messages).
         order = np.argsort(r_t, kind="stable")
         r_seq = r_seq[order]
@@ -486,7 +530,7 @@ def _simulate_freshness_stream(
         e_seq = r_seq[eff]
         e_t = r_t[eff]
         if e_seq.size == 0:
-            continue
+            return
         ell = int(e_seq[-1])
 
         # τ for each effective receipt.
@@ -501,8 +545,7 @@ def _simulate_freshness_stream(
             w = np.minimum(window, q + 1)
             means = (csum[q + 1] - csum[q + 1 - w]) / w
             tau = means + (e_seq + 1) * eta + alpha
-            keep = min(window, full.size)
-            norm_carry = full[full.size - keep :]
+            norm_carry = full[full.size - min(window, full.size) :]
 
         # Warmup: the first `warm_needed` effective receipts feed the
         # estimator but are excluded from accounting (steady-state guard).
@@ -516,7 +559,7 @@ def _simulate_freshness_stream(
             t_prev = None
             tau_prev = None
             if e_t.size == 0:
-                continue
+                return
 
         # Time-based steady-state guard: drop receipts before `warmup`
         # (a prefix, since e_t is ascending); measurement restarts at the
@@ -529,7 +572,7 @@ def _simulate_freshness_stream(
                 t_prev = None
                 tau_prev = None
             if e_t.size == 0:
-                continue
+                return
             warming_time = False
 
         # Build the interval stream: carry + this chunk's receipts.
@@ -539,69 +582,34 @@ def _simulate_freshness_stream(
         else:
             ts = e_t
             taus = tau
-        if ts.size < 2:
-            t_prev = float(ts[-1])
-            tau_prev = float(taus[-1])
-            continue
-
-        # Intervals [ts[m], ts[m+1]) with freshness point taus[m].
-        t0 = ts[:-1]
-        t1 = ts[1:]
-        tq = taus[:-1]
-        total_time += float(t1[-1] - t0[0])
-        trust_at = tq > t0
-        # Suspect time per interval.
-        sus = np.where(
-            trust_at, np.clip(t1 - np.maximum(tq, t0), 0.0, None), t1 - t0
-        )
-        suspect_time += float(np.sum(sus))
-
-        # S-transitions: τ falls strictly inside a trusted interval.
-        s_mask = trust_at & (tq < t1)
-        s_local = np.nonzero(s_mask)[0]
-        # Trust resumptions: interval m starts trusting.
-        g_local = np.nonzero(trust_at)[0]
-
-        if open_mistake_start is not None and g_local.size:
-            end = float(t0[g_local[0]])
-            durations.append(np.array([end - open_mistake_start]))
-            open_mistake_start = None
-
-        if s_local.size:
-            # A mistake starting at τ_m (inside interval m) ends at the
-            # first interval start m' > m with trust_at[m'].
-            pos = np.searchsorted(g_local, s_local, side="right")
-            closed = pos < g_local.size
-            closed_idx = s_local[closed]
-            ends = t0[g_local[pos[closed]]]
-            durations.append(ends - tq[closed_idx])
-            if (~closed).any():
-                open_mistake_start = float(tq[s_local[-1]])
-            s_times.append(tq[s_local])
-            n_s += int(s_local.size)
-
-        # Check the trailing partial interval [t_last, ?) next chunk; if
-        # its τ already passed it will be suspect — handled next round.
+        # The trailing interval [ts[-1], ?) closes in a later chunk.
         t_prev = float(ts[-1])
         tau_prev = float(taus[-1])
-        # If currently suspect with a pending S-transition in the trailing
-        # open interval, it will be detected when the interval closes.
+        if ts.size < 2:
+            return
 
-    all_s = np.concatenate(s_times) if s_times else np.empty(0, dtype=float)
-    all_d = (
-        np.concatenate(durations) if durations else np.empty(0, dtype=float)
-    )
-    result = FastAccuracyResult(
-        algorithm=algorithm,
-        n_heartbeats=heartbeats,
-        total_time=total_time,
-        suspect_time=suspect_time,
-        s_transition_times=all_s,
-        mistake_durations=all_d,
-        truncated=truncated,
-    )
-    _record_kernel(result, t0)
-    return result
+        # Intervals [ts[m], ts[m+1]) with freshness point taus[m].
+        t_start = ts[:-1]
+        t_end = ts[1:]
+        tq = taus[:-1]
+        tally.total_time += float(t_end[-1] - t_start[0])
+        trust_at = tq > t_start
+        # Suspect time per interval.
+        sus = np.where(
+            trust_at,
+            np.clip(t_end - np.maximum(tq, t_start), 0.0, None),
+            t_end - t_start,
+        )
+        tally.suspect_time += float(np.sum(sus))
+
+        # S-transitions: τ falls strictly inside a trusted interval; the
+        # mistake starting at τ_m (inside interval m) ends at the first
+        # interval start m' > m that starts trusting.
+        s_local = np.nonzero(trust_at & (tq < t_end))[0]
+        g_local = np.nonzero(trust_at)[0]
+        tally.mistakes(tq, s_local, t_start, g_local, side="right")
+
+    return chunk, 1
 
 
 def simulate_nfdu_fast(
@@ -623,19 +631,17 @@ def simulate_nfdu_fast(
     delay distribution's mean (perfectly known EA, as the paper assumes).
     """
     offset = delay.mean if ea_offset is None else float(ea_offset)
-    return _simulate_freshness_stream(
-        algorithm="nfd-u",
-        eta=eta,
-        alpha=alpha,
-        loss_probability=loss_probability,
-        delay=delay,
-        seed=seed,
-        target_mistakes=target_mistakes,
-        max_heartbeats=max_heartbeats,
-        chunk_size=chunk_size,
-        ea_offset=offset,
-        window=None,
-        warmup=warmup,
+    return _run(
+        "nfd-u",
+        lambda: _freshness_chunks(eta, alpha, offset, None, warmup),
+        eta,
+        loss_probability,
+        delay,
+        seed,
+        target_mistakes,
+        max_heartbeats,
+        chunk_size,
+        warmup,
     )
 
 
@@ -655,25 +661,74 @@ def simulate_nfde_fast(
     eq. 6.3, over the ``window`` most recent heartbeats)."""
     if window < 1:
         raise InvalidParameterError(f"window must be >= 1, got {window}")
-    return _simulate_freshness_stream(
-        algorithm="nfd-e",
-        eta=eta,
-        alpha=alpha,
-        loss_probability=loss_probability,
-        delay=delay,
-        seed=seed,
-        target_mistakes=target_mistakes,
-        max_heartbeats=max_heartbeats,
-        chunk_size=chunk_size,
-        ea_offset=None,
-        window=int(window),
-        warmup=warmup,
+    return _run(
+        "nfd-e",
+        lambda: _freshness_chunks(eta, alpha, None, int(window), warmup),
+        eta,
+        loss_probability,
+        delay,
+        seed,
+        target_mistakes,
+        max_heartbeats,
+        chunk_size,
+        warmup,
     )
 
 
 # --------------------------------------------------------------------- #
 # SFD (the common algorithm)
 # --------------------------------------------------------------------- #
+
+
+def _sfd_chunks(
+    eta: float, timeout: float, warmup: float
+) -> Tuple[_Chunk, int]:
+    """The sorted-gap kernel over the accepted receipts."""
+    if timeout <= 0:
+        raise InvalidParameterError(f"timeout must be positive, got {timeout}")
+    last_accept: Optional[float] = None
+    # Arrivals past the chunk's last send time may be overtaken by the
+    # next chunk's messages; buffer them (sorted) until mature.
+    pend = np.empty(0, dtype=float)
+    warming = warmup > 0.0
+
+    def chunk(tally: _Tally, seqs: np.ndarray, arrivals: np.ndarray) -> None:
+        nonlocal last_accept, pend, warming
+        new = arrivals[np.isfinite(arrivals)]
+        new.sort()
+        boundary = int(seqs[-1]) * eta
+        # ``pend`` is kept sorted, so the mature/immature split of both
+        # buffers is a prefix slice and the combination is a linear merge
+        # of sorted runs — only this chunk's fresh arrivals ever get a
+        # full sort.
+        split_new = int(np.searchsorted(new, boundary, side="right"))
+        split_pend = int(np.searchsorted(pend, boundary, side="right"))
+        b = _merge_sorted(pend[:split_pend], new[:split_new])
+        pend = _merge_sorted(pend[split_pend:], new[split_new:])
+        if b.size == 0:
+            return
+        # Steady-state guard: measurement starts at the first accepted
+        # receipt >= warmup; earlier accepts are discarded outright.
+        if warming:
+            b = b[b >= warmup]
+            if b.size == 0:
+                return
+            warming = False
+        if last_accept is not None:
+            b = np.concatenate([[last_accept], b])
+        last_accept = float(b[-1])
+        if b.size < 2:
+            return
+        gaps = np.diff(b)
+        tally.total_time += float(b[-1] - b[0])
+        over = gaps > timeout
+        excess = gaps[over] - timeout
+        tally.suspect_time += float(np.sum(excess))
+        starts = b[:-1][over] + timeout
+        if starts.size:
+            tally.add(starts, excess)
+
+    return chunk, 1
 
 
 def simulate_sfd_fast(
@@ -698,93 +753,16 @@ def simulate_sfd_fast(
     ``warmup`` starts the measurement at the first accepted receipt at
     or after that time (steady-state guard).
     """
-    _validate_common(
-        eta, loss_probability, target_mistakes, max_heartbeats, warmup
+    return _run(
+        "sfd" if cutoff is None else "sfd-cutoff",
+        lambda: _sfd_chunks(eta, timeout, warmup),
+        eta,
+        loss_probability,
+        delay,
+        seed,
+        target_mistakes,
+        max_heartbeats,
+        chunk_size,
+        warmup,
+        cutoff,
     )
-    if timeout <= 0:
-        raise InvalidParameterError(f"timeout must be positive, got {timeout}")
-    if cutoff is not None and cutoff <= 0:
-        raise InvalidParameterError(f"cutoff must be positive, got {cutoff}")
-    t0 = _kernel_timer()
-    rng = np.random.default_rng(seed)
-
-    s_times: List[np.ndarray] = []
-    durations: List[np.ndarray] = []
-    n_s = 0
-    suspect_time = 0.0
-    total_time = 0.0
-    heartbeats = 0
-    next_seq = 1
-    last_accept: Optional[float] = None
-    # Arrivals past the chunk's last send time may be overtaken by the
-    # next chunk's messages; buffer them until mature.
-    pend = np.empty(0, dtype=float)
-    warming = warmup > 0.0
-    truncated = False
-
-    while n_s < target_mistakes:
-        if heartbeats >= max_heartbeats:
-            truncated = True
-            break
-        draw = int(min(chunk_size, max_heartbeats - heartbeats))
-        seqs = np.arange(next_seq, next_seq + draw, dtype=float)
-        d = delay.sample(rng, draw).astype(float, copy=False)
-        if loss_probability > 0.0:
-            lost = rng.random(draw) < loss_probability
-            d = np.where(lost, np.inf, d)
-        if cutoff is not None:
-            d = np.where(d > cutoff, np.inf, d)
-        arrivals = seqs * eta + d
-        next_seq += draw
-        heartbeats += draw
-
-        new = arrivals[np.isfinite(arrivals)]
-        new.sort()
-        boundary = (next_seq - 1) * eta
-        # ``pend`` is kept sorted, so the mature/immature split of both
-        # buffers is a prefix slice and the combination is a linear merge
-        # of sorted runs — only this chunk's fresh arrivals ever get a
-        # full sort.
-        split_new = int(np.searchsorted(new, boundary, side="right"))
-        split_pend = int(np.searchsorted(pend, boundary, side="right"))
-        b = _merge_sorted(pend[:split_pend], new[:split_new])
-        pend = _merge_sorted(pend[split_pend:], new[split_new:])
-        if b.size == 0:
-            continue
-        # Steady-state guard: measurement starts at the first accepted
-        # receipt >= warmup; earlier accepts are discarded outright.
-        if warming:
-            b = b[b >= warmup]
-            if b.size == 0:
-                continue
-            warming = False
-        if last_accept is not None:
-            b = np.concatenate([[last_accept], b])
-        if b.size >= 2:
-            gaps = np.diff(b)
-            total_time += float(b[-1] - b[0])
-            over = gaps > timeout
-            excess = gaps[over] - timeout
-            suspect_time += float(np.sum(excess))
-            starts = b[:-1][over] + timeout
-            if starts.size:
-                s_times.append(starts)
-                durations.append(excess)
-                n_s += int(starts.size)
-        last_accept = float(b[-1])
-
-    all_s = np.concatenate(s_times) if s_times else np.empty(0, dtype=float)
-    all_d = (
-        np.concatenate(durations) if durations else np.empty(0, dtype=float)
-    )
-    result = FastAccuracyResult(
-        algorithm="sfd" if cutoff is None else "sfd-cutoff",
-        n_heartbeats=heartbeats,
-        total_time=total_time,
-        suspect_time=suspect_time,
-        s_transition_times=all_s,
-        mistake_durations=all_d,
-        truncated=truncated,
-    )
-    _record_kernel(result, t0)
-    return result

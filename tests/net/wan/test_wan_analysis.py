@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.analysis.nfds_theory import NFDSAnalysis
+from repro.analysis.nfds_theory import NFDSAnalysis, within_theorem5_band
 from repro.errors import InvalidParameterError
 from repro.net.delays import ExponentialDelay
 from repro.net.wan import (
@@ -13,7 +13,6 @@ from repro.net.wan import (
     detection_within_bound,
     predict_route,
     prediction_errors,
-    within_theorem5_band,
 )
 
 
@@ -73,15 +72,15 @@ class TestBandGate:
 
     def test_consistent_samples_pass(self, pred):
         tmr, tm = self._samples(pred)
-        assert within_theorem5_band(pred, tmr, tm)
+        assert within_theorem5_band(pred.prediction, tmr, tm, 0.95)
 
     def test_shifted_tmr_fails(self, pred):
         tmr, tm = self._samples(pred, tmr_shift=1.5)
-        assert not within_theorem5_band(pred, tmr, tm)
+        assert not within_theorem5_band(pred.prediction, tmr, tm, 0.95)
 
     def test_shifted_tm_fails(self, pred):
         tmr, tm = self._samples(pred, tm_shift=0.5)
-        assert not within_theorem5_band(pred, tmr, tm)
+        assert not within_theorem5_band(pred.prediction, tmr, tm, 0.95)
 
 
 class TestDetectionGate:

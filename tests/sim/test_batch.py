@@ -27,9 +27,7 @@ from repro.net.delays import (
     UniformDelay,
 )
 from repro.sim.batch import (
-    AccuracyTask,
     crash_kernel_spec,
-    run_accuracy_task,
     run_crash_runs_batched,
 )
 from repro.sim.runner import CrashRunResult, SimulationConfig, run_crash_runs
@@ -249,12 +247,6 @@ class TestPrematureProperty:
         )
         assert result.n_undetected == 1
         assert sorted(result.detected_times) == [0.0, 0.0, 1.5]
-
-
-class TestAccuracyTask:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            run_accuracy_task(AccuracyTask("bogus", {}))
 
 
 class TestBatchedExperiments:

@@ -11,6 +11,7 @@ Three lines of defence:
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -30,6 +31,14 @@ from repro.sim.fastsim import (
 from repro.sim.runner import SimulationConfig, run_failure_free
 
 SETTINGS = dict(eta=1.0, loss_probability=0.01, delay=ExponentialDelay(0.02))
+
+#: one operating point per kernel for the tests of the shared chunk driver
+KERNELS = {
+    "nfd-s": partial(simulate_nfds_fast, 1.0, 1.2),
+    "nfd-u": partial(simulate_nfdu_fast, 1.0, 0.6),
+    "nfd-e": partial(simulate_nfde_fast, 1.0, 0.6, window=16),
+    "sfd": partial(simulate_sfd_fast, 1.0, 1.3),
+}
 
 
 class TestValidation:
@@ -209,23 +218,34 @@ class TestCrossValidationWithDES:
 class TestStructuralInvariants:
     def test_chunking_invariance_without_loss(self):
         """With p_L = 0 the RNG stream is identical regardless of chunk
-        size, so results must agree exactly."""
+        size, so every kernel's results must agree (up to the float
+        grouping of per-chunk sums), down to chunks of a few messages."""
         kw = dict(
-            eta=1.0,
-            delta=1.2,
             loss_probability=0.0,
             delay=ExponentialDelay(0.4),
             seed=11,
             target_mistakes=10**9,
-            max_heartbeats=50_000,
+            max_heartbeats=20_000,
         )
-        a = simulate_nfds_fast(chunk_size=50_000, **kw)
-        b = simulate_nfds_fast(chunk_size=1_000, **kw)
-        np.testing.assert_allclose(
-            a.s_transition_times, b.s_transition_times
-        )
-        np.testing.assert_allclose(a.mistake_durations, b.mistake_durations)
-        assert a.suspect_time == pytest.approx(b.suspect_time)
+        for name, run in KERNELS.items():
+            a = run(chunk_size=20_000, **kw)
+            assert a.n_mistakes > 0, name
+            for chunk_size in (777, 7):
+                b = run(chunk_size=chunk_size, **kw)
+                np.testing.assert_allclose(
+                    b.s_transition_times,
+                    a.s_transition_times,
+                    rtol=1e-12,
+                    err_msg=name,
+                )
+                np.testing.assert_allclose(
+                    b.mistake_durations,
+                    a.mistake_durations,
+                    rtol=1e-12,
+                    err_msg=name,
+                )
+                assert b.suspect_time == pytest.approx(a.suspect_time), name
+                assert b.total_time == pytest.approx(a.total_time), name
 
     def test_nfde_chunking_invariance_without_loss(self):
         kw = dict(
@@ -276,34 +296,34 @@ class TestStructuralInvariants:
         assert r.n_heartbeats <= 10_000 + 10  # +k slack
 
     def test_truncation_respects_max_heartbeats_exactly(self):
-        # Regression: the final chunk used to draw a full k+1 top-up and
-        # overshoot max_heartbeats (eta=1, delta=5 → k=5; chunk 7 with a
-        # budget of 10 drew 13).  The clamp must stop at the cap; only a
-        # cap below k+1 itself may be exceeded (no window fits otherwise).
-        r = simulate_nfds_fast(
-            1.0,
-            5.0,
-            0.0,
-            ExponentialDelay(0.02),
-            target_mistakes=100000,
-            max_heartbeats=10,
-            chunk_size=7,
-        )
-        assert r.truncated
-        assert r.n_heartbeats == 10
+        # Regression: NFD-S's final chunk used to draw a full k+1 top-up
+        # and overshoot max_heartbeats (eta=1, delta=5 → k=5; chunk 7
+        # with a budget of 10 drew 13).  The clamp must stop at the cap;
+        # only a cap below k+1 itself may be exceeded (no window fits
+        # otherwise).  Every kernel shares the one budget rule.
+        kernels = {**KERNELS, "nfd-s": partial(simulate_nfds_fast, 1.0, 5.0)}
+        for name, run in kernels.items():
+            r = run(
+                loss_probability=0.0,
+                delay=ExponentialDelay(0.02),
+                target_mistakes=100000,
+                max_heartbeats=10,
+                chunk_size=7,
+            )
+            assert r.truncated, name
+            assert r.n_heartbeats == 10, name
 
     def test_stops_at_target(self):
-        r = simulate_nfds_fast(
-            1.0,
-            0.2,
-            0.1,
-            ExponentialDelay(0.3),
-            target_mistakes=50,
-            max_heartbeats=10_000_000,
-            chunk_size=500,
-        )
-        assert not r.truncated
-        assert r.n_mistakes >= 50
+        for name, run in KERNELS.items():
+            r = run(
+                loss_probability=0.1,
+                delay=ExponentialDelay(0.3),
+                target_mistakes=50,
+                max_heartbeats=10_000_000,
+                chunk_size=500,
+            )
+            assert not r.truncated, name
+            assert r.n_mistakes >= 50, name
 
     def test_result_properties(self):
         r = simulate_nfds_fast(

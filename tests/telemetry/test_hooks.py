@@ -9,19 +9,26 @@ Two invariants matter everywhere:
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+import pytest
 
 from repro import telemetry
 from repro.net.delays import ExponentialDelay
 from repro.sim.batch import run_crash_runs_batched
 from repro.sim.engine import Simulator
-from repro.sim.fastsim import simulate_nfds_fast
+from repro.sim.fastsim import (
+    simulate_nfde_fast,
+    simulate_nfds_fast,
+    simulate_nfdu_fast,
+    simulate_sfd_fast,
+)
 from repro.sim.parallel import parallel_map
 from repro.sim.runner import SimulationConfig
 
 FAST_KWARGS = dict(
     eta=1.0,
-    delta=1.0,
     loss_probability=0.05,
     delay=ExponentialDelay(0.1),
     seed=3,
@@ -29,6 +36,14 @@ FAST_KWARGS = dict(
     max_heartbeats=4_000,
     chunk_size=1_000,
 )
+
+#: one run of each fastsim kernel, by its ``algorithm`` label
+KERNELS = {
+    "nfd-s": partial(simulate_nfds_fast, delta=1.0, **FAST_KWARGS),
+    "nfd-u": partial(simulate_nfdu_fast, alpha=0.5, **FAST_KWARGS),
+    "nfd-e": partial(simulate_nfde_fast, alpha=0.5, window=8, **FAST_KWARGS),
+    "sfd": partial(simulate_sfd_fast, timeout=1.2, **FAST_KWARGS),
+}
 
 
 class TestSimulatorTelemetry:
@@ -56,11 +71,12 @@ class TestSimulatorTelemetry:
         assert fired == [2.0]
 
 
+@pytest.mark.parametrize("algorithm", sorted(KERNELS))
 class TestFastsimTelemetry:
-    def test_records_per_kernel_call(self):
+    def test_records_per_kernel_call(self, algorithm):
         with telemetry.enabled() as reg:
-            result = simulate_nfds_fast(**FAST_KWARGS)
-        labels = {"algorithm": "nfd-s"}
+            result = KERNELS[algorithm]()
+        labels = {"algorithm": algorithm}
         assert reg.counter("fastsim_runs_total", labels=labels).value == 1
         assert (
             reg.counter("fastsim_heartbeats_total", labels=labels).value
@@ -74,18 +90,18 @@ class TestFastsimTelemetry:
         assert hist.count == 1
         assert hist.sum > 0.0
 
-    def test_results_identical_on_and_off(self):
-        off = simulate_nfds_fast(**FAST_KWARGS)
+    def test_results_identical_on_and_off(self, algorithm):
+        off = KERNELS[algorithm]()
         with telemetry.enabled():
-            on = simulate_nfds_fast(**FAST_KWARGS)
+            on = KERNELS[algorithm]()
         assert np.array_equal(off.s_transition_times, on.s_transition_times)
         assert np.array_equal(off.mistake_durations, on.mistake_durations)
         assert off.suspect_time == on.suspect_time
 
-    def test_disabled_records_nothing(self):
+    def test_disabled_records_nothing(self, algorithm):
         reg = telemetry.MetricsRegistry()
         assert telemetry.active() is None
-        simulate_nfds_fast(**FAST_KWARGS)
+        KERNELS[algorithm]()
         assert len(reg) == 0
 
 

@@ -68,9 +68,6 @@ ALLOWED = {
     "service.contracts.detector_for_contract_unsync": (
         "the §6 procedure, eq. 6.1"
     ),
-    "telemetry.export.validate_record": (
-        "the repro.telemetry/1 schema check, beside its producer"
-    ),
     "telemetry.runtime.enabled": (
         "the scoped form of the public telemetry switch"
     ),
