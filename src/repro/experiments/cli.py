@@ -7,7 +7,9 @@ Usage::
 
 ``--full`` runs at the paper's scale (Fig. 12 with 500 mistake-recurrence
 intervals per point, up to ~5·10⁸ heartbeats for the largest ``T_D^U``);
-the default is a faster, shape-preserving scale.
+the default is a faster, shape-preserving scale.  ``--out`` saves a
+table as ``<experiment>[-i].txt``, or ``<experiment>-full[-i].txt`` from
+a ``--full`` run, so the two scales never overwrite each other.
 """
 
 from __future__ import annotations
@@ -187,8 +189,9 @@ def _run_experiments(names, args, telemetry=None) -> None:
             print()
             print(table.to_text())
             if args.out is not None:
+                scale = "-full" if args.full else ""
                 suffix = f"-{i}" if len(tables) > 1 else ""
-                path = args.out / f"{name}{suffix}.txt"
+                path = args.out / f"{name}{scale}{suffix}.txt"
                 table.save(path)
                 print(f"  saved: {path}")
         if telemetry is not None:

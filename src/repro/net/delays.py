@@ -78,7 +78,12 @@ class DelayDistribution(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` i.i.d. delays."""
+        """Draw ``size`` i.i.d. delays.
+
+        Returns a fresh float array the caller may overwrite: it shares
+        no memory with the distribution, so writing into it (as
+        :mod:`repro.sim.fastsim` does) cannot change a later draw.
+        """
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Survival function ``P(D > x)``."""

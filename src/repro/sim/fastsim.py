@@ -42,6 +42,18 @@ accepted arrival times (carry: the sorted pending accepts).
 NFD-S and NFD-U/E close their mistakes by one rule,
 :meth:`_Tally.mistakes`.  The kernels are cross-validated against the
 event-driven implementations in ``tests/sim/test_fastsim_exact.py``.
+
+Each chunk costs a few full-array passes, and the kernels skip the ones
+the input makes moot while keeping every floating-point operation and
+its grouping.  A stable sort of an ordered array is the identity:
+NFD-U/E sort their receipts, and SFD its accepts, only when one
+``x[1:] >= x[:-1]`` pass finds an inversion, and when the receipts'
+sequence numbers ascend too, every receipt is effective.  At Fig. 12's
+settings a delay longer than η has probability e⁻⁵⁰, so every chunk
+takes the ordered path.  :func:`_draw_arrivals` writes ``∞`` into the
+delay draw it owns and adds the send times in one fresh buffer, and
+eq. (6.3)'s window means are the difference of two slices of one
+cumulative sum.
 """
 
 from __future__ import annotations
@@ -198,15 +210,28 @@ def _draw_arrivals(
     under an SFD cutoff ``c``, for messages delayed past ``c``.
 
     ``seqs`` is the int64 sequence vector; the product with the float
-    ``eta`` promotes element-wise, so no float copy is made per chunk.
+    ``eta`` promotes element-wise into the one new buffer.  The draw is
+    the caller's to overwrite (the ``sample`` contract), so dropped
+    messages become ``∞`` in place through one mask.
     """
     d = delay.sample(rng, seqs.size).astype(float, copy=False)
+    drop = None
     if loss_probability > 0.0:
-        lost = rng.random(seqs.size) < loss_probability
-        d = np.where(lost, np.inf, d)
+        drop = rng.random(seqs.size) < loss_probability
     if cutoff is not None:
-        d = np.where(d > cutoff, np.inf, d)
-    return seqs * eta + d
+        late = d > cutoff
+        drop = late if drop is None else np.logical_or(drop, late, out=drop)
+    if drop is not None:
+        np.copyto(d, np.inf, where=drop)
+    arrivals = seqs * eta
+    arrivals += d
+    return arrivals
+
+
+def _ascending(x: np.ndarray) -> bool:
+    """Whether ``x`` is non-decreasing — a stable sort of it is then the
+    identity, so the kernels sort only a chunk with an inversion."""
+    return bool(np.all(x[1:] >= x[:-1]))
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -374,12 +399,13 @@ def _nfds_chunks(
         # The carry for the next chunk is fixed by the *full* window
         # count, before any warmup trimming below.
         carry = arrivals[m:].copy()
-        f = arrivals[:m].copy()
+        f = arrivals[:m]  # F is only read, so a view serves when k = 0
         for j in range(1, k + 1):
-            np.minimum(f, arrivals[j : j + m], out=f)
+            f = np.minimum(f, arrivals[j : j + m], out=f if j > 1 else None)
 
-        idx = np.arange(start_seq, start_seq + m, dtype=float)
-        tau = idx * eta + delta
+        tau = np.arange(start_seq, start_seq + m, dtype=float)
+        tau *= eta
+        tau += delta
         tau_next = tau + eta
 
         # Steady-state guard: drop leading windows whose freshness point
@@ -400,19 +426,19 @@ def _nfds_chunks(
             warming = False
 
         # Suspect time per window: from τ_i until trust (capped at τ_{i+1}).
-        tally.suspect_time += float(
-            np.sum(np.clip(np.minimum(f, tau_next) - tau, 0.0, eta))
-        )
+        sus = np.minimum(f, tau_next)
+        sus -= tau
+        tally.suspect_time += float(np.sum(np.clip(sus, 0.0, eta, out=sus)))
         windows += m
         tally.total_time = windows * eta
 
         # S-transitions at τ_i: trusted just before (F_{i-1} < τ_i) and no
         # fresh message at τ_i (F_i > τ_i).  Before τ_1 the output is S by
         # initialization, so no S-transition can occur at τ_1 itself.
-        f_prev = np.empty(m, dtype=float)
-        f_prev[1:] = f[:-1]
-        f_prev[0] = np.inf if prev_f is None else prev_f
-        s_local = np.nonzero((f > tau) & (f_prev < tau))[0]
+        s_at = f > tau
+        s_at[1:] &= f[:-1] < tau[1:]
+        s_at[0] &= prev_f is not None and prev_f < tau[0]
+        s_local = np.nonzero(s_at)[0]
         # Trust resumes in window m at F_m when F_m < τ_{m+1}.
         g_local = np.nonzero(f < tau_next)[0]
         tally.mistakes(tau, s_local, f, g_local, side="left")
@@ -505,47 +531,68 @@ def _freshness_chunks(
         received = np.isfinite(arrivals)
         all_seq = np.concatenate([pend_seq, seqs[received]])
         all_t = np.concatenate([pend_t, arrivals[received]])
+        # Arrival order (delays can reorder messages).  A stable sort
+        # keeps ties in stream order, so the pending tail it leaves
+        # sorted meets the next chunk in the same order as unsorted.
+        if not _ascending(all_t):
+            order = np.argsort(all_t, kind="stable")
+            all_seq = all_seq[order]
+            all_t = all_t[order]
         # Only arrivals at or before this chunk's last send time are
         # final — later ones may interleave with the next chunk's
         # messages, so they stay pending.
-        boundary = int(seqs[-1]) * eta
-        mature = all_t <= boundary
-        pend_seq = all_seq[~mature]
-        pend_t = all_t[~mature]
-        r_seq = all_seq[mature]
-        r_t = all_t[mature]
-        if r_t.size == 0:
+        split = int(np.searchsorted(all_t, int(seqs[-1]) * eta, side="right"))
+        pend_seq = all_seq[split:].copy()
+        pend_t = all_t[split:].copy()
+        if split == 0:
             return
-        # Arrival order (delays can reorder messages).
-        order = np.argsort(r_t, kind="stable")
-        r_seq = r_seq[order]
-        r_t = r_t[order]
+        r_seq = all_seq[:split]
+        r_t = all_t[:split]
         # Effective receipts: sequence number exceeds everything before.
-        cummax = np.maximum.accumulate(r_seq)
-        eff = np.empty(r_seq.size, dtype=bool)
-        eff[0] = r_seq[0] > ell
-        eff[1:] = (r_seq[1:] == cummax[1:]) & (r_seq[1:] > cummax[:-1])
-        if ell > 0:
-            eff &= r_seq > ell
-        e_seq = r_seq[eff]
-        e_t = r_t[eff]
-        if e_seq.size == 0:
-            return
+        if r_seq[0] > ell and bool(np.all(r_seq[1:] > r_seq[:-1])):
+            e_seq, e_t = r_seq, r_t  # every receipt advances ℓ
+        else:
+            cummax = np.maximum.accumulate(r_seq)
+            eff = np.empty(r_seq.size, dtype=bool)
+            eff[0] = r_seq[0] > ell
+            eff[1:] = (r_seq[1:] == cummax[1:]) & (r_seq[1:] > cummax[:-1])
+            if ell > 0:
+                eff &= r_seq > ell
+            e_seq = r_seq[eff]
+            e_t = r_t[eff]
+            if e_seq.size == 0:
+                return
         ell = int(e_seq[-1])
 
-        # τ for each effective receipt.
+        # τ for each effective receipt: (s+1)·η (exact in float below
+        # 2⁵³) plus the EA offset — a constant for NFD-U, NFD-E's eq. 6.3
+        # window mean — plus α.
+        tau = e_seq + 1.0
+        tau *= eta
         if ea_offset is not None:
-            tau = (e_seq + 1) * eta + ea_offset + alpha
+            tau += ea_offset
         else:
             assert window is not None
-            norm = e_t - eta * e_seq.astype(float)
-            full = np.concatenate([norm_carry, norm])
-            csum = np.concatenate([[0.0], np.cumsum(full)])
-            q = np.arange(norm_carry.size, full.size)
-            w = np.minimum(window, q + 1)
-            means = (csum[q + 1] - csum[q + 1 - w]) / w
-            tau = means + (e_seq + 1) * eta + alpha
-            norm_carry = full[full.size - min(window, full.size) :]
+            # The normalized receipts t − s·η, the carried window first.
+            c = norm_carry.size
+            n = c + e_seq.size
+            full = np.empty(n, dtype=float)
+            full[:c] = norm_carry
+            norm = np.multiply(e_seq, eta, out=full[c:])
+            np.subtract(e_t, norm, out=norm)
+            csum = np.zeros(n + 1, dtype=float)
+            np.cumsum(full, out=csum[1:])
+            # Receipt q averages the last min(window, q+1) entries: a full
+            # window is the difference of two slices of the sum; only the
+            # first window−1 receipts of a run divide by their count.
+            q0 = min(max(c, window - 1), n)
+            q = np.arange(c, q0)
+            tau[: q0 - c] += csum[q + 1] / (q + 1)
+            means = csum[q0 + 1 :] - csum[q0 + 1 - window : n + 1 - window]
+            means /= window
+            tau[q0 - c :] += means
+            norm_carry = full[n - min(window, n) :].copy()
+        tau += alpha
 
         # Warmup: the first `warm_needed` effective receipts feed the
         # estimator but are excluded from accounting (steady-state guard).
@@ -565,10 +612,10 @@ def _freshness_chunks(
         # (a prefix, since e_t is ascending); measurement restarts at the
         # first retained receipt.
         if warming_time:
-            keep = e_t >= warmup
-            if not bool(keep.all()):
-                e_t = e_t[keep]
-                tau = tau[keep]
+            nskip = int(np.searchsorted(e_t, warmup, side="left"))
+            if nskip:
+                e_t = e_t[nskip:]
+                tau = tau[nskip:]
                 t_prev = None
                 tau_prev = None
             if e_t.size == 0:
@@ -594,13 +641,11 @@ def _freshness_chunks(
         tq = taus[:-1]
         tally.total_time += float(t_end[-1] - t_start[0])
         trust_at = tq > t_start
-        # Suspect time per interval.
-        sus = np.where(
-            trust_at,
-            np.clip(t_end - np.maximum(tq, t_start), 0.0, None),
-            t_end - t_start,
-        )
-        tally.suspect_time += float(np.sum(sus))
+        # Suspect time per interval: from max(t, τ) on (all of it when
+        # τ ≤ t, as the receipts are ascending).
+        sus = np.maximum(tq, t_start)
+        np.subtract(t_end, sus, out=sus)
+        tally.suspect_time += float(np.sum(np.clip(sus, 0.0, None, out=sus)))
 
         # S-transitions: τ falls strictly inside a trusted interval; the
         # mistake starting at τ_m (inside interval m) ends at the first
@@ -695,7 +740,8 @@ def _sfd_chunks(
     def chunk(tally: _Tally, seqs: np.ndarray, arrivals: np.ndarray) -> None:
         nonlocal last_accept, pend, warming
         new = arrivals[np.isfinite(arrivals)]
-        new.sort()
+        if not _ascending(new):
+            new.sort()
         boundary = int(seqs[-1]) * eta
         # ``pend`` is kept sorted, so the mature/immature split of both
         # buffers is a prefix slice and the combination is a linear merge
@@ -710,7 +756,7 @@ def _sfd_chunks(
         # Steady-state guard: measurement starts at the first accepted
         # receipt >= warmup; earlier accepts are discarded outright.
         if warming:
-            b = b[b >= warmup]
+            b = b[int(np.searchsorted(b, warmup, side="left")) :]
             if b.size == 0:
                 return
             warming = False

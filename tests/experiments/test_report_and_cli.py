@@ -30,6 +30,13 @@ class TestCLI:
         assert "Configuration procedures" in out
         assert (tmp_path / "config-examples.txt").exists()
 
+    def test_full_run_never_overwrites_the_reduced_tables(self, tmp_path):
+        reduced = tmp_path / "config-examples.txt"
+        reduced.write_text("reduced\n")
+        assert main(["config-examples", "--full", "--out", str(tmp_path)]) == 0
+        assert reduced.read_text() == "reduced\n"
+        assert (tmp_path / "config-examples-full.txt").exists()
+
     def test_cli_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             main(["no-such-thing"])

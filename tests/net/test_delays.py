@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
+from repro.net import delays, topology
 from repro.net.delays import (
     ConstantDelay,
+    DelayDistribution,
     EmpiricalDelay,
     ExponentialDelay,
     GammaDelay,
@@ -22,6 +25,7 @@ from repro.net.delays import (
     UniformDelay,
     WeibullDelay,
 )
+from repro.net.topology import PathDelay
 
 ALL_FAMILIES = [
     ExponentialDelay(0.02),
@@ -94,6 +98,37 @@ class TestCommonContract:
             # in [P(D < x), P(D <= x)] up to sampling noise.
             assert float(dist.prob_less(x)) <= q + 0.02
             assert float(dist.cdf(x)) >= q - 0.02
+
+
+#: one instance of every concrete law, the multi-hop path included
+SAMPLED_LAWS = ALL_FAMILIES + [
+    PathDelay([ExponentialDelay(0.02), UniformDelay(0.01, 0.05)], seed=1),
+]
+
+
+class TestSampleOwnership:
+    """``sample`` returns a fresh float array the caller may overwrite."""
+
+    def test_every_concrete_law_is_listed(self):
+        concrete = {
+            cls
+            for module in (delays, topology)
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, DelayDistribution)
+            and not inspect.isabstract(cls)
+            and cls.__module__ == module.__name__
+        }
+        assert concrete == {type(law) for law in SAMPLED_LAWS}
+
+    @pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda d: type(d).__name__)
+    def test_overwriting_a_draw_leaves_the_next_one_alone(self, law):
+        first = law.sample(np.random.default_rng(7), 257)
+        assert first.dtype == np.float64 and first.flags.writeable
+        saved = first.copy()
+        first[:] = np.inf
+        again = law.sample(np.random.default_rng(7), 257)
+        np.testing.assert_array_equal(again, saved)
 
 
 class TestValidation:

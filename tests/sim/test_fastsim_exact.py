@@ -17,6 +17,7 @@ from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
 from repro.metrics.qos import window_samples
 from repro.net.delays import DelayDistribution
+from repro.sim import fastsim
 from repro.sim.engine import Simulator
 from repro.sim.fastsim import (
     simulate_nfde_fast,
@@ -231,3 +232,101 @@ class TestExactAgreement:
         np.testing.assert_allclose(
             fast_s, des_s[: fast_s.size], atol=1e-9
         )
+
+
+#: chunk size of the edge test; late delays sit on its chunk edges
+EDGE_CHUNK = 31
+EDGE_N = EDGE_CHUNK * 40
+
+
+def chunk_edge_delays(rng):
+    """Exp(0.02) delays, except the first and last message of a few
+    chunks of 31, which take a delay in (η, 3η) with η = 1: the first is
+    overtaken inside its chunk, the last across the chunk boundary."""
+    d = rng.exponential(0.02, EDGE_N)
+    for c in (2, 5, 9, 14, 20, 27, 33):
+        d[c * EDGE_CHUNK] = rng.uniform(1.05, 2.95)
+        d[(c + 1) * EDGE_CHUNK - 1] = rng.uniform(1.05, 2.95)
+    return d
+
+
+EDGE_RUN = dict(
+    target_mistakes=10**9, max_heartbeats=EDGE_N, chunk_size=EDGE_CHUNK
+)
+EDGE_CASES = {
+    "nfd-u": (
+        lambda replay: simulate_nfdu_fast(
+            1.0, 0.3, 0.0, replay, ea_offset=0.02, **EDGE_RUN
+        ),
+        lambda: NFDU(eta=1.0, alpha=0.3, expected_arrival=lambda i: i + 0.02),
+    ),
+    "nfd-e-1": (
+        lambda replay: simulate_nfde_fast(
+            1.0, 0.3, 0.0, replay, window=1, **EDGE_RUN
+        ),
+        lambda: NFDE(eta=1.0, alpha=0.3, window=1),
+    ),
+    "nfd-e-32": (
+        lambda replay: simulate_nfde_fast(
+            1.0, 0.3, 0.0, replay, window=32, **EDGE_RUN
+        ),
+        lambda: NFDE(eta=1.0, alpha=0.3, window=32),
+    ),
+    "sfd": (
+        lambda replay: simulate_sfd_fast(1.0, 1.2, 0.0, replay, **EDGE_RUN),
+        lambda: SimpleFD(timeout=1.2),
+    ),
+    "sfd-cutoff": (
+        lambda replay: simulate_sfd_fast(
+            1.0, 1.2, 0.0, replay, cutoff=2.0, **EDGE_RUN
+        ),
+        lambda: SimpleFD(timeout=1.2, cutoff=2.0),
+    ),
+}
+
+
+@pytest.fixture
+def guard_outcomes(monkeypatch):
+    """The outcomes of the kernels' ordered-input guard: a chunk already
+    in arrival order skips its sort, any other is sorted."""
+    seen = set()
+    ascending = fastsim._ascending
+
+    def spy(x):
+        out = ascending(x)
+        seen.add(out)
+        return out
+
+    monkeypatch.setattr(fastsim, "_ascending", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_inversions_at_chunk_edges(case, rng, guard_outcomes):
+    """Messages overtaken at the first and last position of a chunk:
+    the kernels take both the ordered and the sorting path of their
+    guards and still match the event-driven detector mistake for
+    mistake."""
+    fast_run, detector = EDGE_CASES[case]
+    delays = chunk_edge_delays(rng)
+    fast = fast_run(ReplayDelay(delays))
+    trace = run_event_driven(detector(), delays, 1.0, horizon=EDGE_N + 3.0)
+
+    assert guard_outcomes == {True, False}
+    # Compare from the kernel's first mistake (NFD-E's window warmup is
+    # not accounted) to before the stream tail still pending.
+    start = float(fast.s_transition_times[0]) - 1e-9
+    limit = EDGE_N - 3.0
+    des_s = trace.s_transition_times
+    des_s = des_s[(des_s >= start) & (des_s < limit)]
+    fast_s = fast.s_transition_times[fast.s_transition_times < limit]
+    assert fast_s.size >= 10
+    np.testing.assert_allclose(fast_s, des_s, atol=1e-9)
+    des_tm = {
+        round(float(t), 9): float(d)
+        for t, d in zip(
+            trace.s_transition_times, window_samples(trace, trace.start_time)[1]
+        )
+    }
+    for s, d in zip(fast_s, fast.mistake_durations):
+        assert d == pytest.approx(des_tm[round(float(s), 9)], abs=1e-9)
