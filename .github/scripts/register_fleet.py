@@ -2,7 +2,13 @@
 
 Count-based: 10^5 NFD-S peers leave at most three objects a peer for
 the cyclic collector to walk, one engine row each and one wheel entry
-for the whole cohort.  The seconds are printed for the log, not gated.
+for the whole cohort.  Then 10^4 of them leave and 10^4 new names
+join: the peer index reuses the freed indices, so it does not grow,
+and the peers still cost at most three objects each.  (The removed
+peers' closed results, eleven objects each, stay in
+``service.results`` whatever ``keep_traces`` says; they are counted
+apart.)  Engine rows are not reused yet: ``n_rows`` grows with the
+churn.  The seconds are printed for the log, not gated.
 
 Run from the repository root: ``PYTHONPATH=src python
 .github/scripts/register_fleet.py``.
@@ -36,6 +42,26 @@ async def main():
     assert per_peer <= 3.0, per_peer
     assert engine.n_rows == n, engine.n_rows
     assert engine.pending_deadlines == 1, engine.pending_deadlines
+    index = service._index
+    capacity = index.columns.capacity
+    churn = n // 10
+    for i in range(churn):
+        service.remove_peer(f"p{i}")
+    for i in range(churn):
+        service.add_peer(f"q{i}", factory, eta=1.0)
+    gc.collect()
+    with_results = len(gc.get_objects())
+    service._results.clear()
+    gc.collect()
+    per_result = (with_results - len(gc.get_objects())) / churn
+    per_peer = (len(gc.get_objects()) - before) / n
+    print(f"after {churn} removals and {churn} new names: "
+          f"{per_peer:.3f} tracked objects a peer, "
+          f"{per_result:.1f} a closed result, "
+          f"peer index capacity {index.columns.capacity}")
+    assert index.columns.capacity == capacity, index.columns.capacity
+    assert len(index.peers) == n, len(index.peers)
+    assert per_peer <= 3.0, per_peer
     await service.aclose()
 
 

@@ -16,11 +16,12 @@ state equality** with it on every stream and every chunking:
 ``HeartbeatObserver`` and ``tests/estimation/test_table_identity.py``
 compares it with one fed the same receipts, field for field.
 
-Layout.  Every column holds its fill value (zero) in a slot nobody
-holds: :meth:`ObserverTable.release` puts it back, so opening a row
-writes only what differs — η, ``first_seq``, the horizon and the two
-window lengths.  A released slot's generation moves on, which is how a
-view taken before the release knows it is stale.  Loss-estimator state
+Layout.  Each column's fill (zero) is declared once, in a
+:class:`~repro.columns.Columns` store the two rings share, so a
+released slot equals a fresh one and opening a row writes only what
+differs — η, ``first_seq``, the horizon and the two window lengths.  A
+released slot's generation moves on, which is how a view taken before
+the release knows it is stale.  Loss-estimator state
 is integer columns; the per-row sets of missing and locally-shed
 sequence numbers are rare (a loss-free stream never creates one) and
 live in two dicts keyed by slot.  Each sliding window (delay samples;
@@ -54,6 +55,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.columns import Columns
 from repro.errors import EstimationError, InvalidParameterError
 from repro.estimation.observer import HeartbeatObserver, NetworkEstimate
 
@@ -64,13 +66,33 @@ __all__ = ["ObserverTable", "ObserverRow"]
 #: receipt); a monitor of a few peers drains chunks below it.
 _VECTOR_FROM = 12
 
+#: a row's columns, all at their fill in a slot nobody holds
+_COLUMNS = (
+    ("_eta", np.float64, 0.0),
+    # LossRateEstimator's fields; ``_started`` is its ``highest is not
+    # None``, a zero horizon its ``None``, and a row not started holds
+    # ``first_seq − 1`` as its highest (module docstring).
+    ("_first_seq", np.int64, 0),
+    ("_started", bool, False),
+    ("_highest", np.int64, 0),
+    ("_received", np.int64, 0),
+    ("_lost_compacted", np.int64, 0),
+    ("_swept_at", np.int64, 0),
+    ("_horizon", np.int64, 0),
+    # scratch for spotting rows heard more than once in a chunk
+    ("_mark", np.int64, 0),
+    ("_repeated", bool, False),
+)
 
-def _widened(column: np.ndarray, cap: int) -> np.ndarray:
-    """``column`` copied into a zeroed array of ``cap`` slots (the slot
-    axis is the last one)."""
-    grown = np.zeros(column.shape[:-1] + (cap,), dtype=column.dtype)
-    grown[..., : column.shape[-1]] = column
-    return grown
+#: a ring row's columns, all zero in a slot nobody holds
+_RING_COLUMNS = (
+    ("window", np.int64, 0),
+    ("count", np.int64, 0),
+    ("head", np.int64, 0),
+    ("total", np.float64, 0.0),
+    ("total_sq", np.float64, 0.0),
+    ("evictions", np.int64, 0),
+)
 
 
 class _Rings:
@@ -83,35 +105,16 @@ class _Rings:
     :class:`~repro.estimation.delay_stats.WindowedDelayStats`.
     """
 
-    def __init__(self, cap: int, squares: bool) -> None:
+    def __init__(self, squares: bool) -> None:
         self.squares = squares
-        self.window = np.zeros(cap, dtype=np.int64)
-        self.count = np.zeros(cap, dtype=np.int64)
-        self.head = np.zeros(cap, dtype=np.int64)
-        self.total = np.zeros(cap, dtype=np.float64)
-        self.total_sq = np.zeros(cap, dtype=np.float64)
-        self.evictions = np.zeros(cap, dtype=np.int64)
-        self.buf = np.zeros((0, cap), dtype=np.float64)
-
-    #: per-row columns; ``buf`` is shared
-    _STATE = ("window", "count", "head", "total", "total_sq", "evictions")
-    _COLUMNS = _STATE + ("buf",)
-
-    def widen(self, cap: int) -> None:
-        for name in self._COLUMNS:
-            setattr(self, name, _widened(getattr(self, name), cap))
+        #: grown with the table's rows; ``buf`` is ``buf[position, slot]``
+        self.columns = Columns(self, _RING_COLUMNS, 0, (), (("buf", 1),))
 
     def _deepen(self, need: int) -> None:
         depth, cap = self.buf.shape
         buf = np.zeros((max(need, 2 * depth), cap), dtype=np.float64)
         buf[:depth] = self.buf
         self.buf = buf
-
-    def clear(self, slot: int) -> None:
-        """Put a row back to the fill value (its samples stay in the
-        buffer, beyond ``count``, and are overwritten)."""
-        for name in self._STATE:
-            getattr(self, name)[slot] = 0
 
     def _resync(self, slot: int) -> None:
         """Recompute a full row's sums exactly (``fsum`` is order-free,
@@ -198,47 +201,17 @@ class ObserverTable:
     :meth:`release` does so one last time and frees the row's slot.
     """
 
-    #: a row's columns, all zero in a slot nobody holds
-    _STATE = (
-        "_eta",
-        "_first_seq",
-        "_started",
-        "_highest",
-        "_received",
-        "_lost_compacted",
-        "_swept_at",
-        "_horizon",
-    )
-    _COLUMNS = _STATE + ("_gen", "_mark", "_repeated")
-
     def __init__(self) -> None:
-        cap = 64
-        self._n = 0  # slots ever handed out; released ones wait in _free
-        self._free: List[int] = []
-        self._eta = np.zeros(cap, dtype=np.float64)
-        # LossRateEstimator's fields; ``_started`` is its ``highest is
-        # not None``, a zero horizon its ``None``, and a row not started
-        # holds ``first_seq − 1`` as its highest (module docstring).
-        self._first_seq = np.zeros(cap, dtype=np.int64)
-        self._started = np.zeros(cap, dtype=bool)
-        self._highest = np.zeros(cap, dtype=np.int64)
-        self._received = np.zeros(cap, dtype=np.int64)
-        self._lost_compacted = np.zeros(cap, dtype=np.int64)
-        self._swept_at = np.zeros(cap, dtype=np.int64)
-        self._horizon = np.zeros(cap, dtype=np.int64)
-        #: releases of the slot so far: a view is of one generation
-        self._gen = np.zeros(cap, dtype=np.int64)
         self._missing: Dict[int, set] = {}
         self._local_drops: Dict[int, set] = {}
-        self._delays = _Rings(cap, squares=True)
-        self._arrivals = _Rings(cap, squares=False)
-        # Scratch for spotting rows heard more than once in a chunk.
-        self._mark = np.zeros(cap, dtype=np.int64)
-        self._repeated = np.zeros(cap, dtype=bool)
+        self._delays = _Rings(squares=True)
+        self._arrivals = _Rings(squares=False)
+        linked = (self._delays.columns, self._arrivals.columns)
+        self._rows = Columns(self, _COLUMNS, 64, linked, ())
 
     def __len__(self) -> int:
         """Rows currently open."""
-        return self._n - len(self._free)
+        return len(self._rows)
 
     # ------------------------------------------------------------------ #
     # Rows
@@ -271,17 +244,7 @@ class ObserverTable:
             raise InvalidParameterError(
                 f"window must be >= 1, got {arrival_window}"
             )
-        if self._free:
-            slot = self._free.pop()
-        else:
-            if self._n == len(self._eta):
-                cap = 2 * self._n
-                for name in self._COLUMNS:
-                    setattr(self, name, _widened(getattr(self, name), cap))
-                self._delays.widen(cap)
-                self._arrivals.widen(cap)
-            slot = self._n
-            self._n += 1
+        slot = self._rows.alloc()
         # Every other column of the slot is at its fill value.
         self._eta[slot] = eta
         if first_seq:
@@ -292,7 +255,7 @@ class ObserverTable:
             self._horizon[slot] = loss_reorder_horizon
         self._delays.window[slot] = stats_window
         self._arrivals.window[slot] = arrival_window
-        return ObserverRow(self, slot, self._gen.item(slot))
+        return ObserverRow(self, slot, self._rows.generation(slot))
 
     def release(self, row: "ObserverRow") -> HeartbeatObserver:
         """Close ``row``: return its final :meth:`export` and free its
@@ -302,12 +265,7 @@ class ObserverTable:
         observer = self.export(slot)
         self._missing.pop(slot, None)
         self._local_drops.pop(slot, None)
-        for name in self._STATE:
-            getattr(self, name)[slot] = 0
-        self._delays.clear(slot)
-        self._arrivals.clear(slot)
-        self._gen[slot] += 1
-        self._free.append(slot)
+        self._rows.free(slot)
         return observer
 
     def export(self, slot: int) -> HeartbeatObserver:
@@ -687,7 +645,7 @@ class ObserverRow:
 
     @property
     def slot(self) -> int:
-        if self._table._gen.item(self._slot) != self._gen:
+        if self._table._rows.generation(self._slot) != self._gen:
             raise EstimationError("observer row was released")
         return self._slot
 

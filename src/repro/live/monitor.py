@@ -63,6 +63,7 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.columns import Columns
 from repro.core.base import HeartbeatFailureDetector
 from repro.errors import EstimationError, InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
@@ -158,19 +159,33 @@ class _Peer:
         self.host: Optional[object] = None
 
 
+#: a peer index's columns and their fills
+_INDEX_COLUMNS = (
+    ("incarnation", np.int64, 0),  # the incarnation currently monitored
+    # engine row of a started, clockless SoAMonitorHost; -1: any other
+    # state (no host, a DetectorHost, a host with a clock)
+    ("row", np.int64, -1),
+    ("slot", np.int64, -1),  # estimator-table slot, -1: none (observe=False)
+    # receipts the columnar lane booked and the host has not been told
+    # about yet (:meth:`LiveMonitorService._settle_delivered`)
+    ("booked", np.int64, 0),
+)
+
+
 class _PeerIndex:
     """The service's one name resolver: ``name.encode() → dense peer
     index``, plus, per index, the :class:`_Peer` and the four integers
     the columnar drain lane needs to book a heartbeat without touching
     the peer's objects.
 
-    Indices are dense (a removed peer's index is reused), so the columns
-    stay as long as the largest population ever monitored.  Every write
-    bumps :attr:`version`: a drain that gathered from the columns
-    re-reads them when it sees the version move.  Only :meth:`add` and
-    :meth:`remove` change what a name resolves to, and they bump
-    :attr:`names` as well: a restart (:meth:`host` / :meth:`unhost`)
-    leaves the indices a drain has probed valid.
+    Indices are dense (a removed peer's index is reused, its columns
+    back at their fills), so the columns stay as long as the largest
+    population ever monitored.  Every write bumps :attr:`version`: a
+    drain that gathered from the columns re-reads them when it sees the
+    version move.  Only :meth:`add` and :meth:`remove` change what a
+    name resolves to, and they bump :attr:`names` as well: a restart
+    (:meth:`host` / :meth:`unhost`) leaves the indices a drain has
+    probed valid.
     """
 
     __slots__ = (
@@ -182,7 +197,7 @@ class _PeerIndex:
         "row",
         "slot",
         "booked",
-        "_free",
+        "columns",
     )
 
     def __init__(self) -> None:
@@ -191,28 +206,14 @@ class _PeerIndex:
         #: index -> the peer it resolves to, None: free
         self.peers: List[Optional[_Peer]] = []
         self.version = self.names = 0
-        cap = 64
-        #: the incarnation currently monitored
-        self.incarnation = np.zeros(cap, dtype=np.int64)
-        #: engine row of a started, clockless SoAMonitorHost; -1: any
-        #: other state (no host, a DetectorHost, a host with a clock)
-        self.row = np.full(cap, -1, dtype=np.int64)
-        #: estimator-table slot, -1: none (``observe=False``)
-        self.slot = np.full(cap, -1, dtype=np.int64)
-        #: receipts the columnar lane booked and the host has not been
-        #: told about yet (:meth:`LiveMonitorService._settle_delivered`)
-        self.booked = np.zeros(cap, dtype=np.int64)
-        self._free: List[int] = []
+        self.columns = Columns(self, _INDEX_COLUMNS, 64, (), ())
 
     def add(self, peer: _Peer) -> None:
-        if self._free:
-            index = self._free.pop()
-            self.peers[index] = peer
-        else:
-            index = len(self.peers)  # dense: 0 .. len − 1 are all in use
-            if index == len(self.row):
-                self._grow()
+        index = self.columns.alloc()
+        if index == len(self.peers):
             self.peers.append(peer)
+        else:
+            self.peers[index] = peer
         peer.index = index
         self.lookup[peer.name.encode()] = index
         self.version += 1
@@ -222,25 +223,18 @@ class _PeerIndex:
         index = self.lookup.get(name.encode())
         return None if index is None else self.peers[index]
 
-    def _grow(self) -> None:
-        for column, fill in (
-            ("incarnation", 0),
-            ("row", -1),
-            ("slot", -1),
-            ("booked", 0),
-        ):
-            old = getattr(self, column)
-            grown = np.full(2 * len(old), fill, dtype=np.int64)
-            grown[: len(old)] = old
-            setattr(self, column, grown)
-
     def remove(self, peer: _Peer) -> None:
-        """Forget a peer; its index goes to the next :meth:`add`."""
+        """Forget a peer's name; :meth:`free` then releases its index."""
         del self.lookup[peer.name.encode()]
         self.peers[peer.index] = None
-        self._free.append(peer.index)
         self.version += 1
         self.names += 1
+
+    def free(self, index: int) -> None:
+        """Reset a removed peer's columns; the index goes to the next
+        :meth:`add`."""
+        self.columns.free(index)
+        self.version += 1
 
     def host(self, index: int, incarnation: int, row: int, slot: int) -> None:
         self.incarnation[index] = incarnation
@@ -602,10 +596,13 @@ class LiveMonitorService:
         if peer is None:
             return None
         # Out of the index first: the closing flush's transitions are
-        # no longer the current peer's, and are muted.
+        # no longer the current peer's, and are muted.  The index is
+        # freed last: closing the books settles its booked receipts.
         self._index.remove(peer)
         self._mute(peer)
-        return self._finalize_incarnation(peer)
+        result = self._finalize_incarnation(peer)
+        self._index.free(peer.index)
+        return result
 
     def _mute(self, peer: _Peer) -> None:
         """No verdict of the peer's current engine row is heard again."""

@@ -92,6 +92,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.columns import Columns
 from repro.core.base import HeartbeatFailureDetector
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
@@ -139,6 +140,42 @@ _NFDE_VECTOR_FROM = 8
 #: 8: 4.5 → 4.9, 12: 3.5 → 3.3, 16: 3.0 → 2.5, 32: 2.3 → 1.3,
 #: 64: 1.9 → 0.69, 256: 1.74 → 0.24.
 _RETURN_VECTOR_FROM = 12
+
+#: a row's columns and their fills: a fresh row is a detector at S with
+#: nothing delivered and no expiry armed
+_ROW_COLUMNS = (
+    ("_kind", np.int8, 0),
+    ("_active", bool, False),
+    ("_trusted", bool, False),
+    ("_eta", np.float64, 0.0),
+    ("_shift", np.float64, 0.0),  # δ (S) or α (U/E)
+    ("_max_seq", np.int64, 0),  # max seq (S) / ℓ (U/E)
+    ("_next_check", np.int64, 0),  # S freshness index
+    ("_tau_next", np.float64, 0.0),  # U/E τ_{ℓ+1} (local)
+    # U/E: real time at which the row is suspected unless a fresher
+    # heartbeat moves it (inf: none), and the stamp it was armed under
+    ("_expiry_at", np.float64, math.inf),
+    ("_expiry_stamp", np.int64, 0),
+    ("_incarnation", np.int64, 0),
+    ("_delivered", np.int64, 0),
+    # the spec's first_seq and NFD-E window (:meth:`spec`)
+    ("_first_seq", np.int64, 0),
+    ("_window", np.int64, 0),
+    # ``row not in _clocks`` as a column, for the ingest fast lane
+    ("_clockless", bool, False),
+    # scratch: position of a row's last receipt in the span at hand
+    ("_mark", np.int64, 0),
+    ("_win_slot", np.int64, -1),  # NFD-E window slot, -1: none
+)
+
+#: an NFD-E window slot's columns (its ring is a ``_win_buf`` row)
+_WINDOW_COLUMNS = (
+    ("_win_count", np.int64, 0),
+    ("_win_head", np.int64, 0),
+    ("_win_sum", np.float64, 0.0),
+    # scratch: position of a slot's last receipt in the span at hand
+    ("_win_mark", np.int64, 0),
+)
 
 #: per-row transition sink signature: (real_time, local_time, "T"/"S")
 TransitionSink = Callable[[float, float, str], None]
@@ -234,43 +271,17 @@ class VectorMonitorEngine:
         self._armed: Optional[float] = None
         self._stamp = 0  # arming-order counter for wheel entries
         self._time = float(scheduler.now())
-        self._n = 0
         cap = 64
-        self._kind = np.zeros(cap, dtype=np.int8)
-        self._active = np.zeros(cap, dtype=bool)
-        self._trusted = np.zeros(cap, dtype=bool)
-        self._eta = np.zeros(cap, dtype=np.float64)
-        self._shift = np.zeros(cap, dtype=np.float64)  # δ (S) or α (U/E)
-        self._max_seq = np.zeros(cap, dtype=np.int64)  # max seq (S) / ℓ (U/E)
-        self._next_check = np.zeros(cap, dtype=np.int64)  # S freshness index
-        self._tau_next = np.zeros(cap, dtype=np.float64)  # U/E τ_{ℓ+1} (local)
-        # U/E: real time at which the row is suspected unless a fresher
-        # heartbeat moves it (inf: none), and the stamp it was armed under
-        self._expiry_at = np.full(cap, math.inf)
-        self._expiry_stamp = np.zeros(cap, dtype=np.int64)
+        #: online QoS estimators of the rows that have one, as columns
+        self.qos = QoSTable(cap)
+        self._rows = Columns(self, _ROW_COLUMNS, cap, (self.qos.columns,), ())
         # the wheel's one entry for every U/E row: a lower bound of
         # ``_expiry_at``'s minimum, kept beside the heap
         self._expiry_bound = math.inf
-        self._incarnation = np.zeros(cap, dtype=np.int64)
-        self._delivered = np.zeros(cap, dtype=np.int64)
-        # the spec's first_seq and NFD-E window (:meth:`spec`)
-        self._first_seq = np.zeros(cap, dtype=np.int64)
-        self._window = np.zeros(cap, dtype=np.int64)
-        # ``row not in _clocks`` as a column, for the ingest fast lane
-        self._clockless = np.zeros(cap, dtype=bool)
-        # scratch: position of a row's last receipt in the span at hand
-        self._mark = np.zeros(cap, dtype=np.int64)
-        # NFD-E normalized-arrival windows (compact slots, only E rows)
-        self._win_slot = np.full(cap, -1, dtype=np.int64)
-        self._win_width = 0
-        self._win_rows = 0
-        self._win_buf = np.zeros((0, 0), dtype=np.float64)
-        self._win_count = np.zeros(0, dtype=np.int64)
-        self._win_head = np.zeros(0, dtype=np.int64)
-        self._win_sum = np.zeros(0, dtype=np.float64)
-        # scratch: position of a slot's last receipt in the span at hand
-        self._win_mark = np.zeros(0, dtype=np.int64)
-        self._win_free: List[int] = []  # slots of removed rows
+        # NFD-E rows' slots: slot ``s``'s ring is ``_win_buf[s, :window]``
+        self._windows = Columns(
+            self, _WINDOW_COLUMNS, 8, (), (("_win_buf", 0),)
+        )
         # Per-row Python objects, by row, for the active rows that have
         # one (cold; scalar paths only): most rows have none of them
         self._clocks: Dict[int, Clock] = {}
@@ -282,8 +293,6 @@ class VectorMonitorEngine:
         self._run: List[int] = []
         self._run_t = 0.0
         self._run_out = TRUST
-        #: online QoS estimators of the rows that have one, as columns
-        self.qos = QoSTable(cap)
         self._ea_fns: Dict[int, Callable[[int], float]] = {}
         self._cohorts: Dict[Tuple[float, float], _Cohort] = {}
         self.transition_log: Optional[List[Tuple[float, int, str]]] = (
@@ -307,7 +316,7 @@ class VectorMonitorEngine:
     @property
     def n_rows(self) -> int:
         """Rows ever registered (row ids are never reused)."""
-        return self._n
+        return self._rows.n
 
     @property
     def pending_deadlines(self) -> int:
@@ -328,70 +337,14 @@ class VectorMonitorEngine:
     # Registration / removal
     # ------------------------------------------------------------------ #
 
-    def _grow(self) -> None:
-        cap = 2 * len(self._kind)
-        for name in (
-            "_kind",
-            "_active",
-            "_trusted",
-            "_eta",
-            "_shift",
-            "_max_seq",
-            "_next_check",
-            "_tau_next",
-            "_expiry_at",
-            "_expiry_stamp",
-            "_incarnation",
-            "_delivered",
-            "_first_seq",
-            "_window",
-            "_clockless",
-            "_mark",
-            "_win_slot",
-        ):
-            old = getattr(self, name)
-            grown = np.zeros(cap, dtype=old.dtype)
-            if name == "_win_slot":
-                grown.fill(-1)
-            elif name == "_expiry_at":
-                grown.fill(math.inf)
-            grown[: self._n] = old[: self._n]
-            setattr(self, name, grown)
-        self.qos.reserve(cap)
-
     def _alloc_window(self, row: int, window: int) -> None:
-        if window > self._win_width:
-            width = max(window, 2 * self._win_width, 8)
-            grown = np.zeros((max(len(self._win_count), 8), width))
-            grown[: self._win_rows, : self._win_width] = self._win_buf[
-                : self._win_rows
-            ]
-            self._win_buf = grown
-            self._win_width = width
-        if self._win_free:
-            slot = self._win_free.pop()  # a removed row's ring, emptied
-            self._win_count[slot] = self._win_head[slot] = 0
-            self._win_sum[slot] = 0.0
-        else:
-            slot = self._win_rows
-            if slot == len(self._win_count):
-                cap = max(2 * slot, 8)
-                for name in (
-                    "_win_count",
-                    "_win_head",
-                    "_win_mark",
-                    "_win_sum",
-                ):
-                    old = getattr(self, name)
-                    grown = np.zeros(cap, dtype=old.dtype)
-                    grown[:slot] = old
-                    setattr(self, name, grown)
-                if self._win_buf.shape[0] < cap:
-                    grown_buf = np.zeros((cap, self._win_width))
-                    grown_buf[:slot] = self._win_buf[:slot]
-                    self._win_buf = grown_buf
-            self._win_rows += 1
-        self._win_slot[row] = slot
+        width = self._win_buf.shape[1]
+        if window > width:
+            n = self._windows.n
+            buf = np.zeros((len(self._win_buf), max(window, 2 * width, 8)))
+            buf[:n, :width] = self._win_buf[:n]
+            self._win_buf = buf
+        self._win_slot[row] = self._windows.alloc()
 
     def register(
         self,
@@ -419,10 +372,7 @@ class VectorMonitorEngine:
                 "detector already bound/started; the SoA engine needs a "
                 "fresh instance as its parameter spec"
             )
-        row = self._n
-        if row == len(self._kind):
-            self._grow()
-        self._n = row + 1
+        row = self._rows.alloc()
         # A fresh row holds every column's fill value (a detector
         # starts at S, nothing delivered, no expiry): only what differs
         # is written.
@@ -484,7 +434,7 @@ class VectorMonitorEngine:
         sender's timer chain.  Nothing of the row's owner stays
         referenced, and an NFD-E row's window slot goes to the next one
         registered."""
-        if row < 0 or row >= self._n or not self._active[row]:
+        if row < 0 or row >= self._rows.n or not self._active[row]:
             return
         self._active[row] = False
         self._expiry_at[row] = math.inf
@@ -492,7 +442,7 @@ class VectorMonitorEngine:
         self._clocks.pop(row, None)
         self._ea_fns.pop(row, None)
         if self._win_slot[row] >= 0:
-            self._win_free.append(int(self._win_slot[row]))
+            self._windows.free(self._win_slot.item(row))
             self._win_slot[row] = -1
 
     # ------------------------------------------------------------------ #
@@ -642,7 +592,7 @@ class VectorMonitorEngine:
         every expiry up to ``time`` and short of the heap's next entry
         ``ahead`` — however many instants they fall on — gathered once
         and published one batch an instant, in ``(stamp, row)`` order."""
-        expiry = self._expiry_at[: self._n]
+        expiry = self._expiry_at[: self._rows.n]
         due = np.flatnonzero((expiry <= time) & (expiry < ahead))
         if len(due):
             at = expiry[due]
@@ -656,7 +606,7 @@ class VectorMonitorEngine:
                 rows = rows[self._trusted[rows]]
                 self._trusted[rows] = False
                 self._publish(t, rows, SUSPECT)
-        self._expiry_bound = float(self._expiry_at[: self._n].min())
+        self._expiry_bound = float(self._expiry_at[: self._rows.n].min())
 
     def _process_slice(self, t0: float, entries: List[Tuple]) -> None:
         # suspicions as (stamps, rows) pieces, published in that order
@@ -721,7 +671,7 @@ class VectorMonitorEngine:
             # The shared NFD-U/E entry on a heap entry's instant: the
             # expiries that have come due join the slice, each under the
             # stamp it was armed with; then the column's new minimum.
-            expiry = self._expiry_at[: self._n]
+            expiry = self._expiry_at[: self._rows.n]
             due = np.flatnonzero(expiry <= t0)
             expiry[due] = math.inf
             due = due[self._trusted[due]]
@@ -820,7 +770,7 @@ class VectorMonitorEngine:
         Freshness deadlines due at or before the receipt time fire
         first — the canonical deadline-before-delivery rule.
         """
-        if row < 0 or row >= self._n or not self._active[row]:
+        if row < 0 or row >= self._rows.n or not self._active[row]:
             return
         t = self._scheduler.now() if at_real is None else at_real
         self.advance(t)

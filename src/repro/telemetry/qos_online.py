@@ -38,6 +38,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.columns import Columns
 from repro.errors import InvalidParameterError, TraceError
 from repro.metrics.relations import forward_good_period_mean
 from repro.metrics.transitions import SUSPECT, TRUST
@@ -253,31 +254,31 @@ class OnlineQoSEstimator:
 #: as masked columns (about 40 µs a batch, whatever its length)
 _VECTOR_FROM = 8
 
-#: column name -> fill of a row never opened
-_COLUMNS = {
-    "_tracked": False,
-    "_live": False,  # tracked and not closed: a batch updates it
-    "_trust": False,  # current output is T
-    "_start": 0.0,
-    "_horizon": 0.0,
-    "_since": 0.0,
-    "_last": 0.0,
-    "_end": math.nan,
-    "_trusted": 0.0,
-    "_n_s": 0,
-    "_prev_s": math.nan,  # nan: None
-    "_sum_tmr": 0.0,
-    "_n_tmr": 0,
-    "_sum_tm": 0.0,
-    "_n_tm": 0,
-    "_open_m": math.nan,
-    "_open_t": math.nan,
-    "_tg_n": 0,
-    "_tg_mean": 0.0,
-    "_tg_m2": 0.0,
-    "_tg_min": math.inf,
-    "_tg_max": -math.inf,
-}
+#: (column, dtype, fill of a row never opened)
+_COLUMNS = (
+    ("_tracked", bool, False),
+    ("_live", bool, False),  # tracked and not closed: a batch updates it
+    ("_trust", bool, False),  # current output is T
+    ("_start", np.float64, 0.0),
+    ("_horizon", np.float64, 0.0),
+    ("_since", np.float64, 0.0),
+    ("_last", np.float64, 0.0),
+    ("_end", np.float64, math.nan),
+    ("_trusted", np.float64, 0.0),
+    ("_n_s", np.int64, 0),
+    ("_prev_s", np.float64, math.nan),  # nan: None
+    ("_sum_tmr", np.float64, 0.0),
+    ("_n_tmr", np.int64, 0),
+    ("_sum_tm", np.float64, 0.0),
+    ("_n_tm", np.int64, 0),
+    ("_open_m", np.float64, math.nan),
+    ("_open_t", np.float64, math.nan),
+    ("_tg_n", np.int64, 0),
+    ("_tg_mean", np.float64, 0.0),
+    ("_tg_m2", np.float64, 0.0),
+    ("_tg_min", np.float64, math.inf),
+    ("_tg_max", np.float64, -math.inf),
+)
 
 
 class QoSTable:
@@ -296,20 +297,8 @@ class QoSTable:
 
     def __init__(self, capacity: int = 64) -> None:
         self.n_live = 0
-        for name, fill in _COLUMNS.items():
-            setattr(self, name, np.full(capacity, fill))
-
-    def reserve(self, capacity: int) -> None:
-        """Make room for row ids below ``capacity``."""
-        old = len(self._tracked)
-        if capacity <= old:
-            return
-        capacity = max(capacity, 2 * old)
-        for name, fill in _COLUMNS.items():
-            column = getattr(self, name)
-            grown = np.full(capacity, fill, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
+        #: the rows: grown by :meth:`open`, or linked to an engine's
+        self.columns = Columns(self, _COLUMNS, capacity, (), ())
 
     def open(
         self,
@@ -325,9 +314,8 @@ class QoSTable:
             )
         if warmup < 0:
             raise InvalidParameterError(f"warmup must be >= 0, got {warmup}")
-        if row >= len(self._tracked):
-            self.reserve(row + 1)
-        elif self._tracked.item(row):
+        self.columns.grow(row + 1)
+        if self._tracked.item(row):
             raise InvalidParameterError(f"row {row} already opened")
         # A row is opened once, so every other column holds its fill.
         start = float(start_time)

@@ -21,6 +21,7 @@ import pytest
 from repro.errors import EstimationError, InvalidParameterError
 from repro.estimation import HeartbeatObserver, ObserverTable
 from repro.estimation.table import _VECTOR_FROM
+from tests.reference import assert_row_fresh
 from tests.reference import observer_state as state
 
 FIRST_SEQS = (0, 1, 1000)
@@ -293,9 +294,16 @@ def test_released_slot_is_reused_clean_and_the_old_view_raises():
     for seq in (1, 5, 3, 20):
         old.observe_arrival(seq, seq * 1.0, seq + 0.5)
     old.note_local_drop(30)
+    seqs = np.arange(21, 21 + _VECTOR_FROM)
+    table.observe_batch(np.full(len(seqs), old.slot), seqs, seqs * 1.0, seqs + 0.25)
     slot = old.slot
+    fresh = ObserverTable()._rows
+    with pytest.raises(AssertionError):
+        assert_row_fresh(table._rows, slot, fresh)
     table.release(old)
     assert len(table) == 0
+    # every declared column, both rings' included, is back at its fill
+    assert_row_fresh(table._rows, slot, fresh)
     for read in (lambda: old.slot, lambda: loss.highest_seq, lambda: old.snapshot()):
         with pytest.raises(EstimationError):
             read()

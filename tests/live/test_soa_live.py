@@ -20,7 +20,7 @@ import pytest
 from repro.core.adaptive import AdaptiveController, AdaptiveNFDE
 from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
-from repro.live.monitor import LiveMonitorService
+from repro.live.monitor import _COLUMNAR_FROM, LiveMonitorService
 from repro.live.soa import LoopWheelScheduler, SoALiveHost
 from repro.live.wire import encode_heartbeat
 from repro.service.monitor_service import MonitorService
@@ -351,6 +351,44 @@ class TestRemoval:
 
         asyncio.run(main())
 
+    def test_a_removed_peers_index_is_reused_clean(self):
+        """A restart leaves incarnation 1 in the peer index, and a
+        columnar burst books receipts the host has not been told about:
+        ``remove_peer`` settles them into the closed result, then puts
+        the index's columns back to their fills for the next peer."""
+
+        async def main():
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop, origin=0.0, keep_traces=False
+            )
+            for name in ("p0", "p1"):
+                service.add_peer(name, nfds_factory(0.05, 0.03), eta=0.05)
+            service.start()
+            loop.run_until(0.06)
+            service.on_datagram(encode_heartbeat("p0", 1, 2, 0.1))
+            await drain(service)
+            index = service._index
+            at = index.get("p0").index
+            assert index.incarnation[at] == 1
+            burst = range(3, 3 + _COLUMNAR_FROM)
+            for seq in burst:
+                service.on_datagram(encode_heartbeat("p0", 1, seq, seq * 0.05))
+            await drain(service)
+            assert index.booked[at] == len(burst)  # booked, not settled
+            version = index.version
+            result = service.remove_peer("p0")
+            assert result.incarnation == 1
+            assert result.delivered == 1 + len(burst)
+            assert index.version > version
+            assert index.row[at] == index.slot[at] == -1
+            assert index.incarnation[at] == index.booked[at] == 0
+            service.add_peer("p2", nfds_factory(0.05, 0.03), eta=0.05)
+            assert index.get("p2").index == at
+            await service.aclose()
+
+        asyncio.run(main())
+
     def test_restarts_leave_nothing_behind_in_the_engine(self):
         """A restarted incarnation's row is retired, not reused — but
         what it referenced (the host behind its sink, through it the
@@ -385,7 +423,7 @@ class TestRemoval:
             assert counter(service, "live_incarnation_restarts_total") == 1000
             eng = service.soa_engine
             assert eng.n_rows == 1001 and len(active_rows(eng)) == 1
-            assert eng._win_rows <= 2
+            assert eng._windows.n <= 2
             assert eng.pending_deadlines <= 1
             assert hosts() == before == 1
             # service rows carry no per-row sink; of the 1001 rows only

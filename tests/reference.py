@@ -17,6 +17,9 @@ steps by hand.
 field of a :class:`~repro.estimation.HeartbeatObserver`, so that a row
 exported from an :class:`~repro.estimation.ObserverTable` can be
 compared with the oracle fed the same receipts.
+
+:func:`assert_row_fresh` checks the column store's invariant: a freed
+row holds, in every declared column, what a fresh table's row holds.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ __all__ = [
     "SteppedLoop",
     "observer_state",
     "active_rows",
+    "assert_row_fresh",
 ]
 
 
@@ -147,3 +151,15 @@ def active_rows(engine) -> set:
     """Rows of a :class:`~repro.service.soa.VectorMonitorEngine` that
     are registered and not retired."""
     return set(np.flatnonzero(engine._active[: engine.n_rows]).tolist())
+
+
+def assert_row_fresh(store, row: int, fresh) -> None:
+    """Every column ``store`` (a :class:`~repro.columns.Columns`) and
+    its linked stores declare holds at ``row`` the bytes a never-used
+    row of ``fresh``, the same store of a new table, holds."""
+    for name, _, _ in store._columns:
+        got = getattr(store._owner, name)[row : row + 1].tobytes()
+        assert got == getattr(fresh._owner, name)[:1].tobytes(), name
+    assert len(store._linked) == len(fresh._linked)
+    for linked, fresh_linked in zip(store._linked, fresh._linked):
+        assert_row_fresh(linked, row, fresh_linked)

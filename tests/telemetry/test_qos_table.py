@@ -87,7 +87,7 @@ def pieces(rows, cuts):
 def play(scenario):
     specs, batches, close_at, closing, cuts = scenario
     table = QoSTable(4)  # grown by the rows it opens ...
-    table.reserve(len(specs))  # ... and to every row a batch may name
+    table.columns.grow(len(specs))  # ... and to every row a batch may name
     oracle = {}
     for row, (start, initial, warmup) in enumerate(specs):
         if warmup is not None:

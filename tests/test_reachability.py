@@ -85,9 +85,6 @@ MEMBERS_ALLOWED = {
     "estimation.loss.LossRateEstimator.received_count": (
         "the observer-table identity suite reads it as the oracle's state"
     ),
-    "live.monitor.LiveMonitorService.remove_peer": (
-        "the live service's only way to retire a peer"
-    ),
     "telemetry.registry.Welford.merge": (
         "kept for now: two tier-1 tests pin it; ROADMAP item 8's "
         "fork-gap registry merge is its consumer"
