@@ -11,6 +11,7 @@ Three lines of defence:
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -312,6 +313,34 @@ class TestStructuralInvariants:
             )
             assert r.truncated, name
             assert r.n_heartbeats == 10, name
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            partial(simulate_nfds_fast, delta=0.25),
+            partial(simulate_nfde_fast, alpha=0.23, window=32),
+            partial(simulate_sfd_fast, timeout=1.09, cutoff=0.16),
+        ],
+        ids=["nfd-s", "nfd-e", "sfd-cutoff"],
+    )
+    def test_working_set_is_the_delay_draw(self, run):
+        # Fig. 12 row 2 (T_D^U = 1.25) in one draw of 2^20: the kernels
+        # fold it in cache-sized blocks, so a call's traced peak stays
+        # within twice the 8 B a heartbeat of the delay draw it owns
+        # (a whole-draw fold peaked at 4-10 times that).
+        chunk = 1 << 20
+        tracemalloc.start()
+        try:
+            run(
+                **SETTINGS,
+                target_mistakes=10**9,
+                max_heartbeats=chunk,
+                chunk_size=chunk,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * chunk, peak / (8 * chunk)
 
     def test_stops_at_target(self):
         for name, run in KERNELS.items():

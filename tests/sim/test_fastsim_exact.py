@@ -255,30 +255,30 @@ EDGE_RUN = dict(
 )
 EDGE_CASES = {
     "nfd-u": (
-        lambda replay: simulate_nfdu_fast(
-            1.0, 0.3, 0.0, replay, ea_offset=0.02, **EDGE_RUN
+        lambda replay, **run: simulate_nfdu_fast(
+            1.0, 0.3, 0.0, replay, ea_offset=0.02, **run
         ),
         lambda: NFDU(eta=1.0, alpha=0.3, expected_arrival=lambda i: i + 0.02),
     ),
     "nfd-e-1": (
-        lambda replay: simulate_nfde_fast(
-            1.0, 0.3, 0.0, replay, window=1, **EDGE_RUN
+        lambda replay, **run: simulate_nfde_fast(
+            1.0, 0.3, 0.0, replay, window=1, **run
         ),
         lambda: NFDE(eta=1.0, alpha=0.3, window=1),
     ),
     "nfd-e-32": (
-        lambda replay: simulate_nfde_fast(
-            1.0, 0.3, 0.0, replay, window=32, **EDGE_RUN
+        lambda replay, **run: simulate_nfde_fast(
+            1.0, 0.3, 0.0, replay, window=32, **run
         ),
         lambda: NFDE(eta=1.0, alpha=0.3, window=32),
     ),
     "sfd": (
-        lambda replay: simulate_sfd_fast(1.0, 1.2, 0.0, replay, **EDGE_RUN),
+        lambda replay, **run: simulate_sfd_fast(1.0, 1.2, 0.0, replay, **run),
         lambda: SimpleFD(timeout=1.2),
     ),
     "sfd-cutoff": (
-        lambda replay: simulate_sfd_fast(
-            1.0, 1.2, 0.0, replay, cutoff=2.0, **EDGE_RUN
+        lambda replay, **run: simulate_sfd_fast(
+            1.0, 1.2, 0.0, replay, cutoff=2.0, **run
         ),
         lambda: SimpleFD(timeout=1.2, cutoff=2.0),
     ),
@@ -309,10 +309,16 @@ def test_inversions_at_chunk_edges(case, rng, guard_outcomes):
     mistake."""
     fast_run, detector = EDGE_CASES[case]
     delays = chunk_edge_delays(rng)
-    fast = fast_run(ReplayDelay(delays))
+    fast = fast_run(ReplayDelay(delays), **EDGE_RUN)
     trace = run_event_driven(detector(), delays, 1.0, horizon=EDGE_N + 3.0)
 
     assert guard_outcomes == {True, False}
+    assert_matches_event_driven(fast, trace)
+
+
+def assert_matches_event_driven(fast, trace):
+    """S-transitions and mistake durations of a kernel run over the
+    edge stream equal the event-driven detector's."""
     # Compare from the kernel's first mistake (NFD-E's window warmup is
     # not accounted) to before the stream tail still pending.
     start = float(fast.s_transition_times[0]) - 1e-9
@@ -330,3 +336,76 @@ def test_inversions_at_chunk_edges(case, rng, guard_outcomes):
     }
     for s, d in zip(fast_s, fast.mistake_durations):
         assert d == pytest.approx(des_tm[round(float(s), 9)], abs=1e-9)
+
+
+#: the edge stream in one draw, which the kernels fold in blocks
+ONE_DRAW = dict(
+    target_mistakes=10**9, max_heartbeats=EDGE_N, chunk_size=EDGE_N
+)
+BLOCK_CASES = {
+    **EDGE_CASES,
+    "nfd-s-1": (
+        lambda replay, **run: simulate_nfds_fast(1.0, 0.5, 0.0, replay, **run),
+        lambda: NFDS(eta=1.0, delta=0.5),
+    ),
+    "nfd-s-3": (
+        lambda replay, **run: simulate_nfds_fast(1.0, 2.5, 0.0, replay, **run),
+        lambda: NFDS(eta=1.0, delta=2.5),
+    ),
+}
+
+
+def assert_bit_equal(fast, whole):
+    """The same S-transition times and mistake durations, bit for bit."""
+    for field in ("s_transition_times", "mistake_durations"):
+        assert getattr(fast, field).tobytes() == getattr(whole, field).tobytes()
+
+
+def block_edge_delays(rng):
+    """:func:`chunk_edge_delays`, plus four messages lost around twelve
+    other edges of 31, so that NFD-S with k = 3 (which needs three
+    messages missing in a row) errs across an edge too."""
+    d = chunk_edge_delays(rng)
+    for c in (4, 7, 11, 13, 17, 19, 23, 25, 29, 31, 35, 37):
+        d[c * EDGE_CHUNK - 2 : c * EDGE_CHUNK + 2] = np.inf
+    return d
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_inversions_at_block_edges(case, rng, guard_outcomes, monkeypatch):
+    """One draw folded in blocks of 31: the late and lost messages sit
+    on block edges.  The run is bit-equal to the same draw folded as
+    one block (eq. 6.3's sum runs on across blocks) and matches the
+    event-driven detector."""
+    fast_run, detector = BLOCK_CASES[case]
+    delays = block_edge_delays(rng)
+    monkeypatch.setattr(fastsim, "_BLOCK", EDGE_N)
+    whole = fast_run(ReplayDelay(delays), **ONE_DRAW)
+    monkeypatch.setattr(fastsim, "_BLOCK", EDGE_CHUNK)
+    guard_outcomes.clear()
+    fast = fast_run(ReplayDelay(delays), **ONE_DRAW)
+
+    assert_bit_equal(fast, whole)
+    if not case.startswith("nfd-s"):  # NFD-S sorts nothing, so has no guard
+        assert guard_outcomes == {True, False}
+    trace = run_event_driven(detector(), delays, 1.0, horizon=EDGE_N + 3.0)
+    assert_matches_event_driven(fast, trace)
+
+
+@pytest.mark.parametrize("window", [1, 32])
+def test_eq63_sum_runs_on_across_blocks(window, rng, monkeypatch):
+    """Eq. (6.3)'s cumulative sum is carried across the blocks of a
+    draw, not restarted per block: with delays near 40η the partial
+    sums outgrow τ, so a restart would move τ by an ulp or more."""
+    delays = 40.0 + rng.exponential(0.02, EDGE_N)
+    delays[rng.random(EDGE_N) < 0.05] = np.inf
+
+    def run(block):
+        monkeypatch.setattr(fastsim, "_BLOCK", block)
+        return simulate_nfde_fast(
+            1.0, 0.3, 0.0, ReplayDelay(delays), window=window, **ONE_DRAW
+        )
+
+    whole, fast = run(EDGE_N), run(EDGE_CHUNK)
+    assert fast.n_mistakes >= 10
+    assert_bit_equal(fast, whole)
