@@ -100,7 +100,6 @@ from repro.net import (
     PerfectClock,
     SkewedClock,
     UniformDelay,
-    WeibullDelay,
 )
 from repro.service import GroupMembership, MonitorService
 from repro.sim import (
@@ -156,7 +155,6 @@ __all__ = [
     "UniformDelay",
     "ConstantDelay",
     "GammaDelay",
-    "WeibullDelay",
     "LogNormalDelay",
     "ParetoDelay",
     "MixtureDelay",

@@ -24,11 +24,47 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
 from repro.core.base import Heartbeat, HeartbeatFailureDetector, TimerHandle
 from repro.errors import InvalidParameterError
 from repro.metrics.transitions import SUSPECT, TRUST
 
-__all__ = ["NFDS"]
+__all__ = ["NFDS", "window_index", "window_indices"]
+
+
+def window_index(now: float, eta: float, delta: float) -> int:
+    """Index ``i`` of the freshness window ``[τ_i, τ_{i+1})`` holding
+    ``now``, with ``τ_i = i·η + δ``; 0 before ``τ_1``.
+
+    By Lemma 2 with ``i = 0``, *any* received message makes q trust p
+    before the first freshness point.  The float floor is corrected with
+    the comparisons the freshness timers make (``τ_i <= now``), so an
+    instant on a boundary lands in the window a timer would put it in.
+    """
+    i = math.floor((now - delta) / eta)
+    while i * eta + delta > now:
+        i -= 1
+    while (i + 1) * eta + delta <= now:
+        i += 1
+    return i if i > 0 else 0
+
+
+def window_indices(now: np.ndarray, eta, delta) -> np.ndarray:
+    """:func:`window_index` over arrays (``eta`` and ``delta`` broadcast),
+    element for element equal to it; ``int64``."""
+    i = np.floor((now - delta) / eta).astype(np.int64)
+    while True:
+        over = i * eta + delta > now
+        if not over.any():
+            break
+        i -= over
+    while True:
+        under = (i + 1) * eta + delta <= now
+        if not under.any():
+            break
+        i += under
+    return np.maximum(i, 0)
 
 
 class NFDS(HeartbeatFailureDetector):
@@ -108,24 +144,9 @@ class NFDS(HeartbeatFailureDetector):
         # Lines 5-6: on receiving m_j at t ∈ [τ_i, τ_{i+1}), trust if j ≥ i.
         if heartbeat.seq > self._max_seq:
             self._max_seq = heartbeat.seq
-        if self._max_seq >= self._current_window_index():
-            self._set_output(TRUST)
-
-    def _current_window_index(self) -> int:
-        """Index i such that local now ∈ [τ_i, τ_{i+1}); 0 before τ_1.
-
-        By Lemma 2 with ``i = 0``, *any* received message makes q trust p
-        before the first freshness point (and the initial output is S only
-        until then).
-        """
         now = self.runtime.local_now()
-        i = math.floor((now - self._delta) / self._eta)
-        # Guard against float error at the boundary: τ_i must be <= now.
-        while i * self._eta + self._delta > now:
-            i -= 1
-        while (i + 1) * self._eta + self._delta <= now:
-            i += 1
-        return max(i, 0)
+        if self._max_seq >= window_index(now, self._eta, self._delta):
+            self._set_output(TRUST)
 
     def describe(self) -> str:
         return f"NFD-S(eta={self._eta:g}, delta={self._delta:g})"

@@ -8,8 +8,10 @@
   report the observed maximum to show it *exceeds* the NFD bound under
   heavy-tailed delays.
 
-These runs use the event-driven simulator (crash injection and
-permanent-suspicion detection need the exact trace semantics).
+The crash runs go through :func:`repro.sim.batch.run_crash_runs_batched`:
+the batched closed-form kernel, bit-identical to the event-driven
+:func:`repro.sim.runner.run_crash_runs` (``tests/sim/test_batch.py``
+swaps one for the other and compares the tables).
 """
 
 from __future__ import annotations

@@ -185,7 +185,7 @@ class GilbertElliottLink:
         if self.step_fate():
             self._stats.record(dropped=True)
             return MessageRecord(seq=seq, send_time=send_time, delay=math.inf)
-        delay = float(self._delay.sample(self._rng, 1)[0])
+        delay = self._delay.draw(self._rng)
         self._stats.record(dropped=False)
         return MessageRecord(seq=seq, send_time=send_time, delay=delay)
 

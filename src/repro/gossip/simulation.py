@@ -25,6 +25,7 @@ from repro.gossip.node import GossipNode
 from repro.metrics.qos import detection_time
 from repro.metrics.transitions import SUSPECT, TRUST, OutputTrace
 from repro.net.delays import DelayDistribution
+from repro.net.link import message_delay
 from repro.sim.engine import Simulator
 
 __all__ = ["GossipCluster", "GossipResult", "run_gossip", "payload_size_bytes"]
@@ -163,9 +164,9 @@ class GossipCluster:
     def _transmit(self, dst: str, payload: Dict[str, int]) -> None:
         self.messages_sent += 1
         self.bytes_sent += payload_size_bytes(payload)
-        if self._p_l > 0.0 and self._rng.random() < self._p_l:
-            return
-        d = float(self._delay.sample(self._rng, 1)[0])
+        d = message_delay(self._rng, self._p_l, self._delay)
+        if d == math.inf:
+            return  # lost
         self.sim.schedule_at(
             self.sim.now + d, lambda: self.nodes[dst].receive(payload)
         )

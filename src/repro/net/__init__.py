@@ -26,7 +26,6 @@ from repro.net.delays import (
     ParetoDelay,
     ShiftedExponentialDelay,
     UniformDelay,
-    WeibullDelay,
 )
 from repro.net.link import LinkStats, LossyLink, MessageRecord
 from repro.net.topology import PathDelay, compose_path, end_to_end_behavior
@@ -43,7 +42,6 @@ __all__ = [
     "UniformDelay",
     "ConstantDelay",
     "GammaDelay",
-    "WeibullDelay",
     "LogNormalDelay",
     "ParetoDelay",
     "MixtureDelay",

@@ -12,7 +12,9 @@ and ablations.  Every family implements :class:`DelayDistribution`:
 * ``prob_less(x)`` — ``P(D < x)``, which differs from ``cdf`` only for
   distributions with atoms (needed for the paper's ``q_0``);
 * ``mean``/``variance`` — the moments used by the Section 5/6 configurators;
-* ``sample(rng, size)`` — i.i.d. samples for simulation.
+* ``sample(rng, size)`` — i.i.d. samples for simulation;
+* ``draw(rng)`` — one sample, equal to ``sample(rng, 1)[0]`` and
+  consuming the same randomness (the link's per-message draw).
 
 The Section 7 simulation study uses :class:`ExponentialDelay` with mean
 0.02; the distribution-sensitivity ablation (E9 in DESIGN.md) exercises the
@@ -36,7 +38,6 @@ __all__ = [
     "UniformDelay",
     "ConstantDelay",
     "GammaDelay",
-    "WeibullDelay",
     "LogNormalDelay",
     "ParetoDelay",
     "MixtureDelay",
@@ -84,6 +85,21 @@ class DelayDistribution(ABC):
         no memory with the distribution, so writing into it (as
         :mod:`repro.sim.fastsim` does) cannot change a later draw.
         """
+
+    def draw(self, rng: np.random.Generator) -> float:
+        """One delay: ``sample(rng, 1)[0]`` as a float.
+
+        An override must return the same value and leave ``rng`` in the
+        same state (``tests/net/test_delays.py`` checks every family).
+        """
+        return float(self.sample(rng, 1)[0])
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # A subclass that redefines ``sample`` but not ``draw`` would
+        # inherit a shortcut that skips its ``sample``: give it this one.
+        super().__init_subclass__(**kwargs)
+        if "sample" in vars(cls) and "draw" not in vars(cls):
+            cls.draw = DelayDistribution.draw
 
     def sf(self, x: ArrayLike) -> ArrayLike:
         """Survival function ``P(D > x)``."""
@@ -147,6 +163,9 @@ class ExponentialDelay(DelayDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.exponential(self._mean, size)
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.exponential(self._mean))
+
 
 class ShiftedExponentialDelay(DelayDistribution):
     """A minimum propagation delay plus an exponential queueing tail.
@@ -184,6 +203,9 @@ class ShiftedExponentialDelay(DelayDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self._shift + rng.exponential(self._scale, size)
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return self._shift + float(rng.exponential(self._scale))
+
     def kinks(self) -> Tuple[float, ...]:
         return (self._shift,)
 
@@ -214,6 +236,9 @@ class UniformDelay(DelayDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.uniform(self._low, self._high, size)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.uniform(self._low, self._high))
 
     def kinks(self) -> Tuple[float, ...]:
         return (self._low, self._high)
@@ -300,41 +325,14 @@ class GammaDelay(DelayDistribution):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.gamma(self._shape, self._scale, size)
 
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.gamma(self._shape, self._scale))
+
     @classmethod
     def from_mean_std(cls, mean: float, std: float) -> "GammaDelay":
         shape = (mean / std) ** 2
         scale = std**2 / mean
         return cls(shape, scale)
-
-
-class WeibullDelay(DelayDistribution):
-    """Weibull-distributed delays (``shape`` k, ``scale`` λ)."""
-
-    def __init__(self, shape: float, scale: float) -> None:
-        if shape <= 0 or scale <= 0:
-            raise InvalidParameterError(
-                f"shape and scale must be positive, got {shape}, {scale}"
-            )
-        self._shape = float(shape)
-        self._scale = float(scale)
-
-    @property
-    def mean(self) -> float:
-        return self._scale * math.gamma(1.0 + 1.0 / self._shape)
-
-    @property
-    def variance(self) -> float:
-        g1 = math.gamma(1.0 + 1.0 / self._shape)
-        g2 = math.gamma(1.0 + 2.0 / self._shape)
-        return self._scale**2 * (g2 - g1**2)
-
-    def cdf(self, x: ArrayLike) -> ArrayLike:
-        xa = _as_array(x)
-        out = -np.expm1(-((np.maximum(xa, 0.0) / self._scale) ** self._shape))
-        return float(out) if np.ndim(x) == 0 else out
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self._scale * rng.weibull(self._shape, size)
 
 
 class LogNormalDelay(DelayDistribution):
@@ -366,6 +364,9 @@ class LogNormalDelay(DelayDistribution):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.lognormal(self._mu, self._sigma, size)
+
+    def draw(self, rng: np.random.Generator) -> float:
+        return float(rng.lognormal(self._mu, self._sigma))
 
     @classmethod
     def from_mean_std(cls, mean: float, std: float) -> "LogNormalDelay":

@@ -5,8 +5,10 @@ may *drop* each message independently with probability ``p_L`` and delays
 each delivered message by an i.i.d. draw from a delay distribution ``D``.
 This "message independence" assumption (footnote 10) is what makes the
 closed-form analysis of Theorem 5 possible, and it is exactly what this
-module implements: :meth:`LossyLink.transmit` decides one message's fate
-for the discrete-event simulator.
+module implements: :func:`message_delay` is the one fate rule, and
+:meth:`LossyLink.transmit` applies it per message for the discrete-event
+simulator.  The batched crash-run kernel (:mod:`repro.sim.batch`)
+replays a run's fates by calling the same function.
 """
 
 from __future__ import annotations
@@ -20,7 +22,28 @@ import numpy as np
 from repro.errors import InvalidParameterError
 from repro.net.delays import DelayDistribution
 
-__all__ = ["MessageRecord", "LinkEpoch", "LinkStats", "LossyLink"]
+__all__ = [
+    "MessageRecord",
+    "LinkEpoch",
+    "LinkStats",
+    "LossyLink",
+    "message_delay",
+]
+
+
+def message_delay(
+    rng: np.random.Generator, p_l: float, delay: DelayDistribution
+) -> float:
+    """One message's fate on a §3.1 link: its delay, or ``inf`` if lost.
+
+    The loss coin comes first and is flipped only when ``p_l > 0``; a
+    lost message consumes no delay draw.  Every i.i.d. link in the
+    library decides a fate with this call, so a replay that calls it on
+    the same stream sees the same fates.
+    """
+    if p_l > 0.0 and rng.random() < p_l:
+        return math.inf
+    return delay.draw(rng)
 
 
 @dataclass(frozen=True)
@@ -191,9 +214,6 @@ class LossyLink:
 
     def transmit(self, seq: int, send_time: float) -> MessageRecord:
         """Decide the fate of one message sent at ``send_time``."""
-        if self._p_l > 0.0 and self._rng.random() < self._p_l:
-            self._stats.record(dropped=True)
-            return MessageRecord(seq=seq, send_time=send_time, delay=math.inf)
-        delay = float(self._delay.sample(self._rng, 1)[0])
-        self._stats.record(dropped=False)
+        delay = message_delay(self._rng, self._p_l, self._delay)
+        self._stats.record(dropped=delay == math.inf)
         return MessageRecord(seq=seq, send_time=send_time, delay=delay)

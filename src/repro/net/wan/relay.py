@@ -141,7 +141,7 @@ class WanNetwork:
         )
         if delay_dist is None:
             delay_dist = spec.delay
-        delay = float(delay_dist.sample(self._rng, 1)[0])
+        delay = delay_dist.draw(self._rng)
         return delay * self.congestion.factor(key, t)
 
 

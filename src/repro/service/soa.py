@@ -95,7 +95,7 @@ import numpy as np
 from repro.columns import Columns
 from repro.core.base import HeartbeatFailureDetector
 from repro.core.nfd_e import NFDE
-from repro.core.nfd_s import NFDS
+from repro.core.nfd_s import NFDS, window_index, window_indices
 from repro.core.nfd_u import NFDU
 from repro.errors import InvalidParameterError, SimulationError
 from repro.estimation.observer import HeartbeatObserver
@@ -747,17 +747,6 @@ class VectorMonitorEngine:
     # Scalar delivery
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _window_index(now: float, eta: float, delta: float) -> int:
-        """NFD-S window index i with τ_i <= now < τ_{i+1} (float-exact
-        replica of :meth:`NFDS._current_window_index`)."""
-        i = math.floor((now - delta) / eta)
-        while i * eta + delta > now:
-            i -= 1
-        while (i + 1) * eta + delta <= now:
-            i += 1
-        return i if i > 0 else 0
-
     def deliver(
         self,
         row: int,
@@ -790,7 +779,7 @@ class VectorMonitorEngine:
         if seq > self._max_seq[row]:
             self._max_seq[row] = seq
         now_local = self._local(row, t)
-        i = self._window_index(
+        i = window_index(
             now_local, float(self._eta[row]), float(self._shift[row])
         )
         if self._max_seq[row] >= i and not self._trusted[row]:
@@ -990,21 +979,7 @@ class VectorMonitorEngine:
             at, r = at[once], r[once]
         t = times[at]
         seq = np.maximum(self._max_seq[r], seqs[at])
-        eta = self._eta[r]
-        delta = self._shift[r]
-        # _window_index: the floor and its two correction loops, as masks
-        i = np.floor((t - delta) / eta)
-        while True:
-            over = i * eta + delta > t
-            if not over.any():
-                break
-            i -= over
-        while True:
-            under = (i + 1) * eta + delta <= t
-            if not under.any():
-                break
-            i += under
-        turn = seq >= np.maximum(i, 0.0).astype(np.int64)
+        turn = seq >= window_indices(t, self._eta[r], self._shift[r])
         self._max_seq[r] = seq
         self._trusted[r[turn]] = True
         return at, at[turn]

@@ -1,29 +1,30 @@
-"""Batched multi-replica kernels: many independent replicas per NumPy pass.
+"""Batched crash runs: many independent replicas per NumPy pass.
 
-The paper's heaviest numbers are replica ensembles — the Section 7
-detection-time study averages hundreds of crash runs, Fig. 12 needs ~500
-mistakes per sweep point — and :func:`repro.sim.runner.run_crash_runs`
-executes one event-driven Python replica at a time.
+The Section 7 detection-time study (E7) averages hundreds of crash
+runs, and :func:`repro.sim.runner.run_crash_runs` executes one
+event-driven Python replica at a time.
 :func:`run_crash_runs_batched` evaluates whole batches of crash runs at
 once, **bit-identical** to the serial runner for the same seed (asserted
 in ``tests/sim/test_batch.py``).  A crash run's randomness is exactly
 the fates of the heartbeats sent before the crash, drawn from the run's
 namespaced stream (``SeedSequence([seed, STREAM_CRASH_RUN,
-run_index])``).  The kernel replays those draws *in the engine's exact
-order* (the loss coin and the delay draw interleave per message),
-assembles an arrival matrix of shape ``(n_replicas, n_messages)``, and
-evaluates each detector's final output and last S-transition in closed
-form over the whole matrix — no event loop.  Because every replica is
-seeded by its absolute run index, the batch size can never change a
-result.
+run_index])``).  The kernel replays those fates by calling the link's
+own fate rule, :func:`repro.net.link.message_delay`, on that stream
+once per heartbeat, as :meth:`LossyLink.transmit` does; it assembles an
+arrival matrix of shape ``(n_replicas, n_messages)`` and evaluates each
+detector's final output and last S-transition in closed form over the
+whole matrix — no event loop.  Because every replica is seeded by its
+absolute run index, neither the batch size (:data:`_BATCH`) nor the
+worker count can change a result.
 
 Closed-form detection recipes (all proved against the event-driven
 implementations; ``end = crash_time + settle`` is the simulated horizon,
 events at exactly ``end`` still fire):
 
 * **NFD-S** — freshness points ``τ_i = i·η_d + δ`` fire up to
-  ``i_end = max{i ≥ 1 : τ_i ≤ end}``.  The run ends trusting iff some
-  delivered sequence number is ``≥ i_end``.  Otherwise the final
+  ``i_end = max{i ≥ 1 : τ_i ≤ end}`` (the detector's own
+  :func:`~repro.core.nfd_s.window_indices`).  The run ends trusting iff
+  some delivered sequence number is ``≥ i_end``.  Otherwise the final
   S-transition is at ``τ_{L+1}`` where ``L`` is the last window index
   with ``F_L < τ_{L+1}`` (``F_i`` = earliest delivered arrival among
   sequences ``≥ max(i, 1)``, a suffix minimum); no such ``L`` means the
@@ -57,11 +58,11 @@ from typing import Any, Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.nfd_e import NFDE
-from repro.core.nfd_s import NFDS
+from repro.core.nfd_s import NFDS, window_indices
 from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
-from repro.errors import InvalidParameterError
 from repro.net.clocks import PerfectClock
+from repro.net.link import message_delay
 from repro.sim.parallel import chunk_spans, parallel_map
 from repro.sim.runner import (
     CrashRunResult,
@@ -173,85 +174,6 @@ def _send_schedule(eta: float, max_crash: float) -> np.ndarray:
     return sends
 
 
-# Number of probe draws used to certify a fast sampling shortcut.  The
-# shortcuts below are *structural* (the same per-element code path in
-# NumPy), so a short draw-for-draw prefix plus a final bit-generator
-# state comparison either passes for every stream or fails immediately.
-_PROBE_DRAWS = 24
-
-
-def _candidate_scalar_sampler(delay) -> Optional[Callable]:
-    """A cheap scalar draw intended to equal ``delay.sample(rng, 1)[0]``.
-
-    Families whose single draw is one plain :class:`numpy.random.Generator`
-    method call can skip the array round-trip of ``sample(rng, 1)``.  The
-    candidate is only ever used after :func:`_verified_scalar_sampler`
-    certifies it draw-for-draw, so reading the distributions' private
-    parameters here is safe: any drift between these closures and the
-    ``sample`` implementations makes the certification fail closed.
-    """
-    from repro.net import delays as d
-
-    t = type(delay)
-    if t is d.ExponentialDelay:
-        mean = delay.mean
-        return lambda rng: float(rng.exponential(mean))
-    if t is d.ShiftedExponentialDelay:
-        shift, scale = delay.shift, delay._scale
-        return lambda rng: float(shift + rng.exponential(scale))
-    if t is d.UniformDelay:
-        low, high = delay._low, delay._high
-        return lambda rng: float(rng.uniform(low, high))
-    if t is d.ConstantDelay:
-        value = delay.value  # np.full consumes no randomness
-        return lambda rng: value
-    if t is d.GammaDelay:
-        shape, scale = delay._shape, delay._scale
-        return lambda rng: float(rng.gamma(shape, scale))
-    if t is d.WeibullDelay:
-        shape, scale = delay._shape, delay._scale
-        return lambda rng: float(scale * rng.weibull(shape))
-    if t is d.LogNormalDelay:
-        mu, sigma = delay._mu, delay._sigma
-        return lambda rng: float(rng.lognormal(mu, sigma))
-    return None
-
-
-def _verified_scalar_sampler(delay) -> Optional[Callable]:
-    """The scalar sampler, certified against the generic path, or None."""
-    draw = _candidate_scalar_sampler(delay)
-    if draw is None:
-        return None
-    a = np.random.default_rng(0xB1750)
-    b = np.random.default_rng(0xB1750)
-    for _ in range(_PROBE_DRAWS):
-        if float(delay.sample(a, 1)[0]) != draw(b):
-            return None
-    if a.bit_generator.state != b.bit_generator.state:
-        return None
-    return draw
-
-
-def _verified_batch_sampling(delay) -> bool:
-    """True iff ``delay.sample(rng, n)`` equals ``n`` single draws.
-
-    NumPy's Generator fills arrays one variate at a time from the same
-    bit stream, so this holds for the plain families; it fails (and must
-    fail) for e.g. mixtures, whose batched component choice consumes the
-    stream in a different order than per-message choices would.
-    """
-    a = np.random.default_rng(0xB1751)
-    b = np.random.default_rng(0xB1751)
-    batch = np.asarray(delay.sample(a, _PROBE_DRAWS), dtype=float)
-    singles = np.array(
-        [float(delay.sample(b, 1)[0]) for _ in range(_PROBE_DRAWS)]
-    )
-    return bool(
-        np.array_equal(batch, singles)
-        and a.bit_generator.state == b.bit_generator.state
-    )
-
-
 class _FateStream:
     """One run's replayed message fates, extendable on demand."""
 
@@ -277,22 +199,17 @@ _FATES_CACHE_MAX_STREAMS = 65536
 class _FateReplayer:
     """Replays :meth:`LossyLink.transmit` draw for draw, with caching.
 
-    The loss coin is flipped first and a lost message consumes *no*
-    delay draw, so with loss the stream interleaving is data-dependent
-    and stays a scalar loop; the loop body uses the certified scalar
-    sampler when one exists.  Without loss the whole prefix is one
-    certified batched draw.  Either way the values are exactly the ones
-    the event-driven engine would consume.
+    Each heartbeat's fate is one :func:`~repro.net.link.message_delay`
+    call on the run's stream, the call the event-driven link makes, so
+    the values are exactly the ones the engine would consume.  With loss
+    the stream interleaving is data-dependent (a lost message draws no
+    delay), hence one call per message.
     """
 
     def __init__(self, config: SimulationConfig) -> None:
         self._seed = config.seed
         self._delay = config.delay
         self._p_l = config.loss_probability
-        self._sampler = _verified_scalar_sampler(config.delay)
-        self._batch_ok = self._p_l == 0.0 and _verified_batch_sampling(
-            config.delay
-        )
         try:
             per_delay = _FATES_CACHE.setdefault(config.delay, {})
         except TypeError:  # non-weakrefable delay object: skip the cache
@@ -320,32 +237,9 @@ class _FateReplayer:
             grown = np.empty(max(need, 2 * st.fates.size), dtype=float)
             grown[: st.n] = st.fates[: st.n]
             st.fates = grown
-        f = st.fates
-        rng = st.rng
-        p_l = self._p_l
-        draw = self._sampler
-        lo = st.n
-        if p_l > 0.0:
-            coin = rng.random
-            if draw is not None:
-                for m in range(lo, need):
-                    f[m] = math.inf if coin() < p_l else draw(rng)
-            else:
-                delay = self._delay
-                for m in range(lo, need):
-                    if coin() < p_l:
-                        f[m] = math.inf
-                    else:
-                        f[m] = float(delay.sample(rng, 1)[0])
-        elif self._batch_ok:
-            f[lo:need] = self._delay.sample(rng, need - lo)
-        elif draw is not None:
-            for m in range(lo, need):
-                f[m] = draw(rng)
-        else:
-            delay = self._delay
-            for m in range(lo, need):
-                f[m] = float(delay.sample(rng, 1)[0])
+        f, rng, p_l, delay = st.fates, st.rng, self._p_l, self._delay
+        for m in range(st.n, need):
+            f[m] = message_delay(rng, p_l, delay)
         st.n = need
 
 
@@ -368,20 +262,8 @@ def _detect_nfds(
     delivered = A <= ends[:, None]
 
     # Last freshness point that fires: i_end = max{i : i·η + δ ≤ end},
-    # clamped to 0.  The float guess is corrected with the same guarded
-    # comparisons the detector uses, so the boundary cases agree exactly.
-    i_end = np.floor((ends - delta) / eta).astype(np.int64)
-    while True:
-        over = i_end * eta + delta > ends
-        if not bool(over.any()):
-            break
-        i_end[over] -= 1
-    while True:
-        under = (i_end + 1) * eta + delta <= ends
-        if not bool(under.any()):
-            break
-        i_end[under] += 1
-    np.maximum(i_end, 0, out=i_end)
+    # clamped to 0 — the window the detector's own rule puts ``end`` in.
+    i_end = window_indices(ends, eta, delta)
 
     # Final output: trusting iff some delivered sequence number ≥ i_end
     # (any delivery at all when i_end = 0).
@@ -554,23 +436,27 @@ def _crash_batch(
     return _detect_freshness(A, ends, crash_times, spec)
 
 
+# Crash runs per kernel pass.  A pure execution choice: the tests patch
+# it to show that no batch size changes a result.
+_BATCH = 64
+
+
 def run_crash_runs_batched(
     detector_factory: DetectorFactory,
     config: SimulationConfig,
     n_runs: int,
-    batch_size: int = 64,
     jobs: Optional[int] = 1,
     settle_time: Optional[float] = None,
     keep_traces: bool = False,
 ) -> CrashRunResult:
     """Batched :func:`repro.sim.runner.run_crash_runs` — same results.
 
-    Replicas are grouped into batches of ``batch_size`` and each batch
+    Replicas are grouped into batches of :data:`_BATCH` and each batch
     is evaluated by one vectorized kernel pass; batches fan out over
     ``jobs`` workers (batch within a worker × workers across cores).
     Crash times, per-run streams and the detection semantics are those
     of the serial runner, so the output is bit-identical for every
-    ``(batch_size, jobs)`` combination.
+    batch size and every ``jobs``.
 
     When no closed-form kernel applies — unknown detector type,
     non-perfect clocks, a ``link_factory`` or fault ``scenario`` on the
@@ -578,10 +464,6 @@ def run_crash_runs_batched(
     this transparently falls back to
     :func:`repro.sim.runner.run_crash_runs` with the same ``jobs``.
     """
-    if batch_size < 1:
-        raise InvalidParameterError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
     spec = (
         None if keep_traces else crash_kernel_spec(detector_factory, config)
     )
@@ -596,7 +478,7 @@ def run_crash_runs_batched(
         )
     crash_times, settle = _prepare_crash_runs(config, n_runs, None, settle_time)
     sends = _send_schedule(config.eta, float(crash_times.max()))
-    spans = chunk_spans(n_runs, int(batch_size))
+    spans = chunk_spans(n_runs, _BATCH)
     replayer = _FateReplayer(config)
 
     def span_fn(span: Tuple[int, int]) -> np.ndarray:

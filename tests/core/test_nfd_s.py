@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.nfd_s import NFDS
+from repro.core.base import Heartbeat
+from repro.core.nfd_s import NFDS, window_index, window_indices
 from repro.errors import InvalidParameterError
 from repro.metrics.transitions import SUSPECT, TRUST
 from repro.net.delays import ConstantDelay, ExponentialDelay
@@ -104,6 +105,65 @@ class TestInitialBehaviour:
         # m_1 arrives hugely late, at 4.0 (window i=3); 1 < 3: stale.
         trace = run.run([(1, 4.0)], until=5.0)
         assert trace.output_at(4.2) == SUSPECT
+
+
+class _FrozenClock:
+    """A detector runtime whose clock reads ``now``; no timer fires."""
+
+    def __init__(self, now: float) -> None:
+        self.now = now
+
+    def local_now(self) -> float:
+        return self.now
+
+    def call_at(self, local_time, callback):
+        return None
+
+
+def _trusts_on(eta: float, delta: float, t: float, seq: int) -> bool:
+    """Whether a started NFD-S trusts after receiving ``m_seq`` at ``t``."""
+    detector = NFDS(eta=eta, delta=delta)
+    detector.bind(_FrozenClock(t))
+    detector.start()
+    detector.on_heartbeat(Heartbeat(seq, 0.0, t))
+    return detector.output == TRUST
+
+
+class TestWindowIndexBoundaries:
+    """``window_index``, ``window_indices`` and NFDS put an instant in
+    the same window ``[τ_i, τ_{i+1})``, ``τ_i = i·η + δ``: at each
+    freshness point, one ulp either side of it, and before ``τ_1``."""
+
+    @pytest.mark.parametrize("eta", [1.0, 0.1, 0.3])
+    @pytest.mark.parametrize("delta", [0.0, 0.2, 1.7])
+    def test_forms_agree_at_freshness_points(self, eta, delta):
+        times, expected = [], []
+        for i in [*range(1, 300), 1_000_003]:
+            tau = i * eta + delta
+            times += [np.nextafter(tau, -np.inf), tau, np.nextafter(tau, np.inf)]
+            expected += [i - 1, i, i]
+        if eta != 1.0:
+            # The float floor alone is off by one both ways here, so
+            # both correction loops run.
+            guess = np.floor((np.array(times) - delta) / eta)
+            assert (guess > expected).any() and (guess < expected).any()
+        tau1 = eta + delta
+        times += [0.0, delta / 2, delta, np.nextafter(tau1, -np.inf)]
+        expected += [0, 0, 0, 0]
+        times = np.array(times)
+        scalar = [window_index(float(t), eta, delta) for t in times]
+        assert scalar == expected
+        vector = window_indices(times, eta, delta)
+        assert vector.dtype == np.int64
+        assert vector.tolist() == expected
+        per_row = window_indices(
+            times, np.full(times.size, eta), np.full(times.size, delta)
+        )
+        assert per_row.tolist() == expected
+        for t, i in zip(times.tolist(), expected):
+            assert _trusts_on(eta, delta, t, i)
+            if i > 0:
+                assert not _trusts_on(eta, delta, t, i - 1)
 
 
 class TestLemma2Property:

@@ -197,9 +197,7 @@ class TestBehaviour:
         assert np.array_equal(faulted.crash_times, plain.crash_times)
         assert np.all(plain.detection_times > 0.0)
         assert np.all(faulted.detection_times == 0.0)
-        batched = run_crash_runs_batched(
-            nfds, cfg, n_runs=6, batch_size=2, settle_time=10.0
-        )
+        batched = run_crash_runs_batched(nfds, cfg, n_runs=6, settle_time=10.0)
         assert np.array_equal(
             batched.detection_times, faulted.detection_times
         )

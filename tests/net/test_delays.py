@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidParameterError
-from repro.net import delays, topology
+from repro import net
 from repro.net.delays import (
     ConstantDelay,
     DelayDistribution,
@@ -23,7 +25,6 @@ from repro.net.delays import (
     ParetoDelay,
     ShiftedExponentialDelay,
     UniformDelay,
-    WeibullDelay,
 )
 from repro.net.topology import PathDelay
 
@@ -33,7 +34,6 @@ ALL_FAMILIES = [
     UniformDelay(0.01, 0.05),
     ConstantDelay(0.1),
     GammaDelay(2.0, 0.01),
-    WeibullDelay(1.5, 0.02),
     LogNormalDelay(-4.0, 0.5),
     ParetoDelay(3.0, 0.01),
     MixtureDelay([ExponentialDelay(0.02), ConstantDelay(0.2)], [0.9, 0.1]),
@@ -110,9 +110,16 @@ class TestSampleOwnership:
     """``sample`` returns a fresh float array the caller may overwrite."""
 
     def test_every_concrete_law_is_listed(self):
+        """Every law defined anywhere in ``repro.net`` is in
+        :data:`SAMPLED_LAWS`, so no family skips these checks or the
+        ``draw`` contract."""
+        modules = [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(net.__path__, "repro.net.")
+        ]
         concrete = {
             cls
-            for module in (delays, topology)
+            for module in modules
             for cls in vars(module).values()
             if isinstance(cls, type)
             and issubclass(cls, DelayDistribution)
@@ -129,6 +136,33 @@ class TestSampleOwnership:
         first[:] = np.inf
         again = law.sample(np.random.default_rng(7), 257)
         np.testing.assert_array_equal(again, saved)
+
+
+class TestDrawContract:
+    """``draw(rng)`` is ``sample(rng, 1)[0]``: the same value from the
+    same randomness, so the link's per-message draw and a batched
+    ``sample`` of one see one stream."""
+
+    @pytest.mark.parametrize("law", SAMPLED_LAWS, ids=lambda d: type(d).__name__)
+    def test_draw_is_a_sample_of_one(self, law):
+        a = np.random.default_rng(0xD7A)
+        b = np.random.default_rng(0xD7A)
+        for _ in range(1000):
+            got = law.draw(a)
+            assert type(got) is float
+            assert got == law.sample(b, 1)[0]
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_subclass_overriding_sample_draws_through_it(self):
+        class Doubled(ExponentialDelay):
+            def sample(self, rng, size):
+                return super().sample(rng, size) * 2.0
+
+        law = Doubled(0.02)
+        a = np.random.default_rng(3)
+        b = np.random.default_rng(3)
+        assert law.draw(a) == law.sample(b, 1)[0]
+        assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestValidation:
@@ -226,12 +260,6 @@ class TestSpecificShapes:
         d = ParetoDelay(3.0, 0.01)
         assert float(d.sf(0.02)) == pytest.approx((0.01 / 0.02) ** 3)
         assert float(d.cdf(0.005)) == 0.0
-
-    def test_weibull_shape_one_is_exponential(self):
-        w = WeibullDelay(1.0, 0.02)
-        e = ExponentialDelay(0.02)
-        assert w.mean == pytest.approx(e.mean)
-        assert float(w.sf(0.05)) == pytest.approx(float(e.sf(0.05)))
 
     def test_mixture_moments_law_of_total_variance(self):
         a, b = ExponentialDelay(0.02), ConstantDelay(0.2)

@@ -3,8 +3,9 @@
 The invariant under test: for a fixed seed, every result of
 :mod:`repro.sim.batch` — crash detection times and the experiment table
 built from them — is *bit-identical* to the serial/event-driven path,
-for every ``batch_size`` and every ``jobs`` value.  Batching is a pure
-execution strategy; it must never be observable in the numbers.
+for every batch size (``sim.batch._BATCH``, patched here) and every
+``jobs`` value.  Batching is a pure execution strategy; it must never be
+observable in the numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from repro.core.nfd_e import NFDE
 from repro.core.nfd_s import NFDS
 from repro.core.nfd_u import NFDU
 from repro.core.simple import SimpleFD
-from repro.errors import InvalidParameterError
 from repro.net.clocks import DriftingClock
 from repro.net.delays import (
     ConstantDelay,
@@ -26,6 +26,7 @@ from repro.net.delays import (
     MixtureDelay,
     UniformDelay,
 )
+from repro.sim import batch as batch_mod
 from repro.sim.batch import (
     crash_kernel_spec,
     run_crash_runs_batched,
@@ -67,24 +68,24 @@ def _assert_same_result(a: CrashRunResult, b: CrashRunResult) -> None:
 
 class TestCrashKernelBitIdentity:
     @pytest.mark.parametrize("name", sorted(DETECTORS))
-    def test_matches_event_driven_all_batch_sizes(self, name):
+    def test_matches_event_driven_all_batch_sizes(self, name, monkeypatch):
         factory = DETECTORS[name]
         config = _config()
         ref = run_crash_runs(factory, config, n_runs=24, settle_time=40.0)
         for batch_size in BATCH_SIZES:
+            monkeypatch.setattr(batch_mod, "_BATCH", batch_size)
             for jobs in JOBS:
                 got = run_crash_runs_batched(
                     factory,
                     config,
                     n_runs=24,
-                    batch_size=batch_size,
                     jobs=jobs,
                     settle_time=40.0,
                 )
                 _assert_same_result(ref, got)
 
     @pytest.mark.parametrize("name", sorted(DETECTORS))
-    def test_matches_under_heavy_loss(self, name):
+    def test_matches_under_heavy_loss(self, name, monkeypatch):
         # Heavy loss exercises the premature-suspicion and no-delivery
         # branches, and the data-dependent RNG interleave of LossyLink.
         factory = DETECTORS[name]
@@ -95,8 +96,9 @@ class TestCrashKernelBitIdentity:
             horizon=60.0,
         )
         ref = run_crash_runs(factory, config, n_runs=20, settle_time=6.0)
+        monkeypatch.setattr(batch_mod, "_BATCH", 7)
         got = run_crash_runs_batched(
-            factory, config, n_runs=20, batch_size=7, settle_time=6.0
+            factory, config, n_runs=20, settle_time=6.0
         )
         _assert_same_result(ref, got)
         # Regime check: some run was already suspecting at the crash
@@ -115,45 +117,41 @@ class TestCrashKernelBitIdentity:
         factory = DETECTORS["nfds"]
         ref = run_crash_runs(factory, config, n_runs=20, settle_time=6.0)
         got = run_crash_runs_batched(
-            factory, config, n_runs=20, batch_size=64, settle_time=6.0
+            factory, config, n_runs=20, settle_time=6.0
         )
         _assert_same_result(ref, got)
         assert ref.n_undetected > 0  # regime check
 
-    def test_matches_with_constant_delay_ties(self):
+    def test_matches_with_constant_delay_ties(self, monkeypatch):
         # Constant delays make arrivals land exactly on freshness points
         # and timer deadlines — the tie cases of the closed forms.
         config = _config(
             seed=11, delay=ConstantDelay(0.25), loss_probability=0.2,
             horizon=60.0,
         )
+        monkeypatch.setattr(batch_mod, "_BATCH", 5)
         for name in sorted(DETECTORS):
             ref = run_crash_runs(
                 DETECTORS[name], config, n_runs=16, settle_time=8.0
             )
             got = run_crash_runs_batched(
-                DETECTORS[name], config, n_runs=16, batch_size=5,
-                settle_time=8.0,
+                DETECTORS[name], config, n_runs=16, settle_time=8.0
             )
             _assert_same_result(ref, got)
 
-    def test_batch_size_never_changes_results(self):
+    def test_batch_size_never_changes_results(self, monkeypatch):
         config = _config(seed=3)
         factory = DETECTORS["sfd_cutoff"]
-        results = [
-            run_crash_runs_batched(
-                factory, config, n_runs=17, batch_size=bs, settle_time=40.0
-            ).detection_times
-            for bs in (1, 2, 5, 17, 1000)
-        ]
+        results = []
+        for bs in (1, 2, 5, 17, 1000):
+            monkeypatch.setattr(batch_mod, "_BATCH", bs)
+            results.append(
+                run_crash_runs_batched(
+                    factory, config, n_runs=17, settle_time=40.0
+                ).detection_times
+            )
         for other in results[1:]:
             assert np.array_equal(results[0], other)
-
-    def test_invalid_batch_size(self):
-        with pytest.raises(InvalidParameterError):
-            run_crash_runs_batched(
-                DETECTORS["nfds"], _config(), n_runs=4, batch_size=0
-            )
 
 
 class TestCrashKernelSpec:
@@ -176,7 +174,7 @@ class TestCrashKernelSpec:
         # The public API still works — via the event-driven fallback.
         ref = run_crash_runs(OddDetector, config, n_runs=5, settle_time=10.0)
         got = run_crash_runs_batched(
-            OddDetector, config, n_runs=5, batch_size=2, settle_time=10.0
+            OddDetector, config, n_runs=5, settle_time=10.0
         )
         _assert_same_result(ref, got)
 
@@ -198,7 +196,7 @@ class TestCrashKernelSpec:
             DETECTORS["nfds"], config, n_runs=6, settle_time=10.0
         )
         got = run_crash_runs_batched(
-            DETECTORS["nfds"], config, n_runs=6, batch_size=3, settle_time=10.0
+            DETECTORS["nfds"], config, n_runs=6, settle_time=10.0
         )
         _assert_same_result(ref, got)
 
@@ -220,8 +218,7 @@ class TestCrashKernelSpec:
             DETECTORS["nfds"], config, n_runs=40, settle_time=40.0
         )
         got = run_crash_runs_batched(
-            DETECTORS["nfds"], config, n_runs=40, batch_size=8,
-            settle_time=40.0,
+            DETECTORS["nfds"], config, n_runs=40, settle_time=40.0
         )
         _assert_same_result(ref, got)
 
@@ -230,7 +227,6 @@ class TestCrashKernelSpec:
             DETECTORS["nfds"],
             _config(),
             n_runs=4,
-            batch_size=2,
             settle_time=10.0,
             keep_traces=True,
         )
@@ -261,97 +257,39 @@ class TestBatchedExperiments:
 
 
 class TestFastReplay:
-    """The certified sampling shortcuts and the fate-stream cache."""
+    """The fate-stream cache."""
 
-    def test_scalar_samplers_certify_for_plain_families(self):
-        from repro.net.delays import (
-            GammaDelay,
-            LogNormalDelay,
-            ShiftedExponentialDelay,
-            WeibullDelay,
-        )
-        from repro.sim.batch import _verified_scalar_sampler
-
-        plain = [
-            ExponentialDelay(0.02),
-            ShiftedExponentialDelay(0.01, 0.05),
-            UniformDelay(0.1, 0.5),
-            ConstantDelay(0.3),
-            GammaDelay(2.0, 0.01),
-            WeibullDelay(1.5, 0.02),
-            LogNormalDelay(-4.0, 0.5),
-        ]
-        for delay in plain:
-            assert _verified_scalar_sampler(delay) is not None, delay
-
-    def test_interleaved_families_fall_back(self):
-        from repro.net.delays import EmpiricalDelay
-        from repro.sim.batch import (
-            _verified_batch_sampling,
-            _verified_scalar_sampler,
-        )
-
-        mixture = MixtureDelay(
-            [ExponentialDelay(0.05), UniformDelay(0.5, 2.5)], [0.7, 0.3]
-        )
-        empirical = EmpiricalDelay([0.1, 0.2, 0.3, 0.4])
-        # No scalar shortcut exists for either family.
-        assert _verified_scalar_sampler(mixture) is None
-        assert _verified_scalar_sampler(empirical) is None
-        # A batched mixture draws all component choices before any
-        # values — a different stream order than per-message draws — so
-        # it must fail certification.  (The empirical bootstrap is a
-        # plain per-element integer draw and legitimately certifies.)
-        assert not _verified_batch_sampling(mixture)
-        assert _verified_batch_sampling(empirical)
-
-    def test_subclass_never_certifies(self):
-        from repro.sim.batch import _verified_scalar_sampler
-
-        class Tweaked(ExponentialDelay):
-            def sample(self, rng, size):
-                return super().sample(rng, size) * 2.0
-
-        assert _verified_scalar_sampler(Tweaked(0.02)) is None
-
-    def test_batch_sampling_certifies_without_loss(self):
-        from repro.sim.batch import _verified_batch_sampling
-
-        assert _verified_batch_sampling(ExponentialDelay(0.02))
-        assert _verified_batch_sampling(UniformDelay(0.1, 0.5))
-
-    def test_fate_cache_reuse_is_bit_identical(self):
+    def test_fate_cache_reuse_is_bit_identical(self, monkeypatch):
         """A second batched call over the same link reuses cached
         prefixes (and extends them for longer runs) without changing a
         single value — the detection-time experiment's access pattern."""
-        from repro.sim import batch as batch_mod
-
         config = _config(seed=99)
         factory = DETECTORS["nfds"]
         ref = run_crash_runs(factory, config, n_runs=24, settle_time=40.0)
         batch_mod._FATES_CACHE.clear()
+        monkeypatch.setattr(batch_mod, "_BATCH", 4)
         first = run_crash_runs_batched(
-            factory, config, n_runs=10, batch_size=4, settle_time=40.0
+            factory, config, n_runs=10, settle_time=40.0
         )
+        monkeypatch.setattr(batch_mod, "_BATCH", 7)
         cached = run_crash_runs_batched(
-            factory, config, n_runs=24, batch_size=7, settle_time=40.0
+            factory, config, n_runs=24, settle_time=40.0
         )
+        assert np.array_equal(first.crash_times, ref.crash_times[:10])
         assert np.array_equal(
             first.detection_times, ref.detection_times[:10]
-        ) or first.crash_times.size == 10  # crash times differ with n_runs
+        )
         _assert_same_result(cached, ref)
 
     def test_fate_cache_shared_across_detector_cases(self):
         """Different detectors over the same link replay each stream
         once; the second case must still match its own serial run."""
-        from repro.sim import batch as batch_mod
-
         config = _config(seed=7)
         batch_mod._FATES_CACHE.clear()
         for name in ("nfds", "sfd_cutoff", "nfde"):
             factory = DETECTORS[name]
             ref = run_crash_runs(factory, config, n_runs=16, settle_time=40.0)
             got = run_crash_runs_batched(
-                factory, config, n_runs=16, batch_size=64, settle_time=40.0
+                factory, config, n_runs=16, settle_time=40.0
             )
             _assert_same_result(got, ref)

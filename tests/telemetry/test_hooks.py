@@ -115,8 +115,9 @@ class TestExecutorTelemetry:
         assert reg.histogram("parallel_chunk_seconds").count >= 1
         assert reg.histogram("parallel_wall_seconds").count == 1
 
-    def test_batched_crash_runs(self):
+    def test_batched_crash_runs(self, monkeypatch):
         from repro.core.nfd_s import NFDS
+        from repro.sim import batch as batch_mod
 
         config = SimulationConfig(
             eta=1.0,
@@ -125,12 +126,12 @@ class TestExecutorTelemetry:
             horizon=40.0,
             seed=11,
         )
+        monkeypatch.setattr(batch_mod, "_BATCH", 4)
         with telemetry.enabled() as reg:
             run_crash_runs_batched(
                 lambda: NFDS(eta=1.0, delta=1.0),
                 config,
                 n_runs=6,
-                batch_size=4,
                 settle_time=20.0,
             )
         labels = {"kernel": "nfds"}
