@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from repro.errors import InvalidParameterError
 from repro.metrics.confidence import mean_ci
@@ -221,6 +220,8 @@ class NFDSAnalysis:
                 x = kink - self.delta + j * self.eta
                 if 0.0 < x < self.eta:
                     pts.append(x)
+        from scipy import integrate  # on first use: repro.live loads no SciPy
+
         value, _err = integrate.quad(
             lambda x: float(self.u(x)),
             0.0,

@@ -26,8 +26,6 @@ import math
 from collections import deque
 from typing import Deque, Optional
 
-from scipy.special import ndtri
-
 from repro.core.base import Heartbeat, HeartbeatFailureDetector, TimerHandle
 from repro.errors import InvalidParameterError
 from repro.metrics.transitions import SUSPECT, TRUST
@@ -150,6 +148,9 @@ class PhiAccrualFD(HeartbeatFailureDetector):
             return math.inf
         mean, std = stats
         tail = 10.0 ** (-self._threshold)
+        # on first use: repro.live loads no SciPy
+        from scipy.special import ndtri
+
         z = float(ndtri(1.0 - tail))
         return mean + std * z
 

@@ -18,9 +18,10 @@ with the operational hardening a wall-clock service needs:
   senders and from sequence numbers before the observation window.
 * **incarnation dispatch** — a heartbeat with a higher incarnation than
   the current host means the peer restarted (footnote 2: a new
-  identity): the old incarnation's host is finalized into the results
-  and a fresh detector is started via the peer's factory; lower
-  incarnations are stale stragglers and are dropped.
+  identity): a fresh detector is started via the peer's factory and
+  the old incarnation's host is finalized into the results — on an
+  engine row where the drained chunk reaches the restart (a *cut*);
+  lower incarnations are stale stragglers and are dropped.
 * **supervised consumer** — the inbox consumer runs under a
   :class:`~repro.live.supervisor.TaskSupervisor` and is restarted if it
   ever dies on an unexpected exception.
@@ -43,7 +44,8 @@ estimators (loss / delay / expected arrival) of every incarnation are
 rows of the service's one :class:`~repro.estimation.ObserverTable`: a
 host's ``observer`` is a view of its row, a drained chunk updates
 all its rows with one ``observe_batch`` right before the engine's one
-``ingest``, and closing an incarnation exports its row as the real
+``ingest`` (however many peers restart in it), and closing an
+incarnation exports its row as the real
 :class:`~repro.estimation.HeartbeatObserver` of
 :attr:`LivePeerResult.observer`.  The service contributes registry
 counters so an operator can watch the stream (``live_*`` series,
@@ -157,6 +159,50 @@ class _Peer:
         self.first_seq = 1
         #: SoAMonitorHost (NFD-S/U/E engine row) or DetectorHost (the rest)
         self.host: Optional[object] = None
+
+
+class _Cut:
+    """The closing half of a restart on an engine row, run where the
+    drained chunk's one ingest reaches the restart, :attr:`position`
+    receipts into the buffer: the old row's books close as a flush
+    there would have closed them, then the new incarnation — hosted
+    since the restart was dispatched — is announced.  Runs once."""
+
+    __slots__ = (
+        "service",
+        "peer",
+        "old",
+        "old_incarnation",
+        "old_first_seq",
+        "new",
+        "incarnation",
+        "now",
+        "position",
+    )
+
+    def __init__(
+        self, service, peer: _Peer, old, new, incarnation: int, now: float
+    ) -> None:
+        self.service = service
+        self.peer = peer
+        self.old = old
+        self.old_incarnation = peer.incarnation
+        self.old_first_seq = peer.first_seq
+        self.new = new
+        self.incarnation = incarnation
+        self.now = now  # the restart's clock read
+        self.position = 0
+
+    def __call__(self) -> None:
+        old, self.old = self.old, None
+        if old is None:
+            return
+        service, peer = self.service, self.peer
+        service._close(
+            peer, old, self.old_incarnation, self.old_first_seq, self.now
+        )
+        if not self.new._stopped:  # unless removed before the cut
+            service._announce(peer, self.incarnation, self.now)
 
 
 #: a peer index's columns and their fills
@@ -316,14 +362,17 @@ class LiveMonitorService:
         # slot (-1: none) each.  The columnar lane books a run of
         # datagrams as one piece of four array slices; the scalar lane
         # appends to the four lists, which are sealed into a piece of
-        # their own whenever a run follows them, so the pieces are in
-        # arrival order.  One receipt time serves the whole buffer (one
-        # clock read per drained chunk): it is read when the first
-        # receipt is booked and forgotten by the flush.
+        # their own whenever a run or a cut follows them, so the pieces
+        # are in arrival order.  A piece carries its receipt time: one
+        # clock read serves the buffer from its first receipt up to the
+        # next cut (a restart on an engine row, :class:`_Cut`), and a
+        # cut or a flush forgets it.
         self._pend_pieces: List[tuple] = []
         #: the scalar lane's rows, seqs, sigmas, slots
         self._pend_lists: tuple = ([], [], [], [])
         self._pend_time: Optional[float] = None
+        #: the buffer's cuts, in position order
+        self._pend_cuts: List[_Cut] = []
         #: buffered receipts the estimators rejected, this chunk so far
         self._pend_rejected = 0
         # The inbox is a plain deque plus a wakeup event rather than an
@@ -458,12 +507,30 @@ class LiveMonitorService:
         self._start_incarnation(peer, incarnation=0)
 
     def _start_incarnation(self, peer: _Peer, incarnation: int) -> None:
+        """Host a new incarnation of ``peer`` and announce it.
+
+        A restart of a peer on an engine row whose new detector is an
+        engine row too is a *cut*: the new row, estimator slot and index
+        columns exist at once, so the chunk's later heartbeats book onto
+        them, and the old row keeps its place in the buffer; its books
+        close, and both incarnations are announced, where the chunk's
+        one ingest reaches the restart (:class:`_Cut`).  Any other
+        restart closes the old incarnation here, after a flush."""
+        old = peer.host
+        if old is not None and not isinstance(old, SoAMonitorHost):
+            # a DetectorHost took its receipts at dispatch: it closes now
+            self._finalize_incarnation(peer)
+            old = None
         # One clock read: a detector started mid-stream begins at the
         # first heartbeat still to come — the fan-out's first slot
         # (MonitorService keeps its own rule: it starts the sender too).
         now = self._scheduler.now()
         first_seq = first_slot(now, peer.eta)
         detector = peer.factory(first_seq)
+        if old is not None and not supports_detector(detector):
+            # the new host takes its receipts at dispatch: no cut
+            self._finalize_incarnation(peer)
+            old = None
         observer = None
         if peer.observe:
             observer = self._observers.add(peer.eta, first_seq=first_seq)
@@ -497,6 +564,11 @@ class LiveMonitorService:
             if observer is not None:
                 self._observers.release(observer)
             raise
+        if old is not None:
+            # the old host's receipts are all booked: settle its count
+            # before the index columns are the new incarnation's
+            self._settle_delivered(peer)
+            cut = _Cut(self, peer, old, host, incarnation, now)
         if row >= 0:
             assert row == len(self._row_owner)
             self._row_owner.append(peer)
@@ -506,8 +578,6 @@ class LiveMonitorService:
         peer.incarnation = incarnation
         peer.first_seq = first_seq
         peer.host = host
-        self._suspected.add(peer.name)  # paper detectors start at S
-        self._g_suspected.set(len(self._suspected))
         if row >= 0:
             host.start(now)
         else:
@@ -518,6 +588,19 @@ class LiveMonitorService:
             row=row,
             slot=-1 if observer is None else observer.slot,
         )
+        if old is None:
+            self._announce(peer, incarnation, now)
+        else:
+            # The buffer is cut here: what follows is stamped afresh.
+            self._seal_scalar()
+            self._pend_time = None
+            cut.position = sum(len(piece[0]) for piece in self._pend_pieces)
+            self._pend_cuts.append(cut)
+
+    def _announce(self, peer: _Peer, incarnation: int, now: float) -> None:
+        """A fresh incarnation joins the books at S."""
+        self._suspected.add(peer.name)  # paper detectors start at S
+        self._g_suspected.set(len(self._suspected))
         # Announce the fresh incarnation to subscribers: it starts at S
         # (administrative — not a detector transition, so no counters),
         # which guarantees a consumer holding a stale trust bit drops it
@@ -538,13 +621,27 @@ class LiveMonitorService:
         if host is None:
             return None
         # Receipts still buffered for the SoA ingest path must reach the
-        # engine before any book is closed (restart mid-batch).
+        # engine before any book is closed.
         self._flush_soa()
         self._settle_delivered(peer)
         self._index.unhost(peer.index)
-        trace = host.finish()
+        peer.host = None
+        return self._close(peer, host, peer.incarnation, peer.first_seq, None)
+
+    def _close(
+        self,
+        peer: _Peer,
+        host,
+        incarnation: int,
+        first_seq: int,
+        now: Optional[float],
+    ) -> LivePeerResult:
+        """Close an incarnation's books at ``now`` (None: the host's
+        clock) into :attr:`results`; its verdicts are muted from here."""
+        trace = host.finish(now)
         host.stop()
-        self._mute(peer)
+        if isinstance(host, SoAMonitorHost):
+            self._row_owner[host.row] = None
         # The estimator row leaves the table as the observer object the
         # results carry; only now — after the flush — may its slot go.
         observer = host.observer
@@ -552,15 +649,14 @@ class LiveMonitorService:
             observer = self._observers.release(observer)
         result = LivePeerResult(
             name=peer.name,
-            incarnation=peer.incarnation,
-            first_seq=peer.first_seq,
+            incarnation=incarnation,
+            first_seq=first_seq,
             trace=trace,
             estimator=host.estimator,
             observer=observer,
             delivered=host.delivered_count,
         )
         self._results.append(result)
-        peer.host = None
         # A finalized incarnation no longer contributes to the suspected
         # gauge (a restart re-adds the name immediately; a removal must
         # not leave a ghost behind).
@@ -572,11 +668,11 @@ class LiveMonitorService:
         if self._listeners:
             self._publish(
                 MonitorEvent(
-                    time=self.local_now(),
+                    time=self.local_now() if now is None else now,
                     process=peer.name,
                     output=SUSPECT,
                     administrative=True,
-                    incarnation=peer.incarnation,
+                    incarnation=incarnation,
                 )
             )
         return result
@@ -664,26 +760,28 @@ class LiveMonitorService:
     def _on_rows(self, time: float, rows: np.ndarray, output: str) -> None:
         """The engine's batch listener: books first, then one event a
         row for the subscribers, skipping a row muted in the meantime
-        (a subscriber removed or restarted its peer)."""
+        (a subscriber removed or restarted its peer).  An event carries
+        its row's incarnation: a restarted peer's old row speaks until
+        its cut, under the incarnation it was registered with."""
         owner = self._row_owner
-        rows = rows.tolist()
+        batch, rows = rows, rows.tolist()
         peers = [owner[row] for row in rows]
         if None in peers:
             # Removed or superseded before the batch (the closing flush
             # of a removal): its opinion must not leak to books or
             # subscribers.
-            live = [(r, p) for r, p in zip(rows, peers) if p is not None]
-            rows = [r for r, _ in live]
-            peers = [p for _, p in live]
+            live = [p is not None for p in peers]
+            batch = batch[live]
+            rows = [r for r, keep in zip(rows, live) if keep]
+            peers = [p for p, keep in zip(peers, live) if keep]
         self._book(output, [peer.name for peer in peers])
         if not self._listeners:
             return
-        for row, peer in zip(rows, peers):
+        incarnations = self._soa_engine._incarnation[batch].tolist()
+        for row, peer, incarnation in zip(rows, peers, incarnations):
             if owner[row] is peer:
                 self._publish(
-                    MonitorEvent(
-                        time, peer.name, output, False, peer.incarnation
-                    )
+                    MonitorEvent(time, peer.name, output, False, incarnation)
                 )
 
     def _note_transition(
@@ -816,60 +914,84 @@ class LiveMonitorService:
                     np.asarray(seqs, dtype=np.int64),
                     np.asarray(sigmas, dtype=np.float64),
                     np.asarray(slots, dtype=np.int64),
+                    self._pend_time,
                 )
             )
             for pending in self._pend_lists:
                 pending.clear()
 
     def _flush_soa(self) -> None:
-        """Apply buffered receipts: one ``observe_batch`` on the
-        estimator table, then one engine ``ingest`` of what it accepted
+        """Apply the buffer: one ``observe_batch`` on the estimator table
+        over every piece, then one engine ``ingest`` of what it accepted
         (a receipt the estimators reject never reaches the detector and
-        is added to :attr:`_pend_rejected`)."""
-        pieces = self._pend_pieces
+        is added to :attr:`_pend_rejected`), with the buffer's cuts run
+        inside it at their positions.
+
+        The buffer is detached before anything is applied: a subscriber
+        that re-enters (a removal flushes first) finds it empty, and a
+        restarted consumer never meets the chunk that killed it.  A cut
+        an exception kept ``ingest`` from reaching still closes its
+        books on the way out."""
+        self._seal_scalar()
+        pieces, cuts = self._pend_pieces, self._pend_cuts
+        if not pieces and not cuts:
+            return
+        self._pend_pieces, self._pend_cuts = [], []
+        self._pend_time = None
         try:
-            self._seal_scalar()
-            if not pieces:
-                return
-            if len(pieces) == 1:
-                engine_rows, seqs, sigmas, slots = pieces[0]
-            else:
-                engine_rows, seqs, sigmas, slots = map(
-                    np.concatenate, zip(*pieces)
-                )
-            n = len(engine_rows)
-            # Booked receipts are on clockless hosts: q-local receipt
-            # time is the engine time.
-            times = np.full(n, self._pend_time, dtype=np.float64)
-            observed = slots >= 0
-            if observed.all():
-                rejected = self._observers.observe_batch(
-                    slots, seqs, sigmas, times
-                )
-            else:
-                rejected = np.zeros(n, dtype=bool)
-                rejected[observed] = self._observers.observe_batch(
-                    slots[observed],
-                    seqs[observed],
-                    sigmas[observed],
-                    times[observed],
-                )
-            if rejected.any():
-                self._pend_rejected += int(np.count_nonzero(rejected))
-                keep = ~rejected
-                times, engine_rows, seqs = (
-                    times[keep],
-                    engine_rows[keep],
-                    seqs[keep],
-                )
-            self._soa_engine.ingest(times, engine_rows, seqs)
+            if pieces:
+                self._apply(pieces, cuts)
         finally:
-            # The buffers never outlive a flush, however it ends: a
-            # restarted consumer must not meet the chunk that killed it.
-            pieces.clear()
-            for pending in self._pend_lists:
-                pending.clear()
-            self._pend_time = None
+            for cut in cuts:
+                cut()  # a no-op for every cut the ingest ran
+
+    def _apply(self, pieces: List[tuple], cuts: List[_Cut]) -> None:
+        """:meth:`_flush_soa`'s two passes over a detached buffer."""
+        # Booked receipts are on clockless hosts: q-local receipt time
+        # is the engine time.
+        if len(pieces) == 1:
+            engine_rows, seqs, sigmas, slots, at = pieces[0]
+            times = np.full(len(engine_rows), at, dtype=np.float64)
+        else:
+            columns = list(zip(*pieces))
+            engine_rows, seqs, sigmas, slots = map(np.concatenate, columns[:4])
+            times = np.repeat(columns[4], list(map(len, columns[0])))
+        n = len(engine_rows)
+        observed = slots >= 0
+        if observed.all():
+            rejected = self._observers.observe_batch(
+                slots, seqs, sigmas, times
+            )
+        else:
+            rejected = np.zeros(n, dtype=bool)
+            rejected[observed] = self._observers.observe_batch(
+                slots[observed],
+                seqs[observed],
+                sigmas[observed],
+                times[observed],
+            )
+        if rejected.any():
+            self._pend_rejected += int(np.count_nonzero(rejected))
+            keep = ~rejected
+            if cuts:
+                # a cut's position counts the receipts that stay
+                kept = np.concatenate(([0], np.cumsum(keep)))
+                for cut in cuts:
+                    cut.position = int(kept[cut.position])
+            times, engine_rows, seqs = (
+                times[keep],
+                engine_rows[keep],
+                seqs[keep],
+            )
+        if cuts:
+            self._soa_engine.ingest(
+                times,
+                engine_rows,
+                seqs,
+                cuts=[(cut.position, cut) for cut in cuts],
+            )
+        else:
+            self._soa_engine.ingest(times, engine_rows, seqs)
 
     def _dispatch_batch(self, payloads: List[bytes]) -> None:
         """Decode and dispatch one drained chunk.
@@ -877,8 +999,8 @@ class LiveMonitorService:
         One decision procedure, in arrival order: junk is counted; an
         unknown sender goes through the admission hook; a lower
         incarnation is a stale straggler; a higher one means the peer
-        restarted (footnote 2: a new identity), so the old incarnation's
-        books are closed and a fresh detector started.  A chunk of
+        restarted (footnote 2: a new identity), so a fresh detector is
+        started and the old incarnation's books are closed.  A chunk of
         ``bytes`` at least :data:`_COLUMNAR_FROM` long is decoded as
         columns (:meth:`_dispatch_columns`), any other datagram by
         datagram (:meth:`_dispatch_scalar`); both book deliveries to
@@ -887,11 +1009,15 @@ class LiveMonitorService:
         when the consumer woke, so the wakeup instant is their shared
         local receipt time — and the chunk is applied with a single
         :meth:`~repro.estimation.ObserverTable.observe_batch` and a
-        single :meth:`~repro.service.soa.VectorMonitorEngine.ingest`.
-        The buffer is flushed before any structural change (admission,
-        incarnation restart) and before this method returns, so neither
-        engine nor estimator state moves out of order or lags the
-        counters, which are incremented once per chunk.
+        single :meth:`~repro.service.soa.VectorMonitorEngine.ingest`
+        (:meth:`_flush_soa`).  A restart on an engine row is a cut in
+        that buffer, not a flush: the new row takes the later receipts
+        at once, the old one closes where the ingest reaches the cut,
+        and the receipts after it are stamped with a fresh clock read.
+        The buffer is flushed before an admission and before this
+        method returns, so neither engine nor estimator state moves out
+        of order or lags the counters, which are incremented once per
+        chunk.
         """
         self._pend_rejected = 0
         # invalid, unknown, stale, prewindow, dispatched
@@ -990,7 +1116,7 @@ class LiveMonitorService:
             self._pend_time = self._soa_engine.now
         self._seal_scalar()
         self._pend_pieces.append(
-            (index.row[who], seqs, sigmas, index.slot[who])
+            (index.row[who], seqs, sigmas, index.slot[who], self._pend_time)
         )
         np.add.at(index.booked, who, 1)
 
@@ -1006,10 +1132,6 @@ class LiveMonitorService:
         peer_at = self._index.peers
         n_invalid = n_unknown = n_stale = n_prewindow = n_dispatched = 0
         pend_rows, pend_seqs, pend_sigmas, pend_slots = self._pend_lists
-        # The buffer's receipt time, read when its first receipt is
-        # booked; a flush forgets it, so it is dropped here wherever
-        # this loop causes one.
-        chunk_now = self._pend_time
         for payload in payloads:
             try:
                 name, incarnation, seq, sigma = parse(payload)
@@ -1032,19 +1154,18 @@ class LiveMonitorService:
                 if peer is None:
                     n_unknown += 1
                     continue
-                chunk_now = None  # admission flushed the buffer
             if incarnation < peer.incarnation or peer.host is None:
                 n_stale += 1
                 continue
             if incarnation > peer.incarnation:
                 self._c_restarts.inc()
-                self._finalize_incarnation(peer)  # flushes the buffer
                 self._start_incarnation(peer, incarnation=incarnation)
-                chunk_now = None  # fresh row, fresh clock read
             host = peer.host
             if isinstance(host, SoAMonitorHost):
-                if chunk_now is None:
-                    chunk_now = self._pend_time = self._soa_engine.now
+                # The receipt time, read at the first receipt after a
+                # flush or a cut (which forget it).
+                if self._pend_time is None:
+                    self._pend_time = self._soa_engine.now
                 # Inlined prepare() (same package, hot path; the service's
                 # rows have no clock): the per-heartbeat work is a
                 # delivered count and four appends; the estimators see

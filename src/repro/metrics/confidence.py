@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.errors import InvalidParameterError
 
@@ -60,5 +59,7 @@ def mean_ci(samples: np.ndarray, level: float = 0.95) -> ConfidenceInterval:
     sem = float(arr.std(ddof=1)) / math.sqrt(arr.size)
     if sem == 0.0:
         return ConfidenceInterval(point, point, point, level)
+    from scipy import stats  # on first use: repro.live loads no SciPy
+
     t = float(stats.t.ppf(0.5 + level / 2.0, df=arr.size - 1))
     return ConfidenceInterval(point, point - t * sem, point + t * sem, level)

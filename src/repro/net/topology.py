@@ -22,13 +22,15 @@ attributes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import InvalidParameterError
 from repro.net.delays import DelayDistribution
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["PathDelay", "compose_path", "end_to_end_behavior"]
 
@@ -140,6 +142,8 @@ def end_to_end_behavior(
         weights[(u, v)] = mean
         if not graph.is_directed():
             weights[(v, u)] = mean
+    import networkx as nx  # on first use: repro.live loads no networkx
+
     path = nx.shortest_path(
         graph, source, target, weight=lambda u, v, d: weights[(u, v)]
     )

@@ -21,13 +21,14 @@ cross-check in :mod:`repro.net.wan.analysis` builds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.net.delays import DelayDistribution
 from repro.net.topology import PathDelay, compose_path
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LinkSpec", "CongestionSpec", "pair_key", "WanTopology"]
 
@@ -235,6 +236,9 @@ class WanTopology:
 
     def _routing_graph(self) -> nx.Graph:
         if self._graph is None:
+            # on first use: repro.live loads no networkx
+            import networkx as nx
+
             g = nx.Graph()
             g.add_nodes_from(self._sites)
             for spec in self._links.values():
@@ -272,6 +276,8 @@ class WanTopology:
             if pair_key(u, v) in down:
                 return None
             return data["mean"]
+
+        import networkx as nx
 
         try:
             return nx.shortest_path(g, source, target, weight=weight)

@@ -33,7 +33,10 @@ with a struct-of-arrays core:
   arrival) with one pass of eq. (6.3) over the window tables, and
   suspected clockless NFD-S rows heard once in the span with one pass
   of the window index ``i(t)`` (those with ``max_seq ≥ i`` turn T).
-  The rest goes one receipt at a time through the scalar procedure;
+  The rest goes one receipt at a time through the scalar procedure.
+  A caller's *cuts* — callbacks at positions of the batch — run in the
+  same arrival-order merge (the live service closes a restarted
+  peer's old row in one);
 * **transition batches** — a verdict leaves the engine as a batch
   ``(time, rows, output)``: one per wheel slice, one per instant of
   the shared NFD-U/E entry, and one per run of equal-time, equal-output
@@ -88,7 +91,7 @@ import bisect
 import heapq
 import math
 from itertools import repeat
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -849,6 +852,7 @@ class VectorMonitorEngine:
         times: np.ndarray,
         rows: np.ndarray,
         seqs: np.ndarray,
+        cuts: Sequence[Tuple[int, Callable[[], None]]] = (),
     ) -> None:
         """Consume a batch of heartbeats sorted by arrival time.
 
@@ -864,6 +868,15 @@ class VectorMonitorEngine:
         callable —, skewed clocks) replays through the exact scalar path
         in arrival order: bit-identical verdict streams, published in
         arrival order whichever lane turned them.
+
+        ``cuts`` are ``(position, callback)`` pairs in position order,
+        positions in ``[0, len(times)]``: a callback runs once every
+        transition of the receipts before its position is published,
+        and before any deadline fired at, or receipt applied from, its
+        position on.  The live service closes a restarted peer's old
+        row in one (:meth:`remove` and all), so a drained chunk is one
+        ingest however many peers restart in it.  The callback must not
+        touch a row that has receipts at or after its position.
         """
         times = np.ascontiguousarray(times, dtype=np.float64)
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -871,29 +884,51 @@ class VectorMonitorEngine:
         n = len(times)
         if len(rows) != n or len(seqs) != n:
             raise InvalidParameterError("times/rows/seqs length mismatch")
-        pos = 0
+        pos = cut = 0
         try:
-            while pos < n:
+            while True:
+                while cut < len(cuts) and cuts[cut][0] <= pos:
+                    cuts[cut][1]()
+                    cut += 1
+                if pos >= n:
+                    break
                 hi = int(np.searchsorted(times, self._next_deadline(), "left"))
                 if hi > pos:
+                    inner = cut
+                    while inner < len(cuts) and cuts[inner][0] < hi:
+                        inner += 1
                     self._ingest_chunk(
-                        times[pos:hi], rows[pos:hi], seqs[pos:hi]
+                        times[pos:hi],
+                        rows[pos:hi],
+                        seqs[pos:hi],
+                        [(at - pos, then) for at, then in cuts[cut:inner]],
                     )
-                    pos = hi
-                if pos < n:
-                    self.advance(times[pos])
+                    cut, pos = inner, hi
+                    continue  # the cuts at ``hi`` go before its deadlines
+                self.advance(times[pos])
         finally:
             self._request_wakeup()
 
     def _ingest_chunk(
-        self, times: np.ndarray, rows: np.ndarray, seqs: np.ndarray
+        self,
+        times: np.ndarray,
+        rows: np.ndarray,
+        seqs: np.ndarray,
+        cuts: List[Tuple[int, Callable[[], None]]],
     ) -> None:
         """Apply a span of receipts that no deadline armed before it
-        falls inside."""
+        falls inside, running ``cuts`` (span positions, all inside it)
+        in the arrival-order merge."""
         act = self._active[rows]
         if not act.all():
+            if cuts:
+                # a cut's position counts the receipts that stay
+                kept = np.concatenate(([0], np.cumsum(act)))
+                cuts = [(int(kept[at]), then) for at, then in cuts]
             times, rows, seqs = times[act], rows[act], seqs[act]
             if len(rows) == 0:
+                for _, then in cuts:
+                    then()
                 return
         np.add.at(self._delivered, rows, 1)
         # One arming stamp a receipt, in arrival order whichever lane
@@ -912,7 +947,7 @@ class VectorMonitorEngine:
         if fast.any():
             np.maximum.at(self._max_seq, rows[fast], seqs[fast])
         slow = ~fast
-        if slow.any():
+        if cuts or slow.any():
             nfde = np.flatnonzero(calm & (kind == KIND_NFDE))
             if len(nfde) >= _NFDE_VECTOR_FROM:
                 slow[self._ingest_nfde(times, rows, seqs, nfde, base)] = False
@@ -931,6 +966,8 @@ class VectorMonitorEngine:
                 else np.searchsorted(back, index).tolist()
             )
             staged = 0
+            cut = 0
+            next_cut = cuts[0][0] if cuts else math.inf
             for k, t, row, seq, upto in zip(
                 index.tolist(),
                 times[index].tolist(),
@@ -938,6 +975,10 @@ class VectorMonitorEngine:
                 seqs[index].tolist(),
                 ahead,
             ):
+                while k >= next_cut:
+                    staged = self._cut(times, rows, back, staged, cuts[cut])
+                    cut += 1
+                    next_cut = cuts[cut][0] if cut < len(cuts) else math.inf
                 if upto > staged:
                     self._stage_returns(times, rows, back[staged:upto])
                     staged = upto
@@ -952,10 +993,33 @@ class VectorMonitorEngine:
                     self._deliver_nfds(row, seq, t)
                 else:
                     self._deliver_nfdu(row, seq, t, base + 1 + k)
+            for pending in cuts[cut:]:
+                staged = self._cut(times, rows, back, staged, pending)
             if back is not None and staged < len(back):
                 self._stage_returns(times, rows, back[staged:])
             self._flush_run()
         self._time = max(self._time, float(times[-1]))
+
+    def _cut(
+        self,
+        times: np.ndarray,
+        rows: np.ndarray,
+        back: Optional[np.ndarray],
+        staged: int,
+        cut: Tuple[int, Callable[[], None]],
+    ) -> int:
+        """Run one cut of a span: the S→T lane's T's before its position
+        staged, the pending run published, then its callback.  Returns
+        how many of the lane's T's are staged now."""
+        at, then = cut
+        if back is not None:
+            upto = int(np.searchsorted(back, at))
+            if upto > staged:
+                self._stage_returns(times, rows, back[staged:upto])
+                staged = upto
+        self._flush_run()
+        then()
+        return staged
 
     def _ingest_returns(
         self,

@@ -981,3 +981,286 @@ class TestStrangers:
             assert (counters, books) == one_by_one[:2]
 
         asyncio.run(main())
+
+
+# ---------------------------------------------------------------------- #
+# Restarts on engine rows: a cut in the chunk, not a flush
+# ---------------------------------------------------------------------- #
+
+#: engine-hosted peers of both kinds; ``q…`` are silent in slot 2, so
+#: they are suspected when slot 3 hears their old incarnation again
+RESTART_PEERS = {
+    **{f"s{i:02d}": "soa" for i in range(20)},
+    **{f"e{i:02d}": "soa-e" for i in range(20)},
+    **{f"qs{i:02d}": "soa" for i in range(14)},
+    **{f"qe{i:02d}": "soa-e" for i in range(10)},
+}
+#: the peer that restarts twice in one chunk
+TWICE = "s00"
+
+
+def restart_stream():
+    """Bursts in which engine rows restart: many in one chunk, one at
+    the head and one at the tail of a burst (so of a chunk, whatever
+    its size), one peer twice in a row, suspected peers that turn T on
+    an old-incarnation heartbeat before they restart, a restart whose
+    first heartbeat the estimators reject, and stale stragglers.  A new
+    incarnation heartbeats one number ahead of the slot: its window
+    opens at the slot still to come."""
+    rng = np.random.default_rng(41)
+    names = sorted(RESTART_PEERS)
+    quiet = [name for name in names if name.startswith("q")]
+    inc = dict.fromkeys(names, 0)
+
+    def hb(name, slot, sigma=None):
+        seq = slot + (inc[name] > 0)
+        return encode_heartbeat(
+            name, inc[name], seq, seq * ETA if sigma is None else sigma
+        )
+
+    def regular(slot, skip=()):
+        return [
+            hb(names[i], slot)
+            for i in rng.permutation(len(names))
+            if names[i] not in skip
+        ]
+
+    stream = [(1, regular(1)), (2, regular(2, skip=quiet))]
+    # slot 3: every quiet peer's old incarnation is heard again (S→T),
+    # then — later in the chunk — it restarts; so do a dozen others
+    burst = regular(3, skip=quiet)
+    returns = [hb(name, 3) for name in quiet]
+    others = [
+        name for name in names
+        if name not in quiet and name not in (TWICE, "e05", "s07")
+    ]
+    restarting = quiet + others[1::3]
+    for name in restarting:
+        inc[name] += 1
+    restarts = [hb(name, 3) for name in restarting]
+    order = rng.permutation(len(restarts))
+    burst = returns + burst[:30] + [restarts[i] for i in order] + burst[30:]
+    # one peer heard at position 0, then restarting twice in a row at
+    # positions 3 and 4: one chunk of 7 holds all three
+    twice = [hb(TWICE, 3)]
+    for _ in range(2):
+        inc[TWICE] += 1
+        twice.append(hb(TWICE, 3))
+    burst = twice[:1] + burst[:2] + twice[1:] + burst[2:]
+    stream.append((3, burst))
+    # slot 4: a restart heads the burst and one ends it — the tail one's
+    # first heartbeat has no finite delay (the estimators reject it);
+    # stragglers of the superseded incarnations in between
+    head, tail = "e05", "s07"
+    inc[head] += 1
+    burst = [hb(head, 4)] + regular(4, skip=(head,)) + [
+        encode_heartbeat(name, inc[name] - 1, 3, 3 * ETA)
+        for name in restarting[:5]
+    ]
+    inc[tail] += 1
+    burst.append(hb(tail, 4, sigma=NAN))
+    stream.append((4, burst))
+    for slot in (5, 6):
+        stream.append((slot, regular(slot)))
+    return stream
+
+
+def _count_passes(service):
+    """Count the calls of the service's two passes over a chunk, the
+    estimator table's ``observe_batch`` and the engine's ``ingest``."""
+    calls = Counter()
+    for owner, method in (
+        (service._observers, "observe_batch"),
+        (service.soa_engine, "ingest"),
+    ):
+        inner = getattr(owner, method)
+
+        def counted(*args, _inner=inner, _method=method, **kwargs):
+            calls[_method] += 1
+            return _inner(*args, **kwargs)
+
+        setattr(owner, method, counted)
+    return calls
+
+
+class TestRestartCuts:
+    """A restart on an engine row closes the old row where the chunk's
+    one ingest reaches it: the same decisions, books and events as a
+    flush at the restart, for every chunk size."""
+
+    DRAINS = (1, 7, _COLUMNAR_FROM, 256)
+
+    def test_restarts_decide_alike_for_every_chunk_size(self):
+        def digest(results):
+            return {
+                (r.name, r.incarnation, r.first_seq): (
+                    r.delivered,
+                    observer_state(r.observer),
+                )
+                for r in results
+            }
+
+        async def main():
+            stream = restart_stream()
+            probe = next(k for k, (slot, _) in enumerate(stream) if slot == 3)
+            runs = {}
+            for drain in self.DRAINS:
+                runs[drain] = await drain_stream(
+                    stream,
+                    drain=drain,
+                    peers=RESTART_PEERS,
+                    probe_after=probe,
+                    inbox_limit=4096,
+                )
+            counters, results, events, midrun, _ = runs[1]
+            for drain, got in runs.items():
+                assert got[0] == counters, drain
+                assert digest(got[1]) == digest(results), drain
+                assert got[2] == events, drain  # one global order
+                assert got[3] == midrun, drain
+            # the stream met what it is for
+            # 24 quiet and 12 other peers, one twice, one at each end
+            restarts = counters["live_incarnation_restarts_total"]
+            assert restarts == 24 + 12 + 2 + 2
+            # the stragglers of slot 4, and 4 old-incarnation heartbeats
+            # that follow their peer's restart in slot 3's chunk
+            assert counters["live_stale_incarnation_total"] == 5 + 4
+            assert counters["live_prewindow_heartbeats_total"] == 1
+            books = digest(results)
+            assert books[TWICE, 1, 4][0] == 1 and books[TWICE, 2, 4][0] == 4
+            assert books["s07", 1, 5][0] == 3  # the rejected one counts
+            by_process = _by_process(events)
+            for name in ("qs00", "qs13", "qe00", "qe09"):
+                kinds = [(e[2], e[3], e[4]) for e in by_process[name]]
+                # suspected at τ, trusted by the old incarnation, closed
+                # at the cut, the new one announced
+                assert kinds[:6] == [
+                    ("S", True, 0), ("T", False, 0), ("S", False, 0),
+                    ("T", False, 0), ("S", True, 0), ("S", True, 1),
+                ], name
+            # the 256 drain met the lanes the cuts are merged with
+            assert runs[256][4]["nfde"] > 0
+
+        asyncio.run(main())
+
+    def test_a_chunk_costs_one_estimator_pass_and_one_ingest(self):
+        """However many peers restart in it, a drained chunk is applied
+        with one ``observe_batch`` and one ``ingest`` (a flush at each
+        restart made 1 + restarts of each)."""
+
+        async def main():
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop, origin=0.0, keep_traces=False
+            )
+            names = [f"p{i:03d}" for i in range(128)]
+            for i, name in enumerate(names):
+                service.add_peer(
+                    name, (_factory, _factory_e)[i % 2], eta=ETA
+                )
+            calls = _count_passes(service)
+            with chunks_of(256):
+                service.start()
+                await asyncio.sleep(0)
+            inc = [0] * len(names)
+            for slot, restarting in ((1, 0), (2, 1), (3, 40), (4, 128)):
+                loop.run_until(slot * ETA + 0.01)
+                calls.clear()
+                for i, name in enumerate(names):
+                    inc[i] += i < restarting
+                    service.on_datagram(
+                        encode_heartbeat(name, inc[i], slot + 1, slot * ETA)
+                    )
+                while _processed(service.registry) < slot * len(names):
+                    await asyncio.sleep(0)
+                assert calls == {"observe_batch": 1, "ingest": 1}, slot
+            counters = _counters(service.registry)
+            assert counters["live_incarnation_restarts_total"] == 1 + 40 + 128
+            await service.aclose()
+
+        asyncio.run(main())
+
+
+class TestReentrantFlush:
+    def test_a_removal_inside_the_flush_applies_the_chunk_once(self):
+        """A subscriber that removes a peer on a transition the flush
+        publishes re-enters the flush: it must find the buffer empty,
+        not apply the chunk a second time."""
+
+        async def run(remove):
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop, origin=0.0, keep_traces=False
+            )
+            names = [f"p{i}" for i in range(40)]
+            for name in names:
+                service.add_peer(name, _factory, eta=ETA)
+            calls = _count_passes(service)
+
+            def on_event(event):
+                if remove and event.process == "p0" and event.output == "T":
+                    service.remove_peer("p39")
+
+            service.subscribe(on_event)
+            service.start()
+            await asyncio.sleep(0)
+            loop.run_until(ETA + 0.01)
+            for name in names:
+                service.on_datagram(encode_heartbeat(name, 0, 1, ETA))
+            while _processed(service.registry) < len(names):
+                await asyncio.sleep(0)
+            results = {r.name: r for r in await service.aclose()}
+            return calls, results
+
+        async def main():
+            calls, removed = await run(remove=True)
+            assert calls == {"observe_batch": 1, "ingest": 1}
+            _, kept = await run(remove=False)
+            for name, result in kept.items():
+                assert result.observer.delay_stats.n_samples == 1, name
+                if name != "p39":
+                    assert observer_state(removed[name].observer) == (
+                        observer_state(result.observer)
+                    ), name
+                    assert removed[name].delivered == 1, name
+
+        asyncio.run(main())
+
+    def test_a_flush_inside_the_scalar_lane_leaves_later_receipts_a_time(self):
+        """A ``DetectorHost`` peer publishes at delivery, so a subscriber
+        that removes a peer there flushes in the middle of the scalar
+        lane: the receipts after it read the clock again rather than
+        reach the estimators without a receipt time (which rejected them
+        as non-finite and left their peers suspected)."""
+
+        async def main():
+            loop = SteppedLoop()
+            service = LiveMonitorService(
+                loop=loop, origin=0.0, keep_traces=False
+            )
+            service.add_peer("r0", _factory_on("object"), eta=ETA)
+            for name in ("e1", "e2", "e3", "gone"):
+                service.add_peer(name, _factory, eta=ETA)
+
+            def on_event(event):
+                if event.process == "r0" and event.output == "T":
+                    service.remove_peer("gone")
+
+            service.subscribe(on_event)
+            service.start()
+            await asyncio.sleep(0)
+            loop.run_until(ETA + 0.01)
+            for name in ("e1", "r0", "e2", "e3"):
+                service.on_datagram(encode_heartbeat(name, 0, 1, ETA))
+            while _processed(service.registry) < 4:
+                await asyncio.sleep(0)
+            counters = _counters(service.registry)
+            assert counters["live_heartbeats_dispatched_total"] == 4
+            assert counters["live_prewindow_heartbeats_total"] == 0
+            assert service.suspected == set()
+            results = {r.name: r for r in await service.aclose()}
+            for name in ("e1", "e2", "e3"):
+                stats = results[name].observer.delay_stats
+                assert stats.n_samples == 1, name
+
+        asyncio.run(main())

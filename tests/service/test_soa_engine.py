@@ -348,6 +348,77 @@ class TestBatchIngest:
         assert scalar.transition_log == batch.transition_log
         assert len(batch.transition_log) > n  # real churn happened
 
+    def test_cuts_run_where_a_split_ingest_would_return(self):
+        """A cut at position k runs once every transition of the
+        receipts before k is published and before any deadline or
+        receipt at k — where an ingest split at k returns.  Each cut
+        here retires a row that is silent from its position on, and
+        the stream has deadlines, S→T returns and NFD-E rows inside the
+        spans the cuts fall in."""
+        rng = np.random.default_rng(41)
+        n, slots = 120, 12
+        times, rows, seqs = [], [], []
+        for s in range(1, slots + 1):
+            keep = rng.random(n) >= 0.4
+            t = s * ETA + rng.exponential(0.15, n)
+            for i in np.flatnonzero(keep):
+                times.append(t[i])
+                rows.append(i)
+                seqs.append(s)
+        order = np.argsort(times, kind="stable")
+        times = np.asarray(times)[order]
+        rows = np.asarray(rows)[order]
+        seqs = np.asarray(seqs)[order]
+        at = np.sort(rng.choice(len(times), 30, replace=False))
+        at[0], at[-1] = 0, len(times)
+        retired = rng.choice(n, len(at), replace=False)
+        silent = np.zeros(len(times), dtype=bool)
+        for k, row in zip(at, retired):
+            silent |= (rows == row) & (np.arange(len(times)) >= k)
+        keep = ~silent
+        cuts_at = np.concatenate(([0], np.cumsum(keep)))[at]
+        times, rows, seqs = times[keep], rows[keep], seqs[keep]
+
+        def run(split):
+            eng = engine()
+            for i in range(n):
+                spec = (
+                    NFDE(eta=ETA, alpha=0.3, window=4)
+                    if i % 3 == 0
+                    else NFDS(eta=ETA, delta=DELTA)
+                )
+                eng.start_row(eng.register(spec))
+            seen = []
+
+            def cut(row):
+                seen.append(len(eng.transition_log))
+                eng.remove(int(row))
+
+            if split:
+                lo = 0
+                for k, row in zip(cuts_at, retired):
+                    eng.ingest(times[lo:k], rows[lo:k], seqs[lo:k])
+                    cut(row)
+                    lo = k
+                eng.ingest(times[lo:], rows[lo:], seqs[lo:])
+            else:
+                eng.ingest(
+                    times,
+                    rows,
+                    seqs,
+                    cuts=[
+                        (int(k), lambda row=row: cut(row))
+                        for k, row in zip(cuts_at, retired)
+                    ],
+                )
+            eng.advance((slots + 2) * ETA)
+            return eng.transition_log, seen
+
+        log, seen = run(split=False)
+        assert (log, seen) == run(split=True)
+        assert len(seen) == len(at) and len(set(seen)) > len(at) // 2
+        assert {out for _, _, out in log} == {"S", "T"}
+
     def test_ingest_validates_lengths(self):
         eng = engine()
         eng.start_row(eng.register(NFDS(eta=ETA, delta=DELTA)))
